@@ -10,8 +10,8 @@ The package splits into small layers:
   minimal feasible penalties per curvature class.
 * :mod:`apadmm.simnet` - deterministic discrete-event star network with
   delays, losses, and bounded staleness.
-* :mod:`apadmm.algorithms` - the asynchronous solver, its incremental
-  variant, and synchronous baselines, all sharing one master step.
+* :mod:`apadmm.algorithms` - one solver loop, an exchange plus a local
+  update, that runs the asynchronous solver and synchronous baselines.
 * :mod:`apadmm.diagnostics` - optimality measures, surrogate values,
   and residual checks replayed over stored traces.
 * :mod:`apadmm.benchmark` - sparse-PCA instance generator and campaign

@@ -1,22 +1,21 @@
 """Consensus solvers: asynchronous proximal updates plus synchronous baselines.
 
-Every algorithm shares the same master step: average the local copies and
-duals, then apply the l1-plus-ball proximal map with weight scaled by the
-total penalty. They differ in where the component gradients come from:
+Every algorithm runs the same master iteration in one solver loop: an
+exchange with the workers followed by a local update. Each update starts
+with the same master step: average the local copies and duals, then
+apply the l1-plus-ball proximal map with weight scaled by the total
+penalty. The algorithms differ only in the two varying parts:
 
-* ``async_padmm``: gradients arrive over a simulated star network; each
-  master iteration broadcasts the new x, waits one window, and applies
+* ``async_padmm``: the exchange is one window of a simulated star
+  network; the master broadcasts the new x, waits one window, and applies
   whatever gradients arrived (stale copies allowed, bounded staleness
   enforced or observed per config). All local copies and duals are
   refreshed every iteration, recently arrived gradients or not.
-* ``async_padmm_incremental_variant``: same, but only components whose
-  gradient arrived this window refresh their local copy and dual. No
-  descent certificate is claimed for this variant.
-* ``sync_padmm``: every component contributes a fresh gradient at the new
-  x each update (the zero-delay protocol).
-* ``sync_admm``: every component solves its penalized subproblem exactly;
-  requires components that expose an exact solver and penalties above the
-  component curvature.
+* ``sync_padmm``: the exchange blocks on every worker, and every component
+  contributes a fresh gradient at the new x (the zero-delay protocol).
+* ``sync_admm``: the exchange blocks as for ``sync_padmm``, and every
+  component solves its penalized subproblem exactly; requires components
+  that expose an exact solver and penalties above the component curvature.
 
 Time accounting: the reported iteration count is the simulated master
 clock in window units. Async iterations cost exactly 1. Synchronous
@@ -30,7 +29,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .problems import (
-    ConsensusProblem,
     IterationTrace,
     SolverState,
     augmented_lagrangian,
@@ -40,7 +38,7 @@ from .problems import (
 )
 from .prox import prox_l1_ball
 from .simnet import ComputeModel, DelayModel, LinkModel, StarNetwork
-from .stepsize import certify, default_penalties, exact_baseline_penalty, minimal_rho
+from .stepsize import certify, default_penalties, exact_baseline_penalty
 from . import diagnostics
 
 __all__ = [
@@ -54,12 +52,7 @@ __all__ = [
     "run",
 ]
 
-ALGORITHMS = (
-    "async_padmm",
-    "sync_padmm",
-    "sync_admm",
-    "async_padmm_incremental_variant",
-)
+ALGORITHMS = ("async_padmm", "sync_padmm", "sync_admm")
 
 
 @dataclass
@@ -100,7 +93,7 @@ class RunConfig:
     uplink: object = None
     curvature_override: object = None
 
-    def validate(self, num_components=None):
+    def validate(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError("unknown algorithm %r; expected one of %s"
                              % (self.algorithm, list(ALGORITHMS)))
@@ -114,17 +107,6 @@ class RunConfig:
             raise ValueError("enforcement must be 'enforce' or 'observe'")
         if self.init not in ("zero", "random_ball"):
             raise ValueError("init must be 'zero' or 'random_ball'")
-        if num_components is not None:
-            for name in ("delay_bound", "cert_delay", "compute_delay",
-                         "downlink", "uplink"):
-                value = getattr(self, name)
-                if isinstance(value, (list, tuple)) and not (
-                    name != "delay_bound" and len(value) == 0
-                ):
-                    if len(value) != num_components:
-                        raise ValueError(
-                            "%s list has %d entries for %d components"
-                            % (name, len(value), num_components))
 
 
 @dataclass
@@ -165,18 +147,16 @@ def master_step(problem, state, rho):
     return prox_l1_ball(v, problem.l1_weight / total, problem.radius)
 
 
-def padmm_apply(problem, state, rho, x_new, updates, incremental=False):
+def padmm_apply(problem, state, rho, x_new, updates):
     """Commit one proximal update given the new master vector and fresh gradients.
 
     Parameters
     ----------
     updates : dict
         ``{k: (gradient, copy_index)}`` for the components whose gradient
-        arrived this iteration; the rest keep their stored gradient.
-    incremental : bool
-        When True, only components in ``updates`` refresh their local copy
-        and dual; otherwise every component does (with whatever gradient
-        is stored).
+        arrived this iteration; the rest keep their stored gradient. Every
+        component refreshes its local copy and dual, with whatever
+        gradient is stored.
     """
     rho = np.asarray(rho, dtype=float)
     grad = state.grad_stored.copy()
@@ -186,8 +166,7 @@ def padmm_apply(problem, state, rho, x_new, updates, incremental=False):
     for k, (g, idx) in updates.items():
         grad[k] = g
         stale[k] = idx
-    refresh = sorted(updates) if incremental else range(problem.num_components)
-    for k in refresh:
+    for k in range(problem.num_components):
         x_local[k] = x_new - (grad[k] + y[k]) / rho[k]
         y[k] = y[k] + rho[k] * (x_local[k] - x_new)
     return SolverState(state.iteration + 1, np.asarray(x_new, dtype=float),
@@ -265,30 +244,29 @@ def _link_model(spec):
     )
 
 
-def _per_worker(spec, count, build):
-    if isinstance(spec, (list, tuple)):
+def _per_worker(spec, count, build, name):
+    if isinstance(spec, (list, tuple, np.ndarray)):
         if len(spec) != count:
-            raise ValueError("expected %d per-worker entries, got %d"
-                             % (count, len(spec)))
+            raise ValueError("%s list has %d entries for %d components"
+                             % (name, len(spec), count))
         return [build(s) for s in spec]
     return [build(spec) for _ in range(count)]
 
 
-def _resolve_models(config, delay_bounds, num_workers):
-    downs = _per_worker(config.downlink, num_workers, _link_model)
-    ups = _per_worker(config.uplink, num_workers, _link_model)
-    if config.compute_delay is None:
-        computes = [
-            ComputeModel(DelayModel.uniform(0.0, float(delay_bounds[k])))
-            if delay_bounds[k] > 0 else ComputeModel(DelayModel.constant(0.0))
-            for k in range(num_workers)
-        ]
-    else:
-        computes = [
-            ComputeModel(m) for m in
-            _per_worker(config.compute_delay, num_workers, _delay_model)
-        ]
-    return downs, ups, computes
+def _build_network(problem, config, delay_bounds):
+    K = problem.num_components
+    downs = _per_worker(config.downlink, K, _link_model, "downlink")
+    ups = _per_worker(config.uplink, K, _link_model, "uplink")
+    compute = config.compute_delay
+    if compute is None:
+        # uniform(0, 0) draws nothing from the rng, like constant(0)
+        compute = [DelayModel.uniform(0.0, T) for T in delay_bounds]
+    computes = [ComputeModel(m) for m in
+                _per_worker(compute, K, _delay_model, "compute_delay")]
+    return StarNetwork(
+        K, lambda k, x: problem.components[k].gradient(x),
+        downs, ups, computes, seed=[int(config.seed), 29],
+        window=config.window)
 
 
 def _resolve_rho(problem, config, cert_delays):
@@ -361,23 +339,34 @@ def _record(problem, state, rho, trace, sim_time, collected):
 def run(problem, config):
     """Execute one full run and return its trace and termination status.
 
+    Every algorithm runs the same loop: an exchange with the workers (one
+    network window for ``async_padmm``, a blocking round trip for the
+    synchronous baselines) followed by a local update (proximal for
+    ``async_padmm`` and ``sync_padmm``, exact for ``sync_admm``).
+
     Termination is one of ``converged`` (optimality measure dropped below
     epsilon), ``max_iters`` (clock budget exhausted), ``staleness_violation``
     (enforce mode tripped), or ``infeasible_stepsize`` (certificates failed
     and force was not set; no iterations run).
     """
-    config.validate(problem.num_components)
+    config.validate()
     K = problem.num_components
-    delay_bounds = np.broadcast_to(
-        np.asarray(config.delay_bound, dtype=float), (K,)).copy()
+    delay_bounds = np.array(
+        _per_worker(config.delay_bound, K, float, "delay_bound"))
     if np.any(delay_bounds < 0):
         raise ValueError("delay bounds must be nonnegative")
     cert_delays = delay_bounds
     if config.cert_delay is not None:
-        cert_delays = np.broadcast_to(
-            np.asarray(config.cert_delay, dtype=float), (K,)).copy()
+        cert_delays = np.array(
+            _per_worker(config.cert_delay, K, float, "cert_delay"))
         if np.any(cert_delays < 0):
             raise ValueError("certification delays must be nonnegative")
+    net = _build_network(problem, config, delay_bounds)
+    asynchronous = config.algorithm == "async_padmm"
+    if not asynchronous and net.has_loss:
+        raise ValueError(
+            "synchronous algorithms block on every worker and need lossless "
+            "links; set loss to 0 or use an asynchronous algorithm")
     rho, certs = _resolve_rho(problem, config, cert_delays)
     trace = IterationTrace(states=[] if config.full_trace else None)
     state = _initial(problem, config)
@@ -393,91 +382,43 @@ def run(problem, config):
     if trace.states is not None:
         trace.states.append(state.copy())
 
-    if config.algorithm in ("async_padmm", "async_padmm_incremental_variant"):
-        return _run_async(problem, config, rho, certs, state, trace,
-                          delay_bounds)
-    return _run_sync(problem, config, rho, certs, state, trace, delay_bounds)
-
-
-def _run_async(problem, config, rho, certs, state, trace, delay_bounds):
-    K = problem.num_components
-    downs, ups, computes = _resolve_models(config, delay_bounds, K)
-    net = StarNetwork(
-        K, lambda k, x: problem.components[k].gradient(x),
-        downs, ups, computes, seed=[int(config.seed), 29],
-        window=config.window)
-    incremental = config.algorithm == "async_padmm_incremental_variant"
+    local_update = (exact_admm_iteration if config.algorithm == "sync_admm"
+                    else sync_padmm_iteration)
     enforce = config.enforcement == "enforce"
     violations = []
     violation = None
-    reason = None
+    termination = "max_iters"
     measure = float("inf")
     clock = 0
     while clock < config.max_iters:
-        t = state.iteration
-        x_new = master_step(problem, state, rho)
-        net.broadcast(x_new, t + 1)
-        net.advance(config.window)
-        collected = net.collect()
-        updates = {
-            k: (msg.gradient, msg.copy_index) for k, msg in collected.items()
-        }
-        new_stale = state.stale_index.copy()
-        for k, (_, idx) in updates.items():
-            new_stale[k] = idx
-        staleness = (t + 1) - new_stale
-        over = np.nonzero(staleness > delay_bounds)[0]
-        if over.size:
-            worst = int(over[np.argmax(staleness[over])])
-            violations.append((t + 1, worst, int(staleness[worst])))
-            if enforce:
-                violation = violations[-1]
-                reason = "staleness_violation"
-                break
-        state = padmm_apply(problem, state, rho, x_new, updates, incremental)
-        clock += 1
-        measure = _record(problem, state, rho, trace, float(clock), len(updates))
+        if asynchronous:
+            x_new = master_step(problem, state, rho)
+            collected = net.run_window(x_new, state.iteration + 1)
+            updates = {
+                k: (msg.gradient, msg.copy_index)
+                for k, msg in collected.items()
+            }
+            new = padmm_apply(problem, state, rho, x_new, updates)
+            staleness = new.iteration - new.stale_index
+            over = np.nonzero(staleness > delay_bounds)[0]
+            if over.size:
+                worst = int(over[np.argmax(staleness[over])])
+                violations.append((new.iteration, worst, int(staleness[worst])))
+                if enforce:
+                    violation = violations[-1]
+                    termination = "staleness_violation"
+                    break
+            state, cost, arrived = new, 1, len(updates)
+        else:
+            round_trips = net.sample_round_trips()
+            cost = max(1, int(math.ceil(float(round_trips.max()) / config.window)))
+            state, arrived = local_update(problem, state, rho), K
+        clock += cost
+        measure = _record(problem, state, rho, trace, float(clock), arrived)
         if measure < config.epsilon:
-            reason = "converged"
+            termination = "converged"
             break
-    if reason is None:
-        reason = "max_iters"
     return RunResult(
-        termination=reason, iterations=clock, updates=len(trace),
+        termination=termination, iterations=clock, updates=len(trace),
         state=state, trace=trace, rho=rho, certificates=certs,
         final_measure=measure, violations=violations, violation=violation)
-
-
-def _run_sync(problem, config, rho, certs, state, trace, delay_bounds):
-    K = problem.num_components
-    downs, ups, computes = _resolve_models(config, delay_bounds, K)
-    if any(l.loss > 0 for l in downs) or any(l.loss > 0 for l in ups):
-        raise ValueError(
-            "synchronous algorithms block on every worker and need lossless "
-            "links; set loss to 0 or use an asynchronous algorithm")
-    net = StarNetwork(
-        K, lambda k, x: problem.components[k].gradient(x),
-        downs, ups, computes, seed=[int(config.seed), 29],
-        window=config.window)
-    exact = config.algorithm == "sync_admm"
-    reason = None
-    measure = float("inf")
-    clock = 0
-    while clock < config.max_iters:
-        round_trips = net.sample_round_trips()
-        cost = max(1, int(math.ceil(float(round_trips.max()) / config.window)))
-        if exact:
-            state = exact_admm_iteration(problem, state, rho)
-        else:
-            state = sync_padmm_iteration(problem, state, rho)
-        clock += cost
-        measure = _record(problem, state, rho, trace, float(clock), K)
-        if measure < config.epsilon:
-            reason = "converged"
-            break
-    if reason is None:
-        reason = "max_iters"
-    return RunResult(
-        termination=reason, iterations=clock, updates=len(trace),
-        state=state, trace=trace, rho=rho, certificates=certs,
-        final_measure=measure)

@@ -30,7 +30,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .algorithms import RunConfig, run
+from .algorithms import ALGORITHMS, RunConfig, run
 from .benchmark import (
     BENCH_PRESETS,
     CampaignCell,
@@ -214,43 +214,46 @@ def _parse_scalar_or_list(text, convert, flag):
     return parts[0] if len(parts) == 1 else parts
 
 
+def _float_or_list(flag):
+    return lambda text: _parse_scalar_or_list(text, float, flag)
+
+
+def _rho_flag(text):
+    return ("auto" if text == "auto" else
+            _parse_scalar_or_list(text, float, "--rho"))
+
+
+# (argparse dest, key it sets, parser for the flag's text or None); a flag
+# left at None keeps the value from the layers below it
+_CONFIG_FLAGS = (
+    ("algo", "algorithm", None),
+    ("rho", "rho", _rho_flag),
+    ("seed", "seed", None),
+    ("max_iters", "max_iters", None),
+    ("epsilon", "epsilon", None),
+    ("delay_bound", "delay_bound", _float_or_list("--delay-bound")),
+    ("window", "window", None),
+    ("enforcement", "enforcement", None),
+    ("init", "init", None),
+    ("force", "force", None),
+    ("full_trace", "full_trace", None),
+)
+_INSTANCE_FLAGS = (
+    ("N", "dim", None),
+    ("K", "num_components", None),
+    ("M", "rows", None),
+    ("p", "nonzero_prob", None),
+    ("lam", "l1_weight", None),
+    ("instance_seed", "seed", None),
+)
+
+
 def _apply_run_flags(cfg, inst, args):
-    if args.algo is not None:
-        cfg["algorithm"] = args.algo
-    if args.rho is not None:
-        cfg["rho"] = ("auto" if args.rho == "auto" else
-                      _parse_scalar_or_list(args.rho, float, "--rho"))
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.max_iters is not None:
-        cfg["max_iters"] = args.max_iters
-    if args.epsilon is not None:
-        cfg["epsilon"] = args.epsilon
-    if args.delay_bound is not None:
-        cfg["delay_bound"] = _parse_scalar_or_list(
-            args.delay_bound, float, "--delay-bound")
-    if args.window is not None:
-        cfg["window"] = args.window
-    if args.enforcement is not None:
-        cfg["enforcement"] = args.enforcement
-    if args.init is not None:
-        cfg["init"] = args.init
-    if args.force:
-        cfg["force"] = True
-    if args.full_trace:
-        cfg["full_trace"] = True
-    if args.N is not None:
-        inst["dim"] = args.N
-    if args.K is not None:
-        inst["num_components"] = args.K
-    if args.M is not None:
-        inst["rows"] = args.M
-    if args.p is not None:
-        inst["nonzero_prob"] = args.p
-    if args.lam is not None:
-        inst["l1_weight"] = args.lam
-    if args.instance_seed is not None:
-        inst["seed"] = args.instance_seed
+    for target, table in ((cfg, _CONFIG_FLAGS), (inst, _INSTANCE_FLAGS)):
+        for dest, key, parse in table:
+            value = getattr(args, dest)
+            if value is not None:
+                target[key] = value if parse is None else parse(value)
 
 
 def _build_run_config(cfg):
@@ -420,9 +423,7 @@ def build_parser():
                    help="JSON config; flags override file values")
     p.add_argument("--preset", choices=sorted(RUN_PRESETS),
                    help="named instance + run configuration")
-    p.add_argument("--algo", choices=(
-        "async_padmm", "sync_padmm", "sync_admm",
-        "async_padmm_incremental_variant"))
+    p.add_argument("--algo", choices=ALGORITHMS)
     p.add_argument("--rho", help="'auto', a number, or comma list per worker")
     p.add_argument("--seed", type=int)
     p.add_argument("--max-iters", type=int)
@@ -434,9 +435,9 @@ def build_parser():
     p.add_argument("--observe", dest="enforcement", action="store_const",
                    const="observe", help="record staleness violations only")
     p.add_argument("--init", choices=("zero", "random_ball"))
-    p.add_argument("--force", action="store_true",
+    p.add_argument("--force", action="store_true", default=None,
                    help="run even with an uncertified stepsize")
-    p.add_argument("--full-trace", action="store_true",
+    p.add_argument("--full-trace", action="store_true", default=None,
                    help="also store per-iteration state snapshots for check")
     p.add_argument("--N", type=int, help="instance dimension")
     p.add_argument("--K", type=int, help="number of components")

@@ -211,25 +211,6 @@ class StarNetwork:
         self.advance(self.window)
         return self.collect()
 
-    def advance_until_all(self, expected, max_time):
-        """Blocking collect used by synchronous protocols.
-
-        Runs events until every worker in ``expected`` has a message in
-        the inbox or the clock passes ``max_time``. Returns the collected
-        messages (possibly incomplete on timeout).
-        """
-        expected = set(expected)
-        while True:
-            have = {m.worker for m in self._inbox}
-            if expected <= have:
-                break
-            if not self._heap or self._heap[0][0] > max_time:
-                break
-            time, _, action, payload = heapq.heappop(self._heap)
-            self.now = time
-            getattr(self, "_on_" + action)(payload)
-        return self.collect()
-
     # -- worker side -------------------------------------------------------
 
     def _on_deliver_x(self, payload):

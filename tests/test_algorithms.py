@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from apadmm import (
+    ALGORITHMS,
     CallableCost,
     ConcaveQuadratic,
     ConsensusProblem,
@@ -109,35 +110,6 @@ def test_padmm_apply_refreshes_collected_components():
     assert new.stale_index[0] == state.stale_index[0]
 
 
-def test_incremental_empty_set_freezes_locals():
-    problem = desk_problem()
-    state = initial_state(problem)
-    rng = np.random.default_rng(1)
-    state.x_local = rng.standard_normal((3, 12)) * 0.1
-    state.y = rng.standard_normal((3, 12)) * 0.1
-    rho = [9.0] * 3
-    x_new = master_step(problem, state, rho)
-    new = padmm_apply(problem, state, rho, x_new, updates={}, incremental=True)
-    np.testing.assert_array_equal(new.x, x_new)
-    np.testing.assert_array_equal(new.x_local, state.x_local)
-    np.testing.assert_array_equal(new.y, state.y)
-
-
-def test_incremental_full_set_matches_nonincremental():
-    problem = desk_problem()
-    state = initial_state(problem)
-    rng = np.random.default_rng(2)
-    state.x = rng.standard_normal(12) * 0.1
-    rho = [8.0, 9.0, 10.0]
-    x_new = master_step(problem, state, rho)
-    updates = {k: (problem.components[k].gradient(x_new), 2) for k in range(3)}
-    a = padmm_apply(problem, state, rho, x_new, updates, incremental=False)
-    b = padmm_apply(problem, state, rho, x_new, updates, incremental=True)
-    np.testing.assert_array_equal(a.x_local, b.x_local)
-    np.testing.assert_array_equal(a.y, b.y)
-    np.testing.assert_array_equal(a.stale_index, b.stale_index)
-
-
 def test_sync_padmm_iteration_uses_fresh_gradients():
     problem = desk_problem()
     state = initial_state(problem)
@@ -188,6 +160,31 @@ def test_exact_admm_needs_a_subproblem_solver():
 
 
 # -- run(): equivalences and determinism -------------------------------------
+
+# at zero delay every async window collects fresh gradients at the new x,
+# so the asynchronous solver's one-step operator is the synchronous one
+ONE_STEP = {
+    "async_padmm": sync_padmm_iteration,
+    "sync_padmm": sync_padmm_iteration,
+    "sync_admm": exact_admm_iteration,
+}
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_run_snapshots_follow_the_one_step_operator(algorithm):
+    problem = desk_problem()
+    res = run(problem, RunConfig(algorithm=algorithm, delay_bound=0, seed=4,
+                                 max_iters=30, epsilon=1e-14,
+                                 init="random_ball", full_trace=True))
+    states = res.trace.states
+    assert res.updates == 30 and len(states) == 31
+    for prev, cur in zip(states, states[1:]):
+        want = ONE_STEP[algorithm](problem, prev, res.rho)
+        assert cur.iteration == want.iteration
+        for name in ("x", "x_local", "y", "grad_stored", "stale_index"):
+            np.testing.assert_array_equal(getattr(cur, name),
+                                          getattr(want, name))
+
 
 def test_run_zero_delay_async_is_bit_identical_to_sync():
     problem = generate(SparsePcaSpec(dim=20, num_components=4, rows=10,
@@ -320,14 +317,6 @@ def test_run_sync_rejects_lossy_links():
                                uplink={"loss": 0.5}, max_iters=5))
 
 
-def test_run_incremental_variant_converges():
-    problem = desk_problem()
-    res = run(problem, RunConfig(algorithm="async_padmm_incremental_variant",
-                                 delay_bound=2, max_iters=4000, seed=8,
-                                 enforcement="observe", init="random_ball"))
-    assert res.converged
-
-
 def test_run_zero_component_problem_converges_fast():
     # pure l1 over the ball: the master prox solves it outright
     problem = generate(SparsePcaSpec(dim=6, num_components=2,
@@ -396,8 +385,14 @@ def test_config_validation_errors():
         run(problem, RunConfig(epsilon=0.0))
     with pytest.raises(ValueError):
         run(problem, RunConfig(enforcement="warn"))
-    with pytest.raises(ValueError):
-        run(problem, RunConfig(delay_bound=[1, 2]))  # wrong length for K=3
+    # per-worker lists of the wrong length for K=3
+    for name in ("delay_bound", "cert_delay", "compute_delay", "uplink",
+                 "downlink"):
+        with pytest.raises(ValueError, match="%s list has 2 entries" % name):
+            run(problem, RunConfig(**{name: [1.0, 2.0]}))
+    # a malformed list raises before the stepsize verdict
+    with pytest.raises(ValueError, match="uplink list"):
+        run(problem, RunConfig(rho=0.01, uplink=[0.0, 0.0]))
     with pytest.raises(ValueError):
         run(problem, RunConfig(cert_delay=-1.0))
     with pytest.raises(ValueError):

@@ -132,6 +132,13 @@ def test_run_rejects_unknown_config_key(tmp_path, capsys):
     assert "stepsize" in capsys.readouterr().err
 
 
+def test_run_rejects_wrong_length_delay_bound_list(tmp_path, capsys):
+    rc = run_cli(["run", "--K", "3", "--delay-bound", "1,2",
+                  "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    assert "delay_bound" in capsys.readouterr().err
+
+
 def test_run_rejects_malformed_json(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")
