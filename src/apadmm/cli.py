@@ -434,7 +434,9 @@ def build_parser():
                    const="enforce", help="abort when staleness exceeds the bound")
     p.add_argument("--observe", dest="enforcement", action="store_const",
                    const="observe", help="record staleness violations only")
-    p.add_argument("--init", choices=("zero", "random_ball"))
+    p.add_argument("--init", choices=("zero", "random_ball"),
+                   help="start point (default random_ball; x = 0 is "
+                        "stationary for the generated instances)")
     p.add_argument("--force", action="store_true", default=None,
                    help="run even with an uncertified stepsize")
     p.add_argument("--full-trace", action="store_true", default=None,

@@ -24,15 +24,15 @@ import numpy as np
 from .problems import (
     augmented_lagrangian,
     ball_diameter,
+    consensus_terms,
     feasibility_gap,
-    smooth_gradient,
 )
-from .prox import prox_l1_ball
 from .stepsize import descent_margin
 
 __all__ = [
     "proximal_gradient",
     "optimality_measure",
+    "trace_row",
     "penalized_surrogates",
     "trace_residuals",
     "CheckOutcome",
@@ -46,15 +46,33 @@ def proximal_gradient(problem, x):
     The prox is the l1-plus-ball operator with the problem's own l1
     weight. A zero residual certifies a stationary point.
     """
-    x = np.asarray(x, dtype=float)
-    inner = x - smooth_gradient(problem, x)
-    return x - prox_l1_ball(inner, problem.l1_weight, problem.radius)
+    return consensus_terms(problem, x).prox_residual
+
+
+def _stationarity(problem, state):
+    # objective, relative gap, prox-gradient norm and measure at state.x,
+    # from one consensus_terms pass
+    terms = consensus_terms(problem, state.x)
+    _, gap_rel = feasibility_gap(state)
+    pg_norm = float(np.linalg.norm(terms.prox_residual))
+    return terms.objective, gap_rel, pg_norm, gap_rel + pg_norm
 
 
 def optimality_measure(problem, state):
     """Progress measure: relative consensus gap plus proximal-gradient norm."""
-    _, gap_rel = feasibility_gap(state)
-    return gap_rel + float(np.linalg.norm(proximal_gradient(problem, state.x)))
+    return _stationarity(problem, state)[3]
+
+
+def trace_row(problem, state, rho):
+    """Values of one trace row, in ``IterationTrace.append`` order.
+
+    Returns ``(lagrangian, objective, feas_gap, prox_grad_norm, measure)``.
+    Evaluates each component twice: ``value_and_gradient`` at the master
+    vector, which gives the objective, the proximal-gradient norm and the
+    measure, and ``value`` at its local copy, for the augmented
+    Lagrangian. The measure equals ``optimality_measure`` bit for bit.
+    """
+    return (augmented_lagrangian(problem, state, rho),) + _stationarity(problem, state)
 
 
 def penalized_surrogates(problem, state, rho, k, at=None):
@@ -73,9 +91,9 @@ def penalized_surrogates(problem, state, rho, k, at=None):
     z = np.asarray(state.x_local[k] if at is None else at, dtype=float)
     diff = z - state.x
     shared = float(state.y[k] @ diff) + 0.5 * rho[k] * float(diff @ diff)
-    base = comp.value(state.x)
+    base, grad = comp.value_and_gradient(state.x)
     exact = comp.value(z) + shared
-    fresh = base + float(comp.gradient(state.x) @ diff) + shared
+    fresh = base + float(grad @ diff) + shared
     stale = base + float(state.grad_stored[k] @ diff) + shared
     return exact, fresh, stale
 

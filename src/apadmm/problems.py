@@ -8,12 +8,20 @@ where each g_k is smooth with Lipschitz gradient. Solvers keep one master
 vector ``x``, one local copy ``x_local[k]`` per component, one dual vector
 ``y[k]`` per component, and the most recently collected gradient of each
 component together with the master-iteration index it was evaluated at.
+
+Every component sum taken at a consensus point (smooth value and gradient,
+objective, proximal-gradient residual, and through them the optimality
+measure and trace rows) comes from one ``value_and_gradient`` pass per
+component in ``consensus_terms``.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+
+from .prox import prox_l1_ball
 
 __all__ = [
     "ConcaveQuadratic",
@@ -23,6 +31,8 @@ __all__ = [
     "IterationTrace",
     "leading_eigenvalue",
     "initial_state",
+    "ConsensusTerms",
+    "consensus_terms",
     "objective",
     "smooth_value",
     "smooth_gradient",
@@ -65,12 +75,13 @@ def leading_eigenvalue(B, rel_tol=1e-13, max_iter=100000):
 
 
 class ConcaveQuadratic:
-    """Component cost ``g(z) = -0.5 * ||B z||^2``.
+    """Component cost ``g(z) = -0.5 * ||B z||^2`` for an M x N data matrix B.
 
-    Stores the Gram matrix ``B.T @ B`` once; gradients are a single
-    symmetric matvec. The component supports the exact penalized argmin
-    needed by the synchronous exact-minimization baseline, with one
-    Cholesky factorization cached per penalty value.
+    Keeps only B and evaluates through it: ``B @ z``, then
+    ``B.T @ (B @ z)``, so no N x N Gram matrix is held. ``gram`` is formed
+    on each read. The component supports the exact penalized argmin needed
+    by the synchronous exact-minimization baseline, with one Cholesky
+    factorization cached per penalty value.
 
     Attributes
     ----------
@@ -89,7 +100,6 @@ class ConcaveQuadratic:
             raise ValueError("data matrix contains non-finite entries")
         self.B = B
         self.dim = B.shape[1]
-        self.gram = B.T @ B
         self.degenerate = not np.any(B)
         lam = leading_eigenvalue(B)
         if lam <= 0.0:
@@ -98,17 +108,29 @@ class ConcaveQuadratic:
         self.lipschitz = lam
         self._cho = {}
 
+    @property
+    def gram(self):
+        """The Gram matrix ``B.T @ B``, formed on each read."""
+        return self.B.T @ self.B
+
     def value(self, z):
-        return -0.5 * float(z @ (self.gram @ z))
+        w = self.B @ z
+        return -0.5 * float(w @ w)
 
     def gradient(self, z):
-        return -(self.gram @ z)
+        return -(self.B.T @ (self.B @ z))
+
+    def value_and_gradient(self, z):
+        """``(value(z), gradient(z))``, bit for bit, from one pass through B."""
+        w = self.B @ z
+        return -0.5 * float(w @ w), -(self.B.T @ w)
 
     def penalized_argmin(self, rho, x_master, y):
         """Exact minimizer of ``g(u) + <y, u - x_master> + rho/2 ||u - x_master||^2``.
 
         Solves ``(rho I - gram) u = rho * x_master - y``. Requires
-        ``rho > lipschitz`` so the subproblem is strongly convex.
+        ``rho > lipschitz`` so the subproblem is strongly convex. The
+        matrix is formed only when its factorization is not cached.
         """
         if rho <= self.lipschitz:
             raise ValueError(
@@ -146,6 +168,9 @@ class CallableCost:
 
     def gradient(self, z):
         return np.asarray(self._gradient(z), dtype=float)
+
+    def value_and_gradient(self, z):
+        return self.value(z), self.gradient(z)
 
 
 @dataclass
@@ -214,46 +239,73 @@ class SolverState:
         )
 
 
-def initial_state(problem):
-    """Zero-start state: x, local copies, and duals all zero.
+def initial_state(problem, x0=None):
+    """Start state at ``x0``, or at zero when ``x0`` is None.
 
-    Stored gradients are evaluated at the zero vector with stale index 1,
-    and the iteration counter starts at 1.
+    The master vector and every local copy start at the start point, the
+    stored gradients are evaluated there once, with stale index 1, and the
+    iteration counter starts at 1. Duals start at zero from the zero start
+    and at the negated stored gradients from ``x0``, so the dual identity
+    holds before the first update.
     """
     n = problem.dim
     k = problem.num_components
-    zero = np.zeros(n)
-    grads = np.stack([c.gradient(zero) for c in problem.components])
+    start = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    grads = np.stack([c.gradient(start) for c in problem.components])
     return SolverState(
         iteration=1,
-        x=np.zeros(n),
-        x_local=np.zeros((k, n)),
-        y=np.zeros((k, n)),
+        x=start,
+        x_local=np.tile(start, (k, 1)),
+        y=np.zeros((k, n)) if x0 is None else -grads,
         grad_stored=grads,
         stale_index=np.ones(k, dtype=int),
     )
 
 
+class ConsensusTerms(NamedTuple):
+    """What one evaluation pass at a consensus point yields."""
+
+    smooth_value: float
+    smooth_gradient: np.ndarray
+    objective: float
+    prox_residual: np.ndarray
+
+
+def consensus_terms(problem, x):
+    """Smooth value and gradient, objective and proximal-gradient residual at x.
+
+    Evaluates each component once, by ``value_and_gradient``; every other
+    component sum at a consensus point is a view of this one. The
+    objective is ``sum_k g_k(x) + l1_weight * ||x||_1`` (the ball
+    constraint is not folded in; callers keep x feasible), and the
+    residual ``x - prox(x - grad g(x))`` uses a unit step and the
+    l1-plus-ball operator with the problem's own l1 weight.
+    """
+    x = np.asarray(x, dtype=float)
+    value = 0.0
+    grad = np.zeros(problem.dim)
+    for c in problem.components:
+        v, g = c.value_and_gradient(x)
+        value += v
+        grad += g
+    obj = value + problem.l1_weight * float(np.abs(x).sum())
+    residual = x - prox_l1_ball(x - grad, problem.l1_weight, problem.radius)
+    return ConsensusTerms(value, grad, obj, residual)
+
+
 def smooth_value(problem, x):
     """Sum of component values at the consensus point."""
-    return float(sum(c.value(x) for c in problem.components))
+    return consensus_terms(problem, x).smooth_value
 
 
 def smooth_gradient(problem, x):
     """Sum of component gradients at the consensus point."""
-    total = np.zeros(problem.dim)
-    for c in problem.components:
-        total += c.gradient(x)
-    return total
+    return consensus_terms(problem, x).smooth_gradient
 
 
 def objective(problem, x):
-    """Full objective ``sum_k g_k(x) + l1_weight * ||x||_1`` at a consensus point.
-
-    The ball constraint is not folded in; callers keep x feasible.
-    """
-    x = np.asarray(x, dtype=float)
-    return smooth_value(problem, x) + problem.l1_weight * float(np.abs(x).sum())
+    """Full objective ``sum_k g_k(x) + l1_weight * ||x||_1`` at a consensus point."""
+    return consensus_terms(problem, x).objective
 
 
 def augmented_lagrangian(problem, state, rho):

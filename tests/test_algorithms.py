@@ -226,6 +226,19 @@ def test_run_seed_changes_the_trajectory():
 
 # -- run(): termination paths ------------------------------------------------
 
+def test_default_config_run_solves_a_desk_instance():
+    # x = 0 is stationary for every concave quadratic instance, so a run
+    # from zero stops after one update; the default starts elsewhere
+    problem = generate(SparsePcaSpec(dim=50, num_components=5, rows=20, seed=1))
+    config = RunConfig()
+    assert config.init == "random_ball"
+    res = run(problem, config)
+    assert res.converged
+    assert res.updates > 1
+    from_zero = run(problem, RunConfig(init="zero"))
+    assert from_zero.converged and from_zero.updates == 1
+
+
 def test_run_converges_on_easy_instance():
     problem = desk_problem()
     res = run(problem, RunConfig(algorithm="sync_padmm", max_iters=2000,

@@ -1,12 +1,14 @@
 """Command-line interface tests: exit codes, artifacts, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import apadmm
 from apadmm.cli import main
 
 SMALL = ["--N", "12", "--K", "3", "--M", "6", "--p", "0.2",
@@ -170,6 +172,13 @@ def test_run_flag_overrides_config_file(tmp_path, capsys):
     assert cfg["max_iters"] == 77
 
 
+def test_run_without_init_flag_starts_from_the_random_ball(capsys):
+    run_cli(["run", "--dump-config"])
+    assert json.loads(capsys.readouterr().out)["init"] == "random_ball"
+    run_cli(["run", "--init", "zero", "--dump-config"])
+    assert json.loads(capsys.readouterr().out)["init"] == "zero"
+
+
 def test_run_comma_lists_for_rho_and_delay(tmp_path, capsys):
     run_cli(["run", "--rho", "8,9,10", "--delay-bound", "1,2,3",
              "--dump-config"])
@@ -282,9 +291,13 @@ def test_check_rejects_missing_file(tmp_path, capsys):
 
 
 def test_module_entry_point_smoke():
+    # the child imports the same apadmm package this process imported
+    src = os.path.dirname(os.path.dirname(apadmm.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-m", "apadmm", "certify", "--L", "1", "--T", "2",
          "--class", "concave"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "min_rho" in proc.stdout

@@ -4,16 +4,22 @@ import numpy as np
 import pytest
 
 from apadmm import (
+    ALGORITHMS,
+    CallableCost,
     ConcaveQuadratic,
     ConsensusProblem,
+    IterationTrace,
     RunConfig,
+    feasibility_gap,
     initial_state,
     optimality_measure,
     penalized_surrogates,
+    prox_l1_ball,
     proximal_gradient,
     run,
     trace_residuals,
 )
+from apadmm.algorithms import _initial, _record
 from apadmm.benchmark import SparsePcaSpec, generate
 
 
@@ -85,6 +91,128 @@ def test_optimality_measure_permutation_invariant():
     state_p.x_local = state.x_local[perm]
     assert optimality_measure(problem, state) == pytest.approx(
         optimality_measure(swapped, state_p), rel=1e-14)
+
+
+# -- trace rows --------------------------------------------------------------
+
+def row_problem(shape):
+    """Wide (M < N), square and tall instances, and a mix of wide quadratics
+    with a callable cost."""
+    rows = {"wide": 6, "square": 12, "tall": 18, "mixed": 6}[shape]
+    problem = generate(SparsePcaSpec(dim=12, num_components=3, rows=rows,
+                                     nonzero_prob=0.3, l1_weight=0.05, seed=2))
+    if shape == "mixed":
+        wavy = CallableCost(lambda z: float(np.sin(z).sum()), np.cos,
+                            dim=12, lipschitz=1.0)
+        problem.components[1] = wavy
+    return problem
+
+
+def explicit_value(comp, z):
+    if isinstance(comp, ConcaveQuadratic):
+        return -0.5 * float(np.sum((comp.B @ z) ** 2))
+    return comp.value(z)
+
+
+def explicit_gradient(comp, z):
+    if isinstance(comp, ConcaveQuadratic):
+        return -(comp.B.T @ (comp.B @ z))
+    return comp.gradient(z)
+
+
+def reference_row(problem, state, rho):
+    """A trace row from the definitions, one component term at a time."""
+    x, l1 = state.x, problem.l1_weight
+    comps = problem.components
+    lagrangian = l1 * float(np.abs(x).sum())
+    for k, comp in enumerate(comps):
+        diff = state.x_local[k] - x
+        lagrangian += explicit_value(comp, state.x_local[k])
+        lagrangian += float(state.y[k] @ diff) + 0.5 * rho[k] * float(diff @ diff)
+    objective = sum(explicit_value(c, x) for c in comps) + l1 * float(np.abs(x).sum())
+    step = x - sum(explicit_gradient(c, x) for c in comps)
+    pg_norm = float(np.linalg.norm(x - prox_l1_ball(step, l1, problem.radius)))
+    gap = feasibility_gap(state)[1]
+    return lagrangian, objective, gap, pg_norm, gap + pg_norm
+
+
+@pytest.mark.parametrize("shape", ["wide", "square", "tall", "mixed"])
+def test_trace_rows_match_the_reference_definitions(shape):
+    problem = row_problem(shape)
+    result = run(problem, RunConfig(
+        algorithm="async_padmm", delay_bound=2, seed=3, max_iters=25,
+        epsilon=1e-14, init="random_ball", full_trace=True, enforcement="observe",
+        compute_delay={"kind": "uniform", "hi": 1.5}))
+    trace = result.trace
+    assert len(trace) == 25
+    for r in range(len(trace)):
+        got = (trace.lagrangian[r], trace.objective[r], trace.feas_gap[r],
+               trace.prox_grad_norm[r], trace.measure[r])
+        want = reference_row(problem, trace.states[r + 1], result.rho)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("epsilon", [1e-3, 1e-14])
+def test_final_measure_is_the_optimality_measure_of_the_final_state(
+        algorithm, epsilon):
+    problem = row_problem("wide")
+    result = run(problem, RunConfig(algorithm=algorithm, seed=1,
+                                    max_iters=400, epsilon=epsilon,
+                                    init="random_ball"))
+    assert result.converged == (epsilon == 1e-3)
+    assert result.final_measure == optimality_measure(problem, result.state)
+
+
+def count_evaluations(problem):
+    """Log ``(k, point)`` for every outermost value, gradient or
+    value_and_gradient call on component k."""
+    log, depth = [], [0]
+
+    def counted(k, method):
+        def call(z):
+            depth[0] += 1
+            try:
+                return method(z)
+            finally:
+                depth[0] -= 1
+                if depth[0] == 0:
+                    log.append((k, np.array(z)))
+        return call
+
+    for k, comp in enumerate(problem.components):
+        for name in ("value", "gradient", "value_and_gradient"):
+            method = getattr(comp, name, None)
+            if method is not None:
+                setattr(comp, name, counted(k, method))
+    return log
+
+
+@pytest.mark.parametrize("shape", ["wide", "tall", "mixed"])
+def test_recording_an_update_evaluates_each_component_twice(shape):
+    problem = row_problem(shape)
+    result = run(problem, RunConfig(delay_bound=2, seed=3, max_iters=5,
+                                    epsilon=1e-14, init="random_ball",
+                                    enforcement="observe"))
+    state = result.state
+    assert not np.array_equal(state.x_local[0], state.x)
+    log = count_evaluations(problem)
+    _record(problem, state, result.rho, IterationTrace(), 1.0, 3)
+    for k in range(problem.num_components):
+        points = [z for j, z in log if j == k]
+        # once at the master vector, once at the local copy
+        assert len(points) == 2, (k, len(points))
+        assert sum(np.array_equal(z, state.x) for z in points) == 1
+        assert sum(np.array_equal(z, state.x_local[k]) for z in points) == 1
+
+
+def test_random_start_evaluates_each_component_once():
+    problem = row_problem("mixed")
+    log = count_evaluations(problem)
+    state = _initial(problem, RunConfig(init="random_ball", seed=4))
+    assert [k for k, _ in log] == [0, 1, 2]
+    for k, z in log:
+        np.testing.assert_array_equal(z, state.x)
 
 
 # -- penalized surrogates ----------------------------------------------------

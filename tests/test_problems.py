@@ -171,15 +171,41 @@ def test_concave_quadratic_degenerate_zero_data():
     assert comp.lipschitz > 0.0  # floored so stepsize rules stay finite
 
 
+# wide (M < N), square and tall data
+SHAPES = [(3, 7), (5, 5), (8, 4)]
+
+
 def test_penalized_argmin_solves_the_linear_system():
-    rng = np.random.default_rng(22)
-    comp = ConcaveQuadratic(rng.standard_normal((6, 3)))
-    rho = 1.5 * comp.lipschitz + 1.0
-    x_master = rng.standard_normal(3)
-    y = rng.standard_normal(3)
-    ref = np.linalg.solve(rho * np.eye(3) - comp.gram, rho * x_master - y)
-    np.testing.assert_allclose(comp.penalized_argmin(rho, x_master, y), ref,
-                               rtol=1e-10)
+    for rows, dim in [(6, 3)] + SHAPES:
+        rng = np.random.default_rng(rows * 10 + dim)
+        B = rng.standard_normal((rows, dim))
+        comp = ConcaveQuadratic(B)
+        rho = 1.5 * comp.lipschitz + 1.0
+        for _ in range(2):  # the second solve reuses the cached factorization
+            x_master = rng.standard_normal(dim)
+            y = rng.standard_normal(dim)
+            ref = np.linalg.solve(rho * np.eye(dim) - B.T @ B,
+                                  rho * x_master - y)
+            np.testing.assert_allclose(comp.penalized_argmin(rho, x_master, y),
+                                       ref, rtol=1e-10)
+
+
+@pytest.mark.parametrize("rows,dim", SHAPES)
+def test_concave_quadratic_matches_explicit_definitions(rows, dim):
+    rng = np.random.default_rng(rows * 10 + dim)
+    B = rng.standard_normal((rows, dim))
+    comp = ConcaveQuadratic(B)
+    np.testing.assert_allclose(comp.gram, B.T @ B, rtol=1e-15)
+    for _ in range(3):
+        z = rng.standard_normal(dim)
+        value, grad = comp.value_and_gradient(z)
+        # one pass gives exactly what the separate calls give
+        assert value == comp.value(z)
+        np.testing.assert_array_equal(grad, comp.gradient(z))
+        assert value == pytest.approx(-0.5 * float(np.sum((B @ z) ** 2)),
+                                      rel=1e-12)
+        np.testing.assert_allclose(grad, -(B.T @ B) @ z, rtol=1e-12,
+                                   atol=1e-12 * np.abs(B.T @ B @ z).max())
 
 
 def test_penalized_argmin_scalar_hand_value():
@@ -201,6 +227,9 @@ def test_callable_cost_wraps_functions():
     x = np.array([1.0, -1.0, 2.0])
     assert comp.value(x) == 6.0
     np.testing.assert_array_equal(comp.gradient(x), 2.0 * x)
+    value, grad = comp.value_and_gradient(x)
+    assert value == 6.0
+    np.testing.assert_array_equal(grad, 2.0 * x)
 
 
 # -- generated instances pass the spot checks --------------------------------
@@ -244,6 +273,22 @@ def test_initial_state_shapes_and_invariants():
     assert state.x[0] == 0.0
 
 
+def test_initial_state_from_a_start_point():
+    problem = generate(SparsePcaSpec(dim=7, num_components=4, rows=5, seed=8))
+    x0 = np.random.default_rng(2).standard_normal(7) * 0.3
+    state = initial_state(problem, x0)
+    grads = np.stack([c.gradient(x0) for c in problem.components])
+    np.testing.assert_array_equal(state.x, x0)
+    np.testing.assert_array_equal(state.x_local, np.tile(x0, (4, 1)))
+    np.testing.assert_array_equal(state.grad_stored, grads)
+    # duals start at the negated gradients: the dual identity holds at once
+    np.testing.assert_array_equal(state.y, -grads)
+    np.testing.assert_array_equal(state.stale_index, np.ones(4, dtype=int))
+    assert state.iteration == 1
+    x0[0] = 9.0
+    assert state.x[0] != 9.0
+
+
 def test_iteration_trace_append_and_len():
     trace = IterationTrace()
     assert len(trace) == 0
@@ -260,3 +305,5 @@ def test_smooth_value_is_component_sum():
     x = np.random.default_rng(0).standard_normal(5)
     ref = sum(c.value(x) for c in problem.components)
     assert smooth_value(problem, x) == pytest.approx(ref, rel=1e-14)
+    grad = sum(c.gradient(x) for c in problem.components)
+    np.testing.assert_allclose(smooth_gradient(problem, x), grad, rtol=1e-14)
