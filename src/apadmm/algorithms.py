@@ -56,9 +56,9 @@ class RunConfig:
     JSON-able specs, resolved to simulator models at run time: a number is
     a constant delay, dicts select {"kind": "constant"|"uniform"|
     "empirical", ...}, and link dicts accept {"delay": ..., "loss": ...,
-    "allow_reordering": ...}. A single spec applies to every worker; a
-    list gives one per worker. ``compute_delay=None`` defaults to
-    uniform(0, T_k).
+    "allow_reordering": ...}; a missing or unknown key raises ValueError.
+    A single spec applies to every worker; a list gives one per worker.
+    ``compute_delay=None`` defaults to uniform(0, T_k).
 
     ``delay_bound`` is the staleness level enforcement acts on;
     ``cert_delay`` is the staleness level the automatic penalty rule
@@ -75,7 +75,6 @@ class RunConfig:
 
     algorithm: str = "async_padmm"
     rho: object = "auto"
-    rho_safety: float = 1.01
     max_iters: int = 5000
     epsilon: float = 1e-3
     seed: int = 0
@@ -89,7 +88,6 @@ class RunConfig:
     compute_delay: object = None
     downlink: object = None
     uplink: object = None
-    curvature_override: object = None
 
     def validate(self):
         if self.algorithm not in ALGORITHMS:
@@ -210,33 +208,53 @@ def exact_admm_iteration(problem, state, rho):
 # -- config resolution -------------------------------------------------------
 
 
-def _delay_model(spec):
+# keys of a delay spec dict beyond "kind": (required, optional)
+_DELAY_KEYS = {
+    "constant": ((), ("value",)),
+    "uniform": (("hi",), ("lo",)),
+    "empirical": (("values",), ()),
+}
+_LINK_KEYS = ("delay", "loss", "allow_reordering")
+
+
+def _check_keys(spec, name, required, optional):
+    for key in required:
+        if key not in spec:
+            raise ValueError("%s spec %r is missing key '%s'" % (name, spec, key))
+    for key in spec:
+        if key not in required and key not in optional:
+            raise ValueError("%s spec %r has unknown key '%s'" % (name, spec, key))
+
+
+def _delay_model(spec, name):
     if spec is None:
         return DelayModel.constant(0.0)
     if isinstance(spec, (int, float)):
         return DelayModel.constant(float(spec))
     if isinstance(spec, DelayModel):
         return spec
-    kind = spec.get("kind")
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if kind not in _DELAY_KEYS:
+        raise ValueError("%s spec %r is not a number or an object with key "
+                         "'kind' in %s" % (name, spec, sorted(_DELAY_KEYS)))
+    required, optional = _DELAY_KEYS[kind]
+    _check_keys(spec, name, ("kind",) + required, optional)
     if kind == "constant":
         return DelayModel.constant(spec.get("value", 0.0))
     if kind == "uniform":
         return DelayModel.uniform(spec.get("lo", 0.0), spec["hi"])
-    if kind == "empirical":
-        return DelayModel.empirical(spec["values"])
-    raise ValueError("bad delay spec %r" % (spec,))
+    return DelayModel.empirical(spec["values"])
 
 
-def _link_model(spec):
+def _link_model(spec, name):
     if spec is None:
         return LinkModel()
-    if isinstance(spec, LinkModel):
-        return spec
     if not isinstance(spec, dict):
         # bare numbers (or DelayModel) mean a lossless link with that delay
-        return LinkModel(delay=_delay_model(spec))
+        return LinkModel(delay=_delay_model(spec, name))
+    _check_keys(spec, name, (), _LINK_KEYS)
     return LinkModel(
-        delay=_delay_model(spec.get("delay")),
+        delay=_delay_model(spec.get("delay"), name + ".delay"),
         loss=float(spec.get("loss", 0.0)),
         allow_reordering=bool(spec.get("allow_reordering", False)),
     )
@@ -253,14 +271,17 @@ def _per_worker(spec, count, build, name):
 
 def _build_network(problem, config, delay_bounds):
     K = problem.num_components
-    downs = _per_worker(config.downlink, K, _link_model, "downlink")
-    ups = _per_worker(config.uplink, K, _link_model, "uplink")
+    downs = _per_worker(config.downlink, K,
+                        lambda s: _link_model(s, "downlink"), "downlink")
+    ups = _per_worker(config.uplink, K,
+                      lambda s: _link_model(s, "uplink"), "uplink")
     compute = config.compute_delay
     if compute is None:
         # uniform(0, 0) draws nothing from the rng, like constant(0)
         compute = [DelayModel.uniform(0.0, T) for T in delay_bounds]
-    computes = [ComputeModel(m) for m in
-                _per_worker(compute, K, _delay_model, "compute_delay")]
+    computes = _per_worker(
+        compute, K, lambda s: ComputeModel(_delay_model(s, "compute_delay")),
+        "compute_delay")
     return StarNetwork(
         K, lambda k, x: problem.components[k].gradient(x),
         downs, ups, computes, seed=[int(config.seed), 29],
@@ -268,35 +289,18 @@ def _build_network(problem, config, delay_bounds):
 
 
 def _resolve_rho(problem, config, cert_delays):
+    K = problem.num_components
     lipschitz = problem.lipschitz_constants()
-    classes = (
-        [config.curvature_override] * problem.num_components
-        if config.curvature_override else problem.curvature_classes()
-    )
-    if config.algorithm == "sync_admm":
-        cert_bounds = np.zeros(problem.num_components)
-        if isinstance(config.rho, str) and config.rho == "auto":
-            rho = np.array([
-                exact_baseline_penalty(L, c, config.rho_safety)
-                for L, c in zip(lipschitz, classes)
-            ])
-        else:
-            rho = np.broadcast_to(
-                np.asarray(config.rho, dtype=float), (problem.num_components,)
-            ).copy()
+    classes = problem.curvature_classes()
+    cert_bounds = (np.asarray(cert_delays, dtype=float)
+                   if config.algorithm == "async_padmm" else np.zeros(K))
+    if not (isinstance(config.rho, str) and config.rho == "auto"):
+        rho = np.broadcast_to(np.asarray(config.rho, dtype=float), (K,)).copy()
+    elif config.algorithm == "sync_admm":
+        rho = np.array([exact_baseline_penalty(L, c)
+                        for L, c in zip(lipschitz, classes)])
     else:
-        cert_bounds = (
-            np.zeros(problem.num_components)
-            if config.algorithm == "sync_padmm"
-            else np.asarray(cert_delays, dtype=float)
-        )
-        if isinstance(config.rho, str) and config.rho == "auto":
-            rho = default_penalties(lipschitz, cert_bounds, classes,
-                                    config.rho_safety)
-        else:
-            rho = np.broadcast_to(
-                np.asarray(config.rho, dtype=float), (problem.num_components,)
-            ).copy()
+        rho = default_penalties(lipschitz, cert_bounds, classes)
     certs = [
         certify(r, L, T, c)
         for r, L, T, c in zip(rho, lipschitz, cert_bounds, classes)

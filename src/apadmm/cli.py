@@ -63,9 +63,6 @@ _RUN_FIELDS = tuple(f.name for f in fields(RunConfig))
 _INSTANCE_FIELDS = tuple(f.name for f in fields(SparsePcaSpec))
 _CELL_FIELDS = tuple(f.name for f in fields(CampaignCell))
 
-_DEFAULT_INSTANCE = dict(dim=50, num_components=5, rows=20,
-                         nonzero_prob=0.1, l1_weight=0.0, seed=1)
-
 
 class CliError(Exception):
     """Configuration or input problem; reported on stderr with exit 1."""
@@ -158,17 +155,10 @@ def load_run(csv_path):
         problem = ConsensusProblem(
             components, l1_weight=float(data["l1_weight"]),
             radius=float(data["radius"]))
-        states = [
-            SolverState(
-                iteration=int(data["iteration_hist"][i]),
-                x=data["x_hist"][i],
-                x_local=data["x_local_hist"][i],
-                y=data["y_hist"][i],
-                grad_stored=data["grad_hist"][i],
-                stale_index=data["stale_hist"][i],
-            )
-            for i in range(data["x_hist"].shape[0])
-        ]
+        # each member is decompressed on every read, so read it once
+        hist = [data[name + "_hist"] for name in
+                ("iteration", "x", "x_local", "y", "grad", "stale")]
+        states = [SolverState(int(row[0]), *row[1:]) for row in zip(*hist)]
         rho = np.asarray(data["rho"], dtype=float)
         delay_bounds = np.asarray(data["delay_bounds"], dtype=float)
         algorithm = str(data["algorithm"][()])
@@ -266,7 +256,7 @@ def _build_run_config(cfg):
 # -- subcommands -------------------------------------------------------------
 
 def cmd_run(args):
-    inst = dict(_DEFAULT_INSTANCE)
+    inst = dict(RUN_PRESETS["desk"]["instance"])
     cfg = {f.name: getattr(RunConfig(), f.name) for f in fields(RunConfig)}
     if args.preset is not None:
         try:
@@ -297,9 +287,7 @@ def cmd_run(args):
     out = args.out
     _write_text(out, trace_csv(result.trace))
     wrote_states = False
-    if (result.trace.states is not None
-            and len(result.trace.states) == len(result.trace) + 1
-            and len(result.trace.states) > 0):
+    if result.trace.states:
         save_states(_states_path(out), problem, result, config.algorithm)
         wrote_states = True
 

@@ -21,16 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import (
-    augmented_lagrangian,
-    ball_diameter,
-    consensus_terms,
-    feasibility_gap,
-)
+from .problems import augmented_lagrangian, consensus_terms, feasibility_gap
 from .stepsize import descent_margin
 
 __all__ = [
-    "proximal_gradient",
     "optimality_measure",
     "trace_row",
     "penalized_surrogates",
@@ -38,15 +32,6 @@ __all__ = [
     "CheckOutcome",
     "TraceReport",
 ]
-
-
-def proximal_gradient(problem, x):
-    """Proximal-gradient residual ``x - prox(x - grad g(x))`` with unit step.
-
-    The prox is the l1-plus-ball operator with the problem's own l1
-    weight. A zero residual certifies a stationary point.
-    """
-    return consensus_terms(problem, x).prox_residual
 
 
 def _stationarity(problem, state):
@@ -233,7 +218,7 @@ def trace_residuals(problem, trace, rho, delay_bounds,
     # lower bound from best observed objective and feasible diameter
     objectives = [float(np.asarray(o)) for o in trace.objective]
     f_best = min(objectives) if objectives else np.inf
-    floor = f_best - ball_diameter(problem) ** 2 * lipschitz.sum() / 2.0
+    floor = f_best - (2.0 * problem.radius) ** 2 * lipschitz.sum() / 2.0
     margins, failing = [], []
     for r, val in enumerate(lagrangian):
         margins.append(val + lower_tol - floor)

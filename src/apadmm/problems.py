@@ -10,9 +10,9 @@ vector ``x``, one local copy ``x_local[k]`` per component, one dual vector
 component together with the master-iteration index it was evaluated at.
 
 Every component sum taken at a consensus point (smooth value and gradient,
-objective, proximal-gradient residual, and through them the optimality
-measure and trace rows) comes from one ``value_and_gradient`` pass per
-component in ``consensus_terms``.
+objective and proximal-gradient residual, which feed the optimality
+measure and the trace rows) comes from one ``value_and_gradient`` pass
+per component in ``consensus_terms``.
 """
 
 from dataclasses import dataclass, field
@@ -33,15 +33,8 @@ __all__ = [
     "initial_state",
     "ConsensusTerms",
     "consensus_terms",
-    "objective",
-    "smooth_value",
-    "smooth_gradient",
     "augmented_lagrangian",
     "feasibility_gap",
-    "ball_diameter",
-    "finite_difference_gradient",
-    "check_gradients",
-    "check_lipschitz",
 ]
 
 CURVATURE_CLASSES = ("general", "convex", "concave")
@@ -293,21 +286,6 @@ def consensus_terms(problem, x):
     return ConsensusTerms(value, grad, obj, residual)
 
 
-def smooth_value(problem, x):
-    """Sum of component values at the consensus point."""
-    return consensus_terms(problem, x).smooth_value
-
-
-def smooth_gradient(problem, x):
-    """Sum of component gradients at the consensus point."""
-    return consensus_terms(problem, x).smooth_gradient
-
-
-def objective(problem, x):
-    """Full objective ``sum_k g_k(x) + l1_weight * ||x||_1`` at a consensus point."""
-    return consensus_terms(problem, x).objective
-
-
 def augmented_lagrangian(problem, state, rho):
     """Augmented Lagrangian at the given state.
 
@@ -335,11 +313,6 @@ def feasibility_gap(state):
     norm_x = float(np.linalg.norm(state.x))
     relative = absolute / norm_x if norm_x > 0 else absolute
     return absolute, relative
-
-
-def ball_diameter(problem):
-    """Diameter of the feasible ball, ``2 * radius``."""
-    return 2.0 * problem.radius
 
 
 @dataclass
@@ -372,53 +345,3 @@ class IterationTrace:
         self.measure.append(float(measure))
         self.sim_time.append(float(sim_time))
         self.collected.append(int(collected))
-
-
-def finite_difference_gradient(fn, x, step=1e-6):
-    """Central-difference gradient of a scalar function, for validation."""
-    x = np.asarray(x, dtype=float)
-    grad = np.zeros_like(x)
-    for i in range(x.size):
-        bump = np.zeros_like(x)
-        bump[i] = step
-        grad[i] = (fn(x + bump) - fn(x - bump)) / (2.0 * step)
-    return grad
-
-
-def check_gradients(problem, seed=0, points=3, rel_tol=1e-5):
-    """Compare each component gradient against central differences.
-
-    Probes random interior points of the ball. Raises AssertionError with
-    the offending component index on mismatch.
-    """
-    rng = np.random.default_rng(seed)
-    for _ in range(points):
-        direction = rng.standard_normal(problem.dim)
-        direction /= max(np.linalg.norm(direction), 1e-12)
-        x = direction * (0.5 * problem.radius * rng.uniform())
-        for k, comp in enumerate(problem.components):
-            numeric = finite_difference_gradient(comp.value, x)
-            exact = comp.gradient(x)
-            err = np.linalg.norm(numeric - exact)
-            scale = 1.0 + np.linalg.norm(exact)
-            assert err <= rel_tol * scale, (
-                "component %d gradient mismatch: fd error %g" % (k, err)
-            )
-
-
-def check_lipschitz(problem, seed=0, pairs=100, slack=1e-8):
-    """Spot-check ``||grad(a) - grad(b)|| <= L (1 + slack) ||a - b||`` on random ball pairs."""
-    rng = np.random.default_rng(seed)
-    for _ in range(pairs):
-        a = rng.standard_normal(problem.dim)
-        b = rng.standard_normal(problem.dim)
-        for v in (a, b):
-            norm = np.linalg.norm(v)
-            if norm > problem.radius:
-                v *= problem.radius / norm
-        dist = np.linalg.norm(a - b)
-        for k, comp in enumerate(problem.components):
-            jump = np.linalg.norm(comp.gradient(a) - comp.gradient(b))
-            assert jump <= comp.lipschitz * (1.0 + slack) * dist + 1e-12, (
-                "component %d violates its Lipschitz constant" % k
-            )

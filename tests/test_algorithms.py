@@ -3,23 +3,23 @@
 import numpy as np
 import pytest
 
-from apadmm import (
+from apadmm import RunConfig, minimal_rho, run
+from apadmm.algorithms import (
     ALGORITHMS,
+    RunResult,
+    exact_admm_iteration,
+    master_step,
+    padmm_apply,
+    sync_padmm_iteration,
+)
+from apadmm.benchmark import SparsePcaSpec, generate
+from apadmm.problems import (
     CallableCost,
     ConcaveQuadratic,
     ConsensusProblem,
-    RunConfig,
-    RunResult,
     feasibility_gap,
     initial_state,
-    master_step,
-    minimal_rho,
-    padmm_apply,
-    run,
-    sync_padmm_iteration,
-    exact_admm_iteration,
 )
-from apadmm.benchmark import SparsePcaSpec, generate
 
 
 def scalar_problem(l1_weight=0.0, radius=10.0):
@@ -410,6 +410,21 @@ def test_config_validation_errors():
         run(problem, RunConfig(cert_delay=-1.0))
     with pytest.raises(ValueError):
         run(problem, RunConfig(init="warm"))
+
+
+@pytest.mark.parametrize("name,spec,match", [
+    ("compute_delay", {"kind": "uniform"}, r"compute_delay spec .* missing key 'hi'"),
+    ("compute_delay", {"kind": "empirical"},
+     r"compute_delay spec .* missing key 'values'"),
+    ("compute_delay", {"hi": 1.0}, r"compute_delay spec .* key 'kind'"),
+    ("compute_delay", "fast", r"compute_delay spec 'fast'"),
+    ("uplink", {"delay": 1, "los": 0.5}, r"uplink spec .* unknown key 'los'"),
+    ("downlink", {"delay": {"kind": "uniform", "hi": 1.0, "high": 2.0}},
+     r"downlink\.delay spec .* unknown key 'high'"),
+])
+def test_malformed_delay_and_link_specs_name_the_field(name, spec, match):
+    with pytest.raises(ValueError, match=match):
+        run(desk_problem(), RunConfig(**{name: spec}))
 
 
 def test_run_result_converged_property():

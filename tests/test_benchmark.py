@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from apadmm import CampaignCell, SparsePcaSpec, bench_preset, campaign_csv, generate, run_campaign
-from apadmm.benchmark import _mean_gradient_age, run_preset
+from apadmm import CampaignCell, SparsePcaSpec, campaign_csv, generate, run_campaign
+from apadmm.benchmark import _mean_gradient_age, bench_preset, run_preset
 
 
 def reference_data(spec):

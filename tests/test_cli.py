@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import apadmm
-from apadmm.cli import main
+from apadmm import RunConfig, SparsePcaSpec, generate, run
+from apadmm.cli import load_run, main, save_states, trace_csv
 
 SMALL = ["--N", "12", "--K", "3", "--M", "6", "--p", "0.2",
          "--instance-seed", "3"]
@@ -139,6 +140,22 @@ def test_run_rejects_wrong_length_delay_bound_list(tmp_path, capsys):
                   "--out", str(tmp_path / "t.csv")])
     assert rc == 1
     assert "delay_bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config,needle", [
+    ('{"compute_delay": {"kind": "uniform"}}', "compute_delay"),
+    ('{"uplink": {"delay": 1, "los": 0.5}}', "'los'"),
+    ('{"rho_safety": 1.5}', "unknown config key 'rho_safety'"),
+], ids=["delay_missing_key", "link_unknown_key", "removed_knob"])
+def test_run_rejects_malformed_config_values(tmp_path, capsys, config, needle):
+    path = tmp_path / "cfg.json"
+    path.write_text(config)
+    rc = run_cli(["run", *SMALL, "--config", str(path),
+                  "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert needle in err
 
 
 def test_run_rejects_malformed_json(tmp_path, capsys):
@@ -281,6 +298,66 @@ def test_bench_progress_lines_on_stderr(tmp_path, capsys):
                   "--progress", "--out", str(tmp_path / "r.csv")])
     assert rc == 0
     assert "seed" in capsys.readouterr().err
+
+
+# -- stored runs -------------------------------------------------------------
+
+def stored_run(tmp_path, rows):
+    """An async run of exactly ``rows`` updates, written the way ``run`` writes it."""
+    problem = generate(SparsePcaSpec(dim=12, num_components=3, rows=6,
+                                     nonzero_prob=0.2, seed=3))
+    result = run(problem, RunConfig(
+        delay_bound=2, max_iters=rows, epsilon=1e-14, full_trace=True,
+        enforcement="observe", compute_delay={"kind": "uniform", "hi": 1.5}))
+    assert len(result.trace) == rows
+    path = str(tmp_path / ("run%d.csv" % rows))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(trace_csv(result.trace))
+    save_states(path[:-4] + ".states.npz", problem, result, "async_padmm")
+    return problem, result, path
+
+
+def test_load_run_round_trips_a_stored_run(tmp_path):
+    problem, result, path = stored_run(tmp_path, 10)
+    loaded, trace, rho, delay_bounds, algorithm = load_run(path)
+    assert algorithm == "async_padmm"
+    np.testing.assert_array_equal(rho, result.rho)
+    np.testing.assert_array_equal(
+        delay_bounds, [c.delay_bound for c in result.certificates])
+    for a, b in zip(loaded.components, problem.components):
+        np.testing.assert_array_equal(a.B, b.B)
+    for column in ("lagrangian", "objective", "feas_gap", "prox_grad_norm",
+                   "measure", "sim_time", "collected"):
+        assert getattr(trace, column) == getattr(result.trace, column)
+    assert len(trace.states) == len(result.trace.states) == 11
+    for got, want in zip(trace.states, result.trace.states):
+        assert type(got.iteration) is int
+        assert got.iteration == want.iteration
+        for name in ("x", "x_local", "y", "grad_stored", "stale_index"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+
+def test_load_run_reads_each_stored_array_once(tmp_path, monkeypatch):
+    # every NpzFile subscript decompresses the member again, so the number
+    # of reads must not grow with the number of rows
+    original = np.lib.npyio.NpzFile.__getitem__
+    reads = []
+
+    def counting(self, key):
+        reads.append(key)
+        return original(self, key)
+
+    counts = []
+    for rows in (10, 60):
+        _, _, path = stored_run(tmp_path, rows)
+        reads.clear()
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", counting)
+        load_run(path)
+        monkeypatch.undo()
+        counts.append(len(reads))
+    assert counts[0] == counts[1] > 0
 
 
 # -- misc --------------------------------------------------------------------

@@ -4,23 +4,24 @@ import numpy as np
 import pytest
 
 from apadmm import (
-    ALGORITHMS,
+    RunConfig,
+    optimality_measure,
+    prox_l1_ball,
+    run,
+    trace_residuals,
+)
+from apadmm.algorithms import ALGORITHMS, _initial, _record
+from apadmm.benchmark import SparsePcaSpec, generate
+from apadmm.diagnostics import penalized_surrogates
+from apadmm.problems import (
     CallableCost,
     ConcaveQuadratic,
     ConsensusProblem,
     IterationTrace,
-    RunConfig,
+    consensus_terms,
     feasibility_gap,
     initial_state,
-    optimality_measure,
-    penalized_surrogates,
-    prox_l1_ball,
-    proximal_gradient,
-    run,
-    trace_residuals,
 )
-from apadmm.algorithms import _initial, _record
-from apadmm.benchmark import SparsePcaSpec, generate
 
 
 def certified_run(algorithm="async_padmm", seed=4, iters=60):
@@ -47,21 +48,21 @@ def test_proximal_gradient_zero_data_everywhere_stationary():
         x = rng.standard_normal(5)
         x = x / max(np.linalg.norm(x), 1.0)
         # reprojection of a boundary point wobbles by an ulp
-        np.testing.assert_allclose(proximal_gradient(problem, x), np.zeros(5),
-                                   atol=1e-15)
+        np.testing.assert_allclose(consensus_terms(problem, x).prox_residual,
+                                   np.zeros(5), atol=1e-15)
 
 
 def test_proximal_gradient_boundary_maximizer_is_stationary():
     # g(x) = -x^2/2 on the unit ball: x=1 maps to 1 - proj(2) = 0
     problem = ConsensusProblem([ConcaveQuadratic(np.array([[1.0]]))],
                                radius=1.0)
-    assert proximal_gradient(problem, np.array([1.0]))[0] == 0.0
+    assert consensus_terms(problem, np.array([1.0])).prox_residual[0] == 0.0
 
 
 def test_proximal_gradient_interior_point_is_not_stationary():
     problem = ConsensusProblem([ConcaveQuadratic(np.array([[1.0]]))],
                                radius=1.0)
-    out = proximal_gradient(problem, np.array([0.4]))
+    out = consensus_terms(problem, np.array([0.4])).prox_residual
     assert abs(out[0]) > 0.0
 
 

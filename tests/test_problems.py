@@ -3,24 +3,29 @@
 import numpy as np
 import pytest
 
-from apadmm import (
+from apadmm.benchmark import SparsePcaSpec, generate
+from apadmm.problems import (
     CallableCost,
     ConcaveQuadratic,
     ConsensusProblem,
     IterationTrace,
     augmented_lagrangian,
-    ball_diameter,
-    check_gradients,
-    check_lipschitz,
+    consensus_terms,
     feasibility_gap,
     initial_state,
     leading_eigenvalue,
-    objective,
-    smooth_gradient,
-    smooth_value,
 )
-from apadmm.benchmark import SparsePcaSpec, generate
-from apadmm.problems import finite_difference_gradient
+
+
+def finite_difference_gradient(fn, x, step=1e-6):
+    """Central-difference gradient of a scalar function."""
+    x = np.asarray(x, dtype=float)
+    grad = np.zeros_like(x)
+    for i in range(x.size):
+        bump = np.zeros_like(x)
+        bump[i] = step
+        grad[i] = (fn(x + bump) - fn(x - bump)) / (2.0 * step)
+    return grad
 
 
 def scalar_problem(l1_weight=0.0, radius=10.0):
@@ -48,13 +53,14 @@ def test_objective_zero_data_is_zero():
     rng = np.random.default_rng(1)
     for _ in range(5):
         x = rng.standard_normal(8)
-        assert objective(problem, x) == 0.0
+        assert consensus_terms(problem, x).objective == 0.0
 
 
 def test_objective_scalar_hand_value():
     # g(x) = -x^2/2, lambda = 1: at x = 2 the terms cancel, -2 + 2 = 0
     problem = scalar_problem(l1_weight=1.0)
-    assert objective(problem, np.array([2.0])) == pytest.approx(0.0, abs=1e-15)
+    assert consensus_terms(problem, np.array([2.0])).objective == pytest.approx(
+        0.0, abs=1e-15)
 
 
 def test_objective_matches_dense_cross_check():
@@ -65,16 +71,17 @@ def test_objective_matches_dense_cross_check():
         x = rng.standard_normal(12)
         ref = sum(-0.5 * float(np.linalg.norm(c.B @ x) ** 2)
                   for c in problem.components)
-        assert objective(problem, x) == pytest.approx(ref, rel=1e-12)
+        terms = consensus_terms(problem, x)
+        assert terms.objective == pytest.approx(ref, rel=1e-12)
         np.testing.assert_allclose(
-            smooth_gradient(problem, x),
+            terms.smooth_gradient,
             sum(-(c.B.T @ (c.B @ x)) for c in problem.components), rtol=1e-12)
 
 
 def test_objective_dimension_mismatch():
     problem = scalar_problem()
     with pytest.raises(ValueError):
-        objective(problem, np.zeros(3))
+        consensus_terms(problem, np.zeros(3))
 
 
 # -- augmented Lagrangian ----------------------------------------------------
@@ -86,7 +93,7 @@ def test_augmented_lagrangian_consensus_equals_objective():
     x = rng.standard_normal(6) * 0.3
     state = make_state(problem, x, np.tile(x, (2, 1)), np.zeros((2, 6)))
     assert augmented_lagrangian(problem, state, [2.0, 3.0]) == pytest.approx(
-        objective(problem, x), rel=1e-12)
+        consensus_terms(problem, x).objective, rel=1e-12)
 
 
 def test_augmented_lagrangian_scalar_hand_value():
@@ -237,8 +244,16 @@ def test_callable_cost_wraps_functions():
 def test_benchmark_instance_gradient_and_lipschitz_probes():
     spec = SparsePcaSpec(dim=10, num_components=3, rows=8, seed=5)
     problem = generate(spec)
-    check_gradients(problem, seed=0, points=3)
-    check_lipschitz(problem, seed=0, pairs=100)
+    rng = np.random.default_rng(0)
+    for comp in problem.components:
+        # the gradient Lipschitz constant of -||Bz||^2/2 is exactly lambda_max
+        assert comp.lipschitz == pytest.approx(
+            np.linalg.eigvalsh(comp.B @ comp.B.T).max(), rel=1e-10)
+        for _ in range(3):
+            x = rng.standard_normal(10) * 0.5
+            np.testing.assert_allclose(
+                comp.gradient(x), finite_difference_gradient(comp.value, x),
+                rtol=1e-5, atol=1e-7)
 
 
 def test_consensus_problem_validation():
@@ -252,7 +267,6 @@ def test_consensus_problem_validation():
     problem = ConsensusProblem([comp, ConcaveQuadratic(np.array([[2.0]]))])
     np.testing.assert_allclose(problem.lipschitz_constants(), [1.0, 4.0])
     assert problem.curvature_classes() == ["concave", "concave"]
-    assert ball_diameter(problem) == 2.0
 
 
 # -- state and trace ---------------------------------------------------------
@@ -303,7 +317,8 @@ def test_smooth_value_is_component_sum():
     spec = SparsePcaSpec(dim=5, num_components=3, rows=4, seed=11)
     problem = generate(spec)
     x = np.random.default_rng(0).standard_normal(5)
+    terms = consensus_terms(problem, x)
     ref = sum(c.value(x) for c in problem.components)
-    assert smooth_value(problem, x) == pytest.approx(ref, rel=1e-14)
+    assert terms.smooth_value == pytest.approx(ref, rel=1e-14)
     grad = sum(c.gradient(x) for c in problem.components)
-    np.testing.assert_allclose(smooth_gradient(problem, x), grad, rtol=1e-14)
+    np.testing.assert_allclose(terms.smooth_gradient, grad, rtol=1e-14)

@@ -5,13 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from apadmm import (
-    certify,
-    default_penalties,
-    descent_margin,
-    exact_baseline_penalty,
-    minimal_rho,
-)
+from apadmm import certify, descent_margin, minimal_rho
+from apadmm.stepsize import default_penalties, exact_baseline_penalty
 
 
 def test_margin_frozen_values():
