@@ -10,8 +10,7 @@ stale networks to show the iteration cost of asynchrony.
 
 import numpy as np
 
-from apadmm import (ComputeModel, DelayModel, LinkModel, RunConfig,
-                    StarNetwork, run)
+from apadmm import DelayModel, LinkModel, RunConfig, StarNetwork, run
 from apadmm.benchmark import SparsePcaSpec, generate
 
 
@@ -27,8 +26,7 @@ net = StarNetwork(
     2, echo,
     downlinks=[clean, clean],
     uplinks=[clean, LinkModel(DelayModel.empirical([1.0, 3.0]), loss=0.3)],
-    compute_models=[ComputeModel(DelayModel.constant(0.5)),
-                    ComputeModel(DelayModel.constant(2.5))],
+    compute_delays=[DelayModel.constant(0.5), DelayModel.constant(2.5)],
     seed=4)
 
 for copy in range(1, 9):

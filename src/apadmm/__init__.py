@@ -10,8 +10,8 @@ The package splits into small layers:
   minimal feasible penalties per curvature class.
 * :mod:`apadmm.simnet` - deterministic discrete-event star network with
   delays, losses, and bounded staleness.
-* :mod:`apadmm.algorithms` - one solver loop, an exchange plus a local
-  update, that runs the asynchronous solver and synchronous baselines.
+* :mod:`apadmm.algorithms` - one solver loop (master step, exchange,
+  commit) that runs the asynchronous solver and synchronous baselines.
 * :mod:`apadmm.diagnostics` - optimality measures, surrogate values,
   and residual checks replayed over stored traces.
 * :mod:`apadmm.benchmark` - sparse-PCA instance generator and campaign
@@ -24,7 +24,7 @@ every other name is imported from its submodule.
 
 from .prox import soft_threshold, project_ball, prox_l1_ball
 from .stepsize import certify, descent_margin, minimal_rho
-from .simnet import ComputeModel, DelayModel, LinkModel, StarNetwork
+from .simnet import DelayModel, LinkModel, StarNetwork
 from .algorithms import RunConfig, run
 from .diagnostics import optimality_measure, trace_residuals
 from .benchmark import (
@@ -40,7 +40,7 @@ __version__ = "0.1.0"
 __all__ = [
     "soft_threshold", "project_ball", "prox_l1_ball",
     "certify", "descent_margin", "minimal_rho",
-    "ComputeModel", "DelayModel", "LinkModel", "StarNetwork",
+    "DelayModel", "LinkModel", "StarNetwork",
     "RunConfig", "run",
     "optimality_measure", "trace_residuals",
     "CampaignCell", "SparsePcaSpec", "campaign_csv", "generate",

@@ -1,10 +1,10 @@
 """Consensus solvers: asynchronous proximal updates plus synchronous baselines.
 
-Every algorithm runs the same master iteration in one solver loop: an
-exchange with the workers followed by a local update. Each update starts
-with the same master step: average the local copies and duals, then
-apply the l1-plus-ball proximal map with weight scaled by the total
-penalty. The algorithms differ only in the two varying parts:
+Every algorithm runs the same pass in one solver loop: a master step
+(average the local copies and duals, then apply the l1-plus-ball
+proximal map with weight scaled by the total penalty), an exchange with
+the workers, and a commit of the local copies and duals. The algorithms
+differ only in how the master gets its gradients:
 
 * ``async_padmm``: the exchange is one window of a simulated star
   network; the master broadcasts the new x, waits one window, and applies
@@ -18,9 +18,10 @@ penalty. The algorithms differ only in the two varying parts:
   that expose an exact solver and penalties above the component curvature.
 
 Time accounting: the reported iteration count is the simulated master
-clock in window units. Async iterations cost exactly 1. Synchronous
-updates block on the slowest worker and cost ``max(1, ceil(max_k
-round_trip_k))``, so delay inflates their clock, not their update count.
+clock in windows, the simulator's unit of time. Async iterations cost
+exactly 1. Synchronous updates block on the slowest worker and cost
+``max(1, ceil(max_k round_trip_k))``, so delay inflates their clock, not
+their update count.
 """
 
 import math
@@ -30,7 +31,7 @@ import numpy as np
 
 from .problems import IterationTrace, SolverState, initial_state
 from .prox import prox_l1_ball
-from .simnet import ComputeModel, DelayModel, LinkModel, StarNetwork
+from .simnet import DelayModel, LinkModel, StarNetwork
 from .stepsize import certify, default_penalties, exact_baseline_penalty
 from . import diagnostics
 
@@ -40,7 +41,6 @@ __all__ = [
     "RunResult",
     "master_step",
     "padmm_apply",
-    "sync_padmm_iteration",
     "exact_admm_iteration",
     "run",
 ]
@@ -53,12 +53,11 @@ class RunConfig:
     """Everything a run needs beyond the problem itself.
 
     Model fields (``compute_delay``, ``downlink``, ``uplink``) hold plain
-    JSON-able specs, resolved to simulator models at run time: a number is
-    a constant delay, dicts select {"kind": "constant"|"uniform"|
-    "empirical", ...}, and link dicts accept {"delay": ..., "loss": ...,
-    "allow_reordering": ...}; a missing or unknown key raises ValueError.
-    A single spec applies to every worker; a list gives one per worker.
-    ``compute_delay=None`` defaults to uniform(0, T_k).
+    JSON-able specs, parsed at run time by ``DelayModel.from_spec`` and
+    ``LinkModel.from_spec``, which document the format; delays are in
+    windows, one master iteration each. A single spec applies to every
+    worker; a list gives one per worker. ``compute_delay=None`` defaults
+    to uniform(0, T_k).
 
     ``delay_bound`` is the staleness level enforcement acts on;
     ``cert_delay`` is the staleness level the automatic penalty rule
@@ -80,7 +79,6 @@ class RunConfig:
     seed: int = 0
     delay_bound: object = 0
     cert_delay: object = None
-    window: float = 1.0
     enforcement: str = "enforce"
     init: str = "random_ball"
     force: bool = False
@@ -97,8 +95,6 @@ class RunConfig:
             raise ValueError("epsilon must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.window <= 0:
-            raise ValueError("window must be positive")
         if self.enforcement not in ("enforce", "observe"):
             raise ValueError("enforcement must be 'enforce' or 'observe'")
         if self.init not in ("zero", "random_ball"):
@@ -109,9 +105,12 @@ class RunConfig:
 class RunResult:
     """Outcome of one run.
 
-    ``iterations`` is the simulated clock in window units (the number the
+    ``iterations`` is the simulated clock in windows (the number the
     campaign tables report); ``updates`` the number of state updates,
     which is smaller for synchronous algorithms under delay.
+    ``delay_bounds`` are the staleness bounds the run was held to: the
+    resolved ``delay_bound`` for ``async_padmm``, zeros for the
+    synchronous algorithms, whose gradients are always fresh.
     """
 
     termination: str
@@ -120,14 +119,20 @@ class RunResult:
     state: SolverState
     trace: IterationTrace
     rho: np.ndarray
+    delay_bounds: np.ndarray
     certificates: list
     final_measure: float
     violations: list = field(default_factory=list)
-    violation: tuple = None
 
     @property
     def converged(self):
         return self.termination == "converged"
+
+    @property
+    def violation(self):
+        """The ``(iteration, worker, staleness)`` that aborted the run, or None."""
+        aborted = self.termination == "staleness_violation"
+        return self.violations[-1] if aborted else None
 
 
 def master_step(problem, state, rho):
@@ -154,110 +159,41 @@ def padmm_apply(problem, state, rho, x_new, updates):
         component refreshes its local copy and dual, with whatever
         gradient is stored.
     """
-    rho = np.asarray(rho, dtype=float)
+    rho = np.asarray(rho, dtype=float)[:, None]
     grad = state.grad_stored.copy()
     stale = state.stale_index.copy()
-    x_local = state.x_local.copy()
-    y = state.y.copy()
     for k, (g, idx) in updates.items():
         grad[k] = g
         stale[k] = idx
-    for k in range(problem.num_components):
-        x_local[k] = x_new - (grad[k] + y[k]) / rho[k]
-        y[k] = y[k] + rho[k] * (x_local[k] - x_new)
+    x_local = x_new - (grad + state.y) / rho
+    y = state.y + rho * (x_local - x_new)
     return SolverState(state.iteration + 1, np.asarray(x_new, dtype=float),
                        x_local, y, grad, stale)
 
 
-def sync_padmm_iteration(problem, state, rho):
-    """One synchronous proximal update: fresh gradients at the new master vector."""
-    x_new = master_step(problem, state, rho)
-    t_new = state.iteration + 1
-    updates = {
-        k: (comp.gradient(x_new), t_new)
-        for k, comp in enumerate(problem.components)
-    }
-    return padmm_apply(problem, state, rho, x_new, updates)
-
-
-def exact_admm_iteration(problem, state, rho):
-    """One synchronous exact update: each component minimizes its penalized cost.
+def exact_admm_iteration(problem, state, rho, x_new):
+    """Commit one exact update: each component minimizes its penalized cost at x_new.
 
     Requires every component to expose ``penalized_argmin`` and every
     penalty to exceed the component curvature; both are checked by the
     component solver.
     """
     rho = np.asarray(rho, dtype=float)
-    x_new = master_step(problem, state, rho)
-    t_new = state.iteration + 1
     x_local = np.empty_like(state.x_local)
-    y = state.y.copy()
-    grad = np.empty_like(state.grad_stored)
     for k, comp in enumerate(problem.components):
         if not hasattr(comp, "penalized_argmin"):
             raise TypeError(
                 "component %d has no exact penalized solver; "
                 "sync_admm needs one (use the proximal algorithms instead)" % k)
-        x_local[k] = comp.penalized_argmin(rho[k], x_new, y[k])
-        y[k] = y[k] + rho[k] * (x_local[k] - x_new)
-        grad[k] = comp.gradient(x_local[k])
+        x_local[k] = comp.penalized_argmin(rho[k], x_new, state.y[k])
+    y = state.y + rho[:, None] * (x_local - x_new)
+    grad = np.stack([c.gradient(u) for c, u in zip(problem.components, x_local)])
+    t_new = state.iteration + 1
     stale = np.full(problem.num_components, t_new, dtype=int)
     return SolverState(t_new, x_new, x_local, y, grad, stale)
 
 
 # -- config resolution -------------------------------------------------------
-
-
-# keys of a delay spec dict beyond "kind": (required, optional)
-_DELAY_KEYS = {
-    "constant": ((), ("value",)),
-    "uniform": (("hi",), ("lo",)),
-    "empirical": (("values",), ()),
-}
-_LINK_KEYS = ("delay", "loss", "allow_reordering")
-
-
-def _check_keys(spec, name, required, optional):
-    for key in required:
-        if key not in spec:
-            raise ValueError("%s spec %r is missing key '%s'" % (name, spec, key))
-    for key in spec:
-        if key not in required and key not in optional:
-            raise ValueError("%s spec %r has unknown key '%s'" % (name, spec, key))
-
-
-def _delay_model(spec, name):
-    if spec is None:
-        return DelayModel.constant(0.0)
-    if isinstance(spec, (int, float)):
-        return DelayModel.constant(float(spec))
-    if isinstance(spec, DelayModel):
-        return spec
-    kind = spec.get("kind") if isinstance(spec, dict) else None
-    if kind not in _DELAY_KEYS:
-        raise ValueError("%s spec %r is not a number or an object with key "
-                         "'kind' in %s" % (name, spec, sorted(_DELAY_KEYS)))
-    required, optional = _DELAY_KEYS[kind]
-    _check_keys(spec, name, ("kind",) + required, optional)
-    if kind == "constant":
-        return DelayModel.constant(spec.get("value", 0.0))
-    if kind == "uniform":
-        return DelayModel.uniform(spec.get("lo", 0.0), spec["hi"])
-    return DelayModel.empirical(spec["values"])
-
-
-def _link_model(spec, name):
-    if spec is None:
-        return LinkModel()
-    if not isinstance(spec, dict):
-        # bare numbers (or DelayModel) mean a lossless link with that delay
-        return LinkModel(delay=_delay_model(spec, name))
-    _check_keys(spec, name, (), _LINK_KEYS)
-    return LinkModel(
-        delay=_delay_model(spec.get("delay"), name + ".delay"),
-        loss=float(spec.get("loss", 0.0)),
-        allow_reordering=bool(spec.get("allow_reordering", False)),
-    )
 
 
 def _per_worker(spec, count, build, name):
@@ -269,41 +205,45 @@ def _per_worker(spec, count, build, name):
     return [build(spec) for _ in range(count)]
 
 
+def _nonnegative(spec, count, name):
+    values = np.array(_per_worker(spec, count, float, name))
+    if np.any(values < 0):
+        raise ValueError("%s must be nonnegative" % name)
+    return values
+
+
 def _build_network(problem, config, delay_bounds):
     K = problem.num_components
     downs = _per_worker(config.downlink, K,
-                        lambda s: _link_model(s, "downlink"), "downlink")
+                        lambda s: LinkModel.from_spec(s, "downlink"), "downlink")
     ups = _per_worker(config.uplink, K,
-                      lambda s: _link_model(s, "uplink"), "uplink")
+                      lambda s: LinkModel.from_spec(s, "uplink"), "uplink")
     compute = config.compute_delay
     if compute is None:
         # uniform(0, 0) draws nothing from the rng, like constant(0)
         compute = [DelayModel.uniform(0.0, T) for T in delay_bounds]
     computes = _per_worker(
-        compute, K, lambda s: ComputeModel(_delay_model(s, "compute_delay")),
+        compute, K, lambda s: DelayModel.from_spec(s, "compute_delay"),
         "compute_delay")
     return StarNetwork(
         K, lambda k, x: problem.components[k].gradient(x),
-        downs, ups, computes, seed=[int(config.seed), 29],
-        window=config.window)
+        downs, ups, computes, seed=[int(config.seed), 29])
 
 
 def _resolve_rho(problem, config, cert_delays):
     K = problem.num_components
     lipschitz = problem.lipschitz_constants()
     classes = problem.curvature_classes()
-    cert_bounds = (np.asarray(cert_delays, dtype=float)
-                   if config.algorithm == "async_padmm" else np.zeros(K))
     if not (isinstance(config.rho, str) and config.rho == "auto"):
         rho = np.broadcast_to(np.asarray(config.rho, dtype=float), (K,)).copy()
     elif config.algorithm == "sync_admm":
         rho = np.array([exact_baseline_penalty(L, c)
                         for L, c in zip(lipschitz, classes)])
     else:
-        rho = default_penalties(lipschitz, cert_bounds, classes)
+        rho = default_penalties(lipschitz, cert_delays, classes)
     certs = [
         certify(r, L, T, c)
-        for r, L, T, c in zip(rho, lipschitz, cert_bounds, classes)
+        for r, L, T, c in zip(rho, lipschitz, cert_delays, classes)
     ]
     return rho, certs
 
@@ -317,21 +257,14 @@ def _initial(problem, config):
     return initial_state(problem, 0.5 * problem.radius * direction)
 
 
-def _record(problem, state, rho, trace, sim_time, collected):
-    row = diagnostics.trace_row(problem, state, rho)
-    trace.append(*row, sim_time, collected)
-    if trace.states is not None:
-        trace.states.append(state.copy())
-    return row[-1]
-
-
 def run(problem, config):
     """Execute one full run and return its trace and termination status.
 
-    Every algorithm runs the same loop: an exchange with the workers (one
-    network window for ``async_padmm``, a blocking round trip for the
-    synchronous baselines) followed by a local update (proximal for
-    ``async_padmm`` and ``sync_padmm``, exact for ``sync_admm``).
+    Every algorithm runs the same pass: one master step, an exchange with
+    the workers (one network window for ``async_padmm``, a blocking round
+    trip for the synchronous baselines), and a commit (proximal for
+    ``async_padmm`` and ``sync_padmm``, exact for ``sync_admm``). Only
+    the exchange depends on the algorithm.
 
     Termination is one of ``converged`` (optimality measure dropped below
     epsilon), ``max_iters`` (clock budget exhausted), ``staleness_violation``
@@ -340,74 +273,73 @@ def run(problem, config):
     """
     config.validate()
     K = problem.num_components
-    delay_bounds = np.array(
-        _per_worker(config.delay_bound, K, float, "delay_bound"))
-    if np.any(delay_bounds < 0):
-        raise ValueError("delay bounds must be nonnegative")
-    cert_delays = delay_bounds
-    if config.cert_delay is not None:
-        cert_delays = np.array(
-            _per_worker(config.cert_delay, K, float, "cert_delay"))
-        if np.any(cert_delays < 0):
-            raise ValueError("certification delays must be nonnegative")
+    delay_bounds = _nonnegative(config.delay_bound, K, "delay_bound")
+    cert_delays = (delay_bounds if config.cert_delay is None
+                   else _nonnegative(config.cert_delay, K, "cert_delay"))
     net = _build_network(problem, config, delay_bounds)
     asynchronous = config.algorithm == "async_padmm"
-    if not asynchronous and net.has_loss:
-        raise ValueError(
-            "synchronous algorithms block on every worker and need lossless "
-            "links; set loss to 0 or use an asynchronous algorithm")
+    exact = config.algorithm == "sync_admm"
+    bounds = delay_bounds
+    if not asynchronous:
+        if net.has_loss:
+            raise ValueError(
+                "synchronous algorithms block on every worker and need "
+                "lossless links; set loss to 0 or use an asynchronous algorithm")
+        # a blocking exchange delivers fresh gradients: staleness is always 0
+        bounds = cert_delays = np.zeros(K)
     rho, certs = _resolve_rho(problem, config, cert_delays)
     trace = IterationTrace(states=[] if config.full_trace else None)
     state = _initial(problem, config)
 
-    hard_reject = config.algorithm == "sync_admm" and any(
+    hard_reject = exact and any(
         r <= c.lipschitz for r, c in zip(rho, problem.components))
     if hard_reject or (not all(c.feasible for c in certs) and not config.force):
         return RunResult(
             termination="infeasible_stepsize", iterations=0, updates=0,
-            state=state, trace=trace, rho=rho, certificates=certs,
-            final_measure=float("inf"))
+            state=state, trace=trace, rho=rho, delay_bounds=bounds,
+            certificates=certs, final_measure=float("inf"))
 
     if trace.states is not None:
-        trace.states.append(state.copy())
+        trace.states.append(state)
 
-    local_update = (exact_admm_iteration if config.algorithm == "sync_admm"
-                    else sync_padmm_iteration)
-    enforce = config.enforcement == "enforce"
     violations = []
-    violation = None
     termination = "max_iters"
     measure = float("inf")
     clock = 0
     while clock < config.max_iters:
+        x_new = master_step(problem, state, rho)
+        t_new = state.iteration + 1
         if asynchronous:
-            x_new = master_step(problem, state, rho)
-            collected = net.run_window(x_new, state.iteration + 1)
-            updates = {
-                k: (msg.gradient, msg.copy_index)
-                for k, msg in collected.items()
-            }
-            new = padmm_apply(problem, state, rho, x_new, updates)
-            staleness = new.iteration - new.stale_index
-            over = np.nonzero(staleness > delay_bounds)[0]
-            if over.size:
-                worst = int(over[np.argmax(staleness[over])])
-                violations.append((new.iteration, worst, int(staleness[worst])))
-                if enforce:
-                    violation = violations[-1]
-                    termination = "staleness_violation"
-                    break
-            state, cost, arrived = new, 1, len(updates)
+            updates = {k: (msg.gradient, msg.copy_index)
+                       for k, msg in net.run_window(x_new, t_new).items()}
+            cost, arrived = 1, len(updates)
         else:
-            round_trips = net.sample_round_trips()
-            cost = max(1, int(math.ceil(float(round_trips.max()) / config.window)))
-            state, arrived = local_update(problem, state, rho), K
+            cost = max(1, math.ceil(float(net.sample_round_trips().max())))
+            updates = {} if exact else {
+                k: (comp.gradient(x_new), t_new)
+                for k, comp in enumerate(problem.components)}
+            arrived = K
+        new = (exact_admm_iteration(problem, state, rho, x_new) if exact
+               else padmm_apply(problem, state, rho, x_new, updates))
+        staleness = new.iteration - new.stale_index
+        over = np.nonzero(staleness > bounds)[0]
+        if over.size:
+            worst = int(over[np.argmax(staleness[over])])
+            violations.append((new.iteration, worst, int(staleness[worst])))
+            if config.enforcement == "enforce":
+                termination = "staleness_violation"
+                break
+        state = new
         clock += cost
-        measure = _record(problem, state, rho, trace, float(clock), arrived)
+        row = diagnostics.trace_row(problem, state, rho)
+        trace.append(*row, float(clock), arrived)
+        if trace.states is not None:
+            trace.states.append(state)
+        measure = row[-1]
         if measure < config.epsilon:
             termination = "converged"
             break
     return RunResult(
         termination=termination, iterations=clock, updates=len(trace),
-        state=state, trace=trace, rho=rho, certificates=certs,
-        final_measure=measure, violations=violations, violation=violation)
+        state=state, trace=trace, rho=rho, delay_bounds=bounds,
+        certificates=certs, final_measure=measure, violations=violations)

@@ -108,8 +108,7 @@ def save_states(path, problem, result, algorithm):
         "iteration_hist": np.array([s.iteration for s in states],
                                    dtype=np.int64),
         "rho": np.asarray(result.rho, dtype=float),
-        "delay_bounds": np.array([c.delay_bound for c in result.certificates],
-                                 dtype=float),
+        "delay_bounds": np.asarray(result.delay_bounds, dtype=float),
         "l1_weight": np.float64(problem.l1_weight),
         "radius": np.float64(problem.radius),
         "algorithm": np.str_(algorithm),
@@ -222,7 +221,6 @@ _CONFIG_FLAGS = (
     ("max_iters", "max_iters", None),
     ("epsilon", "epsilon", None),
     ("delay_bound", "delay_bound", _float_or_list("--delay-bound")),
-    ("window", "window", None),
     ("enforcement", "enforcement", None),
     ("init", "init", None),
     ("force", "force", None),
@@ -246,13 +244,6 @@ def _apply_run_flags(cfg, inst, args):
                 target[key] = value if parse is None else parse(value)
 
 
-def _build_run_config(cfg):
-    try:
-        return RunConfig(**cfg)
-    except TypeError as exc:
-        raise CliError("bad run configuration: %s" % exc)
-
-
 # -- subcommands -------------------------------------------------------------
 
 def cmd_run(args):
@@ -273,7 +264,7 @@ def cmd_run(args):
         print(json.dumps(dict(cfg, instance=inst), sort_keys=True, indent=2))
         return 0
 
-    config = _build_run_config(cfg)
+    config = RunConfig(**cfg)
     try:
         spec = SparsePcaSpec(**inst)
     except (TypeError, ValueError) as exc:
@@ -417,7 +408,6 @@ def build_parser():
     p.add_argument("--max-iters", type=int)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--delay-bound", help="number or comma list per worker")
-    p.add_argument("--window", type=float)
     p.add_argument("--enforce", dest="enforcement", action="store_const",
                    const="enforce", help="abort when staleness exceeds the bound")
     p.add_argument("--observe", dest="enforcement", action="store_const",

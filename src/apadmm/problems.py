@@ -80,9 +80,7 @@ class ConcaveQuadratic:
     ----------
     lipschitz : float
         Gradient Lipschitz constant, the top eigenvalue of the Gram matrix.
-        Floored at machine epsilon (and ``degenerate`` set) when B == 0.
-    degenerate : bool
-        True when the data matrix is identically zero.
+        Floored at machine epsilon when B == 0.
     """
 
     curvature = "concave"
@@ -93,12 +91,8 @@ class ConcaveQuadratic:
             raise ValueError("data matrix contains non-finite entries")
         self.B = B
         self.dim = B.shape[1]
-        self.degenerate = not np.any(B)
         lam = leading_eigenvalue(B)
-        if lam <= 0.0:
-            lam = float(np.finfo(float).eps)
-            self.degenerate = True
-        self.lipschitz = lam
+        self.lipschitz = lam if lam > 0.0 else float(np.finfo(float).eps)
         self._cho = {}
 
     @property
@@ -154,7 +148,6 @@ class CallableCost:
         self.dim = int(dim)
         self.lipschitz = float(lipschitz)
         self.curvature = curvature
-        self.degenerate = False
 
     def value(self, z):
         return float(self._value(z))
@@ -212,6 +205,10 @@ class SolverState:
     ``stale_index[k]`` is the master-iteration index of the x copy whose
     gradient is currently stored for component k; staleness at iteration t
     is ``t - stale_index[k]``.
+
+    No update writes into a state it was given: each returns a new state
+    with new arrays. Traces therefore keep the states themselves as
+    snapshots.
     """
 
     iteration: int
@@ -220,16 +217,6 @@ class SolverState:
     y: np.ndarray
     grad_stored: np.ndarray
     stale_index: np.ndarray
-
-    def copy(self):
-        return SolverState(
-            self.iteration,
-            self.x.copy(),
-            self.x_local.copy(),
-            self.y.copy(),
-            self.grad_stored.copy(),
-            self.stale_index.copy(),
-        )
 
 
 def initial_state(problem, x0=None):

@@ -2,8 +2,9 @@
 
 One master broadcasts x copies to K workers; each worker computes the
 gradient of its component at the copy it picked up and sends it back.
-Time is measured in master-iteration units: the master broadcasts, waits a
-fixed window (default 1.0), then collects whatever gradients arrived.
+Time is measured in windows, one master iteration each: the master
+broadcasts, waits one window, then collects whatever gradients arrived.
+Every delay is drawn in window units.
 
 Semantics pinned down here:
 
@@ -24,16 +25,57 @@ Semantics pinned down here:
 
 The simulator is generic over the gradient computation: it calls a
 ``gradient_fn(worker, x)`` callback at compute completion, so tests can
-drive it with toy functions.
+drive it with toy functions. ``DelayModel.from_spec`` and
+``LinkModel.from_spec`` parse the JSON-able specs that run configs hold.
 """
 
 import copy
 import heapq
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["DelayModel", "LinkModel", "ComputeModel", "Message", "StarNetwork"]
+__all__ = ["DelayModel", "LinkModel", "Message", "StarNetwork"]
+
+# keys of a delay spec object beyond "kind": (required, optional)
+_DELAY_KEYS = {
+    "constant": ((), ("value",)),
+    "uniform": (("hi",), ("lo",)),
+    "empirical": (("values",), ()),
+}
+_LINK_KEYS = ("delay", "loss", "allow_reordering")
+
+
+def _is_number(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# the type a spec key must have, and its name in errors; others are numbers
+_KEY_TYPES = {
+    "values": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
+               "a list of numbers"),
+    "allow_reordering": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
+def _check_keys(spec, name, required, optional):
+    for key in required:
+        if key not in spec:
+            raise ValueError("%s spec %r is missing key '%s'" % (name, spec, key))
+    for key in spec:
+        if key not in required and key not in optional:
+            raise ValueError("%s spec %r has unknown key '%s'" % (name, spec, key))
+
+
+def _typed_values(spec, name, skip):
+    """The keys of ``spec`` but ``skip``, each checked for the type it needs."""
+    values = {key: value for key, value in spec.items() if key != skip}
+    for key, value in values.items():
+        valid, expected = _KEY_TYPES.get(key, (_is_number, "a number"))
+        if not valid(value):
+            raise ValueError("%s.%s must be %s, not %r" % (name, key, expected, value))
+    return values
 
 
 class DelayModel:
@@ -75,6 +117,31 @@ class DelayModel:
     def empirical(cls, values):
         return cls("empirical", values=values)
 
+    @classmethod
+    def from_spec(cls, spec, name):
+        """Delay model from a config spec; ``name`` labels errors.
+
+        ``None`` is a zero delay, a number a constant delay, and an object
+        picks a kind: ``{"kind": "constant", "value": v}`` (v defaults to
+        0), ``{"kind": "uniform", "lo": lo, "hi": hi}`` (lo defaults to 0)
+        or ``{"kind": "empirical", "values": [...]}``, a list consumed in
+        order. A ``DelayModel`` passes through. A missing, unknown or
+        mistyped key raises ValueError naming the field.
+        """
+        if spec is None:
+            return cls.constant(0.0)
+        if _is_number(spec):
+            return cls.constant(float(spec))
+        if isinstance(spec, cls):
+            return spec
+        kind = spec.get("kind") if isinstance(spec, dict) else None
+        if not isinstance(kind, str) or kind not in _DELAY_KEYS:
+            raise ValueError("%s spec %r is not a number or an object with key "
+                             "'kind' in %s" % (name, spec, sorted(_DELAY_KEYS)))
+        required, optional = _DELAY_KEYS[kind]
+        _check_keys(spec, name, ("kind",) + required, optional)
+        return cls(kind, **_typed_values(spec, name, "kind"))
+
     def sample(self, rng):
         if self.kind == "constant":
             return self.value
@@ -99,12 +166,20 @@ class LinkModel:
         if not 0.0 <= self.loss <= 1.0:
             raise ValueError("loss probability must lie in [0, 1]")
 
+    @classmethod
+    def from_spec(cls, spec, name):
+        """Link model from a config spec; ``name`` labels errors.
 
-@dataclass
-class ComputeModel:
-    """Per-worker compute-delay distribution in master-iteration units."""
-
-    delay: DelayModel = field(default_factory=DelayModel.constant)
+        ``None`` is a lossless zero-delay link. An object takes the keys
+        ``delay`` (a delay spec, see ``DelayModel.from_spec``), ``loss``
+        (a probability) and ``allow_reordering`` (a boolean), all
+        optional; anything else is the delay spec of a lossless link.
+        """
+        if not isinstance(spec, dict):
+            return cls(delay=DelayModel.from_spec(spec, name))
+        _check_keys(spec, name, (), _LINK_KEYS)
+        return cls(DelayModel.from_spec(spec.get("delay"), name + ".delay"),
+                   **_typed_values(spec, name, "delay"))
 
 
 @dataclass
@@ -120,12 +195,12 @@ class Message:
 
 
 class StarNetwork:
+    """K workers behind per-worker links; ``compute_delays`` are ``DelayModel``s."""
+
     def __init__(self, num_workers, gradient_fn, downlinks, uplinks,
-                 compute_models, seed=0, window=1.0):
-        if window <= 0:
-            raise ValueError("window must be positive")
+                 compute_delays, seed=0):
         for name, models in (("downlinks", downlinks), ("uplinks", uplinks),
-                             ("compute_models", compute_models)):
+                             ("compute_delays", compute_delays)):
             if len(models) != num_workers:
                 raise ValueError("%s must have one entry per worker" % name)
         self.num_workers = num_workers
@@ -133,8 +208,7 @@ class StarNetwork:
         # each link/compute model is copied so cyclic cursors are private
         self.downlinks = [copy.deepcopy(m) for m in downlinks]
         self.uplinks = [copy.deepcopy(m) for m in uplinks]
-        self.compute_models = [copy.deepcopy(m) for m in compute_models]
-        self.window = float(window)
+        self.compute_delays = [copy.deepcopy(m) for m in compute_delays]
         self.now = 0.0
         self._heap = []
         self._seq = 0
@@ -153,8 +227,9 @@ class StarNetwork:
 
     # -- event plumbing ----------------------------------------------------
 
-    def _schedule(self, time, action, payload):
-        heapq.heappush(self._heap, (time, self._seq, action, payload))
+    def _schedule(self, time, handler, payload):
+        # (time, seq) is unique, so the handler is never compared
+        heapq.heappush(self._heap, (time, self._seq, handler, payload))
         self._seq += 1
 
     def _link_delivery_time(self, link, last_delivery, delay):
@@ -175,20 +250,18 @@ class StarNetwork:
                 continue
             t = self._link_delivery_time(link, self._last_down[k], link.delay.sample(self._rng))
             self._last_down[k] = t
-            self._schedule(t, "deliver_x", (k, x, int(copy_index)))
+            self._schedule(t, self._on_deliver_x, (k, x, int(copy_index)))
 
-    def advance(self, duration=None):
+    def advance(self, duration=1.0):
         """Process all events strictly before now + duration, then move the clock.
 
         Events landing exactly on the boundary wait for the next window.
         """
-        if duration is None:
-            duration = self.window
         target = self.now + duration
         while self._heap and self._heap[0][0] < target:
-            time, _, action, payload = heapq.heappop(self._heap)
+            time, _, handler, payload = heapq.heappop(self._heap)
             self.now = time
-            getattr(self, "_on_" + action)(payload)
+            handler(payload)
         self.now = target
 
     def collect(self):
@@ -208,7 +281,7 @@ class StarNetwork:
     def run_window(self, x, copy_index):
         """Broadcast, advance one window, collect: one master exchange."""
         self.broadcast(x, copy_index)
-        self.advance(self.window)
+        self.advance()
         return self.collect()
 
     # -- worker side -------------------------------------------------------
@@ -227,7 +300,7 @@ class StarNetwork:
             self.dropped_stale[k] += 1
         if not self._pickup_scheduled[k]:
             self._pickup_scheduled[k] = True
-            self._schedule(self.now, "pickup", k)
+            self._schedule(self.now, self._on_pickup, k)
 
     def _on_pickup(self, k):
         self._pickup_scheduled[k] = False
@@ -236,8 +309,8 @@ class StarNetwork:
         copy_index, x = self._pending[k]
         self._pending[k] = None
         self._busy[k] = True
-        delay = self.compute_models[k].delay.sample(self._rng)
-        self._schedule(self.now + delay, "complete", (k, x, copy_index))
+        delay = self.compute_delays[k].sample(self._rng)
+        self._schedule(self.now + delay, self._on_complete, (k, x, copy_index))
 
     def _on_complete(self, payload):
         k, x, copy_index = payload
@@ -251,14 +324,13 @@ class StarNetwork:
             return
         t = self._link_delivery_time(link, self._last_up[k], link.delay.sample(self._rng))
         self._last_up[k] = t
-        self._schedule(t, "deliver_grad", Message(
+        self._schedule(t, self._on_deliver_grad, Message(
             worker=k, gradient=np.asarray(grad, dtype=float),
             worker_stamp=stamp, copy_index=copy_index,
             sent_at=self.now, arrived_at=t,
         ))
 
     def _on_deliver_grad(self, msg):
-        msg.arrived_at = self.now
         self._inbox.append(msg)
 
     # -- direct sampling for blocking baselines ---------------------------
@@ -273,7 +345,7 @@ class StarNetwork:
         out = np.empty(self.num_workers)
         for k in range(self.num_workers):
             d = self.downlinks[k].delay.sample(self._rng)
-            c = self.compute_models[k].delay.sample(self._rng)
+            c = self.compute_delays[k].sample(self._rng)
             u = self.uplinks[k].delay.sample(self._rng)
             out[k] = d + c + u
         return out

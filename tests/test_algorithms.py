@@ -10,7 +10,6 @@ from apadmm.algorithms import (
     exact_admm_iteration,
     master_step,
     padmm_apply,
-    sync_padmm_iteration,
 )
 from apadmm.benchmark import SparsePcaSpec, generate
 from apadmm.problems import (
@@ -110,18 +109,23 @@ def test_padmm_apply_refreshes_collected_components():
     assert new.stale_index[0] == state.stale_index[0]
 
 
-def test_sync_padmm_iteration_uses_fresh_gradients():
+def test_padmm_apply_matches_the_per_component_update():
+    # the array form must give the same bits as the loop it replaced
     problem = desk_problem()
+    rng = np.random.default_rng(6)
     state = initial_state(problem)
-    rng = np.random.default_rng(5)
-    state.x = rng.standard_normal(12) * 0.2
-    rho = [9.0] * 3
-    new = sync_padmm_iteration(problem, state, rho)
-    grads = np.stack([c.gradient(new.x) for c in problem.components])
-    np.testing.assert_array_equal(new.grad_stored, grads)
-    np.testing.assert_array_equal(new.y, -grads)
-    np.testing.assert_array_equal(new.stale_index,
-                                  np.full(3, state.iteration + 1))
+    state.x_local = rng.standard_normal((3, 12))
+    state.y = rng.standard_normal((3, 12))
+    rho = [8.0, 10.0, 12.0]
+    x_new = master_step(problem, state, rho)
+    new = padmm_apply(problem, state, rho, x_new, updates={2: (np.ones(12), 5)})
+    grad = state.grad_stored.copy()
+    grad[2] = 1.0
+    for k in range(3):
+        x_local = x_new - (grad[k] + state.y[k]) / rho[k]
+        np.testing.assert_array_equal(new.x_local[k], x_local)
+        np.testing.assert_array_equal(
+            new.y[k], state.y[k] + rho[k] * (x_local - x_new))
 
 
 def test_exact_admm_scalar_hand_iteration():
@@ -131,7 +135,8 @@ def test_exact_admm_scalar_hand_iteration():
     state = initial_state(problem)
     state.x_local = np.array([[1.0]])
     state.y = np.array([[0.0]])
-    new = exact_admm_iteration(problem, state, [8.0])
+    new = exact_admm_iteration(problem, state, [8.0],
+                               master_step(problem, state, [8.0]))
     assert new.x[0] == pytest.approx(1.0, abs=1e-15)
     assert new.x_local[0, 0] == pytest.approx(8.0 / 7.0, rel=1e-14)
     # dual ascent on the new gap
@@ -145,7 +150,8 @@ def test_exact_admm_zero_data_fixed_point():
     x = np.full(4, 0.1)
     state.x = x.copy()
     state.x_local = np.tile(x, (2, 1))
-    new = exact_admm_iteration(problem, state, [2.0, 2.0])
+    new = exact_admm_iteration(problem, state, [2.0, 2.0],
+                               master_step(problem, state, [2.0, 2.0]))
     np.testing.assert_allclose(new.x, x, rtol=1e-15)
     np.testing.assert_allclose(new.x_local, state.x_local, atol=1e-15)
     np.testing.assert_allclose(new.y, np.zeros((2, 4)), atol=1e-15)
@@ -156,18 +162,24 @@ def test_exact_admm_needs_a_subproblem_solver():
                         lipschitz=1.0)
     problem = ConsensusProblem([comp])
     with pytest.raises(TypeError):
-        exact_admm_iteration(problem, initial_state(problem), [8.0])
+        exact_admm_iteration(problem, initial_state(problem), [8.0],
+                             np.zeros(2))
 
 
 # -- run(): equivalences and determinism -------------------------------------
 
-# at zero delay every async window collects fresh gradients at the new x,
-# so the asynchronous solver's one-step operator is the synchronous one
-ONE_STEP = {
-    "async_padmm": sync_padmm_iteration,
-    "sync_padmm": sync_padmm_iteration,
-    "sync_admm": exact_admm_iteration,
-}
+def one_step(algorithm, problem, state, rho):
+    """The reference update: a master step, then an exact or a proximal commit.
+
+    At zero delay every async window collects fresh gradients at the new
+    x, so the asynchronous solver's one-step operator is the synchronous one.
+    """
+    x_new = master_step(problem, state, rho)
+    if algorithm == "sync_admm":
+        return exact_admm_iteration(problem, state, rho, x_new)
+    fresh = {k: (c.gradient(x_new), state.iteration + 1)
+             for k, c in enumerate(problem.components)}
+    return padmm_apply(problem, state, rho, x_new, fresh)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -179,7 +191,7 @@ def test_run_snapshots_follow_the_one_step_operator(algorithm):
     states = res.trace.states
     assert res.updates == 30 and len(states) == 31
     for prev, cur in zip(states, states[1:]):
-        want = ONE_STEP[algorithm](problem, prev, res.rho)
+        want = one_step(algorithm, problem, prev, res.rho)
         assert cur.iteration == want.iteration
         for name in ("x", "x_local", "y", "grad_stored", "stale_index"):
             np.testing.assert_array_equal(getattr(cur, name),
@@ -351,8 +363,14 @@ def test_run_auto_rho_uses_cert_delay():
                                  epsilon=1e-14, enforcement="observe"))
     ref = np.array([1.01 * minimal_rho(l, 1.5, "concave") for l in L])
     np.testing.assert_allclose(res.rho, ref, rtol=1e-12)
-    # enforcement still acts on delay_bound, which the certificates record
+    # the certificates record the certification delay; the result keeps
+    # the staleness bound that enforcement acts on
     assert all(c.delay_bound == 1.5 for c in res.certificates)
+    np.testing.assert_array_equal(res.delay_bounds, [4.0] * 3)
+    # blocking exchanges see fresh gradients only: their bound is 0
+    sync = run(problem, RunConfig(algorithm="sync_padmm", delay_bound=4,
+                                  max_iters=3, epsilon=1e-14))
+    np.testing.assert_array_equal(sync.delay_bounds, np.zeros(3))
 
 
 def test_run_rho_list_and_scalar_broadcast():
@@ -421,6 +439,17 @@ def test_config_validation_errors():
     ("uplink", {"delay": 1, "los": 0.5}, r"uplink spec .* unknown key 'los'"),
     ("downlink", {"delay": {"kind": "uniform", "hi": 1.0, "high": 2.0}},
      r"downlink\.delay spec .* unknown key 'high'"),
+    ("compute_delay", {"kind": "uniform", "hi": "x"},
+     r"compute_delay\.hi must be a number, not 'x'"),
+    ("compute_delay", {"kind": "uniform", "hi": None},
+     r"compute_delay\.hi must be a number, not None"),
+    ("compute_delay", {"kind": "empirical", "values": 5},
+     r"compute_delay\.values must be a list of numbers, not 5"),
+    ("compute_delay", {"kind": ["uniform"], "hi": 1.0},
+     r"compute_delay spec .* key 'kind'"),
+    ("uplink", {"loss": "high"}, r"uplink\.loss must be a number, not 'high'"),
+    ("downlink", {"allow_reordering": "no"},
+     r"downlink\.allow_reordering must be true or false"),
 ])
 def test_malformed_delay_and_link_specs_name_the_field(name, spec, match):
     with pytest.raises(ValueError, match=match):
@@ -429,7 +458,8 @@ def test_malformed_delay_and_link_specs_name_the_field(name, spec, match):
 
 def test_run_result_converged_property():
     res = RunResult(termination="converged", iterations=3, updates=3,
-                    state=None, trace=None, rho=np.ones(1), certificates=[],
+                    state=None, trace=None, rho=np.ones(1),
+                    delay_bounds=np.zeros(1), certificates=[],
                     final_measure=0.0)
     assert res.converged
     res.termination = "max_iters"

@@ -63,7 +63,7 @@ def test_generate_per_component_rows_and_probs():
     assert problem.components[1].B.shape == (7, 10)
     assert np.count_nonzero(problem.components[0].B) == 0
     assert np.count_nonzero(problem.components[1].B) == 70
-    assert problem.components[0].degenerate
+    assert problem.components[0].lipschitz == np.finfo(float).eps
 
 
 def test_spec_validation():

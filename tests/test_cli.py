@@ -64,6 +64,23 @@ def test_run_full_trace_then_check_passes(tmp_path, capsys):
     assert "FAIL" not in captured
 
 
+def test_check_replays_at_the_staleness_bound(tmp_path, capsys):
+    # penalties certified at a delay below the bound: the stored run must
+    # be replayed at the bound it was held to, not at the certified delay
+    path = tmp_path / "cfg.json"
+    path.write_text('{"delay_bound": 3, "cert_delay": 1.0, '
+                    '"enforcement": "observe"}')
+    out = str(tmp_path / "t.csv")
+    rc = run_cli(["run", *SMALL, "--config", str(path), "--seed", "4",
+                  "--max-iters", "80", "--full-trace", "--out", out])
+    assert rc == 2
+    capsys.readouterr()
+    assert run_cli(["check", out]) == 0
+    captured = capsys.readouterr().out
+    assert "PASS dual_difference" in captured
+    assert "FAIL" not in captured
+
+
 def test_check_without_states_names_the_requirement(tmp_path, capsys):
     out = str(tmp_path / "t.csv")
     run_cli(["run", *SMALL, "--algo", "sync_padmm", "--seed", "5",
@@ -146,7 +163,11 @@ def test_run_rejects_wrong_length_delay_bound_list(tmp_path, capsys):
     ('{"compute_delay": {"kind": "uniform"}}', "compute_delay"),
     ('{"uplink": {"delay": 1, "los": 0.5}}', "'los'"),
     ('{"rho_safety": 1.5}', "unknown config key 'rho_safety'"),
-], ids=["delay_missing_key", "link_unknown_key", "removed_knob"])
+    ('{"window": 1.0}', "unknown config key 'window'"),
+    ('{"compute_delay": {"kind": "uniform", "hi": "x"}}',
+     "compute_delay.hi must be a number"),
+], ids=["delay_missing_key", "link_unknown_key", "removed_knob",
+        "removed_window", "delay_mistyped_value"])
 def test_run_rejects_malformed_config_values(tmp_path, capsys, config, needle):
     path = tmp_path / "cfg.json"
     path.write_text(config)
@@ -322,8 +343,8 @@ def test_load_run_round_trips_a_stored_run(tmp_path):
     loaded, trace, rho, delay_bounds, algorithm = load_run(path)
     assert algorithm == "async_padmm"
     np.testing.assert_array_equal(rho, result.rho)
-    np.testing.assert_array_equal(
-        delay_bounds, [c.delay_bound for c in result.certificates])
+    np.testing.assert_array_equal(delay_bounds, result.delay_bounds)
+    np.testing.assert_array_equal(delay_bounds, [2.0] * 3)
     for a, b in zip(loaded.components, problem.components):
         np.testing.assert_array_equal(a.B, b.B)
     for column in ("lagrangian", "objective", "feas_gap", "prox_grad_norm",

@@ -10,14 +10,13 @@ from apadmm import (
     run,
     trace_residuals,
 )
-from apadmm.algorithms import ALGORITHMS, _initial, _record
+from apadmm.algorithms import ALGORITHMS, _initial
 from apadmm.benchmark import SparsePcaSpec, generate
-from apadmm.diagnostics import penalized_surrogates
+from apadmm.diagnostics import penalized_surrogates, trace_row
 from apadmm.problems import (
     CallableCost,
     ConcaveQuadratic,
     ConsensusProblem,
-    IterationTrace,
     consensus_terms,
     feasibility_gap,
     initial_state,
@@ -198,7 +197,8 @@ def test_recording_an_update_evaluates_each_component_twice(shape):
     state = result.state
     assert not np.array_equal(state.x_local[0], state.x)
     log = count_evaluations(problem)
-    _record(problem, state, result.rho, IterationTrace(), 1.0, 3)
+    # run() records an update with one trace_row call
+    trace_row(problem, state, result.rho)
     for k in range(problem.num_components):
         points = [z for j, z in log if j == k]
         # once at the master vector, once at the local copy

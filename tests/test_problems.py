@@ -159,7 +159,6 @@ def test_concave_quadratic_hand_values():
     np.testing.assert_allclose(comp.gradient(x), [-1.0, -4.0], rtol=1e-15)
     assert comp.lipschitz == pytest.approx(4.0, rel=1e-10)
     assert comp.curvature == "concave"
-    assert not comp.degenerate
 
 
 def test_concave_quadratic_gradient_matches_finite_differences():
@@ -174,8 +173,8 @@ def test_concave_quadratic_gradient_matches_finite_differences():
 
 def test_concave_quadratic_degenerate_zero_data():
     comp = ConcaveQuadratic(np.zeros((3, 2)))
-    assert comp.degenerate
-    assert comp.lipschitz > 0.0  # floored so stepsize rules stay finite
+    # floored so stepsize rules stay finite
+    assert comp.lipschitz == np.finfo(float).eps
 
 
 # wide (M < N), square and tall data
@@ -282,9 +281,6 @@ def test_initial_state_shapes_and_invariants():
     np.testing.assert_array_equal(state.stale_index, np.ones(4, dtype=int))
     # zero start: gradients vanish, so the dual identity holds trivially
     np.testing.assert_array_equal(state.grad_stored, np.zeros((4, 7)))
-    copy = state.copy()
-    copy.x[0] = 5.0
-    assert state.x[0] == 0.0
 
 
 def test_initial_state_from_a_start_point():

@@ -7,22 +7,20 @@ message reveals exactly which master vector the worker computed on.
 import numpy as np
 import pytest
 
-from apadmm import ComputeModel, DelayModel, LinkModel, StarNetwork
+from apadmm import DelayModel, LinkModel, StarNetwork
 
 
 def echo(worker, x):
     return x
 
 
-def make_net(num_workers=1, down=None, up=None, compute=None, seed=0,
-             window=1.0):
+def make_net(num_workers=1, down=None, up=None, compute=None, seed=0):
     zero = LinkModel(DelayModel.constant(0.0))
-    idle = ComputeModel(DelayModel.constant(0.0))
+    idle = DelayModel.constant(0.0)
     downs = down if down is not None else [zero] * num_workers
     ups = up if up is not None else [zero] * num_workers
     computes = compute if compute is not None else [idle] * num_workers
-    return StarNetwork(num_workers, echo, downs, ups, computes, seed=seed,
-                       window=window)
+    return StarNetwork(num_workers, echo, downs, ups, computes, seed=seed)
 
 
 def test_zero_delay_round_trip():
@@ -41,7 +39,7 @@ def test_determinism_identical_networks():
     def build():
         down = [LinkModel(DelayModel.uniform(0.0, 2.0), loss=0.3)] * 3
         up = [LinkModel(DelayModel.uniform(0.0, 1.5), loss=0.2)] * 3
-        compute = [ComputeModel(DelayModel.uniform(0.0, 2.5))] * 3
+        compute = [DelayModel.uniform(0.0, 2.5)] * 3
         return make_net(3, down, up, compute, seed=42)
 
     a, b = build(), build()
@@ -60,7 +58,7 @@ def test_determinism_identical_networks():
 def test_busy_worker_drops_arrivals():
     # compute takes 2.5 windows, so broadcasts at t=1 and t=2 find the
     # worker busy and their copies are dropped
-    compute = [ComputeModel(DelayModel.constant(2.5))]
+    compute = [DelayModel.constant(2.5)]
     net = make_net(1, compute=compute)
     assert net.run_window(np.array([0.0]), 1) == {}
     assert net.run_window(np.array([1.0]), 2) == {}
@@ -176,7 +174,7 @@ def test_advance_stops_strictly_before_boundary():
 def test_sample_round_trips_sums_three_draws():
     down = [LinkModel(DelayModel.constant(0.5))]
     up = [LinkModel(DelayModel.constant(0.25))]
-    compute = [ComputeModel(DelayModel.constant(1.0))]
+    compute = [DelayModel.constant(1.0)]
     net = make_net(1, down=down, up=up, compute=compute)
     np.testing.assert_allclose(net.sample_round_trips(), [1.75])
     # direct sampling schedules nothing
@@ -208,10 +206,6 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         make_net(2, down=[LinkModel(DelayModel.constant(0.0))])  # one entry
     with pytest.raises(ValueError):
-        StarNetwork(1, echo, [LinkModel(DelayModel.constant(0.0))],
-                    [LinkModel(DelayModel.constant(0.0))],
-                    [ComputeModel(DelayModel.constant(0.0))], window=0.0)
-    with pytest.raises(ValueError):
         DelayModel.uniform(2.0, 1.0)
     with pytest.raises(ValueError):
         DelayModel.constant(-1.0)
@@ -221,7 +215,7 @@ def test_constructor_validation():
 
 def test_causality_copy_index_not_from_future():
     down = [LinkModel(DelayModel.uniform(0.0, 3.0))] * 2
-    compute = [ComputeModel(DelayModel.uniform(0.0, 2.0))] * 2
+    compute = [DelayModel.uniform(0.0, 2.0)] * 2
     net = make_net(2, down=down, compute=compute, seed=3)
     for t in range(1, 15):
         got = net.run_window(np.array([float(t)]), t)

@@ -1,0 +1,71 @@
+"""Print one digest line per run of a fixed grid, to compare two versions.
+
+Runs three algorithms x three delay bounds x two start points on the
+desk instance, plus a lossy, a dead-uplink and a delayed-link run, all
+with ``full_trace``. Each line holds the run's label, termination,
+iterations, updates and a SHA-256 over rho, every trace column and every
+snapshot array, so equal outputs mean two versions produced the same
+bits on every run of the grid:
+
+    python3 tools/run_digest.py [SRC_DIR] > digest.txt
+
+SRC_DIR is the directory holding the ``apadmm`` package (default: this
+repository's ``src``). Uses the public API only.
+"""
+
+import hashlib
+import os
+import sys
+
+import numpy as np
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+sys.path.insert(0, sys.argv[1] if len(sys.argv) > 1 else SRC)
+
+from apadmm import RunConfig, SparsePcaSpec, generate, run  # noqa: E402
+
+COLUMNS = ("lagrangian", "objective", "feas_gap", "prox_grad_norm", "measure",
+           "sim_time", "collected")
+SNAPSHOT = ("x", "x_local", "y", "grad_stored", "stale_index")
+DEAD = {"uplink": [{"loss": 1.0}, 0.0, 0.0, 0.0, 0.0],
+        "compute_delay": 0.0, "enforcement": "enforce"}
+
+
+def grid():
+    for algorithm in ("async_padmm", "sync_padmm", "sync_admm"):
+        for T in (0, 3, [0, 0, 0, 0, 5]):
+            for init in ("zero", "random_ball"):
+                yield ("%s T=%s init=%s" % (algorithm, T, init),
+                       dict(algorithm=algorithm, delay_bound=T, init=init))
+    yield "async_padmm lossy", dict(delay_bound=3, downlink={
+        "delay": {"kind": "uniform", "hi": 1.0}, "loss": 0.2}, uplink={"loss": 0.1})
+    yield "async_padmm dead uplink", dict(delay_bound=2, **DEAD)
+    yield "sync_padmm delayed links", dict(
+        algorithm="sync_padmm", delay_bound=3,
+        downlink={"delay": {"kind": "uniform", "hi": 1.5}}, uplink=0.5)
+
+
+def digest(result):
+    h = hashlib.sha256(np.asarray(result.rho, dtype=float).tobytes())
+    for name in COLUMNS:
+        h.update(np.asarray(getattr(result.trace, name), dtype=float).tobytes())
+    for state in result.trace.states:
+        h.update(np.int64(state.iteration).tobytes())
+        for name in SNAPSHOT:
+            h.update(np.ascontiguousarray(getattr(state, name)).tobytes())
+    return h.hexdigest()
+
+
+def main():
+    problem = generate(SparsePcaSpec(dim=50, num_components=5, rows=20, seed=1))
+    for label, cfg in grid():
+        cfg = dict(dict(seed=7, max_iters=1500, enforcement="observe",
+                        full_trace=True), **cfg)
+        result = run(problem, RunConfig(**cfg))
+        print("%-46s %-19s %4d %4d %s" % (label, result.termination,
+                                          result.iterations, result.updates,
+                                          digest(result)))
+
+
+if __name__ == "__main__":
+    main()
