@@ -31,7 +31,7 @@ import numpy as np
 
 from .problems import IterationTrace, SolverState, initial_state
 from .prox import prox_l1_ball
-from .simnet import DelayModel, LinkModel, StarNetwork
+from .simnet import DelayModel, LinkModel, StarNetwork, _is_number
 from .stepsize import certify, default_penalties, exact_baseline_penalty
 from . import diagnostics
 
@@ -91,10 +91,14 @@ class RunConfig:
         if self.algorithm not in ALGORITHMS:
             raise ValueError("unknown algorithm %r; expected one of %s"
                              % (self.algorithm, list(ALGORITHMS)))
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if not (_is_number(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be a positive number, not %r"
+                             % (self.epsilon,))
+        if not (_is_number(self.max_iters) and self.max_iters >= 1):
+            raise ValueError("max_iters must be a number of at least 1, not %r"
+                             % (self.max_iters,))
+        if not _is_number(self.seed):
+            raise ValueError("seed must be a number, not %r" % (self.seed,))
         if self.enforcement not in ("enforce", "observe"):
             raise ValueError("enforcement must be 'enforce' or 'observe'")
         if self.init not in ("zero", "random_ball"):
@@ -176,7 +180,10 @@ def exact_admm_iteration(problem, state, rho, x_new):
 
     Requires every component to expose ``penalized_argmin`` and every
     penalty to exceed the component curvature; both are checked by the
-    component solver.
+    component solver. The stored gradients come from the subproblem's
+    first-order condition ``grad g_k(u_k) + y_k + rho_k (u_k - x_new) = 0``,
+    whose last two terms are the new dual, so ``grad g_k(u_k) = -y_k_new``
+    and no component is evaluated here.
     """
     rho = np.asarray(rho, dtype=float)
     x_local = np.empty_like(state.x_local)
@@ -187,10 +194,9 @@ def exact_admm_iteration(problem, state, rho, x_new):
                 "sync_admm needs one (use the proximal algorithms instead)" % k)
         x_local[k] = comp.penalized_argmin(rho[k], x_new, state.y[k])
     y = state.y + rho[:, None] * (x_local - x_new)
-    grad = np.stack([c.gradient(u) for c, u in zip(problem.components, x_local)])
     t_new = state.iteration + 1
     stale = np.full(problem.num_components, t_new, dtype=int)
-    return SolverState(t_new, x_new, x_local, y, grad, stale)
+    return SolverState(t_new, x_new, x_local, y, -y, stale)
 
 
 # -- config resolution -------------------------------------------------------
@@ -206,10 +212,11 @@ def _per_worker(spec, count, build, name):
 
 
 def _nonnegative(spec, count, name):
-    values = np.array(_per_worker(spec, count, float, name))
-    if np.any(values < 0):
-        raise ValueError("%s must be nonnegative" % name)
-    return values
+    def check(value):
+        if not (_is_number(value) and value >= 0):
+            raise ValueError("%s must be a nonnegative number, not %r" % (name, value))
+        return float(value)
+    return np.array(_per_worker(spec, count, check, name))
 
 
 def _build_network(problem, config, delay_bounds):

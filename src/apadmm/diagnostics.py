@@ -27,7 +27,6 @@ from .stepsize import descent_margin
 __all__ = [
     "optimality_measure",
     "trace_row",
-    "penalized_surrogates",
     "trace_residuals",
     "CheckOutcome",
     "TraceReport",
@@ -58,29 +57,6 @@ def trace_row(problem, state, rho):
     Lagrangian. The measure equals ``optimality_measure`` bit for bit.
     """
     return (augmented_lagrangian(problem, state, rho),) + _stationarity(problem, state)
-
-
-def penalized_surrogates(problem, state, rho, k, at=None):
-    """The three penalized subobjectives of component k at a point.
-
-    Returns ``(exact, fresh, stale)`` where all three share the linear
-    dual term and quadratic penalty around the state's master vector;
-    ``exact`` uses the true component value at the point, ``fresh``
-    linearizes the component at the master vector, and ``stale``
-    linearizes with the stored (possibly stale) gradient but keeps the
-    fresh constant term. The solver's local update is the exact argmin of
-    the stale form.
-    """
-    rho = np.asarray(rho, dtype=float)
-    comp = problem.components[k]
-    z = np.asarray(state.x_local[k] if at is None else at, dtype=float)
-    diff = z - state.x
-    shared = float(state.y[k] @ diff) + 0.5 * rho[k] * float(diff @ diff)
-    base, grad = comp.value_and_gradient(state.x)
-    exact = comp.value(z) + shared
-    fresh = base + float(grad @ diff) + shared
-    stale = base + float(state.grad_stored[k] @ diff) + shared
-    return exact, fresh, stale
 
 
 @dataclass

@@ -71,10 +71,10 @@ class ConcaveQuadratic:
     """Component cost ``g(z) = -0.5 * ||B z||^2`` for an M x N data matrix B.
 
     Keeps only B and evaluates through it: ``B @ z``, then
-    ``B.T @ (B @ z)``, so no N x N Gram matrix is held. ``gram`` is formed
-    on each read. The component supports the exact penalized argmin needed
-    by the synchronous exact-minimization baseline, with one Cholesky
-    factorization cached per penalty value.
+    ``B.T @ (B @ z)``, so no N x N Gram matrix is held. The component
+    supports the exact penalized argmin needed by the synchronous
+    exact-minimization baseline, with one M x N solve operator cached per
+    penalty value.
 
     Attributes
     ----------
@@ -93,12 +93,7 @@ class ConcaveQuadratic:
         self.dim = B.shape[1]
         lam = leading_eigenvalue(B)
         self.lipschitz = lam if lam > 0.0 else float(np.finfo(float).eps)
-        self._cho = {}
-
-    @property
-    def gram(self):
-        """The Gram matrix ``B.T @ B``, formed on each read."""
-        return self.B.T @ self.B
+        self._solve_ops = {}
 
     def value(self, z):
         w = self.B @ z
@@ -115,20 +110,39 @@ class ConcaveQuadratic:
     def penalized_argmin(self, rho, x_master, y):
         """Exact minimizer of ``g(u) + <y, u - x_master> + rho/2 ||u - x_master||^2``.
 
-        Solves ``(rho I - gram) u = rho * x_master - y``. Requires
-        ``rho > lipschitz`` so the subproblem is strongly convex. The
-        matrix is formed only when its factorization is not cached.
+        Solves ``(rho I_N - B^T B) u = b``, ``b = rho x_master - y``, in the
+        M-dimensional data space. With ``C = (rho I_M - B B^T)^{-1} B`` and
+        ``(rho I_N - B^T B) B^T = B^T (rho I_M - B B^T)``,
+
+            (rho I_N - B^T B)(I_N + B^T C) = rho I_N - B^T B + B^T B = rho I_N,
+
+        the push-through identity (Golub & Van Loan, *Matrix Computations*,
+        2.1.4), so ``u = (b + B^T (C b)) / rho`` for every shape of B. C is
+        built once per penalty from a Cholesky factor of the M x M matrix
+        and cached, M N floats; a solve is then two passes over M x N data,
+        4MN flops. Requires ``rho`` above the curvature, the top eigenvalue
+        of both Gram matrices: a penalty at or below ``lipschitz``, or one
+        the factorization finds too small because ``lipschitz``
+        underestimates the curvature, raises ValueError.
         """
-        if rho <= self.lipschitz:
-            raise ValueError(
-                "penalty %g does not exceed the component curvature %g; "
-                "the exact subproblem is not strongly convex" % (rho, self.lipschitz)
-            )
         key = float(rho)
-        if key not in self._cho:
-            mat = key * np.eye(self.dim) - self.gram
-            self._cho[key] = scipy.linalg.cho_factor(mat)
-        return scipy.linalg.cho_solve(self._cho[key], key * x_master - y)
+        C = self._solve_ops.get(key)
+        if C is None:
+            factor = None
+            if key > self.lipschitz:
+                try:
+                    factor = scipy.linalg.cho_factor(
+                        key * np.eye(len(self.B)) - self.B @ self.B.T)
+                except np.linalg.LinAlgError:
+                    pass
+            if factor is None:
+                raise ValueError(
+                    "penalty %g does not exceed the component curvature (estimated "
+                    "%g); the exact subproblem is not strongly convex"
+                    % (key, self.lipschitz))
+            C = self._solve_ops[key] = scipy.linalg.cho_solve(factor, self.B)
+        b = key * x_master - y
+        return (b + self.B.T @ (C @ b)) / key
 
 
 class CallableCost:

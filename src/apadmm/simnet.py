@@ -83,23 +83,25 @@ class DelayModel:
 
     Empirical lists are consumed deterministically in order, wrapping
     around; this makes scripted scenarios (for example two consecutive
-    sends with delays 5 then 1) reproducible.
+    sends with delays 5 then 1) reproducible. ``name`` labels errors.
     """
 
-    def __init__(self, kind, value=0.0, lo=0.0, hi=0.0, values=None):
+    def __init__(self, kind, value=0.0, lo=0.0, hi=0.0, values=None, name="delay"):
         self.kind = kind
         if kind == "constant":
             if value < 0:
-                raise ValueError("constant delay must be nonnegative")
+                raise ValueError("%s.value must be nonnegative, not %r" % (name, value))
             self.value = float(value)
         elif kind == "uniform":
             if lo < 0 or hi < lo:
-                raise ValueError("uniform delay needs 0 <= lo <= hi")
+                raise ValueError("%s.%s must satisfy 0 <= lo <= hi, not lo=%r, hi=%r"
+                                 % (name, "lo" if lo < 0 else "hi", lo, hi))
             self.lo, self.hi = float(lo), float(hi)
         elif kind == "empirical":
             vals = [float(v) for v in (values or [])]
             if not vals or any(v < 0 for v in vals):
-                raise ValueError("empirical delays need a nonempty nonnegative list")
+                raise ValueError("%s.values must be a nonempty list of nonnegative "
+                                 "numbers, not %r" % (name, values))
             self.values = vals
             self._cursor = 0
         else:
@@ -131,7 +133,7 @@ class DelayModel:
         if spec is None:
             return cls.constant(0.0)
         if _is_number(spec):
-            return cls.constant(float(spec))
+            return cls("constant", value=spec, name=name)
         if isinstance(spec, cls):
             return spec
         kind = spec.get("kind") if isinstance(spec, dict) else None
@@ -140,7 +142,7 @@ class DelayModel:
                              "'kind' in %s" % (name, spec, sorted(_DELAY_KEYS)))
         required, optional = _DELAY_KEYS[kind]
         _check_keys(spec, name, ("kind",) + required, optional)
-        return cls(kind, **_typed_values(spec, name, "kind"))
+        return cls(kind, name=name, **_typed_values(spec, name, "kind"))
 
     def sample(self, rng):
         if self.kind == "constant":

@@ -309,6 +309,25 @@ def test_run_sync_admm_hard_reject_ignores_force():
     assert res.termination == "infeasible_stepsize"
 
 
+@pytest.mark.parametrize("rows,dim,components", [(6, 12, 3), (20, 20, 5),
+                                                 (100, 500, 10)],
+                         ids=["wide", "square", "paper"])
+def test_sync_admm_stored_gradients_are_the_gradients_at_the_local_copies(
+        rows, dim, components):
+    # the exact update stores -y_new, which the subproblem's first-order
+    # condition makes the gradient at the new local copy
+    problem = generate(SparsePcaSpec(dim=dim, num_components=components,
+                                     rows=rows, seed=2))
+    res = run(problem, RunConfig(algorithm="sync_admm", max_iters=20,
+                                 epsilon=1e-14, full_trace=True))
+    assert res.updates == 20
+    for state in res.trace.states:
+        for comp, u, g in zip(problem.components, state.x_local,
+                              state.grad_stored):
+            exact = comp.gradient(u)
+            assert np.linalg.norm(g - exact) <= 1e-10 * (1.0 + np.linalg.norm(exact))
+
+
 def test_run_staleness_abort_indexing():
     """A dead uplink forces staleness T+1, caught at formed iterate T+2."""
     problem = desk_problem()
@@ -450,6 +469,15 @@ def test_config_validation_errors():
     ("uplink", {"loss": "high"}, r"uplink\.loss must be a number, not 'high'"),
     ("downlink", {"allow_reordering": "no"},
      r"downlink\.allow_reordering must be true or false"),
+    ("compute_delay", {"kind": "uniform", "hi": -1},
+     r"compute_delay\.hi must satisfy 0 <= lo <= hi, not lo=0\.0, hi=-1"),
+    ("compute_delay", {"kind": "uniform", "lo": -1, "hi": 1},
+     r"compute_delay\.lo must satisfy 0 <= lo <= hi"),
+    ("compute_delay", {"kind": "empirical", "values": []},
+     r"compute_delay\.values must be a nonempty list of nonnegative numbers"),
+    ("uplink", {"delay": {"kind": "empirical", "values": [1, -2]}},
+     r"uplink\.delay\.values must be a nonempty list"),
+    ("downlink", -0.5, r"downlink\.value must be nonnegative, not -0\.5"),
 ])
 def test_malformed_delay_and_link_specs_name_the_field(name, spec, match):
     with pytest.raises(ValueError, match=match):

@@ -166,8 +166,13 @@ def test_run_rejects_wrong_length_delay_bound_list(tmp_path, capsys):
     ('{"window": 1.0}', "unknown config key 'window'"),
     ('{"compute_delay": {"kind": "uniform", "hi": "x"}}',
      "compute_delay.hi must be a number"),
+    ('{"epsilon": "x"}', "epsilon must be a positive number, not 'x'"),
+    ('{"delay_bound": null}', "delay_bound must be a nonnegative number, not None"),
+    ('{"compute_delay": {"kind": "uniform", "hi": -1}}',
+     "compute_delay.hi must satisfy 0 <= lo <= hi"),
 ], ids=["delay_missing_key", "link_unknown_key", "removed_knob",
-        "removed_window", "delay_mistyped_value"])
+        "removed_window", "delay_mistyped_value", "epsilon_mistyped",
+        "delay_bound_null", "delay_out_of_range"])
 def test_run_rejects_malformed_config_values(tmp_path, capsys, config, needle):
     path = tmp_path / "cfg.json"
     path.write_text(config)

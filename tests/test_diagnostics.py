@@ -12,7 +12,7 @@ from apadmm import (
 )
 from apadmm.algorithms import ALGORITHMS, _initial
 from apadmm.benchmark import SparsePcaSpec, generate
-from apadmm.diagnostics import penalized_surrogates, trace_row
+from apadmm.diagnostics import trace_row
 from apadmm.problems import (
     CallableCost,
     ConcaveQuadratic,
@@ -21,6 +21,29 @@ from apadmm.problems import (
     feasibility_gap,
     initial_state,
 )
+
+
+def penalized_surrogates(problem, state, rho, k, at=None):
+    """The three penalized subobjectives of component k at a point.
+
+    Returns ``(exact, fresh, stale)`` where all three share the linear
+    dual term and quadratic penalty around the state's master vector;
+    ``exact`` uses the true component value at the point, ``fresh``
+    linearizes the component at the master vector, and ``stale``
+    linearizes with the stored (possibly stale) gradient but keeps the
+    fresh constant term. The solver's local update is the exact argmin of
+    the stale form.
+    """
+    rho = np.asarray(rho, dtype=float)
+    comp = problem.components[k]
+    z = np.asarray(state.x_local[k] if at is None else at, dtype=float)
+    diff = z - state.x
+    shared = float(state.y[k] @ diff) + 0.5 * rho[k] * float(diff @ diff)
+    base, grad = comp.value_and_gradient(state.x)
+    exact = comp.value(z) + shared
+    fresh = base + float(grad @ diff) + shared
+    stale = base + float(state.grad_stored[k] @ diff) + shared
+    return exact, fresh, stale
 
 
 def certified_run(algorithm="async_padmm", seed=4, iters=60):

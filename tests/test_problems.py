@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from apadmm import RunConfig, run
 from apadmm.benchmark import SparsePcaSpec, generate
 from apadmm.problems import (
     CallableCost,
@@ -201,7 +202,6 @@ def test_concave_quadratic_matches_explicit_definitions(rows, dim):
     rng = np.random.default_rng(rows * 10 + dim)
     B = rng.standard_normal((rows, dim))
     comp = ConcaveQuadratic(B)
-    np.testing.assert_allclose(comp.gram, B.T @ B, rtol=1e-15)
     for _ in range(3):
         z = rng.standard_normal(dim)
         value, grad = comp.value_and_gradient(z)
@@ -225,6 +225,42 @@ def test_penalized_argmin_rejects_small_rho():
     comp = ConcaveQuadratic(np.array([[1.0]]))
     with pytest.raises(ValueError):
         comp.penalized_argmin(0.9, np.array([1.0]), np.array([0.0]))
+
+
+
+def near_degenerate_data(seed, rows=20, dim=60, gap=1e-6):
+    """Data whose two largest Gram eigenvalues are 1 and 1 - gap.
+
+    Power iteration converges at rate 1 - gap here, so ``lipschitz``
+    stops short of the true top eigenvalue.
+    """
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((rows, rows)))
+    V, _ = np.linalg.qr(rng.standard_normal((dim, rows)))
+    spectrum = np.concatenate([[1.0, 1.0 - gap], np.linspace(0.5, 0.1, rows - 2)])
+    return U @ np.diag(np.sqrt(spectrum)) @ V.T
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_penalized_argmin_rejects_rho_below_the_true_curvature(seed):
+    B = near_degenerate_data(seed)
+    comp = ConcaveQuadratic(B)
+    rho = comp.lipschitz * (1.0 + 1e-12)
+    # the guard against the estimate passes, the true curvature is higher
+    assert comp.lipschitz < rho < np.linalg.eigvalsh(B @ B.T).max()
+    for _ in range(2):  # a rejected penalty caches nothing
+        with pytest.raises(ValueError, match="not strongly convex"):
+            comp.penalized_argmin(rho, np.ones(B.shape[1]), np.zeros(B.shape[1]))
+
+
+def test_run_sync_admm_rho_below_the_true_curvature_raises_value_error():
+    # an explicit penalty just above an underestimated curvature passes the
+    # hard reject; the failed factorization must surface as ValueError
+    problem = ConsensusProblem([ConcaveQuadratic(near_degenerate_data(1))])
+    rho = problem.components[0].lipschitz * (1.0 + 1e-12)
+    with pytest.raises(ValueError, match="not strongly convex"):
+        run(problem, RunConfig(algorithm="sync_admm", rho=rho, force=True,
+                               max_iters=3))
 
 
 def test_callable_cost_wraps_functions():

@@ -1,11 +1,12 @@
 """Print one digest line per run of a fixed grid, to compare two versions.
 
 Runs three algorithms x three delay bounds x two start points on the
-desk instance, plus a lossy, a dead-uplink and a delayed-link run, all
-with ``full_trace``. Each line holds the run's label, termination,
-iterations, updates and a SHA-256 over rho, every trace column and every
-snapshot array, so equal outputs mean two versions produced the same
-bits on every run of the grid:
+desk instance, plus a lossy, a dead-uplink and a delayed-link run, and
+one ``sync_admm`` run on a square instance (N = M = 20, as in the desk
+table3 sweep), all with ``full_trace``. Each line holds the run's label,
+termination, iterations, updates and a SHA-256 over rho, every trace
+column and every snapshot array, so equal outputs mean two versions
+produced the same bits on every run of the grid:
 
     python3 tools/run_digest.py [SRC_DIR] > digest.txt
 
@@ -43,6 +44,8 @@ def grid():
     yield "sync_padmm delayed links", dict(
         algorithm="sync_padmm", delay_bound=3,
         downlink={"delay": {"kind": "uniform", "hi": 1.5}}, uplink=0.5)
+    yield "sync_admm square N=M=20", dict(
+        algorithm="sync_admm", delay_bound=5, instance=dict(dim=20, l1_weight=0.0))
 
 
 def digest(result):
@@ -57,8 +60,10 @@ def digest(result):
 
 
 def main():
-    problem = generate(SparsePcaSpec(dim=50, num_components=5, rows=20, seed=1))
     for label, cfg in grid():
+        instance = dict(dict(dim=50, num_components=5, rows=20, seed=1),
+                        **cfg.pop("instance", {}))
+        problem = generate(SparsePcaSpec(**instance))
         cfg = dict(dict(seed=7, max_iters=1500, enforcement="observe",
                         full_trace=True), **cfg)
         result = run(problem, RunConfig(**cfg))
