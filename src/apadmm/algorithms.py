@@ -103,6 +103,8 @@ class RunConfig:
             raise ValueError("enforcement must be 'enforce' or 'observe'")
         if self.init not in ("zero", "random_ball"):
             raise ValueError("init must be 'zero' or 'random_ball'")
+        if not isinstance(self.force, bool):
+            raise ValueError("force must be true or false, not %r" % (self.force,))
 
 
 @dataclass
@@ -211,12 +213,16 @@ def _per_worker(spec, count, build, name):
     return [build(spec) for _ in range(count)]
 
 
-def _nonnegative(spec, count, name):
+def _numbers(spec, count, name, valid, expected):
     def check(value):
-        if not (_is_number(value) and value >= 0):
-            raise ValueError("%s must be a nonnegative number, not %r" % (name, value))
+        if not (_is_number(value) and valid(value)):
+            raise ValueError("%s must be %s, not %r" % (name, expected, value))
         return float(value)
     return np.array(_per_worker(spec, count, check, name))
+
+
+def _nonnegative(spec, count, name):
+    return _numbers(spec, count, name, lambda v: v >= 0, "a nonnegative number")
 
 
 def _build_network(problem, config, delay_bounds):
@@ -242,7 +248,8 @@ def _resolve_rho(problem, config, cert_delays):
     lipschitz = problem.lipschitz_constants()
     classes = problem.curvature_classes()
     if not (isinstance(config.rho, str) and config.rho == "auto"):
-        rho = np.broadcast_to(np.asarray(config.rho, dtype=float), (K,)).copy()
+        rho = _numbers(config.rho, K, "rho", lambda v: 0 < v < math.inf,
+                       "'auto', a positive number or one per component")
     elif config.algorithm == "sync_admm":
         rho = np.array([exact_baseline_penalty(L, c)
                         for L, c in zip(lipschitz, classes)])

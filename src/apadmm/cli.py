@@ -44,7 +44,7 @@ from .benchmark import (
 )
 from .diagnostics import trace_residuals
 from .problems import ConcaveQuadratic, ConsensusProblem, IterationTrace, SolverState
-from .stepsize import certify, descent_margin, minimal_rho
+from .stepsize import CURVATURE_CLASSES, certify, minimal_rho
 
 __all__ = ["main", "build_parser", "trace_csv", "save_states", "load_run"]
 
@@ -300,35 +300,25 @@ def cmd_run(args):
 
 
 def cmd_certify(args):
-    if args.L <= 0:
-        raise CliError("--L must be positive")
-    if args.T < 0:
-        raise CliError("--T must be nonnegative")
-    if args.rho is not None:
-        cert = certify(args.rho, args.L, args.T, args.curvature)
-        record = {
-            "rho": cert.rho,
-            "L": cert.lipschitz,
-            "T": cert.delay_bound,
-            "class": cert.curvature,
-            "margin": cert.margin,
-            "feasible": cert.feasible,
-            "rule": cert.rule,
-        }
-        print(json.dumps(record, sort_keys=True))
-        return 0 if cert.feasible else 4
-    rho_min = minimal_rho(args.L, args.T, args.curvature,
-                          precision=args.precision)
+    try:
+        rho = (minimal_rho(args.L, args.T, args.curvature) if args.rho is None
+               else args.rho)
+        cert = certify(rho, args.L, args.T, args.curvature)
+    except ValueError as exc:
+        raise CliError(str(exc))
     record = {
-        "L": args.L,
-        "T": args.T,
-        "class": args.curvature,
-        "min_rho": rho_min,
-        "margin": descent_margin(rho_min, args.L, args.T, args.curvature),
-        "rule": certify(rho_min, args.L, args.T, args.curvature).rule,
+        "L": cert.lipschitz,
+        "T": cert.delay_bound,
+        "class": cert.curvature,
+        "margin": cert.margin,
+        "rule": cert.rule,
     }
+    if args.rho is None:
+        record["min_rho"] = cert.rho
+    else:
+        record.update(rho=cert.rho, feasible=cert.feasible)
     print(json.dumps(record, sort_keys=True))
-    return 0
+    return 0 if cert.feasible else 4
 
 
 def cmd_bench(args):
@@ -436,10 +426,9 @@ def build_parser():
                    help="gradient Lipschitz constant")
     p.add_argument("--T", type=float, required=True, help="staleness bound")
     p.add_argument("--class", dest="curvature", required=True,
-                   choices=("general", "convex", "concave"))
+                   choices=tuple(CURVATURE_CLASSES))
     p.add_argument("--rho", type=float,
                    help="penalty to certify; omit to solve for the minimum")
-    p.add_argument("--precision", type=float, default=1e-9)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("bench", help="run a benchmark campaign")

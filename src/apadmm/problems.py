@@ -22,6 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .prox import prox_l1_ball
+from .stepsize import CURVATURE_CLASSES
 
 __all__ = [
     "ConcaveQuadratic",
@@ -37,34 +38,34 @@ __all__ = [
     "feasibility_gap",
 ]
 
-CURVATURE_CLASSES = ("general", "convex", "concave")
+def leading_eigenvalue(B):
+    """Upper bound on the top eigenvalue of ``B.T @ B`` (and of ``B @ B.T``).
 
+    ``eigvalsh`` of the smaller Gram matrix G of the M x N matrix B, plus
+    the pad ``2 (M + N) eps ||B||_F^2`` (eps = 2u, u the unit roundoff),
+    which bounds the rounding error of both steps:
 
-def leading_eigenvalue(B, rel_tol=1e-13, max_iter=100000):
-    """Largest eigenvalue of ``B.T @ B`` by power iteration.
+    * Gram: an entry is an inner product of length n = max(M, N), so
+      ``|fl(G)_ij - G_ij| <= gamma_n |b_i| |b_j|``, ``gamma_n = n u / (1 - n u)``
+      (Higham, *Accuracy and Stability of Numerical Algorithms*, 3.1). So
+      ``||fl(G) - G||_2 <= gamma_n ||B||_F^2``, and by Weyl's theorem the top
+      eigenvalue moves no more (Golub & Van Loan, *Matrix Computations*, 8.1).
+    * Eigensolver: being backward stable, it returns the eigenvalues of
+      ``fl(G) + F`` with ``||F||_2 <= p(k) u ||G||_2``, k = min(M, N), p
+      modest (ibid. 8.3); with p(k) = k and ``||G||_2 <= ||B||_F^2`` that is
+      ``k u ||B||_F^2`` to first order.
 
-    Uses a deterministic ramp start vector (1 + i/n, normalized) so repeated
-    calls are bit-stable, and the Rayleigh quotient as the eigenvalue
-    estimate, stopping when its relative change drops below ``rel_tol``.
-
-    Returns 0.0 for an all-zero matrix.
+    Their sum, ``(M + N) u ||B||_F^2``, is a quarter of the pad; the slack
+    covers rounding in the pad and the final sum. As ``||B||_F^2 = trace(G)
+    <= min(M, N) lambda_max``, the pad is at most ``2 (M + N) min(M, N) eps``
+    relative: 2.7e-11 for a 100 x 500 block. Returns 0.0 for B = 0.
     """
     B = np.asarray(B, dtype=float)
-    n = B.shape[1]
-    v = 1.0 + np.arange(n) / max(n, 1)
-    v /= np.linalg.norm(v)
-    estimate = 0.0
-    for _ in range(max_iter):
-        w = B.T @ (B @ v)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        new_estimate = float(v @ w)
-        v = w / norm_w
-        if abs(new_estimate - estimate) <= rel_tol * max(1.0, abs(new_estimate)):
-            return new_estimate
-        estimate = new_estimate
-    return estimate
+    M, N = B.shape
+    gram = B @ B.T if M <= N else B.T @ B
+    top = scipy.linalg.eigvalsh(gram, subset_by_index=[len(gram) - 1] * 2)[0]
+    pad = 2.0 * (M + N) * np.finfo(float).eps * float(np.trace(gram))
+    return float(top) + pad
 
 
 class ConcaveQuadratic:
@@ -79,8 +80,9 @@ class ConcaveQuadratic:
     Attributes
     ----------
     lipschitz : float
-        Gradient Lipschitz constant, the top eigenvalue of the Gram matrix.
-        Floored at machine epsilon when B == 0.
+        Gradient Lipschitz constant ``leading_eigenvalue(B)``, a proven
+        upper bound on the top eigenvalue of the Gram matrix. Floored at
+        machine epsilon when B == 0.
     """
 
     curvature = "concave"
@@ -120,10 +122,10 @@ class ConcaveQuadratic:
         2.1.4), so ``u = (b + B^T (C b)) / rho`` for every shape of B. C is
         built once per penalty from a Cholesky factor of the M x M matrix
         and cached, M N floats; a solve is then two passes over M x N data,
-        4MN flops. Requires ``rho`` above the curvature, the top eigenvalue
-        of both Gram matrices: a penalty at or below ``lipschitz``, or one
-        the factorization finds too small because ``lipschitz``
-        underestimates the curvature, raises ValueError.
+        4MN flops. Requires ``rho`` above ``lipschitz``, which bounds the
+        top eigenvalue of both Gram matrices from above: a penalty at or
+        below it, or one the factorization still finds too small in
+        floating point, raises ValueError.
         """
         key = float(rho)
         C = self._solve_ops.get(key)
@@ -137,7 +139,7 @@ class ConcaveQuadratic:
                     pass
             if factor is None:
                 raise ValueError(
-                    "penalty %g does not exceed the component curvature (estimated "
+                    "penalty %g does not exceed the component curvature (bound "
                     "%g); the exact subproblem is not strongly convex"
                     % (key, self.lipschitz))
             C = self._solve_ops[key] = scipy.linalg.cho_solve(factor, self.B)
@@ -154,7 +156,7 @@ class CallableCost:
 
     def __init__(self, value, gradient, dim, lipschitz, curvature="general"):
         if curvature not in CURVATURE_CLASSES:
-            raise ValueError("curvature must be one of %s" % (CURVATURE_CLASSES,))
+            raise ValueError("curvature must be one of %s" % (tuple(CURVATURE_CLASSES),))
         if lipschitz <= 0:
             raise ValueError("lipschitz must be positive")
         self._value = value

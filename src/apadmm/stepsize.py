@@ -11,12 +11,19 @@ with the curvature-dependent constant m and penalty floor:
     convex  : m = 1, requires rho >=   L
     concave : m = 5, requires rho >= 5*L
 
-A penalty is feasible when the floor holds and the margin is positive. The
-margin is strictly increasing in rho, so the minimal feasible penalty is
-found by doubling then bisection; the search asserts monotonicity of the
-sampled margins as a self-check.
+A penalty is feasible when the floor holds and the margin is positive.
+Times rho^2 the margin is the cubic
+
+    rho^3 - L*T^2 * rho^2 - 2*L^2*(T+1)^2 * rho - m*L^3*(T+1)^2,
+
+whose coefficients change sign once, so by Descartes' rule of signs it
+has exactly one positive root. The margin's derivative is positive, so
+the margin is negative below that root and positive above it. The
+minimal feasible penalty is the larger of the floor and the root, moved
+ulp by ulp to the smallest double that ``certify`` passes.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,25 +37,34 @@ __all__ = [
     "StepsizeCertificate",
 ]
 
-_CLASS_MULTIPLIER = {"general": 7.0, "convex": 1.0, "concave": 5.0}
-_CLASS_STRICT = {"general": True, "convex": False, "concave": False}
+# curvature class -> (margin constant m, whether the floor rho >= m*L is strict)
+CURVATURE_CLASSES = {"general": (7.0, True), "convex": (1.0, False),
+                     "concave": (5.0, False)}
+
+# automatic penalties sit this factor above the minimal certified one
+_SAFETY = 1.01
+
+# the cubic's computed root is a few ulps from the certified boundary; running
+# out of steps means the margin cannot be evaluated at this scale (L*L overflows)
+_MAX_ULP_STEPS = 64
 
 
 def _validate(rho, lipschitz, delay_bound, curvature):
-    if curvature not in _CLASS_MULTIPLIER:
+    if curvature not in CURVATURE_CLASSES:
         raise ValueError("unknown curvature class %r" % (curvature,))
-    if lipschitz <= 0:
-        raise ValueError("lipschitz must be positive, got %r" % (lipschitz,))
-    if delay_bound < 0:
-        raise ValueError("delay bound must be nonnegative, got %r" % (delay_bound,))
-    if rho is not None and rho <= 0:
-        raise ValueError("rho must be positive, got %r" % (rho,))
+    if not (math.isfinite(lipschitz) and lipschitz > 0):
+        raise ValueError("lipschitz must be positive and finite, got %r" % (lipschitz,))
+    if not (math.isfinite(delay_bound) and delay_bound >= 0):
+        raise ValueError("delay bound must be nonnegative and finite, got %r"
+                         % (delay_bound,))
+    if rho is not None and not (math.isfinite(rho) and rho > 0):
+        raise ValueError("rho must be positive and finite, got %r" % (rho,))
 
 
 def descent_margin(rho, lipschitz, delay_bound, curvature):
     """Descent margin of the given penalty; positive margin is necessary for feasibility."""
     _validate(rho, lipschitz, delay_bound, curvature)
-    m = _CLASS_MULTIPLIER[curvature]
+    m, _ = CURVATURE_CLASSES[curvature]
     L = float(lipschitz)
     T = float(delay_bound)
     inner = 1.0 / rho + m * L / (2.0 * rho * rho)
@@ -56,8 +72,9 @@ def descent_margin(rho, lipschitz, delay_bound, curvature):
 
 
 def _floor_holds(rho, lipschitz, curvature):
-    floor = _CLASS_MULTIPLIER[curvature] * lipschitz
-    if _CLASS_STRICT[curvature]:
+    m, strict = CURVATURE_CLASSES[curvature]
+    floor = m * lipschitz
+    if strict:
         return rho > floor
     return rho >= floor
 
@@ -75,8 +92,8 @@ class StepsizeCertificate:
 
     @property
     def rule(self):
-        m = _CLASS_MULTIPLIER[self.curvature]
-        op = ">" if _CLASS_STRICT[self.curvature] else ">="
+        m, strict = CURVATURE_CLASSES[self.curvature]
+        op = ">" if strict else ">="
         return "%s: rho %s %g*L and margin > 0" % (self.curvature, op, m)
 
 
@@ -94,62 +111,43 @@ def certify(rho, lipschitz, delay_bound, curvature):
     )
 
 
-def minimal_rho(lipschitz, delay_bound, curvature, precision=1e-9):
-    """Smallest feasible penalty, to additive ``precision``.
+def minimal_rho(lipschitz, delay_bound, curvature):
+    """Smallest double penalty that ``certify`` passes.
 
-    Returns a certified-feasible value; ``certify(result - 2*precision)``
-    is infeasible. Doubling finds a feasible bracket endpoint, bisection
-    shrinks it; sampled margins are asserted to increase with rho.
+    Starts at the larger of the class floor and the positive root of the
+    margin cubic, then steps one ulp at a time: up while ``certify``
+    fails, down while the next smaller double still passes. The result
+    passes and ``np.nextafter(result, 0)`` does not.
     """
     _validate(None, lipschitz, delay_bound, curvature)
-    if precision <= 0:
-        raise ValueError("precision must be positive")
-    floor = _CLASS_MULTIPLIER[curvature] * lipschitz
-    samples = []
-
-    def feasible(rho):
-        cert = certify(rho, lipschitz, delay_bound, curvature)
-        samples.append((rho, cert.margin))
-        return cert.feasible
-
-    if not _CLASS_STRICT[curvature] and feasible(floor):
-        return float(floor)
-    lo, hi = floor, floor
-    for _ in range(200):
-        hi = 2.0 * hi
-        if feasible(hi):
-            break
-        lo = hi
-    else:
-        raise RuntimeError("no feasible penalty found while doubling")
-    while hi - lo > precision:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if feasible(mid):
-            hi = mid
+    m, _ = CURVATURE_CLASSES[curvature]
+    L, T = float(lipschitz), float(delay_bound)
+    # the cubic in s = rho / L, which is free of L
+    roots = np.roots([1.0, -T * T, -2.0 * (T + 1.0) ** 2, -m * (T + 1.0) ** 2])
+    root = float(roots[(roots.imag == 0.0) & (roots.real > 0.0)].real.max())
+    rho = max(m * L, L * root)
+    for _ in range(_MAX_ULP_STEPS):
+        if not certify(rho, L, T, curvature).feasible:
+            rho = np.nextafter(rho, math.inf)
+        elif certify(np.nextafter(rho, 0.0), L, T, curvature).feasible:
+            rho = np.nextafter(rho, 0.0)
         else:
-            lo = mid
-    samples.sort()
-    margins = [m for _, m in samples]
-    assert all(b >= a for a, b in zip(margins, margins[1:])), (
-        "descent margin is not monotone in rho; certification logic is broken"
-    )
-    return float(hi)
+            return float(rho)
+    raise RuntimeError("no certified penalty near the root %r" % (L * root,))
 
 
-def default_penalties(lipschitz, delay_bounds, curvatures, safety=1.01):
-    """Per-component penalties ``safety * minimal_rho(L_k, T_k, class_k)``."""
+def default_penalties(lipschitz, delay_bounds, curvatures):
+    """Per-component penalties ``1.01 * minimal_rho(L_k, T_k, class_k)``."""
     lipschitz = np.atleast_1d(np.asarray(lipschitz, dtype=float))
     delay_bounds = np.broadcast_to(
         np.asarray(delay_bounds, dtype=float), lipschitz.shape
     )
     return np.array([
-        safety * minimal_rho(L, T, c)
+        _SAFETY * minimal_rho(L, T, c)
         for L, T, c in zip(lipschitz, delay_bounds, curvatures)
     ])
 
 
-def exact_baseline_penalty(lipschitz, curvature, safety=1.01):
-    """Penalty for the exact-minimization baseline: ``safety * max(7L, minimal_rho(L, 0, class))``."""
-    return safety * max(7.0 * lipschitz, minimal_rho(lipschitz, 0.0, curvature))
+def exact_baseline_penalty(lipschitz, curvature):
+    """Penalty for the exact-minimization baseline: ``1.01 * max(7L, minimal_rho(L, 0, class))``."""
+    return _SAFETY * max(7.0 * lipschitz, minimal_rho(lipschitz, 0.0, curvature))

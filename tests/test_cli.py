@@ -170,9 +170,14 @@ def test_run_rejects_wrong_length_delay_bound_list(tmp_path, capsys):
     ('{"delay_bound": null}', "delay_bound must be a nonnegative number, not None"),
     ('{"compute_delay": {"kind": "uniform", "hi": -1}}',
      "compute_delay.hi must satisfy 0 <= lo <= hi"),
+    ('{"rho": "x"}', "rho must be 'auto', a positive number"),
+    ('{"rho": null}', "rho must be 'auto', a positive number"),
+    ('{"rho": [1, 2]}', "rho list has 2 entries for 3 components"),
+    ('{"force": "no"}', "force must be true or false, not 'no'"),
 ], ids=["delay_missing_key", "link_unknown_key", "removed_knob",
         "removed_window", "delay_mistyped_value", "epsilon_mistyped",
-        "delay_bound_null", "delay_out_of_range"])
+        "delay_bound_null", "delay_out_of_range", "rho_mistyped", "rho_null",
+        "rho_wrong_length", "force_mistyped"])
 def test_run_rejects_malformed_config_values(tmp_path, capsys, config, needle):
     path = tmp_path / "cfg.json"
     path.write_text(config)
@@ -263,6 +268,19 @@ def test_certify_validates_inputs(capsys):
     assert run_cli(["certify", "--L", "-1", "--T", "0",
                     "--class", "general"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags,needle", [
+    (["--L", "nan", "--T", "0"], "lipschitz"),
+    (["--L", "inf", "--T", "0"], "lipschitz"),
+    (["--L", "1", "--T", "nan"], "delay bound"),
+    (["--L", "1", "--T", "0", "--rho", "nan"], "rho"),
+], ids=["L_nan", "L_inf", "T_nan", "rho_nan"])
+def test_certify_rejects_non_finite_inputs(capsys, flags, needle):
+    assert run_cli(["certify", "--class", "general", *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and needle in err
 
 
 # -- bench -------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from apadmm import RunConfig, run
 from apadmm.benchmark import SparsePcaSpec, generate
@@ -151,6 +153,30 @@ def test_leading_eigenvalue_diagonal_and_zero():
     assert leading_eigenvalue(np.zeros((3, 3))) == 0.0
 
 
+def assert_bounds_both_gram_orientations(B):
+    bound = leading_eigenvalue(B)
+    assert bound >= np.linalg.eigvalsh(B.T @ B).max()
+    assert bound >= np.linalg.eigvalsh(B @ B.T).max()
+
+
+# entries bounded away from underflow, where rounding errors stop being relative
+ENTRIES = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@settings(deadline=None)
+@given(arrays(float, st.tuples(st.integers(1, 12), st.integers(1, 12)),
+              elements=ENTRIES))
+def test_leading_eigenvalue_bounds_wide_square_and_tall_data(B):
+    assert_bounds_both_gram_orientations(B)
+
+
+@pytest.mark.parametrize("gap", [1e-6, 1e-9, 0.0])
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_leading_eigenvalue_bounds_near_degenerate_spectra(gap, seed):
+    assert_bounds_both_gram_orientations(near_degenerate_data(seed, gap=gap))
+
+
 # -- concave quadratic components --------------------------------------------
 
 def test_concave_quadratic_hand_values():
@@ -231,8 +257,8 @@ def test_penalized_argmin_rejects_small_rho():
 def near_degenerate_data(seed, rows=20, dim=60, gap=1e-6):
     """Data whose two largest Gram eigenvalues are 1 and 1 - gap.
 
-    Power iteration converges at rate 1 - gap here, so ``lipschitz``
-    stops short of the true top eigenvalue.
+    An iterative estimate of the top eigenvalue converges at rate
+    1 - gap here, so it would stop short of it; ``lipschitz`` must not.
     """
     rng = np.random.default_rng(seed)
     U, _ = np.linalg.qr(rng.standard_normal((rows, rows)))
@@ -245,22 +271,25 @@ def near_degenerate_data(seed, rows=20, dim=60, gap=1e-6):
 def test_penalized_argmin_rejects_rho_below_the_true_curvature(seed):
     B = near_degenerate_data(seed)
     comp = ConcaveQuadratic(B)
-    rho = comp.lipschitz * (1.0 + 1e-12)
-    # the guard against the estimate passes, the true curvature is higher
-    assert comp.lipschitz < rho < np.linalg.eigvalsh(B @ B.T).max()
+    curvature = np.linalg.eigvalsh(B @ B.T).max()
+    assert comp.lipschitz >= curvature
+    rho = curvature * (1.0 - 1e-12)
     for _ in range(2):  # a rejected penalty caches nothing
         with pytest.raises(ValueError, match="not strongly convex"):
             comp.penalized_argmin(rho, np.ones(B.shape[1]), np.zeros(B.shape[1]))
 
 
-def test_run_sync_admm_rho_below_the_true_curvature_raises_value_error():
-    # an explicit penalty just above an underestimated curvature passes the
-    # hard reject; the failed factorization must surface as ValueError
+def test_run_sync_admm_rho_below_the_true_curvature_is_infeasible():
+    # the bound is at or above the true curvature, so a penalty just below
+    # that curvature is rejected before any update, even when forced
     problem = ConsensusProblem([ConcaveQuadratic(near_degenerate_data(1))])
-    rho = problem.components[0].lipschitz * (1.0 + 1e-12)
-    with pytest.raises(ValueError, match="not strongly convex"):
-        run(problem, RunConfig(algorithm="sync_admm", rho=rho, force=True,
-                               max_iters=3))
+    B = problem.components[0].B
+    curvature = np.linalg.eigvalsh(B @ B.T).max()
+    assert problem.components[0].lipschitz >= curvature
+    res = run(problem, RunConfig(algorithm="sync_admm", rho=curvature * (1.0 - 1e-12),
+                                 force=True, max_iters=3))
+    assert res.termination == "infeasible_stepsize"
+    assert res.updates == 0
 
 
 def test_callable_cost_wraps_functions():

@@ -8,6 +8,8 @@ the acceptance suite at larger input counts.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
 
 from apadmm import prox_l1_ball, project_ball, soft_threshold
@@ -222,6 +224,29 @@ def test_prox_l1_ball_perturbation_optimality():
             if norm > 1.0:
                 w = w / norm
             assert prox_objective(w, v, tau) >= base - 1e-8
+
+
+@settings(deadline=None)
+@given(arrays(float, st.integers(1, 8), elements=st.floats(-10.0, 10.0)),
+       st.floats(0.0, 5.0), st.floats(0.1, 10.0))
+def test_prox_l1_ball_satisfies_kkt(v, tau, radius):
+    """v - u = tau * s + mu * u with s in the l1 subdifferential at u,
+    mu >= 0, ||u|| <= radius and mu * (radius - ||u||) = 0."""
+    tol = 1e-9
+    u = prox_l1_ball(v, tau, radius)
+    norm = float(np.linalg.norm(u))
+    assert norm <= radius * (1.0 + 1e-15)
+    on = u != 0.0
+    assert np.all(np.abs(v[~on]) <= tau + tol)
+    rest = v[on] - u[on] - tau * np.sign(u[on])
+    mu = 0.0
+    if on.any():  # least-squares multiplier, scaled so tiny u cannot underflow
+        scale = np.abs(u[on]).max()
+        w = u[on] / scale
+        mu = float(rest @ w / (w @ w) / scale)
+    np.testing.assert_allclose(rest, mu * u[on], rtol=0.0, atol=tol)
+    assert mu >= -tol
+    assert mu * (radius - norm) <= tol
 
 
 def test_prox_l1_ball_matches_grid_2d():

@@ -6,6 +6,7 @@ message reveals exactly which master vector the worker computed on.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apadmm import DelayModel, LinkModel, StarNetwork
 
@@ -222,3 +223,36 @@ def test_causality_copy_index_not_from_future():
         for msg in got.values():
             assert msg.copy_index <= t
             assert msg.arrived_at <= net.now
+
+
+DELAY_HI = st.floats(0.0, 3.0)
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(1, 3), DELAY_HI, DELAY_HI, DELAY_HI, st.floats(0.0, 0.5),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_messages_are_causal_and_fifo_without_reordering(
+        workers, down_hi, compute_hi, up_hi, loss, reorder, seed):
+    down = [LinkModel(DelayModel.uniform(0.0, down_hi), loss=loss,
+                      allow_reordering=reorder)] * workers
+    up = [LinkModel(DelayModel.uniform(0.0, up_hi), loss=loss,
+                    allow_reordering=reorder)] * workers
+    compute = [DelayModel.uniform(0.0, compute_hi)] * workers
+    net = make_net(workers, down=down, up=up, compute=compute, seed=seed)
+    arrivals = {k: [] for k in range(workers)}
+    for t in range(1, 25):
+        net.broadcast(np.array([float(t)]), t)
+        net.advance()
+        for msg in net._inbox:  # in the order the master received them
+            assert msg.copy_index <= t
+            assert msg.sent_at <= msg.arrived_at <= net.now
+            np.testing.assert_array_equal(msg.gradient, [float(msg.copy_index)])
+            arrivals[msg.worker].append(msg)
+        for msg in net.collect().values():
+            assert msg.copy_index <= t
+    if not reorder:
+        for msgs in arrivals.values():
+            for a, b in zip(msgs, msgs[1:]):
+                assert a.arrived_at <= b.arrived_at
+                assert a.worker_stamp < b.worker_stamp
+                assert a.copy_index < b.copy_index

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apadmm import certify, descent_margin, minimal_rho
 from apadmm.stepsize import default_penalties, exact_baseline_penalty
@@ -44,6 +45,20 @@ def test_margin_rejects_bad_arguments():
         descent_margin(1.0, 1.0, 0, "smooth")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_arguments_are_rejected_by_name(bad):
+    with pytest.raises(ValueError, match="rho"):
+        certify(bad, 1.0, 0, "general")
+    with pytest.raises(ValueError, match="lipschitz"):
+        certify(8.0, bad, 0, "general")
+    with pytest.raises(ValueError, match="delay bound"):
+        certify(8.0, 1.0, bad, "general")
+    with pytest.raises(ValueError, match="lipschitz"):
+        minimal_rho(bad, 0, "general")
+    with pytest.raises(ValueError, match="delay bound"):
+        minimal_rho(1.0, bad, "general")
+
+
 def test_certify_verdicts():
     assert not certify(7.0, 1.0, 0, "general").feasible  # floor is strict
     cert = certify(8.0, 1.0, 0, "general")
@@ -66,14 +81,17 @@ def test_certify_records_inputs():
     assert cert.curvature == "concave"
 
 
-def test_minimal_rho_brackets_and_minimality():
-    precision = 1e-9
-    for curvature in ("general", "convex", "concave"):
-        for T in (0, 2, 5):
-            for L in (1.0, 2.5):
-                rho = minimal_rho(L, T, curvature, precision=precision)
-                assert certify(rho, L, T, curvature).feasible
-                assert not certify(rho - 2 * precision, L, T, curvature).feasible
+CLASSES = st.sampled_from(["general", "convex", "concave"])
+LIPSCHITZ = st.floats(1e-3, 1e3)
+DELAYS = st.floats(0.0, 20.0)
+
+
+@settings(deadline=None)
+@given(LIPSCHITZ, DELAYS, CLASSES)
+def test_minimal_rho_is_the_smallest_certified_double(L, T, curvature):
+    rho = minimal_rho(L, T, curvature)
+    assert certify(rho, L, T, curvature).feasible
+    assert not certify(np.nextafter(rho, 0.0), L, T, curvature).feasible
 
 
 def test_minimal_rho_known_values():
@@ -111,9 +129,18 @@ def test_margin_monotone_in_rho_above_floor():
         assert all(b > a for a, b in zip(margins, margins[1:]))
 
 
+@settings(deadline=None)
+@given(LIPSCHITZ, DELAYS, CLASSES, st.floats(1e-2, 1e3), st.floats(1e-6, 10.0))
+def test_margin_strictly_increases_in_rho(L, T, curvature, scale, step):
+    # points a relative 1e-6 or more apart, so rounding cannot reorder them
+    rho = scale * L
+    assert (descent_margin(rho * (1.0 + step), L, T, curvature)
+            > descent_margin(rho, L, T, curvature))
+
+
 def test_default_penalties_apply_safety_factor():
     L = [1.0, 2.0]
-    out = default_penalties(L, [0, 3], ["concave", "general"], safety=1.01)
+    out = default_penalties(L, [0, 3], ["concave", "general"])
     ref = [1.01 * minimal_rho(1.0, 0, "concave"),
            1.01 * minimal_rho(2.0, 3, "general")]
     np.testing.assert_allclose(out, ref, rtol=1e-12)
@@ -125,8 +152,3 @@ def test_exact_baseline_penalty_uses_the_larger_floor():
     general = exact_baseline_penalty(1.0, "general")
     assert general == pytest.approx(1.01 * max(7.0, minimal_rho(1.0, 0, "general")),
                                     rel=1e-12)
-
-
-def test_minimal_rho_rejects_bad_precision():
-    with pytest.raises(ValueError):
-        minimal_rho(1.0, 0, "general", precision=0.0)
