@@ -1,18 +1,19 @@
 """Consensus solvers: asynchronous proximal updates plus synchronous baselines.
 
 Every algorithm runs the same pass in one solver loop: a master step
-(average the local copies and duals, then apply the l1-plus-ball
-proximal map with weight scaled by the total penalty), an exchange with
-the workers, and a commit of the local copies and duals. The algorithms
-differ only in how the master gets its gradients:
+(the l1-plus-ball prox of the penalty-weighted average of the local
+copies and duals), one evaluation of each component at the new x, an
+exchange with the workers, and a commit of the local copies and duals.
+The algorithms differ only in how the master gets its gradients:
 
 * ``async_padmm``: the exchange is one window of a simulated star
-  network; the master broadcasts the new x, waits one window, and applies
-  whatever gradients arrived (stale copies allowed, bounded staleness
-  enforced or observed per config). All local copies and duals are
+  network; the master broadcasts its gradients at the new x and, one
+  window later, applies whatever arrived (stale copies allowed, bounded
+  staleness enforced or observed per config); a worker's delay only
+  times when its gradient lands. All local copies and duals are
   refreshed every iteration, recently arrived gradients or not.
-* ``sync_padmm``: the exchange blocks on every worker, and every component
-  contributes a fresh gradient at the new x (the zero-delay protocol).
+* ``sync_padmm``: the exchange blocks on every worker and commits every
+  component's gradient at the new x (the zero-delay protocol).
 * ``sync_admm``: the exchange blocks as for ``sync_padmm``, and every
   component solves its penalized subproblem exactly; requires components
   that expose an exact solver and penalties above the component curvature.
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import IterationTrace, SolverState, initial_state
+from .problems import IterationTrace, SolverState, consensus_terms, initial_state
 from .prox import prox_l1_ball
 from .simnet import DelayModel, LinkModel, StarNetwork, _is_number
 from .stepsize import certify, default_penalties, exact_baseline_penalty
@@ -103,8 +104,10 @@ class RunConfig:
             raise ValueError("enforcement must be 'enforce' or 'observe'")
         if self.init not in ("zero", "random_ball"):
             raise ValueError("init must be 'zero' or 'random_ball'")
-        if not isinstance(self.force, bool):
-            raise ValueError("force must be true or false, not %r" % (self.force,))
+        for name in ("force", "full_trace"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError("%s must be true or false, not %r"
+                                 % (name, getattr(self, name)))
 
 
 @dataclass
@@ -238,9 +241,9 @@ def _build_network(problem, config, delay_bounds):
     computes = _per_worker(
         compute, K, lambda s: DelayModel.from_spec(s, "compute_delay"),
         "compute_delay")
-    return StarNetwork(
-        K, lambda k, x: problem.components[k].gradient(x),
-        downs, ups, computes, seed=[int(config.seed), 29])
+    # the payload is the master's gradients at an iterate; worker k sends row k
+    return StarNetwork(K, lambda k, grads: grads[k],
+                       downs, ups, computes, seed=[int(config.seed), 29])
 
 
 def _resolve_rho(problem, config, cert_delays):
@@ -274,11 +277,11 @@ def _initial(problem, config):
 def run(problem, config):
     """Execute one full run and return its trace and termination status.
 
-    Every algorithm runs the same pass: one master step, an exchange with
-    the workers (one network window for ``async_padmm``, a blocking round
-    trip for the synchronous baselines), and a commit (proximal for
-    ``async_padmm`` and ``sync_padmm``, exact for ``sync_admm``). Only
-    the exchange depends on the algorithm.
+    Every algorithm runs the same pass: a master step, one
+    ``consensus_terms`` pass at the new x (read by the exchange and the
+    trace row), an exchange (a network window for ``async_padmm``, a
+    blocking round trip otherwise) and a commit (exact for ``sync_admm``,
+    proximal otherwise). Only the exchange depends on the algorithm.
 
     Termination is one of ``converged`` (optimality measure dropped below
     epsilon), ``max_iters`` (clock budget exhausted), ``staleness_violation``
@@ -322,16 +325,15 @@ def run(problem, config):
     clock = 0
     while clock < config.max_iters:
         x_new = master_step(problem, state, rho)
+        terms = consensus_terms(problem, x_new)
         t_new = state.iteration + 1
         if asynchronous:
             updates = {k: (msg.gradient, msg.copy_index)
-                       for k, msg in net.run_window(x_new, t_new).items()}
+                       for k, msg in net.run_window(terms.gradients, t_new).items()}
             cost, arrived = 1, len(updates)
         else:
             cost = max(1, math.ceil(float(net.sample_round_trips().max())))
-            updates = {} if exact else {
-                k: (comp.gradient(x_new), t_new)
-                for k, comp in enumerate(problem.components)}
+            updates = {k: (g, t_new) for k, g in enumerate(terms.gradients)}
             arrived = K
         new = (exact_admm_iteration(problem, state, rho, x_new) if exact
                else padmm_apply(problem, state, rho, x_new, updates))
@@ -345,7 +347,7 @@ def run(problem, config):
                 break
         state = new
         clock += cost
-        row = diagnostics.trace_row(problem, state, rho)
+        row = diagnostics.trace_row(problem, state, rho, terms)
         trace.append(*row, float(clock), arrived)
         if trace.states is not None:
             trace.states.append(state)

@@ -33,10 +33,8 @@ __all__ = [
 ]
 
 
-def _stationarity(problem, state):
-    # objective, relative gap, prox-gradient norm and measure at state.x,
-    # from one consensus_terms pass
-    terms = consensus_terms(problem, state.x)
+def _stationarity(state, terms):
+    # objective, relative gap, prox-gradient norm and measure at state.x
     _, gap_rel = feasibility_gap(state)
     pg_norm = float(np.linalg.norm(terms.prox_residual))
     return terms.objective, gap_rel, pg_norm, gap_rel + pg_norm
@@ -44,19 +42,19 @@ def _stationarity(problem, state):
 
 def optimality_measure(problem, state):
     """Progress measure: relative consensus gap plus proximal-gradient norm."""
-    return _stationarity(problem, state)[3]
+    return _stationarity(state, consensus_terms(problem, state.x))[3]
 
 
-def trace_row(problem, state, rho):
+def trace_row(problem, state, rho, terms):
     """Values of one trace row, in ``IterationTrace.append`` order.
 
     Returns ``(lagrangian, objective, feas_gap, prox_grad_norm, measure)``.
-    Evaluates each component twice: ``value_and_gradient`` at the master
-    vector, which gives the objective, the proximal-gradient norm and the
-    measure, and ``value`` at its local copy, for the augmented
-    Lagrangian. The measure equals ``optimality_measure`` bit for bit.
+    ``terms``, the ``consensus_terms`` pass at ``state.x``, gives the
+    objective, the proximal-gradient norm and the measure; the augmented
+    Lagrangian adds one ``value`` per component at its local copy. The
+    measure equals ``optimality_measure`` bit for bit.
     """
-    return (augmented_lagrangian(problem, state, rho),) + _stationarity(problem, state)
+    return (augmented_lagrangian(problem, state, rho),) + _stationarity(state, terms)
 
 
 @dataclass

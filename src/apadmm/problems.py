@@ -9,10 +9,10 @@ vector ``x``, one local copy ``x_local[k]`` per component, one dual vector
 ``y[k]`` per component, and the most recently collected gradient of each
 component together with the master-iteration index it was evaluated at.
 
-Every component sum taken at a consensus point (smooth value and gradient,
-objective and proximal-gradient residual, which feed the optimality
-measure and the trace rows) comes from one ``value_and_gradient`` pass
-per component in ``consensus_terms``.
+Each component is evaluated once per master iterate, in the one
+``value_and_gradient`` pass of ``consensus_terms``: it yields the objective
+and proximal-gradient residual (the optimality measure, the trace row)
+and the gradients the workers deliver, after their delays if any.
 """
 
 from dataclasses import dataclass, field
@@ -172,7 +172,7 @@ class CallableCost:
         return np.asarray(self._gradient(z), dtype=float)
 
     def value_and_gradient(self, z):
-        return self.value(z), self.gradient(z)
+        return self.value(z), np.asarray(self._gradient(z), dtype=float)
 
 
 @dataclass
@@ -239,36 +239,33 @@ def initial_state(problem, x0=None):
     """Start state at ``x0``, or at zero when ``x0`` is None.
 
     The master vector and every local copy start at the start point, the
-    stored gradients are evaluated there once, with stale index 1, and the
-    iteration counter starts at 1. Duals start at zero from the zero start
-    and at the negated stored gradients from ``x0``, so the dual identity
-    holds before the first update.
+    stored gradients come from the ``consensus_terms`` pass there, with
+    stale index 1, and the iteration counter starts at 1. Duals start at
+    zero from the zero start and at the negated stored gradients from
+    ``x0``, so the dual identity holds before the first update.
     """
-    n = problem.dim
-    k = problem.num_components
-    start = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    grads = np.stack([c.gradient(start) for c in problem.components])
+    start = np.zeros(problem.dim) if x0 is None else np.array(x0, dtype=float)
+    grads = consensus_terms(problem, start).gradients
     return SolverState(
         iteration=1,
         x=start,
-        x_local=np.tile(start, (k, 1)),
-        y=np.zeros((k, n)) if x0 is None else -grads,
+        x_local=np.tile(start, (len(grads), 1)),
+        y=np.zeros_like(grads) if x0 is None else -grads,
         grad_stored=grads,
-        stale_index=np.ones(k, dtype=int),
+        stale_index=np.ones(len(grads), dtype=int),
     )
 
 
 class ConsensusTerms(NamedTuple):
     """What one evaluation pass at a consensus point yields."""
 
-    smooth_value: float
-    smooth_gradient: np.ndarray
     objective: float
     prox_residual: np.ndarray
+    gradients: np.ndarray
 
 
 def consensus_terms(problem, x):
-    """Smooth value and gradient, objective and proximal-gradient residual at x.
+    """Objective, proximal-gradient residual and gradients ``grad g_k(x)`` at x.
 
     Evaluates each component once, by ``value_and_gradient``; every other
     component sum at a consensus point is a view of this one. The
@@ -280,13 +277,14 @@ def consensus_terms(problem, x):
     x = np.asarray(x, dtype=float)
     value = 0.0
     grad = np.zeros(problem.dim)
-    for c in problem.components:
-        v, g = c.value_and_gradient(x)
+    grads = np.empty((problem.num_components, problem.dim))
+    for k, c in enumerate(problem.components):
+        v, grads[k] = c.value_and_gradient(x)
         value += v
-        grad += g
+        grad += grads[k]
     obj = value + problem.l1_weight * float(np.abs(x).sum())
     residual = x - prox_l1_ball(x - grad, problem.l1_weight, problem.radius)
-    return ConsensusTerms(value, grad, obj, residual)
+    return ConsensusTerms(obj, residual, grads)
 
 
 def augmented_lagrangian(problem, state, rho):

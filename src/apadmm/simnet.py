@@ -1,7 +1,7 @@
 """Deterministic discrete-event simulator for a star network of gradient workers.
 
-One master broadcasts x copies to K workers; each worker computes the
-gradient of its component at the copy it picked up and sends it back.
+One master broadcasts x copies to K workers; each worker holds the copy
+it picked up for its compute delay, then sends back a gradient there.
 Time is measured in windows, one master iteration each: the master
 broadcasts, waits one window, then collects whatever gradients arrived.
 Every delay is drawn in window units.
@@ -23,10 +23,11 @@ Semantics pinned down here:
   smallest worker-local stamp, older leftovers and fresher duplicates in
   the same window are discarded.
 
-The simulator is generic over the gradient computation: it calls a
-``gradient_fn(worker, x)`` callback at compute completion, so tests can
-drive it with toy functions. ``DelayModel.from_spec`` and
-``LinkModel.from_spec`` parse the JSON-able specs that run configs hold.
+The simulator is generic over the payload: at compute completion it calls
+``gradient_fn(worker, x)`` on the copy picked up, so tests can drive it
+with toy functions. ``run()`` broadcasts the master's gradients at its
+iterate, so a delay only times when, and whether, one lands. The
+``from_spec`` constructors parse the JSON-able specs run configs hold.
 """
 
 import copy
@@ -197,7 +198,10 @@ class Message:
 
 
 class StarNetwork:
-    """K workers behind per-worker links; ``compute_delays`` are ``DelayModel``s."""
+    """K workers behind per-worker links; ``compute_delays`` are ``DelayModel``s.
+
+    Worker k sends ``gradient_fn(k, x)`` for the copy x it picked up.
+    """
 
     def __init__(self, num_workers, gradient_fn, downlinks, uplinks,
                  compute_delays, seed=0):

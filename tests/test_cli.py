@@ -189,6 +189,19 @@ def test_run_rejects_malformed_config_values(tmp_path, capsys, config, needle):
     assert needle in err
 
 
+def test_run_rejects_mistyped_full_trace_before_writing(tmp_path, capsys):
+    # a non-empty string is truthy: unchecked, it would turn on full tracing
+    path = tmp_path / "cfg.json"
+    path.write_text('{"full_trace": "no"}')
+    rc = run_cli(["run", *SMALL, "--config", str(path),
+                  "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "full_trace must be true or false, not 'no'" in err
+    assert not (tmp_path / "t.states.npz").exists()
+
+
 def test_run_rejects_malformed_json(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")
@@ -281,6 +294,20 @@ def test_certify_rejects_non_finite_inputs(capsys, flags, needle):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and needle in err
+
+
+@pytest.mark.parametrize("flags,needle", [
+    (["--L", "1", "--T", "1e200"], "OverflowError"),
+    (["--L", "1e-300", "--T", "3"], "ZeroDivisionError"),
+    (["--L", "1e200", "--T", "3"], "no certified penalty"),
+], ids=["T_huge", "L_tiny", "L_huge"])
+def test_certify_reports_out_of_range_inputs(capsys, flags, needle):
+    # finite inputs whose margin overflows or divides by zero in floating point
+    assert run_cli(["certify", "--class", "general", *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: margin out of floating-point range")
+    assert needle in err
 
 
 # -- bench -------------------------------------------------------------------

@@ -12,7 +12,6 @@ from apadmm import (
 )
 from apadmm.algorithms import ALGORITHMS, _initial
 from apadmm.benchmark import SparsePcaSpec, generate
-from apadmm.diagnostics import trace_row
 from apadmm.problems import (
     CallableCost,
     ConcaveQuadratic,
@@ -188,11 +187,11 @@ def test_final_measure_is_the_optimality_measure_of_the_final_state(
 
 
 def count_evaluations(problem):
-    """Log ``(k, point)`` for every outermost value, gradient or
+    """Log ``(k, method, point)`` for every outermost value, gradient or
     value_and_gradient call on component k."""
     log, depth = [], [0]
 
-    def counted(k, method):
+    def counted(k, name, method):
         def call(z):
             depth[0] += 1
             try:
@@ -200,42 +199,58 @@ def count_evaluations(problem):
             finally:
                 depth[0] -= 1
                 if depth[0] == 0:
-                    log.append((k, np.array(z)))
+                    log.append((k, name, np.array(z)))
         return call
 
     for k, comp in enumerate(problem.components):
         for name in ("value", "gradient", "value_and_gradient"):
             method = getattr(comp, name, None)
             if method is not None:
-                setattr(comp, name, counted(k, method))
+                setattr(comp, name, counted(k, name, method))
     return log
 
 
-@pytest.mark.parametrize("shape", ["wide", "tall", "mixed"])
-def test_recording_an_update_evaluates_each_component_twice(shape):
+@pytest.mark.parametrize("shape", ["wide", "square", "tall", "mixed"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_each_update_evaluates_each_component_once_at_the_master_vector(
+        algorithm, shape):
+    """The workers and the exchange reuse the master's pass: after the start
+    state, an update evaluates component k once at the new master vector
+    and once (``value``) at its new local copy, and nowhere else."""
+    if algorithm == "sync_admm" and shape == "mixed":
+        pytest.skip("sync_admm needs components with an exact solver")
     problem = row_problem(shape)
-    result = run(problem, RunConfig(delay_bound=2, seed=3, max_iters=5,
-                                    epsilon=1e-14, init="random_ball",
-                                    enforcement="observe"))
-    state = result.state
-    assert not np.array_equal(state.x_local[0], state.x)
     log = count_evaluations(problem)
-    # run() records an update with one trace_row call
-    trace_row(problem, state, result.rho)
-    for k in range(problem.num_components):
-        points = [z for j, z in log if j == k]
-        # once at the master vector, once at the local copy
-        assert len(points) == 2, (k, len(points))
-        assert sum(np.array_equal(z, state.x) for z in points) == 1
-        assert sum(np.array_equal(z, state.x_local[k]) for z in points) == 1
+    result = run(problem, RunConfig(
+        algorithm=algorithm, delay_bound=2, seed=3, max_iters=8,
+        epsilon=1e-14, init="random_ball", full_trace=True,
+        enforcement="observe", compute_delay={"kind": "uniform", "hi": 1.5}))
+    K, states, rows = problem.num_components, result.trace.states, len(result.trace)
+    assert rows >= 4
+    # the start state: one evaluation per component, at the start point
+    assert [k for k, _, _ in log[:K]] == list(range(K))
+    for _, _, z in log[:K]:
+        np.testing.assert_array_equal(z, states[0].x)
+    rest = log[K:]
+    assert len(rest) == 2 * K * rows
+    for r in range(rows):
+        state = states[r + 1]
+        chunk = rest[2 * K * r:2 * K * (r + 1)]
+        for k in range(K):
+            calls = sorted(((name, z) for j, name, z in chunk if j == k),
+                           key=lambda call: call[0])
+            assert [name for name, _ in calls] == [
+                "value", "value_and_gradient"], (r, k, calls)
+            np.testing.assert_array_equal(calls[0][1], state.x_local[k])
+            np.testing.assert_array_equal(calls[1][1], state.x)
 
 
 def test_random_start_evaluates_each_component_once():
     problem = row_problem("mixed")
     log = count_evaluations(problem)
     state = _initial(problem, RunConfig(init="random_ball", seed=4))
-    assert [k for k, _ in log] == [0, 1, 2]
-    for k, z in log:
+    assert [k for k, _, _ in log] == [0, 1, 2]
+    for k, _, z in log:
         np.testing.assert_array_equal(z, state.x)
 
 

@@ -77,8 +77,9 @@ def test_objective_matches_dense_cross_check():
         terms = consensus_terms(problem, x)
         assert terms.objective == pytest.approx(ref, rel=1e-12)
         np.testing.assert_allclose(
-            terms.smooth_gradient,
-            sum(-(c.B.T @ (c.B @ x)) for c in problem.components), rtol=1e-12)
+            terms.gradients,
+            np.stack([-(c.B.T @ (c.B @ x)) for c in problem.components]),
+            rtol=1e-12)
 
 
 def test_objective_dimension_mismatch():
@@ -375,11 +376,15 @@ def test_iteration_trace_append_and_len():
 
 
 def test_smooth_value_is_component_sum():
-    spec = SparsePcaSpec(dim=5, num_components=3, rows=4, seed=11)
+    # the objective is the component values plus the l1 term, and row k of
+    # the gradients is component k's own gradient, bit for bit
+    spec = SparsePcaSpec(dim=5, num_components=3, rows=4, l1_weight=0.2, seed=11)
     problem = generate(spec)
     x = np.random.default_rng(0).standard_normal(5)
     terms = consensus_terms(problem, x)
     ref = sum(c.value(x) for c in problem.components)
-    assert terms.smooth_value == pytest.approx(ref, rel=1e-14)
-    grad = sum(c.gradient(x) for c in problem.components)
-    np.testing.assert_allclose(terms.smooth_gradient, grad, rtol=1e-14)
+    ref += 0.2 * float(np.abs(x).sum())
+    assert terms.objective == pytest.approx(ref, rel=1e-14)
+    assert terms.gradients.shape == (3, 5)
+    for row, c in zip(terms.gradients, problem.components):
+        np.testing.assert_array_equal(row, c.gradient(x))
