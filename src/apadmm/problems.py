@@ -9,10 +9,17 @@ vector ``x``, one local copy ``x_local[k]`` per component, one dual vector
 ``y[k]`` per component, and the most recently collected gradient of each
 component together with the master-iteration index it was evaluated at.
 
-Each component is evaluated once per master iterate, in the one
-``value_and_gradient`` pass of ``consensus_terms``: it yields the objective
-and proximal-gradient residual (the optimality measure, the trace row)
-and the gradients the workers deliver, after their delays if any.
+Each component is evaluated once per master iterate, in the one pass of
+``consensus_terms``: it yields the objective and proximal-gradient
+residual (the optimality measure, the trace row) and the gradients the
+workers deliver, after their delays if any.
+
+When every component is a ``ConcaveQuadratic``, the problem holds their
+data once, as one ``(K, M_max, N)`` stack with shorter blocks padded by
+zero rows, and each component's ``B`` is a view of its leading rows. The
+pass at the master vector and the augmented Lagrangian at the local
+copies are then a few batched matrix products over the stack instead of
+K calls each; other components are evaluated one call at a time.
 """
 
 from dataclasses import dataclass, field
@@ -72,7 +79,10 @@ class ConcaveQuadratic:
     """Component cost ``g(z) = -0.5 * ||B z||^2`` for an M x N data matrix B.
 
     Keeps only B and evaluates through it: ``B @ z``, then
-    ``B.T @ (B @ z)``, so no N x N Gram matrix is held. The component
+    ``B.T @ (B @ z)``, so no N x N Gram matrix is held. Once the component
+    is in a ``ConsensusProblem`` of quadratics, B is a read-only view of
+    its rows of the problem's ``stack`` (of the last such problem built
+    with it), so the data is held once. The component
     supports the exact penalized argmin needed by the synchronous
     exact-minimization baseline, with one M x N solve operator cached per
     penalty value.
@@ -177,13 +187,23 @@ class CallableCost:
 
 @dataclass
 class ConsensusProblem:
-    """Problem data: component costs plus the shared l1 + ball regularizer."""
+    """Problem data: component costs plus the shared l1 + ball regularizer.
 
-    components: list
+    ``components`` is stored as a tuple. When every component is a
+    ``ConcaveQuadratic``, ``stack`` holds their data as one C-contiguous
+    ``(K, M_max, N)`` array, shorter blocks padded with zero rows, and each
+    component's ``B`` is rebound to ``stack[k, :M_k]``; otherwise ``stack``
+    is None.
+    """
+
+    components: tuple
     l1_weight: float = 0.0
     radius: float = 1.0
+    stack: np.ndarray = field(init=False, repr=False, compare=False,
+                              default=None)
 
     def __post_init__(self):
+        self.components = tuple(self.components)
         if len(self.components) < 1:
             raise ValueError("need at least one component")
         if self.l1_weight < 0:
@@ -198,6 +218,15 @@ class ConsensusProblem:
                 raise ValueError("component %d has nonpositive Lipschitz constant" % i)
             if c.curvature not in CURVATURE_CLASSES:
                 raise ValueError("component %d has unknown curvature class" % i)
+        if all(isinstance(c, ConcaveQuadratic) for c in self.components):
+            rows = [len(c.B) for c in self.components]
+            stack = np.zeros((len(rows), max(rows), self.dim))
+            for k, c in enumerate(self.components):
+                stack[k, :rows[k]] = c.B
+            stack.flags.writeable = False
+            for k, c in enumerate(self.components):
+                c.B = stack[k, :rows[k]]
+            self.stack = stack
 
     @property
     def dim(self):
@@ -267,39 +296,66 @@ class ConsensusTerms(NamedTuple):
 def consensus_terms(problem, x):
     """Objective, proximal-gradient residual and gradients ``grad g_k(x)`` at x.
 
-    Evaluates each component once, by ``value_and_gradient``; every other
-    component sum at a consensus point is a view of this one. The
-    objective is ``sum_k g_k(x) + l1_weight * ||x||_1`` (the ball
+    Evaluates each component once: by batched products over the
+    problem's ``stack`` when it has one, else by ``value_and_gradient``;
+    every other component sum at a consensus point is a view of this
+    one. The objective is ``sum_k g_k(x) + l1_weight * ||x||_1`` (the ball
     constraint is not folded in; callers keep x feasible), and the
     residual ``x - prox(x - grad g(x))`` uses a unit step and the
     l1-plus-ball operator with the problem's own l1 weight.
     """
     x = np.asarray(x, dtype=float)
+    data = problem.stack
+    if data is None:
+        values = np.empty(problem.num_components)
+        grads = np.empty((problem.num_components, problem.dim))
+        for k, c in enumerate(problem.components):
+            values[k], grads[k] = c.value_and_gradient(x)
+    else:
+        W = data @ x
+        values = -0.5 * _row_dots(W, W)
+        grads = -(W[:, None, :] @ data)[:, 0, :]
+    # both paths sum one component at a time, in order, so they agree bit
+    # for bit whenever the per-component terms do
     value = 0.0
-    grad = np.zeros(problem.dim)
-    grads = np.empty((problem.num_components, problem.dim))
-    for k, c in enumerate(problem.components):
-        v, grads[k] = c.value_and_gradient(x)
+    for v in values.tolist():
         value += v
-        grad += grads[k]
+    grad = np.zeros(problem.dim)
+    for g in grads:
+        grad += g
     obj = value + problem.l1_weight * float(np.abs(x).sum())
     residual = x - prox_l1_ball(x - grad, problem.l1_weight, problem.radius)
     return ConsensusTerms(obj, residual, grads)
+
+
+def _row_dots(a, b):
+    # ``[a[k] @ b[k] for k]``, each row pair as one dot product
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def augmented_lagrangian(problem, state, rho):
     """Augmented Lagrangian at the given state.
 
     ``sum_k [g_k(x_local_k) + <y_k, x_local_k - x> + rho_k/2 ||x_local_k - x||^2]
-    + l1_weight * ||x||_1``, with per-component penalties ``rho``.
+    + l1_weight * ||x||_1``, with per-component penalties ``rho``. The
+    component values come from the problem's ``stack`` in one batched
+    product when it has one.
     """
     rho = np.asarray(rho, dtype=float)
+    data = problem.stack
+    if data is None:
+        values = [c.value(u) for c, u in zip(problem.components, state.x_local)]
+    else:
+        W = (data @ state.x_local[:, :, None])[:, :, 0]
+        values = (-0.5 * _row_dots(W, W)).tolist()
+    diff = state.x_local - state.x
+    cross = _row_dots(state.y, diff).tolist()
+    square = (0.5 * rho * _row_dots(diff, diff)).tolist()
     total = problem.l1_weight * float(np.abs(state.x).sum())
-    for k, comp in enumerate(problem.components):
-        diff = state.x_local[k] - state.x
-        total += comp.value(state.x_local[k])
-        total += float(state.y[k] @ diff)
-        total += 0.5 * rho[k] * float(diff @ diff)
+    for k in range(problem.num_components):
+        total += values[k]
+        total += cross[k]
+        total += square[k]
     return total
 
 

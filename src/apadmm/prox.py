@@ -24,6 +24,21 @@ def _check_vector(v, name="v"):
     return v
 
 
+def _check_radius(radius):
+    if radius <= 0:
+        raise ValueError("radius must be positive, got %r" % radius)
+
+
+def _shrink(v, tau):
+    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+
+
+def _into_ball(v, radius):
+    # v itself when feasible, else its radial scaling onto the sphere
+    norm = float(np.linalg.norm(v))
+    return v if norm <= radius else v * (radius / norm)
+
+
 def soft_threshold(v, tau):
     """Proximal map of ``tau * ||.||_1``.
 
@@ -42,7 +57,7 @@ def soft_threshold(v, tau):
     v = _check_vector(v)
     if tau < 0:
         raise ValueError("tau must be nonnegative, got %r" % tau)
-    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+    return _shrink(v, tau)
 
 
 def project_ball(v, radius):
@@ -53,12 +68,9 @@ def project_ball(v, radius):
     point multiplies by 1.0, so project(project(v)) == project(v) bitwise.
     """
     v = _check_vector(v)
-    if radius <= 0:
-        raise ValueError("radius must be positive, got %r" % radius)
-    norm = float(np.linalg.norm(v))
-    if norm <= radius:
-        return v.copy()
-    return v * (radius / norm)
+    _check_radius(radius)
+    u = _into_ball(v, radius)
+    return v.copy() if u is v else u
 
 
 def prox_l1_ball(v, tau, radius):
@@ -77,6 +89,12 @@ def prox_l1_ball(v, tau, radius):
     -------
     ndarray
         The unique minimizer of ``tau * ||u||_1 + 0.5 * ||u - v||^2``
-        over the ball, computed as ``project_ball(soft_threshold(v, tau))``.
+        over the ball, computed as ``project_ball(soft_threshold(v, tau))``
+        with one check of the input.
     """
-    return project_ball(soft_threshold(v, tau), radius)
+    v = _check_vector(v)
+    # a NaN threshold fails too: it would shrink every entry to NaN
+    if not tau >= 0:
+        raise ValueError("tau must be nonnegative, got %r" % tau)
+    _check_radius(radius)
+    return _into_ball(_shrink(v, tau), radius)

@@ -45,7 +45,7 @@ CURVATURE_CLASSES = {"general": (7.0, True), "convex": (1.0, False),
 _SAFETY = 1.01
 
 # the cubic's computed root is a few ulps from the certified boundary; running
-# out of steps means the margin cannot be evaluated at this scale (L*L overflows)
+# out of steps means the margin cannot be evaluated accurately at this scale
 _MAX_ULP_STEPS = 64
 
 
@@ -62,13 +62,24 @@ def _validate(rho, lipschitz, delay_bound, curvature):
 
 
 def descent_margin(rho, lipschitz, delay_bound, curvature):
-    """Descent margin of the given penalty; positive margin is necessary for feasibility."""
+    """Descent margin of the given penalty; positive margin is necessary for feasibility.
+
+    Raises ValueError, naming the arguments, when the margin is out of
+    floating-point range at them: it overflows or divides by zero.
+    """
     _validate(rho, lipschitz, delay_bound, curvature)
     m, _ = CURVATURE_CLASSES[curvature]
-    L = float(lipschitz)
-    T = float(delay_bound)
-    inner = 1.0 / rho + m * L / (2.0 * rho * rho)
-    return rho - 2.0 * inner * L * L * (T + 1.0) ** 2 - L * T * T
+    rho, L, T = float(rho), float(lipschitz), float(delay_bound)
+    try:
+        inner = 1.0 / rho + m * L / (2.0 * rho * rho)
+        margin = rho - 2.0 * inner * L * L * (T + 1.0) ** 2 - L * T * T
+    except (OverflowError, ZeroDivisionError):
+        margin = math.nan
+    if not math.isfinite(margin):
+        raise ValueError(
+            "margin out of floating-point range at rho=%r, lipschitz=%r, "
+            "delay_bound=%r" % (rho, L, T))
+    return margin
 
 
 def _floor_holds(rho, lipschitz, curvature):
@@ -118,22 +129,38 @@ def minimal_rho(lipschitz, delay_bound, curvature):
     margin cubic, then steps one ulp at a time: up while ``certify``
     fails, down while the next smaller double still passes. The result
     passes and ``np.nextafter(result, 0)`` does not.
+
+    Raises ValueError, naming the argument, when ``delay_bound`` or
+    ``lipschitz`` puts the margin out of floating-point range near the
+    root.
     """
     _validate(None, lipschitz, delay_bound, curvature)
     m, _ = CURVATURE_CLASSES[curvature]
     L, T = float(lipschitz), float(delay_bound)
     # the cubic in s = rho / L, which is free of L
-    roots = np.roots([1.0, -T * T, -2.0 * (T + 1.0) ** 2, -m * (T + 1.0) ** 2])
+    try:
+        coeffs = [1.0, -T * T, -2.0 * (T + 1.0) ** 2, -m * (T + 1.0) ** 2]
+    except OverflowError:
+        coeffs = [math.inf]
+    if not all(map(math.isfinite, coeffs)):
+        raise ValueError("margin out of floating-point range at "
+                         "delay_bound=%r" % (T,))
+    roots = np.roots(coeffs)
     root = float(roots[(roots.imag == 0.0) & (roots.real > 0.0)].real.max())
     rho = max(m * L, L * root)
-    for _ in range(_MAX_ULP_STEPS):
-        if not certify(rho, L, T, curvature).feasible:
-            rho = np.nextafter(rho, math.inf)
-        elif certify(np.nextafter(rho, 0.0), L, T, curvature).feasible:
-            rho = np.nextafter(rho, 0.0)
-        else:
-            return float(rho)
-    raise RuntimeError("no certified penalty near the root %r" % (L * root,))
+    try:
+        for _ in range(_MAX_ULP_STEPS):
+            if not certify(rho, L, T, curvature).feasible:
+                rho = np.nextafter(rho, math.inf)
+            elif certify(np.nextafter(rho, 0.0), L, T, curvature).feasible:
+                rho = np.nextafter(rho, 0.0)
+            else:
+                return float(rho)
+    except ValueError:
+        pass  # the margin is out of range at a penalty near the root
+    raise ValueError("margin out of floating-point range at lipschitz=%r "
+                     "(delay_bound=%r): no certified penalty near the root %r"
+                     % (L, T, L * root))
 
 
 def default_penalties(lipschitz, delay_bounds, curvatures):

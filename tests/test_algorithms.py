@@ -1,5 +1,7 @@
 """Solver tests: hand-checked iterations, run() drivers, termination paths."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,15 @@ def test_exact_admm_needs_a_subproblem_solver():
     with pytest.raises(TypeError):
         exact_admm_iteration(problem, initial_state(problem), [8.0],
                              np.zeros(2))
+
+
+def test_run_rejects_penalties_out_of_floating_point_range():
+    comps = [CallableCost(lambda x: 0.0, lambda x: np.zeros(2), dim=2,
+                          lipschitz=1e200) for _ in range(2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="lipschitz=1e\\+200"):
+            run(ConsensusProblem(comps), RunConfig(delay_bound=3))
 
 
 # -- run(): equivalences and determinism -------------------------------------

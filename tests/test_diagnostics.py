@@ -10,6 +10,7 @@ from apadmm import (
     run,
     trace_residuals,
 )
+from apadmm import algorithms, diagnostics, problems
 from apadmm.algorithms import ALGORITHMS, _initial
 from apadmm.benchmark import SparsePcaSpec, generate
 from apadmm.problems import (
@@ -126,7 +127,10 @@ def row_problem(shape):
     if shape == "mixed":
         wavy = CallableCost(lambda z: float(np.sin(z).sum()), np.cos,
                             dim=12, lipschitz=1.0)
-        problem.components[1] = wavy
+        components = list(problem.components)
+        components[1] = wavy
+        problem = ConsensusProblem(components, l1_weight=problem.l1_weight,
+                                   radius=problem.radius)
     return problem
 
 
@@ -210,24 +214,63 @@ def count_evaluations(problem):
     return log
 
 
+def count_passes(monkeypatch):
+    """Log ``("terms", x)`` for every ``consensus_terms`` pass and
+    ``("lagrangian", x, x_local)`` for every ``augmented_lagrangian`` call."""
+    log = []
+    terms, lagrangian = problems.consensus_terms, problems.augmented_lagrangian
+
+    def counted_terms(problem, x):
+        log.append(("terms", np.array(x)))
+        return terms(problem, x)
+
+    def counted_lagrangian(problem, state, rho):
+        log.append(("lagrangian", state.x.copy(), state.x_local.copy()))
+        return lagrangian(problem, state, rho)
+
+    for module in (problems, algorithms, diagnostics):
+        monkeypatch.setattr(module, "consensus_terms", counted_terms)
+    monkeypatch.setattr(diagnostics, "augmented_lagrangian", counted_lagrangian)
+    return log
+
+
 @pytest.mark.parametrize("shape", ["wide", "square", "tall", "mixed"])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_each_update_evaluates_each_component_once_at_the_master_vector(
-        algorithm, shape):
+        algorithm, shape, monkeypatch):
     """The workers and the exchange reuse the master's pass: after the start
-    state, an update evaluates component k once at the new master vector
-    and once (``value``) at its new local copy, and nowhere else."""
+    state, an update makes one ``consensus_terms`` pass at the new master
+    vector and one ``augmented_lagrangian`` at the new state, and nothing
+    else evaluates a component. A problem of quadratics evaluates them
+    from its stack, without a per-component call; the mixed problem
+    evaluates component k once at the master vector and once (``value``)
+    at its local copy."""
     if algorithm == "sync_admm" and shape == "mixed":
         pytest.skip("sync_admm needs components with an exact solver")
     problem = row_problem(shape)
+    assert (problem.stack is None) == (shape == "mixed")
     log = count_evaluations(problem)
+    passes = count_passes(monkeypatch)
     result = run(problem, RunConfig(
         algorithm=algorithm, delay_bound=2, seed=3, max_iters=8,
         epsilon=1e-14, init="random_ball", full_trace=True,
         enforcement="observe", compute_delay={"kind": "uniform", "hi": 1.5}))
     K, states, rows = problem.num_components, result.trace.states, len(result.trace)
     assert rows >= 4
-    # the start state: one evaluation per component, at the start point
+    # the start state: one pass, at the start point
+    assert len(passes) == 1 + 2 * rows
+    assert passes[0][0] == "terms"
+    np.testing.assert_array_equal(passes[0][1], states[0].x)
+    for r in range(rows):
+        state = states[r + 1]
+        (name, x), (lag, lag_x, lag_local) = passes[1 + 2 * r:3 + 2 * r]
+        assert (name, lag) == ("terms", "lagrangian")
+        np.testing.assert_array_equal(x, state.x)
+        np.testing.assert_array_equal(lag_x, state.x)
+        np.testing.assert_array_equal(lag_local, state.x_local)
+    if shape != "mixed":
+        assert log == []
+        return
     assert [k for k, _, _ in log[:K]] == list(range(K))
     for _, _, z in log[:K]:
         np.testing.assert_array_equal(z, states[0].x)

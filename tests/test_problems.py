@@ -388,3 +388,98 @@ def test_smooth_value_is_component_sum():
     assert terms.gradients.shape == (3, 5)
     for row, c in zip(terms.gradients, problem.components):
         np.testing.assert_array_equal(row, c.gradient(x))
+
+
+# -- the stacked data of a quadratic problem ---------------------------------
+
+STACK_ROWS = {"wide": 6, "square": 12, "tall": 18, "ragged": [6, 18, 1, 12]}
+
+
+def stacked_problem(shape):
+    return generate(SparsePcaSpec(dim=12, num_components=4,
+                                  rows=STACK_ROWS[shape], nonzero_prob=0.3,
+                                  l1_weight=0.05, seed=4))
+
+
+def loop_terms(problem, x):
+    """Objective and gradients from the per-component methods, in order."""
+    value = 0.0
+    for c in problem.components:
+        value += c.value(x)
+    grads = np.stack([c.gradient(x) for c in problem.components])
+    return value + problem.l1_weight * float(np.abs(x).sum()), grads
+
+
+def loop_lagrangian(problem, state, rho):
+    total = problem.l1_weight * float(np.abs(state.x).sum())
+    for k, c in enumerate(problem.components):
+        diff = state.x_local[k] - state.x
+        total += c.value(state.x_local[k])
+        total += float(state.y[k] @ diff)
+        total += 0.5 * rho[k] * float(diff @ diff)
+    return total
+
+
+@pytest.mark.parametrize("shape", sorted(STACK_ROWS))
+def test_batched_evaluation_matches_the_component_methods(shape):
+    # bit for bit on equal row counts; padding regroups the BLAS sums of
+    # ragged blocks, so those agree to rounding
+    problem = stacked_problem(shape)
+    assert problem.stack is not None
+    exact = shape != "ragged"
+    rng = np.random.default_rng(8)
+    rho = rng.uniform(5.0, 20.0, 4)
+    for _ in range(5):
+        x = rng.standard_normal(12) * 0.3
+        terms = consensus_terms(problem, x)
+        objective, grads = loop_terms(problem, x)
+        state = make_state(problem, x, rng.standard_normal((4, 12)) * 0.3,
+                           rng.standard_normal((4, 12)))
+        lagrangian = augmented_lagrangian(problem, state, rho)
+        reference = loop_lagrangian(problem, state, rho)
+        if exact:
+            np.testing.assert_array_equal(terms.gradients, grads)
+            assert terms.objective == objective
+            assert lagrangian == reference
+        else:
+            np.testing.assert_allclose(terms.gradients, grads, rtol=1e-12,
+                                       atol=1e-12 * np.abs(grads).max())
+            assert terms.objective == pytest.approx(objective, rel=1e-12)
+            assert lagrangian == pytest.approx(reference, rel=1e-12)
+
+
+def test_components_view_one_stack_of_their_data():
+    spec = SparsePcaSpec(dim=12, num_components=4, rows=STACK_ROWS["ragged"],
+                         nonzero_prob=0.3, seed=4)
+    data = [np.array(c.B) for c in generate(spec).components]
+    problem = generate(spec)
+    stack = problem.stack
+    assert stack.shape == (4, 18, 12) and stack.flags.c_contiguous
+    assert not stack.flags.writeable
+    for k, (comp, B) in enumerate(zip(problem.components, data)):
+        assert np.shares_memory(comp.B, stack)
+        assert comp.B.flags.c_contiguous
+        np.testing.assert_array_equal(comp.B, B)
+        np.testing.assert_array_equal(stack[k, len(B):], 0.0)
+
+
+def test_components_are_immutable():
+    problem = stacked_problem("wide")
+    assert isinstance(problem.components, tuple)
+    with pytest.raises(TypeError):
+        problem.components[1] = problem.components[0]
+    with pytest.raises(ValueError):
+        problem.components[0].B[0, 0] = 1.0
+
+
+def test_problems_with_other_components_have_no_stack():
+    quad = ConcaveQuadratic(np.ones((2, 3)))
+    wavy = CallableCost(lambda z: float(np.sin(z).sum()), np.cos, dim=3,
+                        lipschitz=1.0)
+    problem = ConsensusProblem([quad, wavy])
+    assert problem.stack is None
+    x = np.array([0.1, -0.2, 0.3])
+    objective, grads = loop_terms(problem, x)
+    terms = consensus_terms(problem, x)
+    assert terms.objective == objective
+    np.testing.assert_array_equal(terms.gradients, grads)

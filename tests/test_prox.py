@@ -284,3 +284,25 @@ def test_rejects_bad_vectors():
         prox_l1_ball(np.array([np.nan, 0.0]), 0.5, 1.0)
     with pytest.raises(ValueError):
         project_ball(np.array([1.0, np.inf]), 1.0)
+
+
+def test_prox_l1_ball_checks_each_argument():
+    v = np.array([0.3, -2.0, 0.1])
+    with pytest.raises(ValueError, match="tau must be nonnegative"):
+        prox_l1_ball(v, -0.1, 1.0)
+    with pytest.raises(ValueError, match="tau must be nonnegative"):
+        prox_l1_ball(v, float("nan"), 1.0)
+    with pytest.raises(ValueError, match="radius must be positive"):
+        prox_l1_ball(v, 0.1, 0.0)
+    with pytest.raises(ValueError, match="1-D vector"):
+        prox_l1_ball(np.ones((2, 2)), 0.1, 1.0)
+
+
+def test_prox_l1_ball_is_the_composition_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for radius in (0.05, 1.0, 50.0):
+        v = rng.standard_normal(20)
+        out = prox_l1_ball(v, 0.3, radius)
+        np.testing.assert_array_equal(
+            out, project_ball(soft_threshold(v, 0.3), radius))
+        assert out is not v

@@ -1,6 +1,7 @@
 """Stepsize certification tests: frozen margins, minimality, class ordering."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,24 @@ def test_non_finite_arguments_are_rejected_by_name(bad):
         minimal_rho(bad, 0, "general")
     with pytest.raises(ValueError, match="delay bound"):
         minimal_rho(1.0, bad, "general")
+
+
+@pytest.mark.parametrize("L,T,needle", [
+    (1.0, 1e200, "delay_bound=1e+200"),
+    (1e-300, 3.0, "lipschitz=1e-300"),
+    (1e200, 3.0, "lipschitz=1e+200"),
+], ids=["T_huge", "L_tiny", "L_huge"])
+def test_out_of_range_scales_raise_a_named_value_error(L, T, needle):
+    # finite inputs whose margin overflows or divides by zero; no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="out of floating-point range") as err:
+            minimal_rho(L, T, "general")
+        assert needle in str(err.value)
+        with pytest.raises(ValueError, match="delay_bound=1e\\+60"):
+            descent_margin(1e300, 1e200, 1e60, "general")
+        with pytest.raises(ValueError, match="rho=1e-300"):
+            descent_margin(1e-300, 1.0, 3.0, "general")
 
 
 def test_certify_verdicts():

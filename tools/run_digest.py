@@ -1,9 +1,11 @@
 """Print one digest line per run of a fixed grid, to compare two versions.
 
 Runs three algorithms x three delay bounds x two start points on the
-desk instance, plus a lossy, a dead-uplink and a delayed-link run, and
-one ``sync_admm`` run on a square instance (N = M = 20, as in the desk
-table3 sweep), all with ``full_trace``. Each line holds the run's label,
+desk instance, plus a lossy, a dead-uplink and a delayed-link run, one
+``sync_admm`` run on a square instance (N = M = 20, as in the desk
+table3 sweep) and one run per algorithm on blocks of unequal row counts
+(which a problem stores padded with zero rows), all with
+``full_trace``. Each line holds the run's label,
 termination, iterations, updates and a SHA-256 over rho, every trace
 column and every snapshot array, so equal outputs mean two versions
 produced the same bits on every run of the grid:
@@ -46,6 +48,10 @@ def grid():
         downlink={"delay": {"kind": "uniform", "hi": 1.5}}, uplink=0.5)
     yield "sync_admm square N=M=20", dict(
         algorithm="sync_admm", delay_bound=5, instance=dict(dim=20, l1_weight=0.0))
+    for algorithm in ("async_padmm", "sync_padmm", "sync_admm"):
+        yield "%s ragged rows" % algorithm, dict(
+            algorithm=algorithm, delay_bound=3,
+            instance=dict(rows=[20, 35, 10, 20, 50]))
 
 
 def digest(result):
