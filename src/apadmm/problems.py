@@ -14,12 +14,12 @@ Each component is evaluated once per master iterate, in the one pass of
 residual (the optimality measure, the trace row) and the gradients the
 workers deliver, after their delays if any.
 
-When every component is a ``ConcaveQuadratic``, the problem holds their
-data once, as one ``(K, M_max, N)`` stack with shorter blocks padded by
-zero rows, and each component's ``B`` is a view of its leading rows. The
-pass at the master vector and the augmented Lagrangian at the local
-copies are then a few batched matrix products over the stack instead of
-K calls each; other components are evaluated one call at a time.
+When every component is a ``ConcaveQuadratic`` and all have the same
+number of rows, the problem holds their data once, as one ``(K, M, N)``
+stack, and each component's ``B`` is a view of its block. The pass at the
+master vector and the augmented Lagrangian at the local copies are then a
+few batched matrix products over the stack instead of K calls each; other
+problems evaluate one component call at a time.
 """
 
 from dataclasses import dataclass, field
@@ -79,11 +79,10 @@ class ConcaveQuadratic:
     """Component cost ``g(z) = -0.5 * ||B z||^2`` for an M x N data matrix B.
 
     Keeps only B and evaluates through it: ``B @ z``, then
-    ``B.T @ (B @ z)``, so no N x N Gram matrix is held. Once the component
-    is in a ``ConsensusProblem`` of quadratics, B is a read-only view of
-    its rows of the problem's ``stack`` (of the last such problem built
-    with it), so the data is held once. The component
-    supports the exact penalized argmin needed by the synchronous
+    ``B.T @ (B @ z)``, so no N x N Gram matrix is held. A
+    ``ConsensusProblem`` that stacks its components' data rebinds B to a
+    read-only view of its block; reassigning B after that is unsupported.
+    The component supports the exact penalized argmin needed by the synchronous
     exact-minimization baseline, with one M x N solve operator cached per
     penalty value.
 
@@ -157,6 +156,44 @@ class ConcaveQuadratic:
         return (b + self.B.T @ (C @ b)) / key
 
 
+def _stack_quadratics(components):
+    """The components' data as one read-only ``(K, M, N)`` array, or None.
+
+    Only for ``ConcaveQuadratic`` components that all have M rows; each
+    component's B is rebound to its block of the stack, so the data is
+    held once. A component shared by several problems views the stack of
+    the last one built, which holds the same values.
+    """
+    if not all(isinstance(c, ConcaveQuadratic) for c in components):
+        return None
+    if len({len(c.B) for c in components}) != 1:
+        return None
+    stack = np.stack([c.B for c in components])
+    stack.flags.writeable = False
+    for c, block in zip(components, stack):
+        c.B = block
+    return stack
+
+
+def _row_dots(a, b):
+    # ``[a[k] @ b[k] for k]``, each row pair as one dot product
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _stacked_values(stack, X):
+    """``(g_k(X_k) for each k, W)`` with ``W_k = B_k X_k``, ``B_k = stack[k]``.
+
+    X is one vector for every block or one row per block.
+    """
+    W = stack @ X if X.ndim == 1 else (stack @ X[:, :, None])[:, :, 0]
+    return -0.5 * _row_dots(W, W), W
+
+
+def _stacked_gradients(stack, W):
+    """``-B_k^T W_k`` for each k: the gradients, from ``_stacked_values``' W."""
+    return -(W[:, None, :] @ stack)[:, 0, :]
+
+
 class CallableCost:
     """Component cost backed by explicit value/gradient callables.
 
@@ -189,11 +226,9 @@ class CallableCost:
 class ConsensusProblem:
     """Problem data: component costs plus the shared l1 + ball regularizer.
 
-    ``components`` is stored as a tuple. When every component is a
-    ``ConcaveQuadratic``, ``stack`` holds their data as one C-contiguous
-    ``(K, M_max, N)`` array, shorter blocks padded with zero rows, and each
-    component's ``B`` is rebound to ``stack[k, :M_k]``; otherwise ``stack``
-    is None.
+    ``components`` is stored as a tuple. ``stack`` holds the data of
+    ``ConcaveQuadratic`` components of equal row count once, as their
+    ``(K, M, N)`` stack (``_stack_quadratics``); otherwise it is None.
     """
 
     components: tuple
@@ -218,15 +253,7 @@ class ConsensusProblem:
                 raise ValueError("component %d has nonpositive Lipschitz constant" % i)
             if c.curvature not in CURVATURE_CLASSES:
                 raise ValueError("component %d has unknown curvature class" % i)
-        if all(isinstance(c, ConcaveQuadratic) for c in self.components):
-            rows = [len(c.B) for c in self.components]
-            stack = np.zeros((len(rows), max(rows), self.dim))
-            for k, c in enumerate(self.components):
-                stack[k, :rows[k]] = c.B
-            stack.flags.writeable = False
-            for k, c in enumerate(self.components):
-                c.B = stack[k, :rows[k]]
-            self.stack = stack
+        self.stack = _stack_quadratics(self.components)
 
     @property
     def dim(self):
@@ -312,9 +339,8 @@ def consensus_terms(problem, x):
         for k, c in enumerate(problem.components):
             values[k], grads[k] = c.value_and_gradient(x)
     else:
-        W = data @ x
-        values = -0.5 * _row_dots(W, W)
-        grads = -(W[:, None, :] @ data)[:, 0, :]
+        values, W = _stacked_values(data, x)
+        grads = _stacked_gradients(data, W)
     # both paths sum one component at a time, in order, so they agree bit
     # for bit whenever the per-component terms do
     value = 0.0
@@ -326,11 +352,6 @@ def consensus_terms(problem, x):
     obj = value + problem.l1_weight * float(np.abs(x).sum())
     residual = x - prox_l1_ball(x - grad, problem.l1_weight, problem.radius)
     return ConsensusTerms(obj, residual, grads)
-
-
-def _row_dots(a, b):
-    # ``[a[k] @ b[k] for k]``, each row pair as one dot product
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def augmented_lagrangian(problem, state, rho):
@@ -346,8 +367,7 @@ def augmented_lagrangian(problem, state, rho):
     if data is None:
         values = [c.value(u) for c, u in zip(problem.components, state.x_local)]
     else:
-        W = (data @ state.x_local[:, :, None])[:, :, 0]
-        values = (-0.5 * _row_dots(W, W)).tolist()
+        values = _stacked_values(data, state.x_local)[0].tolist()
     diff = state.x_local - state.x
     cross = _row_dots(state.y, diff).tolist()
     square = (0.5 * rho * _row_dots(diff, diff)).tolist()

@@ -29,10 +29,6 @@ def _check_radius(radius):
         raise ValueError("radius must be positive, got %r" % radius)
 
 
-def _shrink(v, tau):
-    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
-
-
 def _into_ball(v, radius):
     # v itself when feasible, else its radial scaling onto the sphere
     norm = float(np.linalg.norm(v))
@@ -55,9 +51,10 @@ def soft_threshold(v, tau):
         ``sign(v) * max(|v| - tau, 0)`` evaluated componentwise.
     """
     v = _check_vector(v)
-    if tau < 0:
+    # a NaN threshold fails too: it would shrink every entry to NaN
+    if not tau >= 0:
         raise ValueError("tau must be nonnegative, got %r" % tau)
-    return _shrink(v, tau)
+    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 
 def project_ball(v, radius):
@@ -92,9 +89,6 @@ def prox_l1_ball(v, tau, radius):
         over the ball, computed as ``project_ball(soft_threshold(v, tau))``
         with one check of the input.
     """
-    v = _check_vector(v)
-    # a NaN threshold fails too: it would shrink every entry to NaN
-    if not tau >= 0:
-        raise ValueError("tau must be nonnegative, got %r" % tau)
+    u = soft_threshold(v, tau)
     _check_radius(radius)
-    return _into_ball(_shrink(v, tau), radius)
+    return _into_ball(u, radius)

@@ -64,8 +64,9 @@ def _validate(rho, lipschitz, delay_bound, curvature):
 def descent_margin(rho, lipschitz, delay_bound, curvature):
     """Descent margin of the given penalty; positive margin is necessary for feasibility.
 
-    Raises ValueError, naming the arguments, when the margin is out of
-    floating-point range at them: it overflows or divides by zero.
+    The margin is -inf when a subtracted term is out of floating-point
+    range and the margin is certainly negative. Raises ValueError, naming
+    the arguments, when it is out of range and its sign is not known.
     """
     _validate(rho, lipschitz, delay_bound, curvature)
     m, _ = CURVATURE_CLASSES[curvature]
@@ -75,7 +76,11 @@ def descent_margin(rho, lipschitz, delay_bound, curvature):
         margin = rho - 2.0 * inner * L * L * (T + 1.0) ** 2 - L * T * T
     except (OverflowError, ZeroDivisionError):
         margin = math.nan
-    if not math.isfinite(margin):
+    # the margin is below rho - 2 L^2 (T+1)^2 / rho, negative once
+    # L (T+1) >= rho; an overflow to -inf is negative as it stands
+    if math.isnan(margin):
+        if L * (T + 1.0) >= rho:
+            return -math.inf
         raise ValueError(
             "margin out of floating-point range at rho=%r, lipschitz=%r, "
             "delay_bound=%r" % (rho, L, T))

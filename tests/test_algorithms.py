@@ -177,6 +177,15 @@ def test_run_rejects_penalties_out_of_floating_point_range():
             run(ConsensusProblem(comps), RunConfig(delay_bound=3))
 
 
+def test_run_reports_a_penalty_with_an_overflowing_margin_infeasible():
+    problem = generate(SparsePcaSpec(dim=6, num_components=2, rows=3,
+                                     nonzero_prob=0.3, seed=1))
+    result = run(problem, RunConfig(rho=1e-160, delay_bound=1,
+                                    enforcement="observe"))
+    assert result.termination == "infeasible_stepsize"
+    assert [c.margin for c in result.certificates] == [-np.inf, -np.inf]
+
+
 # -- run(): equivalences and determinism -------------------------------------
 
 def one_step(algorithm, problem, state, rho):

@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, artifacts, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -300,8 +301,7 @@ def test_certify_rejects_non_finite_inputs(capsys, flags, needle):
     (["--L", "1", "--T", "1e200"], "delay_bound=1e+200"),
     (["--L", "1e-300", "--T", "3"], "lipschitz=1e-300"),
     (["--L", "1e200", "--T", "3"], "no certified penalty"),
-    (["--L", "1", "--T", "3", "--rho", "1e-300"], "rho=1e-300"),
-], ids=["T_huge", "L_tiny", "L_huge", "rho_tiny"])
+], ids=["T_huge", "L_tiny", "L_huge"])
 def test_certify_reports_out_of_range_inputs(capsys, flags, needle):
     # finite inputs whose margin overflows or divides by zero in floating point
     assert run_cli(["certify", "--class", "general", *flags]) == 1
@@ -309,6 +309,15 @@ def test_certify_reports_out_of_range_inputs(capsys, flags, needle):
     assert out == ""
     assert err.startswith("error: margin out of floating-point range")
     assert needle in err
+
+
+@pytest.mark.parametrize("rho", ["1e-160", "1e-300"])
+def test_certify_reports_a_tiny_penalty_infeasible(capsys, rho):
+    # the margin's terms overflow, and it is certainly negative
+    assert run_cli(["certify", "--class", "general", "--L", "1", "--T", "3",
+                    "--rho", rho]) == 4
+    record = json.loads(capsys.readouterr().out)
+    assert record["margin"] == -math.inf and record["feasible"] is False
 
 
 # -- bench -------------------------------------------------------------------

@@ -392,7 +392,7 @@ def test_smooth_value_is_component_sum():
 
 # -- the stacked data of a quadratic problem ---------------------------------
 
-STACK_ROWS = {"wide": 6, "square": 12, "tall": 18, "ragged": [6, 18, 1, 12]}
+STACK_ROWS = {"wide": 6, "square": 12, "tall": 18}
 
 
 def stacked_problem(shape):
@@ -422,11 +422,8 @@ def loop_lagrangian(problem, state, rho):
 
 @pytest.mark.parametrize("shape", sorted(STACK_ROWS))
 def test_batched_evaluation_matches_the_component_methods(shape):
-    # bit for bit on equal row counts; padding regroups the BLAS sums of
-    # ragged blocks, so those agree to rounding
     problem = stacked_problem(shape)
     assert problem.stack is not None
-    exact = shape != "ragged"
     rng = np.random.default_rng(8)
     rho = rng.uniform(5.0, 20.0, 4)
     for _ in range(5):
@@ -437,30 +434,35 @@ def test_batched_evaluation_matches_the_component_methods(shape):
                            rng.standard_normal((4, 12)))
         lagrangian = augmented_lagrangian(problem, state, rho)
         reference = loop_lagrangian(problem, state, rho)
-        if exact:
-            np.testing.assert_array_equal(terms.gradients, grads)
-            assert terms.objective == objective
-            assert lagrangian == reference
-        else:
-            np.testing.assert_allclose(terms.gradients, grads, rtol=1e-12,
-                                       atol=1e-12 * np.abs(grads).max())
-            assert terms.objective == pytest.approx(objective, rel=1e-12)
-            assert lagrangian == pytest.approx(reference, rel=1e-12)
+        np.testing.assert_array_equal(terms.gradients, grads)
+        assert terms.objective == objective
+        assert lagrangian == reference
 
 
 def test_components_view_one_stack_of_their_data():
-    spec = SparsePcaSpec(dim=12, num_components=4, rows=STACK_ROWS["ragged"],
+    spec = SparsePcaSpec(dim=12, num_components=4, rows=STACK_ROWS["tall"],
                          nonzero_prob=0.3, seed=4)
     data = [np.array(c.B) for c in generate(spec).components]
     problem = generate(spec)
     stack = problem.stack
     assert stack.shape == (4, 18, 12) and stack.flags.c_contiguous
     assert not stack.flags.writeable
-    for k, (comp, B) in enumerate(zip(problem.components, data)):
+    for comp, B in zip(problem.components, data):
         assert np.shares_memory(comp.B, stack)
         assert comp.B.flags.c_contiguous
         np.testing.assert_array_equal(comp.B, B)
-        np.testing.assert_array_equal(stack[k, len(B):], 0.0)
+
+
+def test_a_component_shared_by_two_problems_keeps_both_exact():
+    first = stacked_problem("wide")
+    second = ConsensusProblem(first.components[::-1], l1_weight=0.05)
+    assert np.shares_memory(first.components[0].B, second.stack)
+    x = np.random.default_rng(2).standard_normal(12) * 0.3
+    for problem in (first, second):
+        objective, grads = loop_terms(problem, x)
+        terms = consensus_terms(problem, x)
+        assert terms.objective == objective
+        np.testing.assert_array_equal(terms.gradients, grads)
 
 
 def test_components_are_immutable():
@@ -472,11 +474,13 @@ def test_components_are_immutable():
         problem.components[0].B[0, 0] = 1.0
 
 
-def test_problems_with_other_components_have_no_stack():
-    quad = ConcaveQuadratic(np.ones((2, 3)))
+@pytest.mark.parametrize("mix", ["callable", "ragged"])
+def test_other_problems_have_no_stack_and_use_the_methods(mix):
     wavy = CallableCost(lambda z: float(np.sin(z).sum()), np.cos, dim=3,
                         lipschitz=1.0)
-    problem = ConsensusProblem([quad, wavy])
+    other = wavy if mix == "callable" else ConcaveQuadratic(np.ones((3, 3)))
+    quad = ConcaveQuadratic(np.arange(6.0).reshape(2, 3))
+    problem = ConsensusProblem([quad, other])
     assert problem.stack is None
     x = np.array([0.1, -0.2, 0.3])
     objective, grads = loop_terms(problem, x)

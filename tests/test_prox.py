@@ -292,6 +292,8 @@ def test_prox_l1_ball_checks_each_argument():
         prox_l1_ball(v, -0.1, 1.0)
     with pytest.raises(ValueError, match="tau must be nonnegative"):
         prox_l1_ball(v, float("nan"), 1.0)
+    with pytest.raises(ValueError, match="tau must be nonnegative"):
+        soft_threshold(v, float("nan"))
     with pytest.raises(ValueError, match="radius must be positive"):
         prox_l1_ball(v, 0.1, 0.0)
     with pytest.raises(ValueError, match="1-D vector"):

@@ -72,10 +72,24 @@ def test_out_of_range_scales_raise_a_named_value_error(L, T, needle):
         with pytest.raises(ValueError, match="out of floating-point range") as err:
             minimal_rho(L, T, "general")
         assert needle in str(err.value)
-        with pytest.raises(ValueError, match="delay_bound=1e\\+60"):
-            descent_margin(1e300, 1e200, 1e60, "general")
-        with pytest.raises(ValueError, match="rho=1e-300"):
-            descent_margin(1e-300, 1.0, 3.0, "general")
+
+
+@pytest.mark.parametrize("rho,L,T", [
+    (1e300, 1e200, 1e60), (1e-160, 1.0, 3.0), (1e-300, 1.0, 3.0),
+    (1.0, 1.0, 1e200),
+], ids=["overflow", "rho_small", "rho_squared_zero", "T_huge"])
+def test_out_of_range_margins_of_certain_sign_are_minus_infinity(rho, L, T):
+    # rho minus terms that overflow, or that exceed rho once L (T+1) >= rho
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert descent_margin(rho, L, T, "general") == -math.inf
+        assert not certify(rho, L, T, "general").feasible
+
+
+def test_out_of_range_margin_of_unknown_sign_raises_a_named_value_error():
+    # rho * rho underflows, and with L this small the margin may be positive
+    with pytest.raises(ValueError, match="rho=1e-170, lipschitz=1e-200"):
+        descent_margin(1e-170, 1e-200, 3.0, "general")
 
 
 def test_certify_verdicts():

@@ -4,7 +4,7 @@ Runs three algorithms x three delay bounds x two start points on the
 desk instance, plus a lossy, a dead-uplink and a delayed-link run, one
 ``sync_admm`` run on a square instance (N = M = 20, as in the desk
 table3 sweep) and one run per algorithm on blocks of unequal row counts
-(which a problem stores padded with zero rows), all with
+(which a problem evaluates one component at a time), all with
 ``full_trace``. Each line holds the run's label,
 termination, iterations, updates and a SHA-256 over rho, every trace
 column and every snapshot array, so equal outputs mean two versions
