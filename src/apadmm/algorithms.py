@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .problems import IterationTrace, SolverState, consensus_terms, initial_state
-from .prox import prox_l1_ball
+from .prox import _norm, prox_l1_ball
 from .simnet import DelayModel, LinkModel, StarNetwork, _is_number
 from .stepsize import certify, default_penalties, exact_baseline_penalty
 from . import diagnostics
@@ -152,8 +152,8 @@ def master_step(problem, state, rho):
     scaling comes from completing the square in the master subproblem.
     """
     rho = np.asarray(rho, dtype=float)
-    total = float(rho.sum())
-    v = (rho[:, None] * state.x_local + state.y).sum(axis=0) / total
+    total = float(np.add.reduce(rho))
+    v = np.add.reduce(rho[:, None] * state.x_local + state.y, axis=0) / total
     return prox_l1_ball(v, problem.l1_weight / total, problem.radius)
 
 
@@ -270,7 +270,7 @@ def _initial(problem, config):
         return initial_state(problem)
     rng = np.random.default_rng([int(config.seed), 17])
     direction = rng.standard_normal(problem.dim)
-    direction /= max(float(np.linalg.norm(direction)), 1e-300)
+    direction /= max(_norm(direction), 1e-300)
     return initial_state(problem, 0.5 * problem.radius * direction)
 
 

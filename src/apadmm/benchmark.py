@@ -16,6 +16,7 @@ stopping threshold. Runs that hit the iteration cap are counted as
 censored and excluded from the mean, never silently averaged.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,9 @@ class SparsePcaSpec:
     def __post_init__(self):
         if self.dim < 1 or self.num_components < 1:
             raise ValueError("dim and num_components must be at least 1")
-        if self.l1_weight < 0:
-            raise ValueError("l1_weight must be nonnegative")
+        if not 0 <= self.l1_weight < math.inf:     # NaN fails too
+            raise ValueError("l1_weight must be nonnegative and finite, not %r"
+                             % (self.l1_weight,))
         for m in np.atleast_1d(self.rows):
             if int(m) < 1:
                 raise ValueError("rows must be at least 1")

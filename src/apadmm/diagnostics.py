@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .problems import augmented_lagrangian, consensus_terms, feasibility_gap
+from .prox import _norm
 from .stepsize import descent_margin
 
 __all__ = [
@@ -36,7 +37,7 @@ __all__ = [
 def _stationarity(state, terms):
     # objective, relative gap, prox-gradient norm and measure at state.x
     _, gap_rel = feasibility_gap(state)
-    pg_norm = float(np.linalg.norm(terms.prox_residual))
+    pg_norm = _norm(terms.prox_residual)
     return terms.objective, gap_rel, pg_norm, gap_rel + pg_norm
 
 
@@ -130,8 +131,8 @@ def trace_residuals(problem, trace, rho, delay_bounds,
         worst = np.inf
         for k in range(K):
             grad = problem.components[k].gradient(x_at(st.stale_index[k]))
-            resid = float(np.linalg.norm(grad + st.y[k]))
-            allowed = dual_tol * (1.0 + float(np.linalg.norm(st.y[k])))
+            resid = _norm(grad + st.y[k])
+            allowed = dual_tol * (1.0 + _norm(st.y[k]))
             worst = min(worst, allowed - resid)
         margins.append(worst)
         if worst < 0:
@@ -172,6 +173,10 @@ def trace_residuals(problem, trace, rho, delay_bounds,
     if rows < t_max + 2:
         outcomes.append(CheckOutcome("dual_difference", "skipped"))
     else:
+        # squared master steps ||x_at(j + 1) - x_at(j)||^2, each taken
+        # once; steps before the start are 0, like squares[0]
+        squares = [float(step @ step) for step in
+                   (x_at(j + 1) - x_at(j) for j in range(rows + 1))]
         margins, failing = [], []
         for r in range(1, rows + 1):
             worst = np.inf
@@ -180,8 +185,7 @@ def trace_residuals(problem, trace, rho, delay_bounds,
                 window = 0.0
                 T_k = int(delay_bounds[k])
                 for i in range(T_k + 1):
-                    step = x_at(r + 1 - i) - x_at(r - i)
-                    window += float(step @ step)
+                    window += squares[max(r - i, 0)]
                 bound = lipschitz[k] ** 2 * (T_k + 1) * window + dual_diff_tol
                 worst = min(worst, bound - float(dy @ dy))
             margins.append(worst)

@@ -22,13 +22,14 @@ few batched matrix products over the stack instead of K calls each; other
 problems evaluate one component call at a time.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from .prox import prox_l1_ball
+from .prox import _norm, prox_l1_ball
 from .stepsize import CURVATURE_CLASSES
 
 __all__ = [
@@ -241,10 +242,13 @@ class ConsensusProblem:
         self.components = tuple(self.components)
         if len(self.components) < 1:
             raise ValueError("need at least one component")
-        if self.l1_weight < 0:
-            raise ValueError("l1_weight must be nonnegative")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        # written so that NaN fails each check
+        if not 0 <= self.l1_weight < math.inf:
+            raise ValueError("l1_weight must be nonnegative and finite, not %r"
+                             % (self.l1_weight,))
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite, not %r"
+                             % (self.radius,))
         dims = {c.dim for c in self.components}
         if len(dims) != 1:
             raise ValueError("components disagree on dimension: %s" % sorted(dims))
@@ -346,10 +350,9 @@ def consensus_terms(problem, x):
     value = 0.0
     for v in values.tolist():
         value += v
-    grad = np.zeros(problem.dim)
-    for g in grads:
-        grad += g
-    obj = value + problem.l1_weight * float(np.abs(x).sum())
+    # rows added in order onto 0.0, so a column of -0.0 sums to 0.0
+    grad = np.add.reduce(grads, axis=0, initial=0.0)
+    obj = value + problem.l1_weight * float(np.add.reduce(np.abs(x)))
     residual = x - prox_l1_ball(x - grad, problem.l1_weight, problem.radius)
     return ConsensusTerms(obj, residual, grads)
 
@@ -371,7 +374,7 @@ def augmented_lagrangian(problem, state, rho):
     diff = state.x_local - state.x
     cross = _row_dots(state.y, diff).tolist()
     square = (0.5 * rho * _row_dots(diff, diff)).tolist()
-    total = problem.l1_weight * float(np.abs(state.x).sum())
+    total = problem.l1_weight * float(np.add.reduce(np.abs(state.x)))
     for k in range(problem.num_components):
         total += values[k]
         total += cross[k]
@@ -385,9 +388,12 @@ def feasibility_gap(state):
     Absolute: ``max_k ||x_local_k - x||``. Relative divides by ``||x||``,
     falling back to the absolute gap when ``||x|| == 0``.
     """
-    gaps = np.linalg.norm(state.x_local - state.x[None, :], axis=1)
-    absolute = float(gaps.max())
-    norm_x = float(np.linalg.norm(state.x))
+    # np.linalg.norm(d, axis=1) is sqrt(add.reduce(d * d, axis=1)), and
+    # the square root is monotone: the largest gap is the root of the
+    # largest square
+    d = state.x_local - state.x
+    absolute = math.sqrt(np.add.reduce(d * d, axis=1).max())
+    norm_x = _norm(state.x)
     relative = absolute / norm_x if norm_x > 0 else absolute
     return absolute, relative
 

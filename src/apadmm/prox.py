@@ -10,16 +10,28 @@ every coordinate by the same positive factor, leaving the active set and
 signs of the soft-thresholding solution unchanged).
 """
 
+import math
+
 import numpy as np
 
 __all__ = ["soft_threshold", "project_ball", "prox_l1_ball"]
+
+
+def _norm(v):
+    """``np.linalg.norm(v)`` of a real array, bit for bit, without its wrapper.
+
+    The same steps numpy takes: ravel in memory order, then the square root
+    of the dot product with itself.
+    """
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def _check_vector(v, name="v"):
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise ValueError("%s must be a 1-D vector, got shape %s" % (name, v.shape))
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("%s contains non-finite entries" % name)
     return v
 
@@ -31,7 +43,7 @@ def _check_radius(radius):
 
 def _into_ball(v, radius):
     # v itself when feasible, else its radial scaling onto the sphere
-    norm = float(np.linalg.norm(v))
+    norm = _norm(v)
     return v if norm <= radius else v * (radius / norm)
 
 
@@ -48,12 +60,16 @@ def soft_threshold(v, tau):
     Returns
     -------
     ndarray
-        ``sign(v) * max(|v| - tau, 0)`` evaluated componentwise.
+        ``sign(v) * max(|v| - tau, 0)`` evaluated componentwise. At
+        ``tau == 0`` that is ``v + 0.0``, a new array equal to v bit for
+        bit except that -0.0 becomes 0.0 (``sign(-0.0)`` is 0.0).
     """
     v = _check_vector(v)
     # a NaN threshold fails too: it would shrink every entry to NaN
     if not tau >= 0:
         raise ValueError("tau must be nonnegative, got %r" % tau)
+    if tau == 0:
+        return v + 0.0
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 

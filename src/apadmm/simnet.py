@@ -19,6 +19,12 @@ Semantics pinned down here:
 * Events are ordered by (time, insertion sequence), so equal-time events
   process in creation order and the whole simulation is a pure function of
   the seed and the call sequence.
+* Every loss and delay draw is taken, in call order, from one private
+  stream of standard uniforms (``_UniformStream``), which fills blocks
+  from ``Generator.random``; a uniform delay is ``lo + (hi - lo) * u``,
+  numpy's own formula for ``Generator.uniform``. Drawing ahead in blocks
+  changes no value, so runs are still a pure function of the seed and the
+  call sequence, and equal to scalar ``Generator.uniform`` draws.
 * ``collect`` returns at most one gradient per worker: the one with the
   smallest worker-local stamp, older leftovers and fresher duplicates in
   the same window are discarded.
@@ -145,13 +151,19 @@ class DelayModel:
         _check_keys(spec, name, ("kind",) + required, optional)
         return cls(kind, name=name, **_typed_values(spec, name, "kind"))
 
-    def sample(self, rng):
+    def sample(self, uniform):
+        """One delay; ``uniform()`` returns a standard uniform draw.
+
+        Only a uniform delay with ``hi > lo`` calls it, once, and returns
+        ``lo + (hi - lo) * u``: with ``uniform = rng.random`` that is
+        ``rng.uniform(lo, hi)`` bit for bit.
+        """
         if self.kind == "constant":
             return self.value
         if self.kind == "uniform":
             if self.hi == self.lo:
                 return self.lo
-            return float(rng.uniform(self.lo, self.hi))
+            return self.lo + (self.hi - self.lo) * uniform()
         out = self.values[self._cursor % len(self.values)]
         self._cursor += 1
         return out
@@ -197,6 +209,27 @@ class Message:
     arrived_at: float
 
 
+class _UniformStream:
+    """Standard uniforms from ``default_rng(seed)``, drawn in blocks.
+
+    Each call returns the next ``Generator.random()`` value of the
+    generator's stream: ``BLOCK`` values are drawn at once with
+    ``Generator.random(BLOCK)``, which consumes the stream exactly as that
+    many scalar draws do, and handed out in order.
+    """
+
+    BLOCK = 256
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self._buffer = []      # the rest of the current block, reversed
+
+    def __call__(self):
+        if not self._buffer:
+            self._buffer = self._rng.random(self.BLOCK)[::-1].tolist()
+        return self._buffer.pop()
+
+
 class StarNetwork:
     """K workers behind per-worker links; ``compute_delays`` are ``DelayModel``s.
 
@@ -218,7 +251,7 @@ class StarNetwork:
         self.now = 0.0
         self._heap = []
         self._seq = 0
-        self._rng = np.random.default_rng(seed)
+        self._uniform = _UniformStream(seed)
         self._busy = [False] * num_workers
         self._pending = [None] * num_workers          # (copy_index, x) while idle
         self._pickup_scheduled = [False] * num_workers
@@ -251,10 +284,10 @@ class StarNetwork:
         x = np.asarray(x, dtype=float)
         for k in range(self.num_workers):
             link = self.downlinks[k]
-            if link.loss > 0.0 and self._rng.uniform() < link.loss:
+            if link.loss > 0.0 and self._uniform() < link.loss:
                 self.lost_down[k] += 1
                 continue
-            t = self._link_delivery_time(link, self._last_down[k], link.delay.sample(self._rng))
+            t = self._link_delivery_time(link, self._last_down[k], link.delay.sample(self._uniform))
             self._last_down[k] = t
             self._schedule(t, self._on_deliver_x, (k, x, int(copy_index)))
 
@@ -315,7 +348,7 @@ class StarNetwork:
         copy_index, x = self._pending[k]
         self._pending[k] = None
         self._busy[k] = True
-        delay = self.compute_delays[k].sample(self._rng)
+        delay = self.compute_delays[k].sample(self._uniform)
         self._schedule(self.now + delay, self._on_complete, (k, x, copy_index))
 
     def _on_complete(self, payload):
@@ -325,10 +358,10 @@ class StarNetwork:
         self._stamp[k] += 1
         grad = self.gradient_fn(k, x)
         link = self.uplinks[k]
-        if link.loss > 0.0 and self._rng.uniform() < link.loss:
+        if link.loss > 0.0 and self._uniform() < link.loss:
             self.lost_up[k] += 1
             return
-        t = self._link_delivery_time(link, self._last_up[k], link.delay.sample(self._rng))
+        t = self._link_delivery_time(link, self._last_up[k], link.delay.sample(self._uniform))
         self._last_up[k] = t
         self._schedule(t, self._on_deliver_grad, Message(
             worker=k, gradient=np.asarray(grad, dtype=float),
@@ -350,9 +383,9 @@ class StarNetwork:
         """
         out = np.empty(self.num_workers)
         for k in range(self.num_workers):
-            d = self.downlinks[k].delay.sample(self._rng)
-            c = self.compute_delays[k].sample(self._rng)
-            u = self.uplinks[k].delay.sample(self._rng)
+            d = self.downlinks[k].delay.sample(self._uniform)
+            c = self.compute_delays[k].sample(self._uniform)
+            u = self.uplinks[k].delay.sample(self._uniform)
             out[k] = d + c + u
         return out
 

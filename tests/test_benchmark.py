@@ -73,6 +73,10 @@ def test_spec_validation():
         SparsePcaSpec(dim=5, num_components=1, nonzero_prob=1.5)
     with pytest.raises(ValueError):
         SparsePcaSpec(dim=5, num_components=1, l1_weight=-1.0)
+    for bad in ("nan", "inf"):
+        with pytest.raises(ValueError,
+                           match="l1_weight must be nonnegative and finite, not " + bad):
+            SparsePcaSpec(dim=5, num_components=1, l1_weight=float(bad))
     # per-component list lengths are checked when the data is drawn
     with pytest.raises(ValueError):
         generate(SparsePcaSpec(dim=5, num_components=2, rows=[3, 3, 3]))

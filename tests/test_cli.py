@@ -203,6 +203,17 @@ def test_run_rejects_mistyped_full_trace_before_writing(tmp_path, capsys):
     assert not (tmp_path / "t.states.npz").exists()
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_run_rejects_a_non_finite_l1_weight_by_name(tmp_path, capsys, lam):
+    rc = run_cli(["run", "--N", "12", "--K", "3", "--M", "6", "--lam", lam,
+                  "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "l1_weight must be nonnegative and finite, not " + lam in err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_run_rejects_malformed_json(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")

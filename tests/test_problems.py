@@ -12,12 +12,14 @@ from apadmm.problems import (
     ConcaveQuadratic,
     ConsensusProblem,
     IterationTrace,
+    SolverState,
     augmented_lagrangian,
     consensus_terms,
     feasibility_gap,
     initial_state,
     leading_eigenvalue,
 )
+from apadmm.prox import _norm, prox_l1_ball
 
 
 def finite_difference_gradient(fn, x, step=1e-6):
@@ -133,6 +135,25 @@ def test_feasibility_gap_zero_master_fallback():
     absolute, relative = feasibility_gap(state)
     assert absolute == pytest.approx(1.0, rel=1e-15)
     assert relative == absolute
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 60), st.integers(0, 2 ** 32 - 1),
+       st.integers(-150, 150))
+def test_feasibility_gap_and_norms_are_numpy_norms_bit_for_bit(K, N, seed, exp):
+    rng = np.random.default_rng(seed)
+    scale = 2.0 ** exp
+    x = rng.standard_normal(N) * scale
+    x_local = x + rng.standard_normal((K, N)) * scale * rng.random()
+    state = SolverState(1, x, x_local, np.zeros((K, N)), np.zeros((K, N)),
+                        np.ones(K, dtype=int))
+    absolute, relative = feasibility_gap(state)
+    gaps = np.linalg.norm(x_local - x[None, :], axis=1)
+    assert absolute.hex() == float(gaps.max()).hex()
+    assert relative.hex() == (absolute / float(np.linalg.norm(x))).hex()
+    # contiguous, strided and reversed vectors
+    for v in (x, x_local[-1], x_local[:, 0], x[::-2], x_local):
+        assert _norm(v).hex() == float(np.linalg.norm(v)).hex()
 
 
 # -- leading eigenvalue ------------------------------------------------------
@@ -329,6 +350,14 @@ def test_consensus_problem_validation():
         ConsensusProblem([comp], l1_weight=-0.5)
     with pytest.raises(ValueError):
         ConsensusProblem([comp], radius=0.0)
+    # NaN passes a plain "< 0" test; each field is checked so that it fails
+    for kwargs, message in (
+            (dict(l1_weight=float("nan")), "l1_weight must be nonnegative and finite, not nan"),
+            (dict(l1_weight=float("inf")), "l1_weight must be nonnegative and finite, not inf"),
+            (dict(radius=float("nan")), "radius must be positive and finite, not nan"),
+            (dict(radius=float("inf")), "radius must be positive and finite, not inf")):
+        with pytest.raises(ValueError, match=message):
+            ConsensusProblem([comp], **kwargs)
     problem = ConsensusProblem([comp, ConcaveQuadratic(np.array([[2.0]]))])
     np.testing.assert_allclose(problem.lipschitz_constants(), [1.0, 4.0])
     assert problem.curvature_classes() == ["concave", "concave"]
@@ -410,6 +439,14 @@ def loop_terms(problem, x):
     return value + problem.l1_weight * float(np.abs(x).sum()), grads
 
 
+def loop_residual(problem, x, grads):
+    """Prox-gradient residual with the gradient summed row by row, in order."""
+    grad = np.zeros(problem.dim)
+    for g in grads:
+        grad += g
+    return x - prox_l1_ball(x - grad, problem.l1_weight, problem.radius)
+
+
 def loop_lagrangian(problem, state, rho):
     total = problem.l1_weight * float(np.abs(state.x).sum())
     for k, c in enumerate(problem.components):
@@ -436,6 +473,8 @@ def test_batched_evaluation_matches_the_component_methods(shape):
         reference = loop_lagrangian(problem, state, rho)
         np.testing.assert_array_equal(terms.gradients, grads)
         assert terms.objective == objective
+        assert (terms.prox_residual.tobytes()
+                == loop_residual(problem, x, grads).tobytes())
         assert lagrangian == reference
 
 

@@ -308,3 +308,28 @@ def test_prox_l1_ball_is_the_composition_bit_for_bit():
         np.testing.assert_array_equal(
             out, project_ball(soft_threshold(v, 0.3), radius))
         assert out is not v
+
+
+# -- zero threshold ----------------------------------------------------------
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300)
+@given(arrays(np.float64, st.integers(1, 40), elements=FINITE))
+def test_soft_threshold_at_zero_weight_is_the_shrink_bit_for_bit(v):
+    out = soft_threshold(v, 0.0)
+    shrink = np.sign(v) * np.maximum(np.abs(v) - 0.0, 0.0)
+    assert out.tobytes() == shrink.tobytes()
+    # that is v itself, except that sign(-0.0) is 0.0, so -0.0 comes out 0.0
+    assert out.tobytes() == np.where(v == 0.0, 0.0, v).tobytes()
+    assert not np.shares_memory(out, v)
+
+
+def test_soft_threshold_at_zero_weight_signed_zeros_and_extremes():
+    v = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.0])
+    out = soft_threshold(v, 0.0)
+    assert not np.signbit(out[0])
+    np.testing.assert_array_equal(out, v)
+    assert out[2:].tobytes() == v[2:].tobytes()
+    assert soft_threshold([1, -2], 0).tobytes() == np.array([1.0, -2.0]).tobytes()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apadmm import DelayModel, LinkModel, StarNetwork
+from apadmm.simnet import _UniformStream
 
 
 def echo(worker, x):
@@ -186,7 +187,7 @@ def test_sample_round_trips_sums_three_draws():
 def test_empirical_delays_cycle_deterministically():
     model = DelayModel.empirical([1.0, 2.0, 3.0])
     rng = np.random.default_rng(0)
-    draws = [model.sample(rng) for _ in range(7)]
+    draws = [model.sample(rng.random) for _ in range(7)]
     assert draws == [1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1.0]
 
 
@@ -256,3 +257,74 @@ def test_messages_are_causal_and_fifo_without_reordering(
                 assert a.arrived_at <= b.arrived_at
                 assert a.worker_stamp < b.worker_stamp
                 assert a.copy_index < b.copy_index
+
+
+# -- the buffered uniform stream ----------------------------------------------
+# Reference draws come from numpy's scalar Generator.uniform, which computes
+# lo + (hi - lo) * u in C. Bounds with inexact products make a platform whose
+# C code fuses that into one multiply-add give other bits, and fail here.
+
+@pytest.mark.parametrize("seed", [0, [7, 29]])
+def test_buffered_stream_equals_scalar_generator_draws(seed):
+    stream = _UniformStream(seed)
+    ref = np.random.default_rng(seed)
+    delay = DelayModel.uniform(0.1, 3.3)
+    for i in range(3 * _UniformStream.BLOCK + 17):    # three refills
+        if i % 3 == 0:                # a loss draw
+            got, want = stream(), ref.uniform()
+        else:                         # a delay draw
+            got, want = delay.sample(stream), ref.uniform(0.1, 3.3)
+        assert type(got) is float
+        assert got.hex() == float(want).hex(), i
+
+
+def test_equal_bounds_draw_nothing():
+    stream = _UniformStream(4)
+    ref = np.random.default_rng(4)
+    flat = DelayModel.uniform(0.7, 0.7)
+    for _ in range(10):
+        assert flat.sample(stream) == 0.7
+        assert stream().hex() == float(ref.uniform()).hex()
+
+
+def test_network_draws_follow_the_scalar_generator_in_call_order():
+    # three lossless workers whose links and compute each draw a uniform
+    # delay: sample_round_trips consumes down, compute, up per worker
+    bounds = [(0.1, 1.3), (0.0, 2.9), (0.35, 0.7)]
+    down = [LinkModel(DelayModel.uniform(*b)) for b in bounds]
+    up = [LinkModel(DelayModel.uniform(b[0] / 3, b[1] * 1.1)) for b in bounds]
+    compute = [DelayModel.uniform(b[0] * 2, b[1] * 2) for b in bounds]
+    net = make_net(3, down=down, up=up, compute=compute, seed=[11, 29])
+    ref = np.random.default_rng([11, 29])
+    for _ in range(100):              # 900 draws, past several refills
+        want = []
+        for k in range(3):
+            d = ref.uniform(down[k].delay.lo, down[k].delay.hi)
+            c = ref.uniform(compute[k].lo, compute[k].hi)
+            u = ref.uniform(up[k].delay.lo, up[k].delay.hi)
+            want.append(d + c + u)
+        assert net.sample_round_trips().tobytes() == np.array(want).tobytes()
+
+
+def test_lossy_broadcasts_match_a_scalar_draw_replay():
+    # loss and delay draws interleave on the downlinks; replaying every
+    # draw from the scalar generator predicts each loss and delivery time
+    loss, lo, hi = 0.3, 0.2, 0.9
+    down = [LinkModel(DelayModel.uniform(lo, hi), loss=loss,
+                      allow_reordering=True)] * 2
+    net = make_net(2, down=down, seed=5)
+    ref = np.random.default_rng(5)
+    lost = [0, 0]
+    for t in range(1, 400):
+        first = net._seq
+        net.broadcast(np.zeros(1), t)
+        want = []
+        for k in range(2):
+            if ref.uniform() < loss:
+                lost[k] += 1
+            else:
+                want.append((net.now + ref.uniform(lo, hi), k))
+        sent = sorted((e[1], e[0], e[3][0]) for e in net._heap if e[1] >= first)
+        assert [(time, k) for _, time, k in sent] == want
+        net.advance()
+    assert net.lost_down == lost

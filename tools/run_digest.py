@@ -3,8 +3,10 @@
 Runs three algorithms x three delay bounds x two start points on the
 desk instance, plus a lossy, a dead-uplink and a delayed-link run, one
 ``sync_admm`` run on a square instance (N = M = 20, as in the desk
-table3 sweep) and one run per algorithm on blocks of unequal row counts
-(which a problem evaluates one component at a time), all with
+table3 sweep), and one run per algorithm on each of: blocks of unequal
+row counts (which a problem evaluates one component at a time), the
+desk instance with l1 weight 0.05 (the shrinking prox), and the paper
+shape N = 500, K = 10, M = 100, capped at 60 clock ticks; all with
 ``full_trace``. Each line holds the run's label,
 termination, iterations, updates and a SHA-256 over rho, every trace
 column and every snapshot array, so equal outputs mean two versions
@@ -52,6 +54,13 @@ def grid():
         yield "%s ragged rows" % algorithm, dict(
             algorithm=algorithm, delay_bound=3,
             instance=dict(rows=[20, 35, 10, 20, 50]))
+    for algorithm in ("async_padmm", "sync_padmm", "sync_admm"):
+        yield "%s l1=0.05" % algorithm, dict(
+            algorithm=algorithm, delay_bound=3, instance=dict(l1_weight=0.05))
+    for algorithm in ("async_padmm", "sync_padmm", "sync_admm"):
+        yield "%s paper N=500 K=10 M=100" % algorithm, dict(
+            algorithm=algorithm, delay_bound=3, max_iters=60,
+            instance=dict(dim=500, num_components=10, rows=100))
 
 
 def digest(result):
