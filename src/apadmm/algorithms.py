@@ -15,8 +15,9 @@ The algorithms differ only in how the master gets its gradients:
 * ``sync_padmm``: the exchange blocks on every worker and commits every
   component's gradient at the new x (the zero-delay protocol).
 * ``sync_admm``: the exchange blocks as for ``sync_padmm``, and every
-  component solves its penalized subproblem exactly; requires components
-  that expose an exact solver and penalties above the component curvature.
+  component solves its penalized subproblem exactly
+  (``ConcaveQuadratic.penalized_argmin``); requires penalties above the
+  component curvature.
 
 Time accounting: the reported iteration count is the simulated master
 clock in windows, the simulator's unit of time. Async iterations cost
@@ -183,20 +184,16 @@ def padmm_apply(problem, state, rho, x_new, updates):
 def exact_admm_iteration(problem, state, rho, x_new):
     """Commit one exact update: each component minimizes its penalized cost at x_new.
 
-    Requires every component to expose ``penalized_argmin`` and every
-    penalty to exceed the component curvature; both are checked by the
-    component solver. The stored gradients come from the subproblem's
-    first-order condition ``grad g_k(u_k) + y_k + rho_k (u_k - x_new) = 0``,
+    Each component solves with its ``penalized_argmin``, which checks that
+    its penalty exceeds the component curvature. The stored gradients
+    come from the subproblem's first-order condition
+    ``grad g_k(u_k) + y_k + rho_k (u_k - x_new) = 0``,
     whose last two terms are the new dual, so ``grad g_k(u_k) = -y_k_new``
     and no component is evaluated here.
     """
     rho = np.asarray(rho, dtype=float)
     x_local = np.empty_like(state.x_local)
     for k, comp in enumerate(problem.components):
-        if not hasattr(comp, "penalized_argmin"):
-            raise TypeError(
-                "component %d has no exact penalized solver; "
-                "sync_admm needs one (use the proximal algorithms instead)" % k)
         x_local[k] = comp.penalized_argmin(rho[k], x_new, state.y[k])
     y = state.y + rho[:, None] * (x_local - x_new)
     t_new = state.iteration + 1

@@ -6,7 +6,8 @@ certificates promise:
 
 * dual identity: the stored dual of each component equals the negated
   gradient at the copy its stale index points to, recomputed from the
-  problem data (not from the solver's own stored gradient);
+  problem data in one block pass per row (not from the solver's own
+  stored gradient);
 * per-iteration descent and the telescoped descent bound of the
   augmented Lagrangian, with general-class margins;
 * the staleness-window bound on successive dual differences;
@@ -21,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import augmented_lagrangian, consensus_terms, feasibility_gap
+from .problems import (_block_pass, augmented_lagrangian, consensus_terms,
+                       feasibility_gap)
 from .prox import _norm
 from .stepsize import descent_margin
 
@@ -52,8 +54,8 @@ def trace_row(problem, state, rho, terms):
     Returns ``(lagrangian, objective, feas_gap, prox_grad_norm, measure)``.
     ``terms``, the ``consensus_terms`` pass at ``state.x``, gives the
     objective, the proximal-gradient norm and the measure; the augmented
-    Lagrangian adds one ``value`` per component at its local copy. The
-    measure equals ``optimality_measure`` bit for bit.
+    Lagrangian adds one value pass at the local copies. The measure
+    equals ``optimality_measure`` bit for bit.
     """
     return (augmented_lagrangian(problem, state, rho),) + _stationarity(state, terms)
 
@@ -124,15 +126,17 @@ def trace_residuals(problem, trace, rho, delay_bounds,
         # clamp to the initial state (nothing moved before iteration 1)
         return states[max(int(index) - 1, 0)].x
 
-    # dual identity, recomputed from problem data at the stale copies
+    # dual identity, recomputed from problem data at the stale copies, in
+    # one block pass per row
     margins, failing = [], []
     for r in range(1, rows + 1):
         st = states[r]
+        points = np.array([x_at(index) for index in st.stale_index])
+        grads = _block_pass(problem.blocks, points)[1]
         worst = np.inf
-        for k in range(K):
-            grad = problem.components[k].gradient(x_at(st.stale_index[k]))
-            resid = _norm(grad + st.y[k])
-            allowed = dual_tol * (1.0 + _norm(st.y[k]))
+        for grad, y in zip(grads, st.y):
+            resid = _norm(grad + y)
+            allowed = dual_tol * (1.0 + _norm(y))
             worst = min(worst, allowed - resid)
         margins.append(worst)
         if worst < 0:

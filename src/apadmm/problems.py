@@ -14,14 +14,16 @@ Each component is evaluated once per master iterate, in the one pass of
 residual (the optimality measure, the trace row) and the gradients the
 workers deliver, after their delays if any.
 
-When every component is a ``ConcaveQuadratic`` and all have the same
-number of rows, the problem holds their data once, as one ``(K, M, N)``
-stack, and each component's ``B`` is a view of its block. The pass at the
-master vector and the augmented Lagrangian at the local copies are then a
-few batched matrix products over the stack instead of K calls each; other
-problems evaluate one component call at a time.
+Every component is a ``ConcaveQuadratic``. The problem holds their data
+once, as read-only ``(K_b, M_b, N)`` blocks, one per maximal run of
+consecutive components with the same row count, and each component's
+``B`` is a view of its slice. Every evaluation (the pass at the master
+vector, the augmented Lagrangian at the local copies, the replayed
+gradients of the dual identity) is a few batched matrix products per
+block; an equal-row problem is one block.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -30,11 +32,9 @@ import numpy as np
 import scipy.linalg
 
 from .prox import _norm, prox_l1_ball
-from .stepsize import CURVATURE_CLASSES
 
 __all__ = [
     "ConcaveQuadratic",
-    "CallableCost",
     "ConsensusProblem",
     "SolverState",
     "IterationTrace",
@@ -81,8 +81,8 @@ class ConcaveQuadratic:
 
     Keeps only B and evaluates through it: ``B @ z``, then
     ``B.T @ (B @ z)``, so no N x N Gram matrix is held. A
-    ``ConsensusProblem`` that stacks its components' data rebinds B to a
-    read-only view of its block; reassigning B after that is unsupported.
+    ``ConsensusProblem`` holding the component rebinds B to a read-only
+    view of its slice of a block; reassigning B after that is unsupported.
     The component supports the exact penalized argmin needed by the synchronous
     exact-minimization baseline, with one M x N solve operator cached per
     penalty value.
@@ -113,11 +113,6 @@ class ConcaveQuadratic:
 
     def gradient(self, z):
         return -(self.B.T @ (self.B @ z))
-
-    def value_and_gradient(self, z):
-        """``(value(z), gradient(z))``, bit for bit, from one pass through B."""
-        w = self.B @ z
-        return -0.5 * float(w @ w), -(self.B.T @ w)
 
     def penalized_argmin(self, rho, x_master, y):
         """Exact minimizer of ``g(u) + <y, u - x_master> + rho/2 ||u - x_master||^2``.
@@ -157,23 +152,23 @@ class ConcaveQuadratic:
         return (b + self.B.T @ (C @ b)) / key
 
 
-def _stack_quadratics(components):
-    """The components' data as one read-only ``(K, M, N)`` array, or None.
+def _stack_blocks(components):
+    """The components' data as read-only ``(K_b, M_b, N)`` blocks, in order.
 
-    Only for ``ConcaveQuadratic`` components that all have M rows; each
-    component's B is rebound to its block of the stack, so the data is
-    held once. A component shared by several problems views the stack of
-    the last one built, which holds the same values.
+    One block per maximal run of consecutive components with the same row
+    count M_b; each component's B is rebound to its slice of its block, so
+    the data is held once. A component shared by several problems views
+    the block of the last one built, which holds the same values.
     """
-    if not all(isinstance(c, ConcaveQuadratic) for c in components):
-        return None
-    if len({len(c.B) for c in components}) != 1:
-        return None
-    stack = np.stack([c.B for c in components])
-    stack.flags.writeable = False
-    for c, block in zip(components, stack):
-        c.B = block
-    return stack
+    blocks = []
+    for _, run in itertools.groupby(components, key=lambda c: len(c.B)):
+        run = list(run)
+        block = np.stack([c.B for c in run])
+        block.flags.writeable = False
+        for c, data in zip(run, block):
+            c.B = data
+        blocks.append(block)
+    return tuple(blocks)
 
 
 def _row_dots(a, b):
@@ -184,7 +179,7 @@ def _row_dots(a, b):
 def _stacked_values(stack, X):
     """``(g_k(X_k) for each k, W)`` with ``W_k = B_k X_k``, ``B_k = stack[k]``.
 
-    X is one vector for every block or one row per block.
+    X is one vector for every component or one row per component.
     """
     W = stack @ X if X.ndim == 1 else (stack @ X[:, :, None])[:, :, 0]
     return -0.5 * _row_dots(W, W), W
@@ -195,53 +190,50 @@ def _stacked_gradients(stack, W):
     return -(W[:, None, :] @ stack)[:, 0, :]
 
 
-class CallableCost:
-    """Component cost backed by explicit value/gradient callables.
+def _block_pass(blocks, X, gradients=True):
+    """``(values, gradients)`` of every component, in component order.
 
-    For problems outside the built-in quadratic family. No exact penalized
-    argmin is available, so the exact-minimization baseline rejects it.
+    X is one point for every component or one row per component. Each
+    block is one ``_stacked_values`` and one ``_stacked_gradients`` call
+    (none when ``gradients`` is false, which returns None for them); the
+    outputs of several blocks are concatenated, those of one block are
+    returned as they are.
     """
-
-    def __init__(self, value, gradient, dim, lipschitz, curvature="general"):
-        if curvature not in CURVATURE_CLASSES:
-            raise ValueError("curvature must be one of %s" % (tuple(CURVATURE_CLASSES),))
-        if lipschitz <= 0:
-            raise ValueError("lipschitz must be positive")
-        self._value = value
-        self._gradient = gradient
-        self.dim = int(dim)
-        self.lipschitz = float(lipschitz)
-        self.curvature = curvature
-
-    def value(self, z):
-        return float(self._value(z))
-
-    def gradient(self, z):
-        return np.asarray(self._gradient(z), dtype=float)
-
-    def value_and_gradient(self, z):
-        return self.value(z), np.asarray(self._gradient(z), dtype=float)
+    if len(blocks) > 1:
+        parts, start = [], 0
+        for block in blocks:
+            rows = X if X.ndim == 1 else X[start:start + len(block)]
+            start += len(block)
+            parts.append(_block_pass((block,), rows, gradients))
+        values, grads = zip(*parts)
+        return np.concatenate(values), np.concatenate(grads) if gradients else None
+    values, W = _stacked_values(blocks[0], X)
+    return values, _stacked_gradients(blocks[0], W) if gradients else None
 
 
 @dataclass
 class ConsensusProblem:
     """Problem data: component costs plus the shared l1 + ball regularizer.
 
-    ``components`` is stored as a tuple. ``stack`` holds the data of
-    ``ConcaveQuadratic`` components of equal row count once, as their
-    ``(K, M, N)`` stack (``_stack_quadratics``); otherwise it is None.
+    ``components`` is stored as a tuple of ``ConcaveQuadratic``; any other
+    component raises TypeError. ``blocks`` holds their data once, as
+    read-only ``(K_b, M_b, N)`` blocks of consecutive components with equal
+    row count (``_stack_blocks``); an equal-row problem is one block.
     """
 
     components: tuple
     l1_weight: float = 0.0
     radius: float = 1.0
-    stack: np.ndarray = field(init=False, repr=False, compare=False,
-                              default=None)
+    blocks: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         self.components = tuple(self.components)
         if len(self.components) < 1:
             raise ValueError("need at least one component")
+        for i, c in enumerate(self.components):
+            if not isinstance(c, ConcaveQuadratic):
+                raise TypeError("component %d is a %s, not a ConcaveQuadratic"
+                                % (i, type(c).__name__))
         # written so that NaN fails each check
         if not 0 <= self.l1_weight < math.inf:
             raise ValueError("l1_weight must be nonnegative and finite, not %r"
@@ -252,12 +244,7 @@ class ConsensusProblem:
         dims = {c.dim for c in self.components}
         if len(dims) != 1:
             raise ValueError("components disagree on dimension: %s" % sorted(dims))
-        for i, c in enumerate(self.components):
-            if c.lipschitz <= 0:
-                raise ValueError("component %d has nonpositive Lipschitz constant" % i)
-            if c.curvature not in CURVATURE_CLASSES:
-                raise ValueError("component %d has unknown curvature class" % i)
-        self.stack = _stack_quadratics(self.components)
+        self.blocks = _stack_blocks(self.components)
 
     @property
     def dim(self):
@@ -327,26 +314,16 @@ class ConsensusTerms(NamedTuple):
 def consensus_terms(problem, x):
     """Objective, proximal-gradient residual and gradients ``grad g_k(x)`` at x.
 
-    Evaluates each component once: by batched products over the
-    problem's ``stack`` when it has one, else by ``value_and_gradient``;
-    every other component sum at a consensus point is a view of this
-    one. The objective is ``sum_k g_k(x) + l1_weight * ||x||_1`` (the ball
-    constraint is not folded in; callers keep x feasible), and the
-    residual ``x - prox(x - grad g(x))`` uses a unit step and the
+    Evaluates each component once, by batched products over the problem's
+    ``blocks``; every other component sum at a consensus point is a view
+    of this one. The objective is ``sum_k g_k(x) + l1_weight * ||x||_1``
+    (the ball constraint is not folded in; callers keep x feasible), and
+    the residual ``x - prox(x - grad g(x))`` uses a unit step and the
     l1-plus-ball operator with the problem's own l1 weight.
     """
     x = np.asarray(x, dtype=float)
-    data = problem.stack
-    if data is None:
-        values = np.empty(problem.num_components)
-        grads = np.empty((problem.num_components, problem.dim))
-        for k, c in enumerate(problem.components):
-            values[k], grads[k] = c.value_and_gradient(x)
-    else:
-        values, W = _stacked_values(data, x)
-        grads = _stacked_gradients(data, W)
-    # both paths sum one component at a time, in order, so they agree bit
-    # for bit whenever the per-component terms do
+    values, grads = _block_pass(problem.blocks, x)
+    # added one at a time, in component order, as a loop over ``value`` would
     value = 0.0
     for v in values.tolist():
         value += v
@@ -362,15 +339,11 @@ def augmented_lagrangian(problem, state, rho):
 
     ``sum_k [g_k(x_local_k) + <y_k, x_local_k - x> + rho_k/2 ||x_local_k - x||^2]
     + l1_weight * ||x||_1``, with per-component penalties ``rho``. The
-    component values come from the problem's ``stack`` in one batched
-    product when it has one.
+    component values come from the problem's ``blocks`` in one batched
+    pass.
     """
     rho = np.asarray(rho, dtype=float)
-    data = problem.stack
-    if data is None:
-        values = [c.value(u) for c, u in zip(problem.components, state.x_local)]
-    else:
-        values = _stacked_values(data, state.x_local)[0].tolist()
+    values = _block_pass(problem.blocks, state.x_local, gradients=False)[0].tolist()
     diff = state.x_local - state.x
     cross = _row_dots(state.y, diff).tolist()
     square = (0.5 * rho * _row_dots(diff, diff)).tolist()

@@ -26,7 +26,7 @@ from apadmm import (
 from apadmm.benchmark import SparsePcaSpec, generate
 from apadmm.cli import main as cli_main
 
-from test_prox import ball_candidates, grid_prox, subgradient_prox
+from test_prox import ball_candidates, candidate_table, grid_prox, subgradient_prox
 
 DESK = dict(dim=50, num_components=5, rows=20, nonzero_prob=0.1,
             l1_weight=0.0, seed=1)
@@ -156,7 +156,7 @@ def test_criterion_05_zero_delay_equivalence():
 
 def test_criterion_06_prox_oracle_equivalence():
     rng = np.random.default_rng(11)
-    cand2 = ball_candidates(2, 1.0, -np.ones(2), np.ones(2), 1e-3)
+    cand2 = candidate_table(ball_candidates(2, 1.0, -np.ones(2), np.ones(2), 1e-3))
     worst2 = 0.0
     for _ in range(50):
         v = rng.standard_normal(2) * 1.2

@@ -1,5 +1,6 @@
 """Solver tests: hand-checked iterations, run() drivers, termination paths."""
 
+import re
 import warnings
 
 import numpy as np
@@ -15,7 +16,6 @@ from apadmm.algorithms import (
 )
 from apadmm.benchmark import SparsePcaSpec, generate
 from apadmm.problems import (
-    CallableCost,
     ConcaveQuadratic,
     ConsensusProblem,
     feasibility_gap,
@@ -159,21 +159,15 @@ def test_exact_admm_zero_data_fixed_point():
     np.testing.assert_allclose(new.y, np.zeros((2, 4)), atol=1e-15)
 
 
-def test_exact_admm_needs_a_subproblem_solver():
-    comp = CallableCost(lambda x: 0.0, lambda x: np.zeros(2), dim=2,
-                        lipschitz=1.0)
-    problem = ConsensusProblem([comp])
-    with pytest.raises(TypeError):
-        exact_admm_iteration(problem, initial_state(problem), [8.0],
-                             np.zeros(2))
-
-
 def test_run_rejects_penalties_out_of_floating_point_range():
-    comps = [CallableCost(lambda x: 0.0, lambda x: np.zeros(2), dim=2,
-                          lipschitz=1e200) for _ in range(2)]
+    # data of about 1e100 puts the Lipschitz bound at about 1e200, where
+    # the margin cubic has no certified root in floating point
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="lipschitz=1e\\+200"):
+        comps = [ConcaveQuadratic(1e100 * np.eye(2)) for _ in range(2)]
+        bound = float(comps[0].lipschitz)
+        assert bound == pytest.approx(1e200, rel=1e-14)
+        with pytest.raises(ValueError, match=re.escape("lipschitz=%r " % bound)):
             run(ConsensusProblem(comps), RunConfig(delay_bound=3))
 
 

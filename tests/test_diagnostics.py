@@ -14,7 +14,6 @@ from apadmm import algorithms, diagnostics, problems
 from apadmm.algorithms import ALGORITHMS, _initial
 from apadmm.benchmark import SparsePcaSpec, generate
 from apadmm.problems import (
-    CallableCost,
     ConcaveQuadratic,
     ConsensusProblem,
     consensus_terms,
@@ -39,7 +38,7 @@ def penalized_surrogates(problem, state, rho, k, at=None):
     z = np.asarray(state.x_local[k] if at is None else at, dtype=float)
     diff = z - state.x
     shared = float(state.y[k] @ diff) + 0.5 * rho[k] * float(diff @ diff)
-    base, grad = comp.value_and_gradient(state.x)
+    base, grad = comp.value(state.x), comp.gradient(state.x)
     exact = comp.value(z) + shared
     fresh = base + float(grad @ diff) + shared
     stale = base + float(state.grad_stored[k] @ diff) + shared
@@ -119,31 +118,19 @@ def test_optimality_measure_permutation_invariant():
 # -- trace rows --------------------------------------------------------------
 
 def row_problem(shape):
-    """Wide (M < N), square and tall instances, and a mix of wide quadratics
-    with a callable cost."""
-    rows = {"wide": 6, "square": 12, "tall": 18, "mixed": 6}[shape]
-    problem = generate(SparsePcaSpec(dim=12, num_components=3, rows=rows,
-                                     nonzero_prob=0.3, l1_weight=0.05, seed=2))
-    if shape == "mixed":
-        wavy = CallableCost(lambda z: float(np.sin(z).sum()), np.cos,
-                            dim=12, lipschitz=1.0)
-        components = list(problem.components)
-        components[1] = wavy
-        problem = ConsensusProblem(components, l1_weight=problem.l1_weight,
-                                   radius=problem.radius)
-    return problem
+    """Wide (M < N), square and tall instances, and a ragged one whose row
+    counts make a block of two wide components and a block of one tall."""
+    rows = {"wide": 6, "square": 12, "tall": 18, "ragged": [6, 6, 18]}[shape]
+    return generate(SparsePcaSpec(dim=12, num_components=3, rows=rows,
+                                  nonzero_prob=0.3, l1_weight=0.05, seed=2))
 
 
 def explicit_value(comp, z):
-    if isinstance(comp, ConcaveQuadratic):
-        return -0.5 * float(np.sum((comp.B @ z) ** 2))
-    return comp.value(z)
+    return -0.5 * float(np.sum((comp.B @ z) ** 2))
 
 
 def explicit_gradient(comp, z):
-    if isinstance(comp, ConcaveQuadratic):
-        return -(comp.B.T @ (comp.B @ z))
-    return comp.gradient(z)
+    return -(comp.B.T @ (comp.B @ z))
 
 
 def reference_row(problem, state, rho):
@@ -162,7 +149,7 @@ def reference_row(problem, state, rho):
     return lagrangian, objective, gap, pg_norm, gap + pg_norm
 
 
-@pytest.mark.parametrize("shape", ["wide", "square", "tall", "mixed"])
+@pytest.mark.parametrize("shape", ["wide", "square", "tall", "ragged"])
 def test_trace_rows_match_the_reference_definitions(shape):
     problem = row_problem(shape)
     result = run(problem, RunConfig(
@@ -191,8 +178,8 @@ def test_final_measure_is_the_optimality_measure_of_the_final_state(
 
 
 def count_evaluations(problem):
-    """Log ``(k, method, point)`` for every outermost value, gradient or
-    value_and_gradient call on component k."""
+    """Log ``(k, method, point)`` for every outermost value or gradient
+    call on component k."""
     log, depth = [], [0]
 
     def counted(k, name, method):
@@ -207,10 +194,8 @@ def count_evaluations(problem):
         return call
 
     for k, comp in enumerate(problem.components):
-        for name in ("value", "gradient", "value_and_gradient"):
-            method = getattr(comp, name, None)
-            if method is not None:
-                setattr(comp, name, counted(k, name, method))
+        for name in ("value", "gradient"):
+            setattr(comp, name, counted(k, name, getattr(comp, name)))
     return log
 
 
@@ -234,28 +219,24 @@ def count_passes(monkeypatch):
     return log
 
 
-@pytest.mark.parametrize("shape", ["wide", "square", "tall", "mixed"])
+@pytest.mark.parametrize("shape", ["wide", "square", "tall", "ragged"])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_each_update_evaluates_each_component_once_at_the_master_vector(
         algorithm, shape, monkeypatch):
     """The workers and the exchange reuse the master's pass: after the start
     state, an update makes one ``consensus_terms`` pass at the new master
     vector and one ``augmented_lagrangian`` at the new state, and nothing
-    else evaluates a component. A problem of quadratics evaluates them
-    from its stack, without a per-component call; the mixed problem
-    evaluates component k once at the master vector and once (``value``)
-    at its local copy."""
-    if algorithm == "sync_admm" and shape == "mixed":
-        pytest.skip("sync_admm needs components with an exact solver")
+    else evaluates a component. Every problem, the ragged one too,
+    evaluates them from its blocks, without a per-component call."""
     problem = row_problem(shape)
-    assert (problem.stack is None) == (shape == "mixed")
+    assert len(problem.blocks) == (2 if shape == "ragged" else 1)
     log = count_evaluations(problem)
     passes = count_passes(monkeypatch)
     result = run(problem, RunConfig(
         algorithm=algorithm, delay_bound=2, seed=3, max_iters=8,
         epsilon=1e-14, init="random_ball", full_trace=True,
         enforcement="observe", compute_delay={"kind": "uniform", "hi": 1.5}))
-    K, states, rows = problem.num_components, result.trace.states, len(result.trace)
+    states, rows = result.trace.states, len(result.trace)
     assert rows >= 4
     # the start state: one pass, at the start point
     assert len(passes) == 1 + 2 * rows
@@ -268,33 +249,22 @@ def test_each_update_evaluates_each_component_once_at_the_master_vector(
         np.testing.assert_array_equal(x, state.x)
         np.testing.assert_array_equal(lag_x, state.x)
         np.testing.assert_array_equal(lag_local, state.x_local)
-    if shape != "mixed":
-        assert log == []
-        return
-    assert [k for k, _, _ in log[:K]] == list(range(K))
-    for _, _, z in log[:K]:
-        np.testing.assert_array_equal(z, states[0].x)
-    rest = log[K:]
-    assert len(rest) == 2 * K * rows
-    for r in range(rows):
-        state = states[r + 1]
-        chunk = rest[2 * K * r:2 * K * (r + 1)]
-        for k in range(K):
-            calls = sorted(((name, z) for j, name, z in chunk if j == k),
-                           key=lambda call: call[0])
-            assert [name for name, _ in calls] == [
-                "value", "value_and_gradient"], (r, k, calls)
-            np.testing.assert_array_equal(calls[0][1], state.x_local[k])
-            np.testing.assert_array_equal(calls[1][1], state.x)
+    assert log == []
 
 
-def test_random_start_evaluates_each_component_once():
-    problem = row_problem("mixed")
+def test_random_start_evaluates_each_component_once(monkeypatch):
+    """The start state comes from one ``consensus_terms`` pass at the start
+    point, which evaluates the ragged problem block by block."""
+    problem = row_problem("ragged")
     log = count_evaluations(problem)
+    passes = count_passes(monkeypatch)
     state = _initial(problem, RunConfig(init="random_ball", seed=4))
-    assert [k for k, _, _ in log] == [0, 1, 2]
-    for k, _, z in log:
-        np.testing.assert_array_equal(z, state.x)
+    assert log == []
+    assert [name for name, *_ in passes] == ["terms"]
+    np.testing.assert_array_equal(passes[0][1], state.x)
+    np.testing.assert_array_equal(
+        state.grad_stored,
+        np.stack([explicit_gradient(c, state.x) for c in problem.components]))
 
 
 # -- penalized surrogates ----------------------------------------------------

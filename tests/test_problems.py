@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 from apadmm import RunConfig, run
 from apadmm.benchmark import SparsePcaSpec, generate
 from apadmm.problems import (
-    CallableCost,
     ConcaveQuadratic,
     ConsensusProblem,
     IterationTrace,
@@ -252,10 +251,7 @@ def test_concave_quadratic_matches_explicit_definitions(rows, dim):
     comp = ConcaveQuadratic(B)
     for _ in range(3):
         z = rng.standard_normal(dim)
-        value, grad = comp.value_and_gradient(z)
-        # one pass gives exactly what the separate calls give
-        assert value == comp.value(z)
-        np.testing.assert_array_equal(grad, comp.gradient(z))
+        value, grad = comp.value(z), comp.gradient(z)
         assert value == pytest.approx(-0.5 * float(np.sum((B @ z) ** 2)),
                                       rel=1e-12)
         np.testing.assert_allclose(grad, -(B.T @ B) @ z, rtol=1e-12,
@@ -312,17 +308,6 @@ def test_run_sync_admm_rho_below_the_true_curvature_is_infeasible():
                                  force=True, max_iters=3))
     assert res.termination == "infeasible_stepsize"
     assert res.updates == 0
-
-
-def test_callable_cost_wraps_functions():
-    comp = CallableCost(lambda x: float(x @ x), lambda x: 2.0 * x,
-                        dim=3, lipschitz=2.0, curvature="convex")
-    x = np.array([1.0, -1.0, 2.0])
-    assert comp.value(x) == 6.0
-    np.testing.assert_array_equal(comp.gradient(x), 2.0 * x)
-    value, grad = comp.value_and_gradient(x)
-    assert value == 6.0
-    np.testing.assert_array_equal(grad, 2.0 * x)
 
 
 # -- generated instances pass the spot checks --------------------------------
@@ -460,7 +445,7 @@ def loop_lagrangian(problem, state, rho):
 @pytest.mark.parametrize("shape", sorted(STACK_ROWS))
 def test_batched_evaluation_matches_the_component_methods(shape):
     problem = stacked_problem(shape)
-    assert problem.stack is not None
+    assert len(problem.blocks) == 1
     rng = np.random.default_rng(8)
     rho = rng.uniform(5.0, 20.0, 4)
     for _ in range(5):
@@ -483,7 +468,7 @@ def test_components_view_one_stack_of_their_data():
                          nonzero_prob=0.3, seed=4)
     data = [np.array(c.B) for c in generate(spec).components]
     problem = generate(spec)
-    stack = problem.stack
+    (stack,) = problem.blocks
     assert stack.shape == (4, 18, 12) and stack.flags.c_contiguous
     assert not stack.flags.writeable
     for comp, B in zip(problem.components, data):
@@ -495,7 +480,7 @@ def test_components_view_one_stack_of_their_data():
 def test_a_component_shared_by_two_problems_keeps_both_exact():
     first = stacked_problem("wide")
     second = ConsensusProblem(first.components[::-1], l1_weight=0.05)
-    assert np.shares_memory(first.components[0].B, second.stack)
+    assert np.shares_memory(first.components[0].B, second.blocks[0])
     x = np.random.default_rng(2).standard_normal(12) * 0.3
     for problem in (first, second):
         objective, grads = loop_terms(problem, x)
@@ -513,16 +498,53 @@ def test_components_are_immutable():
         problem.components[0].B[0, 0] = 1.0
 
 
-@pytest.mark.parametrize("mix", ["callable", "ragged"])
-def test_other_problems_have_no_stack_and_use_the_methods(mix):
-    wavy = CallableCost(lambda z: float(np.sin(z).sum()), np.cos, dim=3,
-                        lipschitz=1.0)
-    other = wavy if mix == "callable" else ConcaveQuadratic(np.ones((3, 3)))
+# row counts, and the components per block: one block per maximal run
+RAGGED = {"runs": ([6, 6, 9, 4, 4], [2, 1, 2]),
+          "digest": ([20, 35, 10, 20, 50], [1, 1, 1, 1, 1])}
+
+
+@pytest.mark.parametrize("shape", sorted(RAGGED))
+def test_ragged_problems_hold_one_block_per_run_of_equal_rows(shape):
+    rows, runs = RAGGED[shape]
+    spec = SparsePcaSpec(dim=12, num_components=5, rows=rows,
+                         nonzero_prob=0.3, l1_weight=0.05, seed=6)
+    data = [np.array(c.B) for c in generate(spec).components]
+    problem = generate(spec)
+    assert [len(block) for block in problem.blocks] == runs
+    comps = iter(problem.components)
+    for block in problem.blocks:
+        assert block.flags.c_contiguous and not block.flags.writeable
+        for B, comp in zip(block, comps):  # block first: comps is shared
+            assert comp.B.shape == B.shape and np.shares_memory(comp.B, B)
+            assert comp.B.flags.c_contiguous
+    for comp, B in zip(problem.components, data):
+        np.testing.assert_array_equal(comp.B, B)
+    rng = np.random.default_rng(8)
+    rho = rng.uniform(5.0, 20.0, 5)
+    for _ in range(5):
+        x = rng.standard_normal(12) * 0.3
+        terms = consensus_terms(problem, x)
+        objective, grads = loop_terms(problem, x)
+        state = make_state(problem, x, rng.standard_normal((5, 12)) * 0.3,
+                           rng.standard_normal((5, 12)))
+        assert terms.objective == objective
+        np.testing.assert_array_equal(terms.gradients, grads)
+        assert (terms.prox_residual.tobytes()
+                == loop_residual(problem, x, grads).tobytes())
+        assert augmented_lagrangian(problem, state, rho) == loop_lagrangian(
+            problem, state, rho)
+
+
+def test_a_component_that_is_not_a_quadratic_is_rejected_by_index():
+    class Wavy:
+        dim, lipschitz, curvature = 3, 1.0, "general"
+
+        def value(self, z):
+            return float(np.sin(z).sum())
+
+        def gradient(self, z):
+            return np.cos(z)
+
     quad = ConcaveQuadratic(np.arange(6.0).reshape(2, 3))
-    problem = ConsensusProblem([quad, other])
-    assert problem.stack is None
-    x = np.array([0.1, -0.2, 0.3])
-    objective, grads = loop_terms(problem, x)
-    terms = consensus_terms(problem, x)
-    assert terms.objective == objective
-    np.testing.assert_array_equal(terms.gradients, grads)
+    with pytest.raises(TypeError, match="component 1 is a Wavy, not a ConcaveQuadratic"):
+        ConsensusProblem([quad, Wavy()])

@@ -44,25 +44,41 @@ def ball_candidates(dim, radius, lo, hi, res):
     return keep
 
 
+def candidate_table(candidates):
+    """A candidate set with each point's l1 norm and half squared norm.
+
+    ``grid_prox`` takes the table as ``candidates``, so a set reused
+    across many inputs has its norms computed once.
+    """
+    return (candidates, np.abs(candidates).sum(axis=-1),
+            0.5 * (candidates ** 2).sum(axis=-1))
+
+
+def grid_argmin(table, v, tau):
+    """The candidate minimizing ``prox_objective`` less its constant ``0.5*|v|^2``."""
+    candidates, l1, half_sq = table
+    return candidates[np.argmin(tau * l1 + half_sq - candidates @ v)]
+
+
 def grid_prox(v, tau, radius, res=1e-3, coarse=None, candidates=None):
     """Dense-search oracle for argmin ``tau*|u|_1 + 0.5*|u-v|^2`` over the ball.
 
     ``coarse`` switches on a coarse-to-fine pass for dimension 3, where a
     flat res-1e-3 grid would be billions of points; convexity keeps the
     refinement exact to the final resolution. ``candidates`` lets callers
-    reuse a precomputed full-ball candidate set across many inputs.
+    reuse a precomputed full-ball ``candidate_table`` across many inputs.
     """
     v = np.asarray(v, dtype=float)
     dim = len(v)
     if candidates is None:
         lo, hi = -radius * np.ones(dim), radius * np.ones(dim)
         if coarse is not None:
-            rough_cand = ball_candidates(dim, radius, lo, hi, coarse)
-            rough = rough_cand[np.argmin(prox_objective(rough_cand, v, tau))]
+            rough = grid_argmin(candidate_table(
+                ball_candidates(dim, radius, lo, hi, coarse)), v, tau)
             pad = 1.5 * coarse
             lo, hi = rough - pad, rough + pad
-        candidates = ball_candidates(dim, radius, lo, hi, res)
-    return candidates[np.argmin(prox_objective(candidates, v, tau))]
+        candidates = candidate_table(ball_candidates(dim, radius, lo, hi, res))
+    return grid_argmin(candidates, v, tau)
 
 
 def subgradient_prox(v, tau, radius, steps=10 ** 4):
@@ -251,7 +267,7 @@ def test_prox_l1_ball_satisfies_kkt(v, tau, radius):
 
 def test_prox_l1_ball_matches_grid_2d():
     rng = np.random.default_rng(11)
-    cand = ball_candidates(2, 1.0, -np.ones(2), np.ones(2), 1e-3)
+    cand = candidate_table(ball_candidates(2, 1.0, -np.ones(2), np.ones(2), 1e-3))
     for _ in range(6):
         v = rng.standard_normal(2) * 1.2
         tau = float(rng.uniform(0.0, 0.8))

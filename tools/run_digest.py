@@ -3,8 +3,8 @@
 Runs three algorithms x three delay bounds x two start points on the
 desk instance, plus a lossy, a dead-uplink and a delayed-link run, one
 ``sync_admm`` run on a square instance (N = M = 20, as in the desk
-table3 sweep), and one run per algorithm on each of: blocks of unequal
-row counts (which a problem evaluates one component at a time), the
+table3 sweep), and one run per algorithm on each of: components of
+unequal row counts (which a problem holds as several blocks), the
 desk instance with l1 weight 0.05 (the shrinking prox), and the paper
 shape N = 500, K = 10, M = 100, capped at 60 clock ticks; all with
 ``full_trace``. Each line holds the run's label,
