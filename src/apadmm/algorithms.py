@@ -246,19 +246,16 @@ def _build_network(problem, config, delay_bounds):
 def _resolve_rho(problem, config, cert_delays):
     K = problem.num_components
     lipschitz = problem.lipschitz_constants()
-    classes = problem.curvature_classes()
+    # every component is a concave quadratic
     if not (isinstance(config.rho, str) and config.rho == "auto"):
         rho = _numbers(config.rho, K, "rho", lambda v: 0 < v < math.inf,
                        "'auto', a positive number or one per component")
     elif config.algorithm == "sync_admm":
-        rho = np.array([exact_baseline_penalty(L, c)
-                        for L, c in zip(lipschitz, classes)])
+        rho = np.array([exact_baseline_penalty(L, "concave") for L in lipschitz])
     else:
-        rho = default_penalties(lipschitz, cert_delays, classes)
-    certs = [
-        certify(r, L, T, c)
-        for r, L, T, c in zip(rho, lipschitz, cert_delays, classes)
-    ]
+        rho = default_penalties(lipschitz, cert_delays, ["concave"] * K)
+    certs = [certify(r, L, T, "concave")
+             for r, L, T in zip(rho, lipschitz, cert_delays)]
     return rho, certs
 
 

@@ -14,8 +14,12 @@ certificates promise:
 * the lower bound on the augmented Lagrangian in terms of the best
   observed objective and the feasible-set diameter.
 
-Checks never abort a run; they return a report with pass/fail/skipped
-status, the worst margin seen, and the offending iterations.
+Each check computes one margin (allowed - observed) per row, and one
+rule turns the margins into its verdict: a row fails when its margin is
+negative or NaN, and the check fails when any row does. A NaN anywhere
+in a margin's inputs therefore fails that row. Checks never abort a run;
+they return a report with pass/fail/skipped status, the worst margin
+seen (NaN if any margin is NaN), and the offending iterations.
 """
 
 from dataclasses import dataclass, field
@@ -65,7 +69,7 @@ class CheckOutcome:
     """One residual check: status, tightest margin, and failing iterations.
 
     ``worst_slack`` is the smallest (allowed - observed) margin across the
-    trace; negative means the check failed at some iteration.
+    trace; negative or NaN means the check failed at some iteration.
     """
 
     name: str
@@ -93,11 +97,16 @@ class TraceReport:
         return [o.line() for o in self.outcomes]
 
 
-def _outcome(name, margins, failing):
-    if not margins:
+def _outcome(name, margins, first=1):
+    # the verdict rule: margins[i] is the margin of row first + i; a row
+    # fails when its margin is negative or NaN (NaN compares false, so a
+    # "< 0" test alone would pass it), and numpy's min keeps a NaN
+    if not len(margins):
         return CheckOutcome(name, "skipped")
-    status = "fail" if failing else "pass"
-    return CheckOutcome(name, status, float(min(margins)), failing)
+    margins = np.asarray(margins, dtype=float)
+    failing = [first + int(i) for i in np.flatnonzero(~(margins >= 0.0))]
+    return CheckOutcome(name, "fail" if failing else "pass",
+                        float(margins.min()), failing)
 
 
 def trace_residuals(problem, trace, rho, delay_bounds,
@@ -117,95 +126,64 @@ def trace_residuals(problem, trace, rho, delay_bounds,
     delay_bounds = np.asarray(delay_bounds, dtype=float)
     states = trace.states
     rows = len(trace)
-    K = problem.num_components
     lipschitz = problem.lipschitz_constants()
-    outcomes = []
-
-    def x_at(index):
-        # master vector of iteration ``index``; indices before the start
-        # clamp to the initial state (nothing moved before iteration 1)
-        return states[max(int(index) - 1, 0)].x
+    # squared master steps ||x_r - x_{r-1}||^2 by row, read by the
+    # telescoped and the dual-difference checks; nothing moved before row 1
+    steps = [0.0] + [float(dx @ dx) for dx in
+                     (b.x - a.x for a, b in zip(states, states[1:]))]
 
     # dual identity, recomputed from problem data at the stale copies, in
-    # one block pass per row
-    margins, failing = [], []
-    for r in range(1, rows + 1):
-        st = states[r]
-        points = np.array([x_at(index) for index in st.stale_index])
+    # one block pass per row; stale index i names the master vector of
+    # iteration i, and indices before the start clamp to the initial state
+    dual = []
+    for st in states[1:]:
+        points = np.array([states[max(int(i) - 1, 0)].x for i in st.stale_index])
         grads = _block_pass(problem.blocks, points)[1]
-        worst = np.inf
-        for grad, y in zip(grads, st.y):
-            resid = _norm(grad + y)
-            allowed = dual_tol * (1.0 + _norm(y))
-            worst = min(worst, allowed - resid)
-        margins.append(worst)
-        if worst < 0:
-            failing.append(r)
-    outcomes.append(_outcome("dual_identity", margins, failing))
+        dual.append(np.min([dual_tol * (1.0 + _norm(y)) - _norm(grad + y)
+                            for grad, y in zip(grads, st.y)]))
 
     # per-iteration descent of the augmented Lagrangian
-    lagrangian = [augmented_lagrangian(problem, states[0], rho)]
-    lagrangian += list(trace.lagrangian)
-    margins, failing = [], []
-    for r in range(1, len(lagrangian)):
-        allowed = descent_tol * (1.0 + abs(lagrangian[r - 1]))
-        margins.append(lagrangian[r - 1] + allowed - lagrangian[r])
-        if margins[-1] < 0:
-            failing.append(r)
-    outcomes.append(_outcome("descent", margins, failing))
+    lagrangian = np.array([augmented_lagrangian(problem, states[0], rho),
+                           *trace.lagrangian])
+    before, after = lagrangian[:-1], lagrangian[1:]
+    descent = before + descent_tol * (1.0 + np.abs(before)) - after
 
     # telescoped descent with general-class margins
-    total_claim = 0.0
-    alphas = np.array([
-        descent_margin(rho[k], lipschitz[k], delay_bounds[k], "general")
-        for k in range(K)
-    ])
+    alpha = np.sum([descent_margin(r_k, L, T_k, "general")
+                    for r_k, L, T_k in zip(rho, lipschitz, delay_bounds)])
+    local = (rho - 7.0 * lipschitz) / 2.0
+    claim = 0.0
     for r in range(1, rows + 1):
         dxk = states[r].x_local - states[r - 1].x_local
-        dx = states[r].x - states[r - 1].x
-        total_claim += float(
-            ((rho - 7.0 * lipschitz) / 2.0) @ (dxk * dxk).sum(axis=1))
-        total_claim += float(alphas.sum() * (dx @ dx))
+        claim += float(local @ (dxk * dxk).sum(axis=1))
+        claim += float(alpha * steps[r])
     drop = lagrangian[0] - lagrangian[-1]
-    slack = telescope_tol * (1.0 + max(abs(drop), abs(total_claim)))
-    margin = drop + slack - total_claim
-    outcomes.append(_outcome("telescoped_descent", [margin],
-                             [] if margin >= 0 else [rows]))
+    slack = telescope_tol * (1.0 + max(abs(drop), abs(claim)))
+    telescoped = [drop + slack - claim]
 
-    # dual-difference bound over the staleness window
+    # dual-difference bound over the staleness window: row r's window for
+    # bound T is steps[r] + steps[r-1] + ... + steps[r-T], summed in that
+    # order, with the steps before the start taken as 0
+    T = delay_bounds.astype(int)
     t_max = int(delay_bounds.max())
-    if rows < t_max + 2:
-        outcomes.append(CheckOutcome("dual_difference", "skipped"))
-    else:
-        # squared master steps ||x_at(j + 1) - x_at(j)||^2, each taken
-        # once; steps before the start are 0, like squares[0]
-        squares = [float(step @ step) for step in
-                   (x_at(j + 1) - x_at(j) for j in range(rows + 1))]
-        margins, failing = [], []
-        for r in range(1, rows + 1):
-            worst = np.inf
-            for k in range(K):
-                dy = states[r].y[k] - states[r - 1].y[k]
-                window = 0.0
-                T_k = int(delay_bounds[k])
-                for i in range(T_k + 1):
-                    window += squares[max(r - i, 0)]
-                bound = lipschitz[k] ** 2 * (T_k + 1) * window + dual_diff_tol
-                worst = min(worst, bound - float(dy @ dy))
-            margins.append(worst)
-            if worst < 0:
-                failing.append(r)
-        outcomes.append(_outcome("dual_difference", margins, failing))
+    scale = np.array([L ** 2 * (T_k + 1) for L, T_k in zip(lipschitz, T)])
+    difference = []
+    for r in range(1, rows + 1):
+        windows = np.cumsum([steps[max(r - i, 0)] for i in range(t_max + 1)])
+        bound = scale * windows[T] + dual_diff_tol
+        dy = states[r].y - states[r - 1].y
+        difference.append(np.min(bound - [float(d @ d) for d in dy]))
 
-    # lower bound from best observed objective and feasible diameter
-    objectives = [float(np.asarray(o)) for o in trace.objective]
-    f_best = min(objectives) if objectives else np.inf
+    # lower bound from best observed objective and feasible diameter; a NaN
+    # objective makes the floor NaN
+    f_best = np.min(np.asarray(trace.objective, dtype=float), initial=np.inf)
     floor = f_best - (2.0 * problem.radius) ** 2 * lipschitz.sum() / 2.0
-    margins, failing = [], []
-    for r, val in enumerate(lagrangian):
-        margins.append(val + lower_tol - floor)
-        if margins[-1] < 0:
-            failing.append(r)
-    outcomes.append(_outcome("lower_bound", margins, failing))
 
-    return TraceReport(outcomes)
+    return TraceReport([
+        _outcome("dual_identity", dual),
+        _outcome("descent", descent),
+        _outcome("telescoped_descent", telescoped, first=rows),
+        # too short a trace holds no full window, so the check is skipped
+        _outcome("dual_difference", difference if rows >= t_max + 2 else []),
+        _outcome("lower_bound", lagrangian + lower_tol - floor, first=0),
+    ])

@@ -95,8 +95,6 @@ class ConcaveQuadratic:
         machine epsilon when B == 0.
     """
 
-    curvature = "concave"
-
     def __init__(self, B):
         B = np.atleast_2d(np.asarray(B, dtype=float))
         if not np.all(np.isfinite(B)):
@@ -256,9 +254,6 @@ class ConsensusProblem:
 
     def lipschitz_constants(self):
         return np.array([c.lipschitz for c in self.components])
-
-    def curvature_classes(self):
-        return [c.curvature for c in self.components]
 
 
 @dataclass

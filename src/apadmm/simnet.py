@@ -253,8 +253,8 @@ class StarNetwork:
         self._seq = 0
         self._uniform = _UniformStream(seed)
         self._busy = [False] * num_workers
-        self._pending = [None] * num_workers          # (copy_index, x) while idle
-        self._pickup_scheduled = [False] * num_workers
+        # (copy_index, x) while idle; a pickup is scheduled exactly while set
+        self._pending = [None] * num_workers
         self._stamp = [1] * num_workers               # worker-local send counter
         self._last_down = [0.0] * num_workers         # FIFO clamps
         self._last_up = [0.0] * num_workers
@@ -337,14 +337,13 @@ class StarNetwork:
             self._pending[k] = (copy_index, x)
         else:
             self.dropped_stale[k] += 1
-        if not self._pickup_scheduled[k]:
-            self._pickup_scheduled[k] = True
+        if pending is None:
             self._schedule(self.now, self._on_pickup, k)
 
     def _on_pickup(self, k):
-        self._pickup_scheduled[k] = False
-        if self._pending[k] is None or self._busy[k]:
-            return
+        # scheduled when a copy reached this idle worker with none pending;
+        # only a pickup makes the worker busy or takes its copy, so the
+        # worker is still idle and a copy still pending
         copy_index, x = self._pending[k]
         self._pending[k] = None
         self._busy[k] = True

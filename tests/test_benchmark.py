@@ -34,7 +34,6 @@ def test_generate_matches_documented_draw_order():
         np.testing.assert_array_equal(comp.B, ref)
     assert problem.l1_weight == 0.7
     assert problem.radius == 1.0
-    assert problem.curvature_classes() == ["concave"] * 4
 
 
 def test_generate_is_deterministic_and_seed_sensitive():

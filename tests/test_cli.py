@@ -82,6 +82,22 @@ def test_check_replays_at_the_staleness_bound(tmp_path, capsys):
     assert "FAIL" not in captured
 
 
+def test_check_fails_a_state_file_with_a_nan_dual_row(tmp_path, capsys):
+    out = str(tmp_path / "t.csv")
+    run_cli(["run", "--preset", "desk", "--full-trace", "--max-iters", "80",
+             "--out", out])
+    capsys.readouterr()
+    npz = str(tmp_path / "t.states.npz")
+    with np.load(npz) as data:
+        arrays = dict(data)
+    arrays["y_hist"][40] = np.nan
+    np.savez_compressed(npz, **arrays)
+    assert run_cli(["check", out]) == 1
+    captured = capsys.readouterr().out
+    assert "FAIL dual_identity worst_slack=nan failing at [40]\n" in captured
+    assert "FAIL dual_difference worst_slack=nan failing at [40, 41]\n" in captured
+
+
 def test_check_without_states_names_the_requirement(tmp_path, capsys):
     out = str(tmp_path / "t.csv")
     run_cli(["run", *SMALL, "--algo", "sync_padmm", "--seed", "5",

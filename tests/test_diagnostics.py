@@ -20,6 +20,7 @@ from apadmm.problems import (
     feasibility_gap,
     initial_state,
 )
+from apadmm.stepsize import descent_margin
 
 
 def penalized_surrogates(problem, state, rho, k, at=None):
@@ -387,6 +388,120 @@ def test_trace_residuals_detect_tampered_duals():
     assert by_name["dual_identity"].status == "fail"
     assert by_name["dual_identity"].failing
     assert by_name["dual_identity"].worst_slack < 0.0
+
+
+@pytest.mark.parametrize("where, entry, checks", [
+    ("snapshot", "y", {"dual_identity": [20], "dual_difference": [20, 21]}),
+    ("snapshot", "x_local", {"telescoped_descent": ["last"]}),
+    ("trace", "lagrangian", {"descent": [21, 22], "lower_bound": [21]}),
+    ("trace", "objective", {"lower_bound": "all"}),
+], ids=["y", "x_local", "lagrangian", "objective"])
+def test_a_nan_fails_every_check_it_enters(where, entry, checks):
+    # min() drops a NaN and "nan < 0" is false, so a NaN must be caught
+    # by the verdict rule itself, not by the comparison
+    problem, result = certified_run()
+    rows = len(result.trace)
+    if where == "snapshot":
+        getattr(result.trace.states[20], entry)[0, 0] = np.nan
+    else:
+        getattr(result.trace, entry)[20] = np.nan   # trace row 21
+    report = trace_residuals(problem, result.trace, result.rho, [2, 2, 2])
+    assert not report.passed
+    failed = {o.name: o for o in report.outcomes if o.status == "fail"}
+    assert sorted(failed) == sorted(checks)
+    for name, expected in checks.items():
+        outcome = failed[name]
+        assert np.isnan(outcome.worst_slack)
+        assert "worst_slack=nan" in outcome.line()
+        if expected == "all":
+            expected = list(range(rows + 1))
+        elif expected == ["last"]:
+            expected = [rows]
+        assert outcome.failing == expected
+
+
+def loop_residuals(problem, trace, rho, delay_bounds):
+    """The five residual checks as plain per-row, per-component loops.
+
+    The reference for ``trace_residuals`` at its default tolerances:
+    returns ``(worst margin, failing rows)`` per check in report order,
+    or None for a skipped check. Valid for traces without NaN.
+    """
+    states, rows, K = trace.states, len(trace), problem.num_components
+    L = problem.lipschitz_constants()
+    T = np.asarray(delay_bounds, dtype=float)
+    out = []
+
+    def verdict(margins, first=1):
+        return (min(margins) if margins else None,
+                [first + i for i, m in enumerate(margins) if m < 0])
+
+    margins = []
+    for r in range(1, rows + 1):
+        points = np.array([states[max(int(i) - 1, 0)].x
+                           for i in states[r].stale_index])
+        grads = problems._block_pass(problem.blocks, points)[1]
+        margins.append(min(1e-9 * (1.0 + np.linalg.norm(y)) - np.linalg.norm(g + y)
+                           for g, y in zip(grads, states[r].y)))
+    out.append(verdict(margins))
+    lag = [problems.augmented_lagrangian(problem, states[0], rho)]
+    lag += list(trace.lagrangian)
+    out.append(verdict([lag[r - 1] + 1e-9 * (1.0 + abs(lag[r - 1])) - lag[r]
+                        for r in range(1, len(lag))]))
+    alphas = np.array([descent_margin(rho[k], L[k], T[k], "general")
+                       for k in range(K)])
+    claim = 0.0
+    for r in range(1, rows + 1):
+        dxk = states[r].x_local - states[r - 1].x_local
+        dx = states[r].x - states[r - 1].x
+        claim += float(((rho - 7.0 * L) / 2.0) @ (dxk * dxk).sum(axis=1))
+        claim += float(alphas.sum() * (dx @ dx))
+    drop = lag[0] - lag[-1]
+    out.append(verdict([drop + 1e-6 * (1.0 + max(abs(drop), abs(claim))) - claim],
+                       first=rows))
+    margins = []
+    for r in range(1, rows + 1):
+        worst = np.inf
+        for k in range(K):
+            window = 0.0
+            for i in range(int(T[k]) + 1):
+                j = max(r - i, 0)
+                step = states[j].x - states[max(j - 1, 0)].x
+                window += float(step @ step)
+            dy = states[r].y[k] - states[r - 1].y[k]
+            bound = L[k] ** 2 * (int(T[k]) + 1) * window + 1e-9
+            worst = min(worst, bound - float(dy @ dy))
+        margins.append(worst)
+    out.append(verdict(margins) if rows >= int(T.max()) + 2 else (None, []))
+    floor = min(trace.objective) - (2.0 * problem.radius) ** 2 * L.sum() / 2.0
+    out.append(verdict([val + 1e-6 - floor for val in lag], first=0))
+    return out
+
+
+@pytest.mark.parametrize("variant", ["certified", "tampered", "low_rho",
+                                     "sync", "short"])
+def test_trace_residuals_match_the_loop_reference_bit_for_bit(variant):
+    problem, result = certified_run(
+        algorithm="sync_padmm" if variant == "sync" else "async_padmm",
+        iters=3 if variant == "short" else 60)
+    rho = result.rho
+    bounds = [4, 4, 4] if variant == "short" else result.delay_bounds
+    if variant == "tampered":
+        result.trace.states[20].y[0] += 0.5
+        result.trace.lagrangian[10] += 1e-3
+    elif variant == "low_rho":
+        rho = 0.2 * rho
+    report = trace_residuals(problem, result.trace, rho, bounds)
+    reference = loop_residuals(problem, result.trace, rho, bounds)
+    for outcome, (worst, failing) in zip(report.outcomes, reference):
+        if worst is None:
+            assert outcome.status == "skipped"
+            continue
+        assert outcome.status == ("fail" if failing else "pass")
+        assert float(outcome.worst_slack).hex() == float(worst).hex(), outcome.name
+        assert outcome.failing == failing
+    assert len(report.outcomes) == len(reference) == 5
+    assert report.passed == (variant != "tampered")
 
 
 def test_trace_residuals_skip_short_history_checks():

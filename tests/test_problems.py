@@ -206,7 +206,6 @@ def test_concave_quadratic_hand_values():
     assert comp.value(x) == pytest.approx(-2.5, rel=1e-15)
     np.testing.assert_allclose(comp.gradient(x), [-1.0, -4.0], rtol=1e-15)
     assert comp.lipschitz == pytest.approx(4.0, rel=1e-10)
-    assert comp.curvature == "concave"
 
 
 def test_concave_quadratic_gradient_matches_finite_differences():
@@ -345,7 +344,6 @@ def test_consensus_problem_validation():
             ConsensusProblem([comp], **kwargs)
     problem = ConsensusProblem([comp, ConcaveQuadratic(np.array([[2.0]]))])
     np.testing.assert_allclose(problem.lipschitz_constants(), [1.0, 4.0])
-    assert problem.curvature_classes() == ["concave", "concave"]
 
 
 # -- state and trace ---------------------------------------------------------

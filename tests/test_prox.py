@@ -6,6 +6,8 @@ subgradient descent, and a penalized L-BFGS solve. They are reused by
 the acceptance suite at larger input counts.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,21 +62,35 @@ def grid_argmin(table, v, tau):
     return candidates[np.argmin(tau * l1 + half_sq - candidates @ v)]
 
 
+@functools.lru_cache(maxsize=2)
+def ball_table(dim, radius, res):
+    """``candidate_table`` of the whole ball at resolution ``res``, built once.
+
+    Every caller gets the same arrays, so they are read-only.
+    """
+    lo, hi = -radius * np.ones(dim), radius * np.ones(dim)
+    table = candidate_table(ball_candidates(dim, radius, lo, hi, res))
+    for array in table:
+        array.flags.writeable = False
+    return table
+
+
 def grid_prox(v, tau, radius, res=1e-3, coarse=None, candidates=None):
     """Dense-search oracle for argmin ``tau*|u|_1 + 0.5*|u-v|^2`` over the ball.
 
     ``coarse`` switches on a coarse-to-fine pass for dimension 3, where a
     flat res-1e-3 grid would be billions of points; convexity keeps the
-    refinement exact to the final resolution. ``candidates`` lets callers
-    reuse a precomputed full-ball ``candidate_table`` across many inputs.
+    refinement exact to the final resolution. The coarse table is shared
+    by every input with the same dimension, radius and ``coarse``.
+    ``candidates`` lets callers reuse a precomputed full-ball
+    ``candidate_table`` across many inputs.
     """
     v = np.asarray(v, dtype=float)
     dim = len(v)
     if candidates is None:
         lo, hi = -radius * np.ones(dim), radius * np.ones(dim)
         if coarse is not None:
-            rough = grid_argmin(candidate_table(
-                ball_candidates(dim, radius, lo, hi, coarse)), v, tau)
+            rough = grid_argmin(ball_table(dim, radius, coarse), v, tau)
             pad = 1.5 * coarse
             lo, hi = rough - pad, rough + pad
         candidates = candidate_table(ball_candidates(dim, radius, lo, hi, res))

@@ -9,8 +9,12 @@ desk instance with l1 weight 0.05 (the shrinking prox), and the paper
 shape N = 500, K = 10, M = 100, capped at 60 clock ticks; all with
 ``full_trace``. Each line holds the run's label,
 termination, iterations, updates and a SHA-256 over rho, every trace
-column and every snapshot array, so equal outputs mean two versions
-produced the same bits on every run of the grid:
+column and every snapshot array. Lines of ``async_padmm`` and
+``sync_padmm`` runs add a second SHA-256 over the residual replay of the
+run (``trace_residuals`` at its penalties and delay bounds): each
+outcome's name, status, worst-slack bits and failing rows. Equal outputs
+mean two versions produced the same bits, and the same verdicts, on
+every run of the grid:
 
     python3 tools/run_digest.py [SRC_DIR] > digest.txt
 
@@ -27,7 +31,8 @@ import numpy as np
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 sys.path.insert(0, sys.argv[1] if len(sys.argv) > 1 else SRC)
 
-from apadmm import RunConfig, SparsePcaSpec, generate, run  # noqa: E402
+from apadmm import (RunConfig, SparsePcaSpec, generate, run,  # noqa: E402
+                    trace_residuals)
 
 COLUMNS = ("lagrangian", "objective", "feas_gap", "prox_grad_norm", "measure",
            "sim_time", "collected")
@@ -74,6 +79,19 @@ def digest(result):
     return h.hexdigest()
 
 
+def replay_digest(problem, result):
+    h = hashlib.sha256()
+    report = trace_residuals(problem, result.trace, result.rho,
+                             result.delay_bounds)
+    for outcome in report.outcomes:
+        h.update(("%s %s %d\n" % (outcome.name, outcome.status,
+                                  len(outcome.failing))).encode())
+        if outcome.worst_slack is not None:
+            h.update(np.float64(outcome.worst_slack).tobytes())
+        h.update(np.asarray(outcome.failing, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
 def main():
     for label, cfg in grid():
         instance = dict(dict(dim=50, num_components=5, rows=20, seed=1),
@@ -81,10 +99,14 @@ def main():
         problem = generate(SparsePcaSpec(**instance))
         cfg = dict(dict(seed=7, max_iters=1500, enforcement="observe",
                         full_trace=True), **cfg)
-        result = run(problem, RunConfig(**cfg))
-        print("%-46s %-19s %4d %4d %s" % (label, result.termination,
-                                          result.iterations, result.updates,
-                                          digest(result)))
+        config = RunConfig(**cfg)
+        result = run(problem, config)
+        line = "%-46s %-19s %4d %4d %s" % (label, result.termination,
+                                           result.iterations, result.updates,
+                                           digest(result))
+        if config.algorithm != "sync_admm":
+            line += " " + replay_digest(problem, result)
+        print(line)
 
 
 if __name__ == "__main__":
