@@ -2,7 +2,8 @@
 
 Every algorithm runs the same pass in one solver loop: a master step
 (the l1-plus-ball prox of the penalty-weighted average of the local
-copies and duals), one evaluation of each component at the new x, an
+copies and duals), one evaluation of each component at the new x (in
+the same pass as the values at the last committed local copies), an
 exchange with the workers, and a commit of the local copies and duals.
 The algorithms differ only in how the master gets its gradients:
 
@@ -31,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import IterationTrace, SolverState, consensus_terms, initial_state
+from .problems import (IterationTrace, SolverState, augmented_lagrangian,
+                       consensus_terms, initial_state)
 from .prox import _norm, prox_l1_ball
 from .simnet import DelayModel, LinkModel, StarNetwork, _is_number
 from .stepsize import certify, default_penalties, exact_baseline_penalty
@@ -277,6 +279,18 @@ def run(problem, config):
     blocking round trip otherwise) and a commit (exact for ``sync_admm``,
     proximal otherwise). Only the exchange depends on the algorithm.
 
+    The passes run in this order. Before the loop, the start state's
+    pass (in ``initial_state``) and one at x_1 = ``master_step(state_0)``.
+    Update t exchanges the gradients at x_t and commits state_t; its row
+    reads the measure from the pass at x_t. Unless the row is the last,
+    x_{t+1} = ``master_step(state_t)`` follows at once, and one fused
+    pass evaluates, block by block, the values at ``state_t.x_local``
+    (row t's augmented Lagrangian) and the values and gradients at
+    x_{t+1} (the next exchange and row). The last row, converged or at
+    the clock cap, takes one values pass at its local copies instead. A
+    staleness violation aborts before its row, so each committed state's
+    local copies and each master vector are evaluated exactly once.
+
     Termination is one of ``converged`` (optimality measure dropped below
     epsilon), ``max_iters`` (clock budget exhausted), ``staleness_violation``
     (enforce mode tripped), or ``infeasible_stepsize`` (certificates failed
@@ -317,9 +331,9 @@ def run(problem, config):
     termination = "max_iters"
     measure = float("inf")
     clock = 0
+    x_new = master_step(problem, state, rho)
+    terms = consensus_terms(problem, x_new)
     while clock < config.max_iters:
-        x_new = master_step(problem, state, rho)
-        terms = consensus_terms(problem, x_new)
         t_new = state.iteration + 1
         if asynchronous:
             updates = {k: (msg.gradient, msg.copy_index)
@@ -341,11 +355,20 @@ def run(problem, config):
                 break
         state = new
         clock += cost
-        row = diagnostics.trace_row(problem, state, rho, terms)
-        trace.append(*row, float(clock), arrived)
+        row = diagnostics.stationarity(state, terms)
+        measure = row[-1]
+        values = None
+        if not (measure < config.epsilon or clock >= config.max_iters):
+            # not the last row: its values at the local copies ride along
+            # with the pass at the next master vector (a NaN measure does
+            # not converge, so its row is not the last)
+            x_new = master_step(problem, state, rho)
+            terms = consensus_terms(problem, x_new, state.x_local)
+            values = terms.local_values
+        trace.append(augmented_lagrangian(problem, state, rho, values), *row,
+                     float(clock), arrived)
         if trace.states is not None:
             trace.states.append(state)
-        measure = row[-1]
         if measure < config.epsilon:
             termination = "converged"
             break

@@ -26,42 +26,41 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import (_block_pass, augmented_lagrangian, consensus_terms,
-                       feasibility_gap)
+from .problems import (_block_pass, _row_dots, augmented_lagrangian,
+                       consensus_terms, feasibility_gap)
 from .prox import _norm
 from .stepsize import descent_margin
 
 __all__ = [
     "optimality_measure",
-    "trace_row",
+    "stationarity",
     "trace_residuals",
     "CheckOutcome",
     "TraceReport",
 ]
 
 
-def _stationarity(state, terms):
-    # objective, relative gap, prox-gradient norm and measure at state.x
+def stationarity(state, terms):
+    """``(objective, feas_gap, prox_grad_norm, measure)`` of a trace row.
+
+    ``terms``, the ``consensus_terms`` pass at ``state.x``, gives the
+    objective and the proximal-gradient norm; ``feas_gap`` is the
+    relative consensus gap, and the measure their sum. With the augmented
+    Lagrangian in front, these are a row in ``IterationTrace.append``
+    order; ``run`` reads the measure first, to tell whether the row is
+    the last.
+    """
     _, gap_rel = feasibility_gap(state)
     pg_norm = _norm(terms.prox_residual)
     return terms.objective, gap_rel, pg_norm, gap_rel + pg_norm
 
 
 def optimality_measure(problem, state):
-    """Progress measure: relative consensus gap plus proximal-gradient norm."""
-    return _stationarity(state, consensus_terms(problem, state.x))[3]
+    """Progress measure: relative consensus gap plus proximal-gradient norm.
 
-
-def trace_row(problem, state, rho, terms):
-    """Values of one trace row, in ``IterationTrace.append`` order.
-
-    Returns ``(lagrangian, objective, feas_gap, prox_grad_norm, measure)``.
-    ``terms``, the ``consensus_terms`` pass at ``state.x``, gives the
-    objective, the proximal-gradient norm and the measure; the augmented
-    Lagrangian adds one value pass at the local copies. The measure
-    equals ``optimality_measure`` bit for bit.
+    Equals the measure of ``run``'s trace rows bit for bit.
     """
-    return (augmented_lagrangian(problem, state, rho),) + _stationarity(state, terms)
+    return stationarity(state, consensus_terms(problem, state.x))[3]
 
 
 @dataclass
@@ -134,13 +133,14 @@ def trace_residuals(problem, trace, rho, delay_bounds,
 
     # dual identity, recomputed from problem data at the stale copies, in
     # one block pass per row; stale index i names the master vector of
-    # iteration i, and indices before the start clamp to the initial state
+    # iteration i, and indices before the start clamp to the initial state;
+    # a norm is the root of a row dot, the bits ``_norm`` gives row by row
     dual = []
     for st in states[1:]:
         points = np.array([states[max(int(i) - 1, 0)].x for i in st.stale_index])
-        grads = _block_pass(problem.blocks, points)[1]
-        dual.append(np.min([dual_tol * (1.0 + _norm(y)) - _norm(grad + y)
-                            for grad, y in zip(grads, st.y)]))
+        residual = _block_pass(problem.blocks, points)[1] + st.y
+        allowed = dual_tol * (1.0 + np.sqrt(_row_dots(st.y, st.y)))
+        dual.append(np.min(allowed - np.sqrt(_row_dots(residual, residual))))
 
     # per-iteration descent of the augmented Lagrangian
     lagrangian = np.array([augmented_lagrangian(problem, states[0], rho),

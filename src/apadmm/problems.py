@@ -15,12 +15,17 @@ residual (the optimality measure, the trace row) and the gradients the
 workers deliver, after their delays if any.
 
 Every component is a ``ConcaveQuadratic``. The problem holds their data
-once, as read-only ``(K_b, M_b, N)`` blocks, one per maximal run of
-consecutive components with the same row count, and each component's
-``B`` is a view of its slice. Every evaluation (the pass at the master
-vector, the augmented Lagrangian at the local copies, the replayed
-gradients of the dual identity) is a few batched matrix products per
-block; an equal-row problem is one block.
+once, as read-only ``(K_b, M_b, N)`` blocks of consecutive components
+with the same row count, each at most ``_BLOCK_BYTES`` (1 MiB) of data,
+and each component's ``B`` is a view of its slice. Every evaluation (the
+pass at the master vector, the augmented Lagrangian at the local copies,
+the replayed gradients of the dual identity) is a few batched matrix
+products per block, in one loop over the blocks. The cap keeps a block
+in a 2 MiB L2 cache while one pass reads it up to three times: a solver
+update evaluates the next master vector and the committed local copies
+in one pass. A desk problem (N = 50, K = 5, M = 20: 40 KB) is one block;
+a paper-scale one (N = 500, M = 100: 400 KB per component) is blocks of
+two components.
 """
 
 import itertools
@@ -150,22 +155,43 @@ class ConcaveQuadratic:
         return (b + self.B.T @ (C @ b)) / key
 
 
+# the most bytes of component data one block holds (see _stack_blocks)
+_BLOCK_BYTES = 1 << 20
+
+
 def _stack_blocks(components):
     """The components' data as read-only ``(K_b, M_b, N)`` blocks, in order.
 
-    One block per maximal run of consecutive components with the same row
-    count M_b; each component's B is rebound to its slice of its block, so
-    the data is held once. A component shared by several problems views
-    the block of the last one built, which holds the same values.
+    Each maximal run of consecutive components with the same row count
+    M_b is cut into blocks of at most ``_BLOCK_BYTES`` (one component a
+    block when a single component is larger), the last block of a run
+    taking what is left; each component's B is rebound to its slice of
+    its block, so the data is held once. A component shared by several
+    problems views the block of the last one built, which holds the
+    same values.
+
+    Why a byte cap: ``run``'s fused pass reads each block three times
+    (values at the local copies, values and gradients at the master
+    vector), and a block of 1 MiB stays in a 2 MiB L2 cache between the
+    reads, where the 4 MB paper-scale stack did not. At paper scale (400
+    KB a component) the cap makes blocks of two, the fastest or tied for
+    it in each sweep of caps from one to ten components a block, and
+    about a quarter faster than one block of ten (CHANGES.md). A desk
+    problem stays one block.
+    Each product is the same batched call on fewer components, so the
+    cap moves no bits.
     """
     blocks = []
     for _, run in itertools.groupby(components, key=lambda c: len(c.B)):
         run = list(run)
-        block = np.stack([c.B for c in run])
-        block.flags.writeable = False
-        for c, data in zip(run, block):
-            c.B = data
-        blocks.append(block)
+        size = max(1, _BLOCK_BYTES // run[0].B.nbytes)
+        for start in range(0, len(run), size):
+            part = run[start:start + size]
+            block = np.stack([c.B for c in part])
+            block.flags.writeable = False
+            for c, data in zip(part, block):
+                c.B = data
+            blocks.append(block)
     return tuple(blocks)
 
 
@@ -174,39 +200,49 @@ def _row_dots(a, b):
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _stacked_values(stack, X):
-    """``(g_k(X_k) for each k, W)`` with ``W_k = B_k X_k``, ``B_k = stack[k]``.
+def _block_pass(blocks, X, gradients=True, local=None):
+    """``(values, gradients, local_values)`` of every component, in order.
 
-    X is one vector for every component or one row per component.
+    X is one point for every component or one row per component; the
+    gradients are at X, and None when ``gradients`` is false. ``local``,
+    when given, is one row per component, and ``local_values`` are the
+    values there (None otherwise). One loop over the blocks makes every
+    product of a block before it moves on, each batched over the block:
+    ``W_k = B_k local_k`` and ``W_k . W_k`` at the local copies, then
+    ``W_k = B_k X_k``, ``W_k . W_k`` and ``W_k^T B_k``. Several blocks
+    write their products into their slices of preallocated ``(K, 1, 1)``
+    and ``(K, 1, N)`` arrays; a problem of one block keeps its products
+    as they are, which saves a desk-scale update the copies. The values
+    ``-0.5 W_k . W_k`` and the gradients ``-W_k^T B_k`` are then scaled
+    and negated once.
     """
-    W = stack @ X if X.ndim == 1 else (stack @ X[:, :, None])[:, :, 0]
-    return -0.5 * _row_dots(W, W), W
-
-
-def _stacked_gradients(stack, W):
-    """``-B_k^T W_k`` for each k: the gradients, from ``_stacked_values``' W."""
-    return -(W[:, None, :] @ stack)[:, 0, :]
-
-
-def _block_pass(blocks, X, gradients=True):
-    """``(values, gradients)`` of every component, in component order.
-
-    X is one point for every component or one row per component. Each
-    block is one ``_stacked_values`` and one ``_stacked_gradients`` call
-    (none when ``gradients`` is false, which returns None for them); the
-    outputs of several blocks are concatenated, those of one block are
-    returned as they are.
-    """
-    if len(blocks) > 1:
-        parts, start = [], 0
-        for block in blocks:
-            rows = X if X.ndim == 1 else X[start:start + len(block)]
-            start += len(block)
-            parts.append(_block_pass((block,), rows, gradients))
-        values, grads = zip(*parts)
-        return np.concatenate(values), np.concatenate(grads) if gradients else None
-    values, W = _stacked_values(blocks[0], X)
-    return values, _stacked_gradients(blocks[0], W) if gradients else None
+    products = None  # W.W at X, W^T B at X, W.W at the local copies
+    start = 0
+    for block in blocks:
+        end = start + len(block)
+        part = [None, None, None]
+        if local is not None:
+            W = (block @ local[start:end, :, None])[:, :, 0]
+            part[2] = W[:, None, :] @ W[:, :, None]
+        W = block @ X if X.ndim == 1 else (block @ X[start:end, :, None])[:, :, 0]
+        row = W[:, None, :]
+        part[0] = row @ W[:, :, None]
+        if gradients:
+            part[1] = row @ block
+        if len(blocks) == 1:
+            products = part
+        else:
+            if products is None:
+                count = sum(map(len, blocks))
+                products = [None if p is None else np.empty((count,) + p.shape[1:])
+                            for p in part]
+            for out, p in zip(products, part):
+                if p is not None:
+                    out[start:end] = p
+        start = end
+    dots, grads, local_dots = products
+    return (-0.5 * dots[:, 0, 0], None if grads is None else -grads[:, 0, :],
+            None if local_dots is None else -0.5 * local_dots[:, 0, 0])
 
 
 @dataclass
@@ -216,7 +252,8 @@ class ConsensusProblem:
     ``components`` is stored as a tuple of ``ConcaveQuadratic``; any other
     component raises TypeError. ``blocks`` holds their data once, as
     read-only ``(K_b, M_b, N)`` blocks of consecutive components with equal
-    row count (``_stack_blocks``); an equal-row problem is one block.
+    row count, each capped at ``_BLOCK_BYTES`` (``_stack_blocks``); a
+    desk-sized equal-row problem is one block.
     """
 
     components: tuple
@@ -299,14 +336,19 @@ def initial_state(problem, x0=None):
 
 
 class ConsensusTerms(NamedTuple):
-    """What one evaluation pass at a consensus point yields."""
+    """What one evaluation pass at a consensus point yields.
+
+    ``local_values`` are the values ``g_k(local_k)`` at the local copies
+    given to the same pass, or None when none were.
+    """
 
     objective: float
     prox_residual: np.ndarray
     gradients: np.ndarray
+    local_values: np.ndarray = None
 
 
-def consensus_terms(problem, x):
+def consensus_terms(problem, x, local=None):
     """Objective, proximal-gradient residual and gradients ``grad g_k(x)`` at x.
 
     Evaluates each component once, by batched products over the problem's
@@ -314,10 +356,13 @@ def consensus_terms(problem, x):
     of this one. The objective is ``sum_k g_k(x) + l1_weight * ||x||_1``
     (the ball constraint is not folded in; callers keep x feasible), and
     the residual ``x - prox(x - grad g(x))`` uses a unit step and the
-    l1-plus-ball operator with the problem's own l1 weight.
+    l1-plus-ball operator with the problem's own l1 weight. ``local``, one
+    row per component (a state's local copies), adds their values in the
+    same pass, read while each block is in cache, for
+    ``augmented_lagrangian``.
     """
     x = np.asarray(x, dtype=float)
-    values, grads = _block_pass(problem.blocks, x)
+    values, grads, local_values = _block_pass(problem.blocks, x, local=local)
     # added one at a time, in component order, as a loop over ``value`` would
     value = 0.0
     for v in values.tolist():
@@ -326,27 +371,29 @@ def consensus_terms(problem, x):
     grad = np.add.reduce(grads, axis=0, initial=0.0)
     obj = value + problem.l1_weight * float(np.add.reduce(np.abs(x)))
     residual = x - prox_l1_ball(x - grad, problem.l1_weight, problem.radius)
-    return ConsensusTerms(obj, residual, grads)
+    return ConsensusTerms(obj, residual, grads, local_values)
 
 
-def augmented_lagrangian(problem, state, rho):
+def augmented_lagrangian(problem, state, rho, values=None):
     """Augmented Lagrangian at the given state.
 
     ``sum_k [g_k(x_local_k) + <y_k, x_local_k - x> + rho_k/2 ||x_local_k - x||^2]
     + l1_weight * ||x||_1``, with per-component penalties ``rho``. The
-    component values come from the problem's ``blocks`` in one batched
-    pass.
+    component values are ``values`` when a pass already computed them at
+    ``state.x_local`` (``consensus_terms``' ``local_values``), and come
+    from one batched pass over the problem's ``blocks`` otherwise.
     """
-    rho = np.asarray(rho, dtype=float)
-    values = _block_pass(problem.blocks, state.x_local, gradients=False)[0].tolist()
+    if values is None:
+        values = _block_pass(problem.blocks, state.x_local, gradients=False)[0]
     diff = state.x_local - state.x
-    cross = _row_dots(state.y, diff).tolist()
-    square = (0.5 * rho * _row_dots(diff, diff)).tolist()
+    rows = zip(values.tolist(), _row_dots(state.y, diff).tolist(),
+               np.asarray(rho, dtype=float).tolist(), _row_dots(diff, diff).tolist())
     total = problem.l1_weight * float(np.add.reduce(np.abs(state.x)))
-    for k in range(problem.num_components):
-        total += values[k]
-        total += cross[k]
-        total += square[k]
+    # the penalty in Python floats, which round as numpy's 0.5 * rho * dots
+    for value, cross, r, square in rows:
+        total += value
+        total += cross
+        total += 0.5 * r * square
     return total
 
 

@@ -201,34 +201,56 @@ def count_evaluations(problem):
 
 
 def count_passes(monkeypatch):
-    """Log ``("terms", x)`` for every ``consensus_terms`` pass and
-    ``("lagrangian", x, x_local)`` for every ``augmented_lagrangian`` call."""
+    """Log ``(X, gradients, local)`` for every ``problems._block_pass``, the
+    one evaluator: its point or points X, whether it takes gradients there,
+    and the local copies whose values ride along (None when none do)."""
     log = []
-    terms, lagrangian = problems.consensus_terms, problems.augmented_lagrangian
+    block_pass = problems._block_pass
 
-    def counted_terms(problem, x):
-        log.append(("terms", np.array(x)))
-        return terms(problem, x)
+    def counted(blocks, X, gradients=True, local=None):
+        log.append((np.array(X), gradients,
+                    None if local is None else np.array(local)))
+        return block_pass(blocks, X, gradients, local)
 
-    def counted_lagrangian(problem, state, rho):
-        log.append(("lagrangian", state.x.copy(), state.x_local.copy()))
-        return lagrangian(problem, state, rho)
-
-    for module in (problems, algorithms, diagnostics):
-        monkeypatch.setattr(module, "consensus_terms", counted_terms)
-    monkeypatch.setattr(diagnostics, "augmented_lagrangian", counted_lagrangian)
+    monkeypatch.setattr(problems, "_block_pass", counted)
     return log
+
+
+def check_fused_order(problem, result, passes):
+    """The passes of a run, in order: the start point, x_1, then, after each
+    row t but the last, one fused pass (values and gradients at x_{t+1},
+    values at row t's local copies), and a values pass at the last row's
+    local copies. An aborted run has no last row: its final fused pass is
+    at the master vector of the aborted update. So each master vector and
+    each committed state's local copies are evaluated exactly once."""
+    states, rows = result.trace.states, len(result.trace)
+    aborted = result.termination == "staleness_violation"
+    masters = [state.x for state in states]
+    if aborted:
+        masters.append(algorithms.master_step(problem, states[-1], result.rho))
+    fused = [(x, True, state.x_local) for x, state in zip(masters[2:], states[1:])]
+    want = [(masters[0], True, None), (masters[1], True, None)] + fused
+    if not aborted:
+        want.append((states[-1].x_local, False, None))
+    assert len(passes) == len(want) == rows + 2
+    for (X, gradients, local), (want_X, want_gradients, want_local) in zip(passes, want):
+        np.testing.assert_array_equal(X, want_X)
+        assert gradients == want_gradients
+        assert (local is None) == (want_local is None)
+        if local is not None:
+            np.testing.assert_array_equal(local, want_local)
 
 
 @pytest.mark.parametrize("shape", ["wide", "square", "tall", "ragged"])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_each_update_evaluates_each_component_once_at_the_master_vector(
         algorithm, shape, monkeypatch):
-    """The workers and the exchange reuse the master's pass: after the start
-    state, an update makes one ``consensus_terms`` pass at the new master
-    vector and one ``augmented_lagrangian`` at the new state, and nothing
-    else evaluates a component. Every problem, the ragged one too,
-    evaluates them from its blocks, without a per-component call."""
+    """The workers, the exchange and the trace row reuse the master's pass,
+    which also evaluates the previous row's local copies: after the start
+    state, each update adds one fused block pass, and the last row one
+    values pass. Every problem, the ragged one too, evaluates its
+    components from its blocks, without a per-component call. Here the
+    last row is the one that reaches the clock cap."""
     problem = row_problem(shape)
     assert len(problem.blocks) == (2 if shape == "ragged" else 1)
     log = count_evaluations(problem)
@@ -237,32 +259,56 @@ def test_each_update_evaluates_each_component_once_at_the_master_vector(
         algorithm=algorithm, delay_bound=2, seed=3, max_iters=8,
         epsilon=1e-14, init="random_ball", full_trace=True,
         enforcement="observe", compute_delay={"kind": "uniform", "hi": 1.5}))
-    states, rows = result.trace.states, len(result.trace)
-    assert rows >= 4
-    # the start state: one pass, at the start point
-    assert len(passes) == 1 + 2 * rows
-    assert passes[0][0] == "terms"
-    np.testing.assert_array_equal(passes[0][1], states[0].x)
-    for r in range(rows):
-        state = states[r + 1]
-        (name, x), (lag, lag_x, lag_local) = passes[1 + 2 * r:3 + 2 * r]
-        assert (name, lag) == ("terms", "lagrangian")
-        np.testing.assert_array_equal(x, state.x)
-        np.testing.assert_array_equal(lag_x, state.x)
-        np.testing.assert_array_equal(lag_local, state.x_local)
+    assert result.termination == "max_iters" and len(result.trace) >= 4
+    check_fused_order(problem, result, passes)
+    assert log == []
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_converged_last_row_takes_one_values_pass(algorithm, monkeypatch):
+    """A row whose measure converges is the last: no master step follows it,
+    and its local copies take a values pass of their own."""
+    problem = row_problem("ragged")
+    log = count_evaluations(problem)
+    passes = count_passes(monkeypatch)
+    result = run(problem, RunConfig(
+        algorithm=algorithm, seed=1, max_iters=400, epsilon=1e-3,
+        init="random_ball", full_trace=True))
+    assert result.converged and 2 <= len(result.trace) and result.iterations < 400
+    check_fused_order(problem, result, passes)
+    assert result.final_measure == optimality_measure(problem, result.state)
+    assert log == []
+
+
+def test_a_staleness_abort_leaves_no_row_to_close(monkeypatch):
+    """A dead uplink aborts at update T + 2; the pass at its master vector
+    was fused with the last committed row's, and no values pass follows."""
+    problem = row_problem("ragged")
+    log = count_evaluations(problem)
+    passes = count_passes(monkeypatch)
+    result = run(problem, RunConfig(
+        algorithm="async_padmm", delay_bound=2, seed=5, max_iters=50,
+        enforcement="enforce", init="random_ball", full_trace=True,
+        uplink=[{"loss": 1.0}, 0.0, 0.0],
+        compute_delay={"kind": "constant", "value": 0.0}))
+    assert result.termination == "staleness_violation"
+    assert len(result.trace) == 2
+    check_fused_order(problem, result, passes)
     assert log == []
 
 
 def test_random_start_evaluates_each_component_once(monkeypatch):
-    """The start state comes from one ``consensus_terms`` pass at the start
-    point, which evaluates the ragged problem block by block."""
+    """The start state comes from one block pass at the start point, which
+    evaluates the ragged problem block by block."""
     problem = row_problem("ragged")
     log = count_evaluations(problem)
     passes = count_passes(monkeypatch)
     state = _initial(problem, RunConfig(init="random_ball", seed=4))
     assert log == []
-    assert [name for name, *_ in passes] == ["terms"]
-    np.testing.assert_array_equal(passes[0][1], state.x)
+    assert len(passes) == 1
+    X, gradients, local = passes[0]
+    np.testing.assert_array_equal(X, state.x)
+    assert gradients and local is None
     np.testing.assert_array_equal(
         state.grad_stored,
         np.stack([explicit_gradient(c, state.x) for c in problem.components]))

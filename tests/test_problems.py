@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from apadmm import RunConfig, run
+from apadmm import RunConfig, problems, run
 from apadmm.benchmark import SparsePcaSpec, generate
 from apadmm.problems import (
     ConcaveQuadratic,
@@ -531,6 +531,53 @@ def test_ragged_problems_hold_one_block_per_run_of_equal_rows(shape):
                 == loop_residual(problem, x, grads).tobytes())
         assert augmented_lagrangian(problem, state, rho) == loop_lagrangian(
             problem, state, rho)
+
+
+def paper_problem(num_components):
+    spec = SparsePcaSpec(dim=500, num_components=num_components, rows=100,
+                         l1_weight=0.05, seed=3)
+    return generate(spec), [np.array(c.B) for c in generate(spec).components]
+
+
+@pytest.mark.parametrize("num_components, sizes", [(10, [2] * 5), (7, [2, 2, 2, 1])])
+def test_paper_scale_blocks_are_capped_at_two_components(num_components, sizes):
+    """A paper-scale component holds 400 KB of data, so a block of at most
+    ``_BLOCK_BYTES`` holds two, and an odd count leaves one for the last."""
+    problem, data = paper_problem(num_components)
+    assert [len(block) for block in problem.blocks] == sizes
+    assert all(block.nbytes <= problems._BLOCK_BYTES for block in problem.blocks)
+    comps = iter(problem.components)
+    for block in problem.blocks:
+        assert block.flags.c_contiguous and not block.flags.writeable
+        for B, comp in zip(block, comps):  # block first: comps is shared
+            assert comp.B.base is block and np.shares_memory(comp.B, B)
+            assert comp.B.flags.c_contiguous and not comp.B.flags.writeable
+    for comp, B in zip(problem.components, data):
+        np.testing.assert_array_equal(comp.B, B)
+
+
+def test_fused_pass_matches_the_component_methods_on_several_blocks():
+    """One pass over the blocks of an uneven multi-block problem, with the
+    values at the local copies riding along, gives the per-component
+    methods' bits, and the unfused passes' bits."""
+    problem, _ = paper_problem(7)
+    rng = np.random.default_rng(5)
+    rho = rng.uniform(5.0, 20.0, 7)
+    for _ in range(3):
+        x = rng.standard_normal(500) * 0.05
+        state = make_state(problem, x, rng.standard_normal((7, 500)) * 0.05,
+                           rng.standard_normal((7, 500)))
+        terms = consensus_terms(problem, x, state.x_local)
+        objective, grads = loop_terms(problem, x)
+        assert terms.objective == objective
+        np.testing.assert_array_equal(terms.gradients, grads)
+        assert (terms.prox_residual.tobytes()
+                == loop_residual(problem, x, grads).tobytes())
+        assert (augmented_lagrangian(problem, state, rho, terms.local_values)
+                == loop_lagrangian(problem, state, rho)
+                == augmented_lagrangian(problem, state, rho))
+        assert consensus_terms(problem, x).local_values is None
+        assert consensus_terms(problem, x).objective == objective
 
 
 def test_a_component_that_is_not_a_quadratic_is_rejected_by_index():
