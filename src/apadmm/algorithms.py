@@ -16,9 +16,10 @@ The algorithms differ only in how the master gets its gradients:
 * ``sync_padmm``: the exchange blocks on every worker and commits every
   component's gradient at the new x (the zero-delay protocol).
 * ``sync_admm``: the exchange blocks as for ``sync_padmm``, and every
-  component solves its penalized subproblem exactly
-  (``ConcaveQuadratic.penalized_argmin``); requires penalties above the
-  component curvature.
+  component solves its penalized subproblem exactly, all K in one
+  ``problems.penalized_argmin`` call: per block of the problem's data,
+  batched products through one cached M x M inverse per component;
+  requires penalties above the component curvature.
 
 Time accounting: the reported iteration count is the simulated master
 clock in windows, the simulator's unit of time. Async iterations cost
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .problems import (IterationTrace, SolverState, augmented_lagrangian,
-                       consensus_terms, initial_state)
+                       consensus_terms, initial_state, penalized_argmin)
 from .prox import _norm, prox_l1_ball
 from .simnet import DelayModel, LinkModel, StarNetwork, _is_number
 from .stepsize import certify, default_penalties, exact_baseline_penalty
@@ -186,17 +187,17 @@ def padmm_apply(problem, state, rho, x_new, updates):
 def exact_admm_iteration(problem, state, rho, x_new):
     """Commit one exact update: each component minimizes its penalized cost at x_new.
 
-    Each component solves with its ``penalized_argmin``, which checks that
-    its penalty exceeds the component curvature. The stored gradients
-    come from the subproblem's first-order condition
+    One ``penalized_argmin`` call solves every component's subproblem,
+    batched over the problem's blocks, and checks that each penalty
+    exceeds its component's curvature. The stored gradients come from the
+    subproblem's first-order condition
     ``grad g_k(u_k) + y_k + rho_k (u_k - x_new) = 0``,
     whose last two terms are the new dual, so ``grad g_k(u_k) = -y_k_new``
     and no component is evaluated here.
     """
     rho = np.asarray(rho, dtype=float)
-    x_local = np.empty_like(state.x_local)
-    for k, comp in enumerate(problem.components):
-        x_local[k] = comp.penalized_argmin(rho[k], x_new, state.y[k])
+    x_new = np.asarray(x_new, dtype=float)
+    x_local = penalized_argmin(problem, rho, x_new, state.y)
     y = state.y + rho[:, None] * (x_local - x_new)
     t_new = state.iteration + 1
     stale = np.full(problem.num_components, t_new, dtype=int)

@@ -20,7 +20,10 @@ with the same row count, each at most ``_BLOCK_BYTES`` (1 MiB) of data,
 and each component's ``B`` is a view of its slice. Every evaluation (the
 pass at the master vector, the augmented Lagrangian at the local copies,
 the replayed gradients of the dual identity) is a few batched matrix
-products per block, in one loop over the blocks. The cap keeps a block
+products per block, in one loop over the blocks. So are the exact
+penalized argmins of the synchronous baseline (``penalized_argmin``):
+per block, batched products through a cached ``(K_b, M_b, M_b)`` stack
+of inverses, built once per penalty vector. The cap keeps a block
 in a 2 MiB L2 cache while one pass reads it up to three times: a solver
 update evaluates the next master vector and the committed local copies
 in one pass. A desk problem (N = 50, K = 5, M = 20: 40 KB) is one block;
@@ -44,6 +47,7 @@ __all__ = [
     "SolverState",
     "IterationTrace",
     "leading_eigenvalue",
+    "penalized_argmin",
     "initial_state",
     "ConsensusTerms",
     "consensus_terms",
@@ -88,9 +92,9 @@ class ConcaveQuadratic:
     ``B.T @ (B @ z)``, so no N x N Gram matrix is held. A
     ``ConsensusProblem`` holding the component rebinds B to a read-only
     view of its slice of a block; reassigning B after that is unsupported.
-    The component supports the exact penalized argmin needed by the synchronous
-    exact-minimization baseline, with one M x N solve operator cached per
-    penalty value.
+    The exact penalized argmins of the synchronous exact-minimization
+    baseline are solved for all components at once, from the problem's
+    blocks, by ``penalized_argmin``.
 
     Attributes
     ----------
@@ -108,7 +112,6 @@ class ConcaveQuadratic:
         self.dim = B.shape[1]
         lam = leading_eigenvalue(B)
         self.lipschitz = lam if lam > 0.0 else float(np.finfo(float).eps)
-        self._solve_ops = {}
 
     def value(self, z):
         w = self.B @ z
@@ -116,43 +119,6 @@ class ConcaveQuadratic:
 
     def gradient(self, z):
         return -(self.B.T @ (self.B @ z))
-
-    def penalized_argmin(self, rho, x_master, y):
-        """Exact minimizer of ``g(u) + <y, u - x_master> + rho/2 ||u - x_master||^2``.
-
-        Solves ``(rho I_N - B^T B) u = b``, ``b = rho x_master - y``, in the
-        M-dimensional data space. With ``C = (rho I_M - B B^T)^{-1} B`` and
-        ``(rho I_N - B^T B) B^T = B^T (rho I_M - B B^T)``,
-
-            (rho I_N - B^T B)(I_N + B^T C) = rho I_N - B^T B + B^T B = rho I_N,
-
-        the push-through identity (Golub & Van Loan, *Matrix Computations*,
-        2.1.4), so ``u = (b + B^T (C b)) / rho`` for every shape of B. C is
-        built once per penalty from a Cholesky factor of the M x M matrix
-        and cached, M N floats; a solve is then two passes over M x N data,
-        4MN flops. Requires ``rho`` above ``lipschitz``, which bounds the
-        top eigenvalue of both Gram matrices from above: a penalty at or
-        below it, or one the factorization still finds too small in
-        floating point, raises ValueError.
-        """
-        key = float(rho)
-        C = self._solve_ops.get(key)
-        if C is None:
-            factor = None
-            if key > self.lipschitz:
-                try:
-                    factor = scipy.linalg.cho_factor(
-                        key * np.eye(len(self.B)) - self.B @ self.B.T)
-                except np.linalg.LinAlgError:
-                    pass
-            if factor is None:
-                raise ValueError(
-                    "penalty %g does not exceed the component curvature (bound "
-                    "%g); the exact subproblem is not strongly convex"
-                    % (key, self.lipschitz))
-            C = self._solve_ops[key] = scipy.linalg.cho_solve(factor, self.B)
-        b = key * x_master - y
-        return (b + self.B.T @ (C @ b)) / key
 
 
 # the most bytes of component data one block holds (see _stack_blocks)
@@ -253,13 +219,17 @@ class ConsensusProblem:
     component raises TypeError. ``blocks`` holds their data once, as
     read-only ``(K_b, M_b, N)`` blocks of consecutive components with equal
     row count, each capped at ``_BLOCK_BYTES`` (``_stack_blocks``); a
-    desk-sized equal-row problem is one block.
+    desk-sized equal-row problem is one block. ``penalty_inverses`` maps a
+    penalty vector (a tuple of floats) to what ``penalized_argmin`` caches
+    for it: one read-only ``(K_b, M_b, M_b)`` stack of inverses per block.
     """
 
     components: tuple
     l1_weight: float = 0.0
     radius: float = 1.0
     blocks: tuple = field(init=False, repr=False, compare=False, default=())
+    penalty_inverses: dict = field(init=False, repr=False, compare=False,
+                                   default_factory=dict)
 
     def __post_init__(self):
         self.components = tuple(self.components)
@@ -291,6 +261,78 @@ class ConsensusProblem:
 
     def lipschitz_constants(self):
         return np.array([c.lipschitz for c in self.components])
+
+
+def _penalty_inverses(problem, rho):
+    """Per block, the cached read-only stack of ``S_k = (rho_k I - B_k B_k^T)^{-1}``.
+
+    Built on the first call for ``rho`` from a batched Gram ``B B^T`` per
+    block and a Cholesky factor of each M_b x M_b matrix. A rejected
+    penalty (see ``penalized_argmin``) caches nothing.
+    """
+    key = tuple(rho.tolist())
+    inverses = problem.penalty_inverses.get(key)
+    if inverses is not None:
+        return inverses
+    lipschitz = problem.lipschitz_constants()
+    inverses = []
+    k = 0
+    for block in problem.blocks:
+        gram = block @ block.transpose(0, 2, 1)
+        eye = np.eye(gram.shape[1])
+        for i in range(len(block)):
+            factor = None
+            if rho[k] > lipschitz[k]:
+                try:
+                    factor = scipy.linalg.cho_factor(rho[k] * eye - gram[i])
+                except np.linalg.LinAlgError:
+                    pass
+            if factor is None:
+                raise ValueError(
+                    "penalty %g of component %d does not exceed its curvature "
+                    "(bound %g); the exact subproblem is not strongly convex"
+                    % (rho[k], k, lipschitz[k]))
+            gram[i] = scipy.linalg.cho_solve(factor, eye)
+            k += 1
+        gram.flags.writeable = False
+        inverses.append(gram)
+    inverses = problem.penalty_inverses[key] = tuple(inverses)
+    return inverses
+
+
+def penalized_argmin(problem, rho, x_master, y):
+    """Exact minimizers of ``g_k(u) + <y_k, u - x_master> + rho_k/2 ||u - x_master||^2``.
+
+    Returns all K minimizers as a ``(K, N)`` array; ``rho`` holds one
+    penalty per component and ``y`` one dual per component. Component k
+    solves ``(rho_k I_N - B_k^T B_k) u_k = b_k``, ``b_k = rho_k x_master -
+    y_k``, in its M-dimensional data space: with ``S_k = (rho_k I_M - B_k
+    B_k^T)^{-1}`` and ``(rho I_N - B^T B) B^T = B^T (rho I_M - B B^T)``,
+
+        (rho I_N - B^T B)(I_N + B^T S B) = rho I_N - B^T B + B^T B = rho I_N,
+
+    the push-through identity (Golub & Van Loan, *Matrix Computations*,
+    2.1.4), so ``u_k = (b_k + B_k^T S_k B_k b_k) / rho_k`` for every shape
+    of B_k. The S_k are cached per penalty vector on the problem, K_b M_b^2
+    floats per block; each solve is then three batched products per
+    block, in one loop over the problem's ``blocks``. Every ``rho_k`` must
+    exceed its component's ``lipschitz``, which bounds the top eigenvalue
+    of both Gram matrices from above: a penalty at or below it, or one the
+    factorization still finds too small in floating point, raises
+    ValueError naming the component.
+    """
+    rho = np.asarray(rho, dtype=float)
+    b = rho[:, None] * x_master - y
+    out = np.empty_like(b)
+    start = 0
+    for block, inverse in zip(problem.blocks, _penalty_inverses(problem, rho)):
+        end = start + len(block)
+        v = inverse @ (block @ b[start:end, :, None])
+        out[start:end] = (v.transpose(0, 2, 1) @ block)[:, 0, :]
+        start = end
+    out += b
+    out /= rho[:, None]
+    return out
 
 
 @dataclass

@@ -173,11 +173,13 @@ def test_criterion_06_prox_oracle_equivalence():
         worst3 = max(worst3, float(np.linalg.norm(prox_l1_ball(v, tau, 1.0) - ref)))
     assert worst3 < 2e-3
     rng = np.random.default_rng(7)
+    inputs = [(rng.standard_normal(10), float(rng.uniform(0.05, 0.6)))
+              for _ in range(20)]
+    # the 20 oracle runs as one (20, 10) stack, each row bit for bit its own run
+    refs = subgradient_prox(np.array([v for v, _ in inputs]),
+                            [tau for _, tau in inputs], 1.0, steps=10 ** 4)
     worst10 = 0.0
-    for _ in range(20):
-        v = rng.standard_normal(10)
-        tau = float(rng.uniform(0.05, 0.6))
-        ref = subgradient_prox(v, tau, 1.0, steps=10 ** 4)
+    for (v, tau), ref in zip(inputs, refs):
         worst10 = max(worst10, float(np.linalg.norm(prox_l1_ball(v, tau, 1.0) - ref)))
     assert worst10 < 1e-4
     print("\nACCEPTANCE 6 (prox oracles: grid %.1e/%.1e, subgradient %.1e): PASS"

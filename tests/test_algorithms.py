@@ -159,6 +159,22 @@ def test_exact_admm_zero_data_fixed_point():
     np.testing.assert_allclose(new.y, np.zeros((2, 4)), atol=1e-15)
 
 
+def test_commits_accept_a_list_as_the_master_vector():
+    problem = generate(SparsePcaSpec(dim=2, num_components=2, rows=3,
+                                     nonzero_prob=1.0, seed=1))
+    state = initial_state(problem)
+    state.y = np.array([[0.2, -0.1], [0.3, 0.4]])
+    rho = [2.0 * c.lipschitz + 1.0 for c in problem.components]
+    for commit in (lambda x: padmm_apply(problem, state, rho, x, updates={}),
+                   lambda x: exact_admm_iteration(problem, state, rho, x)):
+        from_list = commit([0.5, 0.1])
+        from_array = commit(np.array([0.5, 0.1]))
+        assert isinstance(from_list.x, np.ndarray) and from_list.x.dtype == float
+        for name in ("x", "x_local", "y", "grad_stored", "stale_index"):
+            np.testing.assert_array_equal(getattr(from_list, name),
+                                          getattr(from_array, name))
+
+
 def test_run_rejects_penalties_out_of_floating_point_range():
     # data of about 1e100 puts the Lipschitz bound at about 1e200, where
     # the margin cubic has no certified root in floating point

@@ -17,6 +17,7 @@ from apadmm.problems import (
     feasibility_gap,
     initial_state,
     leading_eigenvalue,
+    penalized_argmin,
 )
 from apadmm.prox import _norm, prox_l1_ball
 
@@ -232,15 +233,59 @@ def test_penalized_argmin_solves_the_linear_system():
     for rows, dim in [(6, 3)] + SHAPES:
         rng = np.random.default_rng(rows * 10 + dim)
         B = rng.standard_normal((rows, dim))
-        comp = ConcaveQuadratic(B)
-        rho = 1.5 * comp.lipschitz + 1.0
-        for _ in range(2):  # the second solve reuses the cached factorization
+        problem = ConsensusProblem([ConcaveQuadratic(B)])
+        rho = 1.5 * problem.lipschitz_constants() + 1.0
+        for _ in range(2):  # the second solve reuses the cached inverse
             x_master = rng.standard_normal(dim)
             y = rng.standard_normal(dim)
-            ref = np.linalg.solve(rho * np.eye(dim) - B.T @ B,
-                                  rho * x_master - y)
-            np.testing.assert_allclose(comp.penalized_argmin(rho, x_master, y),
-                                       ref, rtol=1e-10)
+            ref = np.linalg.solve(rho[0] * np.eye(dim) - B.T @ B,
+                                  rho[0] * x_master - y)
+            out = penalized_argmin(problem, rho, x_master, y[None])
+            np.testing.assert_allclose(out[0], ref, rtol=1e-10)
+
+
+def check_penalized_argmins(problem, seed):
+    """Every row against a dense N x N solve and the first-order condition."""
+    rng = np.random.default_rng(seed)
+    K, N = problem.num_components, problem.dim
+    rho = 1.5 * problem.lipschitz_constants() + 1.0
+    x_master = rng.standard_normal(N)
+    y = rng.standard_normal((K, N))
+    out = penalized_argmin(problem, rho, x_master, y)
+    assert out.shape == (K, N)
+    for k, comp in enumerate(problem.components):
+        B = comp.B
+        ref = np.linalg.solve(rho[k] * np.eye(N) - B.T @ B, rho[k] * x_master - y[k])
+        np.testing.assert_allclose(out[k], ref, rtol=1e-10)
+        first_order = comp.gradient(out[k]) + y[k] + rho[k] * (out[k] - x_master)
+        scale = rho[k] * np.abs(out[k]).max() + np.abs(y[k]).max()
+        np.testing.assert_allclose(first_order, 0.0, atol=1e-12 * scale)
+    # one read-only (K_b, M_b, M_b) stack of inverses per block, nothing else
+    assert list(problem.penalty_inverses) == [tuple(rho.tolist())]
+    inverses = problem.penalty_inverses[tuple(rho.tolist())]
+    assert [s.shape for s in inverses] == [(len(b), b.shape[1], b.shape[1])
+                                           for b in problem.blocks]
+    assert not any(s.flags.writeable for s in inverses)
+    return rho
+
+
+def test_penalized_argmin_on_ragged_rows():
+    problem = generate(SparsePcaSpec(dim=30, num_components=5, rows=[6, 6, 9, 4, 4],
+                                     nonzero_prob=0.3, seed=4))
+    assert [b.shape[:2] for b in problem.blocks] == [(2, 6), (1, 9), (2, 4)]
+    check_penalized_argmins(problem, 5)
+
+
+def test_penalized_argmin_on_uneven_paper_shape_blocks():
+    problem = generate(SparsePcaSpec(dim=500, num_components=7, rows=100, seed=6))
+    assert [len(b) for b in problem.blocks] == [2, 2, 2, 1]
+    rho = check_penalized_argmins(problem, 7)
+    # a rejected penalty names its component and caches nothing
+    cached = list(problem.penalty_inverses)
+    rho[5] = problem.components[5].lipschitz
+    with pytest.raises(ValueError, match="component 5 .*not strongly convex"):
+        penalized_argmin(problem, rho, np.ones(500), np.zeros((7, 500)))
+    assert list(problem.penalty_inverses) == cached
 
 
 @pytest.mark.parametrize("rows,dim", SHAPES)
@@ -259,15 +304,13 @@ def test_concave_quadratic_matches_explicit_definitions(rows, dim):
 
 def test_penalized_argmin_scalar_hand_value():
     # (rho - Q) x_k = rho x' - y with Q=1, rho=8, x'=1, y=0 gives 8/7
-    comp = ConcaveQuadratic(np.array([[1.0]]))
-    out = comp.penalized_argmin(8.0, np.array([1.0]), np.array([0.0]))
-    assert out[0] == pytest.approx(8.0 / 7.0, rel=1e-14)
+    out = penalized_argmin(scalar_problem(), [8.0], np.array([1.0]), np.array([[0.0]]))
+    assert out[0, 0] == pytest.approx(8.0 / 7.0, rel=1e-14)
 
 
 def test_penalized_argmin_rejects_small_rho():
-    comp = ConcaveQuadratic(np.array([[1.0]]))
-    with pytest.raises(ValueError):
-        comp.penalized_argmin(0.9, np.array([1.0]), np.array([0.0]))
+    with pytest.raises(ValueError, match="component 0 .*not strongly convex"):
+        penalized_argmin(scalar_problem(), [0.9], np.array([1.0]), np.array([[0.0]]))
 
 
 
@@ -287,13 +330,15 @@ def near_degenerate_data(seed, rows=20, dim=60, gap=1e-6):
 @pytest.mark.parametrize("seed", [0, 3, 7])
 def test_penalized_argmin_rejects_rho_below_the_true_curvature(seed):
     B = near_degenerate_data(seed)
-    comp = ConcaveQuadratic(B)
+    problem = ConsensusProblem([ConcaveQuadratic(B)])
     curvature = np.linalg.eigvalsh(B @ B.T).max()
-    assert comp.lipschitz >= curvature
-    rho = curvature * (1.0 - 1e-12)
+    assert problem.components[0].lipschitz >= curvature
+    rho = [curvature * (1.0 - 1e-12)]
     for _ in range(2):  # a rejected penalty caches nothing
         with pytest.raises(ValueError, match="not strongly convex"):
-            comp.penalized_argmin(rho, np.ones(B.shape[1]), np.zeros(B.shape[1]))
+            penalized_argmin(problem, rho, np.ones(B.shape[1]),
+                             np.zeros((1, B.shape[1])))
+        assert problem.penalty_inverses == {}
 
 
 def test_run_sync_admm_rho_below_the_true_curvature_is_infeasible():

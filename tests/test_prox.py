@@ -101,15 +101,21 @@ def subgradient_prox(v, tau, radius, steps=10 ** 4):
     """Projected subgradient descent on the prox objective, zero start.
 
     Step 1/t exploits the unit strong convexity; the last iterate lands
-    within about 1e-4 of the minimizer after 1e4 steps.
+    within about 1e-4 of the minimizer after 1e4 steps. ``v`` is a stack
+    of rows with one ``tau`` each, and every row takes the steps it would
+    take alone, bit for bit (its norm is one dot product, as in
+    ``np.linalg.norm``).
     """
-    u = np.zeros_like(v, dtype=float)
+    v = np.asarray(v, dtype=float)
+    tau = np.asarray(tau, dtype=float)[:, None]
+    u = np.zeros_like(v)
     for t in range(1, steps + 1):
         g = (u - v) + tau * np.sign(u)
         w = u - g / t
-        norm = np.linalg.norm(w)
-        if norm > radius:
-            w = w * (radius / norm)
+        norm = np.sqrt((w[:, None, :] @ w[:, :, None])[:, 0, 0])
+        over = norm > radius
+        if over.any():
+            w[over] = w[over] * (radius / norm[over])[:, None]
         u = w
     return u
 
@@ -302,10 +308,11 @@ def test_prox_l1_ball_matches_grid_3d():
 
 def test_prox_l1_ball_matches_subgradient_oracle():
     rng = np.random.default_rng(17)
-    for _ in range(4):
-        v = rng.standard_normal(10)
-        tau = float(rng.uniform(0.05, 0.6))
-        ref = subgradient_prox(v, tau, 1.0)
+    inputs = [(rng.standard_normal(10), float(rng.uniform(0.05, 0.6)))
+              for _ in range(4)]
+    refs = subgradient_prox(np.array([v for v, _ in inputs]),
+                            [tau for _, tau in inputs], 1.0)
+    for (v, tau), ref in zip(inputs, refs):
         assert np.linalg.norm(prox_l1_ball(v, tau, 1.0) - ref) < 1e-4
 
 

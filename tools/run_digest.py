@@ -6,9 +6,10 @@ desk instance, plus a lossy, a dead-uplink and a delayed-link run, one
 table3 sweep), and one run per algorithm on each of: components of
 unequal row counts (which a problem holds as several blocks), the
 desk instance with l1 weight 0.05 (the shrinking prox), and the paper
-shape N = 500, K = 10, M = 100, capped at 60 clock ticks; then one
-``async_padmm`` run on the paper shape with K = 7, whose blocks are
-uneven (2, 2, 2, 1) and which converges; all with ``full_trace``. Each
+shape N = 500, K = 10, M = 100, capped at 60 clock ticks; then two
+runs on the paper shape with K = 7, whose blocks are uneven (2, 2, 2,
+1): an ``async_padmm`` run that converges and a ``sync_admm`` run capped
+at 60 clock ticks; all with ``full_trace``. Each
 line holds the run's label, termination, iterations, updates and a
 SHA-256 over rho, every trace column and every snapshot array. Lines of
 ``async_padmm`` and ``sync_padmm`` runs add a second SHA-256 over the
@@ -69,6 +70,9 @@ def grid():
             instance=dict(dim=500, num_components=10, rows=100))
     yield "async_padmm paper N=500 K=7 M=100", dict(
         delay_bound=3, instance=dict(dim=500, num_components=7, rows=100))
+    yield "sync_admm paper N=500 K=7 M=100", dict(
+        algorithm="sync_admm", delay_bound=3, max_iters=60,
+        instance=dict(dim=500, num_components=7, rows=100))
 
 
 def digest(result):
