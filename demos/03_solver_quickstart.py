@@ -15,7 +15,7 @@ spec = SparsePcaSpec(dim=30, num_components=4, rows=12, nonzero_prob=0.15,
 problem = generate(spec)
 print("instance: dim=%d, K=%d, L_k=%s" % (
     problem.dim, problem.num_components,
-    [round(float(L), 2) for L in problem.lipschitz_constants()]))
+    [round(float(L), 2) for L in problem.lipschitz]))
 
 cfg = RunConfig(algorithm="async_padmm", delay_bound=3, seed=0,
                 max_iters=4000, epsilon=1e-6, init="random_ball",

@@ -248,7 +248,7 @@ def _build_network(problem, config, delay_bounds):
 
 def _resolve_rho(problem, config, cert_delays):
     K = problem.num_components
-    lipschitz = problem.lipschitz_constants()
+    lipschitz = problem.lipschitz
     # every component is a concave quadratic
     if not (isinstance(config.rho, str) and config.rho == "auto"):
         rho = _numbers(config.rho, K, "rho", lambda v: 0 < v < math.inf,
@@ -317,8 +317,7 @@ def run(problem, config):
     trace = IterationTrace(states=[] if config.full_trace else None)
     state = _initial(problem, config)
 
-    hard_reject = exact and any(
-        r <= c.lipschitz for r, c in zip(rho, problem.components))
+    hard_reject = exact and np.any(rho <= problem.lipschitz)
     if hard_reject or (not all(c.feasible for c in certs) and not config.force):
         return RunResult(
             termination="infeasible_stepsize", iterations=0, updates=0,

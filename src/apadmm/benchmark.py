@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import RunConfig, run
-from .problems import ConcaveQuadratic, ConsensusProblem
+from .problems import ConsensusProblem
 
 __all__ = [
     "SparsePcaSpec",
@@ -85,16 +85,15 @@ def generate(spec):
     rows = _per_component(spec.rows, spec.num_components, "rows")
     probs = _per_component(spec.nonzero_prob, spec.num_components,
                            "nonzero_prob")
-    components = []
+    data = []
     for m, p in zip(rows, probs):
         shape = (int(m), spec.dim)
         means = rng.random(shape)
         variances = rng.random(shape)
         mask = rng.random(shape) < float(p)
         noise = rng.standard_normal(shape)
-        data = np.where(mask, means + np.sqrt(variances) * noise, 0.0)
-        components.append(ConcaveQuadratic(data))
-    return ConsensusProblem(components, l1_weight=spec.l1_weight, radius=1.0)
+        data.append(np.where(mask, means + np.sqrt(variances) * noise, 0.0))
+    return ConsensusProblem(data, l1_weight=spec.l1_weight, radius=1.0)
 
 
 @dataclass

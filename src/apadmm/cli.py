@@ -26,6 +26,7 @@ import argparse
 import json
 import os
 import sys
+import zipfile
 from dataclasses import fields
 
 import numpy as np
@@ -43,7 +44,7 @@ from .benchmark import (
     run_preset,
 )
 from .diagnostics import trace_residuals
-from .problems import ConcaveQuadratic, ConsensusProblem, IterationTrace, SolverState
+from .problems import ConsensusProblem, IterationTrace, SolverState
 from .stepsize import CURVATURE_CLASSES, certify, minimal_rho
 
 __all__ = ["main", "build_parser", "trace_csv", "save_states", "load_run"]
@@ -113,8 +114,8 @@ def save_states(path, problem, result, algorithm):
         "radius": np.float64(problem.radius),
         "algorithm": np.str_(algorithm),
     }
-    for k, comp in enumerate(problem.components):
-        arrays["B_%d" % k] = comp.B
+    for k, B in enumerate(problem.data):
+        arrays["B_%d" % k] = B
     np.savez_compressed(path, **arrays)
 
 
@@ -144,23 +145,27 @@ def load_run(csv_path):
             "written by run --full-trace" % npz_path)
     with open(csv_path, "r", encoding="utf-8") as fh:
         trace = _parse_trace_csv(fh.read())
-    with np.load(npz_path) as data:
-        num = 0
-        while "B_%d" % num in data:
-            num += 1
-        if num == 0:
-            raise CliError("state file holds no component data matrices")
-        components = [ConcaveQuadratic(data["B_%d" % k]) for k in range(num)]
-        problem = ConsensusProblem(
-            components, l1_weight=float(data["l1_weight"]),
-            radius=float(data["radius"]))
-        # each member is decompressed on every read, so read it once
-        hist = [data[name + "_hist"] for name in
-                ("iteration", "x", "x_local", "y", "grad", "stale")]
-        states = [SolverState(int(row[0]), *row[1:]) for row in zip(*hist)]
-        rho = np.asarray(data["rho"], dtype=float)
-        delay_bounds = np.asarray(data["delay_bounds"], dtype=float)
-        algorithm = str(data["algorithm"][()])
+    try:
+        with np.load(npz_path) as data:
+            num = 0
+            while "B_%d" % num in data:
+                num += 1
+            if num == 0:
+                raise CliError("state file %r holds no component data matrices"
+                               % npz_path)
+            problem = ConsensusProblem(
+                [data["B_%d" % k] for k in range(num)],
+                l1_weight=float(data["l1_weight"]), radius=float(data["radius"]))
+            # each member is decompressed on every read, so read it once
+            hist = [data[name + "_hist"] for name in
+                    ("iteration", "x", "x_local", "y", "grad", "stale")]
+            states = [SolverState(int(row[0]), *row[1:]) for row in zip(*hist)]
+            rho = np.asarray(data["rho"], dtype=float)
+            delay_bounds = np.asarray(data["delay_bounds"], dtype=float)
+            algorithm = str(data["algorithm"][()])
+    except (KeyError, ValueError, TypeError, EOFError, OSError,
+            zipfile.BadZipFile) as exc:
+        raise CliError("cannot load state file %r: %s" % (npz_path, exc))
     trace.states = states
     return problem, trace, rho, delay_bounds, algorithm
 
@@ -368,11 +373,14 @@ def cmd_check(args):
         raise CliError(
             "trace was produced by exact subproblem minimization; the "
             "residual checks apply to proximal-update runs only")
-    report = trace_residuals(
-        problem, trace, rho, delay_bounds,
-        dual_tol=args.dual_tol, descent_tol=args.descent_tol,
-        telescope_tol=args.telescope_tol, dual_diff_tol=args.dual_diff_tol,
-        lower_tol=args.lower_tol)
+    try:
+        report = trace_residuals(
+            problem, trace, rho, delay_bounds,
+            dual_tol=args.dual_tol, descent_tol=args.descent_tol,
+            telescope_tol=args.telescope_tol, dual_diff_tol=args.dual_diff_tol,
+            lower_tol=args.lower_tol)
+    except ValueError as exc:  # snapshots that do not fit the trace or data
+        raise CliError("cannot check %r: %s" % (args.trace, exc))
     for line in report.lines():
         print(line)
     return 0 if report.passed else 1

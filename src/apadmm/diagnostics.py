@@ -125,7 +125,7 @@ def trace_residuals(problem, trace, rho, delay_bounds,
     delay_bounds = np.asarray(delay_bounds, dtype=float)
     states = trace.states
     rows = len(trace)
-    lipschitz = problem.lipschitz_constants()
+    lipschitz = problem.lipschitz
     # squared master steps ||x_r - x_{r-1}||^2 by row, read by the
     # telescoped and the dual-difference checks; nothing moved before row 1
     steps = [0.0] + [float(dx @ dx) for dx in

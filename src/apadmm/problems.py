@@ -14,19 +14,23 @@ Each component is evaluated once per master iterate, in the one pass of
 residual (the optimality measure, the trace row) and the gradients the
 workers deliver, after their delays if any.
 
-Every component is a ``ConcaveQuadratic``. The problem holds their data
-once, as read-only ``(K_b, M_b, N)`` blocks of consecutive components
-with the same row count, each at most ``_BLOCK_BYTES`` (1 MiB) of data,
-and each component's ``B`` is a view of its slice. Every evaluation (the
-pass at the master vector, the augmented Lagrangian at the local copies,
-the replayed gradients of the dual identity) is a few batched matrix
-products per block, in one loop over the blocks. So are the exact
-penalized argmins of the synchronous baseline (``penalized_argmin``):
-per block, batched products through a cached ``(K_b, M_b, M_b)`` stack
-of inverses, built once per penalty vector. The cap keeps a block
-in a 2 MiB L2 cache while one pass reads it up to three times: a solver
-update evaluates the next master vector and the committed local copies
-in one pass. A desk problem (N = 50, K = 5, M = 20: 40 KB) is one block;
+Every component is the sparse-PCA cost ``g_k(x) = -0.5 ||B_k x||^2`` of
+an M_k x N data matrix B_k, with gradient ``-B_k^T B_k x``.
+``ConsensusProblem`` owns that data: it validates each matrix, bounds
+its curvature (``lipschitz``) and copies the matrices once into
+read-only ``(K_b, M_b, N)`` blocks of consecutive components with the
+same row count, each at most ``_BLOCK_BYTES`` (1 MiB) of data;
+``data[k]`` is a read-only view of component k's slice, and the
+matrices the caller passed are neither kept nor written. Every
+evaluation (the pass at the master vector, the augmented Lagrangian at
+the local copies, the replayed gradients of the dual identity) is a few
+batched matrix products per block, in one loop over the blocks. So are
+the exact penalized argmins of the synchronous baseline
+(``penalized_argmin``): per block, batched products through a cached
+``(K_b, M_b, M_b)`` stack of inverses, built once per penalty vector.
+The cap keeps a block in a 2 MiB L2 cache while one pass reads it up to
+three times: a solver update evaluates the next master vector and the
+committed local copies in one pass. A desk problem (N = 50, K = 5, M = 20: 40 KB) is one block;
 a paper-scale one (N = 500, M = 100: 400 KB per component) is blocks of
 two components.
 """
@@ -42,7 +46,6 @@ import scipy.linalg
 from .prox import _norm, prox_l1_ball
 
 __all__ = [
-    "ConcaveQuadratic",
     "ConsensusProblem",
     "SolverState",
     "IterationTrace",
@@ -85,56 +88,18 @@ def leading_eigenvalue(B):
     return float(top) + pad
 
 
-class ConcaveQuadratic:
-    """Component cost ``g(z) = -0.5 * ||B z||^2`` for an M x N data matrix B.
-
-    Keeps only B and evaluates through it: ``B @ z``, then
-    ``B.T @ (B @ z)``, so no N x N Gram matrix is held. A
-    ``ConsensusProblem`` holding the component rebinds B to a read-only
-    view of its slice of a block; reassigning B after that is unsupported.
-    The exact penalized argmins of the synchronous exact-minimization
-    baseline are solved for all components at once, from the problem's
-    blocks, by ``penalized_argmin``.
-
-    Attributes
-    ----------
-    lipschitz : float
-        Gradient Lipschitz constant ``leading_eigenvalue(B)``, a proven
-        upper bound on the top eigenvalue of the Gram matrix. Floored at
-        machine epsilon when B == 0.
-    """
-
-    def __init__(self, B):
-        B = np.atleast_2d(np.asarray(B, dtype=float))
-        if not np.all(np.isfinite(B)):
-            raise ValueError("data matrix contains non-finite entries")
-        self.B = B
-        self.dim = B.shape[1]
-        lam = leading_eigenvalue(B)
-        self.lipschitz = lam if lam > 0.0 else float(np.finfo(float).eps)
-
-    def value(self, z):
-        w = self.B @ z
-        return -0.5 * float(w @ w)
-
-    def gradient(self, z):
-        return -(self.B.T @ (self.B @ z))
-
-
 # the most bytes of component data one block holds (see _stack_blocks)
 _BLOCK_BYTES = 1 << 20
 
 
-def _stack_blocks(components):
-    """The components' data as read-only ``(K_b, M_b, N)`` blocks, in order.
+def _stack_blocks(data):
+    """``(blocks, views)``: the matrices ``data`` copied into read-only blocks.
 
-    Each maximal run of consecutive components with the same row count
-    M_b is cut into blocks of at most ``_BLOCK_BYTES`` (one component a
-    block when a single component is larger), the last block of a run
-    taking what is left; each component's B is rebound to its slice of
-    its block, so the data is held once. A component shared by several
-    problems views the block of the last one built, which holds the
-    same values.
+    Each maximal run of consecutive matrices with the same row count M_b
+    is cut into ``(K_b, M_b, N)`` blocks of at most ``_BLOCK_BYTES`` (one
+    matrix a block when a single matrix is larger), the last block of a
+    run taking what is left. ``views[k]`` is the read-only slice of its
+    block that holds ``data[k]``; the matrices given are only read.
 
     Why a byte cap: ``run``'s fused pass reads each block three times
     (values at the local copies, values and gradients at the master
@@ -147,18 +112,16 @@ def _stack_blocks(components):
     Each product is the same batched call on fewer components, so the
     cap moves no bits.
     """
-    blocks = []
-    for _, run in itertools.groupby(components, key=lambda c: len(c.B)):
+    blocks, views = [], []
+    for _, run in itertools.groupby(data, key=len):
         run = list(run)
-        size = max(1, _BLOCK_BYTES // run[0].B.nbytes)
+        size = max(1, _BLOCK_BYTES // run[0].nbytes)
         for start in range(0, len(run), size):
-            part = run[start:start + size]
-            block = np.stack([c.B for c in part])
+            block = np.stack(run[start:start + size])
             block.flags.writeable = False
-            for c, data in zip(part, block):
-                c.B = data
             blocks.append(block)
-    return tuple(blocks)
+            views.extend(block)
+    return tuple(blocks), tuple(views)
 
 
 def _row_dots(a, b):
@@ -211,34 +174,41 @@ def _block_pass(blocks, X, gradients=True, local=None):
             None if local_dots is None else -0.5 * local_dots[:, 0, 0])
 
 
-@dataclass
+@dataclass(eq=False)
 class ConsensusProblem:
-    """Problem data: component costs plus the shared l1 + ball regularizer.
+    """Problem data: component matrices plus the shared l1 + ball regularizer.
 
-    ``components`` is stored as a tuple of ``ConcaveQuadratic``; any other
-    component raises TypeError. ``blocks`` holds their data once, as
-    read-only ``(K_b, M_b, N)`` blocks of consecutive components with equal
-    row count, each capped at ``_BLOCK_BYTES`` (``_stack_blocks``); a
-    desk-sized equal-row problem is one block. ``penalty_inverses`` maps a
-    penalty vector (a tuple of floats) to what ``penalized_argmin`` caches
-    for it: one read-only ``(K_b, M_b, M_b)`` stack of inverses per block.
+    ``data`` is given as one M_k x N matrix per component: 2-D, nonempty,
+    finite, one N for all; a bad matrix raises ValueError naming its
+    index. The problem keeps a copy: ``blocks`` (``_stack_blocks``), and
+    ``data`` becomes the tuple of read-only views of each matrix's slice.
+    ``lipschitz[k]``, read-only, is ``leading_eigenvalue`` of the matrix
+    as given, a proven upper bound on the top eigenvalue of its Gram
+    matrix, floored at machine epsilon when the matrix is 0.
+    ``penalty_inverses`` maps a penalty vector (a tuple of floats) to what
+    ``penalized_argmin`` caches for it: one read-only ``(K_b, M_b, M_b)``
+    stack of inverses per block.
     """
 
-    components: tuple
+    data: tuple
     l1_weight: float = 0.0
     radius: float = 1.0
-    blocks: tuple = field(init=False, repr=False, compare=False, default=())
-    penalty_inverses: dict = field(init=False, repr=False, compare=False,
-                                   default_factory=dict)
+    lipschitz: np.ndarray = field(init=False, repr=False, default=None)
+    blocks: tuple = field(init=False, repr=False, default=())
+    penalty_inverses: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        self.components = tuple(self.components)
-        if len(self.components) < 1:
+        data = [np.asarray(B, dtype=float) for B in self.data]
+        if not data:
             raise ValueError("need at least one component")
-        for i, c in enumerate(self.components):
-            if not isinstance(c, ConcaveQuadratic):
-                raise TypeError("component %d is a %s, not a ConcaveQuadratic"
-                                % (i, type(c).__name__))
+        for k, B in enumerate(data):
+            if B.ndim != 2:
+                raise ValueError("data matrix %d must be 2-D, not of shape %s"
+                                 % (k, B.shape))
+            if B.size == 0:
+                raise ValueError("data matrix %d is empty, of shape %s" % (k, B.shape))
+            if not np.isfinite(B).all():
+                raise ValueError("data matrix %d contains non-finite entries" % k)
         # written so that NaN fails each check
         if not 0 <= self.l1_weight < math.inf:
             raise ValueError("l1_weight must be nonnegative and finite, not %r"
@@ -246,21 +216,22 @@ class ConsensusProblem:
         if not 0 < self.radius < math.inf:
             raise ValueError("radius must be positive and finite, not %r"
                              % (self.radius,))
-        dims = {c.dim for c in self.components}
+        dims = {B.shape[1] for B in data}
         if len(dims) != 1:
             raise ValueError("components disagree on dimension: %s" % sorted(dims))
-        self.blocks = _stack_blocks(self.components)
+        bounds = [leading_eigenvalue(B) for B in data]
+        eps = float(np.finfo(float).eps)
+        self.lipschitz = np.array([L if L > 0.0 else eps for L in bounds])
+        self.lipschitz.flags.writeable = False
+        self.blocks, self.data = _stack_blocks(data)
 
     @property
     def dim(self):
-        return self.components[0].dim
+        return self.data[0].shape[1]
 
     @property
     def num_components(self):
-        return len(self.components)
-
-    def lipschitz_constants(self):
-        return np.array([c.lipschitz for c in self.components])
+        return len(self.data)
 
 
 def _penalty_inverses(problem, rho):
@@ -274,7 +245,7 @@ def _penalty_inverses(problem, rho):
     inverses = problem.penalty_inverses.get(key)
     if inverses is not None:
         return inverses
-    lipschitz = problem.lipschitz_constants()
+    lipschitz = problem.lipschitz
     inverses = []
     k = 0
     for block in problem.blocks:
@@ -316,7 +287,7 @@ def penalized_argmin(problem, rho, x_master, y):
     of B_k. The S_k are cached per penalty vector on the problem, K_b M_b^2
     floats per block; each solve is then three batched products per
     block, in one loop over the problem's ``blocks``. Every ``rho_k`` must
-    exceed its component's ``lipschitz``, which bounds the top eigenvalue
+    exceed the problem's ``lipschitz[k]``, which bounds the top eigenvalue
     of both Gram matrices from above: a penalty at or below it, or one the
     factorization still finds too small in floating point, raises
     ValueError naming the component.

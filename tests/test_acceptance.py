@@ -26,6 +26,7 @@ from apadmm import (
 from apadmm.benchmark import SparsePcaSpec, generate
 from apadmm.cli import main as cli_main
 
+from reference import component_gradient
 from test_prox import ball_candidates, candidate_table, grid_prox, subgradient_prox
 
 DESK = dict(dim=50, num_components=5, rows=20, nonzero_prob=0.1,
@@ -81,7 +82,7 @@ def test_criterion_01_dual_identity(desk_runs):
             st = states[r]
             for k in range(5):
                 j = int(st.stale_index[k])
-                grad = problem.components[k].gradient(states[max(j - 1, 0)].x)
+                grad = component_gradient(problem.data[k], states[max(j - 1, 0)].x)
                 bound = 1e-9 * (1.0 + float(np.linalg.norm(st.y[k])))
                 assert float(np.linalg.norm(grad + st.y[k])) <= bound, (
                     "dual identity broke in the %s run" % name)
@@ -106,7 +107,7 @@ def test_criterion_02_monotone_and_telescoped_descent(desk_runs):
 
 def test_criterion_03_lagrangian_lower_bound(desk_runs):
     problem, results, reports, _ = desk_runs
-    total_L = float(problem.lipschitz_constants().sum())
+    total_L = float(problem.lipschitz.sum())
     for name, result in results.items():
         f_best = min(result.trace.objective)
         floor = f_best - 4.0 * total_L / 2.0 - 1e-6
@@ -118,7 +119,7 @@ def test_criterion_03_lagrangian_lower_bound(desk_runs):
 
 def test_criterion_04_dual_difference_bound(desk_runs):
     problem, results, reports, _ = desk_runs
-    L = problem.lipschitz_constants()
+    L = problem.lipschitz
     for name, result in results.items():
         T = 3 if name == "async" else 0
         states = result.trace.states

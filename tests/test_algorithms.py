@@ -15,17 +15,12 @@ from apadmm.algorithms import (
     padmm_apply,
 )
 from apadmm.benchmark import SparsePcaSpec, generate
-from apadmm.problems import (
-    ConcaveQuadratic,
-    ConsensusProblem,
-    feasibility_gap,
-    initial_state,
-)
+from apadmm.problems import ConsensusProblem, feasibility_gap, initial_state
+from reference import component_gradient
 
 
 def scalar_problem(l1_weight=0.0, radius=10.0):
-    return ConsensusProblem([ConcaveQuadratic(np.array([[1.0]]))],
-                            l1_weight=l1_weight, radius=radius)
+    return ConsensusProblem([np.array([[1.0]])], l1_weight=l1_weight, radius=radius)
 
 
 def desk_problem(seed=3):
@@ -75,7 +70,7 @@ def test_padmm_apply_empty_set_keeps_the_dual_fixed():
     state = initial_state(problem)
     rng = np.random.default_rng(0)
     state.x = rng.standard_normal(12) * 0.1
-    state.grad_stored = np.stack([c.gradient(state.x) for c in problem.components])
+    state.grad_stored = np.stack([component_gradient(B, state.x) for B in problem.data])
     state.y = -state.grad_stored.copy()
     state.x_local = np.tile(state.x, (3, 1))
     rho = [9.0, 9.0, 9.0]
@@ -132,8 +127,7 @@ def test_padmm_apply_matches_the_per_component_update():
 
 def test_exact_admm_scalar_hand_iteration():
     # master lands on x'=1; the exact subproblem gives (rho x' - y)/(rho - Q)
-    problem = ConsensusProblem([ConcaveQuadratic(np.array([[1.0]]))],
-                               radius=1.0)
+    problem = ConsensusProblem([np.array([[1.0]])], radius=1.0)
     state = initial_state(problem)
     state.x_local = np.array([[1.0]])
     state.y = np.array([[0.0]])
@@ -164,7 +158,7 @@ def test_commits_accept_a_list_as_the_master_vector():
                                      nonzero_prob=1.0, seed=1))
     state = initial_state(problem)
     state.y = np.array([[0.2, -0.1], [0.3, 0.4]])
-    rho = [2.0 * c.lipschitz + 1.0 for c in problem.components]
+    rho = 2.0 * problem.lipschitz + 1.0
     for commit in (lambda x: padmm_apply(problem, state, rho, x, updates={}),
                    lambda x: exact_admm_iteration(problem, state, rho, x)):
         from_list = commit([0.5, 0.1])
@@ -180,11 +174,11 @@ def test_run_rejects_penalties_out_of_floating_point_range():
     # the margin cubic has no certified root in floating point
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        comps = [ConcaveQuadratic(1e100 * np.eye(2)) for _ in range(2)]
-        bound = float(comps[0].lipschitz)
+        problem = ConsensusProblem([1e100 * np.eye(2)] * 2)
+        bound = float(problem.lipschitz[0])
         assert bound == pytest.approx(1e200, rel=1e-14)
         with pytest.raises(ValueError, match=re.escape("lipschitz=%r " % bound)):
-            run(ConsensusProblem(comps), RunConfig(delay_bound=3))
+            run(problem, RunConfig(delay_bound=3))
 
 
 def test_run_reports_a_penalty_with_an_overflowing_margin_infeasible():
@@ -207,8 +201,8 @@ def one_step(algorithm, problem, state, rho):
     x_new = master_step(problem, state, rho)
     if algorithm == "sync_admm":
         return exact_admm_iteration(problem, state, rho, x_new)
-    fresh = {k: (c.gradient(x_new), state.iteration + 1)
-             for k, c in enumerate(problem.components)}
+    fresh = {k: (component_gradient(B, x_new), state.iteration + 1)
+             for k, B in enumerate(problem.data)}
     return padmm_apply(problem, state, rho, x_new, fresh)
 
 
@@ -333,7 +327,7 @@ def test_run_sync_admm_hard_reject_ignores_force():
     # an exact subproblem with rho <= L is not strongly convex; force
     # cannot make it solvable
     problem = desk_problem()
-    L = float(problem.lipschitz_constants().max())
+    L = float(problem.lipschitz.max())
     res = run(problem, RunConfig(algorithm="sync_admm", rho=0.5 * L,
                                  force=True, max_iters=10))
     assert res.termination == "infeasible_stepsize"
@@ -352,9 +346,8 @@ def test_sync_admm_stored_gradients_are_the_gradients_at_the_local_copies(
                                  epsilon=1e-14, full_trace=True))
     assert res.updates == 20
     for state in res.trace.states:
-        for comp, u, g in zip(problem.components, state.x_local,
-                              state.grad_stored):
-            exact = comp.gradient(u)
+        for B, u, g in zip(problem.data, state.x_local, state.grad_stored):
+            exact = component_gradient(B, u)
             assert np.linalg.norm(g - exact) <= 1e-10 * (1.0 + np.linalg.norm(exact))
 
 
@@ -406,7 +399,7 @@ def test_run_zero_component_problem_converges_fast():
 
 def test_run_auto_rho_uses_cert_delay():
     problem = desk_problem()
-    L = problem.lipschitz_constants()
+    L = problem.lipschitz
     res = run(problem, RunConfig(algorithm="async_padmm", delay_bound=4,
                                  cert_delay=1.5, seed=1, max_iters=3,
                                  epsilon=1e-14, enforcement="observe"))

@@ -30,8 +30,8 @@ def test_generate_matches_documented_draw_order():
     spec = SparsePcaSpec(dim=30, num_components=4, rows=12, nonzero_prob=0.15,
                          l1_weight=0.7, seed=21)
     problem = generate(spec)
-    for comp, ref in zip(problem.components, reference_data(spec)):
-        np.testing.assert_array_equal(comp.B, ref)
+    for B, ref in zip(problem.data, reference_data(spec), strict=True):
+        np.testing.assert_array_equal(B, ref)
     assert problem.l1_weight == 0.7
     assert problem.radius == 1.0
 
@@ -39,16 +39,17 @@ def test_generate_matches_documented_draw_order():
 def test_generate_is_deterministic_and_seed_sensitive():
     spec = SparsePcaSpec(dim=20, num_components=3, rows=8, seed=5)
     a, b = generate(spec), generate(spec)
-    for ca, cb in zip(a.components, b.components):
-        np.testing.assert_array_equal(ca.B, cb.B)
+    for Ba, Bb in zip(a.data, b.data, strict=True):
+        np.testing.assert_array_equal(Ba, Bb)
+    np.testing.assert_array_equal(a.lipschitz, b.lipschitz)
     other = generate(SparsePcaSpec(dim=20, num_components=3, rows=8, seed=6))
-    assert not np.array_equal(a.components[0].B, other.components[0].B)
+    assert not np.array_equal(a.data[0], other.data[0])
 
 
 def test_generate_nonzero_fraction_tracks_probability():
     spec = SparsePcaSpec(dim=100, num_components=1, rows=100, nonzero_prob=0.1,
                          seed=2)
-    B = generate(spec).components[0].B
+    B = generate(spec).data[0]
     frac = float(np.count_nonzero(B)) / B.size
     # binomial with n = 1e4: three sigmas is about 0.009
     assert abs(frac - 0.1) < 0.01
@@ -58,11 +59,11 @@ def test_generate_per_component_rows_and_probs():
     spec = SparsePcaSpec(dim=10, num_components=2, rows=[3, 7],
                          nonzero_prob=[0.0, 1.0], seed=1)
     problem = generate(spec)
-    assert problem.components[0].B.shape == (3, 10)
-    assert problem.components[1].B.shape == (7, 10)
-    assert np.count_nonzero(problem.components[0].B) == 0
-    assert np.count_nonzero(problem.components[1].B) == 70
-    assert problem.components[0].lipschitz == np.finfo(float).eps
+    assert problem.data[0].shape == (3, 10)
+    assert problem.data[1].shape == (7, 10)
+    assert np.count_nonzero(problem.data[0]) == 0
+    assert np.count_nonzero(problem.data[1]) == 70
+    assert problem.lipschitz[0] == np.finfo(float).eps
 
 
 def test_spec_validation():

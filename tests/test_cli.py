@@ -432,8 +432,9 @@ def test_load_run_round_trips_a_stored_run(tmp_path):
     np.testing.assert_array_equal(rho, result.rho)
     np.testing.assert_array_equal(delay_bounds, result.delay_bounds)
     np.testing.assert_array_equal(delay_bounds, [2.0] * 3)
-    for a, b in zip(loaded.components, problem.components):
-        np.testing.assert_array_equal(a.B, b.B)
+    for a, b in zip(loaded.data, problem.data, strict=True):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(loaded.lipschitz, problem.lipschitz)
     for column in ("lagrangian", "objective", "feas_gap", "prox_grad_norm",
                    "measure", "sim_time", "collected"):
         assert getattr(trace, column) == getattr(result.trace, column)
@@ -445,6 +446,74 @@ def test_load_run_round_trips_a_stored_run(tmp_path):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
+
+
+def rewrite(npz, spoil):
+    with np.load(npz) as data:
+        arrays = dict(data)
+    spoil(arrays)
+    np.savez_compressed(npz, **arrays)
+
+
+def nan_in_B_1(arrays):
+    arrays["B_1"] = arrays["B_1"].copy()
+    arrays["B_1"][0, 0] = np.nan
+
+
+def write_bytes(npz, content):
+    with open(npz, "wb") as fh:
+        fh.write(content)
+
+
+# how to spoil a stored state file, and what the error must say
+MALFORMED = {
+    "nan_B_1": (lambda npz: rewrite(npz, nan_in_B_1),
+                "data matrix 1 contains non-finite entries"),
+    "short_B_2": (lambda npz: rewrite(npz, lambda a: a.update(B_2=a["B_2"][:, :10])),
+                  "components disagree on dimension: [10, 12]"),
+    "no_rho": (lambda npz: rewrite(npz, lambda a: a.pop("rho")),
+               "rho is not a file in the archive"),
+    "random_bytes": (lambda npz: write_bytes(npz, np.random.default_rng(0).bytes(300)),
+                     "pickled"),
+    "empty": (lambda npz: write_bytes(npz, b""), "No data left in file"),
+    "truncated_zip": (lambda npz: write_bytes(npz, read(npz)[:500]), "not a zip file"),
+    "directory": (lambda npz: (os.remove(npz), os.mkdir(npz)), "Is a directory"),
+    "matrix_of_iterations": (
+        lambda npz: rewrite(npz, lambda a: a.update(
+            iteration_hist=np.ones((11, 2), dtype=np.int64))),
+        "0-dimensional arrays"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_check_reports_a_malformed_state_file_by_name(tmp_path, capsys, kind):
+    spoil, needle = MALFORMED[kind]
+    _, _, path = stored_run(tmp_path, 10)
+    npz = path[:-4] + ".states.npz"
+    spoil(npz)
+    assert run_cli(["check", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: cannot load state file %r: " % npz)
+    assert needle in line
+
+
+def test_check_reports_snapshots_that_do_not_fit_the_trace(tmp_path, capsys):
+    _, _, path = stored_run(tmp_path, 10)
+    npz = path[:-4] + ".states.npz"
+
+    def drop_rows(arrays):
+        for name in ("iteration", "x", "x_local", "y", "grad", "stale"):
+            arrays[name + "_hist"] = arrays[name + "_hist"][:5]
+
+    rewrite(npz, drop_rows)
+    assert run_cli(["check", path]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: cannot check %r: trace has no per-iteration "
+                          "state snapshots" % path)
 
 
 def test_load_run_reads_each_stored_array_once(tmp_path, monkeypatch):

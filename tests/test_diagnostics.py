@@ -14,13 +14,13 @@ from apadmm import algorithms, diagnostics, problems
 from apadmm.algorithms import ALGORITHMS, _initial
 from apadmm.benchmark import SparsePcaSpec, generate
 from apadmm.problems import (
-    ConcaveQuadratic,
     ConsensusProblem,
     consensus_terms,
     feasibility_gap,
     initial_state,
 )
 from apadmm.stepsize import descent_margin
+from reference import component_gradient, component_value
 
 
 def penalized_surrogates(problem, state, rho, k, at=None):
@@ -35,12 +35,12 @@ def penalized_surrogates(problem, state, rho, k, at=None):
     the stale form.
     """
     rho = np.asarray(rho, dtype=float)
-    comp = problem.components[k]
+    B = problem.data[k]
     z = np.asarray(state.x_local[k] if at is None else at, dtype=float)
     diff = z - state.x
     shared = float(state.y[k] @ diff) + 0.5 * rho[k] * float(diff @ diff)
-    base, grad = comp.value(state.x), comp.gradient(state.x)
-    exact = comp.value(z) + shared
+    base, grad = component_value(B, state.x), component_gradient(B, state.x)
+    exact = component_value(B, z) + shared
     fresh = base + float(grad @ diff) + shared
     stale = base + float(state.grad_stored[k] @ diff) + shared
     return exact, fresh, stale
@@ -76,21 +76,18 @@ def test_proximal_gradient_zero_data_everywhere_stationary():
 
 def test_proximal_gradient_boundary_maximizer_is_stationary():
     # g(x) = -x^2/2 on the unit ball: x=1 maps to 1 - proj(2) = 0
-    problem = ConsensusProblem([ConcaveQuadratic(np.array([[1.0]]))],
-                               radius=1.0)
+    problem = ConsensusProblem([np.array([[1.0]])], radius=1.0)
     assert consensus_terms(problem, np.array([1.0])).prox_residual[0] == 0.0
 
 
 def test_proximal_gradient_interior_point_is_not_stationary():
-    problem = ConsensusProblem([ConcaveQuadratic(np.array([[1.0]]))],
-                               radius=1.0)
+    problem = ConsensusProblem([np.array([[1.0]])], radius=1.0)
     out = consensus_terms(problem, np.array([0.4])).prox_residual
     assert abs(out[0]) > 0.0
 
 
 def test_optimality_measure_zero_at_consensus_stationary_point():
-    problem = ConsensusProblem([ConcaveQuadratic(np.array([[1.0]]))],
-                               radius=1.0)
+    problem = ConsensusProblem([np.array([[1.0]])], radius=1.0)
     state = initial_state(problem)
     state.x = np.array([1.0])
     state.x_local = np.array([[1.0]])
@@ -106,7 +103,7 @@ def test_optimality_measure_permutation_invariant():
     state.x = rng.standard_normal(6) * 0.2
     state.x_local = rng.standard_normal((3, 6)) * 0.2
     perm = [2, 0, 1]
-    swapped = ConsensusProblem([problem.components[i] for i in perm],
+    swapped = ConsensusProblem([problem.data[i] for i in perm],
                                l1_weight=problem.l1_weight,
                                radius=problem.radius)
     state_p = initial_state(swapped)
@@ -126,25 +123,17 @@ def row_problem(shape):
                                   nonzero_prob=0.3, l1_weight=0.05, seed=2))
 
 
-def explicit_value(comp, z):
-    return -0.5 * float(np.sum((comp.B @ z) ** 2))
-
-
-def explicit_gradient(comp, z):
-    return -(comp.B.T @ (comp.B @ z))
-
-
 def reference_row(problem, state, rho):
     """A trace row from the definitions, one component term at a time."""
     x, l1 = state.x, problem.l1_weight
-    comps = problem.components
     lagrangian = l1 * float(np.abs(x).sum())
-    for k, comp in enumerate(comps):
+    for k, B in enumerate(problem.data):
         diff = state.x_local[k] - x
-        lagrangian += explicit_value(comp, state.x_local[k])
+        lagrangian += component_value(B, state.x_local[k])
         lagrangian += float(state.y[k] @ diff) + 0.5 * rho[k] * float(diff @ diff)
-    objective = sum(explicit_value(c, x) for c in comps) + l1 * float(np.abs(x).sum())
-    step = x - sum(explicit_gradient(c, x) for c in comps)
+    objective = (sum(component_value(B, x) for B in problem.data)
+                 + l1 * float(np.abs(x).sum()))
+    step = x - sum(component_gradient(B, x) for B in problem.data)
     pg_norm = float(np.linalg.norm(x - prox_l1_ball(step, l1, problem.radius)))
     gap = feasibility_gap(state)[1]
     return lagrangian, objective, gap, pg_norm, gap + pg_norm
@@ -176,28 +165,6 @@ def test_final_measure_is_the_optimality_measure_of_the_final_state(
                                     init="random_ball"))
     assert result.converged == (epsilon == 1e-3)
     assert result.final_measure == optimality_measure(problem, result.state)
-
-
-def count_evaluations(problem):
-    """Log ``(k, method, point)`` for every outermost value or gradient
-    call on component k."""
-    log, depth = [], [0]
-
-    def counted(k, name, method):
-        def call(z):
-            depth[0] += 1
-            try:
-                return method(z)
-            finally:
-                depth[0] -= 1
-                if depth[0] == 0:
-                    log.append((k, name, np.array(z)))
-        return call
-
-    for k, comp in enumerate(problem.components):
-        for name in ("value", "gradient"):
-            setattr(comp, name, counted(k, name, getattr(comp, name)))
-    return log
 
 
 def count_passes(monkeypatch):
@@ -249,11 +216,10 @@ def test_each_update_evaluates_each_component_once_at_the_master_vector(
     which also evaluates the previous row's local copies: after the start
     state, each update adds one fused block pass, and the last row one
     values pass. Every problem, the ragged one too, evaluates its
-    components from its blocks, without a per-component call. Here the
-    last row is the one that reaches the clock cap."""
+    components from its blocks. Here the last row is the one that reaches
+    the clock cap."""
     problem = row_problem(shape)
     assert len(problem.blocks) == (2 if shape == "ragged" else 1)
-    log = count_evaluations(problem)
     passes = count_passes(monkeypatch)
     result = run(problem, RunConfig(
         algorithm=algorithm, delay_bound=2, seed=3, max_iters=8,
@@ -261,7 +227,6 @@ def test_each_update_evaluates_each_component_once_at_the_master_vector(
         enforcement="observe", compute_delay={"kind": "uniform", "hi": 1.5}))
     assert result.termination == "max_iters" and len(result.trace) >= 4
     check_fused_order(problem, result, passes)
-    assert log == []
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -269,7 +234,6 @@ def test_a_converged_last_row_takes_one_values_pass(algorithm, monkeypatch):
     """A row whose measure converges is the last: no master step follows it,
     and its local copies take a values pass of their own."""
     problem = row_problem("ragged")
-    log = count_evaluations(problem)
     passes = count_passes(monkeypatch)
     result = run(problem, RunConfig(
         algorithm=algorithm, seed=1, max_iters=400, epsilon=1e-3,
@@ -277,14 +241,12 @@ def test_a_converged_last_row_takes_one_values_pass(algorithm, monkeypatch):
     assert result.converged and 2 <= len(result.trace) and result.iterations < 400
     check_fused_order(problem, result, passes)
     assert result.final_measure == optimality_measure(problem, result.state)
-    assert log == []
 
 
 def test_a_staleness_abort_leaves_no_row_to_close(monkeypatch):
     """A dead uplink aborts at update T + 2; the pass at its master vector
     was fused with the last committed row's, and no values pass follows."""
     problem = row_problem("ragged")
-    log = count_evaluations(problem)
     passes = count_passes(monkeypatch)
     result = run(problem, RunConfig(
         algorithm="async_padmm", delay_bound=2, seed=5, max_iters=50,
@@ -294,24 +256,21 @@ def test_a_staleness_abort_leaves_no_row_to_close(monkeypatch):
     assert result.termination == "staleness_violation"
     assert len(result.trace) == 2
     check_fused_order(problem, result, passes)
-    assert log == []
 
 
 def test_random_start_evaluates_each_component_once(monkeypatch):
     """The start state comes from one block pass at the start point, which
     evaluates the ragged problem block by block."""
     problem = row_problem("ragged")
-    log = count_evaluations(problem)
     passes = count_passes(monkeypatch)
     state = _initial(problem, RunConfig(init="random_ball", seed=4))
-    assert log == []
     assert len(passes) == 1
     X, gradients, local = passes[0]
     np.testing.assert_array_equal(X, state.x)
     assert gradients and local is None
     np.testing.assert_array_equal(
         state.grad_stored,
-        np.stack([explicit_gradient(c, state.x) for c in problem.components]))
+        np.stack([component_gradient(B, state.x) for B in problem.data]))
 
 
 # -- penalized surrogates ----------------------------------------------------
@@ -332,7 +291,7 @@ def test_surrogates_coincide_at_zero_displacement():
     for k in range(2):
         exact, fresh, stale = penalized_surrogates(problem, state, [9.0, 9.0],
                                                    k, at=state.x)
-        gk = problem.components[k].value(state.x)
+        gk = component_value(problem.data[k], state.x)
         assert exact == pytest.approx(gk, rel=1e-12)
         assert fresh == pytest.approx(gk, rel=1e-12)
         assert stale == pytest.approx(gk, rel=1e-12)
@@ -341,7 +300,7 @@ def test_surrogates_coincide_at_zero_displacement():
 def test_exact_below_fresh_plus_curvature_term():
     # the descent-lemma inequality: value <= linearization + L/2 ||d||^2
     problem = generate(SparsePcaSpec(dim=7, num_components=3, rows=5, seed=7))
-    L = problem.lipschitz_constants()
+    L = problem.lipschitz
     rng = np.random.default_rng(2)
     state = surrogate_state(problem, seed=2)
     rho = [12.0, 12.0, 12.0]
@@ -416,7 +375,7 @@ def test_trace_residuals_pass_on_sync_run():
 
 def test_sync_dual_difference_reduces_to_t0_form():
     problem, result = certified_run(algorithm="sync_padmm")
-    L = problem.lipschitz_constants()
+    L = problem.lipschitz
     states = result.trace.states
     for t in range(1, len(states)):
         dx = float(np.linalg.norm(states[t].x - states[t - 1].x))
@@ -474,7 +433,7 @@ def loop_residuals(problem, trace, rho, delay_bounds):
     or None for a skipped check. Valid for traces without NaN.
     """
     states, rows, K = trace.states, len(trace), problem.num_components
-    L = problem.lipschitz_constants()
+    L = problem.lipschitz
     T = np.asarray(delay_bounds, dtype=float)
     out = []
 

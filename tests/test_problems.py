@@ -1,5 +1,8 @@
 """Problem container tests: hand-evaluated values, gradients, eigenvalues."""
 
+import itertools
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 from apadmm import RunConfig, problems, run
 from apadmm.benchmark import SparsePcaSpec, generate
 from apadmm.problems import (
-    ConcaveQuadratic,
     ConsensusProblem,
     IterationTrace,
     SolverState,
@@ -20,6 +22,7 @@ from apadmm.problems import (
     penalized_argmin,
 )
 from apadmm.prox import _norm, prox_l1_ball
+from reference import component_gradient, component_value
 
 
 def finite_difference_gradient(fn, x, step=1e-6):
@@ -35,8 +38,7 @@ def finite_difference_gradient(fn, x, step=1e-6):
 
 def scalar_problem(l1_weight=0.0, radius=10.0):
     """K=1 instance with g(x) = -x^2/2 (concave quadratic from B = [[1]])."""
-    return ConsensusProblem([ConcaveQuadratic(np.array([[1.0]]))],
-                            l1_weight=l1_weight, radius=radius)
+    return ConsensusProblem([np.array([[1.0]])], l1_weight=l1_weight, radius=radius)
 
 
 def make_state(problem, x, x_local, y, stale=None, iteration=1):
@@ -74,13 +76,11 @@ def test_objective_matches_dense_cross_check():
     rng = np.random.default_rng(2)
     for _ in range(5):
         x = rng.standard_normal(12)
-        ref = sum(-0.5 * float(np.linalg.norm(c.B @ x) ** 2)
-                  for c in problem.components)
+        ref = sum(-0.5 * float(np.linalg.norm(B @ x) ** 2) for B in problem.data)
         terms = consensus_terms(problem, x)
         assert terms.objective == pytest.approx(ref, rel=1e-12)
         np.testing.assert_allclose(
-            terms.gradients,
-            np.stack([-(c.B.T @ (c.B @ x)) for c in problem.components]),
+            terms.gradients, np.stack([component_gradient(B, x) for B in problem.data]),
             rtol=1e-12)
 
 
@@ -199,30 +199,38 @@ def test_leading_eigenvalue_bounds_near_degenerate_spectra(gap, seed):
     assert_bounds_both_gram_orientations(near_degenerate_data(seed, gap=gap))
 
 
-# -- concave quadratic components --------------------------------------------
+# -- one component, g(z) = -0.5 ||B z||^2 -------------------------------------
 
-def test_concave_quadratic_hand_values():
-    comp = ConcaveQuadratic(np.array([[1.0, 0.0], [0.0, 2.0]]))
-    x = np.array([1.0, 1.0])
-    assert comp.value(x) == pytest.approx(-2.5, rel=1e-15)
-    np.testing.assert_allclose(comp.gradient(x), [-1.0, -4.0], rtol=1e-15)
-    assert comp.lipschitz == pytest.approx(4.0, rel=1e-10)
+def test_one_component_hand_values():
+    problem = ConsensusProblem([np.array([[1.0, 0.0], [0.0, 2.0]])])
+    terms = consensus_terms(problem, np.array([1.0, 1.0]))
+    assert terms.objective == pytest.approx(-2.5, rel=1e-15)
+    np.testing.assert_allclose(terms.gradients, [[-1.0, -4.0]], rtol=1e-15)
+    assert problem.lipschitz.shape == (1,)
+    assert problem.lipschitz[0] == pytest.approx(4.0, rel=1e-10)
 
 
-def test_concave_quadratic_gradient_matches_finite_differences():
+def test_one_component_gradient_matches_finite_differences():
     rng = np.random.default_rng(15)
-    comp = ConcaveQuadratic(rng.standard_normal((5, 4)))
+    problem = ConsensusProblem([rng.standard_normal((5, 4))])
+
+    def value(z):
+        return consensus_terms(problem, z).objective
+
     for _ in range(3):
         x = rng.standard_normal(4) * 0.5
         np.testing.assert_allclose(
-            comp.gradient(x), finite_difference_gradient(comp.value, x),
-            rtol=1e-5, atol=1e-7)
+            consensus_terms(problem, x).gradients[0],
+            finite_difference_gradient(value, x), rtol=1e-5, atol=1e-7)
 
 
-def test_concave_quadratic_degenerate_zero_data():
-    comp = ConcaveQuadratic(np.zeros((3, 2)))
+def test_one_component_zero_data():
+    problem = ConsensusProblem([np.zeros((3, 2))])
     # floored so stepsize rules stay finite
-    assert comp.lipschitz == np.finfo(float).eps
+    assert problem.lipschitz[0] == np.finfo(float).eps
+    terms = consensus_terms(problem, np.array([0.3, -0.4]))
+    assert terms.objective == 0.0
+    np.testing.assert_array_equal(terms.gradients, np.zeros((1, 2)))
 
 
 # wide (M < N), square and tall data
@@ -233,8 +241,8 @@ def test_penalized_argmin_solves_the_linear_system():
     for rows, dim in [(6, 3)] + SHAPES:
         rng = np.random.default_rng(rows * 10 + dim)
         B = rng.standard_normal((rows, dim))
-        problem = ConsensusProblem([ConcaveQuadratic(B)])
-        rho = 1.5 * problem.lipschitz_constants() + 1.0
+        problem = ConsensusProblem([B])
+        rho = 1.5 * problem.lipschitz + 1.0
         for _ in range(2):  # the second solve reuses the cached inverse
             x_master = rng.standard_normal(dim)
             y = rng.standard_normal(dim)
@@ -248,16 +256,16 @@ def check_penalized_argmins(problem, seed):
     """Every row against a dense N x N solve and the first-order condition."""
     rng = np.random.default_rng(seed)
     K, N = problem.num_components, problem.dim
-    rho = 1.5 * problem.lipschitz_constants() + 1.0
+    rho = 1.5 * problem.lipschitz + 1.0
     x_master = rng.standard_normal(N)
     y = rng.standard_normal((K, N))
     out = penalized_argmin(problem, rho, x_master, y)
     assert out.shape == (K, N)
-    for k, comp in enumerate(problem.components):
-        B = comp.B
+    for k, B in enumerate(problem.data):
         ref = np.linalg.solve(rho[k] * np.eye(N) - B.T @ B, rho[k] * x_master - y[k])
         np.testing.assert_allclose(out[k], ref, rtol=1e-10)
-        first_order = comp.gradient(out[k]) + y[k] + rho[k] * (out[k] - x_master)
+        first_order = (component_gradient(B, out[k]) + y[k]
+                       + rho[k] * (out[k] - x_master))
         scale = rho[k] * np.abs(out[k]).max() + np.abs(y[k]).max()
         np.testing.assert_allclose(first_order, 0.0, atol=1e-12 * scale)
     # one read-only (K_b, M_b, M_b) stack of inverses per block, nothing else
@@ -282,20 +290,21 @@ def test_penalized_argmin_on_uneven_paper_shape_blocks():
     rho = check_penalized_argmins(problem, 7)
     # a rejected penalty names its component and caches nothing
     cached = list(problem.penalty_inverses)
-    rho[5] = problem.components[5].lipschitz
+    rho[5] = problem.lipschitz[5]
     with pytest.raises(ValueError, match="component 5 .*not strongly convex"):
         penalized_argmin(problem, rho, np.ones(500), np.zeros((7, 500)))
     assert list(problem.penalty_inverses) == cached
 
 
 @pytest.mark.parametrize("rows,dim", SHAPES)
-def test_concave_quadratic_matches_explicit_definitions(rows, dim):
+def test_one_component_matches_explicit_definitions(rows, dim):
     rng = np.random.default_rng(rows * 10 + dim)
     B = rng.standard_normal((rows, dim))
-    comp = ConcaveQuadratic(B)
+    problem = ConsensusProblem([B])
     for _ in range(3):
         z = rng.standard_normal(dim)
-        value, grad = comp.value(z), comp.gradient(z)
+        terms = consensus_terms(problem, z)
+        value, grad = terms.objective, terms.gradients[0]
         assert value == pytest.approx(-0.5 * float(np.sum((B @ z) ** 2)),
                                       rel=1e-12)
         np.testing.assert_allclose(grad, -(B.T @ B) @ z, rtol=1e-12,
@@ -330,9 +339,9 @@ def near_degenerate_data(seed, rows=20, dim=60, gap=1e-6):
 @pytest.mark.parametrize("seed", [0, 3, 7])
 def test_penalized_argmin_rejects_rho_below_the_true_curvature(seed):
     B = near_degenerate_data(seed)
-    problem = ConsensusProblem([ConcaveQuadratic(B)])
+    problem = ConsensusProblem([B])
     curvature = np.linalg.eigvalsh(B @ B.T).max()
-    assert problem.components[0].lipschitz >= curvature
+    assert problem.lipschitz[0] >= curvature
     rho = [curvature * (1.0 - 1e-12)]
     for _ in range(2):  # a rejected penalty caches nothing
         with pytest.raises(ValueError, match="not strongly convex"):
@@ -344,10 +353,10 @@ def test_penalized_argmin_rejects_rho_below_the_true_curvature(seed):
 def test_run_sync_admm_rho_below_the_true_curvature_is_infeasible():
     # the bound is at or above the true curvature, so a penalty just below
     # that curvature is rejected before any update, even when forced
-    problem = ConsensusProblem([ConcaveQuadratic(near_degenerate_data(1))])
-    B = problem.components[0].B
+    problem = ConsensusProblem([near_degenerate_data(1)])
+    B = problem.data[0]
     curvature = np.linalg.eigvalsh(B @ B.T).max()
-    assert problem.components[0].lipschitz >= curvature
+    assert problem.lipschitz[0] >= curvature
     res = run(problem, RunConfig(algorithm="sync_admm", rho=curvature * (1.0 - 1e-12),
                                  force=True, max_iters=3))
     assert res.termination == "infeasible_stepsize"
@@ -360,19 +369,20 @@ def test_benchmark_instance_gradient_and_lipschitz_probes():
     spec = SparsePcaSpec(dim=10, num_components=3, rows=8, seed=5)
     problem = generate(spec)
     rng = np.random.default_rng(0)
-    for comp in problem.components:
+    for k, B in enumerate(problem.data):
         # the gradient Lipschitz constant of -||Bz||^2/2 is exactly lambda_max
-        assert comp.lipschitz == pytest.approx(
-            np.linalg.eigvalsh(comp.B @ comp.B.T).max(), rel=1e-10)
+        assert problem.lipschitz[k] == pytest.approx(
+            np.linalg.eigvalsh(B @ B.T).max(), rel=1e-10)
         for _ in range(3):
             x = rng.standard_normal(10) * 0.5
             np.testing.assert_allclose(
-                comp.gradient(x), finite_difference_gradient(comp.value, x),
+                consensus_terms(problem, x).gradients[k],
+                finite_difference_gradient(lambda z: component_value(B, z), x),
                 rtol=1e-5, atol=1e-7)
 
 
 def test_consensus_problem_validation():
-    comp = ConcaveQuadratic(np.array([[1.0]]))
+    comp = np.array([[1.0]])
     with pytest.raises(ValueError):
         ConsensusProblem([], l1_weight=0.0)
     with pytest.raises(ValueError):
@@ -387,8 +397,20 @@ def test_consensus_problem_validation():
             (dict(radius=float("inf")), "radius must be positive and finite, not inf")):
         with pytest.raises(ValueError, match=message):
             ConsensusProblem([comp], **kwargs)
-    problem = ConsensusProblem([comp, ConcaveQuadratic(np.array([[2.0]]))])
-    np.testing.assert_allclose(problem.lipschitz_constants(), [1.0, 4.0])
+    # each matrix is checked before any eigenvalue is taken, by index
+    for bad, message in (
+            (np.ones(3), "data matrix 1 must be 2-D, not of shape (3,)"),
+            (np.ones((2, 1, 1)), "data matrix 1 must be 2-D, not of shape (2, 1, 1)"),
+            (np.ones((0, 1)), "data matrix 1 is empty, of shape (0, 1)"),
+            (np.ones((2, 0)), "data matrix 1 is empty, of shape (2, 0)"),
+            (np.array([[np.nan]]), "data matrix 1 contains non-finite entries"),
+            (np.array([[1.0], [-np.inf]]), "data matrix 1 contains non-finite entries")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ConsensusProblem([comp, bad, comp])
+    with pytest.raises(ValueError, match=re.escape("disagree on dimension: [1, 2]")):
+        ConsensusProblem([comp, np.ones((1, 2))])
+    problem = ConsensusProblem([comp, np.array([[2.0]])])
+    np.testing.assert_allclose(problem.lipschitz, [1.0, 4.0])
 
 
 # -- state and trace ---------------------------------------------------------
@@ -410,7 +432,7 @@ def test_initial_state_from_a_start_point():
     problem = generate(SparsePcaSpec(dim=7, num_components=4, rows=5, seed=8))
     x0 = np.random.default_rng(2).standard_normal(7) * 0.3
     state = initial_state(problem, x0)
-    grads = np.stack([c.gradient(x0) for c in problem.components])
+    grads = np.stack([component_gradient(B, x0) for B in problem.data])
     np.testing.assert_array_equal(state.x, x0)
     np.testing.assert_array_equal(state.x_local, np.tile(x0, (4, 1)))
     np.testing.assert_array_equal(state.grad_stored, grads)
@@ -439,15 +461,15 @@ def test_smooth_value_is_component_sum():
     problem = generate(spec)
     x = np.random.default_rng(0).standard_normal(5)
     terms = consensus_terms(problem, x)
-    ref = sum(c.value(x) for c in problem.components)
+    ref = sum(component_value(B, x) for B in problem.data)
     ref += 0.2 * float(np.abs(x).sum())
     assert terms.objective == pytest.approx(ref, rel=1e-14)
     assert terms.gradients.shape == (3, 5)
-    for row, c in zip(terms.gradients, problem.components):
-        np.testing.assert_array_equal(row, c.gradient(x))
+    for row, B in zip(terms.gradients, problem.data):
+        np.testing.assert_array_equal(row, component_gradient(B, x))
 
 
-# -- the stacked data of a quadratic problem ---------------------------------
+# -- the stacked data of a problem -------------------------------------------
 
 STACK_ROWS = {"wide": 6, "square": 12, "tall": 18}
 
@@ -459,11 +481,11 @@ def stacked_problem(shape):
 
 
 def loop_terms(problem, x):
-    """Objective and gradients from the per-component methods, in order."""
+    """Objective and gradients from the reference expressions, in order."""
     value = 0.0
-    for c in problem.components:
-        value += c.value(x)
-    grads = np.stack([c.gradient(x) for c in problem.components])
+    for B in problem.data:
+        value += component_value(B, x)
+    grads = np.stack([component_gradient(B, x) for B in problem.data])
     return value + problem.l1_weight * float(np.abs(x).sum()), grads
 
 
@@ -477,16 +499,16 @@ def loop_residual(problem, x, grads):
 
 def loop_lagrangian(problem, state, rho):
     total = problem.l1_weight * float(np.abs(state.x).sum())
-    for k, c in enumerate(problem.components):
+    for k, B in enumerate(problem.data):
         diff = state.x_local[k] - state.x
-        total += c.value(state.x_local[k])
+        total += component_value(B, state.x_local[k])
         total += float(state.y[k] @ diff)
         total += 0.5 * rho[k] * float(diff @ diff)
     return total
 
 
 @pytest.mark.parametrize("shape", sorted(STACK_ROWS))
-def test_batched_evaluation_matches_the_component_methods(shape):
+def test_batched_evaluation_matches_the_reference_expressions(shape):
     problem = stacked_problem(shape)
     assert len(problem.blocks) == 1
     rng = np.random.default_rng(8)
@@ -506,39 +528,63 @@ def test_batched_evaluation_matches_the_component_methods(shape):
         assert lagrangian == reference
 
 
-def test_components_view_one_stack_of_their_data():
+def assert_views_of_its_own_blocks(problem, given):
+    """``problem.data[k]`` is a read-only view of its slice of a read-only
+    block and equals ``given[k]``; no block shares memory with ``given``."""
+    assert isinstance(problem.data, tuple) and len(problem.data) == len(given)
+    views = iter(problem.data)
+    for block in problem.blocks:
+        assert block.flags.c_contiguous and not block.flags.writeable
+        for part, B in zip(block, views):  # block first: views is shared
+            assert B.base is block and B.shape == part.shape
+            assert B.ctypes.data == part.ctypes.data
+            assert B.flags.c_contiguous and not B.flags.writeable
+    for B, G in zip(problem.data, given):
+        assert B.tobytes() == G.tobytes()
+        assert not any(np.shares_memory(G, block) for block in problem.blocks)
+
+
+def test_problem_data_views_one_stack_of_its_own_copy():
     spec = SparsePcaSpec(dim=12, num_components=4, rows=STACK_ROWS["tall"],
                          nonzero_prob=0.3, seed=4)
-    data = [np.array(c.B) for c in generate(spec).components]
-    problem = generate(spec)
+    data = [np.array(B) for B in generate(spec).data]
+    kept = [B.copy() for B in data]
+    problem = ConsensusProblem(data)
     (stack,) = problem.blocks
-    assert stack.shape == (4, 18, 12) and stack.flags.c_contiguous
-    assert not stack.flags.writeable
-    for comp, B in zip(problem.components, data):
-        assert np.shares_memory(comp.B, stack)
-        assert comp.B.flags.c_contiguous
-        np.testing.assert_array_equal(comp.B, B)
+    assert stack.shape == (4, 18, 12)
+    assert_views_of_its_own_blocks(problem, kept)
+    # the caller's matrices are only read: still writeable, still equal
+    for B, K in zip(data, kept):
+        assert B.flags.writeable and B.tobytes() == K.tobytes()
+    data[0][0, 0] += 1.0
+    assert problem.data[0].tobytes() == kept[0].tobytes()
 
 
-def test_a_component_shared_by_two_problems_keeps_both_exact():
-    first = stacked_problem("wide")
-    second = ConsensusProblem(first.components[::-1], l1_weight=0.05)
-    assert np.shares_memory(first.components[0].B, second.blocks[0])
+def test_two_problems_built_from_one_list_share_no_memory():
+    data = list(stacked_problem("wide").data)
+    first = ConsensusProblem(data, l1_weight=0.05)
+    second = ConsensusProblem(data, l1_weight=0.05)
+    third = ConsensusProblem(first.data[::-1], l1_weight=0.05)
+    built = (first, second, third)
+    for a, b in itertools.combinations(built, 2):
+        assert not any(np.shares_memory(p, q) for p in a.blocks for q in b.blocks)
+    assert_views_of_its_own_blocks(third, data[::-1])
     x = np.random.default_rng(2).standard_normal(12) * 0.3
-    for problem in (first, second):
+    for problem in built:
         objective, grads = loop_terms(problem, x)
         terms = consensus_terms(problem, x)
         assert terms.objective == objective
         np.testing.assert_array_equal(terms.gradients, grads)
 
 
-def test_components_are_immutable():
+def test_problem_data_and_bounds_are_read_only():
     problem = stacked_problem("wide")
-    assert isinstance(problem.components, tuple)
     with pytest.raises(TypeError):
-        problem.components[1] = problem.components[0]
+        problem.data[1] = problem.data[0]
     with pytest.raises(ValueError):
-        problem.components[0].B[0, 0] = 1.0
+        problem.data[0][0, 0] = 1.0
+    with pytest.raises(ValueError):
+        problem.lipschitz[0] = 1.0
 
 
 # row counts, and the components per block: one block per maximal run
@@ -551,17 +597,11 @@ def test_ragged_problems_hold_one_block_per_run_of_equal_rows(shape):
     rows, runs = RAGGED[shape]
     spec = SparsePcaSpec(dim=12, num_components=5, rows=rows,
                          nonzero_prob=0.3, l1_weight=0.05, seed=6)
-    data = [np.array(c.B) for c in generate(spec).components]
-    problem = generate(spec)
+    data = [np.array(B) for B in generate(spec).data]
+    problem = ConsensusProblem(data, l1_weight=0.05)
     assert [len(block) for block in problem.blocks] == runs
-    comps = iter(problem.components)
-    for block in problem.blocks:
-        assert block.flags.c_contiguous and not block.flags.writeable
-        for B, comp in zip(block, comps):  # block first: comps is shared
-            assert comp.B.shape == B.shape and np.shares_memory(comp.B, B)
-            assert comp.B.flags.c_contiguous
-    for comp, B in zip(problem.components, data):
-        np.testing.assert_array_equal(comp.B, B)
+    assert_views_of_its_own_blocks(problem, data)
+    assert all(B.flags.writeable for B in data)
     rng = np.random.default_rng(8)
     rho = rng.uniform(5.0, 20.0, 5)
     for _ in range(5):
@@ -581,7 +621,8 @@ def test_ragged_problems_hold_one_block_per_run_of_equal_rows(shape):
 def paper_problem(num_components):
     spec = SparsePcaSpec(dim=500, num_components=num_components, rows=100,
                          l1_weight=0.05, seed=3)
-    return generate(spec), [np.array(c.B) for c in generate(spec).components]
+    data = [np.array(B) for B in generate(spec).data]
+    return ConsensusProblem(data, l1_weight=0.05), data
 
 
 @pytest.mark.parametrize("num_components, sizes", [(10, [2] * 5), (7, [2, 2, 2, 1])])
@@ -591,20 +632,14 @@ def test_paper_scale_blocks_are_capped_at_two_components(num_components, sizes):
     problem, data = paper_problem(num_components)
     assert [len(block) for block in problem.blocks] == sizes
     assert all(block.nbytes <= problems._BLOCK_BYTES for block in problem.blocks)
-    comps = iter(problem.components)
-    for block in problem.blocks:
-        assert block.flags.c_contiguous and not block.flags.writeable
-        for B, comp in zip(block, comps):  # block first: comps is shared
-            assert comp.B.base is block and np.shares_memory(comp.B, B)
-            assert comp.B.flags.c_contiguous and not comp.B.flags.writeable
-    for comp, B in zip(problem.components, data):
-        np.testing.assert_array_equal(comp.B, B)
+    assert_views_of_its_own_blocks(problem, data)
+    assert all(B.flags.writeable for B in data)
 
 
-def test_fused_pass_matches_the_component_methods_on_several_blocks():
+def test_fused_pass_matches_the_reference_expressions_on_several_blocks():
     """One pass over the blocks of an uneven multi-block problem, with the
-    values at the local copies riding along, gives the per-component
-    methods' bits, and the unfused passes' bits."""
+    values at the local copies riding along, gives the bits of the
+    per-component reference expressions, and the unfused passes' bits."""
     problem, _ = paper_problem(7)
     rng = np.random.default_rng(5)
     rho = rng.uniform(5.0, 20.0, 7)
@@ -623,18 +658,3 @@ def test_fused_pass_matches_the_component_methods_on_several_blocks():
                 == augmented_lagrangian(problem, state, rho))
         assert consensus_terms(problem, x).local_values is None
         assert consensus_terms(problem, x).objective == objective
-
-
-def test_a_component_that_is_not_a_quadratic_is_rejected_by_index():
-    class Wavy:
-        dim, lipschitz, curvature = 3, 1.0, "general"
-
-        def value(self, z):
-            return float(np.sin(z).sum())
-
-        def gradient(self, z):
-            return np.cos(z)
-
-    quad = ConcaveQuadratic(np.arange(6.0).reshape(2, 3))
-    with pytest.raises(TypeError, match="component 1 is a Wavy, not a ConcaveQuadratic"):
-        ConsensusProblem([quad, Wavy()])

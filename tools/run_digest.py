@@ -21,14 +21,21 @@ same verdicts, on every run of the grid:
     python3 tools/run_digest.py [SRC_DIR] > digest.txt
 
 SRC_DIR is the directory holding the ``apadmm`` package (default: this
-repository's ``src``). Uses the public API only.
+repository's ``src``). Uses the public API only. The script sets
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to
+1 before numpy is imported, whatever the caller exported: a threaded BLAS
+splits the paper-scale products differently at two threads than at one,
+so those lines would hash differently with no change to the code.
 """
 
 import hashlib
 import os
 import sys
 
-import numpy as np
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
+import numpy as np  # noqa: E402
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 sys.path.insert(0, sys.argv[1] if len(sys.argv) > 1 else SRC)
