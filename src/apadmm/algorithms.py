@@ -17,9 +17,8 @@ The algorithms differ only in how the master gets its gradients:
   component's gradient at the new x (the zero-delay protocol).
 * ``sync_admm``: the exchange blocks as for ``sync_padmm``, and every
   component solves its penalized subproblem exactly, all K in one
-  ``problems.penalized_argmin`` call: per block of the problem's data,
-  batched products through one cached M x M inverse per component;
-  requires penalties above the component curvature.
+  ``problems.penalized_argmin`` call, through one cached M x M inverse
+  per component; requires penalties above the component curvature.
 
 Time accounting: the reported iteration count is the simulated master
 clock in windows, the simulator's unit of time. Async iterations cost
@@ -188,7 +187,7 @@ def exact_admm_iteration(problem, state, rho, x_new):
     """Commit one exact update: each component minimizes its penalized cost at x_new.
 
     One ``penalized_argmin`` call solves every component's subproblem,
-    batched over the problem's blocks, and checks that each penalty
+    with no loop over components, and checks that each penalty
     exceeds its component's curvature. The stored gradients come from the
     subproblem's first-order condition
     ``grad g_k(u_k) + y_k + rho_k (u_k - x_new) = 0``,
@@ -285,7 +284,7 @@ def run(problem, config):
     Update t exchanges the gradients at x_t and commits state_t; its row
     reads the measure from the pass at x_t. Unless the row is the last,
     x_{t+1} = ``master_step(state_t)`` follows at once, and one fused
-    pass evaluates, block by block, the values at ``state_t.x_local``
+    pass evaluates the values at ``state_t.x_local``
     (row t's augmented Lagrangian) and the values and gradients at
     x_{t+1} (the next exchange and row). The last row, converged or at
     the clock cap, takes one values pass at its local copies instead. A
@@ -355,7 +354,9 @@ def run(problem, config):
                 break
         state = new
         clock += cost
-        row = diagnostics.stationarity(state, terms)
+        # the row's gap and Lagrangian share x_local - x, and its l1 term
+        diff, l1_term = state.x_local - state.x, terms.l1_term
+        row = diagnostics.stationarity(state, terms, diff)
         measure = row[-1]
         values = None
         if not (measure < config.epsilon or clock >= config.max_iters):
@@ -365,8 +366,8 @@ def run(problem, config):
             x_new = master_step(problem, state, rho)
             terms = consensus_terms(problem, x_new, state.x_local)
             values = terms.local_values
-        trace.append(augmented_lagrangian(problem, state, rho, values), *row,
-                     float(clock), arrived)
+        trace.append(augmented_lagrangian(problem, state, rho, values, diff, l1_term),
+                     *row, float(clock), arrived)
         if trace.states is not None:
             trace.states.append(state)
         if measure < config.epsilon:

@@ -6,7 +6,7 @@ certificates promise:
 
 * dual identity: the stored dual of each component equals the negated
   gradient at the copy its stale index points to, recomputed from the
-  problem data in one block pass per row (not from the solver's own
+  problem data in one evaluation pass per row (not from the solver's own
   stored gradient);
 * per-iteration descent and the telescoped descent bound of the
   augmented Lagrangian, with general-class margins;
@@ -40,17 +40,17 @@ __all__ = [
 ]
 
 
-def stationarity(state, terms):
+def stationarity(state, terms, diff=None):
     """``(objective, feas_gap, prox_grad_norm, measure)`` of a trace row.
 
     ``terms``, the ``consensus_terms`` pass at ``state.x``, gives the
     objective and the proximal-gradient norm; ``feas_gap`` is the
-    relative consensus gap, and the measure their sum. With the augmented
-    Lagrangian in front, these are a row in ``IterationTrace.append``
-    order; ``run`` reads the measure first, to tell whether the row is
-    the last.
+    relative consensus gap (``feasibility_gap``, handed ``diff``), and
+    the measure their sum. With the augmented Lagrangian in front, these
+    are a row in ``IterationTrace.append`` order; ``run`` reads the
+    measure first, to tell whether the row is the last.
     """
-    _, gap_rel = feasibility_gap(state)
+    _, gap_rel = feasibility_gap(state, diff)
     pg_norm = _norm(terms.prox_residual)
     return terms.objective, gap_rel, pg_norm, gap_rel + pg_norm
 
@@ -132,13 +132,13 @@ def trace_residuals(problem, trace, rho, delay_bounds,
                      (b.x - a.x for a, b in zip(states, states[1:]))]
 
     # dual identity, recomputed from problem data at the stale copies, in
-    # one block pass per row; stale index i names the master vector of
+    # one pass per row; stale index i names the master vector of
     # iteration i, and indices before the start clamp to the initial state;
     # a norm is the root of a row dot, the bits ``_norm`` gives row by row
     dual = []
     for st in states[1:]:
         points = np.array([states[max(int(i) - 1, 0)].x for i in st.stale_index])
-        residual = _block_pass(problem.blocks, points)[1] + st.y
+        residual = _block_pass(problem.operator, points)[1] + st.y
         allowed = dual_tol * (1.0 + np.sqrt(_row_dots(st.y, st.y)))
         dual.append(np.min(allowed - np.sqrt(_row_dots(residual, residual))))
 

@@ -17,31 +17,27 @@ workers deliver, after their delays if any.
 Every component is the sparse-PCA cost ``g_k(x) = -0.5 ||B_k x||^2`` of
 an M_k x N data matrix B_k, with gradient ``-B_k^T B_k x``.
 ``ConsensusProblem`` owns that data: it validates each matrix, bounds
-its curvature (``lipschitz``) and copies the matrices once into
-read-only ``(K_b, M_b, N)`` blocks of consecutive components with the
-same row count, each at most ``_BLOCK_BYTES`` (1 MiB) of data;
-``data[k]`` is a read-only view of component k's slice, and the
-matrices the caller passed are neither kept nor written. Every
-evaluation (the pass at the master vector, the augmented Lagrangian at
-the local copies, the replayed gradients of the dual identity) is a few
-batched matrix products per block, in one loop over the blocks. So are
-the exact penalized argmins of the synchronous baseline
-(``penalized_argmin``): per block, batched products through a cached
-``(K_b, M_b, M_b)`` stack of inverses, built once per penalty vector.
-The cap keeps a block in a 2 MiB L2 cache while one pass reads it up to
-three times: a solver update evaluates the next master vector and the
-committed local copies in one pass. A desk problem (N = 50, K = 5, M = 20: 40 KB) is one block;
-a paper-scale one (N = 500, M = 100: 400 KB per component) is blocks of
-two components.
+its curvature (``lipschitz``) and keeps the nonzeros once, as one
+read-only sparse ``operator`` (``_operator``). Every evaluation is a few
+products of it, with no loop over components, for ragged and equal row
+counts alike; ``penalized_argmin`` adds one batched product per run of
+equal row counts. Generated instances are 10% nonzero: a paper-scale
+pass reads about 50,000 entries where dense matrices hold 500,000. The
+products call scipy's private CSR kernel ``csr_matvec`` directly (it
+adds each row's products in column order onto 0.0): the public ``@``
+adds a few microseconds of checks a call, doubling a desk-scale pass.
 """
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+# private scipy API, pinned by a test (see the module docstring)
+from scipy.sparse._sparsetools import csr_matvec, csr_tocsc
 
 from .prox import _norm, prox_l1_ball
 
@@ -88,40 +84,53 @@ def leading_eigenvalue(B):
     return float(top) + pad
 
 
-# the most bytes of component data one block holds (see _stack_blocks)
-_BLOCK_BYTES = 1 << 20
+# a read-only CSR matrix, its fields in ``csr_matvec``'s argument order
+_Csr = namedtuple("_Csr", "rows cols indptr indices data")
+# the component data as read-only CSR matrices (see ``_operator``)
+_Operator = namedtuple("_Operator", "D Dt A segments")
 
 
-def _stack_blocks(data):
-    """``(blocks, views)``: the matrices ``data`` copied into read-only blocks.
+def _matvec(rows, cols, indptr, indices, data, x):
+    # the CSR matrix's product with x: each row's products added in column
+    # order, one at a time, onto 0.0; the kernel reads x unchecked
+    if x.shape != (cols,):
+        raise ValueError("vector of shape %s for %d columns" % (x.shape, cols))
+    out = np.zeros(rows)
+    csr_matvec(rows, cols, indptr, indices, data, x, out)
+    return out
 
-    Each maximal run of consecutive matrices with the same row count M_b
-    is cut into ``(K_b, M_b, N)`` blocks of at most ``_BLOCK_BYTES`` (one
-    matrix a block when a single matrix is larger), the last block of a
-    run taking what is left. ``views[k]`` is the read-only slice of its
-    block that holds ``data[k]``; the matrices given are only read.
 
-    Why a byte cap: ``run``'s fused pass reads each block three times
-    (values at the local copies, values and gradients at the master
-    vector), and a block of 1 MiB stays in a 2 MiB L2 cache between the
-    reads, where the 4 MB paper-scale stack did not. At paper scale (400
-    KB a component) the cap makes blocks of two, the fastest or tied for
-    it in each sweep of caps from one to ten components a block, and
-    about a quarter faster than one block of ten (CHANGES.md). A desk
-    problem stays one block.
-    Each product is the same batched call on fewer components, so the
-    cap moves no bits.
+def _operator(data):
+    """The ``_Operator`` of the M_k x N matrices ``data``, which it only reads.
+
+    D is block diagonal, ``(sum_k M_k) x (K N)``, with B_k in component
+    k's rows and in columns k N to (k + 1) N; Dt is its transpose, and A
+    the ``(sum_k M_k) x N`` stack of the B_k, sharing D's ``indptr`` and
+    ``data``. Each holds a row's nonzeros in column order. ``segments``
+    is the K x (sum_k M_k) pattern that sums each component's rows, with
+    no values: component k owns rows ``indptr[k]:indptr[k + 1]``.
     """
-    blocks, views = [], []
-    for _, run in itertools.groupby(data, key=len):
-        run = list(run)
-        size = max(1, _BLOCK_BYTES // run[0].nbytes)
-        for start in range(0, len(run), size):
-            block = np.stack(run[start:start + size])
-            block.flags.writeable = False
-            blocks.append(block)
-            views.extend(block)
-    return tuple(blocks), tuple(views)
+    counts = [len(B) for B in data]
+    K, N = len(data), data[0].shape[1]
+    stacked = np.concatenate(data)
+    S = len(stacked)
+    index = np.int32 if max(stacked.size, K * N) < 2 ** 31 else np.int64
+    # the nonzeros by row, then by column (np.nonzero is slower, 2-D)
+    rows, cols = np.divmod(np.flatnonzero(stacked != 0), N)
+    values = stacked[rows, cols]
+    indptr = np.searchsorted(rows, np.arange(S + 1)).astype(index)
+    cols_D = cols + N * np.repeat(np.arange(K), counts)[rows]  # component k at k N
+    D = _Csr(S, K * N, indptr, cols_D.astype(index), values)
+    # D's CSC arrays are the CSR arrays of D^T, each row in row order of D
+    Dt = _Csr(K * N, S, np.empty(K * N + 1, index), np.empty_like(D.indices),
+              np.empty_like(values))
+    csr_tocsc(*D, *Dt[2:])
+    A = _Csr(S, N, indptr, cols.astype(index), values)
+    segments = _Csr(K, S, np.cumsum([0] + counts).astype(index),
+                    np.arange(S, dtype=index), None)
+    for a in (*D[2:], *Dt[2:], A.indices, *segments[2:4]):
+        a.flags.writeable = False
+    return _Operator(D, Dt, A, segments)
 
 
 def _row_dots(a, b):
@@ -129,76 +138,45 @@ def _row_dots(a, b):
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _block_pass(blocks, X, gradients=True, local=None):
+def _block_pass(operator, X, gradients=True, local=None):
     """``(values, gradients, local_values)`` of every component, in order.
 
     X is one point for every component or one row per component; the
     gradients are at X, and None when ``gradients`` is false. ``local``,
     when given, is one row per component, and ``local_values`` are the
-    values there (None otherwise). One loop over the blocks makes every
-    product of a block before it moves on, each batched over the block:
-    ``W_k = B_k local_k`` and ``W_k . W_k`` at the local copies, then
-    ``W_k = B_k X_k``, ``W_k . W_k`` and ``W_k^T B_k``. Several blocks
-    write their products into their slices of preallocated ``(K, 1, 1)``
-    and ``(K, 1, N)`` arrays; a problem of one block keeps its products
-    as they are, which saves a desk-scale update the copies. The values
-    ``-0.5 W_k . W_k`` and the gradients ``-W_k^T B_k`` are then scaled
-    and negated once.
+    values there (None otherwise). Three products of the ``operator``,
+    with no loop over components: D at the local copies, A at a single X
+    (D at a stack), giving ``W_k = B_k X_k``, and D^T on W for the
+    gradients ``-B_k^T W_k``. The values ``-0.5 W_k . W_k`` are the
+    ``segments`` matrix, with W as its values, times W.
     """
-    products = None  # W.W at X, W^T B at X, W.W at the local copies
-    start = 0
-    for block in blocks:
-        end = start + len(block)
-        part = [None, None, None]
-        if local is not None:
-            W = (block @ local[start:end, :, None])[:, :, 0]
-            part[2] = W[:, None, :] @ W[:, :, None]
-        W = block @ X if X.ndim == 1 else (block @ X[start:end, :, None])[:, :, 0]
-        row = W[:, None, :]
-        part[0] = row @ W[:, :, None]
-        if gradients:
-            part[1] = row @ block
-        if len(blocks) == 1:
-            products = part
-        else:
-            if products is None:
-                count = sum(map(len, blocks))
-                products = [None if p is None else np.empty((count,) + p.shape[1:])
-                            for p in part]
-            for out, p in zip(products, part):
-                if p is not None:
-                    out[start:end] = p
-        start = end
-    dots, grads, local_dots = products
-    return (-0.5 * dots[:, 0, 0], None if grads is None else -grads[:, 0, :],
-            None if local_dots is None else -0.5 * local_dots[:, 0, 0])
+    D, Dt, A, segments = operator
+    local_values = None
+    if local is not None:
+        W = _matvec(*D, local.ravel())
+        local_values = -0.5 * _matvec(*segments[:4], W, W)
+    W = _matvec(*A, X) if X.ndim == 1 else _matvec(*D, X.ravel())
+    grads = -_matvec(*Dt, W).reshape(-1, A.cols) if gradients else None
+    return -0.5 * _matvec(*segments[:4], W, W), grads, local_values
 
 
-@dataclass(eq=False)
 class ConsensusProblem:
     """Problem data: component matrices plus the shared l1 + ball regularizer.
 
     ``data`` is given as one M_k x N matrix per component: 2-D, nonempty,
     finite, one N for all; a bad matrix raises ValueError naming its
-    index. The problem keeps a copy: ``blocks`` (``_stack_blocks``), and
-    ``data`` becomes the tuple of read-only views of each matrix's slice.
+    index. The problem keeps the read-only ``operator`` (``_operator``)
+    and neither keeps nor writes the matrices given; ``data`` reads them
+    back as a tuple of read-only dense arrays, built on each access.
     ``lipschitz[k]``, read-only, is ``leading_eigenvalue`` of the matrix
     as given, a proven upper bound on the top eigenvalue of its Gram
     matrix, floored at machine epsilon when the matrix is 0.
     ``penalty_inverses`` maps a penalty vector (a tuple of floats) to what
-    ``penalized_argmin`` caches for it: one read-only ``(K_b, M_b, M_b)``
-    stack of inverses per block.
+    ``penalized_argmin`` caches for it (``_penalty_inverses``).
     """
 
-    data: tuple
-    l1_weight: float = 0.0
-    radius: float = 1.0
-    lipschitz: np.ndarray = field(init=False, repr=False, default=None)
-    blocks: tuple = field(init=False, repr=False, default=())
-    penalty_inverses: dict = field(init=False, repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        data = [np.asarray(B, dtype=float) for B in self.data]
+    def __init__(self, data, l1_weight=0.0, radius=1.0):
+        data = [np.asarray(B, dtype=float) for B in data]
         if not data:
             raise ValueError("need at least one component")
         for k, B in enumerate(data):
@@ -210,36 +188,47 @@ class ConsensusProblem:
             if not np.isfinite(B).all():
                 raise ValueError("data matrix %d contains non-finite entries" % k)
         # written so that NaN fails each check
-        if not 0 <= self.l1_weight < math.inf:
+        if not 0 <= l1_weight < math.inf:
             raise ValueError("l1_weight must be nonnegative and finite, not %r"
-                             % (self.l1_weight,))
-        if not 0 < self.radius < math.inf:
+                             % (l1_weight,))
+        if not 0 < radius < math.inf:
             raise ValueError("radius must be positive and finite, not %r"
-                             % (self.radius,))
+                             % (radius,))
         dims = {B.shape[1] for B in data}
         if len(dims) != 1:
             raise ValueError("components disagree on dimension: %s" % sorted(dims))
+        self.l1_weight, self.radius = l1_weight, radius
         bounds = [leading_eigenvalue(B) for B in data]
         eps = float(np.finfo(float).eps)
         self.lipschitz = np.array([L if L > 0.0 else eps for L in bounds])
         self.lipschitz.flags.writeable = False
-        self.blocks, self.data = _stack_blocks(data)
+        self.operator = _operator(data)
+        self.penalty_inverses = {}
+
+    @property
+    def data(self):
+        A = self.operator.A
+        dense = np.zeros((A.rows, A.cols))
+        dense[np.repeat(np.arange(A.rows), np.diff(A.indptr)), A.indices] = A.data
+        dense.flags.writeable = False
+        return tuple(np.split(dense, self.operator.segments.indptr[1:-1]))
 
     @property
     def dim(self):
-        return self.data[0].shape[1]
+        return self.operator.A.cols
 
     @property
     def num_components(self):
-        return len(self.data)
+        return self.operator.segments.rows
 
 
 def _penalty_inverses(problem, rho):
-    """Per block, the cached read-only stack of ``S_k = (rho_k I - B_k B_k^T)^{-1}``.
+    """The cached read-only stacks of ``S_k = (rho_k I - B_k B_k^T)^{-1}``.
 
-    Built on the first call for ``rho`` from a batched Gram ``B B^T`` per
-    block and a Cholesky factor of each M_b x M_b matrix. A rejected
-    penalty (see ``penalized_argmin``) caches nothing.
+    One ``(K_b, M_b, M_b)`` stack per run of consecutive components with
+    equal row counts, built on the first call for ``rho`` from a batched
+    Gram ``B B^T`` and a Cholesky factor of each M_b x M_b matrix. A
+    rejected penalty (see ``penalized_argmin``) caches nothing.
     """
     key = tuple(rho.tolist())
     inverses = problem.penalty_inverses.get(key)
@@ -248,7 +237,8 @@ def _penalty_inverses(problem, rho):
     lipschitz = problem.lipschitz
     inverses = []
     k = 0
-    for block in problem.blocks:
+    for _, run in itertools.groupby(problem.data, key=len):
+        block = np.stack(list(run))
         gram = block @ block.transpose(0, 2, 1)
         eye = np.eye(gram.shape[1])
         for i in range(len(block)):
@@ -284,23 +274,23 @@ def penalized_argmin(problem, rho, x_master, y):
 
     the push-through identity (Golub & Van Loan, *Matrix Computations*,
     2.1.4), so ``u_k = (b_k + B_k^T S_k B_k b_k) / rho_k`` for every shape
-    of B_k. The S_k are cached per penalty vector on the problem, K_b M_b^2
-    floats per block; each solve is then three batched products per
-    block, in one loop over the problem's ``blocks``. Every ``rho_k`` must
-    exceed the problem's ``lipschitz[k]``, which bounds the top eigenvalue
-    of both Gram matrices from above: a penalty at or below it, or one the
-    factorization still finds too small in floating point, raises
-    ValueError naming the component.
+    of B_k: D at the stacked ``b_k``, one batched product per stack of
+    cached S_k (``_penalty_inverses``), and D^T on the result. Every
+    ``rho_k`` must exceed the problem's ``lipschitz[k]``, which bounds the
+    top eigenvalue of both Gram matrices from above: a penalty at or
+    below it, or one the factorization still finds too small in floating
+    point, raises ValueError naming the component.
     """
     rho = np.asarray(rho, dtype=float)
     b = rho[:, None] * x_master - y
-    out = np.empty_like(b)
+    v = _matvec(*problem.operator.D, b.ravel())
     start = 0
-    for block, inverse in zip(problem.blocks, _penalty_inverses(problem, rho)):
-        end = start + len(block)
-        v = inverse @ (block @ b[start:end, :, None])
-        out[start:end] = (v.transpose(0, 2, 1) @ block)[:, 0, :]
+    for inverse in _penalty_inverses(problem, rho):
+        count, rows, _ = inverse.shape
+        end = start + count * rows
+        v[start:end] = (inverse @ v[start:end].reshape(count, rows, 1)).ravel()
         start = end
+    out = _matvec(*problem.operator.Dt, v).reshape(b.shape)
     out += b
     out /= rho[:, None]
     return out
@@ -351,11 +341,14 @@ def initial_state(problem, x0=None):
 class ConsensusTerms(NamedTuple):
     """What one evaluation pass at a consensus point yields.
 
-    ``local_values`` are the values ``g_k(local_k)`` at the local copies
-    given to the same pass, or None when none were.
+    ``l1_term`` is the objective's ``l1_weight * ||x||_1``, which
+    ``augmented_lagrangian`` reuses at the same x. ``local_values`` are
+    the values ``g_k(local_k)`` at the local copies given to the same
+    pass, or None when none were.
     """
 
     objective: float
+    l1_term: float
     prox_residual: np.ndarray
     gradients: np.ndarray
     local_values: np.ndarray = None
@@ -364,45 +357,49 @@ class ConsensusTerms(NamedTuple):
 def consensus_terms(problem, x, local=None):
     """Objective, proximal-gradient residual and gradients ``grad g_k(x)`` at x.
 
-    Evaluates each component once, by batched products over the problem's
-    ``blocks``; every other component sum at a consensus point is a view
-    of this one. The objective is ``sum_k g_k(x) + l1_weight * ||x||_1``
+    Evaluates each component once, in one pass of the problem's
+    ``operator``; every other component sum at a consensus point is a
+    view of this one. The objective is ``sum_k g_k(x) + l1_weight * ||x||_1``
     (the ball constraint is not folded in; callers keep x feasible), and
     the residual ``x - prox(x - grad g(x))`` uses a unit step and the
     l1-plus-ball operator with the problem's own l1 weight. ``local``, one
-    row per component (a state's local copies), adds their values in the
-    same pass, read while each block is in cache, for
-    ``augmented_lagrangian``.
+    row per component (a state's local copies), adds their values to the
+    same pass, for ``augmented_lagrangian``.
     """
     x = np.asarray(x, dtype=float)
-    values, grads, local_values = _block_pass(problem.blocks, x, local=local)
-    # added one at a time, in component order, as a loop over ``value`` would
+    values, grads, local_values = _block_pass(problem.operator, x, local=local)
+    # a Python loop: 0.6 us at K = 5, where np.add.reduce takes 2.1 us
     value = 0.0
     for v in values.tolist():
         value += v
     # rows added in order onto 0.0, so a column of -0.0 sums to 0.0
     grad = np.add.reduce(grads, axis=0, initial=0.0)
-    obj = value + problem.l1_weight * float(np.add.reduce(np.abs(x)))
+    l1_term = problem.l1_weight * float(np.add.reduce(np.abs(x)))
     residual = x - prox_l1_ball(x - grad, problem.l1_weight, problem.radius)
-    return ConsensusTerms(obj, residual, grads, local_values)
+    return ConsensusTerms(value + l1_term, l1_term, residual, grads, local_values)
 
 
-def augmented_lagrangian(problem, state, rho, values=None):
+def augmented_lagrangian(problem, state, rho, values=None, diff=None, l1_term=None):
     """Augmented Lagrangian at the given state.
 
     ``sum_k [g_k(x_local_k) + <y_k, x_local_k - x> + rho_k/2 ||x_local_k - x||^2]
     + l1_weight * ||x||_1``, with per-component penalties ``rho``. The
     component values are ``values`` when a pass already computed them at
     ``state.x_local`` (``consensus_terms``' ``local_values``), and come
-    from one batched pass over the problem's ``blocks`` otherwise.
+    from a values pass otherwise. A trace row also passes the ``diff``
+    ``x_local - x`` and the ``l1_term`` at x that its other terms formed;
+    either is computed here, to the same bits, when None.
     """
     if values is None:
-        values = _block_pass(problem.blocks, state.x_local, gradients=False)[0]
-    diff = state.x_local - state.x
+        values = _block_pass(problem.operator, state.x_local, gradients=False)[0]
+    diff = state.x_local - state.x if diff is None else diff
+    if l1_term is None:
+        l1_term = problem.l1_weight * float(np.add.reduce(np.abs(state.x)))
     rows = zip(values.tolist(), _row_dots(state.y, diff).tolist(),
                np.asarray(rho, dtype=float).tolist(), _row_dots(diff, diff).tolist())
-    total = problem.l1_weight * float(np.add.reduce(np.abs(state.x)))
-    # the penalty in Python floats, which round as numpy's 0.5 * rho * dots
+    total = l1_term
+    # in Python floats, which round as numpy's 0.5 * rho * dots would: at
+    # N = 50, K = 5 one np.add.reduce of the terms makes the call 2-3 us slower
     for value, cross, r, square in rows:
         total += value
         total += cross
@@ -410,16 +407,16 @@ def augmented_lagrangian(problem, state, rho, values=None):
     return total
 
 
-def feasibility_gap(state):
+def feasibility_gap(state, diff=None):
     """Consensus gaps ``(absolute, relative)``.
 
     Absolute: ``max_k ||x_local_k - x||``. Relative divides by ``||x||``,
-    falling back to the absolute gap when ``||x|| == 0``.
+    falling back to the absolute gap when ``||x|| == 0``. ``diff`` is
+    ``state.x_local - state.x`` when a caller already formed it.
     """
-    # np.linalg.norm(d, axis=1) is sqrt(add.reduce(d * d, axis=1)), and
-    # the square root is monotone: the largest gap is the root of the
-    # largest square
-    d = state.x_local - state.x
+    # np.linalg.norm(d, axis=1) is sqrt(add.reduce(d * d, axis=1)), and the
+    # square root is monotone: the largest gap is the root of the largest square
+    d = state.x_local - state.x if diff is None else diff
     absolute = math.sqrt(np.add.reduce(d * d, axis=1).max())
     norm_x = _norm(state.x)
     relative = absolute / norm_x if norm_x > 0 else absolute

@@ -116,8 +116,8 @@ def test_optimality_measure_permutation_invariant():
 # -- trace rows --------------------------------------------------------------
 
 def row_problem(shape):
-    """Wide (M < N), square and tall instances, and a ragged one whose row
-    counts make a block of two wide components and a block of one tall."""
+    """Wide (M < N), square and tall instances, and a ragged one of two
+    wide components and one tall."""
     rows = {"wide": 6, "square": 12, "tall": 18, "ragged": [6, 6, 18]}[shape]
     return generate(SparsePcaSpec(dim=12, num_components=3, rows=rows,
                                   nonzero_prob=0.3, l1_weight=0.05, seed=2))
@@ -174,10 +174,10 @@ def count_passes(monkeypatch):
     log = []
     block_pass = problems._block_pass
 
-    def counted(blocks, X, gradients=True, local=None):
+    def counted(operator, X, gradients=True, local=None):
         log.append((np.array(X), gradients,
                     None if local is None else np.array(local)))
-        return block_pass(blocks, X, gradients, local)
+        return block_pass(operator, X, gradients, local)
 
     monkeypatch.setattr(problems, "_block_pass", counted)
     return log
@@ -214,12 +214,11 @@ def test_each_update_evaluates_each_component_once_at_the_master_vector(
         algorithm, shape, monkeypatch):
     """The workers, the exchange and the trace row reuse the master's pass,
     which also evaluates the previous row's local copies: after the start
-    state, each update adds one fused block pass, and the last row one
-    values pass. Every problem, the ragged one too, evaluates its
-    components from its blocks. Here the last row is the one that reaches
-    the clock cap."""
+    state, each update adds one fused pass, and the last row one values
+    pass. Every problem, the ragged one too, evaluates its components
+    from its one operator. Here the last row is the one that reaches the
+    clock cap."""
     problem = row_problem(shape)
-    assert len(problem.blocks) == (2 if shape == "ragged" else 1)
     passes = count_passes(monkeypatch)
     result = run(problem, RunConfig(
         algorithm=algorithm, delay_bound=2, seed=3, max_iters=8,
@@ -445,9 +444,9 @@ def loop_residuals(problem, trace, rho, delay_bounds):
     for r in range(1, rows + 1):
         points = np.array([states[max(int(i) - 1, 0)].x
                            for i in states[r].stale_index])
-        grads = problems._block_pass(problem.blocks, points)[1]
-        margins.append(min(1e-9 * (1.0 + np.linalg.norm(y)) - np.linalg.norm(g + y)
-                           for g, y in zip(grads, states[r].y)))
+        margins.append(min(
+            1e-9 * (1.0 + np.linalg.norm(y)) - np.linalg.norm(component_gradient(B, p) + y)
+            for B, p, y in zip(problem.data, points, states[r].y)))
     out.append(verdict(margins))
     lag = [problems.augmented_lagrangian(problem, states[0], rho)]
     lag += list(trace.lagrangian)

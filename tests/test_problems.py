@@ -1,6 +1,7 @@
 """Problem container tests: hand-evaluated values, gradients, eigenvalues."""
 
 import itertools
+import math
 import re
 
 import numpy as np
@@ -268,11 +269,13 @@ def check_penalized_argmins(problem, seed):
                        + rho[k] * (out[k] - x_master))
         scale = rho[k] * np.abs(out[k]).max() + np.abs(y[k]).max()
         np.testing.assert_allclose(first_order, 0.0, atol=1e-12 * scale)
-    # one read-only (K_b, M_b, M_b) stack of inverses per block, nothing else
+    # one read-only (K_b, M_b, M_b) stack of inverses per run of equal
+    # row counts, nothing else
     assert list(problem.penalty_inverses) == [tuple(rho.tolist())]
     inverses = problem.penalty_inverses[tuple(rho.tolist())]
-    assert [s.shape for s in inverses] == [(len(b), b.shape[1], b.shape[1])
-                                           for b in problem.blocks]
+    runs = [(len(list(run)), M) for M, run in
+            itertools.groupby(len(B) for B in problem.data)]
+    assert [s.shape for s in inverses] == [(count, M, M) for count, M in runs]
     assert not any(s.flags.writeable for s in inverses)
     return rho
 
@@ -280,13 +283,13 @@ def check_penalized_argmins(problem, seed):
 def test_penalized_argmin_on_ragged_rows():
     problem = generate(SparsePcaSpec(dim=30, num_components=5, rows=[6, 6, 9, 4, 4],
                                      nonzero_prob=0.3, seed=4))
-    assert [b.shape[:2] for b in problem.blocks] == [(2, 6), (1, 9), (2, 4)]
-    check_penalized_argmins(problem, 5)
+    rho = check_penalized_argmins(problem, 5)
+    assert [s.shape for s in problem.penalty_inverses[tuple(rho.tolist())]] == [
+        (2, 6, 6), (1, 9, 9), (2, 4, 4)]
 
 
-def test_penalized_argmin_on_uneven_paper_shape_blocks():
+def test_penalized_argmin_on_the_paper_shape():
     problem = generate(SparsePcaSpec(dim=500, num_components=7, rows=100, seed=6))
-    assert [len(b) for b in problem.blocks] == [2, 2, 2, 1]
     rho = check_penalized_argmins(problem, 7)
     # a rejected penalty names its component and caches nothing
     cached = list(problem.penalty_inverses)
@@ -510,7 +513,6 @@ def loop_lagrangian(problem, state, rho):
 @pytest.mark.parametrize("shape", sorted(STACK_ROWS))
 def test_batched_evaluation_matches_the_reference_expressions(shape):
     problem = stacked_problem(shape)
-    assert len(problem.blocks) == 1
     rng = np.random.default_rng(8)
     rho = rng.uniform(5.0, 20.0, 4)
     for _ in range(5):
@@ -528,31 +530,42 @@ def test_batched_evaluation_matches_the_reference_expressions(shape):
         assert lagrangian == reference
 
 
-def assert_views_of_its_own_blocks(problem, given):
-    """``problem.data[k]`` is a read-only view of its slice of a read-only
-    block and equals ``given[k]``; no block shares memory with ``given``."""
-    assert isinstance(problem.data, tuple) and len(problem.data) == len(given)
-    views = iter(problem.data)
-    for block in problem.blocks:
-        assert block.flags.c_contiguous and not block.flags.writeable
-        for part, B in zip(block, views):  # block first: views is shared
-            assert B.base is block and B.shape == part.shape
-            assert B.ctypes.data == part.ctypes.data
-            assert B.flags.c_contiguous and not B.flags.writeable
-    for B, G in zip(problem.data, given):
+def operator_arrays(problem):
+    return [a for part in problem.operator for a in part[2:] if a is not None]
+
+
+def assert_holds_its_own_copy(problem, given):
+    """Every array of the operator is read-only and shares no memory with
+    ``given``; ``data`` reads ``given`` back, as read-only dense arrays."""
+    assert all(not a.flags.writeable for a in operator_arrays(problem))
+    assert not any(np.shares_memory(a, G) for a in operator_arrays(problem)
+                   for G in given)
+    data = problem.data
+    assert isinstance(data, tuple) and len(data) == len(given)
+    for B, G in zip(data, given):
+        assert not B.flags.writeable
         assert B.tobytes() == G.tobytes()
-        assert not any(np.shares_memory(G, block) for block in problem.blocks)
 
 
-def test_problem_data_views_one_stack_of_its_own_copy():
+def test_problem_holds_its_own_read_only_operator():
     spec = SparsePcaSpec(dim=12, num_components=4, rows=STACK_ROWS["tall"],
                          nonzero_prob=0.3, seed=4)
     data = [np.array(B) for B in generate(spec).data]
     kept = [B.copy() for B in data]
     problem = ConsensusProblem(data)
-    (stack,) = problem.blocks
-    assert stack.shape == (4, 18, 12)
-    assert_views_of_its_own_blocks(problem, kept)
+    operator = problem.operator
+    nonzeros = sum(np.count_nonzero(B) for B in data)
+    assert (operator.D.rows, operator.D.cols) == (72, 48)
+    assert (operator.Dt.rows, operator.Dt.cols) == (48, 72)
+    assert (operator.A.rows, operator.A.cols) == (72, 12)
+    assert len(operator.D.data) == len(operator.Dt.data) == nonzeros
+    # component k owns rows 18 k to 18 (k + 1)
+    assert operator.segments[:2] == (4, 72)
+    assert operator.segments.indptr.tolist() == [0, 18, 36, 54, 72]
+    # A and D share their row pointers and values
+    assert operator.A.indptr is operator.D.indptr
+    assert operator.A.data is operator.D.data
+    assert_holds_its_own_copy(problem, kept)
     # the caller's matrices are only read: still writeable, still equal
     for B, K in zip(data, kept):
         assert B.flags.writeable and B.tobytes() == K.tobytes()
@@ -567,8 +580,9 @@ def test_two_problems_built_from_one_list_share_no_memory():
     third = ConsensusProblem(first.data[::-1], l1_weight=0.05)
     built = (first, second, third)
     for a, b in itertools.combinations(built, 2):
-        assert not any(np.shares_memory(p, q) for p in a.blocks for q in b.blocks)
-    assert_views_of_its_own_blocks(third, data[::-1])
+        assert not any(np.shares_memory(p, q) for p in operator_arrays(a)
+                       for q in operator_arrays(b))
+    assert_holds_its_own_copy(third, data[::-1])
     x = np.random.default_rng(2).standard_normal(12) * 0.3
     for problem in built:
         objective, grads = loop_terms(problem, x)
@@ -587,20 +601,14 @@ def test_problem_data_and_bounds_are_read_only():
         problem.lipschitz[0] = 1.0
 
 
-# row counts, and the components per block: one block per maximal run
-RAGGED = {"runs": ([6, 6, 9, 4, 4], [2, 1, 2]),
-          "digest": ([20, 35, 10, 20, 50], [1, 1, 1, 1, 1])}
-
-
-@pytest.mark.parametrize("shape", sorted(RAGGED))
-def test_ragged_problems_hold_one_block_per_run_of_equal_rows(shape):
-    rows, runs = RAGGED[shape]
+@pytest.mark.parametrize("rows", [[6, 6, 9, 4, 4], [20, 35, 10, 20, 50]],
+                         ids=["runs", "digest"])
+def test_ragged_problems_match_the_reference_expressions(rows):
     spec = SparsePcaSpec(dim=12, num_components=5, rows=rows,
                          nonzero_prob=0.3, l1_weight=0.05, seed=6)
     data = [np.array(B) for B in generate(spec).data]
     problem = ConsensusProblem(data, l1_weight=0.05)
-    assert [len(block) for block in problem.blocks] == runs
-    assert_views_of_its_own_blocks(problem, data)
+    assert_holds_its_own_copy(problem, data)
     assert all(B.flags.writeable for B in data)
     rng = np.random.default_rng(8)
     rho = rng.uniform(5.0, 20.0, 5)
@@ -625,21 +633,10 @@ def paper_problem(num_components):
     return ConsensusProblem(data, l1_weight=0.05), data
 
 
-@pytest.mark.parametrize("num_components, sizes", [(10, [2] * 5), (7, [2, 2, 2, 1])])
-def test_paper_scale_blocks_are_capped_at_two_components(num_components, sizes):
-    """A paper-scale component holds 400 KB of data, so a block of at most
-    ``_BLOCK_BYTES`` holds two, and an odd count leaves one for the last."""
-    problem, data = paper_problem(num_components)
-    assert [len(block) for block in problem.blocks] == sizes
-    assert all(block.nbytes <= problems._BLOCK_BYTES for block in problem.blocks)
-    assert_views_of_its_own_blocks(problem, data)
-    assert all(B.flags.writeable for B in data)
-
-
-def test_fused_pass_matches_the_reference_expressions_on_several_blocks():
-    """One pass over the blocks of an uneven multi-block problem, with the
-    values at the local copies riding along, gives the bits of the
-    per-component reference expressions, and the unfused passes' bits."""
+def test_fused_pass_matches_the_reference_expressions_at_paper_shape():
+    """One pass at a paper-shape problem, with the values at the local
+    copies riding along, gives the bits of the per-component reference
+    expressions, and the unfused passes' bits."""
     problem, _ = paper_problem(7)
     rng = np.random.default_rng(5)
     rho = rng.uniform(5.0, 20.0, 7)
@@ -656,5 +653,62 @@ def test_fused_pass_matches_the_reference_expressions_on_several_blocks():
         assert (augmented_lagrangian(problem, state, rho, terms.local_values)
                 == loop_lagrangian(problem, state, rho)
                 == augmented_lagrangian(problem, state, rho))
+        # a trace row's shared differences and l1 term give the same bits
+        diff = state.x_local - state.x
+        assert (augmented_lagrangian(problem, state, rho, terms.local_values, diff,
+                                     terms.l1_term)
+                == loop_lagrangian(problem, state, rho))
+        assert feasibility_gap(state, diff) == feasibility_gap(state)
         assert consensus_terms(problem, x).local_values is None
         assert consensus_terms(problem, x).objective == objective
+
+
+def test_the_csr_kernel_adds_each_row_in_order_onto_the_output():
+    """The problems call scipy's private ``csr_matvec`` directly. This pins
+    its arguments and its sums: each row's products, in stored order, are
+    added one at a time onto what the output held (a pairwise or a
+    reordered sum gives 1.5 on the first row), and an empty row keeps it."""
+    from scipy.sparse._sparsetools import csr_matvec
+    assert problems.csr_matvec is csr_matvec
+    out = np.array([0.5, -0.0])
+    csr_matvec(2, 3, np.array([0, 3, 3], dtype=np.int32),
+               np.array([0, 1, 2], dtype=np.int32), np.array([1.0, 1e16, -1e16]),
+               np.ones(3), out)
+    assert out[0] == 2.0
+    assert out[1] == 0.0 and math.copysign(1.0, out[1]) == -1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_the_pass_equals_the_per_component_reference_on_ragged_sparse_data(draw):
+    """Random row counts and sparsity patterns, with one all-zero component
+    and one whose even rows are empty: the values and gradients at one
+    point, at one point per component and at the local copies are the
+    reference's bits, and ``data`` reads the matrices back."""
+    K = draw.draw(st.integers(2, 5))
+    rows = draw.draw(st.lists(st.integers(1, 5), min_size=K, max_size=K))
+    N = draw.draw(st.integers(1, 7))
+    zero, holed = draw.draw(st.permutations(range(K)))[:2]
+    rng = np.random.default_rng(draw.draw(st.integers(0, 2 ** 32 - 1)))
+    density = rng.random()
+    data = [np.where(rng.random((M, N)) < density, rng.standard_normal((M, N)), 0.0)
+            for M in rows]
+    data[zero][:] = 0.0
+    data[holed][::2] = 0.0
+    problem = ConsensusProblem(data)
+    assert [B.tobytes() for B in problem.data] == [B.tobytes() for B in data]
+    x, X, local = (rng.standard_normal(N), rng.standard_normal((K, N)),
+                   rng.standard_normal((K, N)))
+
+    def reference(points):
+        return (np.array([component_value(B, z) for B, z in zip(data, points)]),
+                np.stack([component_gradient(B, z) for B, z in zip(data, points)]))
+
+    values, grads, local_values = problems._block_pass(problem.operator, x, local=local)
+    for got, want in zip((values, grads, local_values),
+                         reference([x] * K) + reference(local)[:1]):
+        assert got.tobytes() == want.tobytes()
+    values, grads, local_values = problems._block_pass(problem.operator, X)
+    assert local_values is None
+    for got, want in zip((values, grads), reference(X)):
+        assert got.tobytes() == want.tobytes()

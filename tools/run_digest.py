@@ -4,12 +4,12 @@ Runs three algorithms x three delay bounds x two start points on the
 desk instance, plus a lossy, a dead-uplink and a delayed-link run, one
 ``sync_admm`` run on a square instance (N = M = 20, as in the desk
 table3 sweep), and one run per algorithm on each of: components of
-unequal row counts (which a problem holds as several blocks), the
-desk instance with l1 weight 0.05 (the shrinking prox), and the paper
-shape N = 500, K = 10, M = 100, capped at 60 clock ticks; then two
-runs on the paper shape with K = 7, whose blocks are uneven (2, 2, 2,
-1): an ``async_padmm`` run that converges and a ``sync_admm`` run capped
-at 60 clock ticks; all with ``full_trace``. Each
+unequal row counts (the rows of the problem's sparse operator then
+belong to components of different sizes), the desk instance with l1
+weight 0.05 (the shrinking prox), and the paper shape N = 500, K = 10,
+M = 100, capped at 60 clock ticks; then two runs on the paper shape
+with K = 7: an ``async_padmm`` run that converges and a ``sync_admm``
+run capped at 60 clock ticks; all with ``full_trace``. Each
 line holds the run's label, termination, iterations, updates and a
 SHA-256 over rho, every trace column and every snapshot array. Lines of
 ``async_padmm`` and ``sync_padmm`` runs add a second SHA-256 over the
