@@ -11,8 +11,8 @@ The algorithms differ only in how the master gets its gradients:
   network; the master broadcasts its gradients at the new x and, one
   window later, applies whatever arrived (stale copies allowed, bounded
   staleness enforced or observed per config); a worker's delay only
-  times when its gradient lands. All local copies and duals are
-  refreshed every iteration, recently arrived gradients or not.
+  times when its gradient lands. The dual is the gradient record, so a
+  component that received nothing keeps its dual, and its copy is the new x.
 * ``sync_padmm``: the exchange blocks on every worker and commits every
   component's gradient at the new x (the zero-delay protocol).
 * ``sync_admm``: the exchange blocks as for ``sync_padmm``, and every
@@ -167,20 +167,19 @@ def padmm_apply(problem, state, rho, x_new, updates):
     ----------
     updates : dict
         ``{k: (gradient, copy_index)}`` for the components whose gradient
-        arrived this iteration; the rest keep their stored gradient. Every
-        component refreshes its local copy and dual, with whatever
-        gradient is stored.
+        arrived this iteration; their new dual is ``-gradient``. The rest
+        keep their dual, the record of their last gradient, and move their
+        local copy to ``x_new``, both bit for bit.
     """
     rho = np.asarray(rho, dtype=float)[:, None]
-    grad = state.grad_stored.copy()
+    grad = -state.y
     stale = state.stale_index.copy()
     for k, (g, idx) in updates.items():
         grad[k] = g
         stale[k] = idx
     x_local = x_new - (grad + state.y) / rho
-    y = state.y + rho * (x_local - x_new)
     return SolverState(state.iteration + 1, np.asarray(x_new, dtype=float),
-                       x_local, y, grad, stale)
+                       x_local, -grad, stale)
 
 
 def exact_admm_iteration(problem, state, rho, x_new):
@@ -188,10 +187,9 @@ def exact_admm_iteration(problem, state, rho, x_new):
 
     One ``penalized_argmin`` call solves every component's subproblem,
     with no loop over components, and checks that each penalty
-    exceeds its component's curvature. The stored gradients come from the
-    subproblem's first-order condition
-    ``grad g_k(u_k) + y_k + rho_k (u_k - x_new) = 0``,
-    whose last two terms are the new dual, so ``grad g_k(u_k) = -y_k_new``
+    exceeds its component's curvature. The subproblem's first-order
+    condition ``grad g_k(u_k) + y_k + rho_k (u_k - x_new) = 0`` has the
+    new dual as its last two terms, so the new dual is ``-grad g_k(u_k)``
     and no component is evaluated here.
     """
     rho = np.asarray(rho, dtype=float)
@@ -200,7 +198,7 @@ def exact_admm_iteration(problem, state, rho, x_new):
     y = state.y + rho[:, None] * (x_local - x_new)
     t_new = state.iteration + 1
     stale = np.full(problem.num_components, t_new, dtype=int)
-    return SolverState(t_new, x_new, x_local, y, -y, stale)
+    return SolverState(t_new, x_new, x_local, y, stale)
 
 
 # -- config resolution -------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import RunConfig, run
+from .algorithms import RunConfig, _nonnegative, run
 from .problems import ConsensusProblem
 
 __all__ = [
@@ -123,6 +123,22 @@ def _mean_gradient_age(delay_bound):
     return ages.tolist() if ages.size > 1 else float(ages[0])
 
 
+def _cell_run(cell, seed, max_iters, epsilon):
+    """The checked instance spec and run config of one cell at one seed."""
+    spec = SparsePcaSpec(
+        dim=cell.dim, num_components=cell.num_components,
+        rows=cell.rows, nonzero_prob=cell.nonzero_prob,
+        l1_weight=cell.l1_weight, seed=seed)
+    config = RunConfig(
+        algorithm=cell.algorithm, delay_bound=cell.delay_bound,
+        cert_delay=_mean_gradient_age(cell.delay_bound),
+        seed=seed, max_iters=max_iters, epsilon=epsilon,
+        init="random_ball", enforcement="observe")
+    config.validate()
+    _nonnegative(cell.delay_bound, cell.num_components, "delay_bound")
+    return spec, config
+
+
 def run_campaign(cells, seeds=20, max_iters=5000, epsilon=1e-3,
                  progress=None):
     """Run every cell over the given seeds and aggregate iterations-to-threshold.
@@ -132,24 +148,23 @@ def run_campaign(cells, seeds=20, max_iters=5000, epsilon=1e-3,
     delay model the sweep itself injects, and certify penalties at the
     model's mean gradient age; each seed regenerates both the instance
     and the delays. Returns one dict per cell in campaign-CSV column
-    order.
+    order. Every cell's instance and config are checked before the first
+    run, so a bad cell raises ValueError, naming its index, before any
+    cell has run.
     """
     if isinstance(seeds, int):
         seeds = range(seeds)
     seeds = list(seeds)
+    for i, cell in enumerate(cells):
+        try:
+            _cell_run(cell, 0, max_iters, epsilon)
+        except (TypeError, ValueError) as exc:
+            raise ValueError("campaign cell %d: %s" % (i, exc))
     results = []
     for cell in cells:
         iters, censored = [], 0
         for seed in seeds:
-            spec = SparsePcaSpec(
-                dim=cell.dim, num_components=cell.num_components,
-                rows=cell.rows, nonzero_prob=cell.nonzero_prob,
-                l1_weight=cell.l1_weight, seed=seed)
-            config = RunConfig(
-                algorithm=cell.algorithm, delay_bound=cell.delay_bound,
-                cert_delay=_mean_gradient_age(cell.delay_bound),
-                seed=seed, max_iters=max_iters, epsilon=epsilon,
-                init="random_ball", enforcement="observe")
+            spec, config = _cell_run(cell, seed, max_iters, epsilon)
             out = run(generate(spec), config)
             if out.converged:
                 iters.append(out.iterations)

@@ -104,10 +104,7 @@ def save_states(path, problem, result, algorithm):
         "x_hist": np.stack([s.x for s in states]),
         "x_local_hist": np.stack([s.x_local for s in states]),
         "y_hist": np.stack([s.y for s in states]),
-        "grad_hist": np.stack([s.grad_stored for s in states]),
         "stale_hist": np.stack([s.stale_index for s in states]).astype(np.int64),
-        "iteration_hist": np.array([s.iteration for s in states],
-                                   dtype=np.int64),
         "rho": np.asarray(result.rho, dtype=float),
         "delay_bounds": np.asarray(result.delay_bounds, dtype=float),
         "l1_weight": np.float64(problem.l1_weight),
@@ -122,15 +119,15 @@ def save_states(path, problem, result, algorithm):
 def _parse_trace_csv(text):
     lines = [ln for ln in text.split("\n") if ln]
     if not lines or lines[0] != ",".join(TRACE_COLUMNS):
-        raise CliError("trace file is missing the expected header row")
+        raise ValueError("missing the expected header row")
     trace = IterationTrace()
     for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(TRACE_COLUMNS):
-            raise CliError("malformed trace row: %r" % ln)
-        it, lag, obj, gap, pg, e, size = parts
-        trace.append(float(lag), float(obj), float(gap), float(pg),
-                     float(e), float(it), int(size))
+        try:
+            it, lag, obj, gap, pg, e, size = ln.split(",")
+            trace.append(float(lag), float(obj), float(gap), float(pg),
+                         float(e), float(it), int(size))
+        except ValueError as exc:
+            raise ValueError("malformed row %r: %s" % (ln, exc))
     return trace
 
 
@@ -143,8 +140,11 @@ def load_run(csv_path):
         raise CliError(
             "no state file at %r; checks need the per-iteration snapshots "
             "written by run --full-trace" % npz_path)
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        trace = _parse_trace_csv(fh.read())
+    try:
+        with open(csv_path, "r", encoding="utf-8") as fh:
+            trace = _parse_trace_csv(fh.read())
+    except (ValueError, OSError) as exc:  # UnicodeDecodeError is a ValueError
+        raise CliError("cannot read trace file %r: %s" % (csv_path, exc))
     try:
         with np.load(npz_path) as data:
             num = 0
@@ -156,10 +156,13 @@ def load_run(csv_path):
             problem = ConsensusProblem(
                 [data["B_%d" % k] for k in range(num)],
                 l1_weight=float(data["l1_weight"]), radius=float(data["radius"]))
-            # each member is decompressed on every read, so read it once
+            # each member is decompressed on every read, so read it once;
+            # the states are iterations 1, 2, ...; the gradient and
+            # iteration histories of older files are not read
             hist = [data[name + "_hist"] for name in
-                    ("iteration", "x", "x_local", "y", "grad", "stale")]
-            states = [SolverState(int(row[0]), *row[1:]) for row in zip(*hist)]
+                    ("x", "x_local", "y", "stale")]
+            states = [SolverState(i, *row) for i, row in
+                      enumerate(zip(*hist, strict=True), start=1)]
             rho = np.asarray(data["rho"], dtype=float)
             delay_bounds = np.asarray(data["delay_bounds"], dtype=float)
             algorithm = str(data["algorithm"][()])
@@ -329,10 +332,14 @@ def cmd_certify(args):
 def cmd_bench(args):
     if args.campaign is not None:
         data = _load_json(args.campaign)
-        if not isinstance(data, dict) or not data.get("cells"):
+        if not (isinstance(data, dict) and isinstance(data.get("cells"), list)
+                and data["cells"]):
             raise CliError("campaign file %r lists no cells" % args.campaign)
         cells = []
-        for entry in data["cells"]:
+        for i, entry in enumerate(data["cells"]):
+            if not isinstance(entry, dict):
+                raise CliError("campaign cell %d must be an object, not %r"
+                               % (i, entry))
             unknown = set(entry) - set(_CELL_FIELDS)
             if unknown:
                 raise CliError("unknown campaign cell key '%s'"
@@ -342,6 +349,12 @@ def cmd_bench(args):
             except TypeError as exc:
                 raise CliError("bad campaign cell: %s" % exc)
         seeds = data.get("seeds", 20)
+        count = isinstance(seeds, int) and seeds >= 1
+        listed = (isinstance(seeds, list) and len(seeds) > 0
+                  and all(isinstance(s, int) and s >= 0 for s in seeds))
+        if isinstance(seeds, bool) or not (count or listed):
+            raise CliError("campaign key 'seeds' must be a positive count or "
+                           "a list of nonnegative integers, not %r" % (seeds,))
     else:
         scale = "paper" if args.paper else "desk"
         try:
@@ -359,8 +372,11 @@ def cmd_bench(args):
                 cell.delay_label, seed, out.termination, out.iterations))
             sys.stderr.flush()
 
-    rows = run_campaign(cells, seeds, max_iters=args.max_iters,
-                        epsilon=args.epsilon, progress=progress)
+    try:
+        rows = run_campaign(cells, seeds, max_iters=args.max_iters,
+                            epsilon=args.epsilon, progress=progress)
+    except ValueError as exc:
+        raise CliError(str(exc))
     text = campaign_csv(rows)
     _write_text(args.out, text)
     sys.stdout.write(text)

@@ -4,10 +4,10 @@ The residual suite replays a stored trace (with per-iteration state
 snapshots) and verifies, observationally, the quantities the solver's
 certificates promise:
 
-* dual identity: the stored dual of each component equals the negated
-  gradient at the copy its stale index points to, recomputed from the
-  problem data in one evaluation pass per row (not from the solver's own
-  stored gradient);
+* dual identity: the stored dual of each component, the solver's one
+  record of the gradient it collected, equals the negated gradient at
+  the copy its stale index points to, recomputed from the problem data
+  in one evaluation pass per row;
 * per-iteration descent and the telescoped descent bound of the
   augmented Lagrangian, with general-class margins;
 * the staleness-window bound on successive dual differences;

@@ -300,9 +300,9 @@ def penalized_argmin(problem, rho, x_master, y):
 class SolverState:
     """Master-side state after a completed iteration.
 
-    ``stale_index[k]`` is the master-iteration index of the x copy whose
-    gradient is currently stored for component k; staleness at iteration t
-    is ``t - stale_index[k]``.
+    ``y[k]`` is minus the gradient of component k at the master vector of
+    iteration ``stale_index[k]``: the dual is the one record of the
+    collected gradients. Staleness at iteration t is ``t - stale_index[k]``.
 
     No update writes into a state it was given: each returns a new state
     with new arrays. Traces therefore keep the states themselves as
@@ -313,7 +313,6 @@ class SolverState:
     x: np.ndarray
     x_local: np.ndarray
     y: np.ndarray
-    grad_stored: np.ndarray
     stale_index: np.ndarray
 
 
@@ -321,10 +320,9 @@ def initial_state(problem, x0=None):
     """Start state at ``x0``, or at zero when ``x0`` is None.
 
     The master vector and every local copy start at the start point, the
-    stored gradients come from the ``consensus_terms`` pass there, with
-    stale index 1, and the iteration counter starts at 1. Duals start at
-    zero from the zero start and at the negated stored gradients from
-    ``x0``, so the dual identity holds before the first update.
+    duals at the negated gradients of the ``consensus_terms`` pass there,
+    with stale index 1, so the dual identity holds before the first
+    update; the iteration counter starts at 1.
     """
     start = np.zeros(problem.dim) if x0 is None else np.array(x0, dtype=float)
     grads = consensus_terms(problem, start).gradients
@@ -332,8 +330,7 @@ def initial_state(problem, x0=None):
         iteration=1,
         x=start,
         x_local=np.tile(start, (len(grads), 1)),
-        y=np.zeros_like(grads) if x0 is None else -grads,
-        grad_stored=grads,
+        y=-grads,
         stale_index=np.ones(len(grads), dtype=int),
     )
 

@@ -49,14 +49,14 @@ def test_master_step_applies_scaled_l1_weight():
 
 
 def test_padmm_apply_scalar_hand_iteration():
-    """One proximal update from x=0, stored gradient 2, dual 1, rho 10."""
+    """One proximal update from x=0, dual 1, rho 10, with gradient 2 arriving."""
     problem = scalar_problem()
     state = initial_state(problem)
-    state.grad_stored = np.array([[2.0]])
     state.y = np.array([[1.0]])
     x_new = master_step(problem, state, [10.0])
     assert x_new[0] == pytest.approx(0.1, abs=1e-16)
-    new = padmm_apply(problem, state, [10.0], x_new, updates={})
+    new = padmm_apply(problem, state, [10.0], x_new,
+                      updates={0: (np.array([2.0]), 2)})
     # local step is -(grad + y)/rho = -0.3; dual lands on -grad exactly
     assert new.x_local[0, 0] - new.x[0] == -0.3
     assert new.y[0, 0] == -2.0
@@ -64,33 +64,20 @@ def test_padmm_apply_scalar_hand_iteration():
 
 
 def test_padmm_apply_empty_set_keeps_the_dual_fixed():
-    # with the identity y = -grad in place, an empty update set composes
-    # the local and dual steps into a no-op on y
+    # the dual is the gradient record, so a component that received
+    # nothing keeps its dual and its local copy lands on x_new, bit for bit
     problem = desk_problem()
-    state = initial_state(problem)
-    rng = np.random.default_rng(0)
-    state.x = rng.standard_normal(12) * 0.1
-    state.grad_stored = np.stack([component_gradient(B, state.x) for B in problem.data])
-    state.y = -state.grad_stored.copy()
-    state.x_local = np.tile(state.x, (3, 1))
-    rho = [9.0, 9.0, 9.0]
-    new = padmm_apply(problem, state, rho, master_step(problem, state, rho), updates={})
-    np.testing.assert_array_equal(new.y, state.y)
-    np.testing.assert_array_equal(new.grad_stored, state.grad_stored)
-    np.testing.assert_array_equal(new.stale_index, state.stale_index)
-
-
-def test_padmm_apply_dual_lands_on_negated_stored_gradient():
-    # even from an inconsistent dual, one update restores y = -grad
-    problem = desk_problem()
-    state = initial_state(problem)
-    rng = np.random.default_rng(4)
-    state.y = rng.standard_normal((3, 12))
-    state.grad_stored = rng.standard_normal((3, 12))
-    rho = [8.0, 10.0, 12.0]
-    new = padmm_apply(problem, state, rho, master_step(problem, state, rho), updates={})
-    # rho * ((g + y) / rho) rounds, so equality holds to a few ulps only
-    np.testing.assert_allclose(new.y, -new.grad_stored, rtol=1e-14, atol=1e-14)
+    res = run(problem, RunConfig(delay_bound=2, seed=1, max_iters=40,
+                                 epsilon=1e-14, full_trace=True,
+                                 compute_delay={"kind": "uniform", "hi": 1.5}))
+    assert res.updates == 40
+    rho = res.rho
+    for state in res.trace.states[1:]:
+        x_new = master_step(problem, state, rho)
+        new = padmm_apply(problem, state, rho, x_new, updates={})
+        np.testing.assert_array_equal(new.y, state.y)
+        np.testing.assert_array_equal(new.x_local, np.tile(x_new, (3, 1)))
+        np.testing.assert_array_equal(new.stale_index, state.stale_index)
 
 
 def test_padmm_apply_refreshes_collected_components():
@@ -100,9 +87,9 @@ def test_padmm_apply_refreshes_collected_components():
     new = padmm_apply(problem, state, [9.0] * 3,
                       master_step(problem, state, [9.0] * 3),
                       updates={1: (g_new, 7)})
-    np.testing.assert_array_equal(new.grad_stored[1], g_new)
+    np.testing.assert_array_equal(new.y[1], -g_new)
     assert new.stale_index[1] == 7
-    np.testing.assert_array_equal(new.grad_stored[0], state.grad_stored[0])
+    np.testing.assert_array_equal(new.y[0], state.y[0])
     assert new.stale_index[0] == state.stale_index[0]
 
 
@@ -116,13 +103,12 @@ def test_padmm_apply_matches_the_per_component_update():
     rho = [8.0, 10.0, 12.0]
     x_new = master_step(problem, state, rho)
     new = padmm_apply(problem, state, rho, x_new, updates={2: (np.ones(12), 5)})
-    grad = state.grad_stored.copy()
+    grad = -state.y
     grad[2] = 1.0
     for k in range(3):
         x_local = x_new - (grad[k] + state.y[k]) / rho[k]
         np.testing.assert_array_equal(new.x_local[k], x_local)
-        np.testing.assert_array_equal(
-            new.y[k], state.y[k] + rho[k] * (x_local - x_new))
+        np.testing.assert_array_equal(new.y[k], -grad[k])
 
 
 def test_exact_admm_scalar_hand_iteration():
@@ -164,7 +150,7 @@ def test_commits_accept_a_list_as_the_master_vector():
         from_list = commit([0.5, 0.1])
         from_array = commit(np.array([0.5, 0.1]))
         assert isinstance(from_list.x, np.ndarray) and from_list.x.dtype == float
-        for name in ("x", "x_local", "y", "grad_stored", "stale_index"):
+        for name in ("x", "x_local", "y", "stale_index"):
             np.testing.assert_array_equal(getattr(from_list, name),
                                           getattr(from_array, name))
 
@@ -217,7 +203,7 @@ def test_run_snapshots_follow_the_one_step_operator(algorithm):
     for prev, cur in zip(states, states[1:]):
         want = one_step(algorithm, problem, prev, res.rho)
         assert cur.iteration == want.iteration
-        for name in ("x", "x_local", "y", "grad_stored", "stale_index"):
+        for name in ("x", "x_local", "y", "stale_index"):
             np.testing.assert_array_equal(getattr(cur, name),
                                           getattr(want, name))
 
@@ -338,15 +324,15 @@ def test_run_sync_admm_hard_reject_ignores_force():
                          ids=["wide", "square", "paper"])
 def test_sync_admm_stored_gradients_are_the_gradients_at_the_local_copies(
         rows, dim, components):
-    # the exact update stores -y_new, which the subproblem's first-order
-    # condition makes the gradient at the new local copy
+    # the subproblem's first-order condition makes the new dual the
+    # negated gradient at the new local copy
     problem = generate(SparsePcaSpec(dim=dim, num_components=components,
                                      rows=rows, seed=2))
     res = run(problem, RunConfig(algorithm="sync_admm", max_iters=20,
                                  epsilon=1e-14, full_trace=True))
     assert res.updates == 20
     for state in res.trace.states:
-        for B, u, g in zip(problem.data, state.x_local, state.grad_stored):
+        for B, u, g in zip(problem.data, state.x_local, -state.y):
             exact = component_gradient(B, u)
             assert np.linalg.norm(g - exact) <= 1e-10 * (1.0 + np.linalg.norm(exact))
 

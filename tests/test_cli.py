@@ -11,7 +11,7 @@ import pytest
 
 import apadmm
 from apadmm import RunConfig, SparsePcaSpec, generate, run
-from apadmm.cli import load_run, main, save_states, trace_csv
+from apadmm.cli import TRACE_COLUMNS, load_run, main, save_states, trace_csv
 
 SMALL = ["--N", "12", "--K", "3", "--M", "6", "--p", "0.2",
          "--instance-seed", "3"]
@@ -385,6 +385,44 @@ def test_bench_empty_campaign_fails(tmp_path, capsys):
     capsys.readouterr()
 
 
+def with_last_cell(**changes):
+    cells = [CAMPAIGN["cells"][0], dict(CAMPAIGN["cells"][1], **changes)]
+    return {"seeds": 2, "cells": cells}
+
+
+# bad campaign files, and what the error must say
+BAD_CAMPAIGNS = {
+    "unknown_algorithm": (with_last_cell(algorithm="bogus"),
+                          "campaign cell 1: unknown algorithm 'bogus'"),
+    "zero_dim": (with_last_cell(dim=0),
+                 "campaign cell 1: dim and num_components must be at least 1"),
+    "delay_bound_list_of_wrong_length": (
+        with_last_cell(delay_bound=[1, 2, 3]),
+        "campaign cell 1: delay_bound list has 3 entries for 2 components"),
+    "seeds_not_a_count": (dict(CAMPAIGN, seeds="x"),
+                          "campaign key 'seeds' must be a positive count"),
+    "cell_not_an_object": ({"cells": [CAMPAIGN["cells"][0], 5]},
+                           "campaign cell 1 must be an object, not 5"),
+    "cells_not_a_list": ({"cells": 5}, "lists no cells"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_CAMPAIGNS))
+def test_bench_reports_a_bad_campaign_before_the_first_run(tmp_path, capsys, kind):
+    campaign, needle = BAD_CAMPAIGNS[kind]
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps(campaign))
+    out = tmp_path / "r.csv"
+    assert run_cli(["bench", "--campaign", str(path), "--progress",
+                    "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # no progress line: the error comes before the first run
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and needle in line
+    assert not out.exists()
+
+
 def test_bench_requires_preset_or_campaign():
     with pytest.raises(SystemExit) as exc:
         run_cli(["bench"])
@@ -442,7 +480,7 @@ def test_load_run_round_trips_a_stored_run(tmp_path):
     for got, want in zip(trace.states, result.trace.states):
         assert type(got.iteration) is int
         assert got.iteration == want.iteration
-        for name in ("x", "x_local", "y", "grad_stored", "stale_index"):
+        for name in ("x", "x_local", "y", "stale_index"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
@@ -465,39 +503,83 @@ def write_bytes(npz, content):
         fh.write(content)
 
 
-# how to spoil a stored state file, and what the error must say
+def spoil_row(csv, column, value):
+    """Set one column of the first data row of a trace CSV."""
+    lines = read(csv).decode().split("\n")
+    parts = lines[1].split(",")
+    parts[TRACE_COLUMNS.index(column)] = value
+    lines[1] = ",".join(parts)
+    write_bytes(csv, "\n".join(lines).encode())
+
+
+# how to spoil a stored run's state file or trace, and what the error must say
 MALFORMED = {
-    "nan_B_1": (lambda npz: rewrite(npz, nan_in_B_1),
+    "nan_B_1": ("states", lambda npz: rewrite(npz, nan_in_B_1),
                 "data matrix 1 contains non-finite entries"),
-    "short_B_2": (lambda npz: rewrite(npz, lambda a: a.update(B_2=a["B_2"][:, :10])),
+    "short_B_2": ("states",
+                  lambda npz: rewrite(npz, lambda a: a.update(B_2=a["B_2"][:, :10])),
                   "components disagree on dimension: [10, 12]"),
-    "no_rho": (lambda npz: rewrite(npz, lambda a: a.pop("rho")),
+    "no_rho": ("states", lambda npz: rewrite(npz, lambda a: a.pop("rho")),
                "rho is not a file in the archive"),
-    "random_bytes": (lambda npz: write_bytes(npz, np.random.default_rng(0).bytes(300)),
+    "random_bytes": ("states",
+                     lambda npz: write_bytes(npz, np.random.default_rng(0).bytes(300)),
                      "pickled"),
-    "empty": (lambda npz: write_bytes(npz, b""), "No data left in file"),
-    "truncated_zip": (lambda npz: write_bytes(npz, read(npz)[:500]), "not a zip file"),
-    "directory": (lambda npz: (os.remove(npz), os.mkdir(npz)), "Is a directory"),
-    "matrix_of_iterations": (
-        lambda npz: rewrite(npz, lambda a: a.update(
-            iteration_hist=np.ones((11, 2), dtype=np.int64))),
-        "0-dimensional arrays"),
+    "empty": ("states", lambda npz: write_bytes(npz, b""), "No data left in file"),
+    "truncated_zip": ("states", lambda npz: write_bytes(npz, read(npz)[:500]),
+                      "not a zip file"),
+    "directory": ("states", lambda npz: (os.remove(npz), os.mkdir(npz)),
+                  "Is a directory"),
+    "short_y_history": (
+        "states", lambda npz: rewrite(npz, lambda a: a.update(y_hist=a["y_hist"][:10])),
+        "is shorter than"),
+    "trace_value_not_a_number": (
+        "trace", lambda csv: spoil_row(csv, "L", "abc"),
+        "could not convert string to float: 'abc'"),
+    "trace_set_size_not_an_integer": (
+        "trace", lambda csv: spoil_row(csv, "set_size", "1.5"),
+        "invalid literal for int() with base 10: '1.5'"),
+    "trace_not_utf8": (
+        "trace", lambda csv: write_bytes(csv, read(csv) + b"\xff\xfe\n"),
+        "'utf-8' codec can't decode byte 0xff"),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(MALFORMED))
-def test_check_reports_a_malformed_state_file_by_name(tmp_path, capsys, kind):
-    spoil, needle = MALFORMED[kind]
+def test_check_reports_a_malformed_run_file_by_name(tmp_path, capsys, kind):
+    which, spoil, needle = MALFORMED[kind]
     _, _, path = stored_run(tmp_path, 10)
-    npz = path[:-4] + ".states.npz"
-    spoil(npz)
+    target, what = ((path[:-4] + ".states.npz", "cannot load state file")
+                    if which == "states" else (path, "cannot read trace file"))
+    spoil(target)
     assert run_cli(["check", path]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
     (line,) = captured.err.splitlines()
-    assert line.startswith("error: cannot load state file %r: " % npz)
+    assert line.startswith("error: %s %r: " % (what, target))
     assert needle in line
+
+
+def test_check_reads_a_state_file_written_before_the_dual_became_the_gradient_record(
+        tmp_path, capsys):
+    # older files also held each state's collected gradients and its
+    # iteration number; new files do not, and old ones load and check
+    # with the same verdicts
+    _, result, path = stored_run(tmp_path, 10)
+    assert run_cli(["check", path]) == 0
+    verdicts = capsys.readouterr().out
+    states = result.trace.states
+    old = {"grad_hist": np.stack([-s.y for s in states]),
+           "iteration_hist": np.arange(1, len(states) + 1, dtype=np.int64)}
+    npz = path[:-4] + ".states.npz"
+    with np.load(npz) as data:
+        assert not set(old) & set(data.files)
+    rewrite(npz, lambda arrays: arrays.update(old))
+    with np.load(npz) as data:
+        assert set(old) <= set(data.files)
+    assert run_cli(["check", path]) == 0
+    assert capsys.readouterr().out == verdicts
+    assert verdicts.count("PASS") == 5
 
 
 def test_check_reports_snapshots_that_do_not_fit_the_trace(tmp_path, capsys):
@@ -505,7 +587,7 @@ def test_check_reports_snapshots_that_do_not_fit_the_trace(tmp_path, capsys):
     npz = path[:-4] + ".states.npz"
 
     def drop_rows(arrays):
-        for name in ("iteration", "x", "x_local", "y", "grad", "stale"):
+        for name in ("x", "x_local", "y", "stale"):
             arrays[name + "_hist"] = arrays[name + "_hist"][:5]
 
     rewrite(npz, drop_rows)

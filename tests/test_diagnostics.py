@@ -23,16 +23,16 @@ from apadmm.stepsize import descent_margin
 from reference import component_gradient, component_value
 
 
-def penalized_surrogates(problem, state, rho, k, at=None):
+def penalized_surrogates(problem, state, rho, k, stale_grad, at=None):
     """The three penalized subobjectives of component k at a point.
 
     Returns ``(exact, fresh, stale)`` where all three share the linear
     dual term and quadratic penalty around the state's master vector;
     ``exact`` uses the true component value at the point, ``fresh``
     linearizes the component at the master vector, and ``stale``
-    linearizes with the stored (possibly stale) gradient but keeps the
-    fresh constant term. The solver's local update is the exact argmin of
-    the stale form.
+    linearizes with ``stale_grad[k]``, the gradient the master last
+    collected (possibly stale), but keeps the fresh constant term. The
+    solver's local update is the exact argmin of the stale form.
     """
     rho = np.asarray(rho, dtype=float)
     B = problem.data[k]
@@ -42,7 +42,7 @@ def penalized_surrogates(problem, state, rho, k, at=None):
     base, grad = component_value(B, state.x), component_gradient(B, state.x)
     exact = component_value(B, z) + shared
     fresh = base + float(grad @ diff) + shared
-    stale = base + float(state.grad_stored[k] @ diff) + shared
+    stale = base + float(stale_grad[k] @ diff) + shared
     return exact, fresh, stale
 
 
@@ -268,28 +268,29 @@ def test_random_start_evaluates_each_component_once(monkeypatch):
     np.testing.assert_array_equal(X, state.x)
     assert gradients and local is None
     np.testing.assert_array_equal(
-        state.grad_stored,
+        -state.y,
         np.stack([component_gradient(B, state.x) for B in problem.data]))
 
 
 # -- penalized surrogates ----------------------------------------------------
 
 def surrogate_state(problem, seed=0):
+    """A state with random iterates, and a random stale gradient per component."""
     rng = np.random.default_rng(seed)
     state = initial_state(problem)
     state.x = rng.standard_normal(problem.dim) * 0.3
     state.x_local = rng.standard_normal((problem.num_components, problem.dim)) * 0.3
     state.y = rng.standard_normal((problem.num_components, problem.dim))
-    state.grad_stored = rng.standard_normal((problem.num_components, problem.dim))
-    return state
+    stale_grad = rng.standard_normal((problem.num_components, problem.dim))
+    return state, stale_grad
 
 
 def test_surrogates_coincide_at_zero_displacement():
     problem = generate(SparsePcaSpec(dim=7, num_components=2, rows=5, seed=6))
-    state = surrogate_state(problem, seed=1)
+    state, stale_grad = surrogate_state(problem, seed=1)
     for k in range(2):
         exact, fresh, stale = penalized_surrogates(problem, state, [9.0, 9.0],
-                                                   k, at=state.x)
+                                                   k, stale_grad, at=state.x)
         gk = component_value(problem.data[k], state.x)
         assert exact == pytest.approx(gk, rel=1e-12)
         assert fresh == pytest.approx(gk, rel=1e-12)
@@ -301,12 +302,13 @@ def test_exact_below_fresh_plus_curvature_term():
     problem = generate(SparsePcaSpec(dim=7, num_components=3, rows=5, seed=7))
     L = problem.lipschitz
     rng = np.random.default_rng(2)
-    state = surrogate_state(problem, seed=2)
+    state, stale_grad = surrogate_state(problem, seed=2)
     rho = [12.0, 12.0, 12.0]
     for _ in range(30):
         k = int(rng.integers(0, 3))
         z = rng.standard_normal(7) * 0.5
-        exact, fresh, _ = penalized_surrogates(problem, state, rho, k, at=z)
+        exact, fresh, _ = penalized_surrogates(problem, state, rho, k, stale_grad,
+                                               at=z)
         d2 = float(np.linalg.norm(z - state.x) ** 2)
         assert exact <= fresh + 0.5 * L[k] * d2 + 1e-9
 
@@ -314,22 +316,23 @@ def test_exact_below_fresh_plus_curvature_term():
 def test_concave_components_sit_below_their_linearization():
     problem = generate(SparsePcaSpec(dim=7, num_components=2, rows=5, seed=8))
     rng = np.random.default_rng(3)
-    state = surrogate_state(problem, seed=3)
+    state, stale_grad = surrogate_state(problem, seed=3)
     for _ in range(20):
         z = rng.standard_normal(7) * 0.5
-        exact, fresh, _ = penalized_surrogates(problem, state, [9.0, 9.0], 0, at=z)
+        exact, fresh, _ = penalized_surrogates(problem, state, [9.0, 9.0], 0,
+                                               stale_grad, at=z)
         assert exact <= fresh + 1e-12
 
 
 def test_stale_surrogate_argmin_is_the_local_update():
     """The solver's local step minimizes the stale linearized surrogate."""
     problem = generate(SparsePcaSpec(dim=6, num_components=2, rows=4, seed=9))
-    state = surrogate_state(problem, seed=4)
+    state, stale_grad = surrogate_state(problem, seed=4)
     rho = [11.0, 13.0]
     k = 1
-    closed_form = state.x - (state.grad_stored[k] + state.y[k]) / rho[k]
-    base, _, _ = penalized_surrogates(problem, state, rho, k, at=closed_form)
-    stale_at = lambda z: penalized_surrogates(problem, state, rho, k, at=z)[2]
+    closed_form = state.x - (stale_grad[k] + state.y[k]) / rho[k]
+    stale_at = lambda z: penalized_surrogates(problem, state, rho, k,
+                                              stale_grad, at=z)[2]
     best = stale_at(closed_form)
     rng = np.random.default_rng(5)
     for _ in range(40):

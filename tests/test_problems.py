@@ -146,8 +146,7 @@ def test_feasibility_gap_and_norms_are_numpy_norms_bit_for_bit(K, N, seed, exp):
     scale = 2.0 ** exp
     x = rng.standard_normal(N) * scale
     x_local = x + rng.standard_normal((K, N)) * scale * rng.random()
-    state = SolverState(1, x, x_local, np.zeros((K, N)), np.zeros((K, N)),
-                        np.ones(K, dtype=int))
+    state = SolverState(1, x, x_local, np.zeros((K, N)), np.ones(K, dtype=int))
     absolute, relative = feasibility_gap(state)
     gaps = np.linalg.norm(x_local - x[None, :], axis=1)
     assert absolute.hex() == float(gaps.max()).hex()
@@ -427,8 +426,8 @@ def test_initial_state_shapes_and_invariants():
     np.testing.assert_array_equal(state.x_local, np.zeros((4, 7)))
     np.testing.assert_array_equal(state.y, np.zeros((4, 7)))
     np.testing.assert_array_equal(state.stale_index, np.ones(4, dtype=int))
-    # zero start: gradients vanish, so the dual identity holds trivially
-    np.testing.assert_array_equal(state.grad_stored, np.zeros((4, 7)))
+    # zero start: gradients vanish, and the duals, their negation, are +0.0
+    assert not np.signbit(state.y).any()
 
 
 def test_initial_state_from_a_start_point():
@@ -438,7 +437,6 @@ def test_initial_state_from_a_start_point():
     grads = np.stack([component_gradient(B, x0) for B in problem.data])
     np.testing.assert_array_equal(state.x, x0)
     np.testing.assert_array_equal(state.x_local, np.tile(x0, (4, 1)))
-    np.testing.assert_array_equal(state.grad_stored, grads)
     # duals start at the negated gradients: the dual identity holds at once
     np.testing.assert_array_equal(state.y, -grads)
     np.testing.assert_array_equal(state.stale_index, np.ones(4, dtype=int))

@@ -11,7 +11,9 @@ M = 100, capped at 60 clock ticks; then two runs on the paper shape
 with K = 7: an ``async_padmm`` run that converges and a ``sync_admm``
 run capped at 60 clock ticks; all with ``full_trace``. Each
 line holds the run's label, termination, iterations, updates and a
-SHA-256 over rho, every trace column and every snapshot array. Lines of
+SHA-256 over rho, every trace column and every snapshot: its iteration,
+``x``, ``x_local``, ``y`` and ``stale_index`` (the dual ``y`` is also
+the record of the gradients the master collected). Lines of
 ``async_padmm`` and ``sync_padmm`` runs add a second SHA-256 over the
 residual replay of the run (``trace_residuals`` at its penalties and
 delay bounds): each outcome's name, status, worst-slack bits and failing
@@ -21,7 +23,8 @@ same verdicts, on every run of the grid:
     python3 tools/run_digest.py [SRC_DIR] > digest.txt
 
 SRC_DIR is the directory holding the ``apadmm`` package (default: this
-repository's ``src``). Uses the public API only. The script sets
+repository's ``src``). Uses the public API only. ``runs()`` yields each
+run of the grid, for ``tools/digest_deltas.py`` to reuse. The script sets
 ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to
 1 before numpy is imported, whatever the caller exported: a threaded BLAS
 splits the paper-scale products differently at two threads than at one,
@@ -45,7 +48,7 @@ from apadmm import (RunConfig, SparsePcaSpec, generate, run,  # noqa: E402
 
 COLUMNS = ("lagrangian", "objective", "feas_gap", "prox_grad_norm", "measure",
            "sim_time", "collected")
-SNAPSHOT = ("x", "x_local", "y", "grad_stored", "stale_index")
+SNAPSHOT = ("x", "x_local", "y", "stale_index")
 DEAD = {"uplink": [{"loss": 1.0}, 0.0, 0.0, 0.0, 0.0],
         "compute_delay": 0.0, "enforcement": "enforce"}
 
@@ -106,7 +109,8 @@ def replay_digest(problem, result):
     return h.hexdigest()
 
 
-def main():
+def runs():
+    """Yield ``(label, problem, config, result)`` for each run of the grid."""
     for label, cfg in grid():
         instance = dict(dict(dim=50, num_components=5, rows=20, seed=1),
                         **cfg.pop("instance", {}))
@@ -114,7 +118,11 @@ def main():
         cfg = dict(dict(seed=7, max_iters=1500, enforcement="observe",
                         full_trace=True), **cfg)
         config = RunConfig(**cfg)
-        result = run(problem, config)
+        yield label, problem, config, run(problem, config)
+
+
+def main():
+    for label, problem, config, result in runs():
         line = "%-46s %-19s %4d %4d %s" % (label, result.termination,
                                            result.iterations, result.updates,
                                            digest(result))
