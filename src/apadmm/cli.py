@@ -362,6 +362,8 @@ def cmd_bench(args):
         except ValueError as exc:
             raise CliError(str(exc))
     if args.seeds is not None:
+        if args.seeds < 1:
+            raise CliError("--seeds must be a positive count, not %d" % args.seeds)
         seeds = args.seeds
 
     progress = None

@@ -17,15 +17,15 @@ workers deliver, after their delays if any.
 Every component is the sparse-PCA cost ``g_k(x) = -0.5 ||B_k x||^2`` of
 an M_k x N data matrix B_k, with gradient ``-B_k^T B_k x``.
 ``ConsensusProblem`` owns that data: it validates each matrix, bounds
-its curvature (``lipschitz``) and keeps the nonzeros once, as one
-read-only sparse ``operator`` (``_operator``). Every evaluation is a few
-products of it, with no loop over components, for ragged and equal row
-counts alike; ``penalized_argmin`` adds one batched product per run of
-equal row counts. Generated instances are 10% nonzero: a paper-scale
-pass reads about 50,000 entries where dense matrices hold 500,000. The
-products call scipy's private CSR kernel ``csr_matvec`` directly (it
-adds each row's products in column order onto 0.0): the public ``@``
-adds a few microseconds of checks a call, doubling a desk-scale pass.
+its curvature (``lipschitz``) and keeps the nonzeros once, in one
+read-only block-diagonal CSR matrix D (``_operator``). Every evaluation
+is a few products of D or D^T, with no loop over components;
+``penalized_argmin`` adds one batched product per run of equal row
+counts. Generated instances are 10% nonzero: a paper-scale pass reads
+about 50,000 entries where dense matrices hold 500,000. The products
+call scipy's private kernels directly (the public ``@`` adds a few
+microseconds of checks a call, doubling a desk-scale pass):
+``csr_matvec`` for D and ``csc_matvec`` for D^T, on D's arrays.
 """
 
 import itertools
@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 # private scipy API, pinned by a test (see the module docstring)
-from scipy.sparse._sparsetools import csr_matvec, csr_tocsc
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .prox import _norm, prox_l1_ball
 
@@ -86,51 +86,50 @@ def leading_eigenvalue(B):
 
 # a read-only CSR matrix, its fields in ``csr_matvec``'s argument order
 _Csr = namedtuple("_Csr", "rows cols indptr indices data")
-# the component data as read-only CSR matrices (see ``_operator``)
-_Operator = namedtuple("_Operator", "D Dt A segments")
+# the component data as one read-only CSR matrix and its row segments
+_Operator = namedtuple("_Operator", "D segments")
 
 
-def _matvec(rows, cols, indptr, indices, data, x):
-    # the CSR matrix's product with x: each row's products added in column
-    # order, one at a time, onto 0.0; the kernel reads x unchecked
+def _matvec(rows, cols, indptr, indices, data, x, transpose=False):
+    # the CSR matrix (or with ``transpose`` its transpose, whose CSC arrays these
+    # are) times x: csr_matvec adds each row's products in column order, csc_matvec
+    # into each output in row order, one at a time onto 0.0; x is unchecked there
+    kernel = csr_matvec
+    if transpose:
+        rows, cols, kernel = cols, rows, csc_matvec
     if x.shape != (cols,):
         raise ValueError("vector of shape %s for %d columns" % (x.shape, cols))
     out = np.zeros(rows)
-    csr_matvec(rows, cols, indptr, indices, data, x, out)
+    kernel(rows, cols, indptr, indices, data, x, out)
     return out
 
 
 def _operator(data):
     """The ``_Operator`` of the M_k x N matrices ``data``, which it only reads.
 
-    D is block diagonal, ``(sum_k M_k) x (K N)``, with B_k in component
-    k's rows and in columns k N to (k + 1) N; Dt is its transpose, and A
-    the ``(sum_k M_k) x N`` stack of the B_k, sharing D's ``indptr`` and
-    ``data``. Each holds a row's nonzeros in column order. ``segments``
-    is the K x (sum_k M_k) pattern that sums each component's rows, with
-    no values: component k owns rows ``indptr[k]:indptr[k + 1]``.
+    D, the one copy of the data, is block diagonal, ``(sum_k M_k) x (K N)``,
+    with B_k in component k's rows and in columns k N to (k + 1) N, each
+    row's nonzeros in column order, taken one matrix at a time with no
+    dense copy. ``segments`` is the K x (sum_k M_k) pattern that sums each
+    component's rows, with no values: component k owns rows
+    ``indptr[k]:indptr[k + 1]``.
     """
-    counts = [len(B) for B in data]
     K, N = len(data), data[0].shape[1]
-    stacked = np.concatenate(data)
-    S = len(stacked)
-    index = np.int32 if max(stacked.size, K * N) < 2 ** 31 else np.int64
-    # the nonzeros by row, then by column (np.nonzero is slower, 2-D)
-    rows, cols = np.divmod(np.flatnonzero(stacked != 0), N)
-    values = stacked[rows, cols]
-    indptr = np.searchsorted(rows, np.arange(S + 1)).astype(index)
-    cols_D = cols + N * np.repeat(np.arange(K), counts)[rows]  # component k at k N
-    D = _Csr(S, K * N, indptr, cols_D.astype(index), values)
-    # D's CSC arrays are the CSR arrays of D^T, each row in row order of D
-    Dt = _Csr(K * N, S, np.empty(K * N + 1, index), np.empty_like(D.indices),
-              np.empty_like(values))
-    csr_tocsc(*D, *Dt[2:])
-    A = _Csr(S, N, indptr, cols.astype(index), values)
-    segments = _Csr(K, S, np.cumsum([0] + counts).astype(index),
+    S = sum(len(B) for B in data)
+    index = np.int32 if S * N < 2 ** 31 else np.int64  # S N >= nonzeros, K N
+    counts, cols, values = [[0]], [], []
+    for k, B in enumerate(data):
+        rows, c = np.divmod(np.flatnonzero(B), N)  # faster than np.nonzero(B)
+        counts.append(np.bincount(rows, minlength=len(B)))
+        cols.append(c + k * N)  # component k at column k N
+        values.append(B[rows, c])
+    D = _Csr(S, K * N, np.concatenate(counts).cumsum().astype(index),
+             np.concatenate(cols).astype(index), np.concatenate(values))
+    segments = _Csr(K, S, np.cumsum([0] + [len(B) for B in data]).astype(index),
                     np.arange(S, dtype=index), None)
-    for a in (*D[2:], *Dt[2:], A.indices, *segments[2:4]):
+    for a in (*D[2:], *segments[2:4]):
         a.flags.writeable = False
-    return _Operator(D, Dt, A, segments)
+    return _Operator(D, segments)
 
 
 def _row_dots(a, b):
@@ -144,19 +143,20 @@ def _block_pass(operator, X, gradients=True, local=None):
     X is one point for every component or one row per component; the
     gradients are at X, and None when ``gradients`` is false. ``local``,
     when given, is one row per component, and ``local_values`` are the
-    values there (None otherwise). Three products of the ``operator``,
-    with no loop over components: D at the local copies, A at a single X
-    (D at a stack), giving ``W_k = B_k X_k``, and D^T on W for the
+    values there (None otherwise). Products of the ``operator``'s D, with
+    no loop over components: D at the local copies, D at X (a single X
+    as its K-row stack), giving ``W_k = B_k X_k``, and D^T on W for the
     gradients ``-B_k^T W_k``. The values ``-0.5 W_k . W_k`` are the
     ``segments`` matrix, with W as its values, times W.
     """
-    D, Dt, A, segments = operator
+    D, segments = operator
     local_values = None
     if local is not None:
         W = _matvec(*D, local.ravel())
         local_values = -0.5 * _matvec(*segments[:4], W, W)
-    W = _matvec(*A, X) if X.ndim == 1 else _matvec(*D, X.ravel())
-    grads = -_matvec(*Dt, W).reshape(-1, A.cols) if gradients else None
+    X = X if X.ndim == 2 else X[None].repeat(segments.rows, 0)
+    W = _matvec(*D, X.ravel())
+    grads = -_matvec(*D, W, transpose=True).reshape(X.shape) if gradients else None
     return -0.5 * _matvec(*segments[:4], W, W), grads, local_values
 
 
@@ -207,15 +207,15 @@ class ConsensusProblem:
 
     @property
     def data(self):
-        A = self.operator.A
-        dense = np.zeros((A.rows, A.cols))
-        dense[np.repeat(np.arange(A.rows), np.diff(A.indptr)), A.indices] = A.data
+        D, N = self.operator.D, self.dim
+        dense = np.zeros((D.rows, N))
+        dense[np.repeat(np.arange(D.rows), np.diff(D.indptr)), D.indices % N] = D.data
         dense.flags.writeable = False
         return tuple(np.split(dense, self.operator.segments.indptr[1:-1]))
 
     @property
     def dim(self):
-        return self.operator.A.cols
+        return self.operator.D.cols // self.num_components
 
     @property
     def num_components(self):
@@ -275,11 +275,11 @@ def penalized_argmin(problem, rho, x_master, y):
     the push-through identity (Golub & Van Loan, *Matrix Computations*,
     2.1.4), so ``u_k = (b_k + B_k^T S_k B_k b_k) / rho_k`` for every shape
     of B_k: D at the stacked ``b_k``, one batched product per stack of
-    cached S_k (``_penalty_inverses``), and D^T on the result. Every
-    ``rho_k`` must exceed the problem's ``lipschitz[k]``, which bounds the
-    top eigenvalue of both Gram matrices from above: a penalty at or
-    below it, or one the factorization still finds too small in floating
-    point, raises ValueError naming the component.
+    cached S_k (``_penalty_inverses``), and D^T, on D's own arrays, on
+    the result. Every ``rho_k`` must exceed the problem's ``lipschitz[k]``,
+    which bounds the top eigenvalue of both Gram matrices from above: a
+    penalty at or below it, or one the factorization still finds too
+    small in floating point, raises ValueError naming the component.
     """
     rho = np.asarray(rho, dtype=float)
     b = rho[:, None] * x_master - y
@@ -290,7 +290,7 @@ def penalized_argmin(problem, rho, x_master, y):
         end = start + count * rows
         v[start:end] = (inverse @ v[start:end].reshape(count, rows, 1)).ravel()
         start = end
-    out = _matvec(*problem.operator.Dt, v).reshape(b.shape)
+    out = _matvec(*problem.operator.D, v, transpose=True).reshape(b.shape)
     out += b
     out /= rho[:, None]
     return out

@@ -5,8 +5,10 @@ The plain per-component expressions the sparse passes of
 so. Pass ``problem.data[k]`` as B to compare with what a problem
 computes for its component k.
 
-Every sum here is taken the way the problems' CSR kernel takes it: the
-products of a row in column order, added one at a time onto 0.0. A zero
+Every sum here is taken the way the problems' kernels take it: the
+products of a row in column order, added one at a time onto 0.0. For
+``B.T`` that is the order in which ``csc_matvec`` adds B's rows into
+each output of the transposed product. A zero
 entry's product is a signed zero, which leaves such a sum unchanged, so
 summing all of a row equals summing its nonzeros.
 """

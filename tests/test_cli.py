@@ -423,6 +423,22 @@ def test_bench_reports_a_bad_campaign_before_the_first_run(tmp_path, capsys, kin
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["preset", "campaign"])
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_bench_rejects_a_seed_count_below_one(tmp_path, capsys, source, seeds):
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps(CAMPAIGN))
+    picked = (["--preset", "table1"] if source == "preset"
+              else ["--campaign", str(path)])
+    out = tmp_path / "r.csv"
+    assert run_cli(["bench", *picked, "--seeds", seeds, "--progress",
+                    "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seeds must be a positive count, not %s\n" % seeds
+    assert not out.exists()
+
+
 def test_bench_requires_preset_or_campaign():
     with pytest.raises(SystemExit) as exc:
         run_cli(["bench"])

@@ -546,29 +546,46 @@ def assert_holds_its_own_copy(problem, given):
 
 
 def test_problem_holds_its_own_read_only_operator():
+    """The operator is D and ``segments``, nothing else: the nonzeros are
+    held once, in D, whose arrays are read-only and none of the caller's."""
     spec = SparsePcaSpec(dim=12, num_components=4, rows=STACK_ROWS["tall"],
                          nonzero_prob=0.3, seed=4)
     data = [np.array(B) for B in generate(spec).data]
     kept = [B.copy() for B in data]
     problem = ConsensusProblem(data)
     operator = problem.operator
+    assert operator._fields == ("D", "segments")
+    D, segments = operator
     nonzeros = sum(np.count_nonzero(B) for B in data)
-    assert (operator.D.rows, operator.D.cols) == (72, 48)
-    assert (operator.Dt.rows, operator.Dt.cols) == (48, 72)
-    assert (operator.A.rows, operator.A.cols) == (72, 12)
-    assert len(operator.D.data) == len(operator.Dt.data) == nonzeros
-    # component k owns rows 18 k to 18 (k + 1)
-    assert operator.segments[:2] == (4, 72)
-    assert operator.segments.indptr.tolist() == [0, 18, 36, 54, 72]
-    # A and D share their row pointers and values
-    assert operator.A.indptr is operator.D.indptr
-    assert operator.A.data is operator.D.data
+    assert (D.rows, D.cols) == (72, 48)
+    assert len(D.indptr) == 73 and D.indptr[-1] == nonzeros
+    assert len(D.indices) == len(D.data) == nonzeros
+    assert (problem.dim, problem.num_components) == (12, 4)
+    # component k owns rows 18 k to 18 (k + 1), and columns 12 k to 12 (k + 1)
+    assert segments[:2] == (4, 72) and segments.data is None
+    assert segments.indptr.tolist() == [0, 18, 36, 54, 72]
+    component = np.repeat(np.arange(4), 18)[np.repeat(np.arange(72), np.diff(D.indptr))]
+    assert (D.indices // 12 == component).all()
     assert_holds_its_own_copy(problem, kept)
     # the caller's matrices are only read: still writeable, still equal
     for B, K in zip(data, kept):
         assert B.flags.writeable and B.tobytes() == K.tobytes()
     data[0][0, 0] += 1.0
     assert problem.data[0].tobytes() == kept[0].tobytes()
+
+
+def test_products_reject_a_vector_of_the_wrong_length():
+    """The kernels read their vector unchecked, so ``_matvec`` checks its
+    length against the columns of D, or of D^T when transposed."""
+    D = stacked_problem("tall").operator.D
+    assert (D.rows, D.cols) == (72, 48)
+    assert problems._matvec(*D, np.ones(48)).shape == (72,)
+    assert problems._matvec(*D, np.ones(72), transpose=True).shape == (48,)
+    with pytest.raises(ValueError, match=re.escape("vector of shape (72,) for 48 columns")):
+        problems._matvec(*D, np.ones(72))
+    for wrong in (np.ones(48), np.ones(73), np.ones((72, 1))):
+        with pytest.raises(ValueError, match="vector of shape .* for 72 columns"):
+            problems._matvec(*D, wrong, transpose=True)
 
 
 def test_two_problems_built_from_one_list_share_no_memory():
@@ -662,15 +679,30 @@ def test_fused_pass_matches_the_reference_expressions_at_paper_shape():
 
 
 def test_the_csr_kernel_adds_each_row_in_order_onto_the_output():
-    """The problems call scipy's private ``csr_matvec`` directly. This pins
-    its arguments and its sums: each row's products, in stored order, are
-    added one at a time onto what the output held (a pairwise or a
-    reordered sum gives 1.5 on the first row), and an empty row keeps it."""
-    from scipy.sparse._sparsetools import csr_matvec
+    """The problems call scipy's private ``csr_matvec`` and ``csc_matvec``
+    directly. This pins their arguments and their sums. ``csr_matvec``
+    adds each row's products, in stored order, one at a time onto what the
+    output held (a pairwise or a reordered sum gives 1.5 on the first
+    row), and an empty row keeps it. ``csc_matvec``, given the arrays of a
+    CSR matrix as those of its transpose, adds each stored row's product
+    into its output in row order, one at a time onto what the output
+    held, and an empty column keeps it: the order of a product of the
+    stored transpose."""
+    from scipy.sparse._sparsetools import csc_matvec, csr_matvec
     assert problems.csr_matvec is csr_matvec
+    assert problems.csc_matvec is csc_matvec
     out = np.array([0.5, -0.0])
     csr_matvec(2, 3, np.array([0, 3, 3], dtype=np.int32),
                np.array([0, 1, 2], dtype=np.int32), np.array([1.0, 1e16, -1e16]),
+               np.ones(3), out)
+    assert out[0] == 2.0
+    assert out[1] == 0.0 and math.copysign(1.0, out[1]) == -1.0
+    # the 3 x 2 CSR matrix with 1, 1e16, -1e16 in column 0 and column 1
+    # empty; its transpose times w = 1: (rows, cols, indptr, indices, data,
+    # w, out) of the 2 x 3 transpose
+    out = np.array([0.5, -0.0])
+    csc_matvec(2, 3, np.array([0, 1, 2, 3], dtype=np.int32),
+               np.array([0, 0, 0], dtype=np.int32), np.array([1.0, 1e16, -1e16]),
                np.ones(3), out)
     assert out[0] == 2.0
     assert out[1] == 0.0 and math.copysign(1.0, out[1]) == -1.0
