@@ -1,10 +1,10 @@
 """Consensus solvers: asynchronous proximal updates plus synchronous baselines.
 
-Every algorithm runs the same pass in one solver loop: a master step
+Every algorithm runs the same update in one solver loop: a master step
 (the l1-plus-ball prox of the penalty-weighted average of the local
-copies and duals), one evaluation of each component at the new x (in
-the same pass as the values at the last committed local copies), an
-exchange with the workers, and a commit of the local copies and duals.
+copies and duals), one evaluation of each component at the new x, an
+exchange with the workers, a commit of the local copies and duals, and
+a trace row.
 The algorithms differ only in how the master gets its gradients:
 
 * ``async_padmm``: the exchange is one window of a simulated star
@@ -271,23 +271,20 @@ def _initial(problem, config):
 def run(problem, config):
     """Execute one full run and return its trace and termination status.
 
-    Every algorithm runs the same pass: a master step, one
+    Every algorithm runs the same update: a master step, one
     ``consensus_terms`` pass at the new x (read by the exchange and the
     trace row), an exchange (a network window for ``async_padmm``, a
-    blocking round trip otherwise) and a commit (exact for ``sync_admm``,
-    proximal otherwise). Only the exchange depends on the algorithm.
+    blocking round trip otherwise), a commit (exact for ``sync_admm``,
+    proximal otherwise) and a row; only the exchange differs by algorithm.
 
-    The passes run in this order. Before the loop, the start state's
-    pass (in ``initial_state``) and one at x_1 = ``master_step(state_0)``.
-    Update t exchanges the gradients at x_t and commits state_t; its row
-    reads the measure from the pass at x_t. Unless the row is the last,
-    x_{t+1} = ``master_step(state_t)`` follows at once, and one fused
-    pass evaluates the values at ``state_t.x_local``
-    (row t's augmented Lagrangian) and the values and gradients at
-    x_{t+1} (the next exchange and row). The last row, converged or at
-    the clock cap, takes one values pass at its local copies instead. A
-    staleness violation aborts before its row, so each committed state's
-    local copies and each master vector are evaluated exactly once.
+    Each point takes a pass of its own. The start state's is in
+    ``initial_state``. Update t takes the pass at x_t =
+    ``master_step(state_{t-1})``, exchanges its gradients and commits
+    state_t; row t reads its measure from that pass, and its augmented
+    Lagrangian takes one values pass at ``state_t.x_local``. A staleness
+    violation aborts before its row, so no values pass follows. Each
+    master vector and each committed state's local copies are evaluated
+    exactly once.
 
     Termination is one of ``converged`` (optimality measure dropped below
     epsilon), ``max_iters`` (clock budget exhausted), ``staleness_violation``
@@ -328,9 +325,9 @@ def run(problem, config):
     termination = "max_iters"
     measure = float("inf")
     clock = 0
-    x_new = master_step(problem, state, rho)
-    terms = consensus_terms(problem, x_new)
     while clock < config.max_iters:
+        x_new = master_step(problem, state, rho)
+        terms = consensus_terms(problem, x_new)
         t_new = state.iteration + 1
         if asynchronous:
             updates = {k: (msg.gradient, msg.copy_index)
@@ -353,18 +350,10 @@ def run(problem, config):
         state = new
         clock += cost
         # the row's gap and Lagrangian share x_local - x, and its l1 term
-        diff, l1_term = state.x_local - state.x, terms.l1_term
+        diff = state.x_local - state.x
         row = diagnostics.stationarity(state, terms, diff)
         measure = row[-1]
-        values = None
-        if not (measure < config.epsilon or clock >= config.max_iters):
-            # not the last row: its values at the local copies ride along
-            # with the pass at the next master vector (a NaN measure does
-            # not converge, so its row is not the last)
-            x_new = master_step(problem, state, rho)
-            terms = consensus_terms(problem, x_new, state.x_local)
-            values = terms.local_values
-        trace.append(augmented_lagrangian(problem, state, rho, values, diff, l1_term),
+        trace.append(augmented_lagrangian(problem, state, rho, diff, terms.l1_term),
                      *row, float(clock), arrived)
         if trace.states is not None:
             trace.states.append(state)

@@ -17,6 +17,7 @@ censored and excluded from the mean, never silently averaged.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +53,21 @@ class SparsePcaSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dim < 1 or self.num_components < 1:
-            raise ValueError("dim and num_components must be at least 1")
+        for name, least in (("dim", 1), ("num_components", 1), ("seed", 0)):
+            value = getattr(self, name)
+            # numpy integers are Integral; bools are too, but not counts
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < least):
+                raise ValueError("%s must be an integer of at least %d, not %r"
+                                 % (name, least, value))
         if not 0 <= self.l1_weight < math.inf:     # NaN fails too
             raise ValueError("l1_weight must be nonnegative and finite, not %r"
                              % (self.l1_weight,))
+        for name in ("rows", "nonzero_prob"):
+            size = np.size(getattr(self, name))
+            if size not in (1, self.num_components):
+                raise ValueError("%s needs 1 or %d entries, got %d"
+                                 % (name, self.num_components, size))
         for m in np.atleast_1d(self.rows):
             if int(m) < 1:
                 raise ValueError("rows must be at least 1")
@@ -65,14 +76,10 @@ class SparsePcaSpec:
                 raise ValueError("nonzero_prob must lie in [0, 1]")
 
 
-def _per_component(value, count, name):
+def _per_component(value, count):
+    # one entry or ``count``, as the spec checked
     arr = np.atleast_1d(np.asarray(value))
-    if arr.size == 1:
-        return [arr.item()] * count
-    if arr.size != count:
-        raise ValueError("%s needs 1 or %d entries, got %d"
-                         % (name, count, arr.size))
-    return list(arr)
+    return [arr.item()] * count if arr.size == 1 else list(arr)
 
 
 def generate(spec):
@@ -82,9 +89,8 @@ def generate(spec):
     so the same seed always produces bit-identical data.
     """
     rng = np.random.default_rng(spec.seed)
-    rows = _per_component(spec.rows, spec.num_components, "rows")
-    probs = _per_component(spec.nonzero_prob, spec.num_components,
-                           "nonzero_prob")
+    rows = _per_component(spec.rows, spec.num_components)
+    probs = _per_component(spec.nonzero_prob, spec.num_components)
     data = []
     for m, p in zip(rows, probs):
         shape = (int(m), spec.dim)

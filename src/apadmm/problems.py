@@ -137,27 +137,25 @@ def _row_dots(a, b):
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _block_pass(operator, X, gradients=True, local=None):
-    """``(values, gradients, local_values)`` of every component, in order.
+def _block_pass(operator, X, gradients=True):
+    """``(values, gradients)`` of every component at X, in order.
 
-    X is one point for every component or one row per component; the
-    gradients are at X, and None when ``gradients`` is false. ``local``,
-    when given, is one row per component, and ``local_values`` are the
-    values there (None otherwise). Products of the ``operator``'s D, with
-    no loop over components: D at the local copies, D at X (a single X
-    as its K-row stack), giving ``W_k = B_k X_k``, and D^T on W for the
-    gradients ``-B_k^T W_k``. The values ``-0.5 W_k . W_k`` are the
-    ``segments`` matrix, with W as its values, times W.
+    X is one point, checked against N and taken as its K-row stack, or
+    one row per component; the gradients are None when ``gradients`` is
+    false. Products of the ``operator``'s D, with no loop over
+    components: D at X gives ``W_k = B_k X_k``, D^T on W the gradients
+    ``-B_k^T W_k``, and the ``segments`` matrix, with W as its values,
+    times W the values ``-0.5 W_k . W_k``.
     """
     D, segments = operator
-    local_values = None
-    if local is not None:
-        W = _matvec(*D, local.ravel())
-        local_values = -0.5 * _matvec(*segments[:4], W, W)
-    X = X if X.ndim == 2 else X[None].repeat(segments.rows, 0)
+    if X.ndim != 2:
+        N = D.cols // segments.rows
+        if X.shape != (N,):
+            raise ValueError("vector of shape %s for %d columns" % (X.shape, N))
+        X = X[None].repeat(segments.rows, 0)
     W = _matvec(*D, X.ravel())
     grads = -_matvec(*D, W, transpose=True).reshape(X.shape) if gradients else None
-    return -0.5 * _matvec(*segments[:4], W, W), grads, local_values
+    return -0.5 * _matvec(*segments[:4], W, W), grads
 
 
 class ConsensusProblem:
@@ -339,19 +337,16 @@ class ConsensusTerms(NamedTuple):
     """What one evaluation pass at a consensus point yields.
 
     ``l1_term`` is the objective's ``l1_weight * ||x||_1``, which
-    ``augmented_lagrangian`` reuses at the same x. ``local_values`` are
-    the values ``g_k(local_k)`` at the local copies given to the same
-    pass, or None when none were.
+    ``augmented_lagrangian`` reuses at the same x.
     """
 
     objective: float
     l1_term: float
     prox_residual: np.ndarray
     gradients: np.ndarray
-    local_values: np.ndarray = None
 
 
-def consensus_terms(problem, x, local=None):
+def consensus_terms(problem, x):
     """Objective, proximal-gradient residual and gradients ``grad g_k(x)`` at x.
 
     Evaluates each component once, in one pass of the problem's
@@ -359,12 +354,10 @@ def consensus_terms(problem, x, local=None):
     view of this one. The objective is ``sum_k g_k(x) + l1_weight * ||x||_1``
     (the ball constraint is not folded in; callers keep x feasible), and
     the residual ``x - prox(x - grad g(x))`` uses a unit step and the
-    l1-plus-ball operator with the problem's own l1 weight. ``local``, one
-    row per component (a state's local copies), adds their values to the
-    same pass, for ``augmented_lagrangian``.
+    l1-plus-ball operator with the problem's own l1 weight.
     """
     x = np.asarray(x, dtype=float)
-    values, grads, local_values = _block_pass(problem.operator, x, local=local)
+    values, grads = _block_pass(problem.operator, x)
     # a Python loop: 0.6 us at K = 5, where np.add.reduce takes 2.1 us
     value = 0.0
     for v in values.tolist():
@@ -373,22 +366,20 @@ def consensus_terms(problem, x, local=None):
     grad = np.add.reduce(grads, axis=0, initial=0.0)
     l1_term = problem.l1_weight * float(np.add.reduce(np.abs(x)))
     residual = x - prox_l1_ball(x - grad, problem.l1_weight, problem.radius)
-    return ConsensusTerms(value + l1_term, l1_term, residual, grads, local_values)
+    return ConsensusTerms(value + l1_term, l1_term, residual, grads)
 
 
-def augmented_lagrangian(problem, state, rho, values=None, diff=None, l1_term=None):
+def augmented_lagrangian(problem, state, rho, diff=None, l1_term=None):
     """Augmented Lagrangian at the given state.
 
     ``sum_k [g_k(x_local_k) + <y_k, x_local_k - x> + rho_k/2 ||x_local_k - x||^2]
     + l1_weight * ||x||_1``, with per-component penalties ``rho``. The
-    component values are ``values`` when a pass already computed them at
-    ``state.x_local`` (``consensus_terms``' ``local_values``), and come
-    from a values pass otherwise. A trace row also passes the ``diff``
-    ``x_local - x`` and the ``l1_term`` at x that its other terms formed;
-    either is computed here, to the same bits, when None.
+    component values come from one values pass at ``state.x_local``. A
+    trace row also passes the ``diff`` ``x_local - x`` and the
+    ``l1_term`` at x that its other terms formed; either is computed
+    here, to the same bits, when None.
     """
-    if values is None:
-        values = _block_pass(problem.operator, state.x_local, gradients=False)[0]
+    values = _block_pass(problem.operator, state.x_local, gradients=False)[0]
     diff = state.x_local - state.x if diff is None else diff
     if l1_term is None:
         l1_term = problem.l1_weight * float(np.add.reduce(np.abs(state.x)))

@@ -77,9 +77,19 @@ def test_spec_validation():
         with pytest.raises(ValueError,
                            match="l1_weight must be nonnegative and finite, not " + bad):
             SparsePcaSpec(dim=5, num_components=1, l1_weight=float(bad))
-    # per-component list lengths are checked when the data is drawn
-    with pytest.raises(ValueError):
-        generate(SparsePcaSpec(dim=5, num_components=2, rows=[3, 3, 3]))
+    # per-component list lengths are checked before the data is drawn
+    with pytest.raises(ValueError, match="rows needs 1 or 2 entries, got 3"):
+        SparsePcaSpec(dim=5, num_components=2, rows=[3, 3, 3])
+    with pytest.raises(ValueError, match="nonzero_prob needs 1 or 3 entries, got 2"):
+        SparsePcaSpec(dim=5, num_components=3, nonzero_prob=[0.1, 0.2])
+    for bad in (dict(dim=5.0), dict(num_components=2.5), dict(dim=True),
+                dict(seed=-1), dict(seed="a"), dict(seed=1.0)):
+        with pytest.raises(ValueError, match="must be an integer of at least"):
+            SparsePcaSpec(**dict(dict(dim=5, num_components=2), **bad))
+    # numpy integers are integers
+    spec = SparsePcaSpec(dim=np.int64(5), num_components=np.int32(2), rows=[3, 4],
+                         seed=np.uint8(7))
+    assert [B.shape for B in generate(spec).data] == [(3, 5), (4, 5)]
 
 
 def test_mean_gradient_age_rule():
@@ -132,6 +142,18 @@ def test_run_campaign_progress_callback():
     run_campaign(cells, seeds=2, max_iters=2000,
                  progress=lambda cell, seed, out: seen.append((seed, out.termination)))
     assert [s for s, _ in seen] == [0, 1]
+
+
+def test_run_campaign_checks_every_cell_before_the_first_run():
+    good = CampaignCell(algorithm="async_padmm", dim=8, num_components=2,
+                        delay_bound=1, rows=4, nonzero_prob=0.3)
+    bad = CampaignCell(algorithm="sync_padmm", dim=8, num_components=2,
+                       delay_bound=1, rows=[4, 4, 4], nonzero_prob=0.3)
+    seen = []
+    with pytest.raises(ValueError, match="campaign cell 1: rows needs 1 or 2 entries, got 3"):
+        run_campaign([good, bad], seeds=2, max_iters=2000,
+                     progress=lambda cell, seed, out: seen.append(seed))
+    assert seen == []
 
 
 def test_campaign_csv_format():

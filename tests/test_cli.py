@@ -206,6 +206,28 @@ def test_run_rejects_malformed_config_values(tmp_path, capsys, config, needle):
     assert needle in err
 
 
+@pytest.mark.parametrize("instance,flags,needle", [
+    ({"rows": [20, 30]}, [], "rows needs 1 or 5 entries, got 2"),
+    ({"nonzero_prob": [0.1, 0.2, 0.3]}, [], "nonzero_prob needs 1 or 5 entries, got 3"),
+    ({"dim": 50.5}, [], "dim must be an integer of at least 1, not 50.5"),
+    ({"num_components": 2.5}, [], "num_components must be an integer of at least 1, not 2.5"),
+    ({"dim": True}, [], "dim must be an integer of at least 1, not True"),
+    ({}, ["--instance-seed", "-1"], "seed must be an integer of at least 0, not -1"),
+    ({"seed": "a"}, [], "seed must be an integer of at least 0, not 'a'"),
+], ids=["rows_wrong_length", "nonzero_prob_wrong_length", "dim_fractional",
+        "components_fractional", "dim_bool", "seed_negative", "seed_mistyped"])
+def test_run_rejects_a_bad_instance_before_drawing_it(tmp_path, capsys, instance,
+                                                      flags, needle):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"instance": instance}))
+    out = tmp_path / "t.csv"
+    assert run_cli(["run", "--config", str(path), *flags, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad instance: %s\n" % needle
+    assert not out.exists()
+
+
 def test_run_rejects_mistyped_full_trace_before_writing(tmp_path, capsys):
     # a non-empty string is truthy: unchecked, it would turn on full tracing
     path = tmp_path / "cfg.json"
@@ -395,7 +417,9 @@ BAD_CAMPAIGNS = {
     "unknown_algorithm": (with_last_cell(algorithm="bogus"),
                           "campaign cell 1: unknown algorithm 'bogus'"),
     "zero_dim": (with_last_cell(dim=0),
-                 "campaign cell 1: dim and num_components must be at least 1"),
+                 "campaign cell 1: dim must be an integer of at least 1, not 0"),
+    "rows_list_of_wrong_length": (with_last_cell(rows=[5, 5, 5]),
+                                  "campaign cell 1: rows needs 1 or 2 entries, got 3"),
     "delay_bound_list_of_wrong_length": (
         with_last_cell(delay_bound=[1, 2, 3]),
         "campaign cell 1: delay_bound list has 3 entries for 2 components"),

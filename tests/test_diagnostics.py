@@ -168,56 +168,47 @@ def test_final_measure_is_the_optimality_measure_of_the_final_state(
 
 
 def count_passes(monkeypatch):
-    """Log ``(X, gradients, local)`` for every ``problems._block_pass``, the
-    one evaluator: its point or points X, whether it takes gradients there,
-    and the local copies whose values ride along (None when none do)."""
+    """Log ``(X, gradients)`` for every ``problems._block_pass``, the one
+    evaluator: its point or points X, and whether it takes gradients there."""
     log = []
     block_pass = problems._block_pass
 
-    def counted(operator, X, gradients=True, local=None):
-        log.append((np.array(X), gradients,
-                    None if local is None else np.array(local)))
-        return block_pass(operator, X, gradients, local)
+    def counted(operator, X, gradients=True):
+        log.append((np.array(X), gradients))
+        return block_pass(operator, X, gradients)
 
     monkeypatch.setattr(problems, "_block_pass", counted)
     return log
 
 
-def check_fused_order(problem, result, passes):
-    """The passes of a run, in order: the start point, x_1, then, after each
-    row t but the last, one fused pass (values and gradients at x_{t+1},
-    values at row t's local copies), and a values pass at the last row's
-    local copies. An aborted run has no last row: its final fused pass is
-    at the master vector of the aborted update. So each master vector and
+def check_pass_order(problem, result, passes):
+    """The passes of a run, in order: the start point's, then, for each
+    row t, a gradient pass at x_t and a values pass at row t's local
+    copies. An aborted run ends with a gradient pass at the master vector
+    of the aborted update and no values pass. So each master vector and
     each committed state's local copies are evaluated exactly once."""
     states, rows = result.trace.states, len(result.trace)
     aborted = result.termination == "staleness_violation"
-    masters = [state.x for state in states]
+    want = [(states[0].x, True)]
+    for state in states[1:]:
+        want += [(state.x, True), (state.x_local, False)]
     if aborted:
-        masters.append(algorithms.master_step(problem, states[-1], result.rho))
-    fused = [(x, True, state.x_local) for x, state in zip(masters[2:], states[1:])]
-    want = [(masters[0], True, None), (masters[1], True, None)] + fused
-    if not aborted:
-        want.append((states[-1].x_local, False, None))
-    assert len(passes) == len(want) == rows + 2
-    for (X, gradients, local), (want_X, want_gradients, want_local) in zip(passes, want):
+        want.append((algorithms.master_step(problem, states[-1], result.rho), True))
+    assert len(passes) == len(want) == 1 + 2 * rows + aborted
+    for (X, gradients), (want_X, want_gradients) in zip(passes, want):
         np.testing.assert_array_equal(X, want_X)
         assert gradients == want_gradients
-        assert (local is None) == (want_local is None)
-        if local is not None:
-            np.testing.assert_array_equal(local, want_local)
 
 
 @pytest.mark.parametrize("shape", ["wide", "square", "tall", "ragged"])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_each_update_evaluates_each_component_once_at_the_master_vector(
         algorithm, shape, monkeypatch):
-    """The workers, the exchange and the trace row reuse the master's pass,
-    which also evaluates the previous row's local copies: after the start
-    state, each update adds one fused pass, and the last row one values
-    pass. Every problem, the ragged one too, evaluates its components
-    from its one operator. Here the last row is the one that reaches the
-    clock cap."""
+    """The workers, the exchange and the trace row reuse the master's pass:
+    after the start state, each update adds that pass and one values pass
+    at its local copies. Every problem, the ragged one too, evaluates its
+    components from its one operator. Here the last row is the one that
+    reaches the clock cap."""
     problem = row_problem(shape)
     passes = count_passes(monkeypatch)
     result = run(problem, RunConfig(
@@ -225,26 +216,26 @@ def test_each_update_evaluates_each_component_once_at_the_master_vector(
         epsilon=1e-14, init="random_ball", full_trace=True,
         enforcement="observe", compute_delay={"kind": "uniform", "hi": 1.5}))
     assert result.termination == "max_iters" and len(result.trace) >= 4
-    check_fused_order(problem, result, passes)
+    check_pass_order(problem, result, passes)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_a_converged_last_row_takes_one_values_pass(algorithm, monkeypatch):
     """A row whose measure converges is the last: no master step follows it,
-    and its local copies take a values pass of their own."""
+    and its local copies take their one values pass."""
     problem = row_problem("ragged")
     passes = count_passes(monkeypatch)
     result = run(problem, RunConfig(
         algorithm=algorithm, seed=1, max_iters=400, epsilon=1e-3,
         init="random_ball", full_trace=True))
     assert result.converged and 2 <= len(result.trace) and result.iterations < 400
-    check_fused_order(problem, result, passes)
+    check_pass_order(problem, result, passes)
     assert result.final_measure == optimality_measure(problem, result.state)
 
 
 def test_a_staleness_abort_leaves_no_row_to_close(monkeypatch):
-    """A dead uplink aborts at update T + 2; the pass at its master vector
-    was fused with the last committed row's, and no values pass follows."""
+    """A dead uplink aborts at update T + 2; its master vector takes its
+    pass, and no values pass follows."""
     problem = row_problem("ragged")
     passes = count_passes(monkeypatch)
     result = run(problem, RunConfig(
@@ -254,7 +245,7 @@ def test_a_staleness_abort_leaves_no_row_to_close(monkeypatch):
         compute_delay={"kind": "constant", "value": 0.0}))
     assert result.termination == "staleness_violation"
     assert len(result.trace) == 2
-    check_fused_order(problem, result, passes)
+    check_pass_order(problem, result, passes)
 
 
 def test_random_start_evaluates_each_component_once(monkeypatch):
@@ -264,9 +255,9 @@ def test_random_start_evaluates_each_component_once(monkeypatch):
     passes = count_passes(monkeypatch)
     state = _initial(problem, RunConfig(init="random_ball", seed=4))
     assert len(passes) == 1
-    X, gradients, local = passes[0]
+    X, gradients = passes[0]
     np.testing.assert_array_equal(X, state.x)
-    assert gradients and local is None
+    assert gradients
     np.testing.assert_array_equal(
         -state.y,
         np.stack([component_gradient(B, state.x) for B in problem.data]))

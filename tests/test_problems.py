@@ -576,7 +576,9 @@ def test_problem_holds_its_own_read_only_operator():
 
 def test_products_reject_a_vector_of_the_wrong_length():
     """The kernels read their vector unchecked, so ``_matvec`` checks its
-    length against the columns of D, or of D^T when transposed."""
+    length against the columns of D, or of D^T when transposed, and
+    ``_block_pass`` checks a single point against N before its K-row
+    stack."""
     D = stacked_problem("tall").operator.D
     assert (D.rows, D.cols) == (72, 48)
     assert problems._matvec(*D, np.ones(48)).shape == (72,)
@@ -586,6 +588,8 @@ def test_products_reject_a_vector_of_the_wrong_length():
     for wrong in (np.ones(48), np.ones(73), np.ones((72, 1))):
         with pytest.raises(ValueError, match="vector of shape .* for 72 columns"):
             problems._matvec(*D, wrong, transpose=True)
+    with pytest.raises(ValueError, match=re.escape("vector of shape (7,) for 12 columns")):
+        initial_state(stacked_problem("tall"), np.zeros(7))
 
 
 def test_two_problems_built_from_one_list_share_no_memory():
@@ -648,10 +652,10 @@ def paper_problem(num_components):
     return ConsensusProblem(data, l1_weight=0.05), data
 
 
-def test_fused_pass_matches_the_reference_expressions_at_paper_shape():
-    """One pass at a paper-shape problem, with the values at the local
-    copies riding along, gives the bits of the per-component reference
-    expressions, and the unfused passes' bits."""
+def test_the_passes_match_the_reference_expressions_at_paper_shape():
+    """The pass at a consensus point of a paper-shape problem, and the
+    values pass at the local copies, give the bits of the per-component
+    reference expressions."""
     problem, _ = paper_problem(7)
     rng = np.random.default_rng(5)
     rho = rng.uniform(5.0, 20.0, 7)
@@ -659,23 +663,19 @@ def test_fused_pass_matches_the_reference_expressions_at_paper_shape():
         x = rng.standard_normal(500) * 0.05
         state = make_state(problem, x, rng.standard_normal((7, 500)) * 0.05,
                            rng.standard_normal((7, 500)))
-        terms = consensus_terms(problem, x, state.x_local)
+        terms = consensus_terms(problem, x)
         objective, grads = loop_terms(problem, x)
         assert terms.objective == objective
         np.testing.assert_array_equal(terms.gradients, grads)
         assert (terms.prox_residual.tobytes()
                 == loop_residual(problem, x, grads).tobytes())
-        assert (augmented_lagrangian(problem, state, rho, terms.local_values)
-                == loop_lagrangian(problem, state, rho)
-                == augmented_lagrangian(problem, state, rho))
+        assert (augmented_lagrangian(problem, state, rho)
+                == loop_lagrangian(problem, state, rho))
         # a trace row's shared differences and l1 term give the same bits
         diff = state.x_local - state.x
-        assert (augmented_lagrangian(problem, state, rho, terms.local_values, diff,
-                                     terms.l1_term)
+        assert (augmented_lagrangian(problem, state, rho, diff, terms.l1_term)
                 == loop_lagrangian(problem, state, rho))
         assert feasibility_gap(state, diff) == feasibility_gap(state)
-        assert consensus_terms(problem, x).local_values is None
-        assert consensus_terms(problem, x).objective == objective
 
 
 def test_the_csr_kernel_adds_each_row_in_order_onto_the_output():
@@ -734,11 +734,10 @@ def test_the_pass_equals_the_per_component_reference_on_ragged_sparse_data(draw)
         return (np.array([component_value(B, z) for B, z in zip(data, points)]),
                 np.stack([component_gradient(B, z) for B, z in zip(data, points)]))
 
-    values, grads, local_values = problems._block_pass(problem.operator, x, local=local)
-    for got, want in zip((values, grads, local_values),
-                         reference([x] * K) + reference(local)[:1]):
-        assert got.tobytes() == want.tobytes()
-    values, grads, local_values = problems._block_pass(problem.operator, X)
-    assert local_values is None
-    for got, want in zip((values, grads), reference(X)):
-        assert got.tobytes() == want.tobytes()
+    for points, want in ((x, reference([x] * K)), (X, reference(X))):
+        values, grads = problems._block_pass(problem.operator, points)
+        assert values.tobytes() == want[0].tobytes()
+        assert grads.tobytes() == want[1].tobytes()
+    values, grads = problems._block_pass(problem.operator, local, gradients=False)
+    assert grads is None
+    assert values.tobytes() == reference(local)[0].tobytes()
