@@ -4,7 +4,7 @@ Simulated networks
 
 The discrete-event simulator underneath the solver, driven directly:
 scripted delays, message loss, busy workers, and what each does to the
-gradient traffic. Then the same instance solved under increasingly
+traffic of results. Then the same instance solved under increasingly
 stale networks to show the iteration cost of asynchrony.
 """
 
@@ -14,16 +14,12 @@ from apadmm import DelayModel, LinkModel, RunConfig, StarNetwork, run
 from apadmm.benchmark import SparsePcaSpec, generate
 
 
-def echo(worker, x):
-    # toy worker: the "gradient" is the x copy it computed on, so every
-    # collected message reveals which broadcast reached that worker
-    return x
-
-
 clean = LinkModel(DelayModel.constant(0.0))
-# worker 0 is fast and clean; worker 1 is slow with a lossy, scripted uplink
+# worker 0 is fast and clean; worker 1 is slow with a lossy, scripted uplink;
+# a result carries the copy its worker computed on, so every collected
+# message reveals which broadcast reached that worker
 net = StarNetwork(
-    2, echo,
+    2,
     downlinks=[clean, clean],
     uplinks=[clean, LinkModel(DelayModel.empirical([1.0, 3.0]), loss=0.3)],
     compute_delays=[DelayModel.constant(0.5), DelayModel.constant(2.5)],
@@ -31,7 +27,7 @@ net = StarNetwork(
 
 for copy in range(1, 9):
     got = net.run_window(np.array([float(copy)]), copy_index=copy)
-    arrivals = sorted((k, int(m.gradient[0])) for k, m in got.items())
+    arrivals = sorted((k, int(m.payload[0])) for k, m in got.items())
     print("window %d (t=%4.1f): (worker, computed-on-copy) %s" % (
         copy, net.now, arrivals))
 

@@ -8,10 +8,11 @@ The package splits into small layers:
   costs, solver state, traces.
 * :mod:`apadmm.stepsize` - descent margins, penalty certification, and
   minimal feasible penalties per curvature class.
-* :mod:`apadmm.simnet` - deterministic discrete-event star network with
-  delays, losses, and bounded staleness.
-* :mod:`apadmm.algorithms` - one solver loop (master step, exchange,
-  commit) that runs the asynchronous solver and synchronous baselines.
+* :mod:`apadmm.simnet` - deterministic discrete-event star network that
+  times the master's copies through delays and losses.
+* :mod:`apadmm.algorithms` - one solver loop (master step, one pass over
+  the components, exchange, commit, trace row) that runs the asynchronous
+  solver and synchronous baselines.
 * :mod:`apadmm.diagnostics` - optimality measures, surrogate values,
   and residual checks replayed over stored traces.
 * :mod:`apadmm.benchmark` - sparse-PCA instance generator and campaign

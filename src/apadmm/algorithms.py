@@ -160,26 +160,18 @@ def master_step(problem, state, rho):
     return prox_l1_ball(v, problem.l1_weight / total, problem.radius)
 
 
-def padmm_apply(problem, state, rho, x_new, updates):
-    """Commit one proximal update given the new master vector and fresh gradients.
+def padmm_apply(state, rho, x_new, grads, stale_index):
+    """Commit one proximal update: component k commits row k of ``grads``.
 
-    Parameters
-    ----------
-    updates : dict
-        ``{k: (gradient, copy_index)}`` for the components whose gradient
-        arrived this iteration; their new dual is ``-gradient``. The rest
-        keep their dual, the record of their last gradient, and move their
-        local copy to ``x_new``, both bit for bit.
+    ``stale_index[k]`` is the iteration that gradient was taken at (kept,
+    not copied). The new dual is ``-grads``. A component that received
+    nothing passes its record ``-y[k]`` and its old index, so it keeps
+    its dual and moves its local copy to ``x_new``, both bit for bit.
     """
     rho = np.asarray(rho, dtype=float)[:, None]
-    grad = -state.y
-    stale = state.stale_index.copy()
-    for k, (g, idx) in updates.items():
-        grad[k] = g
-        stale[k] = idx
-    x_local = x_new - (grad + state.y) / rho
+    x_local = x_new - (grads + state.y) / rho
     return SolverState(state.iteration + 1, np.asarray(x_new, dtype=float),
-                       x_local, -grad, stale)
+                       x_local, -grads, stale_index)
 
 
 def exact_admm_iteration(problem, state, rho, x_new):
@@ -238,9 +230,7 @@ def _build_network(problem, config, delay_bounds):
     computes = _per_worker(
         compute, K, lambda s: DelayModel.from_spec(s, "compute_delay"),
         "compute_delay")
-    # the payload is the master's gradients at an iterate; worker k sends row k
-    return StarNetwork(K, lambda k, grads: grads[k],
-                       downs, ups, computes, seed=[int(config.seed), 29])
+    return StarNetwork(K, downs, ups, computes, seed=[int(config.seed), 29])
 
 
 def _resolve_rho(problem, config, cert_delays):
@@ -276,6 +266,9 @@ def run(problem, config):
     trace row), an exchange (a network window for ``async_padmm``, a
     blocking round trip otherwise), a commit (exact for ``sync_admm``,
     proximal otherwise) and a row; only the exchange differs by algorithm.
+    A blocking exchange commits the pass's gradients, all at t; a window
+    starts from the record ``-y`` and the old indices and overwrites each
+    arrived worker's row with its row of the payload it picked up.
 
     Each point takes a pass of its own. The start state's is in
     ``initial_state``. Update t takes the pass at x_t =
@@ -330,15 +323,17 @@ def run(problem, config):
         terms = consensus_terms(problem, x_new)
         t_new = state.iteration + 1
         if asynchronous:
-            updates = {k: (msg.gradient, msg.copy_index)
-                       for k, msg in net.run_window(terms.gradients, t_new).items()}
-            cost, arrived = 1, len(updates)
+            grads, stale = -state.y, state.stale_index.copy()
+            got = net.run_window(terms.gradients, t_new)
+            for k, msg in got.items():
+                grads[k], stale[k] = msg.payload[k], msg.copy_index
+            cost, arrived = 1, len(got)
         else:
             cost = max(1, math.ceil(float(net.sample_round_trips().max())))
-            updates = {k: (g, t_new) for k, g in enumerate(terms.gradients)}
+            grads, stale = terms.gradients, np.full(K, t_new)
             arrived = K
         new = (exact_admm_iteration(problem, state, rho, x_new) if exact
-               else padmm_apply(problem, state, rho, x_new, updates))
+               else padmm_apply(state, rho, x_new, grads, stale))
         staleness = new.iteration - new.stale_index
         over = np.nonzero(staleness > bounds)[0]
         if over.size:

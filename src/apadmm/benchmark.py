@@ -18,11 +18,12 @@ censored and excluded from the mean, never silently averaged.
 
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import RunConfig, _nonnegative, run
+from .algorithms import ALGORITHMS, RunConfig, _nonnegative, run
 from .problems import ConsensusProblem
 
 __all__ = [
@@ -41,6 +42,14 @@ CAMPAIGN_COLUMNS = ("algorithm", "N", "K", "T", "lambda", "seed_count",
                     "mean_iters", "std_iters", "censored_count")
 
 
+def _check_integer(name, value, least):
+    # numpy integers are Integral; bools are too, but not counts
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValueError("%s must be an integer of at least %d, not %r"
+                         % (name, least, value))
+
+
 @dataclass
 class SparsePcaSpec:
     """Instance description; ``rows`` and ``nonzero_prob`` may be per-component lists."""
@@ -54,12 +63,7 @@ class SparsePcaSpec:
 
     def __post_init__(self):
         for name, least in (("dim", 1), ("num_components", 1), ("seed", 0)):
-            value = getattr(self, name)
-            # numpy integers are Integral; bools are too, but not counts
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or value < least):
-                raise ValueError("%s must be an integer of at least %d, not %r"
-                                 % (name, least, value))
+            _check_integer(name, getattr(self, name), least)
         if not 0 <= self.l1_weight < math.inf:     # NaN fails too
             raise ValueError("l1_weight must be nonnegative and finite, not %r"
                              % (self.l1_weight,))
@@ -68,9 +72,9 @@ class SparsePcaSpec:
             if size not in (1, self.num_components):
                 raise ValueError("%s needs 1 or %d entries, got %d"
                                  % (name, self.num_components, size))
-        for m in np.atleast_1d(self.rows):
-            if int(m) < 1:
-                raise ValueError("rows must be at least 1")
+        # as objects, so a bool in a list is not cast to an integer
+        for m in np.atleast_1d(np.asarray(self.rows, dtype=object)):
+            _check_integer("rows", m, 1)
         for p in np.atleast_1d(self.nonzero_prob):
             if not 0.0 <= float(p) <= 1.0:
                 raise ValueError("nonzero_prob must lie in [0, 1]")
@@ -93,7 +97,7 @@ def generate(spec):
     probs = _per_component(spec.nonzero_prob, spec.num_components)
     data = []
     for m, p in zip(rows, probs):
-        shape = (int(m), spec.dim)
+        shape = (m, spec.dim)
         means = rng.random(shape)
         variances = rng.random(shape)
         mask = rng.random(shape) < float(p)
@@ -149,18 +153,26 @@ def run_campaign(cells, seeds=20, max_iters=5000, epsilon=1e-3,
                  progress=None):
     """Run every cell over the given seeds and aggregate iterations-to-threshold.
 
-    ``seeds`` is a count (seeds 0..n-1) or an explicit iterable. Async
-    runs observe rather than enforce the staleness bound, matching the
-    delay model the sweep itself injects, and certify penalties at the
-    model's mean gradient age; each seed regenerates both the instance
-    and the delays. Returns one dict per cell in campaign-CSV column
-    order. Every cell's instance and config are checked before the first
-    run, so a bad cell raises ValueError, naming its index, before any
-    cell has run.
+    ``seeds`` is a count of at least 1 (seeds 0..n-1) or a nonempty
+    iterable of integers of at least 0; anything else raises ValueError,
+    naming the bad value, before any run. Async runs observe rather than
+    enforce the staleness bound, matching the delay model the sweep
+    itself injects, and certify penalties at the model's mean gradient
+    age; each seed regenerates both the instance and the delays. Returns
+    one dict per cell in campaign-CSV column order. Every cell's instance
+    and config are checked before the first run, so a bad cell raises
+    ValueError, naming its index, before any cell has run.
     """
-    if isinstance(seeds, int):
+    if isinstance(seeds, numbers.Integral):
+        _check_integer("seed count", seeds, 1)
         seeds = range(seeds)
-    seeds = list(seeds)
+    listed = list(seeds) if isinstance(seeds, Iterable) else []
+    if not listed:
+        raise ValueError("seeds must be a count of at least 1 or a nonempty "
+                         "list of seeds, not %r" % (seeds,))
+    for seed in listed:
+        _check_integer("seed", seed, 0)
+    seeds = listed
     for i, cell in enumerate(cells):
         try:
             _cell_run(cell, 0, max_iters, epsilon)
@@ -209,8 +221,6 @@ def campaign_csv(rows):
 
 
 # -- presets -----------------------------------------------------------------
-
-_ALGS = ("async_padmm", "sync_padmm", "sync_admm")
 
 # desk scale: quick sanity sweeps; paper scale: the full table configurations
 _BENCH_SCALES = {
@@ -262,7 +272,7 @@ def bench_preset(name, scale="desk"):
     values = params.pop("values")
     cells = []
     for value in values:
-        for alg in _ALGS:
+        for alg in ALGORITHMS:
             kwargs = dict(params)
             kwargs[sweep] = value
             cells.append(CampaignCell(algorithm=alg, **kwargs))

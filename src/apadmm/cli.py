@@ -124,8 +124,9 @@ def _parse_trace_csv(text):
     for ln in lines[1:]:
         try:
             it, lag, obj, gap, pg, e, size = ln.split(",")
+            # iter is a clock count, written with int() and stored as a float
             trace.append(float(lag), float(obj), float(gap), float(pg),
-                         float(e), float(it), int(size))
+                         float(e), float(int(it)), int(size))
         except ValueError as exc:
             raise ValueError("malformed row %r: %s" % (ln, exc))
     return trace

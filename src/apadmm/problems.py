@@ -6,8 +6,9 @@ The problem solved throughout is
 
 where each g_k is smooth with Lipschitz gradient. Solvers keep one master
 vector ``x``, one local copy ``x_local[k]`` per component, one dual vector
-``y[k]`` per component, and the most recently collected gradient of each
-component together with the master-iteration index it was evaluated at.
+``y[k]`` per component, and the master-iteration index at which each
+component's last collected gradient was evaluated. The dual is the
+record of that gradient: a proximal commit sets ``y[k]`` to its negation.
 
 Each component is evaluated once per master iterate, in the one pass of
 ``consensus_terms``: it yields the objective and proximal-gradient
@@ -416,8 +417,8 @@ class IterationTrace:
     """Per-iteration records of a run; one row per completed update.
 
     ``sim_time`` is the cumulative simulated clock in master-iteration
-    units. When state snapshots are kept, ``x_hist[0]`` is the initial
-    state and ``x_hist[t]`` the state after iteration row t.
+    units. When state snapshots are kept, ``states[0]`` is the initial
+    state and ``states[t]`` the state after iteration row t.
     """
 
     lagrangian: list = field(default_factory=list)

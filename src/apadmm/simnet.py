@@ -1,10 +1,10 @@
-"""Deterministic discrete-event simulator for a star network of gradient workers.
+"""Deterministic discrete-event simulator for a star network of workers.
 
 One master broadcasts x copies to K workers; each worker holds the copy
-it picked up for its compute delay, then sends back a gradient there.
-Time is measured in windows, one master iteration each: the master
-broadcasts, waits one window, then collects whatever gradients arrived.
-Every delay is drawn in window units.
+it picked up for its compute delay, then sends that copy back as its
+result. Time is measured in windows, one master iteration each: the
+master broadcasts, waits one window, then collects whatever results
+arrived. Every delay is drawn in window units.
 
 Semantics pinned down here:
 
@@ -25,15 +25,16 @@ Semantics pinned down here:
   numpy's own formula for ``Generator.uniform``. Drawing ahead in blocks
   changes no value, so runs are still a pure function of the seed and the
   call sequence, and equal to scalar ``Generator.uniform`` draws.
-* ``collect`` returns at most one gradient per worker: the one with the
-  smallest worker-local stamp, older leftovers and fresher duplicates in
-  the same window are discarded.
+* A sent result is not an event but carries its arrival time.
+  ``collect`` takes only results with ``arrived_at < now``, so one
+  landing exactly on a window boundary waits for the next window, and
+  returns at most one per worker: the one with the smallest
+  worker-local stamp, discarding the other arrived ones.
 
-The simulator is generic over the payload: at compute completion it calls
-``gradient_fn(worker, x)`` on the copy picked up, so tests can drive it
-with toy functions. ``run()`` broadcasts the master's gradients at its
-iterate, so a delay only times when, and whether, one lands. The
-``from_spec`` constructors parse the JSON-able specs run configs hold.
+The simulator only times copies: ``run()`` broadcasts the master's
+gradients at its iterate, so a delay only times when, and whether, they
+land. The ``from_spec`` constructors parse the JSON-able specs run
+configs hold.
 """
 
 import copy
@@ -199,10 +200,10 @@ class LinkModel:
 
 @dataclass
 class Message:
-    """A gradient message as seen by the master."""
+    """A worker's result: the copy ``copy_index`` it picked up, as ``payload``."""
 
     worker: int
-    gradient: np.ndarray
+    payload: np.ndarray
     worker_stamp: int
     copy_index: int
     sent_at: float
@@ -233,17 +234,15 @@ class _UniformStream:
 class StarNetwork:
     """K workers behind per-worker links; ``compute_delays`` are ``DelayModel``s.
 
-    Worker k sends ``gradient_fn(k, x)`` for the copy x it picked up.
+    Worker k sends back the payload x it picked up, as a ``Message``.
     """
 
-    def __init__(self, num_workers, gradient_fn, downlinks, uplinks,
-                 compute_delays, seed=0):
+    def __init__(self, num_workers, downlinks, uplinks, compute_delays, seed=0):
         for name, models in (("downlinks", downlinks), ("uplinks", uplinks),
                              ("compute_delays", compute_delays)):
             if len(models) != num_workers:
                 raise ValueError("%s must have one entry per worker" % name)
         self.num_workers = num_workers
-        self.gradient_fn = gradient_fn
         # each link/compute model is copied so cyclic cursors are private
         self.downlinks = [copy.deepcopy(m) for m in downlinks]
         self.uplinks = [copy.deepcopy(m) for m in uplinks]
@@ -258,7 +257,7 @@ class StarNetwork:
         self._stamp = [1] * num_workers               # worker-local send counter
         self._last_down = [0.0] * num_workers         # FIFO clamps
         self._last_up = [0.0] * num_workers
-        self._inbox = []
+        self._inbox = []        # sent results not yet collected, in send order
         self.dropped_busy = [0] * num_workers
         self.dropped_stale = [0] * num_workers
         self.lost_down = [0] * num_workers
@@ -266,9 +265,9 @@ class StarNetwork:
 
     # -- event plumbing ----------------------------------------------------
 
-    def _schedule(self, time, handler, payload):
+    def _schedule(self, time, handler, args):
         # (time, seq) is unique, so the handler is never compared
-        heapq.heappush(self._heap, (time, self._seq, handler, payload))
+        heapq.heappush(self._heap, (time, self._seq, handler, args))
         self._seq += 1
 
     def _link_delivery_time(self, link, last_delivery, delay):
@@ -298,23 +297,25 @@ class StarNetwork:
         """
         target = self.now + duration
         while self._heap and self._heap[0][0] < target:
-            time, _, handler, payload = heapq.heappop(self._heap)
+            time, _, handler, args = heapq.heappop(self._heap)
             self.now = time
-            handler(payload)
+            handler(args)
         self.now = target
 
     def collect(self):
-        """Gradients that arrived during past windows, one per worker.
+        """Results that arrived before now, one per worker: ``{worker: Message}``.
 
-        Per worker the message with the smallest worker stamp wins and the
-        rest are discarded; the inbox is cleared either way.
+        A worker stamps its results in send order, so its first arrived one
+        has the smallest stamp and wins; its other arrived ones are
+        discarded, and results still in flight stay.
         """
-        best = {}
+        best, in_flight = {}, []
         for msg in self._inbox:
-            cur = best.get(msg.worker)
-            if cur is None or msg.worker_stamp < cur.worker_stamp:
-                best[msg.worker] = msg
-        self._inbox = []
+            if msg.arrived_at < self.now:
+                best.setdefault(msg.worker, msg)
+            else:
+                in_flight.append(msg)
+        self._inbox = in_flight
         return best
 
     def run_window(self, x, copy_index):
@@ -325,8 +326,8 @@ class StarNetwork:
 
     # -- worker side -------------------------------------------------------
 
-    def _on_deliver_x(self, payload):
-        k, x, copy_index = payload
+    def _on_deliver_x(self, args):
+        k, x, copy_index = args
         if self._busy[k]:
             self.dropped_busy[k] += 1
             return
@@ -350,26 +351,21 @@ class StarNetwork:
         delay = self.compute_delays[k].sample(self._uniform)
         self._schedule(self.now + delay, self._on_complete, (k, x, copy_index))
 
-    def _on_complete(self, payload):
-        k, x, copy_index = payload
+    def _on_complete(self, args):
+        k, x, copy_index = args
         self._busy[k] = False
         stamp = self._stamp[k]
         self._stamp[k] += 1
-        grad = self.gradient_fn(k, x)
         link = self.uplinks[k]
         if link.loss > 0.0 and self._uniform() < link.loss:
             self.lost_up[k] += 1
             return
         t = self._link_delivery_time(link, self._last_up[k], link.delay.sample(self._uniform))
         self._last_up[k] = t
-        self._schedule(t, self._on_deliver_grad, Message(
-            worker=k, gradient=np.asarray(grad, dtype=float),
-            worker_stamp=stamp, copy_index=copy_index,
-            sent_at=self.now, arrived_at=t,
-        ))
-
-    def _on_deliver_grad(self, msg):
-        self._inbox.append(msg)
+        # not an event: collect reads the arrival time
+        self._inbox.append(Message(
+            worker=k, payload=x, worker_stamp=stamp, copy_index=copy_index,
+            sent_at=self.now, arrived_at=t))
 
     # -- direct sampling for blocking baselines ---------------------------
 

@@ -55,12 +55,12 @@ def test_padmm_apply_scalar_hand_iteration():
     state.y = np.array([[1.0]])
     x_new = master_step(problem, state, [10.0])
     assert x_new[0] == pytest.approx(0.1, abs=1e-16)
-    new = padmm_apply(problem, state, [10.0], x_new,
-                      updates={0: (np.array([2.0]), 2)})
+    new = padmm_apply(state, [10.0], x_new, np.array([[2.0]]), np.array([2]))
     # local step is -(grad + y)/rho = -0.3; dual lands on -grad exactly
     assert new.x_local[0, 0] - new.x[0] == -0.3
     assert new.y[0, 0] == -2.0
     assert new.iteration == state.iteration + 1
+    assert new.stale_index[0] == 2
 
 
 def test_padmm_apply_empty_set_keeps_the_dual_fixed():
@@ -74,7 +74,8 @@ def test_padmm_apply_empty_set_keeps_the_dual_fixed():
     rho = res.rho
     for state in res.trace.states[1:]:
         x_new = master_step(problem, state, rho)
-        new = padmm_apply(problem, state, rho, x_new, updates={})
+        # nothing arrived: every component passes its record and index
+        new = padmm_apply(state, rho, x_new, -state.y, state.stale_index.copy())
         np.testing.assert_array_equal(new.y, state.y)
         np.testing.assert_array_equal(new.x_local, np.tile(x_new, (3, 1)))
         np.testing.assert_array_equal(new.stale_index, state.stale_index)
@@ -84,9 +85,10 @@ def test_padmm_apply_refreshes_collected_components():
     problem = desk_problem()
     state = initial_state(problem)
     g_new = np.full(12, 0.5)
-    new = padmm_apply(problem, state, [9.0] * 3,
-                      master_step(problem, state, [9.0] * 3),
-                      updates={1: (g_new, 7)})
+    grads, stale = -state.y, state.stale_index.copy()
+    grads[1], stale[1] = g_new, 7
+    new = padmm_apply(state, [9.0] * 3, master_step(problem, state, [9.0] * 3),
+                      grads, stale)
     np.testing.assert_array_equal(new.y[1], -g_new)
     assert new.stale_index[1] == 7
     np.testing.assert_array_equal(new.y[0], state.y[0])
@@ -102,7 +104,9 @@ def test_padmm_apply_matches_the_per_component_update():
     state.y = rng.standard_normal((3, 12))
     rho = [8.0, 10.0, 12.0]
     x_new = master_step(problem, state, rho)
-    new = padmm_apply(problem, state, rho, x_new, updates={2: (np.ones(12), 5)})
+    grads, stale = -state.y, state.stale_index.copy()
+    grads[2], stale[2] = 1.0, 5
+    new = padmm_apply(state, rho, x_new, grads, stale)
     grad = -state.y
     grad[2] = 1.0
     for k in range(3):
@@ -145,7 +149,8 @@ def test_commits_accept_a_list_as_the_master_vector():
     state = initial_state(problem)
     state.y = np.array([[0.2, -0.1], [0.3, 0.4]])
     rho = 2.0 * problem.lipschitz + 1.0
-    for commit in (lambda x: padmm_apply(problem, state, rho, x, updates={}),
+    for commit in (lambda x: padmm_apply(state, rho, x, -state.y,
+                                         state.stale_index.copy()),
                    lambda x: exact_admm_iteration(problem, state, rho, x)):
         from_list = commit([0.5, 0.1])
         from_array = commit(np.array([0.5, 0.1]))
@@ -187,9 +192,9 @@ def one_step(algorithm, problem, state, rho):
     x_new = master_step(problem, state, rho)
     if algorithm == "sync_admm":
         return exact_admm_iteration(problem, state, rho, x_new)
-    fresh = {k: (component_gradient(B, x_new), state.iteration + 1)
-             for k, B in enumerate(problem.data)}
-    return padmm_apply(problem, state, rho, x_new, fresh)
+    fresh = np.stack([component_gradient(B, x_new) for B in problem.data])
+    stale = np.full(problem.num_components, state.iteration + 1)
+    return padmm_apply(state, rho, x_new, fresh, stale)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)

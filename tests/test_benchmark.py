@@ -1,6 +1,7 @@
 """Benchmark tests: instance generator draw order, campaigns, presets."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -83,12 +84,16 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="nonzero_prob needs 1 or 3 entries, got 2"):
         SparsePcaSpec(dim=5, num_components=3, nonzero_prob=[0.1, 0.2])
     for bad in (dict(dim=5.0), dict(num_components=2.5), dict(dim=True),
-                dict(seed=-1), dict(seed="a"), dict(seed=1.0)):
+                dict(seed=-1), dict(seed="a"), dict(seed=1.0),
+                dict(rows=[2.5, 3.9]), dict(rows=2.5), dict(rows=[3, True]),
+                dict(rows=0)):
         with pytest.raises(ValueError, match="must be an integer of at least"):
             SparsePcaSpec(**dict(dict(dim=5, num_components=2), **bad))
     # numpy integers are integers
     spec = SparsePcaSpec(dim=np.int64(5), num_components=np.int32(2), rows=[3, 4],
                          seed=np.uint8(7))
+    assert [B.shape for B in generate(spec).data] == [(3, 5), (4, 5)]
+    spec = SparsePcaSpec(dim=5, num_components=2, rows=np.array([3, 4], dtype=np.int16))
     assert [B.shape for B in generate(spec).data] == [(3, 5), (4, 5)]
 
 
@@ -154,6 +159,34 @@ def test_run_campaign_checks_every_cell_before_the_first_run():
         run_campaign([good, bad], seeds=2, max_iters=2000,
                      progress=lambda cell, seed, out: seen.append(seed))
     assert seen == []
+
+
+@pytest.mark.parametrize("seeds,needle", [
+    ([0, -1], "seed must be an integer of at least 0, not -1"),
+    ([0, True], "seed must be an integer of at least 0, not True"),
+    ([0, 1.5], "seed must be an integer of at least 0, not 1.5"),
+    (0, "seed count must be an integer of at least 1, not 0"),
+    (True, "seed count must be an integer of at least 1, not True"),
+    ([], "seeds must be a count of at least 1 or a nonempty list of seeds, not []"),
+    (2.0, "seeds must be a count of at least 1 or a nonempty list of seeds, not 2.0"),
+], ids=["negative", "bool", "fractional", "zero_count", "bool_count", "empty",
+        "float_count"])
+def test_run_campaign_checks_the_seeds_before_the_first_run(seeds, needle):
+    cell = CampaignCell(algorithm="async_padmm", dim=8, num_components=2,
+                        delay_bound=1, rows=4, nonzero_prob=0.3)
+    seen = []
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        run_campaign([cell], seeds=seeds, max_iters=2000,
+                     progress=lambda cell, seed, out: seen.append(seed))
+    assert seen == []
+
+
+def test_run_campaign_accepts_numpy_integer_seeds():
+    cell = CampaignCell(algorithm="sync_padmm", dim=8, num_components=2,
+                        delay_bound=0, rows=4, nonzero_prob=0.3)
+    by_list = run_campaign([cell], seeds=[0, 1], max_iters=2000)
+    assert run_campaign([cell], seeds=np.int64(2), max_iters=2000) == by_list
+    assert run_campaign([cell], seeds=np.arange(2), max_iters=2000) == by_list
 
 
 def test_campaign_csv_format():

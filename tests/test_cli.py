@@ -214,8 +214,10 @@ def test_run_rejects_malformed_config_values(tmp_path, capsys, config, needle):
     ({"dim": True}, [], "dim must be an integer of at least 1, not True"),
     ({}, ["--instance-seed", "-1"], "seed must be an integer of at least 0, not -1"),
     ({"seed": "a"}, [], "seed must be an integer of at least 0, not 'a'"),
+    ({"rows": 2.5}, [], "rows must be an integer of at least 1, not 2.5"),
 ], ids=["rows_wrong_length", "nonzero_prob_wrong_length", "dim_fractional",
-        "components_fractional", "dim_bool", "seed_negative", "seed_mistyped"])
+        "components_fractional", "dim_bool", "seed_negative", "seed_mistyped",
+        "rows_fractional"])
 def test_run_rejects_a_bad_instance_before_drawing_it(tmp_path, capsys, instance,
                                                       flags, needle):
     path = tmp_path / "cfg.json"
@@ -577,6 +579,9 @@ MALFORMED = {
         "could not convert string to float: 'abc'"),
     "trace_set_size_not_an_integer": (
         "trace", lambda csv: spoil_row(csv, "set_size", "1.5"),
+        "invalid literal for int() with base 10: '1.5'"),
+    "trace_iter_not_an_integer": (
+        "trace", lambda csv: spoil_row(csv, "iter", "1.5"),
         "invalid literal for int() with base 10: '1.5'"),
     "trace_not_utf8": (
         "trace", lambda csv: write_bytes(csv, read(csv) + b"\xff\xfe\n"),

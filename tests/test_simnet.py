@@ -1,6 +1,6 @@
 """Event-queue simulator tests: delivery order, drops, loss, determinism.
 
-The gradient callback returns the x copy itself so each collected
+Each result carries the x copy its worker picked up, so each collected
 message reveals exactly which master vector the worker computed on.
 """
 
@@ -12,17 +12,13 @@ from apadmm import DelayModel, LinkModel, StarNetwork
 from apadmm.simnet import _UniformStream
 
 
-def echo(worker, x):
-    return x
-
-
 def make_net(num_workers=1, down=None, up=None, compute=None, seed=0):
     zero = LinkModel(DelayModel.constant(0.0))
     idle = DelayModel.constant(0.0)
     downs = down if down is not None else [zero] * num_workers
     ups = up if up is not None else [zero] * num_workers
     computes = compute if compute is not None else [idle] * num_workers
-    return StarNetwork(num_workers, echo, downs, ups, computes, seed=seed)
+    return StarNetwork(num_workers, downs, ups, computes, seed=seed)
 
 
 def test_zero_delay_round_trip():
@@ -33,7 +29,7 @@ def test_zero_delay_round_trip():
         msg = got[k]
         assert msg.worker_stamp == 1
         assert msg.copy_index == 2
-        np.testing.assert_array_equal(msg.gradient, [1.0, 2.0])
+        np.testing.assert_array_equal(msg.payload, [1.0, 2.0])
         assert msg.sent_at == 0.0
 
 
@@ -83,7 +79,7 @@ def test_same_instant_batch_prefers_newest_copy():
     net.advance(2.0)
     got = net.collect()
     assert got[0].copy_index == 2
-    np.testing.assert_array_equal(got[0].gradient, [20.0])
+    np.testing.assert_array_equal(got[0].payload, [20.0])
     assert net.dropped_stale[0] == 1
 
 
@@ -112,11 +108,11 @@ def test_reordering_allows_overtaking():
     # and collect keeps the smallest stamp
     assert got[0].worker_stamp == 1
     assert got[0].copy_index == 2
-    np.testing.assert_array_equal(got[0].gradient, [2.0])
+    np.testing.assert_array_equal(got[0].payload, [2.0])
 
 
 def test_collect_keeps_smallest_stamp():
-    # two completions inside one window: stamps 1 and 2 both in the inbox
+    # two completions inside one window: stamps 1 and 2 both arrive
     down = [LinkModel(DelayModel.empirical([0.0, 0.4]))]
     net = make_net(1, down=down)
     net.broadcast(np.array([1.0]), 1)
@@ -125,7 +121,9 @@ def test_collect_keeps_smallest_stamp():
     got = net.collect()
     assert got[0].worker_stamp == 1
     assert got[0].copy_index == 1
-    assert net._inbox == []
+    # stamp 2 was discarded, not kept for the next window
+    net.advance(1.0)
+    assert net.collect() == {}
 
 
 def test_total_uplink_loss_starves_the_master():
@@ -161,15 +159,18 @@ def test_lost_send_consumes_no_delay_draw():
     assert got[0].copy_index == 2
 
 
-def test_advance_stops_strictly_before_boundary():
-    down = [LinkModel(DelayModel.constant(1.0))]
-    net = make_net(1, down=down)
+@pytest.mark.parametrize("link,delay", [("down", 1.0), ("up", 1.0), ("up", 1.5)])
+def test_advance_stops_strictly_before_boundary(link, delay):
+    # a copy or a result landing exactly on the boundary waits for the
+    # next window, and a result still in flight stays for a later collect
+    net = make_net(1, **{link: [LinkModel(DelayModel.constant(delay))]})
     net.broadcast(np.zeros(1), 1)
-    net.advance(1.0)                  # event sits exactly on the boundary
+    net.advance(1.0)
     assert net.collect() == {}
-    net.advance(1.0)                  # now it lands inside (1, 2)
+    net.advance(1.0)                  # now it lands inside [1, 2)
     got = net.collect()
     assert got[0].copy_index == 1
+    assert got[0].arrived_at == delay
     assert net.now == 2.0
 
 
@@ -244,13 +245,24 @@ def test_messages_are_causal_and_fifo_without_reordering(
     for t in range(1, 25):
         net.broadcast(np.array([float(t)]), t)
         net.advance()
-        for msg in net._inbox:  # in the order the master received them
+        # the inbox holds the uncollected results in send order; these landed
+        landed = [msg for msg in net._inbox if msg.arrived_at < net.now]
+        for msg in landed:
             assert msg.copy_index <= t
-            assert msg.sent_at <= msg.arrived_at <= net.now
-            np.testing.assert_array_equal(msg.gradient, [float(msg.copy_index)])
+            assert msg.sent_at <= msg.arrived_at
+            np.testing.assert_array_equal(msg.payload, [float(msg.copy_index)])
             arrivals[msg.worker].append(msg)
-        for msg in net.collect().values():
+        got = net.collect()
+        for k, msg in got.items():
             assert msg.copy_index <= t
+            # nothing is collected before it lands, and everything that
+            # landed is collected in the window it landed in
+            assert net.now - 1 <= msg.arrived_at < net.now
+            assert msg is min((m for m in landed if m.worker == k),
+                              key=lambda m: m.worker_stamp)
+        assert {msg.worker for msg in landed} == set(got)
+        # what collect leaves is still in flight
+        assert all(msg.arrived_at >= net.now for msg in net._inbox)
     if not reorder:
         for msgs in arrivals.values():
             for a, b in zip(msgs, msgs[1:]):

@@ -19,7 +19,7 @@ failed-operation counts; the machine fields of the ``environment``
 block the harness wrote for the change's last run; and, per side, the
 tier-1 wall times, their median and the suite's summary line. The
 per-layer (``--trace 1``) metrics are not recorded: several of them
-read 0 until the tracer is repaired (ROADMAP item 1).
+read 0 until the tracer is repaired (ROADMAP item 3).
 """
 
 import json
