@@ -50,6 +50,11 @@ def _check_integer(name, value, least):
                          % (name, least, value))
 
 
+def _is_real(value):
+    # numpy floats are Real; bools are Integral, but not weights or odds
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class SparsePcaSpec:
     """Instance description; ``rows`` and ``nonzero_prob`` may be per-component lists."""
@@ -64,7 +69,8 @@ class SparsePcaSpec:
     def __post_init__(self):
         for name, least in (("dim", 1), ("num_components", 1), ("seed", 0)):
             _check_integer(name, getattr(self, name), least)
-        if not 0 <= self.l1_weight < math.inf:     # NaN fails too
+        if not (_is_real(self.l1_weight)
+                and 0 <= self.l1_weight < math.inf):     # NaN fails too
             raise ValueError("l1_weight must be nonnegative and finite, not %r"
                              % (self.l1_weight,))
         for name in ("rows", "nonzero_prob"):
@@ -72,12 +78,13 @@ class SparsePcaSpec:
             if size not in (1, self.num_components):
                 raise ValueError("%s needs 1 or %d entries, got %d"
                                  % (name, self.num_components, size))
-        # as objects, so a bool in a list is not cast to an integer
+        # as objects, so a bool or a string in a list is not cast to a number
         for m in np.atleast_1d(np.asarray(self.rows, dtype=object)):
             _check_integer("rows", m, 1)
-        for p in np.atleast_1d(self.nonzero_prob):
-            if not 0.0 <= float(p) <= 1.0:
-                raise ValueError("nonzero_prob must lie in [0, 1]")
+        for p in np.atleast_1d(np.asarray(self.nonzero_prob, dtype=object)):
+            if not (_is_real(p) and 0.0 <= p <= 1.0):
+                raise ValueError("nonzero_prob must be a number in [0, 1], not %r"
+                                 % (p,))
 
 
 def _per_component(value, count):
@@ -149,8 +156,8 @@ def _cell_run(cell, seed, max_iters, epsilon):
     return spec, config
 
 
-def run_campaign(cells, seeds=20, max_iters=5000, epsilon=1e-3,
-                 progress=None):
+def run_campaign(cells, seeds=20, max_iters=RunConfig.max_iters,
+                 epsilon=RunConfig.epsilon, progress=None):
     """Run every cell over the given seeds and aggregate iterations-to-threshold.
 
     ``seeds`` is a count of at least 1 (seeds 0..n-1) or a nonempty

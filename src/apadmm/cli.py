@@ -8,6 +8,8 @@ run
     0 converged, 2 iteration cap, 3 staleness violation, 4 rejected
     stepsize. Config comes from defaults, then an optional preset, then
     an optional JSON file, then flags; each layer overrides the previous.
+    A flag's argparse dest is the config key it sets, ``instance.``
+    prefixed for the instance keys.
 certify
     Print the descent margin for a penalty, or the minimal feasible
     penalty when none is given.
@@ -16,7 +18,8 @@ bench
     aggregate CSV.
 check
     Replay the residual checks on a stored trace. Needs the state file
-    written by ``run --full-trace``.
+    written by ``run --full-trace``. The checks run at fixed tolerances
+    (``diagnostics``), so the verdict depends on the stored run alone.
 
 All CSV output is UTF-8 with LF line endings; floats are written with
 ``repr`` so identical runs produce byte-identical files.
@@ -204,53 +207,29 @@ def _merge_config_file(cfg, inst, path):
             raise CliError("unknown config key '%s'" % key)
 
 
-def _parse_scalar_or_list(text, convert, flag):
+def _parse_scalar_or_list(text, flag):
     try:
-        parts = [convert(p) for p in text.split(",")]
+        parts = [float(p) for p in text.split(",")]
     except ValueError:
         raise CliError("bad value for %s: %r" % (flag, text))
     return parts[0] if len(parts) == 1 else parts
 
 
-def _float_or_list(flag):
-    return lambda text: _parse_scalar_or_list(text, float, flag)
-
-
-def _rho_flag(text):
-    return ("auto" if text == "auto" else
-            _parse_scalar_or_list(text, float, "--rho"))
-
-
-# (argparse dest, key it sets, parser for the flag's text or None); a flag
-# left at None keeps the value from the layers below it
-_CONFIG_FLAGS = (
-    ("algo", "algorithm", None),
-    ("rho", "rho", _rho_flag),
-    ("seed", "seed", None),
-    ("max_iters", "max_iters", None),
-    ("epsilon", "epsilon", None),
-    ("delay_bound", "delay_bound", _float_or_list("--delay-bound")),
-    ("enforcement", "enforcement", None),
-    ("init", "init", None),
-    ("force", "force", None),
-    ("full_trace", "full_trace", None),
-)
-_INSTANCE_FLAGS = (
-    ("N", "dim", None),
-    ("K", "num_components", None),
-    ("M", "rows", None),
-    ("p", "nonzero_prob", None),
-    ("lam", "l1_weight", None),
-    ("instance_seed", "seed", None),
-)
-
-
 def _apply_run_flags(cfg, inst, args):
-    for target, table in ((cfg, _CONFIG_FLAGS), (inst, _INSTANCE_FLAGS)):
-        for dest, key, parse in table:
-            value = getattr(args, dest)
-            if value is not None:
-                target[key] = value if parse is None else parse(value)
+    # each run flag's dest is the key it sets, an instance key prefixed
+    # "instance."; a flag left at None keeps the value from the layers
+    # below it, and only the two list flags are parsed from their text
+    for dest, value in vars(args).items():
+        if value is None:
+            continue
+        if dest == "rho" and value != "auto":
+            value = _parse_scalar_or_list(value, "--rho")
+        elif dest == "delay_bound":
+            value = _parse_scalar_or_list(value, "--delay-bound")
+        if dest in _RUN_FIELDS:
+            cfg[dest] = value
+        elif dest.startswith("instance."):
+            inst[dest.removeprefix("instance.")] = value
 
 
 # -- subcommands -------------------------------------------------------------
@@ -393,11 +372,7 @@ def cmd_check(args):
             "trace was produced by exact subproblem minimization; the "
             "residual checks apply to proximal-update runs only")
     try:
-        report = trace_residuals(
-            problem, trace, rho, delay_bounds,
-            dual_tol=args.dual_tol, descent_tol=args.descent_tol,
-            telescope_tol=args.telescope_tol, dual_diff_tol=args.dual_diff_tol,
-            lower_tol=args.lower_tol)
+        report = trace_residuals(problem, trace, rho, delay_bounds)
     except ValueError as exc:  # snapshots that do not fit the trace or data
         raise CliError("cannot check %r: %s" % (args.trace, exc))
     for line in report.lines():
@@ -419,7 +394,7 @@ def build_parser():
                    help="JSON config; flags override file values")
     p.add_argument("--preset", choices=sorted(RUN_PRESETS),
                    help="named instance + run configuration")
-    p.add_argument("--algo", choices=ALGORITHMS)
+    p.add_argument("--algo", dest="algorithm", choices=ALGORITHMS)
     p.add_argument("--rho", help="'auto', a number, or comma list per worker")
     p.add_argument("--seed", type=int)
     p.add_argument("--max-iters", type=int)
@@ -436,12 +411,18 @@ def build_parser():
                    help="run even with an uncertified stepsize")
     p.add_argument("--full-trace", action="store_true", default=None,
                    help="also store per-iteration state snapshots for check")
-    p.add_argument("--N", type=int, help="instance dimension")
-    p.add_argument("--K", type=int, help="number of components")
-    p.add_argument("--M", type=int, help="rows per component")
-    p.add_argument("--p", type=float, help="nonzero probability")
-    p.add_argument("--lam", type=float, help="l1 weight")
-    p.add_argument("--instance-seed", type=int)
+    p.add_argument("--N", type=int, dest="instance.dim",
+                   metavar="N", help="instance dimension")
+    p.add_argument("--K", type=int, dest="instance.num_components",
+                   metavar="K", help="number of components")
+    p.add_argument("--M", type=int, dest="instance.rows",
+                   metavar="M", help="rows per component")
+    p.add_argument("--p", type=float, dest="instance.nonzero_prob",
+                   metavar="P", help="nonzero probability")
+    p.add_argument("--lam", type=float, dest="instance.l1_weight",
+                   metavar="LAM", help="l1 weight")
+    p.add_argument("--instance-seed", type=int, dest="instance.seed",
+                   metavar="INSTANCE_SEED")
     p.add_argument("--out", default="trace.csv", metavar="FILE")
     p.add_argument("--dump-config", action="store_true",
                    help="print the effective config as JSON and exit")
@@ -463,14 +444,11 @@ def build_parser():
     group.add_argument("--preset", choices=BENCH_PRESETS)
     group.add_argument("--campaign", metavar="FILE",
                        help="JSON file with 'cells' and optional 'seeds'")
-    scale = p.add_mutually_exclusive_group()
-    scale.add_argument("--desk", action="store_true",
-                       help="scaled-down sweep (default)")
-    scale.add_argument("--paper", action="store_true",
-                       help="full-size sweep; slow")
+    p.add_argument("--paper", action="store_true",
+                   help="full-size sweep; slow")
     p.add_argument("--seeds", type=int, help="override the seed count")
-    p.add_argument("--max-iters", type=int, default=5000)
-    p.add_argument("--epsilon", type=float, default=1e-3)
+    p.add_argument("--max-iters", type=int, default=RunConfig.max_iters)
+    p.add_argument("--epsilon", type=float, default=RunConfig.epsilon)
     p.add_argument("--out", default="campaign.csv", metavar="FILE")
     p.add_argument("--progress", action="store_true",
                    help="per-run progress on stderr")
@@ -478,11 +456,6 @@ def build_parser():
 
     p = sub.add_parser("check", help="replay residual checks on a trace")
     p.add_argument("trace", help="trace CSV written by run")
-    p.add_argument("--dual-tol", type=float, default=1e-9)
-    p.add_argument("--descent-tol", type=float, default=1e-9)
-    p.add_argument("--telescope-tol", type=float, default=1e-6)
-    p.add_argument("--dual-diff-tol", type=float, default=1e-9)
-    p.add_argument("--lower-tol", type=float, default=1e-6)
     p.set_defaults(func=cmd_check)
 
     return parser

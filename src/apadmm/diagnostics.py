@@ -20,6 +20,12 @@ negative or NaN, and the check fails when any row does. A NaN anywhere
 in a margin's inputs therefore fails that row. Checks never abort a run;
 they return a report with pass/fail/skipped status, the worst margin
 seen (NaN if any margin is NaN), and the offending iterations.
+
+The allowed side of each check carries a fixed rounding tolerance, so a
+stored run's verdict depends on the run alone:
+``DUAL_TOL`` scales with one plus the dual's norm, ``DESCENT_TOL`` and
+``TELESCOPE_TOL`` with one plus the Lagrangian's (or the drop's) size,
+and ``DUAL_DIFF_TOL`` and ``LOWER_TOL`` are absolute.
 """
 
 from dataclasses import dataclass, field
@@ -38,6 +44,9 @@ __all__ = [
     "CheckOutcome",
     "TraceReport",
 ]
+
+DUAL_TOL, DESCENT_TOL, TELESCOPE_TOL, DUAL_DIFF_TOL, LOWER_TOL = (
+    1e-9, 1e-9, 1e-6, 1e-9, 1e-6)
 
 
 def stationarity(state, terms, diff=None):
@@ -108,9 +117,7 @@ def _outcome(name, margins, first=1):
                         float(margins.min()), failing)
 
 
-def trace_residuals(problem, trace, rho, delay_bounds,
-                    dual_tol=1e-9, descent_tol=1e-9, telescope_tol=1e-6,
-                    dual_diff_tol=1e-9, lower_tol=1e-6):
+def trace_residuals(problem, trace, rho, delay_bounds):
     """Residual report for a stored run.
 
     Needs per-iteration state snapshots (runs recorded with full tracing);
@@ -139,14 +146,14 @@ def trace_residuals(problem, trace, rho, delay_bounds,
     for st in states[1:]:
         points = np.array([states[max(int(i) - 1, 0)].x for i in st.stale_index])
         residual = _block_pass(problem.operator, points)[1] + st.y
-        allowed = dual_tol * (1.0 + np.sqrt(_row_dots(st.y, st.y)))
+        allowed = DUAL_TOL * (1.0 + np.sqrt(_row_dots(st.y, st.y)))
         dual.append(np.min(allowed - np.sqrt(_row_dots(residual, residual))))
 
     # per-iteration descent of the augmented Lagrangian
     lagrangian = np.array([augmented_lagrangian(problem, states[0], rho),
                            *trace.lagrangian])
     before, after = lagrangian[:-1], lagrangian[1:]
-    descent = before + descent_tol * (1.0 + np.abs(before)) - after
+    descent = before + DESCENT_TOL * (1.0 + np.abs(before)) - after
 
     # telescoped descent with general-class margins
     alpha = np.sum([descent_margin(r_k, L, T_k, "general")
@@ -158,7 +165,7 @@ def trace_residuals(problem, trace, rho, delay_bounds,
         claim += float(local @ (dxk * dxk).sum(axis=1))
         claim += float(alpha * steps[r])
     drop = lagrangian[0] - lagrangian[-1]
-    slack = telescope_tol * (1.0 + max(abs(drop), abs(claim)))
+    slack = TELESCOPE_TOL * (1.0 + max(abs(drop), abs(claim)))
     telescoped = [drop + slack - claim]
 
     # dual-difference bound over the staleness window: row r's window for
@@ -170,7 +177,7 @@ def trace_residuals(problem, trace, rho, delay_bounds,
     difference = []
     for r in range(1, rows + 1):
         windows = np.cumsum([steps[max(r - i, 0)] for i in range(t_max + 1)])
-        bound = scale * windows[T] + dual_diff_tol
+        bound = scale * windows[T] + DUAL_DIFF_TOL
         dy = states[r].y - states[r - 1].y
         difference.append(np.min(bound - [float(d @ d) for d in dy]))
 
@@ -185,5 +192,5 @@ def trace_residuals(problem, trace, rho, delay_bounds,
         _outcome("telescoped_descent", telescoped, first=rows),
         # too short a trace holds no full window, so the check is skipped
         _outcome("dual_difference", difference if rows >= t_max + 2 else []),
-        _outcome("lower_bound", lagrangian + lower_tol - floor, first=0),
+        _outcome("lower_bound", lagrangian + LOWER_TOL - floor, first=0),
     ])

@@ -89,6 +89,15 @@ def test_spec_validation():
                 dict(rows=0)):
         with pytest.raises(ValueError, match="must be an integer of at least"):
             SparsePcaSpec(**dict(dict(dim=5, num_components=2), **bad))
+    # a string or a bool is no number, alone or in a list
+    for bad in ("0.5", True, [True, "1"]):
+        with pytest.raises(ValueError, match=r"nonzero_prob must be a number in "
+                                             r"\[0, 1\], not (True|'0.5')$"):
+            SparsePcaSpec(dim=5, num_components=2, nonzero_prob=bad)
+    for bad in ("0.5", True):
+        with pytest.raises(ValueError, match="l1_weight must be nonnegative and "
+                                             "finite, not %r$" % bad):
+            SparsePcaSpec(dim=5, num_components=2, l1_weight=bad)
     # numpy integers are integers
     spec = SparsePcaSpec(dim=np.int64(5), num_components=np.int32(2), rows=[3, 4],
                          seed=np.uint8(7))

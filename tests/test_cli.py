@@ -206,6 +206,17 @@ def test_run_rejects_malformed_config_values(tmp_path, capsys, config, needle):
     assert needle in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["check", "t.csv", "--dual-tol", "1e-3"], "--dual-tol"),
+    (["bench", "--preset", "table1", "--desk"], "--desk"),
+], ids=["check_tolerance", "bench_desk"])
+def test_removed_flags_are_rejected_by_the_parser(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("instance,flags,needle", [
     ({"rows": [20, 30]}, [], "rows needs 1 or 5 entries, got 2"),
     ({"nonzero_prob": [0.1, 0.2, 0.3]}, [], "nonzero_prob needs 1 or 5 entries, got 3"),
@@ -215,9 +226,17 @@ def test_run_rejects_malformed_config_values(tmp_path, capsys, config, needle):
     ({}, ["--instance-seed", "-1"], "seed must be an integer of at least 0, not -1"),
     ({"seed": "a"}, [], "seed must be an integer of at least 0, not 'a'"),
     ({"rows": 2.5}, [], "rows must be an integer of at least 1, not 2.5"),
+    ({"nonzero_prob": "0.5"}, [], "nonzero_prob must be a number in [0, 1], not '0.5'"),
+    ({"nonzero_prob": True}, [], "nonzero_prob must be a number in [0, 1], not True"),
+    ({"nonzero_prob": [True, "1"]}, ["--K", "2"],
+     "nonzero_prob must be a number in [0, 1], not True"),
+    ({"l1_weight": "0.5"}, [], "l1_weight must be nonnegative and finite, not '0.5'"),
+    ({"l1_weight": True}, [], "l1_weight must be nonnegative and finite, not True"),
 ], ids=["rows_wrong_length", "nonzero_prob_wrong_length", "dim_fractional",
         "components_fractional", "dim_bool", "seed_negative", "seed_mistyped",
-        "rows_fractional"])
+        "rows_fractional", "nonzero_prob_string", "nonzero_prob_bool",
+        "nonzero_prob_list_of_bool_and_string", "l1_weight_string",
+        "l1_weight_bool"])
 def test_run_rejects_a_bad_instance_before_drawing_it(tmp_path, capsys, instance,
                                                       flags, needle):
     path = tmp_path / "cfg.json"
@@ -274,6 +293,23 @@ def test_dump_config_round_trips(tmp_path, capsys):
     path.write_text(first)
     assert run_cli(["run", "--config", str(path), "--dump-config"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_dump_config_shows_each_run_flag_at_its_key(capsys):
+    assert run_cli([
+        "run", "--algo", "sync_padmm", "--rho", "8,9", "--seed", "4",
+        "--max-iters", "123", "--epsilon", "0.01", "--delay-bound", "1,2",
+        "--observe", "--init", "zero", "--force", "--full-trace",
+        "--N", "7", "--K", "2", "--M", "4", "--p", "0.3", "--lam", "0.25",
+        "--instance-seed", "9", "--dump-config"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "algorithm": "sync_padmm", "rho": [8.0, 9.0], "seed": 4,
+        "max_iters": 123, "epsilon": 0.01, "delay_bound": [1.0, 2.0],
+        "cert_delay": None, "enforcement": "observe", "init": "zero",
+        "force": True, "full_trace": True, "compute_delay": None,
+        "downlink": None, "uplink": None,
+        "instance": {"dim": 7, "num_components": 2, "rows": 4,
+                     "nonzero_prob": 0.3, "l1_weight": 0.25, "seed": 9}}
 
 
 def test_run_flag_overrides_config_file(tmp_path, capsys):

@@ -114,7 +114,7 @@ def main(argv):
                                 "runs": times[side], "summary": lines[side]}
                          for side in times},
         "per_layer": "not recorded: several per-layer metrics read 0 until "
-                     "the tracer is repaired (ROADMAP item 1)",
+                     "the tracer is repaired (ROADMAP item 3)",
     }
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)
