@@ -28,6 +28,7 @@ their update count.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +36,7 @@ import numpy as np
 from .problems import (IterationTrace, SolverState, augmented_lagrangian,
                        consensus_terms, initial_state, penalized_argmin)
 from .prox import _norm, prox_l1_ball
-from .simnet import DelayModel, LinkModel, StarNetwork, _is_number
+from .simnet import DelayModel, LinkModel, StarNetwork, _delay, _is_number
 from .stepsize import certify, default_penalties, exact_baseline_penalty
 from . import diagnostics
 
@@ -56,12 +57,16 @@ ALGORITHMS = ("async_padmm", "sync_padmm", "sync_admm")
 class RunConfig:
     """Everything a run needs beyond the problem itself.
 
-    Model fields (``compute_delay``, ``downlink``, ``uplink``) hold plain
-    JSON-able specs, parsed at run time by ``DelayModel.from_spec`` and
-    ``LinkModel.from_spec``, which document the format; delays are in
-    windows, one master iteration each. A single spec applies to every
-    worker; a list gives one per worker. ``compute_delay=None`` defaults
-    to uniform(0, T_k).
+    The per-component keys (``delay_bound``, ``cert_delay``, ``rho``,
+    ``compute_delay``, ``downlink``, ``uplink``) take one value for every
+    worker or a list of 1 or K, one per worker; a 1-entry list runs
+    exactly as its value. Model fields (``compute_delay``, ``downlink``,
+    ``uplink``) hold plain JSON-able specs, parsed at run time by
+    ``DelayModel.from_spec`` and ``LinkModel.from_spec``, which document
+    the format; delays are finite and nonnegative, in windows, one
+    master iteration each. ``compute_delay=None`` defaults to
+    uniform(0, T_k). ``seed`` is an integer of at least 0 and
+    ``max_iters`` one of at least 1.
 
     ``delay_bound`` is the staleness level enforcement acts on;
     ``cert_delay`` is the staleness level the automatic penalty rule
@@ -98,11 +103,8 @@ class RunConfig:
         if not (_is_number(self.epsilon) and self.epsilon > 0):
             raise ValueError("epsilon must be a positive number, not %r"
                              % (self.epsilon,))
-        if not (_is_number(self.max_iters) and self.max_iters >= 1):
-            raise ValueError("max_iters must be a number of at least 1, not %r"
-                             % (self.max_iters,))
-        if not _is_number(self.seed):
-            raise ValueError("seed must be a number, not %r" % (self.seed,))
+        _check_integer("max_iters", self.max_iters, 1)
+        _check_integer("seed", self.seed, 0)
         if self.enforcement not in ("enforce", "observe"):
             raise ValueError("enforcement must be 'enforce' or 'observe'")
         if self.init not in ("zero", "random_ball"):
@@ -196,41 +198,43 @@ def exact_admm_iteration(problem, state, rho, x_new):
 # -- config resolution -------------------------------------------------------
 
 
-def _per_worker(spec, count, build, name):
-    if isinstance(spec, (list, tuple, np.ndarray)):
-        if len(spec) != count:
-            raise ValueError("%s list has %d entries for %d components"
-                             % (name, len(spec), count))
-        return [build(s) for s in spec]
-    return [build(spec) for _ in range(count)]
+def _check_integer(name, value, least):
+    # numpy integers are Integral; bools are too, but not counts
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValueError("%s must be an integer of at least %d, not %r"
+                         % (name, least, value))
 
 
-def _numbers(spec, count, name, valid, expected):
-    def check(value):
-        if not (_is_number(value) and valid(value)):
-            raise ValueError("%s must be %s, not %r" % (name, expected, value))
-        return float(value)
-    return np.array(_per_worker(spec, count, check, name))
+def _per_worker(value, count, name):
+    """``count`` entries from one value, or from a list of 1 or ``count``."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()      # a 0-d array is one value
+    if not isinstance(value, (list, tuple)):
+        return [value] * count
+    if len(value) not in (1, count):
+        raise ValueError("%s needs 1 or %d entries, got %d"
+                         % (name, count, len(value)))
+    return list(value) if len(value) == count else [value[0]] * count
 
 
-def _nonnegative(spec, count, name):
-    return _numbers(spec, count, name, lambda v: v >= 0, "a nonnegative number")
+def _delays(spec, count, name):
+    return np.array([_delay(v, name) for v in _per_worker(spec, count, name)])
 
 
 def _build_network(problem, config, delay_bounds):
     K = problem.num_components
-    downs = _per_worker(config.downlink, K,
-                        lambda s: LinkModel.from_spec(s, "downlink"), "downlink")
-    ups = _per_worker(config.uplink, K,
-                      lambda s: LinkModel.from_spec(s, "uplink"), "uplink")
+    downs = [LinkModel.from_spec(s, "downlink")
+             for s in _per_worker(config.downlink, K, "downlink")]
+    ups = [LinkModel.from_spec(s, "uplink")
+           for s in _per_worker(config.uplink, K, "uplink")]
     compute = config.compute_delay
     if compute is None:
         # uniform(0, 0) draws nothing from the rng, like constant(0)
         compute = [DelayModel.uniform(0.0, T) for T in delay_bounds]
-    computes = _per_worker(
-        compute, K, lambda s: DelayModel.from_spec(s, "compute_delay"),
-        "compute_delay")
-    return StarNetwork(K, downs, ups, computes, seed=[int(config.seed), 29])
+    computes = [DelayModel.from_spec(s, "compute_delay")
+                for s in _per_worker(compute, K, "compute_delay")]
+    return StarNetwork(K, downs, ups, computes, seed=[config.seed, 29])
 
 
 def _resolve_rho(problem, config, cert_delays):
@@ -238,8 +242,12 @@ def _resolve_rho(problem, config, cert_delays):
     lipschitz = problem.lipschitz
     # every component is a concave quadratic
     if not (isinstance(config.rho, str) and config.rho == "auto"):
-        rho = _numbers(config.rho, K, "rho", lambda v: 0 < v < math.inf,
-                       "'auto', a positive number or one per component")
+        rho = _per_worker(config.rho, K, "rho")
+        for r in rho:
+            if not (_is_number(r) and 0 < r < math.inf):
+                raise ValueError("rho must be 'auto', a positive number or one "
+                                 "per component, not %r" % (r,))
+        rho = np.array(rho, dtype=float)
     elif config.algorithm == "sync_admm":
         rho = np.array([exact_baseline_penalty(L, "concave") for L in lipschitz])
     else:
@@ -252,7 +260,7 @@ def _resolve_rho(problem, config, cert_delays):
 def _initial(problem, config):
     if config.init == "zero":
         return initial_state(problem)
-    rng = np.random.default_rng([int(config.seed), 17])
+    rng = np.random.default_rng([config.seed, 17])
     direction = rng.standard_normal(problem.dim)
     direction /= max(_norm(direction), 1e-300)
     return initial_state(problem, 0.5 * problem.radius * direction)
@@ -286,9 +294,9 @@ def run(problem, config):
     """
     config.validate()
     K = problem.num_components
-    delay_bounds = _nonnegative(config.delay_bound, K, "delay_bound")
+    delay_bounds = _delays(config.delay_bound, K, "delay_bound")
     cert_delays = (delay_bounds if config.cert_delay is None
-                   else _nonnegative(config.cert_delay, K, "cert_delay"))
+                   else _delays(config.cert_delay, K, "cert_delay"))
     net = _build_network(problem, config, delay_bounds)
     asynchronous = config.algorithm == "async_padmm"
     exact = config.algorithm == "sync_admm"

@@ -23,8 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import ALGORITHMS, RunConfig, _nonnegative, run
+from .algorithms import (ALGORITHMS, RunConfig, _check_integer, _delays,
+                         _per_worker, run)
 from .problems import ConsensusProblem
+from .simnet import _is_number
 
 __all__ = [
     "SparsePcaSpec",
@@ -42,19 +44,6 @@ CAMPAIGN_COLUMNS = ("algorithm", "N", "K", "T", "lambda", "seed_count",
                     "mean_iters", "std_iters", "censored_count")
 
 
-def _check_integer(name, value, least):
-    # numpy integers are Integral; bools are too, but not counts
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < least):
-        raise ValueError("%s must be an integer of at least %d, not %r"
-                         % (name, least, value))
-
-
-def _is_real(value):
-    # numpy floats are Real; bools are Integral, but not weights or odds
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 @dataclass
 class SparsePcaSpec:
     """Instance description; ``rows`` and ``nonzero_prob`` may be per-component lists."""
@@ -69,28 +58,17 @@ class SparsePcaSpec:
     def __post_init__(self):
         for name, least in (("dim", 1), ("num_components", 1), ("seed", 0)):
             _check_integer(name, getattr(self, name), least)
-        if not (_is_real(self.l1_weight)
+        if not (_is_number(self.l1_weight)
                 and 0 <= self.l1_weight < math.inf):     # NaN fails too
             raise ValueError("l1_weight must be nonnegative and finite, not %r"
                              % (self.l1_weight,))
-        for name in ("rows", "nonzero_prob"):
-            size = np.size(getattr(self, name))
-            if size not in (1, self.num_components):
-                raise ValueError("%s needs 1 or %d entries, got %d"
-                                 % (name, self.num_components, size))
-        # as objects, so a bool or a string in a list is not cast to a number
-        for m in np.atleast_1d(np.asarray(self.rows, dtype=object)):
+        K = self.num_components
+        for m in _per_worker(self.rows, K, "rows"):
             _check_integer("rows", m, 1)
-        for p in np.atleast_1d(np.asarray(self.nonzero_prob, dtype=object)):
-            if not (_is_real(p) and 0.0 <= p <= 1.0):
+        for p in _per_worker(self.nonzero_prob, K, "nonzero_prob"):
+            if not (_is_number(p) and 0.0 <= p <= 1.0):
                 raise ValueError("nonzero_prob must be a number in [0, 1], not %r"
                                  % (p,))
-
-
-def _per_component(value, count):
-    # one entry or ``count``, as the spec checked
-    arr = np.atleast_1d(np.asarray(value))
-    return [arr.item()] * count if arr.size == 1 else list(arr)
 
 
 def generate(spec):
@@ -100,8 +78,8 @@ def generate(spec):
     so the same seed always produces bit-identical data.
     """
     rng = np.random.default_rng(spec.seed)
-    rows = _per_component(spec.rows, spec.num_components)
-    probs = _per_component(spec.nonzero_prob, spec.num_components)
+    rows = _per_worker(spec.rows, spec.num_components, "rows")
+    probs = _per_worker(spec.nonzero_prob, spec.num_components, "nonzero_prob")
     data = []
     for m, p in zip(rows, probs):
         shape = (m, spec.dim)
@@ -146,13 +124,13 @@ def _cell_run(cell, seed, max_iters, epsilon):
         dim=cell.dim, num_components=cell.num_components,
         rows=cell.rows, nonzero_prob=cell.nonzero_prob,
         l1_weight=cell.l1_weight, seed=seed)
+    _delays(cell.delay_bound, cell.num_components, "delay_bound")
     config = RunConfig(
         algorithm=cell.algorithm, delay_bound=cell.delay_bound,
         cert_delay=_mean_gradient_age(cell.delay_bound),
         seed=seed, max_iters=max_iters, epsilon=epsilon,
         init="random_ball", enforcement="observe")
     config.validate()
-    _nonnegative(cell.delay_bound, cell.num_components, "delay_bound")
     return spec, config
 
 
@@ -161,19 +139,21 @@ def run_campaign(cells, seeds=20, max_iters=RunConfig.max_iters,
     """Run every cell over the given seeds and aggregate iterations-to-threshold.
 
     ``seeds`` is a count of at least 1 (seeds 0..n-1) or a nonempty
-    iterable of integers of at least 0; anything else raises ValueError,
-    naming the bad value, before any run. Async runs observe rather than
-    enforce the staleness bound, matching the delay model the sweep
-    itself injects, and certify penalties at the model's mean gradient
-    age; each seed regenerates both the instance and the delays. Returns
-    one dict per cell in campaign-CSV column order. Every cell's instance
-    and config are checked before the first run, so a bad cell raises
-    ValueError, naming its index, before any cell has run.
+    iterable, not a string, of integers of at least 0; anything else
+    raises ValueError, naming the bad value, before any run. Async runs
+    observe rather than enforce the staleness bound, matching the delay
+    model the sweep itself injects, and certify penalties at the model's
+    mean gradient age; each seed regenerates both the instance and the
+    delays. Returns one dict per cell in campaign-CSV column order. Every
+    cell's instance and config are checked before the first run, so a
+    bad cell raises ValueError, naming its index, before any cell has run.
     """
     if isinstance(seeds, numbers.Integral):
         _check_integer("seed count", seeds, 1)
         seeds = range(seeds)
-    listed = list(seeds) if isinstance(seeds, Iterable) else []
+    # a string iterates over its characters, but lists no seeds
+    listed = (list(seeds) if isinstance(seeds, Iterable)
+              and not isinstance(seeds, str) else [])
     if not listed:
         raise ValueError("seeds must be a count of at least 1 or a nonempty "
                          "list of seeds, not %r" % (seeds,))

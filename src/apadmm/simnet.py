@@ -39,6 +39,7 @@ configs hold.
 
 import copy
 import heapq
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -65,6 +66,14 @@ _KEY_TYPES = {
                "a list of numbers"),
     "allow_reordering": (lambda v: isinstance(v, bool), "true or false"),
 }
+
+
+def _delay(value, name):
+    # NaN fails the comparison too; a dead link is loss 1, not an endless delay
+    if not (_is_number(value) and 0 <= value < math.inf):
+        raise ValueError("%s must be a finite nonnegative number, not %r"
+                         % (name, value))
+    return float(value)
 
 
 def _check_keys(spec, name, required, optional):
@@ -97,20 +106,18 @@ class DelayModel:
     def __init__(self, kind, value=0.0, lo=0.0, hi=0.0, values=None, name="delay"):
         self.kind = kind
         if kind == "constant":
-            if value < 0:
-                raise ValueError("%s.value must be nonnegative, not %r" % (name, value))
-            self.value = float(value)
+            self.value = _delay(value, name + ".value")
         elif kind == "uniform":
-            if lo < 0 or hi < lo:
-                raise ValueError("%s.%s must satisfy 0 <= lo <= hi, not lo=%r, hi=%r"
-                                 % (name, "lo" if lo < 0 else "hi", lo, hi))
-            self.lo, self.hi = float(lo), float(hi)
+            self.lo, self.hi = _delay(lo, name + ".lo"), _delay(hi, name + ".hi")
+            if hi < lo:
+                raise ValueError("%s.hi must be at least lo, not lo=%r, hi=%r"
+                                 % (name, lo, hi))
         elif kind == "empirical":
-            vals = [float(v) for v in (values or [])]
-            if not vals or any(v < 0 for v in vals):
-                raise ValueError("%s.values must be a nonempty list of nonnegative "
-                                 "numbers, not %r" % (name, values))
-            self.values = vals
+            if not values:
+                raise ValueError("%s.values must be a nonempty list, not %r"
+                                 % (name, values))
+            self.values = [_delay(v, "%s.values[%d]" % (name, i))
+                           for i, v in enumerate(values)]
             self._cursor = 0
         else:
             raise ValueError("unknown delay kind %r" % (kind,))
@@ -136,7 +143,8 @@ class DelayModel:
         0), ``{"kind": "uniform", "lo": lo, "hi": hi}`` (lo defaults to 0)
         or ``{"kind": "empirical", "values": [...]}``, a list consumed in
         order. A ``DelayModel`` passes through. A missing, unknown or
-        mistyped key raises ValueError naming the field.
+        mistyped key, or a delay that is negative, infinite or NaN, raises
+        ValueError naming the field.
         """
         if spec is None:
             return cls.constant(0.0)

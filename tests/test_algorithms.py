@@ -1,5 +1,6 @@
 """Solver tests: hand-checked iterations, run() drivers, termination paths."""
 
+import math
 import re
 import warnings
 
@@ -452,15 +453,42 @@ def test_config_validation_errors():
     # per-worker lists of the wrong length for K=3
     for name in ("delay_bound", "cert_delay", "compute_delay", "uplink",
                  "downlink"):
-        with pytest.raises(ValueError, match="%s list has 2 entries" % name):
+        with pytest.raises(ValueError, match="%s needs 1 or 3 entries, got 2" % name):
             run(problem, RunConfig(**{name: [1.0, 2.0]}))
     # a malformed list raises before the stepsize verdict
-    with pytest.raises(ValueError, match="uplink list"):
+    with pytest.raises(ValueError, match="uplink needs 1 or 3 entries"):
         run(problem, RunConfig(rho=0.01, uplink=[0.0, 0.0]))
     with pytest.raises(ValueError):
         run(problem, RunConfig(cert_delay=-1.0))
     with pytest.raises(ValueError):
         run(problem, RunConfig(init="warm"))
+    # a fractional seed used to run as its integer part, and an infinite
+    # cap never stopped an unconverged run
+    for key, value, least in (("seed", 1.5, 0), ("seed", -1, 0), ("seed", True, 0),
+                              ("max_iters", 2.5, 1), ("max_iters", math.inf, 1)):
+        match = "%s must be an integer of at least %d, not %r" % (key, least, value)
+        with pytest.raises(ValueError, match=re.escape(match) + "$"):
+            run(problem, RunConfig(**{key: value}))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("delay_bound", 2), ("rho", 80.0),
+    ("compute_delay", {"kind": "uniform", "hi": 1.5})])
+def test_a_one_entry_list_runs_exactly_as_its_scalar(key, value):
+    problem = desk_problem()
+    base = dict(delay_bound=2, seed=5, max_iters=40, epsilon=1e-12,
+                enforcement="observe", full_trace=True)
+    a = run(problem, RunConfig(**dict(base, **{key: value})))
+    b = run(problem, RunConfig(**dict(base, **{key: [value]})))
+    assert len(a.trace) == len(b.trace) == 40
+    for name in ("lagrangian", "objective", "feas_gap", "prox_grad_norm",
+                 "measure", "sim_time", "collected"):
+        assert getattr(a.trace, name) == getattr(b.trace, name)
+    for sa, sb in zip(a.trace.states, b.trace.states, strict=True):
+        for name in ("x", "x_local", "y", "stale_index"):
+            np.testing.assert_array_equal(getattr(sa, name), getattr(sb, name))
+    np.testing.assert_array_equal(a.rho, b.rho)
+    assert a.violations == b.violations
 
 
 @pytest.mark.parametrize("name,spec,match", [
@@ -484,14 +512,36 @@ def test_config_validation_errors():
     ("downlink", {"allow_reordering": "no"},
      r"downlink\.allow_reordering must be true or false"),
     ("compute_delay", {"kind": "uniform", "hi": -1},
-     r"compute_delay\.hi must satisfy 0 <= lo <= hi, not lo=0\.0, hi=-1"),
+     r"compute_delay\.hi must be a finite nonnegative number, not -1$"),
     ("compute_delay", {"kind": "uniform", "lo": -1, "hi": 1},
-     r"compute_delay\.lo must satisfy 0 <= lo <= hi"),
+     r"compute_delay\.lo must be a finite nonnegative number, not -1$"),
+    ("compute_delay", {"kind": "uniform", "lo": 2, "hi": 1},
+     r"compute_delay\.hi must be at least lo, not lo=2, hi=1$"),
     ("compute_delay", {"kind": "empirical", "values": []},
-     r"compute_delay\.values must be a nonempty list of nonnegative numbers"),
+     r"compute_delay\.values must be a nonempty list, not \[\]$"),
     ("uplink", {"delay": {"kind": "empirical", "values": [1, -2]}},
-     r"uplink\.delay\.values must be a nonempty list"),
-    ("downlink", -0.5, r"downlink\.value must be nonnegative, not -0\.5"),
+     r"uplink\.delay\.values\[1\] must be a finite nonnegative number, not -2$"),
+    ("downlink", -0.5,
+     r"downlink\.value must be a finite nonnegative number, not -0\.5$"),
+    # NaN and infinity are no delays: a dead link is loss 1
+    ("compute_delay", math.nan,
+     r"compute_delay\.value must be a finite nonnegative number, not nan$"),
+    ("compute_delay", math.inf,
+     r"compute_delay\.value must be a finite nonnegative number, not inf$"),
+    ("compute_delay", {"kind": "constant", "value": math.nan},
+     r"compute_delay\.value must be a finite nonnegative number, not nan$"),
+    ("downlink", {"delay": {"kind": "uniform", "hi": math.inf}},
+     r"downlink\.delay\.hi must be a finite nonnegative number, not inf$"),
+    ("downlink", {"delay": {"kind": "uniform", "lo": math.nan, "hi": 1}},
+     r"downlink\.delay\.lo must be a finite nonnegative number, not nan$"),
+    ("uplink", {"delay": {"kind": "empirical", "values": [1, math.inf]}},
+     r"uplink\.delay\.values\[1\] must be a finite nonnegative number, not inf$"),
+    ("uplink", {"delay": math.nan},
+     r"uplink\.delay\.value must be a finite nonnegative number, not nan$"),
+    ("delay_bound", math.inf,
+     r"delay_bound must be a finite nonnegative number, not inf$"),
+    ("cert_delay", [1, math.nan, 1],
+     r"cert_delay must be a finite nonnegative number, not nan$"),
 ])
 def test_malformed_delay_and_link_specs_name_the_field(name, spec, match):
     with pytest.raises(ValueError, match=match):

@@ -104,6 +104,10 @@ def test_spec_validation():
     assert [B.shape for B in generate(spec).data] == [(3, 5), (4, 5)]
     spec = SparsePcaSpec(dim=5, num_components=2, rows=np.array([3, 4], dtype=np.int16))
     assert [B.shape for B in generate(spec).data] == [(3, 5), (4, 5)]
+    # a 0-d array is one value
+    spec = SparsePcaSpec(dim=5, num_components=2, rows=np.array(3),
+                         nonzero_prob=np.array(0.5))
+    assert [B.shape for B in generate(spec).data] == [(3, 5), (3, 5)]
 
 
 def test_mean_gradient_age_rule():
@@ -178,8 +182,10 @@ def test_run_campaign_checks_every_cell_before_the_first_run():
     (True, "seed count must be an integer of at least 1, not True"),
     ([], "seeds must be a count of at least 1 or a nonempty list of seeds, not []"),
     (2.0, "seeds must be a count of at least 1 or a nonempty list of seeds, not 2.0"),
+    # a string is iterable, but its characters are no seeds
+    ("7", "seeds must be a count of at least 1 or a nonempty list of seeds, not '7'"),
 ], ids=["negative", "bool", "fractional", "zero_count", "bool_count", "empty",
-        "float_count"])
+        "float_count", "string"])
 def test_run_campaign_checks_the_seeds_before_the_first_run(seeds, needle):
     cell = CampaignCell(algorithm="async_padmm", dim=8, num_components=2,
                         delay_bound=1, rows=4, nonzero_prob=0.3)

@@ -184,26 +184,54 @@ def test_run_rejects_wrong_length_delay_bound_list(tmp_path, capsys):
     ('{"compute_delay": {"kind": "uniform", "hi": "x"}}',
      "compute_delay.hi must be a number"),
     ('{"epsilon": "x"}', "epsilon must be a positive number, not 'x'"),
-    ('{"delay_bound": null}', "delay_bound must be a nonnegative number, not None"),
+    ('{"delay_bound": null}',
+     "delay_bound must be a finite nonnegative number, not None"),
     ('{"compute_delay": {"kind": "uniform", "hi": -1}}',
-     "compute_delay.hi must satisfy 0 <= lo <= hi"),
+     "compute_delay.hi must be a finite nonnegative number, not -1"),
     ('{"rho": "x"}', "rho must be 'auto', a positive number"),
     ('{"rho": null}', "rho must be 'auto', a positive number"),
-    ('{"rho": [1, 2]}', "rho list has 2 entries for 3 components"),
+    ('{"rho": [1, 2]}', "rho needs 1 or 3 entries, got 2"),
     ('{"force": "no"}', "force must be true or false, not 'no'"),
+    ('{"seed": 1.5}', "seed must be an integer of at least 0, not 1.5"),
+    ('{"seed": -1}', "seed must be an integer of at least 0, not -1"),
+    ('{"seed": true}', "seed must be an integer of at least 0, not True"),
+    ('{"max_iters": 2.5}', "max_iters must be an integer of at least 1, not 2.5"),
+    ('{"max_iters": Infinity}',
+     "max_iters must be an integer of at least 1, not inf"),
+    ('{"compute_delay": NaN}',
+     "compute_delay.value must be a finite nonnegative number, not nan"),
+    ('{"compute_delay": NaN, "enforcement": "observe"}',
+     "compute_delay.value must be a finite nonnegative number, not nan"),
+    ('{"compute_delay": NaN, "algorithm": "sync_padmm"}',
+     "compute_delay.value must be a finite nonnegative number, not nan"),
+    ('{"compute_delay": Infinity, "algorithm": "sync_padmm"}',
+     "compute_delay.value must be a finite nonnegative number, not inf"),
+    ('{"downlink": {"delay": {"kind": "uniform", "hi": Infinity}}}',
+     "downlink.delay.hi must be a finite nonnegative number, not inf"),
+    ('{"delay_bound": Infinity, "algorithm": "sync_padmm"}',
+     "delay_bound must be a finite nonnegative number, not inf"),
 ], ids=["delay_missing_key", "link_unknown_key", "removed_knob",
         "removed_window", "delay_mistyped_value", "epsilon_mistyped",
         "delay_bound_null", "delay_out_of_range", "rho_mistyped", "rho_null",
-        "rho_wrong_length", "force_mistyped"])
+        "rho_wrong_length", "force_mistyped", "seed_fractional",
+        "seed_negative", "seed_bool", "max_iters_fractional",
+        "max_iters_infinite", "compute_delay_nan", "compute_delay_nan_observed",
+        "sync_compute_delay_nan", "sync_compute_delay_infinite",
+        "downlink_delay_infinite", "sync_delay_bound_infinite"])
 def test_run_rejects_malformed_config_values(tmp_path, capsys, config, needle):
+    # JSON NaN and Infinity parse to floats; none of these may run
     path = tmp_path / "cfg.json"
     path.write_text(config)
-    rc = run_cli(["run", *SMALL, "--config", str(path),
-                  "--out", str(tmp_path / "t.csv")])
+    out = tmp_path / "t.csv"
+    rc = run_cli(["run", *SMALL, "--config", str(path), "--out", str(out)])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert needle in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
+    assert needle in line
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -460,9 +488,13 @@ BAD_CAMPAIGNS = {
                                   "campaign cell 1: rows needs 1 or 2 entries, got 3"),
     "delay_bound_list_of_wrong_length": (
         with_last_cell(delay_bound=[1, 2, 3]),
-        "campaign cell 1: delay_bound list has 3 entries for 2 components"),
+        "campaign cell 1: delay_bound needs 1 or 2 entries, got 3"),
+    "delay_bound_not_a_number": (
+        with_last_cell(delay_bound="x"),
+        "campaign cell 1: delay_bound must be a finite nonnegative number, not 'x'"),
     "seeds_not_a_count": (dict(CAMPAIGN, seeds="x"),
-                          "campaign key 'seeds' must be a positive count"),
+                          "seeds must be a count of at least 1 or a nonempty "
+                          "list of seeds, not 'x'"),
     "cell_not_an_object": ({"cells": [CAMPAIGN["cells"][0], 5]},
                            "campaign cell 1 must be an object, not 5"),
     "cells_not_a_list": ({"cells": 5}, "lists no cells"),
@@ -497,7 +529,23 @@ def test_bench_rejects_a_seed_count_below_one(tmp_path, capsys, source, seeds):
                     "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: --seeds must be a positive count, not %s\n" % seeds
+    assert captured.err == ("error: seed count must be an integer of at least 1, "
+                            "not %s\n" % seeds)
+    assert not out.exists()
+
+
+def test_bench_refuses_paper_scale_for_a_campaign_file(tmp_path, capsys):
+    # a campaign file gives its cells' sizes itself; --paper picks a
+    # preset's scale, so with a file it would be silently ignored
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps(CAMPAIGN))
+    out = tmp_path / "r.csv"
+    assert run_cli(["bench", "--campaign", str(path), "--paper",
+                    "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --paper applies only to a preset, not to a "
+                            "campaign file\n")
     assert not out.exists()
 
 
