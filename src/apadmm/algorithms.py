@@ -4,7 +4,8 @@ Every algorithm runs the same update in one solver loop: a master step
 (the l1-plus-ball prox of the penalty-weighted average of the local
 copies and duals), one evaluation of each component at the new x, an
 exchange with the workers, a commit of the local copies and duals, and
-a trace row.
+a trace row, whose augmented Lagrangian (one more evaluation, at the
+local copies) a caller that does not read it, such as a campaign, skips.
 The algorithms differ only in how the master gets its gradients:
 
 * ``async_padmm``: the exchange is one window of a simulated star
@@ -266,7 +267,7 @@ def _initial(problem, config):
     return initial_state(problem, 0.5 * problem.radius * direction)
 
 
-def run(problem, config):
+def run(problem, config, lagrangian=True):
     """Execute one full run and return its trace and termination status.
 
     Every algorithm runs the same update: a master step, one
@@ -281,11 +282,16 @@ def run(problem, config):
     Each point takes a pass of its own. The start state's is in
     ``initial_state``. Update t takes the pass at x_t =
     ``master_step(state_{t-1})``, exchanges its gradients and commits
-    state_t; row t reads its measure from that pass, and its augmented
-    Lagrangian takes one values pass at ``state_t.x_local``. A staleness
-    violation aborts before its row, so no values pass follows. Each
-    master vector and each committed state's local copies are evaluated
-    exactly once.
+    state_t; row t reads its measure from that pass. So R rows take R
+    gradient passes and, when the Lagrangian is recorded, R values
+    passes: row t's augmented Lagrangian takes one at ``state_t.x_local``.
+    A staleness violation aborts before its row, so no values pass
+    follows, and no point is evaluated twice.
+
+    ``lagrangian=False`` records no augmented Lagrangian
+    (``trace.lagrangian`` is None) for a caller that reads neither the
+    trace CSV nor the residual checks, such as ``benchmark.run_campaign``;
+    every other result and trace field stays bit for bit the same.
 
     Termination is one of ``converged`` (optimality measure dropped below
     epsilon), ``max_iters`` (clock budget exhausted), ``staleness_violation``
@@ -293,6 +299,8 @@ def run(problem, config):
     and force was not set; no iterations run).
     """
     config.validate()
+    if not isinstance(lagrangian, bool):
+        raise ValueError("lagrangian must be true or false, not %r" % (lagrangian,))
     K = problem.num_components
     delay_bounds = _delays(config.delay_bound, K, "delay_bound")
     cert_delays = (delay_bounds if config.cert_delay is None
@@ -309,7 +317,8 @@ def run(problem, config):
         # a blocking exchange delivers fresh gradients: staleness is always 0
         bounds = cert_delays = np.zeros(K)
     rho, certs = _resolve_rho(problem, config, cert_delays)
-    trace = IterationTrace(states=[] if config.full_trace else None)
+    trace = IterationTrace(lagrangian=[] if lagrangian else None,
+                           states=[] if config.full_trace else None)
     state = _initial(problem, config)
 
     hard_reject = exact and np.any(rho <= problem.lipschitz)
@@ -356,8 +365,9 @@ def run(problem, config):
         diff = state.x_local - state.x
         row = diagnostics.stationarity(state, terms, diff)
         measure = row[-1]
-        trace.append(augmented_lagrangian(problem, state, rho, diff, terms.l1_term),
-                     *row, float(clock), arrived)
+        value = (augmented_lagrangian(problem, state, rho, diff, terms.l1_term)
+                 if lagrangian else None)
+        trace.append(value, *row, float(clock), arrived)
         if trace.states is not None:
             trace.states.append(state)
         if measure < config.epsilon:

@@ -139,14 +139,16 @@ def run_campaign(cells, seeds=20, max_iters=RunConfig.max_iters,
     """Run every cell over the given seeds and aggregate iterations-to-threshold.
 
     ``seeds`` is a count of at least 1 (seeds 0..n-1) or a nonempty
-    iterable, not a string, of integers of at least 0; anything else
-    raises ValueError, naming the bad value, before any run. Async runs
-    observe rather than enforce the staleness bound, matching the delay
-    model the sweep itself injects, and certify penalties at the model's
-    mean gradient age; each seed regenerates both the instance and the
-    delays. Returns one dict per cell in campaign-CSV column order. Every
-    cell's instance and config are checked before the first run, so a
-    bad cell raises ValueError, naming its index, before any cell has run.
+    iterable, not a string, of integers of at least 0, and ``max_iters``
+    and ``epsilon`` are as in ``RunConfig``; a bad one raises ValueError,
+    naming the bad value, before any run. Async runs observe rather than
+    enforce the staleness bound, matching the delay model the sweep itself
+    injects, and certify penalties at the model's mean gradient age; each
+    seed regenerates both the instance and the delays. No column reads
+    the augmented Lagrangian, so no run records it. Returns one dict per
+    cell in campaign-CSV column order. Every cell's instance and config
+    are checked before the first run, so a bad cell raises ValueError,
+    naming its index, before any cell has run.
     """
     if isinstance(seeds, numbers.Integral):
         _check_integer("seed count", seeds, 1)
@@ -160,6 +162,8 @@ def run_campaign(cells, seeds=20, max_iters=RunConfig.max_iters,
     for seed in listed:
         _check_integer("seed", seed, 0)
     seeds = listed
+    # by RunConfig's own rules, once: a cell never makes them bad
+    RunConfig(max_iters=max_iters, epsilon=epsilon).validate()
     for i, cell in enumerate(cells):
         try:
             _cell_run(cell, 0, max_iters, epsilon)
@@ -170,7 +174,7 @@ def run_campaign(cells, seeds=20, max_iters=RunConfig.max_iters,
         iters, censored = [], 0
         for seed in seeds:
             spec, config = _cell_run(cell, seed, max_iters, epsilon)
-            out = run(generate(spec), config)
+            out = run(generate(spec), config, lagrangian=False)
             if out.converged:
                 iters.append(out.iterations)
             else:

@@ -75,7 +75,14 @@ class CliError(Exception):
 # -- trace persistence -------------------------------------------------------
 
 def trace_csv(trace):
-    """Per-iteration trace as CSV text; one row per completed update."""
+    """Per-iteration trace as CSV text; one row per completed update.
+
+    Raises ValueError on a trace that recorded no augmented Lagrangian,
+    which the ``L`` column needs.
+    """
+    if trace.lagrangian is None:
+        raise ValueError("trace recorded no augmented Lagrangian for the L "
+                         "column; rerun with lagrangian=True")
     lines = [",".join(TRACE_COLUMNS)]
     for i in range(len(trace)):
         lines.append(",".join((

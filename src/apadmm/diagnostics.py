@@ -120,14 +120,18 @@ def _outcome(name, margins, first=1):
 def trace_residuals(problem, trace, rho, delay_bounds):
     """Residual report for a stored run.
 
-    Needs per-iteration state snapshots (runs recorded with full tracing);
-    raises ValueError without them. History-window checks are skipped when
-    the trace is shorter than max(T_k) + 2 iterations.
+    Needs per-iteration state snapshots (runs recorded with full tracing)
+    and the augmented Lagrangian of every row (``run``'s default); raises
+    ValueError without either. History-window checks are skipped when the
+    trace is shorter than max(T_k) + 2 iterations.
     """
     if trace.states is None or len(trace.states) != len(trace) + 1:
         raise ValueError(
             "trace has no per-iteration state snapshots; "
             "rerun with full_trace enabled")
+    if trace.lagrangian is None:
+        raise ValueError("trace recorded no augmented Lagrangian; "
+                         "rerun with lagrangian=True")
     rho = np.asarray(rho, dtype=float)
     delay_bounds = np.asarray(delay_bounds, dtype=float)
     states = trace.states

@@ -417,8 +417,11 @@ class IterationTrace:
     """Per-iteration records of a run; one row per completed update.
 
     ``sim_time`` is the cumulative simulated clock in master-iteration
-    units. When state snapshots are kept, ``states[0]`` is the initial
-    state and ``states[t]`` the state after iteration row t.
+    units. ``lagrangian`` is None when the run did not record the
+    augmented Lagrangian (``run(..., lagrangian=False)``); the length
+    counts ``measure`` rows either way. When state snapshots are kept,
+    ``states[0]`` is the initial state and ``states[t]`` the state after
+    iteration row t.
     """
 
     lagrangian: list = field(default_factory=list)
@@ -431,11 +434,12 @@ class IterationTrace:
     states: list = None
 
     def __len__(self):
-        return len(self.lagrangian)
+        return len(self.measure)
 
     def append(self, lagrangian, objective, feas_gap, prox_grad_norm, measure,
                sim_time, collected):
-        self.lagrangian.append(float(lagrangian))
+        if self.lagrangian is not None:
+            self.lagrangian.append(float(lagrangian))
         self.objective.append(float(objective))
         self.feas_gap.append(float(feas_gap))
         self.prox_grad_norm.append(float(prox_grad_norm))

@@ -252,6 +252,52 @@ def test_run_seed_changes_the_trajectory():
     assert a.trace.lagrangian != b.trace.lagrangian
 
 
+# -- run(): the optional Lagrangian ------------------------------------------
+
+LAGRANGIAN_CASES = {
+    "async_padmm": dict(algorithm="async_padmm", delay_bound=2,
+                        enforcement="observe"),
+    "sync_padmm": dict(algorithm="sync_padmm", delay_bound=2),
+    "sync_admm": dict(algorithm="sync_admm", delay_bound=2),
+    "async_padmm_lossy_delayed": dict(
+        algorithm="async_padmm", delay_bound=3, enforcement="observe",
+        downlink={"delay": {"kind": "uniform", "hi": 1.0}, "loss": 0.2},
+        uplink={"delay": 0.5, "loss": 0.1}),
+    "async_padmm_aborted": dict(
+        algorithm="async_padmm", delay_bound=2, uplink=[{"loss": 1.0}, 0.0, 0.0],
+        compute_delay={"kind": "constant", "value": 0.0}),
+}
+
+
+# the cases end converged (async_padmm, sync_padmm), at the clock cap and
+# by a staleness abort
+@pytest.mark.parametrize("case", sorted(LAGRANGIAN_CASES))
+def test_a_run_without_the_lagrangian_is_otherwise_bit_identical(case):
+    problem = desk_problem()
+    config = dict(LAGRANGIAN_CASES[case], seed=5, max_iters=150, epsilon=1e-2,
+                  full_trace=True)
+    a = run(problem, RunConfig(**config))
+    b = run(problem, RunConfig(**config), lagrangian=False)
+    assert len(a.trace.lagrangian) == len(a.trace) == a.updates > 0
+    assert b.trace.lagrangian is None and len(b.trace) == b.updates
+    for name in ("termination", "iterations", "updates", "final_measure",
+                 "violations"):
+        assert getattr(a, name) == getattr(b, name)
+    for name in ("objective", "feas_gap", "prox_grad_norm", "measure",
+                 "sim_time", "collected"):
+        assert getattr(a.trace, name) == getattr(b.trace, name)
+    for sa, sb in zip([*a.trace.states, a.state], [*b.trace.states, b.state],
+                      strict=True):
+        assert sa.iteration == sb.iteration
+        for name in ("x", "x_local", "y", "stale_index"):
+            np.testing.assert_array_equal(getattr(sa, name), getattr(sb, name))
+
+
+def test_the_lagrangian_switch_is_a_bool():
+    with pytest.raises(ValueError, match="lagrangian must be true or false, not 0$"):
+        run(desk_problem(), RunConfig(), lagrangian=0)
+
+
 # -- run(): termination paths ------------------------------------------------
 
 def test_default_config_run_solves_a_desk_instance():
@@ -542,7 +588,14 @@ def test_a_one_entry_list_runs_exactly_as_its_scalar(key, value):
      r"delay_bound must be a finite nonnegative number, not inf$"),
     ("cert_delay", [1, math.nan, 1],
      r"cert_delay must be a finite nonnegative number, not nan$"),
-])
+], ids=["uniform_missing_hi", "empirical_missing_values", "missing_kind",
+        "string_spec", "unknown_link_key", "unknown_nested_delay_key",
+        "hi_a_string", "hi_none", "values_not_a_list", "kind_a_list",
+        "loss_a_string", "reordering_not_a_bool", "hi_negative", "lo_negative",
+        "hi_below_lo", "values_empty", "link_value_negative",
+        "link_delay_negative", "delay_nan", "delay_inf", "constant_nan",
+        "link_hi_inf", "link_lo_nan", "link_value_inf", "link_delay_nan",
+        "delay_bound_inf", "cert_delay_nan"])
 def test_malformed_delay_and_link_specs_name_the_field(name, spec, match):
     with pytest.raises(ValueError, match=match):
         run(desk_problem(), RunConfig(**{name: spec}))

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from apadmm import CampaignCell, SparsePcaSpec, campaign_csv, generate, run_campaign
+from apadmm import problems
+from apadmm.algorithms import ALGORITHMS
 from apadmm.benchmark import _mean_gradient_age, bench_preset, run_preset
 
 
@@ -194,6 +196,45 @@ def test_run_campaign_checks_the_seeds_before_the_first_run(seeds, needle):
         run_campaign([cell], seeds=seeds, max_iters=2000,
                      progress=lambda cell, seed, out: seen.append(seed))
     assert seen == []
+
+
+@pytest.mark.parametrize("max_iters,epsilon,needle", [
+    (0, 1e-3, "max_iters must be an integer of at least 1, not 0"),
+    (2.5, 1e-3, "max_iters must be an integer of at least 1, not 2.5"),
+    (2000, -1.0, "epsilon must be a positive number, not -1.0"),
+    (2000, math.nan, "epsilon must be a positive number, not nan"),
+], ids=["zero_max_iters", "fractional_max_iters", "negative_epsilon", "nan_epsilon"])
+def test_run_campaign_checks_its_run_arguments_before_the_first_run(
+        max_iters, epsilon, needle):
+    # the cell is fine, so the error names no cell
+    cell = CampaignCell(algorithm="async_padmm", dim=8, num_components=2,
+                        delay_bound=1, rows=4, nonzero_prob=0.3)
+    seen = []
+    with pytest.raises(ValueError, match="^" + re.escape(needle) + "$"):
+        run_campaign([cell], seeds=2, max_iters=max_iters, epsilon=epsilon,
+                     progress=lambda cell, seed, out: seen.append(seed))
+    assert seen == []
+
+
+def test_run_campaign_takes_no_values_pass(monkeypatch):
+    """Campaign rows read only terminations and clocks, so no run computes
+    the row's augmented Lagrangian, the one values-only pass."""
+    calls = []
+    block_pass = problems._block_pass
+
+    def counted(operator, X, gradients=True):
+        calls.append(gradients)
+        return block_pass(operator, X, gradients)
+
+    monkeypatch.setattr(problems, "_block_pass", counted)
+    cells = [CampaignCell(algorithm=a, dim=8, num_components=2, delay_bound=1,
+                          rows=4, nonzero_prob=0.3) for a in ALGORITHMS]
+    runs = []
+    run_campaign(cells, seeds=2, max_iters=200,
+                 progress=lambda cell, seed, out: runs.append(out))
+    assert len(runs) == 6 and all(out.trace.lagrangian is None for out in runs)
+    assert len(calls) == sum(out.updates + 1 for out in runs)
+    assert all(calls)
 
 
 def test_run_campaign_accepts_numpy_integer_seeds():

@@ -534,6 +534,22 @@ def test_bench_rejects_a_seed_count_below_one(tmp_path, capsys, source, seeds):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value,needle", [
+    ("--max-iters", "0", "max_iters must be an integer of at least 1, not 0"),
+    ("--epsilon", "-1", "epsilon must be a positive number, not -1.0"),
+    ("--epsilon", "nan", "epsilon must be a positive number, not nan"),
+], ids=["zero_max_iters", "negative_epsilon", "nan_epsilon"])
+def test_bench_rejects_a_bad_run_argument_without_blaming_a_cell(
+        tmp_path, capsys, flag, value, needle):
+    out = tmp_path / "r.csv"
+    assert run_cli(["bench", "--preset", "table1", flag, value, "--progress",
+                    "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % needle
+    assert not out.exists()
+
+
 def test_bench_refuses_paper_scale_for_a_campaign_file(tmp_path, capsys):
     # a campaign file gives its cells' sizes itself; --paper picks a
     # preset's scale, so with a file it would be silently ignored

@@ -13,6 +13,7 @@ from apadmm import (
 from apadmm import algorithms, diagnostics, problems
 from apadmm.algorithms import ALGORITHMS, _initial
 from apadmm.benchmark import SparsePcaSpec, generate
+from apadmm.cli import trace_csv
 from apadmm.problems import (
     ConsensusProblem,
     consensus_terms,
@@ -181,20 +182,22 @@ def count_passes(monkeypatch):
     return log
 
 
-def check_pass_order(problem, result, passes):
+def check_pass_order(problem, result, passes, lagrangian=True):
     """The passes of a run, in order: the start point's, then, for each
-    row t, a gradient pass at x_t and a values pass at row t's local
-    copies. An aborted run ends with a gradient pass at the master vector
-    of the aborted update and no values pass. So each master vector and
-    each committed state's local copies are evaluated exactly once."""
+    row t, a gradient pass at x_t and, when the run records the
+    Lagrangian, a values pass at row t's local copies. An aborted run
+    ends with a gradient pass at the master vector of the aborted update
+    and no values pass. So each master vector, and each committed state's
+    local copies when the Lagrangian is recorded, is evaluated exactly
+    once."""
     states, rows = result.trace.states, len(result.trace)
     aborted = result.termination == "staleness_violation"
     want = [(states[0].x, True)]
     for state in states[1:]:
-        want += [(state.x, True), (state.x_local, False)]
+        want += [(state.x, True)] + [(state.x_local, False)] * lagrangian
     if aborted:
         want.append((algorithms.master_step(problem, states[-1], result.rho), True))
-    assert len(passes) == len(want) == 1 + 2 * rows + aborted
+    assert len(passes) == len(want) == 1 + (1 + lagrangian) * rows + aborted
     for (X, gradients), (want_X, want_gradients) in zip(passes, want):
         np.testing.assert_array_equal(X, want_X)
         assert gradients == want_gradients
@@ -231,6 +234,21 @@ def test_a_converged_last_row_takes_one_values_pass(algorithm, monkeypatch):
     assert result.converged and 2 <= len(result.trace) and result.iterations < 400
     check_pass_order(problem, result, passes)
     assert result.final_measure == optimality_measure(problem, result.state)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_run_without_the_lagrangian_takes_no_values_pass(algorithm, monkeypatch):
+    """Without the row's Lagrangian, each update takes its master vector's
+    pass and nothing else."""
+    problem = row_problem("ragged")
+    passes = count_passes(monkeypatch)
+    result = run(problem, RunConfig(
+        algorithm=algorithm, delay_bound=2, seed=3, max_iters=8,
+        epsilon=1e-14, init="random_ball", full_trace=True,
+        enforcement="observe", compute_delay={"kind": "uniform", "hi": 1.5}),
+        lagrangian=False)
+    assert result.termination == "max_iters" and len(result.trace) >= 4
+    check_pass_order(problem, result, passes, lagrangian=False)
 
 
 def test_a_staleness_abort_leaves_no_row_to_close(monkeypatch):
@@ -345,6 +363,18 @@ def test_trace_residuals_requires_state_snapshots():
     result.trace.states = None
     with pytest.raises(ValueError, match="state snapshots"):
         trace_residuals(problem, result.trace, result.rho, [2, 2, 2])
+
+
+def test_readers_of_the_lagrangian_refuse_a_trace_without_it():
+    """The trace CSV's L column and the descent checks read the Lagrangian;
+    a run that skipped it fails them loudly rather than by a wrong column."""
+    problem = row_problem("wide")
+    result = run(problem, RunConfig(max_iters=10, full_trace=True), lagrangian=False)
+    assert len(result.trace) == 10 and result.trace.lagrangian is None
+    with pytest.raises(ValueError, match="no augmented Lagrangian"):
+        trace_residuals(problem, result.trace, result.rho, result.delay_bounds)
+    with pytest.raises(ValueError, match="no augmented Lagrangian for the L column"):
+        trace_csv(result.trace)
 
 
 def test_trace_residuals_pass_on_certified_async_run():
