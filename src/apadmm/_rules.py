@@ -1,0 +1,53 @@
+"""The rules every layer checks its scalar inputs by, each written once.
+
+A number is a real number that is not a bool. Each other rule returns
+the value it checked, unchanged, or raises ValueError naming it:
+
+* ``nonnegative``: ``<name> must be a finite nonnegative number, not <v>``
+* ``positive``: ``<name> must be a finite positive number, not <v>``
+* ``probability``: ``<name> must be a number in [0, 1], not <v>``
+* ``integer``: ``<name> must be an integer of at least n, not <v>``
+
+Each range is written so that NaN fails it. The prox checks run four
+times an update, so a range rule passes a float (numpy's float64 too)
+without a call to ``is_number``, and ``is_number`` tells a float or an
+int by its concrete type: the ``numbers.Real`` check other types take
+costs several times as much.
+"""
+
+import numbers
+from math import inf
+
+
+def is_number(value):
+    """Whether ``value`` is a real number; a bool is none, nor is a string."""
+    if isinstance(value, (float, int)):
+        return not isinstance(value, bool)
+    return isinstance(value, numbers.Real)
+
+
+def nonnegative(value, name):
+    if (isinstance(value, float) or is_number(value)) and 0 <= value < inf:
+        return value
+    raise ValueError("%s must be a finite nonnegative number, not %r" % (name, value))
+
+
+def positive(value, name):
+    if (isinstance(value, float) or is_number(value)) and 0 < value < inf:
+        return value
+    raise ValueError("%s must be a finite positive number, not %r" % (name, value))
+
+
+def probability(value, name):
+    if (isinstance(value, float) or is_number(value)) and 0 <= value <= 1:
+        return value
+    raise ValueError("%s must be a number in [0, 1], not %r" % (name, value))
+
+
+def integer(value, name, least):
+    # numpy integers are Integral; bools are too, but not counts
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least):
+        return value
+    raise ValueError("%s must be an integer of at least %d, not %r"
+                     % (name, least, value))

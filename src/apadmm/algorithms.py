@@ -29,15 +29,15 @@ their update count.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._rules import integer, nonnegative, positive
 from .problems import (IterationTrace, SolverState, augmented_lagrangian,
                        consensus_terms, initial_state, penalized_argmin)
 from .prox import _norm, prox_l1_ball
-from .simnet import DelayModel, LinkModel, StarNetwork, _delay, _is_number
+from .simnet import DelayModel, LinkModel, StarNetwork
 from .stepsize import certify, default_penalties, exact_baseline_penalty
 from . import diagnostics
 
@@ -66,8 +66,8 @@ class RunConfig:
     ``DelayModel.from_spec`` and ``LinkModel.from_spec``, which document
     the format; delays are finite and nonnegative, in windows, one
     master iteration each. ``compute_delay=None`` defaults to
-    uniform(0, T_k). ``seed`` is an integer of at least 0 and
-    ``max_iters`` one of at least 1.
+    uniform(0, T_k). ``epsilon`` is a finite positive number, ``seed``
+    an integer of at least 0 and ``max_iters`` one of at least 1.
 
     ``delay_bound`` is the staleness level enforcement acts on;
     ``cert_delay`` is the staleness level the automatic penalty rule
@@ -101,11 +101,9 @@ class RunConfig:
         if self.algorithm not in ALGORITHMS:
             raise ValueError("unknown algorithm %r; expected one of %s"
                              % (self.algorithm, list(ALGORITHMS)))
-        if not (_is_number(self.epsilon) and self.epsilon > 0):
-            raise ValueError("epsilon must be a positive number, not %r"
-                             % (self.epsilon,))
-        _check_integer("max_iters", self.max_iters, 1)
-        _check_integer("seed", self.seed, 0)
+        positive(self.epsilon, "epsilon")
+        integer(self.max_iters, "max_iters", 1)
+        integer(self.seed, "seed", 0)
         if self.enforcement not in ("enforce", "observe"):
             raise ValueError("enforcement must be 'enforce' or 'observe'")
         if self.init not in ("zero", "random_ball"):
@@ -142,12 +140,6 @@ class RunResult:
     @property
     def converged(self):
         return self.termination == "converged"
-
-    @property
-    def violation(self):
-        """The ``(iteration, worker, staleness)`` that aborted the run, or None."""
-        aborted = self.termination == "staleness_violation"
-        return self.violations[-1] if aborted else None
 
 
 def master_step(problem, state, rho):
@@ -199,14 +191,6 @@ def exact_admm_iteration(problem, state, rho, x_new):
 # -- config resolution -------------------------------------------------------
 
 
-def _check_integer(name, value, least):
-    # numpy integers are Integral; bools are too, but not counts
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < least):
-        raise ValueError("%s must be an integer of at least %d, not %r"
-                         % (name, least, value))
-
-
 def _per_worker(value, count, name):
     """``count`` entries from one value, or from a list of 1 or ``count``."""
     if isinstance(value, np.ndarray):
@@ -220,7 +204,8 @@ def _per_worker(value, count, name):
 
 
 def _delays(spec, count, name):
-    return np.array([_delay(v, name) for v in _per_worker(spec, count, name)])
+    return np.array([nonnegative(v, name) for v in _per_worker(spec, count, name)],
+                    dtype=float)
 
 
 def _build_network(problem, config, delay_bounds):
@@ -243,12 +228,8 @@ def _resolve_rho(problem, config, cert_delays):
     lipschitz = problem.lipschitz
     # every component is a concave quadratic
     if not (isinstance(config.rho, str) and config.rho == "auto"):
-        rho = _per_worker(config.rho, K, "rho")
-        for r in rho:
-            if not (_is_number(r) and 0 < r < math.inf):
-                raise ValueError("rho must be 'auto', a positive number or one "
-                                 "per component, not %r" % (r,))
-        rho = np.array(rho, dtype=float)
+        rho = np.array([positive(r, "rho") for r in _per_worker(config.rho, K, "rho")],
+                       dtype=float)
     elif config.algorithm == "sync_admm":
         rho = np.array([exact_baseline_penalty(L, "concave") for L in lipschitz])
     else:

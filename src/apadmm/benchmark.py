@@ -16,17 +16,15 @@ stopping threshold. Runs that hit the iteration cap are counted as
 censored and excluded from the mean, never silently averaged.
 """
 
-import math
 import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import (ALGORITHMS, RunConfig, _check_integer, _delays,
-                         _per_worker, run)
+from ._rules import integer, nonnegative, probability
+from .algorithms import ALGORITHMS, RunConfig, _delays, _per_worker, run
 from .problems import ConsensusProblem
-from .simnet import _is_number
 
 __all__ = [
     "SparsePcaSpec",
@@ -57,18 +55,13 @@ class SparsePcaSpec:
 
     def __post_init__(self):
         for name, least in (("dim", 1), ("num_components", 1), ("seed", 0)):
-            _check_integer(name, getattr(self, name), least)
-        if not (_is_number(self.l1_weight)
-                and 0 <= self.l1_weight < math.inf):     # NaN fails too
-            raise ValueError("l1_weight must be nonnegative and finite, not %r"
-                             % (self.l1_weight,))
+            integer(getattr(self, name), name, least)
+        nonnegative(self.l1_weight, "l1_weight")
         K = self.num_components
         for m in _per_worker(self.rows, K, "rows"):
-            _check_integer("rows", m, 1)
+            integer(m, "rows", 1)
         for p in _per_worker(self.nonzero_prob, K, "nonzero_prob"):
-            if not (_is_number(p) and 0.0 <= p <= 1.0):
-                raise ValueError("nonzero_prob must be a number in [0, 1], not %r"
-                                 % (p,))
+            probability(p, "nonzero_prob")
 
 
 def generate(spec):
@@ -151,7 +144,7 @@ def run_campaign(cells, seeds=20, max_iters=RunConfig.max_iters,
     naming its index, before any cell has run.
     """
     if isinstance(seeds, numbers.Integral):
-        _check_integer("seed count", seeds, 1)
+        integer(seeds, "seed count", 1)
         seeds = range(seeds)
     # a string iterates over its characters, but lists no seeds
     listed = (list(seeds) if isinstance(seeds, Iterable)
@@ -160,7 +153,7 @@ def run_campaign(cells, seeds=20, max_iters=RunConfig.max_iters,
         raise ValueError("seeds must be a count of at least 1 or a nonempty "
                          "list of seeds, not %r" % (seeds,))
     for seed in listed:
-        _check_integer("seed", seed, 0)
+        integer(seed, "seed", 0)
     seeds = listed
     # by RunConfig's own rules, once: a cell never makes them bad
     RunConfig(max_iters=max_iters, epsilon=epsilon).validate()

@@ -122,13 +122,17 @@ def trace_residuals(problem, trace, rho, delay_bounds):
 
     Needs per-iteration state snapshots (runs recorded with full tracing)
     and the augmented Lagrangian of every row (``run``'s default); raises
-    ValueError without either. History-window checks are skipped when the
+    ValueError without either, or when the snapshots are not one more
+    than the rows. History-window checks are skipped when the
     trace is shorter than max(T_k) + 2 iterations.
     """
-    if trace.states is None or len(trace.states) != len(trace) + 1:
+    if trace.states is None:
         raise ValueError(
             "trace has no per-iteration state snapshots; "
             "rerun with full_trace enabled")
+    if len(trace.states) != len(trace) + 1:
+        raise ValueError("trace has %d state snapshots for %d rows; expected %d"
+                         % (len(trace.states), len(trace), len(trace) + 1))
     if trace.lagrangian is None:
         raise ValueError("trace recorded no augmented Lagrangian; "
                          "rerun with lagrangian=True")

@@ -40,6 +40,7 @@ import scipy.linalg
 # private scipy API, pinned by a test (see the module docstring)
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
+from ._rules import nonnegative, positive
 from .prox import _norm, prox_l1_ball
 
 __all__ = [
@@ -186,17 +187,11 @@ class ConsensusProblem:
                 raise ValueError("data matrix %d is empty, of shape %s" % (k, B.shape))
             if not np.isfinite(B).all():
                 raise ValueError("data matrix %d contains non-finite entries" % k)
-        # written so that NaN fails each check
-        if not 0 <= l1_weight < math.inf:
-            raise ValueError("l1_weight must be nonnegative and finite, not %r"
-                             % (l1_weight,))
-        if not 0 < radius < math.inf:
-            raise ValueError("radius must be positive and finite, not %r"
-                             % (radius,))
+        self.l1_weight = nonnegative(l1_weight, "l1_weight")
+        self.radius = positive(radius, "radius")
         dims = {B.shape[1] for B in data}
         if len(dims) != 1:
             raise ValueError("components disagree on dimension: %s" % sorted(dims))
-        self.l1_weight, self.radius = l1_weight, radius
         bounds = [leading_eigenvalue(B) for B in data]
         eps = float(np.finfo(float).eps)
         self.lipschitz = np.array([L if L > 0.0 else eps for L in bounds])

@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+from ._rules import nonnegative, positive
+
 __all__ = ["soft_threshold", "project_ball", "prox_l1_ball"]
 
 
@@ -34,11 +36,6 @@ def _check_vector(v, name="v"):
     if not np.isfinite(v).all():
         raise ValueError("%s contains non-finite entries" % name)
     return v
-
-
-def _check_radius(radius):
-    if radius <= 0:
-        raise ValueError("radius must be positive, got %r" % radius)
 
 
 def _into_ball(v, radius):
@@ -65,10 +62,7 @@ def soft_threshold(v, tau):
         bit except that -0.0 becomes 0.0 (``sign(-0.0)`` is 0.0).
     """
     v = _check_vector(v)
-    # a NaN threshold fails too: it would shrink every entry to NaN
-    if not tau >= 0:
-        raise ValueError("tau must be nonnegative, got %r" % tau)
-    if tau == 0:
+    if nonnegative(tau, "tau") == 0:
         return v + 0.0
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
@@ -81,8 +75,7 @@ def project_ball(v, radius):
     point multiplies by 1.0, so project(project(v)) == project(v) bitwise.
     """
     v = _check_vector(v)
-    _check_radius(radius)
-    u = _into_ball(v, radius)
+    u = _into_ball(v, positive(radius, "radius"))
     return v.copy() if u is v else u
 
 
@@ -105,6 +98,4 @@ def prox_l1_ball(v, tau, radius):
         over the ball, computed as ``project_ball(soft_threshold(v, tau))``
         with one check of the input.
     """
-    u = soft_threshold(v, tau)
-    _check_radius(radius)
-    return _into_ball(u, radius)
+    return _into_ball(soft_threshold(v, tau), positive(radius, "radius"))

@@ -39,11 +39,11 @@ configs hold.
 
 import copy
 import heapq
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ._rules import is_number, nonnegative, probability
 
 __all__ = ["DelayModel", "LinkModel", "Message", "StarNetwork"]
 
@@ -56,26 +56,6 @@ _DELAY_KEYS = {
 _LINK_KEYS = ("delay", "loss", "allow_reordering")
 
 
-def _is_number(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-# the type a spec key must have, and its name in errors; others are numbers
-_KEY_TYPES = {
-    "values": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
-               "a list of numbers"),
-    "allow_reordering": (lambda v: isinstance(v, bool), "true or false"),
-}
-
-
-def _delay(value, name):
-    # NaN fails the comparison too; a dead link is loss 1, not an endless delay
-    if not (_is_number(value) and 0 <= value < math.inf):
-        raise ValueError("%s must be a finite nonnegative number, not %r"
-                         % (name, value))
-    return float(value)
-
-
 def _check_keys(spec, name, required, optional):
     for key in required:
         if key not in spec:
@@ -83,16 +63,6 @@ def _check_keys(spec, name, required, optional):
     for key in spec:
         if key not in required and key not in optional:
             raise ValueError("%s spec %r has unknown key '%s'" % (name, spec, key))
-
-
-def _typed_values(spec, name, skip):
-    """The keys of ``spec`` but ``skip``, each checked for the type it needs."""
-    values = {key: value for key, value in spec.items() if key != skip}
-    for key, value in values.items():
-        valid, expected = _KEY_TYPES.get(key, (_is_number, "a number"))
-        if not valid(value):
-            raise ValueError("%s.%s must be %s, not %r" % (name, key, expected, value))
-    return values
 
 
 class DelayModel:
@@ -104,19 +74,21 @@ class DelayModel:
     """
 
     def __init__(self, kind, value=0.0, lo=0.0, hi=0.0, values=None, name="delay"):
+        # every delay is finite: a dead link is loss 1, not an endless delay
         self.kind = kind
         if kind == "constant":
-            self.value = _delay(value, name + ".value")
+            self.value = float(nonnegative(value, name + ".value"))
         elif kind == "uniform":
-            self.lo, self.hi = _delay(lo, name + ".lo"), _delay(hi, name + ".hi")
+            self.lo = float(nonnegative(lo, name + ".lo"))
+            self.hi = float(nonnegative(hi, name + ".hi"))
             if hi < lo:
                 raise ValueError("%s.hi must be at least lo, not lo=%r, hi=%r"
                                  % (name, lo, hi))
         elif kind == "empirical":
-            if not values:
+            if not (isinstance(values, (list, tuple)) and values):
                 raise ValueError("%s.values must be a nonempty list, not %r"
                                  % (name, values))
-            self.values = [_delay(v, "%s.values[%d]" % (name, i))
+            self.values = [float(nonnegative(v, "%s.values[%d]" % (name, i)))
                            for i, v in enumerate(values)]
             self._cursor = 0
         else:
@@ -148,7 +120,7 @@ class DelayModel:
         """
         if spec is None:
             return cls.constant(0.0)
-        if _is_number(spec):
+        if is_number(spec):
             return cls("constant", value=spec, name=name)
         if isinstance(spec, cls):
             return spec
@@ -158,7 +130,7 @@ class DelayModel:
                              "'kind' in %s" % (name, spec, sorted(_DELAY_KEYS)))
         required, optional = _DELAY_KEYS[kind]
         _check_keys(spec, name, ("kind",) + required, optional)
-        return cls(kind, name=name, **_typed_values(spec, name, "kind"))
+        return cls(name=name, **spec)
 
     def sample(self, uniform):
         """One delay; ``uniform()`` returns a standard uniform draw.
@@ -187,8 +159,7 @@ class LinkModel:
     allow_reordering: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.loss <= 1.0:
-            raise ValueError("loss probability must lie in [0, 1]")
+        probability(self.loss, "loss")
 
     @classmethod
     def from_spec(cls, spec, name):
@@ -202,8 +173,12 @@ class LinkModel:
         if not isinstance(spec, dict):
             return cls(delay=DelayModel.from_spec(spec, name))
         _check_keys(spec, name, (), _LINK_KEYS)
+        reordering = spec.get("allow_reordering", False)
+        if not isinstance(reordering, bool):
+            raise ValueError("%s.allow_reordering must be true or false, not %r"
+                             % (name, reordering))
         return cls(DelayModel.from_spec(spec.get("delay"), name + ".delay"),
-                   **_typed_values(spec, name, "delay"))
+                   probability(spec.get("loss", 0.0), name + ".loss"), reordering)
 
 
 @dataclass

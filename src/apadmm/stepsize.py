@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rules import nonnegative, positive
+
 __all__ = [
     "descent_margin",
     "certify",
@@ -52,13 +54,10 @@ _MAX_ULP_STEPS = 64
 def _validate(rho, lipschitz, delay_bound, curvature):
     if curvature not in CURVATURE_CLASSES:
         raise ValueError("unknown curvature class %r" % (curvature,))
-    if not (math.isfinite(lipschitz) and lipschitz > 0):
-        raise ValueError("lipschitz must be positive and finite, got %r" % (lipschitz,))
-    if not (math.isfinite(delay_bound) and delay_bound >= 0):
-        raise ValueError("delay bound must be nonnegative and finite, got %r"
-                         % (delay_bound,))
-    if rho is not None and not (math.isfinite(rho) and rho > 0):
-        raise ValueError("rho must be positive and finite, got %r" % (rho,))
+    positive(lipschitz, "lipschitz")
+    nonnegative(delay_bound, "delay_bound")
+    if rho is not None:
+        positive(rho, "rho")
 
 
 def descent_margin(rho, lipschitz, delay_bound, curvature):

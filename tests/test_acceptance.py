@@ -224,8 +224,7 @@ def test_criterion_09_staleness_enforcement():
     assert result.termination == "staleness_violation"
     # the starved worker's gradient stays at copy 1, so staleness first
     # exceeds T when iterate T+2 is formed
-    assert result.violation == (T + 2, 0, T + 1)
-    assert result.violations == [result.violation]
+    assert result.violations == [(T + 2, 0, T + 1)]
     print("\nACCEPTANCE 9 (staleness abort at first violation): PASS")
 
 

@@ -78,7 +78,7 @@ def test_spec_validation():
         SparsePcaSpec(dim=5, num_components=1, l1_weight=-1.0)
     for bad in ("nan", "inf"):
         with pytest.raises(ValueError,
-                           match="l1_weight must be nonnegative and finite, not " + bad):
+                           match="l1_weight must be a finite nonnegative number, not " + bad):
             SparsePcaSpec(dim=5, num_components=1, l1_weight=float(bad))
     # per-component list lengths are checked before the data is drawn
     with pytest.raises(ValueError, match="rows needs 1 or 2 entries, got 3"):
@@ -97,8 +97,8 @@ def test_spec_validation():
                                              r"\[0, 1\], not (True|'0.5')$"):
             SparsePcaSpec(dim=5, num_components=2, nonzero_prob=bad)
     for bad in ("0.5", True):
-        with pytest.raises(ValueError, match="l1_weight must be nonnegative and "
-                                             "finite, not %r$" % bad):
+        with pytest.raises(ValueError, match="l1_weight must be a finite nonnegative "
+                                             "number, not %r$" % bad):
             SparsePcaSpec(dim=5, num_components=2, l1_weight=bad)
     # numpy integers are integers
     spec = SparsePcaSpec(dim=np.int64(5), num_components=np.int32(2), rows=[3, 4],
@@ -201,8 +201,8 @@ def test_run_campaign_checks_the_seeds_before_the_first_run(seeds, needle):
 @pytest.mark.parametrize("max_iters,epsilon,needle", [
     (0, 1e-3, "max_iters must be an integer of at least 1, not 0"),
     (2.5, 1e-3, "max_iters must be an integer of at least 1, not 2.5"),
-    (2000, -1.0, "epsilon must be a positive number, not -1.0"),
-    (2000, math.nan, "epsilon must be a positive number, not nan"),
+    (2000, -1.0, "epsilon must be a finite positive number, not -1.0"),
+    (2000, math.nan, "epsilon must be a finite positive number, not nan"),
 ], ids=["zero_max_iters", "fractional_max_iters", "negative_epsilon", "nan_epsilon"])
 def test_run_campaign_checks_its_run_arguments_before_the_first_run(
         max_iters, epsilon, needle):

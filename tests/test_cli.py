@@ -182,14 +182,14 @@ def test_run_rejects_wrong_length_delay_bound_list(tmp_path, capsys):
     ('{"rho_safety": 1.5}', "unknown config key 'rho_safety'"),
     ('{"window": 1.0}', "unknown config key 'window'"),
     ('{"compute_delay": {"kind": "uniform", "hi": "x"}}',
-     "compute_delay.hi must be a number"),
-    ('{"epsilon": "x"}', "epsilon must be a positive number, not 'x'"),
+     "compute_delay.hi must be a finite nonnegative number, not 'x'"),
+    ('{"epsilon": "x"}', "epsilon must be a finite positive number, not 'x'"),
     ('{"delay_bound": null}',
      "delay_bound must be a finite nonnegative number, not None"),
     ('{"compute_delay": {"kind": "uniform", "hi": -1}}',
      "compute_delay.hi must be a finite nonnegative number, not -1"),
-    ('{"rho": "x"}', "rho must be 'auto', a positive number"),
-    ('{"rho": null}', "rho must be 'auto', a positive number"),
+    ('{"rho": "x"}', "rho must be a finite positive number, not 'x'"),
+    ('{"rho": null}', "rho must be a finite positive number, not None"),
     ('{"rho": [1, 2]}', "rho needs 1 or 3 entries, got 2"),
     ('{"force": "no"}', "force must be true or false, not 'no'"),
     ('{"seed": 1.5}', "seed must be an integer of at least 0, not 1.5"),
@@ -258,8 +258,8 @@ def test_removed_flags_are_rejected_by_the_parser(capsys, argv, flag):
     ({"nonzero_prob": True}, [], "nonzero_prob must be a number in [0, 1], not True"),
     ({"nonzero_prob": [True, "1"]}, ["--K", "2"],
      "nonzero_prob must be a number in [0, 1], not True"),
-    ({"l1_weight": "0.5"}, [], "l1_weight must be nonnegative and finite, not '0.5'"),
-    ({"l1_weight": True}, [], "l1_weight must be nonnegative and finite, not True"),
+    ({"l1_weight": "0.5"}, [], "l1_weight must be a finite nonnegative number, not '0.5'"),
+    ({"l1_weight": True}, [], "l1_weight must be a finite nonnegative number, not True"),
 ], ids=["rows_wrong_length", "nonzero_prob_wrong_length", "dim_fractional",
         "components_fractional", "dim_bool", "seed_negative", "seed_mistyped",
         "rows_fractional", "nonzero_prob_string", "nonzero_prob_bool",
@@ -290,6 +290,17 @@ def test_run_rejects_mistyped_full_trace_before_writing(tmp_path, capsys):
     assert not (tmp_path / "t.states.npz").exists()
 
 
+def test_run_rejects_an_infinite_epsilon_before_writing(tmp_path, capsys):
+    # an infinite threshold would pass the first row and exit 0
+    rc = run_cli(["run", "--preset", "desk", "--epsilon", "inf", "--full-trace",
+                  "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: epsilon must be a finite positive number, not inf\n"
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("lam", ["nan", "inf"])
 def test_run_rejects_a_non_finite_l1_weight_by_name(tmp_path, capsys, lam):
     rc = run_cli(["run", "--N", "12", "--K", "3", "--M", "6", "--lam", lam,
@@ -297,7 +308,7 @@ def test_run_rejects_a_non_finite_l1_weight_by_name(tmp_path, capsys, lam):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert "l1_weight must be nonnegative and finite, not " + lam in err
+    assert "l1_weight must be a finite nonnegative number, not " + lam in err
     assert not (tmp_path / "t.csv").exists()
 
 
@@ -402,7 +413,7 @@ def test_certify_validates_inputs(capsys):
 @pytest.mark.parametrize("flags,needle", [
     (["--L", "nan", "--T", "0"], "lipschitz"),
     (["--L", "inf", "--T", "0"], "lipschitz"),
-    (["--L", "1", "--T", "nan"], "delay bound"),
+    (["--L", "1", "--T", "nan"], "delay_bound"),
     (["--L", "1", "--T", "0", "--rho", "nan"], "rho"),
 ], ids=["L_nan", "L_inf", "T_nan", "rho_nan"])
 def test_certify_rejects_non_finite_inputs(capsys, flags, needle):
@@ -536,9 +547,11 @@ def test_bench_rejects_a_seed_count_below_one(tmp_path, capsys, source, seeds):
 
 @pytest.mark.parametrize("flag,value,needle", [
     ("--max-iters", "0", "max_iters must be an integer of at least 1, not 0"),
-    ("--epsilon", "-1", "epsilon must be a positive number, not -1.0"),
-    ("--epsilon", "nan", "epsilon must be a positive number, not nan"),
-], ids=["zero_max_iters", "negative_epsilon", "nan_epsilon"])
+    ("--epsilon", "-1", "epsilon must be a finite positive number, not -1.0"),
+    ("--epsilon", "nan", "epsilon must be a finite positive number, not nan"),
+    # an infinite threshold would pass the first row and exit 0
+    ("--epsilon", "inf", "epsilon must be a finite positive number, not inf"),
+], ids=["zero_max_iters", "negative_epsilon", "nan_epsilon", "inf_epsilon"])
 def test_bench_rejects_a_bad_run_argument_without_blaming_a_cell(
         tmp_path, capsys, flag, value, needle):
     out = tmp_path / "r.csv"
@@ -739,8 +752,8 @@ def test_check_reports_snapshots_that_do_not_fit_the_trace(tmp_path, capsys):
     assert run_cli(["check", path]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.startswith("error: cannot check %r: trace has no per-iteration "
-                          "state snapshots" % path)
+    assert err == ("error: cannot check %r: trace has 5 state snapshots for 10 "
+                   "rows; expected 11\n" % path)
 
 
 def test_load_run_reads_each_stored_array_once(tmp_path, monkeypatch):

@@ -393,10 +393,10 @@ def test_consensus_problem_validation():
         ConsensusProblem([comp], radius=0.0)
     # NaN passes a plain "< 0" test; each field is checked so that it fails
     for kwargs, message in (
-            (dict(l1_weight=float("nan")), "l1_weight must be nonnegative and finite, not nan"),
-            (dict(l1_weight=float("inf")), "l1_weight must be nonnegative and finite, not inf"),
-            (dict(radius=float("nan")), "radius must be positive and finite, not nan"),
-            (dict(radius=float("inf")), "radius must be positive and finite, not inf")):
+            (dict(l1_weight=float("nan")), "l1_weight must be a finite nonnegative number, not nan"),
+            (dict(l1_weight=float("inf")), "l1_weight must be a finite nonnegative number, not inf"),
+            (dict(radius=float("nan")), "radius must be a finite positive number, not nan"),
+            (dict(radius=float("inf")), "radius must be a finite positive number, not inf")):
         with pytest.raises(ValueError, match=message):
             ConsensusProblem([comp], **kwargs)
     # each matrix is checked before any eigenvalue is taken, by index

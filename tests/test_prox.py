@@ -327,13 +327,13 @@ def test_rejects_bad_vectors():
 
 def test_prox_l1_ball_checks_each_argument():
     v = np.array([0.3, -2.0, 0.1])
-    with pytest.raises(ValueError, match="tau must be nonnegative"):
+    with pytest.raises(ValueError, match="tau must be a finite nonnegative number"):
         prox_l1_ball(v, -0.1, 1.0)
-    with pytest.raises(ValueError, match="tau must be nonnegative"):
+    with pytest.raises(ValueError, match="tau must be a finite nonnegative number"):
         prox_l1_ball(v, float("nan"), 1.0)
-    with pytest.raises(ValueError, match="tau must be nonnegative"):
+    with pytest.raises(ValueError, match="tau must be a finite nonnegative number"):
         soft_threshold(v, float("nan"))
-    with pytest.raises(ValueError, match="radius must be positive"):
+    with pytest.raises(ValueError, match="radius must be a finite positive number"):
         prox_l1_ball(v, 0.1, 0.0)
     with pytest.raises(ValueError, match="1-D vector"):
         prox_l1_ball(np.ones((2, 2)), 0.1, 1.0)

@@ -52,11 +52,11 @@ def test_non_finite_arguments_are_rejected_by_name(bad):
         certify(bad, 1.0, 0, "general")
     with pytest.raises(ValueError, match="lipschitz"):
         certify(8.0, bad, 0, "general")
-    with pytest.raises(ValueError, match="delay bound"):
+    with pytest.raises(ValueError, match="delay_bound"):
         certify(8.0, 1.0, bad, "general")
     with pytest.raises(ValueError, match="lipschitz"):
         minimal_rho(bad, 0, "general")
-    with pytest.raises(ValueError, match="delay bound"):
+    with pytest.raises(ValueError, match="delay_bound"):
         minimal_rho(1.0, bad, "general")
 
 

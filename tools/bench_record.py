@@ -16,12 +16,15 @@ OUT_JSON receives, per workload, side and end-to-end metric, the
 median, the quartiles (``statistics.quantiles``, inclusive method) and
 the per-pair values, with the number of pairs the change won and the
 failed-operation counts; the machine fields of the ``environment``
-block the harness wrote for the change's last run; and, per side, the
-tier-1 wall times, their median and the suite's summary line. The
+block the harness wrote for the change's last run; per side, the
+tier-1 wall times, their median and the suite's summary line; and, per
+side, the ``src/`` line count, the total that ``wc -l src/apadmm/*.py``
+prints. The
 per-layer (``--trace 1``) metrics are not recorded: several of them
 read 0 until the tracer is repaired (ROADMAP item 3).
 """
 
+import glob
 import json
 import os
 import statistics
@@ -51,6 +54,15 @@ def tier1(checkout):
     out = subprocess.run(TIER1, cwd=checkout, env=env, capture_output=True,
                          text=True)
     return time.perf_counter() - start, out.stdout.strip().splitlines()[-1]
+
+
+def src_lines(checkout):
+    """Newlines in the package modules of ``checkout``, as ``wc -l`` counts them."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "apadmm", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def summary(values):
@@ -113,6 +125,7 @@ def main(argv):
         "tier1_wall_s": {side: {"median": statistics.median(times[side]),
                                 "runs": times[side], "summary": lines[side]}
                          for side in times},
+        "src_lines": {"parent": src_lines(parent), "change": src_lines(change)},
         "per_layer": "not recorded: several per-layer metrics read 0 until "
                      "the tracer is repaired (ROADMAP item 3)",
     }
