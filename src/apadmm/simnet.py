@@ -28,8 +28,12 @@ Semantics pinned down here:
 * A sent result is not an event but carries its arrival time.
   ``collect`` takes only results with ``arrived_at < now``, so one
   landing exactly on a window boundary waits for the next window, and
-  returns at most one per worker: the one with the smallest
-  worker-local stamp, discarding the other arrived ones.
+  returns at most one per worker: the earliest-sent arrived one,
+  discarding the other arrived ones.
+* ``StarNetwork`` reads each model once, at construction: a link's loss,
+  reordering flag and delay sampler, and each compute sampler. Every
+  sampler has its own cursor, so one model may serve several workers or
+  networks, and changing a model afterwards changes no network.
 
 The simulator only times copies: ``run()`` broadcasts the master's
 gradients at its iterate, so a delay only times when, and whether, they
@@ -37,13 +41,14 @@ land. The ``from_spec`` constructors parse the JSON-able specs run
 configs hold.
 """
 
-import copy
 import heapq
+import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from ._rules import is_number, nonnegative, probability
+from ._rules import integer, is_number, nonnegative, probability
 
 __all__ = ["DelayModel", "LinkModel", "Message", "StarNetwork"]
 
@@ -68,9 +73,9 @@ def _check_keys(spec, name, required, optional):
 class DelayModel:
     """Delay distribution: constant, uniform(lo, hi), or a cyclic empirical list.
 
-    Empirical lists are consumed deterministically in order, wrapping
-    around; this makes scripted scenarios (for example two consecutive
-    sends with delays 5 then 1) reproducible. ``name`` labels errors.
+    A sampler consumes an empirical list in order, wrapping around; this
+    makes scripted scenarios (for example two consecutive sends with
+    delays 5 then 1) reproducible. ``name`` labels errors.
     """
 
     def __init__(self, kind, value=0.0, lo=0.0, hi=0.0, values=None, name="delay"):
@@ -88,9 +93,8 @@ class DelayModel:
             if not (isinstance(values, (list, tuple)) and values):
                 raise ValueError("%s.values must be a nonempty list, not %r"
                                  % (name, values))
-            self.values = [float(nonnegative(v, "%s.values[%d]" % (name, i)))
-                           for i, v in enumerate(values)]
-            self._cursor = 0
+            self.values = tuple(float(nonnegative(v, "%s.values[%d]" % (name, i)))
+                                for i, v in enumerate(values))
         else:
             raise ValueError("unknown delay kind %r" % (kind,))
 
@@ -132,22 +136,22 @@ class DelayModel:
         _check_keys(spec, name, ("kind",) + required, optional)
         return cls(name=name, **spec)
 
-    def sample(self, uniform):
-        """One delay; ``uniform()`` returns a standard uniform draw.
+    def sampler(self, uniform):
+        """A zero-argument callable returning one delay per call, with its own cursor.
 
-        Only a uniform delay with ``hi > lo`` calls it, once, and returns
-        ``lo + (hi - lo) * u``: with ``uniform = rng.random`` that is
-        ``rng.uniform(lo, hi)`` bit for bit.
+        Only a uniform delay with ``hi > lo`` calls ``uniform()``, a standard
+        uniform draw, once a delay, and returns ``lo + (hi - lo) * u``: with
+        ``uniform = rng.random`` that is ``rng.uniform(lo, hi)`` bit for bit.
         """
         if self.kind == "constant":
-            return self.value
+            value = self.value
+            return lambda: value
         if self.kind == "uniform":
+            lo, span = self.lo, self.hi - self.lo
             if self.hi == self.lo:
-                return self.lo
-            return self.lo + (self.hi - self.lo) * uniform()
-        out = self.values[self._cursor % len(self.values)]
-        self._cursor += 1
-        return out
+                return lambda: lo
+            return lambda: lo + span * uniform()
+        return itertools.cycle(self.values).__next__
 
 
 @dataclass
@@ -160,6 +164,9 @@ class LinkModel:
 
     def __post_init__(self):
         probability(self.loss, "loss")
+        if not isinstance(self.allow_reordering, bool):
+            raise ValueError("allow_reordering must be true or false, not %r"
+                             % (self.allow_reordering,))
 
     @classmethod
     def from_spec(cls, spec, name):
@@ -168,28 +175,25 @@ class LinkModel:
         ``None`` is a lossless zero-delay link. An object takes the keys
         ``delay`` (a delay spec, see ``DelayModel.from_spec``), ``loss``
         (a probability) and ``allow_reordering`` (a boolean), all
-        optional; anything else is the delay spec of a lossless link.
+        optional; anything else is the delay spec of a lossless link. The
+        constructor's errors gain the field path, such as ``uplink.loss``.
         """
         if not isinstance(spec, dict):
             return cls(delay=DelayModel.from_spec(spec, name))
         _check_keys(spec, name, (), _LINK_KEYS)
-        reordering = spec.get("allow_reordering", False)
-        if not isinstance(reordering, bool):
-            raise ValueError("%s.allow_reordering must be true or false, not %r"
-                             % (name, reordering))
-        return cls(DelayModel.from_spec(spec.get("delay"), name + ".delay"),
-                   probability(spec.get("loss", 0.0), name + ".loss"), reordering)
+        delay = DelayModel.from_spec(spec.get("delay"), name + ".delay")
+        try:
+            return cls(delay, spec.get("loss", 0.0), spec.get("allow_reordering", False))
+        except ValueError as err:
+            raise ValueError("%s.%s" % (name, err)) from None
 
 
-@dataclass
-class Message:
+class Message(NamedTuple):
     """A worker's result: the copy ``copy_index`` it picked up, as ``payload``."""
 
     worker: int
     payload: np.ndarray
-    worker_stamp: int
     copy_index: int
-    sent_at: float
     arrived_at: float
 
 
@@ -215,29 +219,38 @@ class _UniformStream:
 
 
 class StarNetwork:
-    """K workers behind per-worker links; ``compute_delays`` are ``DelayModel``s.
+    """K workers behind per-worker ``LinkModel``s and ``DelayModel`` compute delays.
 
     Worker k sends back the payload x it picked up, as a ``Message``.
+    ``seed`` is an integer or a nonempty list of integers, each at least 0.
     """
 
     def __init__(self, num_workers, downlinks, uplinks, compute_delays, seed=0):
+        integer(num_workers, "num_workers", 1)
+        if isinstance(seed, (list, tuple)) and seed:
+            for i, s in enumerate(seed):
+                integer(s, "seed[%d]" % i, 0)
+        else:
+            integer(seed, "seed", 0)
         for name, models in (("downlinks", downlinks), ("uplinks", uplinks),
                              ("compute_delays", compute_delays)):
             if len(models) != num_workers:
                 raise ValueError("%s must have one entry per worker" % name)
         self.num_workers = num_workers
-        # each link/compute model is copied so cyclic cursors are private
-        self.downlinks = [copy.deepcopy(m) for m in downlinks]
-        self.uplinks = [copy.deepcopy(m) for m in uplinks]
-        self.compute_delays = [copy.deepcopy(m) for m in compute_delays]
         self.now = 0.0
         self._heap = []
         self._seq = 0
-        self._uniform = _UniformStream(seed)
+        self._uniform = uniform = _UniformStream(seed)
+        # each link as (loss, allow_reordering, delay sampler)
+        self._down = [(l.loss, l.allow_reordering, l.delay.sampler(uniform))
+                      for l in downlinks]
+        self._up = [(l.loss, l.allow_reordering, l.delay.sampler(uniform))
+                    for l in uplinks]
+        self._compute = [m.sampler(uniform) for m in compute_delays]
+        self.has_loss = any(link[0] > 0 for link in self._down + self._up)
         self._busy = [False] * num_workers
         # (copy_index, x) while idle; a pickup is scheduled exactly while set
         self._pending = [None] * num_workers
-        self._stamp = [1] * num_workers               # worker-local send counter
         self._last_down = [0.0] * num_workers         # FIFO clamps
         self._last_up = [0.0] * num_workers
         self._inbox = []        # sent results not yet collected, in send order
@@ -253,10 +266,17 @@ class StarNetwork:
         heapq.heappush(self._heap, (time, self._seq, handler, args))
         self._seq += 1
 
-    def _link_delivery_time(self, link, last_delivery, delay):
-        t = self.now + delay
-        if not link.allow_reordering:
-            t = max(t, last_delivery)
+    def _send(self, link, last, lost, k):
+        # slot k's arrival on link, no earlier than last[k] unless it reorders,
+        # or None if lost (counted in lost[k]); a lost send draws no delay
+        loss, allow_reordering, delay = link
+        if loss > 0.0 and self._uniform() < loss:
+            lost[k] += 1
+            return None
+        t = self.now + delay()
+        if not allow_reordering:
+            t = max(t, last[k])
+        last[k] = t
         return t
 
     # -- master side -------------------------------------------------------
@@ -265,13 +285,9 @@ class StarNetwork:
         """Send one x copy to every worker, subject to per-link loss and delay."""
         x = np.asarray(x, dtype=float)
         for k in range(self.num_workers):
-            link = self.downlinks[k]
-            if link.loss > 0.0 and self._uniform() < link.loss:
-                self.lost_down[k] += 1
-                continue
-            t = self._link_delivery_time(link, self._last_down[k], link.delay.sample(self._uniform))
-            self._last_down[k] = t
-            self._schedule(t, self._on_deliver_x, (k, x, int(copy_index)))
+            t = self._send(self._down[k], self._last_down, self.lost_down, k)
+            if t is not None:
+                self._schedule(t, self._on_deliver_x, (k, x, int(copy_index)))
 
     def advance(self, duration=1.0):
         """Process all events strictly before now + duration, then move the clock.
@@ -288,9 +304,9 @@ class StarNetwork:
     def collect(self):
         """Results that arrived before now, one per worker: ``{worker: Message}``.
 
-        A worker stamps its results in send order, so its first arrived one
-        has the smallest stamp and wins; its other arrived ones are
-        discarded, and results still in flight stay.
+        The inbox is in send order, so a worker's earliest-sent arrived
+        result wins; its other arrived ones are discarded, and results
+        still in flight stay.
         """
         best, in_flight = {}, []
         for msg in self._inbox:
@@ -331,24 +347,15 @@ class StarNetwork:
         copy_index, x = self._pending[k]
         self._pending[k] = None
         self._busy[k] = True
-        delay = self.compute_delays[k].sample(self._uniform)
-        self._schedule(self.now + delay, self._on_complete, (k, x, copy_index))
+        self._schedule(self.now + self._compute[k](), self._on_complete, (k, x, copy_index))
 
     def _on_complete(self, args):
         k, x, copy_index = args
         self._busy[k] = False
-        stamp = self._stamp[k]
-        self._stamp[k] += 1
-        link = self.uplinks[k]
-        if link.loss > 0.0 and self._uniform() < link.loss:
-            self.lost_up[k] += 1
-            return
-        t = self._link_delivery_time(link, self._last_up[k], link.delay.sample(self._uniform))
-        self._last_up[k] = t
-        # not an event: collect reads the arrival time
-        self._inbox.append(Message(
-            worker=k, payload=x, worker_stamp=stamp, copy_index=copy_index,
-            sent_at=self.now, arrived_at=t))
+        t = self._send(self._up[k], self._last_up, self.lost_up, k)
+        if t is not None:
+            # not an event: collect reads the arrival time
+            self._inbox.append(Message(k, x, copy_index, t))
 
     # -- direct sampling for blocking baselines ---------------------------
 
@@ -361,14 +368,6 @@ class StarNetwork:
         """
         out = np.empty(self.num_workers)
         for k in range(self.num_workers):
-            d = self.downlinks[k].delay.sample(self._uniform)
-            c = self.compute_delays[k].sample(self._uniform)
-            u = self.uplinks[k].delay.sample(self._uniform)
-            out[k] = d + c + u
+            # drawn in this order: downlink, compute, uplink
+            out[k] = self._down[k][2]() + self._compute[k]() + self._up[k][2]()
         return out
-
-    @property
-    def has_loss(self):
-        return any(l.loss > 0 for l in self.downlinks) or any(
-            l.loss > 0 for l in self.uplinks
-        )

@@ -27,10 +27,10 @@ def test_zero_delay_round_trip():
     assert sorted(got) == [0, 1]
     for k in (0, 1):
         msg = got[k]
-        assert msg.worker_stamp == 1
+        assert msg.worker == k
         assert msg.copy_index == 2
         np.testing.assert_array_equal(msg.payload, [1.0, 2.0])
-        assert msg.sent_at == 0.0
+        assert msg.arrived_at == 0.0
 
 
 def test_determinism_identical_networks():
@@ -44,9 +44,9 @@ def test_determinism_identical_networks():
     log_a, log_b = [], []
     for t in range(12):
         x = np.array([float(t)])
-        log_a.append(sorted((k, m.worker_stamp, m.copy_index)
+        log_a.append(sorted((k, m.copy_index, m.arrived_at)
                             for k, m in a.run_window(x, t).items()))
-        log_b.append(sorted((k, m.worker_stamp, m.copy_index)
+        log_b.append(sorted((k, m.copy_index, m.arrived_at)
                             for k, m in b.run_window(x, t).items()))
     assert log_a == log_b
     assert (a.lost_down, a.lost_up) == (b.lost_down, b.lost_up)
@@ -103,25 +103,26 @@ def test_reordering_allows_overtaking():
     net.advance(1.0)
     net.broadcast(np.array([2.0]), 2)   # delivery at 2: overtakes copy 1
     net.advance(5.0)
+    # copy 2 was computed and sent first; the late copy 1 then was too
+    assert [m.copy_index for m in net._inbox] == [2, 1]
     got = net.collect()
-    # copy 2 computed first (stamp 1); the late copy 1 then computed too,
-    # and collect keeps the smallest stamp
-    assert got[0].worker_stamp == 1
     assert got[0].copy_index == 2
     np.testing.assert_array_equal(got[0].payload, [2.0])
 
 
-def test_collect_keeps_smallest_stamp():
-    # two completions inside one window: stamps 1 and 2 both arrive
-    down = [LinkModel(DelayModel.empirical([0.0, 0.4]))]
-    net = make_net(1, down=down)
+def test_collect_keeps_earliest_sent_result():
+    # copy 1 is sent at 0 and lands at 0.8; copy 2 is sent at 0.1 and,
+    # on a reordering uplink, lands first at 0.1: both arrive in one window
+    down = [LinkModel(DelayModel.empirical([0.0, 0.1]))]
+    up = [LinkModel(DelayModel.empirical([0.8, 0.0]), allow_reordering=True)]
+    net = make_net(1, down=down, up=up)
     net.broadcast(np.array([1.0]), 1)
     net.broadcast(np.array([2.0]), 2)
     net.advance(1.0)
+    assert [(m.copy_index, m.arrived_at) for m in net._inbox] == [(1, 0.8), (2, 0.1)]
     got = net.collect()
-    assert got[0].worker_stamp == 1
     assert got[0].copy_index == 1
-    # stamp 2 was discarded, not kept for the next window
+    # copy 2's result was discarded, not kept for the next window
     net.advance(1.0)
     assert net.collect() == {}
 
@@ -145,18 +146,21 @@ def test_total_downlink_loss_counts_every_send():
 
 def test_lost_send_consumes_no_delay_draw():
     # loss is decided before the delay is drawn, so after a lost send the
-    # empirical cursor still points at the first value
-    down = [LinkModel(DelayModel.empirical([3.0, 0.0]), loss=1.0)]
-    net = make_net(1, down=down)
+    # empirical cursor still points at the first value; at seed 8 the
+    # first loss draw loses and the second keeps
+    first, second = np.random.default_rng(8).random(2)
+    assert first < 0.5 <= second
+    down = [LinkModel(DelayModel.empirical([3.0, 0.0]), loss=0.5)]
+    net = make_net(1, down=down, seed=8)
     net.broadcast(np.zeros(1), 1)
     assert net.lost_down[0] == 1
-    net.downlinks[0].loss = 0.0
     net.broadcast(np.zeros(1), 2)
     net.advance(4.0)
     got = net.collect()
     # delivered at t=3: the 3.0 entry was still unconsumed
-    assert got[0].arrived_at >= 3.0
+    assert got[0].arrived_at == 3.0
     assert got[0].copy_index == 2
+    assert net.lost_down[0] == 1
 
 
 @pytest.mark.parametrize("link,delay", [("down", 1.0), ("up", 1.0), ("up", 1.5)])
@@ -188,21 +192,35 @@ def test_sample_round_trips_sums_three_draws():
 def test_empirical_delays_cycle_deterministically():
     model = DelayModel.empirical([1.0, 2.0, 3.0])
     rng = np.random.default_rng(0)
-    draws = [model.sample(rng.random) for _ in range(7)]
-    assert draws == [1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1.0]
+    draw = model.sampler(rng.random)
+    assert [draw() for _ in range(7)] == [1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1.0]
 
 
-def test_model_instances_are_copied_per_network():
-    shared = LinkModel(DelayModel.empirical([5.0, 0.0]))
-    net_a = make_net(1, down=[shared])
-    net_b = make_net(1, down=[shared])
-    net_a.broadcast(np.zeros(1), 1)
-    net_b.broadcast(np.zeros(1), 1)
-    net_a.advance(6.0)
-    net_b.advance(6.0)
-    # both networks consumed their own first entry, not a shared cursor
-    assert net_a.collect()[0].arrived_at == 5.0
-    assert net_b.collect()[0].arrived_at == 5.0
+def test_a_shared_model_gives_each_slot_its_own_cursor():
+    shared = DelayModel.empirical([5.0, 0.0])
+    link = LinkModel(shared)
+    net_a = make_net(2, down=[link, link])
+    net_b = make_net(1, down=[link], compute=[shared])
+    for net in (net_a, net_b):
+        net.broadcast(np.zeros(1), 1)
+        net.advance(11.0)
+    # each worker's downlink, in either network, and net_b's compute
+    # consumed their own first entry, not a shared cursor
+    assert {k: m.arrived_at for k, m in net_a.collect().items()} == {0: 5.0, 1: 5.0}
+    assert net_b.collect()[0].arrived_at == 10.0
+
+
+def test_changing_a_model_after_construction_changes_no_network():
+    link = LinkModel(DelayModel.constant(2.0))
+    compute = DelayModel.constant(0.5)
+    net = make_net(1, down=[link], compute=[compute])
+    link.delay, link.loss, link.allow_reordering = DelayModel.constant(0.0), 1.0, True
+    compute.value = 9.0
+    net.broadcast(np.zeros(1), 1)
+    net.advance(3.0)
+    assert net.collect()[0].arrived_at == 2.5
+    assert net.lost_down == [0]
+    assert not net.has_loss
 
 
 def test_constructor_validation():
@@ -214,6 +232,25 @@ def test_constructor_validation():
         DelayModel.constant(-1.0)
     with pytest.raises(ValueError):
         LinkModel(DelayModel.constant(0.0), loss=1.5)
+    with pytest.raises(ValueError,
+                       match=r"^allow_reordering must be true or false, not 'no'$"):
+        LinkModel(allow_reordering="no")
+
+
+@pytest.mark.parametrize("num_workers,seed,match", [
+    (2, -1, r"seed must be an integer of at least 0, not -1"),
+    (2, [1, -2], r"seed\[1\] must be an integer of at least 0, not -2"),
+    (2, [], r"seed must be an integer of at least 0, not \[\]"),
+    (0, 0, r"num_workers must be an integer of at least 1, not 0"),
+    (2.0, 0, r"num_workers must be an integer of at least 1, not 2\.0"),
+    (True, 0, r"num_workers must be an integer of at least 1, not True"),
+], ids=["seed_negative", "seed_list_negative", "seed_list_empty",
+        "workers_zero", "workers_float", "workers_bool"])
+def test_network_inputs_fail_by_name(num_workers, seed, match):
+    zero = LinkModel(DelayModel.constant(0.0))
+    idle = DelayModel.constant(0.0)
+    with pytest.raises(ValueError, match="^%s$" % match):
+        StarNetwork(num_workers, [zero] * 2, [zero] * 2, [idle] * 2, seed=seed)
 
 
 def test_causality_copy_index_not_from_future():
@@ -249,7 +286,8 @@ def test_messages_are_causal_and_fifo_without_reordering(
         landed = [msg for msg in net._inbox if msg.arrived_at < net.now]
         for msg in landed:
             assert msg.copy_index <= t
-            assert msg.sent_at <= msg.arrived_at
+            # copy t went out at t - 1, so nothing lands before then
+            assert msg.arrived_at >= msg.copy_index - 1
             np.testing.assert_array_equal(msg.payload, [float(msg.copy_index)])
             arrivals[msg.worker].append(msg)
         got = net.collect()
@@ -258,16 +296,17 @@ def test_messages_are_causal_and_fifo_without_reordering(
             # nothing is collected before it lands, and everything that
             # landed is collected in the window it landed in
             assert net.now - 1 <= msg.arrived_at < net.now
-            assert msg is min((m for m in landed if m.worker == k),
-                              key=lambda m: m.worker_stamp)
+            # the inbox is in send order: the earliest-sent arrival wins
+            assert msg is next(m for m in landed if m.worker == k)
         assert {msg.worker for msg in landed} == set(got)
         # what collect leaves is still in flight
         assert all(msg.arrived_at >= net.now for msg in net._inbox)
     if not reorder:
+        # each worker's arrivals, in inbox positions (send order), land in
+        # that order and carry ever newer copies
         for msgs in arrivals.values():
             for a, b in zip(msgs, msgs[1:]):
                 assert a.arrived_at <= b.arrived_at
-                assert a.worker_stamp < b.worker_stamp
                 assert a.copy_index < b.copy_index
 
 
@@ -280,12 +319,12 @@ def test_messages_are_causal_and_fifo_without_reordering(
 def test_buffered_stream_equals_scalar_generator_draws(seed):
     stream = _UniformStream(seed)
     ref = np.random.default_rng(seed)
-    delay = DelayModel.uniform(0.1, 3.3)
+    delay = DelayModel.uniform(0.1, 3.3).sampler(stream)
     for i in range(3 * _UniformStream.BLOCK + 17):    # three refills
         if i % 3 == 0:                # a loss draw
             got, want = stream(), ref.uniform()
         else:                         # a delay draw
-            got, want = delay.sample(stream), ref.uniform(0.1, 3.3)
+            got, want = delay(), ref.uniform(0.1, 3.3)
         assert type(got) is float
         assert got.hex() == float(want).hex(), i
 
@@ -295,7 +334,7 @@ def test_equal_bounds_draw_nothing():
     ref = np.random.default_rng(4)
     flat = DelayModel.uniform(0.7, 0.7)
     for _ in range(10):
-        assert flat.sample(stream) == 0.7
+        assert flat.sampler(stream)() == 0.7
         assert stream().hex() == float(ref.uniform()).hex()
 
 

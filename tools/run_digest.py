@@ -1,7 +1,9 @@
 """Print one digest line per run of a fixed grid, to compare two versions.
 
 Runs three algorithms x three delay bounds x two start points on the
-desk instance, plus a lossy, a dead-uplink and a delayed-link run, one
+desk instance, plus a lossy, a dead-uplink, an empirical-delay
+reordering (empirical compute and downlink delays, and a lossy uplink
+that allows reordering) and a delayed-link run, one
 ``sync_admm`` run on a square instance (N = M = 20, as in the desk
 table3 sweep), and one run per algorithm on each of: components of
 unequal row counts (the rows of the problem's sparse operator then
@@ -62,6 +64,11 @@ def grid():
     yield "async_padmm lossy", dict(delay_bound=3, downlink={
         "delay": {"kind": "uniform", "hi": 1.0}, "loss": 0.2}, uplink={"loss": 0.1})
     yield "async_padmm dead uplink", dict(delay_bound=2, **DEAD)
+    yield "async_padmm empirical reordering", dict(
+        delay_bound=3, compute_delay={"kind": "empirical", "values": [0.5, 2.0, 1.0]},
+        downlink={"delay": {"kind": "empirical", "values": [0.0, 1.5, 0.25]}},
+        uplink={"delay": {"kind": "uniform", "hi": 2.0}, "loss": 0.1,
+                "allow_reordering": True})
     yield "sync_padmm delayed links", dict(
         algorithm="sync_padmm", delay_bound=3,
         downlink={"delay": {"kind": "uniform", "hi": 1.5}}, uplink=0.5)
