@@ -8,7 +8,8 @@ The package splits into small layers:
 * :mod:`apadmm.prox` - proximal maps (soft threshold, ball projection,
   and their composition).
 * :mod:`apadmm.problems` - consensus problem containers, component
-  costs, solver state, traces.
+  costs, solver state, traces, and the optimality measure each run
+  stops on.
 * :mod:`apadmm.stepsize` - descent margins, penalty certification, and
   minimal feasible penalties per curvature class.
 * :mod:`apadmm.simnet` - deterministic discrete-event star network that
@@ -16,8 +17,8 @@ The package splits into small layers:
 * :mod:`apadmm.algorithms` - one solver loop (master step, one pass over
   the components, exchange, commit, trace row) that runs the asynchronous
   solver and synchronous baselines.
-* :mod:`apadmm.diagnostics` - optimality measures, surrogate values,
-  and residual checks replayed over stored traces.
+* :mod:`apadmm.diagnostics` - the residual checks replayed over stored
+  traces.
 * :mod:`apadmm.benchmark` - sparse-PCA instance generator and campaign
   sweeps.
 * :mod:`apadmm.cli` - the ``apadmm`` command.
@@ -30,7 +31,8 @@ from .prox import soft_threshold, project_ball, prox_l1_ball
 from .stepsize import certify, descent_margin, minimal_rho
 from .simnet import DelayModel, LinkModel, StarNetwork
 from .algorithms import RunConfig, run
-from .diagnostics import optimality_measure, trace_residuals
+from .problems import optimality_measure
+from .diagnostics import trace_residuals
 from .benchmark import (
     CampaignCell,
     SparsePcaSpec,

@@ -35,11 +35,11 @@ import numpy as np
 
 from ._rules import integer, nonnegative, positive
 from .problems import (IterationTrace, SolverState, augmented_lagrangian,
-                       consensus_terms, initial_state, penalized_argmin)
+                       consensus_terms, initial_state, penalized_argmin,
+                       stationarity)
 from .prox import _norm, prox_l1_ball
 from .simnet import DelayModel, LinkModel, StarNetwork
 from .stepsize import certify, default_penalties, exact_baseline_penalty
-from . import diagnostics
 
 __all__ = [
     "ALGORITHMS",
@@ -344,7 +344,7 @@ def run(problem, config, lagrangian=True):
         clock += cost
         # the row's gap and Lagrangian share x_local - x, and its l1 term
         diff = state.x_local - state.x
-        row = diagnostics.stationarity(state, terms, diff)
+        row = stationarity(state, terms, diff)
         measure = row[-1]
         value = (augmented_lagrangian(problem, state, rho, diff, terms.l1_term)
                  if lagrangian else None)

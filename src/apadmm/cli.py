@@ -325,6 +325,9 @@ def cmd_bench(args):
         if not (isinstance(data, dict) and isinstance(data.get("cells"), list)
                 and data["cells"]):
             raise CliError("campaign file %r lists no cells" % args.campaign)
+        unknown = set(data) - {"cells", "seeds"}
+        if unknown:
+            raise CliError("unknown campaign key '%s'" % sorted(unknown)[0])
         cells = []
         for i, entry in enumerate(data["cells"]):
             if not isinstance(entry, dict):

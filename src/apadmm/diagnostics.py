@@ -1,4 +1,4 @@
-"""Optimality measures and residual checks for recorded runs.
+"""Residual checks replayed over recorded runs.
 
 The residual suite replays a stored trace (with per-iteration state
 snapshots) and verifies, observationally, the quantities the solver's
@@ -32,14 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import (_block_pass, _row_dots, augmented_lagrangian,
-                       consensus_terms, feasibility_gap)
-from .prox import _norm
+from .problems import _block_pass, _row_dots, augmented_lagrangian
 from .stepsize import descent_margin
 
 __all__ = [
-    "optimality_measure",
-    "stationarity",
     "trace_residuals",
     "CheckOutcome",
     "TraceReport",
@@ -47,29 +43,6 @@ __all__ = [
 
 DUAL_TOL, DESCENT_TOL, TELESCOPE_TOL, DUAL_DIFF_TOL, LOWER_TOL = (
     1e-9, 1e-9, 1e-6, 1e-9, 1e-6)
-
-
-def stationarity(state, terms, diff=None):
-    """``(objective, feas_gap, prox_grad_norm, measure)`` of a trace row.
-
-    ``terms``, the ``consensus_terms`` pass at ``state.x``, gives the
-    objective and the proximal-gradient norm; ``feas_gap`` is the
-    relative consensus gap (``feasibility_gap``, handed ``diff``), and
-    the measure their sum. With the augmented Lagrangian in front, these
-    are a row in ``IterationTrace.append`` order; ``run`` reads the
-    measure first, to tell whether the row is the last.
-    """
-    _, gap_rel = feasibility_gap(state, diff)
-    pg_norm = _norm(terms.prox_residual)
-    return terms.objective, gap_rel, pg_norm, gap_rel + pg_norm
-
-
-def optimality_measure(problem, state):
-    """Progress measure: relative consensus gap plus proximal-gradient norm.
-
-    Equals the measure of ``run``'s trace rows bit for bit.
-    """
-    return stationarity(state, consensus_terms(problem, state.x))[3]
 
 
 @dataclass
@@ -120,11 +93,11 @@ def _outcome(name, margins, first=1):
 def trace_residuals(problem, trace, rho, delay_bounds):
     """Residual report for a stored run.
 
-    Needs per-iteration state snapshots (runs recorded with full tracing)
-    and the augmented Lagrangian of every row (``run``'s default); raises
-    ValueError without either, or when the snapshots are not one more
-    than the rows. History-window checks are skipped when the
-    trace is shorter than max(T_k) + 2 iterations.
+    Needs per-iteration state snapshots (runs recorded with full tracing),
+    one more than the rows, the augmented Lagrangian of every row
+    (``run``'s default), and one ``rho`` and one delay bound per component;
+    raises ValueError otherwise. History-window checks are skipped when
+    the trace is shorter than max(T_k) + 2 iterations.
     """
     if trace.states is None:
         raise ValueError(
@@ -138,6 +111,10 @@ def trace_residuals(problem, trace, rho, delay_bounds):
                          "rerun with lagrangian=True")
     rho = np.asarray(rho, dtype=float)
     delay_bounds = np.asarray(delay_bounds, dtype=float)
+    K = problem.num_components
+    for name, values in (("rho", rho), ("delay_bounds", delay_bounds)):
+        if values.shape != (K,):
+            raise ValueError("%s needs %d entries, got %d" % (name, K, values.size))
     states = trace.states
     rows = len(trace)
     lipschitz = problem.lipschitz
@@ -178,16 +155,18 @@ def trace_residuals(problem, trace, rho, delay_bounds):
 
     # dual-difference bound over the staleness window: row r's window for
     # bound T is steps[r] + steps[r-1] + ... + steps[r-T], summed in that
-    # order, with the steps before the start taken as 0
+    # order, with the steps before the start taken as 0; too short a trace
+    # holds no full window, so no window is built and the check is skipped
     T = delay_bounds.astype(int)
     t_max = int(delay_bounds.max())
     scale = np.array([L ** 2 * (T_k + 1) for L, T_k in zip(lipschitz, T)])
     difference = []
-    for r in range(1, rows + 1):
-        windows = np.cumsum([steps[max(r - i, 0)] for i in range(t_max + 1)])
-        bound = scale * windows[T] + DUAL_DIFF_TOL
-        dy = states[r].y - states[r - 1].y
-        difference.append(np.min(bound - [float(d @ d) for d in dy]))
+    if rows >= t_max + 2:
+        for r in range(1, rows + 1):
+            windows = np.cumsum([steps[max(r - i, 0)] for i in range(t_max + 1)])
+            bound = scale * windows[T] + DUAL_DIFF_TOL
+            dy = states[r].y - states[r - 1].y
+            difference.append(np.min(bound - [float(d @ d) for d in dy]))
 
     # lower bound from best observed objective and feasible diameter; a NaN
     # objective makes the floor NaN
@@ -198,7 +177,6 @@ def trace_residuals(problem, trace, rho, delay_bounds):
         _outcome("dual_identity", dual),
         _outcome("descent", descent),
         _outcome("telescoped_descent", telescoped, first=rows),
-        # too short a trace holds no full window, so the check is skipped
-        _outcome("dual_difference", difference if rows >= t_max + 2 else []),
+        _outcome("dual_difference", difference),
         _outcome("lower_bound", lagrangian + LOWER_TOL - floor, first=0),
     ])

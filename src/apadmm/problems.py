@@ -11,9 +11,10 @@ component's last collected gradient was evaluated. The dual is the
 record of that gradient: a proximal commit sets ``y[k]`` to its negation.
 
 Each component is evaluated once per master iterate, in the one pass of
-``consensus_terms``: it yields the objective and proximal-gradient
-residual (the optimality measure, the trace row) and the gradients the
-workers deliver, after their delays if any.
+``consensus_terms``: it yields the objective, the proximal-gradient
+residual and the gradients the workers deliver. With the consensus gap,
+``stationarity`` makes that pass the trace row's optimality measure, on
+which every run stops (``optimality_measure`` at any state).
 
 Every component is the sparse-PCA cost ``g_k(x) = -0.5 ||B_k x||^2`` of
 an M_k x N data matrix B_k, with gradient ``-B_k^T B_k x``.
@@ -52,8 +53,9 @@ __all__ = [
     "initial_state",
     "ConsensusTerms",
     "consensus_terms",
+    "stationarity",
+    "optimality_measure",
     "augmented_lagrangian",
-    "feasibility_gap",
 ]
 
 def leading_eigenvalue(B):
@@ -365,6 +367,33 @@ def consensus_terms(problem, x):
     return ConsensusTerms(value + l1_term, l1_term, residual, grads)
 
 
+def stationarity(state, terms, diff=None):
+    """``(objective, feas_gap, prox_grad_norm, measure)`` of a trace row.
+
+    ``terms``, the ``consensus_terms`` pass at ``state.x``, gives the
+    objective and the proximal-gradient norm. ``feas_gap`` is the relative
+    consensus gap ``max_k ||x_local_k - x|| / ||x||`` (the absolute gap
+    when x = 0); ``diff`` is ``x_local - x`` if the caller formed it. The
+    measure is their sum; ``run`` reads it first, to tell if the row is last.
+    """
+    # np.linalg.norm(d, axis=1) is sqrt(add.reduce(d * d, axis=1)), and the
+    # square root is monotone: the largest gap is the root of the largest square
+    d = state.x_local - state.x if diff is None else diff
+    absolute = math.sqrt(np.add.reduce(d * d, axis=1).max())
+    norm_x = _norm(state.x)
+    gap = absolute / norm_x if norm_x > 0 else absolute
+    pg_norm = _norm(terms.prox_residual)
+    return terms.objective, gap, pg_norm, gap + pg_norm
+
+
+def optimality_measure(problem, state):
+    """Progress measure: relative consensus gap plus proximal-gradient norm.
+
+    Equals the measure of ``run``'s trace rows bit for bit.
+    """
+    return stationarity(state, consensus_terms(problem, state.x))[3]
+
+
 def augmented_lagrangian(problem, state, rho, diff=None, l1_term=None):
     """Augmented Lagrangian at the given state.
 
@@ -389,22 +418,6 @@ def augmented_lagrangian(problem, state, rho, diff=None, l1_term=None):
         total += cross
         total += 0.5 * r * square
     return total
-
-
-def feasibility_gap(state, diff=None):
-    """Consensus gaps ``(absolute, relative)``.
-
-    Absolute: ``max_k ||x_local_k - x||``. Relative divides by ``||x||``,
-    falling back to the absolute gap when ``||x|| == 0``. ``diff`` is
-    ``state.x_local - state.x`` when a caller already formed it.
-    """
-    # np.linalg.norm(d, axis=1) is sqrt(add.reduce(d * d, axis=1)), and the
-    # square root is monotone: the largest gap is the root of the largest square
-    d = state.x_local - state.x if diff is None else diff
-    absolute = math.sqrt(np.add.reduce(d * d, axis=1).max())
-    norm_x = _norm(state.x)
-    relative = absolute / norm_x if norm_x > 0 else absolute
-    return absolute, relative
 
 
 @dataclass

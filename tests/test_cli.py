@@ -509,6 +509,9 @@ BAD_CAMPAIGNS = {
     "cell_not_an_object": ({"cells": [CAMPAIGN["cells"][0], 5]},
                            "campaign cell 1 must be an object, not 5"),
     "cells_not_a_list": ({"cells": 5}, "lists no cells"),
+    # only cells and seeds: a mistyped seeds or a run option is not ignored
+    "unknown_key": ({"cells": CAMPAIGN["cells"], "seed": 2, "max_iters": 5},
+                    "unknown campaign key 'max_iters'"),
 }
 
 
@@ -754,6 +757,21 @@ def test_check_reports_snapshots_that_do_not_fit_the_trace(tmp_path, capsys):
     assert "Traceback" not in err
     assert err == ("error: cannot check %r: trace has 5 state snapshots for 10 "
                    "rows; expected 11\n" % path)
+
+
+@pytest.mark.parametrize("name", ["rho", "delay_bounds"])
+@pytest.mark.parametrize("entries", [1, 2])
+def test_check_refuses_a_per_component_array_of_the_wrong_length(
+        tmp_path, capsys, name, entries):
+    # K = 3; a 1-entry array must not pass by checking component 0 alone
+    _, _, path = stored_run(tmp_path, 10)
+    rewrite(path[:-4] + ".states.npz",
+            lambda arrays: arrays.update({name: arrays[name][:entries]}))
+    assert run_cli(["check", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: cannot check %r: %s needs 3 entries, got %d\n"
+                            % (path, name, entries))
 
 
 def test_load_run_reads_each_stored_array_once(tmp_path, monkeypatch):

@@ -17,7 +17,6 @@ from apadmm.cli import trace_csv
 from apadmm.problems import (
     ConsensusProblem,
     consensus_terms,
-    feasibility_gap,
     initial_state,
 )
 from apadmm.stepsize import descent_margin
@@ -136,7 +135,7 @@ def reference_row(problem, state, rho):
                  + l1 * float(np.abs(x).sum()))
     step = x - sum(component_gradient(B, x) for B in problem.data)
     pg_norm = float(np.linalg.norm(x - prox_l1_ball(step, l1, problem.radius)))
-    gap = feasibility_gap(state)[1]
+    gap = float(np.linalg.norm(state.x_local - x, axis=1).max() / np.linalg.norm(x))
     return lagrangian, objective, gap, pg_norm, gap + pg_norm
 
 
@@ -532,12 +531,38 @@ def test_trace_residuals_match_the_loop_reference_bit_for_bit(variant):
     assert report.passed == (variant != "tampered")
 
 
-def test_trace_residuals_skip_short_history_checks():
+def test_trace_residuals_skip_short_history_checks(monkeypatch):
+    """A trace shorter than its bound holds no full window: the check is
+    skipped before any window is built, however large the bound."""
     problem, result = certified_run(iters=3)
-    report = trace_residuals(problem, result.trace, result.rho, [4, 4, 4])
-    by_name = {o.name: o for o in report.outcomes}
-    assert by_name["dual_difference"].status == "skipped"
-    assert "SKIP" in by_name["dual_difference"].line()
+    built = []
+    cumsum = np.cumsum
+
+    def counted(a, *args, **kwargs):
+        built.append(len(a))
+        return cumsum(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", counted)
+    for bound in (4, 10 ** 5):
+        report = trace_residuals(problem, result.trace, result.rho, [bound] * 3)
+        by_name = {o.name: o for o in report.outcomes}
+        assert by_name["dual_difference"].status == "skipped"
+        assert "SKIP" in by_name["dual_difference"].line()
+    assert built == []
+
+
+@pytest.mark.parametrize("name", ["rho", "delay_bounds"])
+@pytest.mark.parametrize("entries", [1, 2, 4])
+def test_trace_residuals_need_one_entry_per_component(name, entries):
+    """Zipped with the K bounds, a shorter array would check only its own
+    components, and numpy would stretch a 1-entry one over the rest; any
+    length but K fails by name."""
+    problem, result = certified_run(iters=10)
+    given = {"rho": result.rho, "delay_bounds": [2.0, 2.0, 2.0]}
+    given[name] = np.resize(given[name], entries)
+    with pytest.raises(ValueError, match="^%s needs 3 entries, got %d$"
+                       % (name, entries)):
+        trace_residuals(problem, result.trace, **given)
 
 
 def test_report_lines_format():

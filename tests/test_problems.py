@@ -13,14 +13,15 @@ from apadmm import RunConfig, problems, run
 from apadmm.benchmark import SparsePcaSpec, generate
 from apadmm.problems import (
     ConsensusProblem,
+    ConsensusTerms,
     IterationTrace,
     SolverState,
     augmented_lagrangian,
     consensus_terms,
-    feasibility_gap,
     initial_state,
     leading_eigenvalue,
     penalized_argmin,
+    stationarity,
 )
 from apadmm.prox import _norm, prox_l1_ball
 from reference import component_gradient, component_value
@@ -112,10 +113,15 @@ def test_augmented_lagrangian_scalar_hand_value():
 
 # -- feasibility gap ---------------------------------------------------------
 
+def feas_gap(problem, state):
+    """The relative consensus gap of ``stationarity``'s trace row."""
+    return stationarity(state, consensus_terms(problem, state.x))[1]
+
+
 def test_feasibility_gap_consensus_is_zero():
     problem = scalar_problem()
     state = make_state(problem, [0.7], [[0.7]], [[0.0]])
-    assert feasibility_gap(state) == (0.0, 0.0)
+    assert feas_gap(problem, state) == 0.0
 
 
 def test_feasibility_gap_hand_value():
@@ -123,9 +129,7 @@ def test_feasibility_gap_hand_value():
     problem = generate(spec)
     state = make_state(problem, [1.0, 0.0],
                        [[1.0, 0.0], [0.0, 0.0]], np.zeros((2, 2)))
-    absolute, relative = feasibility_gap(state)
-    assert absolute == 1.0
-    assert relative == 1.0
+    assert feas_gap(problem, state) == 1.0
 
 
 def test_feasibility_gap_zero_master_fallback():
@@ -133,9 +137,7 @@ def test_feasibility_gap_zero_master_fallback():
     spec = SparsePcaSpec(dim=2, num_components=1, rows=2, seed=0)
     problem = generate(spec)
     state = make_state(problem, [0.0, 0.0], [[0.6, 0.8]], np.zeros((1, 2)))
-    absolute, relative = feasibility_gap(state)
-    assert absolute == pytest.approx(1.0, rel=1e-15)
-    assert relative == absolute
+    assert feas_gap(problem, state) == pytest.approx(1.0, rel=1e-15)
 
 
 @settings(max_examples=100, deadline=None)
@@ -147,10 +149,14 @@ def test_feasibility_gap_and_norms_are_numpy_norms_bit_for_bit(K, N, seed, exp):
     x = rng.standard_normal(N) * scale
     x_local = x + rng.standard_normal((K, N)) * scale * rng.random()
     state = SolverState(1, x, x_local, np.zeros((K, N)), np.ones(K, dtype=int))
-    absolute, relative = feasibility_gap(state)
+    residual = rng.standard_normal(N) * scale
+    terms = ConsensusTerms(1.5, 0.0, residual, None)
+    objective, gap, pg_norm, measure = stationarity(state, terms)
     gaps = np.linalg.norm(x_local - x[None, :], axis=1)
-    assert absolute.hex() == float(gaps.max()).hex()
-    assert relative.hex() == (absolute / float(np.linalg.norm(x))).hex()
+    assert objective == 1.5
+    assert gap.hex() == (float(gaps.max()) / float(np.linalg.norm(x))).hex()
+    assert pg_norm.hex() == float(np.linalg.norm(residual)).hex()
+    assert measure == gap + pg_norm
     # contiguous, strided and reversed vectors
     for v in (x, x_local[-1], x_local[:, 0], x[::-2], x_local):
         assert _norm(v).hex() == float(np.linalg.norm(v)).hex()
@@ -675,7 +681,7 @@ def test_the_passes_match_the_reference_expressions_at_paper_shape():
         diff = state.x_local - state.x
         assert (augmented_lagrangian(problem, state, rho, diff, terms.l1_term)
                 == loop_lagrangian(problem, state, rho))
-        assert feasibility_gap(state, diff) == feasibility_gap(state)
+        assert stationarity(state, terms, diff) == stationarity(state, terms)
 
 
 def test_the_csr_kernel_adds_each_row_in_order_onto_the_output():
