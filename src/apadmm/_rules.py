@@ -1,7 +1,8 @@
 """The rules every layer checks its scalar inputs by, each written once.
 
 A number is a real number that is not a bool. Each other rule returns
-the value it checked, unchanged, or raises ValueError naming it:
+the value it checked, unchanged, or raises ValueError naming it, and
+showing a numpy scalar as the Python number it holds:
 
 * ``nonnegative``: ``<name> must be a finite nonnegative number, not <v>``
 * ``positive``: ``<name> must be a finite positive number, not <v>``
@@ -18,6 +19,8 @@ costs several times as much.
 import numbers
 from math import inf
 
+import numpy as np
+
 
 def is_number(value):
     """Whether ``value`` is a real number; a bool is none, nor is a string."""
@@ -26,22 +29,27 @@ def is_number(value):
     return isinstance(value, numbers.Real)
 
 
+def _error(name, form, value):
+    shown = value.item() if isinstance(value, np.generic) else value
+    return ValueError("%s must be %s, not %r" % (name, form, shown))
+
+
 def nonnegative(value, name):
     if (isinstance(value, float) or is_number(value)) and 0 <= value < inf:
         return value
-    raise ValueError("%s must be a finite nonnegative number, not %r" % (name, value))
+    raise _error(name, "a finite nonnegative number", value)
 
 
 def positive(value, name):
     if (isinstance(value, float) or is_number(value)) and 0 < value < inf:
         return value
-    raise ValueError("%s must be a finite positive number, not %r" % (name, value))
+    raise _error(name, "a finite positive number", value)
 
 
 def probability(value, name):
     if (isinstance(value, float) or is_number(value)) and 0 <= value <= 1:
         return value
-    raise ValueError("%s must be a number in [0, 1], not %r" % (name, value))
+    raise _error(name, "a number in [0, 1]", value)
 
 
 def integer(value, name, least):
@@ -49,5 +57,4 @@ def integer(value, name, least):
     if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             and value >= least):
         return value
-    raise ValueError("%s must be an integer of at least %d, not %r"
-                     % (name, least, value))
+    raise _error(name, "an integer of at least %d" % least, value)

@@ -33,7 +33,6 @@ __all__ = [
     "run_campaign",
     "campaign_csv",
     "bench_preset",
-    "run_preset",
     "BENCH_PRESETS",
     "RUN_PRESETS",
 ]
@@ -190,18 +189,20 @@ def run_campaign(cells, seeds=20, max_iters=RunConfig.max_iters,
     return results
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
+def _csv(header, rows):
+    # the one CSV policy: a float (numpy's float64 too) as repr(float(v)),
+    # so identical runs give identical bytes, anything else as str(v)
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                              for v in row))
+    return "\n".join(lines) + "\n"
 
 
 def campaign_csv(rows):
     """Campaign results as CSV text (UTF-8 content, LF newlines)."""
-    lines = [",".join(CAMPAIGN_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in CAMPAIGN_COLUMNS))
-    return "\n".join(lines) + "\n"
+    return _csv(CAMPAIGN_COLUMNS, ([row[c] for c in CAMPAIGN_COLUMNS]
+                                   for row in rows))
 
 
 # -- presets -----------------------------------------------------------------
@@ -278,10 +279,3 @@ RUN_PRESETS = {
     },
 }
 
-
-def run_preset(name):
-    if name not in RUN_PRESETS:
-        raise ValueError("unknown run preset %r; have %s"
-                         % (name, sorted(RUN_PRESETS)))
-    preset = RUN_PRESETS[name]
-    return dict(preset["instance"]), dict(preset["config"])

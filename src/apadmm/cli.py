@@ -21,8 +21,12 @@ check
     written by ``run --full-trace``. The checks run at fixed tolerances
     (``diagnostics``), so the verdict depends on the stored run alone.
 
-All CSV output is UTF-8 with LF line endings; floats are written with
-``repr`` so identical runs produce byte-identical files.
+Every check, here or in the library, raises ValueError; ``main`` alone
+reports it, or an OSError, as ``error: <message>`` with exit 1. ``run``
+and ``bench`` check that ``--out`` can be written before any work. All
+CSV output is UTF-8 with LF line endings and written by one writer
+(``benchmark``), floats with ``repr`` so identical runs produce
+byte-identical files; the run summary writes a non-finite number as null.
 """
 
 import argparse
@@ -35,17 +39,9 @@ from dataclasses import fields
 import numpy as np
 
 from .algorithms import ALGORITHMS, RunConfig, run
-from .benchmark import (
-    BENCH_PRESETS,
-    CampaignCell,
-    RUN_PRESETS,
-    SparsePcaSpec,
-    bench_preset,
-    campaign_csv,
-    generate,
-    run_campaign,
-    run_preset,
-)
+from .benchmark import (BENCH_PRESETS, RUN_PRESETS, CampaignCell,
+                        SparsePcaSpec, _csv, bench_preset, campaign_csv,
+                        generate, run_campaign)
 from .diagnostics import trace_residuals
 from .problems import ConsensusProblem, IterationTrace, SolverState
 from .stepsize import CURVATURE_CLASSES, certify, minimal_rho
@@ -56,20 +52,12 @@ TRACE_COLUMNS = ("iter", "L", "f", "feas_gap", "prox_grad_norm", "e",
                  "set_size")
 
 # exit codes for the run subcommand
-_TERMINATION_CODES = {
-    "converged": 0,
-    "max_iters": 2,
-    "staleness_violation": 3,
-    "infeasible_stepsize": 4,
-}
+_TERMINATION_CODES = {"converged": 0, "max_iters": 2,
+                      "staleness_violation": 3, "infeasible_stepsize": 4}
 
 _RUN_FIELDS = tuple(f.name for f in fields(RunConfig))
 _INSTANCE_FIELDS = tuple(f.name for f in fields(SparsePcaSpec))
 _CELL_FIELDS = tuple(f.name for f in fields(CampaignCell))
-
-
-class CliError(Exception):
-    """Configuration or input problem; reported on stderr with exit 1."""
 
 
 # -- trace persistence -------------------------------------------------------
@@ -83,18 +71,9 @@ def trace_csv(trace):
     if trace.lagrangian is None:
         raise ValueError("trace recorded no augmented Lagrangian for the L "
                          "column; rerun with lagrangian=True")
-    lines = [",".join(TRACE_COLUMNS)]
-    for i in range(len(trace)):
-        lines.append(",".join((
-            str(int(trace.sim_time[i])),
-            repr(float(trace.lagrangian[i])),
-            repr(float(trace.objective[i])),
-            repr(float(trace.feas_gap[i])),
-            repr(float(trace.prox_grad_norm[i])),
-            repr(float(trace.measure[i])),
-            str(int(trace.collected[i])),
-        )))
-    return "\n".join(lines) + "\n"
+    return _csv(TRACE_COLUMNS, zip(
+        map(int, trace.sim_time), trace.lagrangian, trace.objective,
+        trace.feas_gap, trace.prox_grad_norm, trace.measure, trace.collected))
 
 
 def _write_text(path, text):
@@ -102,9 +81,24 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _states_path(csv_path):
-    base = csv_path[:-4] if csv_path.endswith(".csv") else csv_path
-    return base + ".states.npz"
+def _writable(path):
+    # checked before the work, so that a bad --out costs no run
+    if os.path.isdir(path):
+        raise ValueError("cannot write %r: is a directory" % path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError("cannot write %r: no such directory" % path)
+
+
+def _base(csv_path):
+    # a run's trace, states and summary files share one base name
+    return csv_path[:-4] if csv_path.endswith(".csv") else csv_path
+
+
+def _json(record, **layout):
+    # RFC 8259 has no NaN or infinity, so a non-finite number is null
+    return json.dumps({k: None if isinstance(v, float) and not np.isfinite(v)
+                       else v for k, v in record.items()},
+                      sort_keys=True, **layout)
 
 
 def save_states(path, problem, result, algorithm):
@@ -143,30 +137,32 @@ def _parse_trace_csv(text):
 
 
 def load_run(csv_path):
-    """Rebuild (problem, trace, rho, delay_bounds, algorithm) from run output."""
+    """Rebuild (problem, trace, rho, delay_bounds, algorithm) from run output.
+
+    Raises ValueError, naming the file, when either file is missing or
+    cannot be read.
+    """
     if not os.path.exists(csv_path):
-        raise CliError("no trace file at %r" % csv_path)
-    npz_path = _states_path(csv_path)
+        raise ValueError("no trace file at %r" % csv_path)
+    npz_path = _base(csv_path) + ".states.npz"
     if not os.path.exists(npz_path):
-        raise CliError(
+        raise ValueError(
             "no state file at %r; checks need the per-iteration snapshots "
             "written by run --full-trace" % npz_path)
     try:
         with open(csv_path, "r", encoding="utf-8") as fh:
             trace = _parse_trace_csv(fh.read())
     except (ValueError, OSError) as exc:  # UnicodeDecodeError is a ValueError
-        raise CliError("cannot read trace file %r: %s" % (csv_path, exc))
+        raise ValueError("cannot read trace file %r: %s" % (csv_path, exc))
     try:
         with np.load(npz_path) as data:
             num = 0
             while "B_%d" % num in data:
                 num += 1
-            if num == 0:
-                raise CliError("state file %r holds no component data matrices"
-                               % npz_path)
             problem = ConsensusProblem(
                 [data["B_%d" % k] for k in range(num)],
-                l1_weight=float(data["l1_weight"]), radius=float(data["radius"]))
+                l1_weight=float(data["l1_weight"]),
+                radius=float(data["radius"])) if num else None
             # each member is decompressed on every read, so read it once;
             # the states are iterations 1, 2, ...; the gradient and
             # iteration histories of older files are not read
@@ -179,7 +175,10 @@ def load_run(csv_path):
             algorithm = str(data["algorithm"][()])
     except (KeyError, ValueError, TypeError, EOFError, OSError,
             zipfile.BadZipFile) as exc:
-        raise CliError("cannot load state file %r: %s" % (npz_path, exc))
+        raise ValueError("cannot load state file %r: %s" % (npz_path, exc))
+    if problem is None:
+        raise ValueError("state file %r holds no component data matrices"
+                         % npz_path)
     trace.states = states
     return problem, trace, rho, delay_bounds, algorithm
 
@@ -190,35 +189,35 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise CliError("cannot read %r: %s" % (path, exc))
     except json.JSONDecodeError as exc:
-        raise CliError("cannot parse %r: %s" % (path, exc))
+        raise ValueError("cannot parse %r: %s" % (path, exc))
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        raise ValueError("cannot read %r: %s" % (path, exc))
 
 
 def _merge_config_file(cfg, inst, path):
     data = _load_json(path)
     if not isinstance(data, dict):
-        raise CliError("config root must be a JSON object")
+        raise ValueError("config root must be a JSON object")
     for key, value in data.items():
         if key == "instance":
             if not isinstance(value, dict):
-                raise CliError("config key 'instance' must be an object")
+                raise ValueError("config key 'instance' must be an object")
             for ikey, ival in value.items():
                 if ikey not in _INSTANCE_FIELDS:
-                    raise CliError("unknown config key 'instance.%s'" % ikey)
+                    raise ValueError("unknown config key 'instance.%s'" % ikey)
                 inst[ikey] = ival
         elif key in _RUN_FIELDS:
             cfg[key] = value
         else:
-            raise CliError("unknown config key '%s'" % key)
+            raise ValueError("unknown config key '%s'" % key)
 
 
 def _parse_scalar_or_list(text, flag):
     try:
         parts = [float(p) for p in text.split(",")]
     except ValueError:
-        raise CliError("bad value for %s: %r" % (flag, text))
+        raise ValueError("bad value for %s: %r" % (flag, text))
     return parts[0] if len(parts) == 1 else parts
 
 
@@ -245,12 +244,8 @@ def cmd_run(args):
     inst = dict(RUN_PRESETS["desk"]["instance"])
     cfg = {f.name: getattr(RunConfig(), f.name) for f in fields(RunConfig)}
     if args.preset is not None:
-        try:
-            preset_inst, preset_cfg = run_preset(args.preset)
-        except ValueError as exc:
-            raise CliError(str(exc))
-        inst.update(preset_inst)
-        cfg.update(preset_cfg)
+        inst.update(RUN_PRESETS[args.preset]["instance"])
+        cfg.update(RUN_PRESETS[args.preset]["config"])
     if args.config is not None:
         _merge_config_file(cfg, inst, args.config)
     _apply_run_flags(cfg, inst, args)
@@ -263,20 +258,16 @@ def cmd_run(args):
     try:
         spec = SparsePcaSpec(**inst)
     except (TypeError, ValueError) as exc:
-        raise CliError("bad instance: %s" % exc)
+        raise ValueError("bad instance: %s" % exc)
+    out, base = args.out, _base(args.out)
+    _writable(out)
     problem = generate(spec)
-    try:
-        result = run(problem, config)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    result = run(problem, config)
 
-    out = args.out
     _write_text(out, trace_csv(result.trace))
-    wrote_states = False
-    if result.trace.states:
-        save_states(_states_path(out), problem, result, config.algorithm)
-        wrote_states = True
-
+    states = base + ".states.npz" if result.trace.states else None
+    if states:
+        save_states(states, problem, result, config.algorithm)
     summary = {
         "algorithm": config.algorithm,
         "termination": result.termination,
@@ -285,29 +276,19 @@ def cmd_run(args):
         "final_e": result.final_measure,
         "staleness_violations": len(result.violations),
         "trace": out,
-        "states": _states_path(out) if wrote_states else None,
+        "states": states,
     }
-    base = out[:-4] if out.endswith(".csv") else out
-    _write_text(base + ".summary.json",
-                json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    print(json.dumps(summary, sort_keys=True))
+    _write_text(base + ".summary.json", _json(summary, indent=2) + "\n")
+    print(_json(summary))
     return _TERMINATION_CODES[result.termination]
 
 
 def cmd_certify(args):
-    try:
-        rho = (minimal_rho(args.L, args.T, args.curvature) if args.rho is None
-               else args.rho)
-        cert = certify(rho, args.L, args.T, args.curvature)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    record = {
-        "L": cert.lipschitz,
-        "T": cert.delay_bound,
-        "class": cert.curvature,
-        "margin": cert.margin,
-        "rule": cert.rule,
-    }
+    rho = (minimal_rho(args.L, args.T, args.curvature) if args.rho is None
+           else args.rho)
+    cert = certify(rho, args.L, args.T, args.curvature)
+    record = {"L": cert.lipschitz, "T": cert.delay_bound,
+              "class": cert.curvature, "margin": cert.margin, "rule": cert.rule}
     if args.rho is None:
         record["min_rho"] = cert.rho
     else:
@@ -319,35 +300,32 @@ def cmd_certify(args):
 def cmd_bench(args):
     if args.campaign is not None:
         if args.paper:
-            raise CliError("--paper applies only to a preset, not to a "
-                           "campaign file")
+            raise ValueError("--paper applies only to a preset, not to a "
+                             "campaign file")
         data = _load_json(args.campaign)
         if not (isinstance(data, dict) and isinstance(data.get("cells"), list)
                 and data["cells"]):
-            raise CliError("campaign file %r lists no cells" % args.campaign)
+            raise ValueError("campaign file %r lists no cells" % args.campaign)
         unknown = set(data) - {"cells", "seeds"}
         if unknown:
-            raise CliError("unknown campaign key '%s'" % sorted(unknown)[0])
+            raise ValueError("unknown campaign key '%s'" % sorted(unknown)[0])
         cells = []
         for i, entry in enumerate(data["cells"]):
             if not isinstance(entry, dict):
-                raise CliError("campaign cell %d must be an object, not %r"
-                               % (i, entry))
+                raise ValueError("campaign cell %d must be an object, not %r"
+                                 % (i, entry))
             unknown = set(entry) - set(_CELL_FIELDS)
             if unknown:
-                raise CliError("unknown campaign cell key '%s'"
-                               % sorted(unknown)[0])
+                raise ValueError("unknown campaign cell key '%s'"
+                                 % sorted(unknown)[0])
             try:
                 cells.append(CampaignCell(**entry))
             except TypeError as exc:
-                raise CliError("bad campaign cell: %s" % exc)
+                raise ValueError("bad campaign cell: %s" % exc)
         seeds = data.get("seeds", 20)
     else:
-        scale = "paper" if args.paper else "desk"
-        try:
-            cells, seeds = bench_preset(args.preset, scale)
-        except ValueError as exc:
-            raise CliError(str(exc))
+        cells, seeds = bench_preset(args.preset,
+                                    "paper" if args.paper else "desk")
     if args.seeds is not None:
         seeds = args.seeds
 
@@ -359,11 +337,9 @@ def cmd_bench(args):
                 cell.delay_label, seed, out.termination, out.iterations))
             sys.stderr.flush()
 
-    try:
-        rows = run_campaign(cells, seeds, max_iters=args.max_iters,
-                            epsilon=args.epsilon, progress=progress)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    _writable(args.out)
+    rows = run_campaign(cells, seeds, max_iters=args.max_iters,
+                        epsilon=args.epsilon, progress=progress)
     text = campaign_csv(rows)
     _write_text(args.out, text)
     sys.stdout.write(text)
@@ -373,13 +349,13 @@ def cmd_bench(args):
 def cmd_check(args):
     problem, trace, rho, delay_bounds, algorithm = load_run(args.trace)
     if algorithm == "sync_admm":
-        raise CliError(
+        raise ValueError(
             "trace was produced by exact subproblem minimization; the "
             "residual checks apply to proximal-update runs only")
     try:
         report = trace_residuals(problem, trace, rho, delay_bounds)
     except ValueError as exc:  # snapshots that do not fit the trace or data
-        raise CliError("cannot check %r: %s" % (args.trace, exc))
+        raise ValueError("cannot check %r: %s" % (args.trace, exc))
     for line in report.lines():
         print(line)
     return 0 if report.passed else 1
@@ -471,6 +447,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

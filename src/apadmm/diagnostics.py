@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._rules import nonnegative, positive
 from .problems import _block_pass, _row_dots, augmented_lagrangian
 from .stepsize import descent_margin
 
@@ -95,7 +96,8 @@ def trace_residuals(problem, trace, rho, delay_bounds):
 
     Needs per-iteration state snapshots (runs recorded with full tracing),
     one more than the rows, the augmented Lagrangian of every row
-    (``run``'s default), and one ``rho`` and one delay bound per component;
+    (``run``'s default), and one ``rho`` and one delay bound per component,
+    each checked by its rule under its own name, such as ``rho[1]``;
     raises ValueError otherwise. History-window checks are skipped when
     the trace is shorter than max(T_k) + 2 iterations.
     """
@@ -112,9 +114,12 @@ def trace_residuals(problem, trace, rho, delay_bounds):
     rho = np.asarray(rho, dtype=float)
     delay_bounds = np.asarray(delay_bounds, dtype=float)
     K = problem.num_components
-    for name, values in (("rho", rho), ("delay_bounds", delay_bounds)):
+    for name, values, rule in (("rho", rho, positive),
+                               ("delay_bounds", delay_bounds, nonnegative)):
         if values.shape != (K,):
             raise ValueError("%s needs %d entries, got %d" % (name, K, values.size))
+        for k, value in enumerate(values):
+            rule(value, "%s[%d]" % (name, k))
     states = trace.states
     rows = len(trace)
     lipschitz = problem.lipschitz

@@ -6,10 +6,11 @@ import re
 import numpy as np
 import pytest
 
-from apadmm import CampaignCell, SparsePcaSpec, campaign_csv, generate, run_campaign
+from apadmm import (CampaignCell, RunConfig, SparsePcaSpec, campaign_csv, generate,
+                    run_campaign)
 from apadmm import problems
 from apadmm.algorithms import ALGORITHMS
-from apadmm.benchmark import _mean_gradient_age, bench_preset, run_preset
+from apadmm.benchmark import RUN_PRESETS, _mean_gradient_age, bench_preset
 
 
 def reference_data(spec):
@@ -259,6 +260,16 @@ def test_campaign_csv_format():
     assert float(fields[6]) == pytest.approx(rows[0]["mean_iters"])
 
 
+def test_campaign_csv_writes_numpy_numbers_as_python_ones():
+    # a float64 is a float, written as repr(float(v)), never as np.float64(...)
+    row = {"algorithm": "sync_padmm", "N": np.int64(8), "K": 2,
+           "T": np.float64(3.0), "lambda": np.float64(1.5), "seed_count": 2,
+           "mean_iters": np.float64(12.5), "std_iters": float("nan"),
+           "censored_count": 0}
+    assert campaign_csv([row]).split("\n")[1:] == [
+        "sync_padmm,8,2,3.0,1.5,2,12.5,nan,0", ""]
+
+
 def test_bench_presets_cover_all_algorithms():
     for name, expect_cells in (("table1", 9), ("table2", 12), ("table3", 9),
                                ("table4", 9)):
@@ -284,14 +295,16 @@ def test_table2_desk_includes_single_slow_worker_cell():
 
 
 def test_run_presets_resolve():
-    inst, cfg = run_preset("desk")
+    inst, cfg = RUN_PRESETS["desk"]["instance"], RUN_PRESETS["desk"]["config"]
     assert inst["dim"] == 50 and inst["num_components"] == 5
     assert cfg["delay_bound"] == 3 and cfg["init"] == "random_ball"
-    inst2, cfg2 = run_preset("table2_sync")
-    assert inst2["dim"] == 500
-    assert cfg2["delay_bound"] == 0
-    with pytest.raises(ValueError):
-        run_preset("nope")
+    preset = RUN_PRESETS["table2_sync"]
+    assert preset["instance"]["dim"] == 500
+    assert preset["config"]["delay_bound"] == 0
+    # each preset builds a valid instance and config
+    for preset in RUN_PRESETS.values():
+        SparsePcaSpec(**preset["instance"])
+        RunConfig(**preset["config"]).validate()
 
 
 def test_campaign_cell_delay_label():

@@ -160,6 +160,72 @@ def test_run_exit_code_for_infeasible_stepsize(tmp_path, capsys):
         "termination"] == "infeasible_stepsize"
 
 
+def refuse_constant(name):
+    raise ValueError("not RFC 8259 JSON: %s" % name)
+
+
+def test_run_summary_is_strict_json(tmp_path, capsys):
+    # a rejected run has no final measure: null, not Infinity
+    out = str(tmp_path / "t.csv")
+    assert run_cli(["run", *SMALL, "--rho", "1", "--out", out]) == 4
+    printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1],
+                         parse_constant=refuse_constant)
+    on_disk = json.loads(read(str(tmp_path / "t.summary.json")),
+                         parse_constant=refuse_constant)
+    assert printed == on_disk
+    assert printed["termination"] == "infeasible_stepsize"
+    assert printed["final_e"] is None
+
+
+@pytest.mark.parametrize("where", ["missing_directory", "directory"])
+def test_run_refuses_an_unwritable_out_before_building_the_instance(
+        tmp_path, capsys, monkeypatch, where):
+    out = str(tmp_path / "missing" / "t.csv" if where == "missing_directory"
+              else tmp_path)
+    reason = "no such directory" if where == "missing_directory" else "is a directory"
+
+    def no_instance(spec):
+        raise AssertionError("an instance was built")
+
+    monkeypatch.setattr(apadmm.cli, "generate", no_instance)
+    assert run_cli(["run", *SMALL, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot write %r: %s\n" % (out, reason)
+    assert os.listdir(tmp_path) == []
+
+
+def test_run_reports_a_failed_write_without_a_traceback(tmp_path, capsys):
+    # the summary path is a directory, so the last write fails
+    os.mkdir(tmp_path / "t.summary.json")
+    assert run_cli(["run", *SMALL, "--out", str(tmp_path / "t.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 21] Is a directory: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_run_rejects_an_unknown_preset_in_the_parser(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "--preset", "nope"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand, flag", [("run", "--config"),
+                                              ("bench", "--campaign")])
+def test_an_undecodable_json_file_is_reported_by_name(
+        tmp_path, capsys, subcommand, flag):
+    path = tmp_path / "c.json"
+    path.write_bytes(b'{"seeds": 1}\xff\n')
+    assert run_cli([subcommand, flag, str(path),
+                    "--out", str(tmp_path / "o.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: cannot read %r: 'utf-8' codec can't decode "
+                           % str(path))
+
+
 def test_run_rejects_unknown_config_key(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text('{"stepsize": 3.0}')
@@ -604,6 +670,20 @@ def test_bench_progress_lines_on_stderr(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["missing_directory", "directory"])
+def test_bench_refuses_an_unwritable_out_before_the_first_run(
+        tmp_path, capsys, where):
+    out = str(tmp_path / "missing" / "c.csv" if where == "missing_directory"
+              else tmp_path)
+    reason = "no such directory" if where == "missing_directory" else "is a directory"
+    assert run_cli(["bench", "--preset", "table2", "--seeds", "1",
+                    "--progress", "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot write %r: %s\n" % (out, reason)
+    assert os.listdir(tmp_path) == []
+
+
 # -- stored runs -------------------------------------------------------------
 
 def stored_run(tmp_path, rows):
@@ -772,6 +852,26 @@ def test_check_refuses_a_per_component_array_of_the_wrong_length(
     assert captured.out == ""
     assert captured.err == ("error: cannot check %r: %s needs 3 entries, got %d\n"
                             % (path, name, entries))
+
+
+@pytest.mark.parametrize("name, k, value, message", [
+    ("delay_bounds", 2, -1.0,
+     "delay_bounds[2] must be a finite nonnegative number, not -1.0"),
+    ("rho", 1, np.nan, "rho[1] must be a finite positive number, not nan"),
+])
+def test_check_names_a_bad_per_component_entry_by_its_index(
+        tmp_path, capsys, name, k, value, message):
+    _, _, path = stored_run(tmp_path, 10)
+
+    def spoil(arrays):
+        arrays[name] = arrays[name].copy()
+        arrays[name][k] = value
+
+    rewrite(path[:-4] + ".states.npz", spoil)
+    assert run_cli(["check", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot check %r: %s\n" % (path, message)
 
 
 def test_load_run_reads_each_stored_array_once(tmp_path, monkeypatch):

@@ -565,6 +565,21 @@ def test_trace_residuals_need_one_entry_per_component(name, entries):
         trace_residuals(problem, result.trace, **given)
 
 
+@pytest.mark.parametrize("name, k, value, message", [
+    ("delay_bounds", 2, -1.0,
+     "delay_bounds[2] must be a finite nonnegative number, not -1.0"),
+    ("rho", 1, np.nan, "rho[1] must be a finite positive number, not nan"),
+])
+def test_trace_residuals_name_a_bad_entry_by_its_index(name, k, value, message):
+    problem, result = certified_run(iters=10)
+    given = {"rho": np.array(result.rho, dtype=float),
+             "delay_bounds": np.array([2.0, 2.0, 2.0])}
+    given[name][k] = value
+    with pytest.raises(ValueError) as raised:
+        trace_residuals(problem, result.trace, **given)
+    assert str(raised.value) == message
+
+
 def test_report_lines_format():
     problem, result = certified_run(iters=15)
     report = trace_residuals(problem, result.trace, result.rho, [2, 2, 2])

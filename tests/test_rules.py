@@ -78,3 +78,19 @@ def test_a_bad_value_fails_by_the_parameters_rule(call, name, rule, value):
     with pytest.raises(ValueError) as raised:
         call(value)
     assert str(raised.value) == "%s must be %s, not %r" % (name, RULES[rule][0], value)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: soft_threshold(V, np.float64(-1.0)),
+     "tau must be a finite nonnegative number, not -1.0"),
+    (lambda: certify(np.float64(math.nan), 1.0, 0, "concave"),
+     "rho must be a finite positive number, not nan"),
+    (lambda: LinkModel(loss=np.float32(1.5)),
+     "loss must be a number in [0, 1], not 1.5"),
+    (lambda: SparsePcaSpec(dim=np.int64(0), num_components=2),
+     "dim must be an integer of at least 1, not 0"),
+], ids=["nonnegative", "positive", "probability", "integer"])
+def test_a_numpy_scalar_shows_as_the_number_it_holds(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message
