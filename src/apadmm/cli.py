@@ -26,7 +26,8 @@ reports it, or an OSError, as ``error: <message>`` with exit 1. ``run``
 and ``bench`` check that ``--out`` can be written before any work. All
 CSV output is UTF-8 with LF line endings and written by one writer
 (``benchmark``), floats with ``repr`` so identical runs produce
-byte-identical files; the run summary writes a non-finite number as null.
+byte-identical files; the run summary and the certify record write a
+non-finite number as null.
 """
 
 import argparse
@@ -293,7 +294,7 @@ def cmd_certify(args):
         record["min_rho"] = cert.rho
     else:
         record.update(rho=cert.rho, feasible=cert.feasible)
-    print(json.dumps(record, sort_keys=True))
+    print(_json(record))
     return 0 if cert.feasible else 4
 
 

@@ -6,8 +6,7 @@ certificates promise:
 
 * dual identity: the stored dual of each component, the solver's one
   record of the gradient it collected, equals the negated gradient at
-  the copy its stale index points to, recomputed from the problem data
-  in one evaluation pass per row;
+  the copy its stale index points to, recomputed from the problem data;
 * per-iteration descent and the telescoped descent bound of the
   augmented Lagrangian, with general-class margins;
 * the staleness-window bound on successive dual differences;
@@ -20,6 +19,11 @@ negative or NaN, and the check fails when any row does. A NaN anywhere
 in a margin's inputs therefore fails that row. Checks never abort a run;
 they return a report with pass/fail/skipped status, the worst margin
 seen (NaN if any margin is NaN), and the offending iterations.
+
+The replay reads ``BLOCK_ROWS`` rows at a time, as stacked arrays with
+one evaluation pass at the block's stale copies, so its memory beyond
+the stored run is that of one block and a few numbers per row, however
+long the trace.
 
 The allowed side of each check carries a fixed rounding tolerance, so a
 stored run's verdict depends on the run alone:
@@ -44,6 +48,9 @@ __all__ = [
 
 DUAL_TOL, DESCENT_TOL, TELESCOPE_TOL, DUAL_DIFF_TOL, LOWER_TOL = (
     1e-9, 1e-9, 1e-6, 1e-9, 1e-6)
+# rows replayed at once, which bounds the replay's memory; at paper scale
+# 64-row stacks fall out of cache and replay slower than 16-row ones
+BLOCK_ROWS = 16
 
 
 @dataclass
@@ -91,6 +98,39 @@ def _outcome(name, margins, first=1):
                         float(margins.min()), failing)
 
 
+def _replay_block(operator, states, a, b, stale):
+    """The terms of trace rows a to b - 1, from states a - 1 to b - 1.
+
+    ``stale`` holds the rows' ``(b - a, K)`` stale indices, none past
+    the last state. Returns by row the dual-identity margin and the
+    squared master step, and by row and component the squared steps of
+    the local copies and of the duals. Each is an array expression over
+    the block, with one stacked gradient pass at the stale copies; a norm
+    is the root of a row dot, the bits ``_norm`` gives row by row. The
+    gradient stack is reused for each difference, so the block holds a
+    few stacks of its rows.
+    """
+    R, K = stale.shape
+    block = states[a - 1:b]
+    x = np.array([s.x for s in block])
+    dx = x[1:] - x[:-1]
+    # stale index i names the master vector of iteration i, states[i - 1],
+    # and indices before the start clamp to the initial state
+    points = [states[i].x for i in np.maximum(stale - 1, 0).ravel().tolist()]
+    work = _block_pass(operator, np.array(points).reshape(R, K, -1))[1]
+    y = np.array([s.y for s in block])
+    work += y[1:]
+    flat, duals = work.reshape(R * K, -1), y[1:].reshape(R * K, -1)
+    margins = (DUAL_TOL * (1.0 + np.sqrt(_row_dots(duals, duals)))
+               - np.sqrt(_row_dots(flat, flat))).reshape(R, K).min(axis=1)
+    np.subtract(y[1:], y[:-1], out=work)
+    dual_steps = _row_dots(flat, flat).reshape(R, K)
+    x_local = np.array([s.x_local for s in block])
+    np.subtract(x_local[1:], x_local[:-1], out=work)
+    work *= work
+    return margins, _row_dots(dx, dx), work.sum(axis=2), dual_steps
+
+
 def trace_residuals(problem, trace, rho, delay_bounds):
     """Residual report for a stored run.
 
@@ -122,22 +162,19 @@ def trace_residuals(problem, trace, rho, delay_bounds):
             rule(value, "%s[%d]" % (name, k))
     states = trace.states
     rows = len(trace)
+    # a stale index past the last stored state names none
+    stale = np.array([s.stale_index for s in states[1:]], dtype=np.int64)
+    stale = stale.reshape(rows, K)
+    if stale.max(initial=0) > rows + 1:
+        r, k = np.argwhere(stale > rows + 1)[0]
+        raise ValueError(
+            "row %d, component %d: stale index %d names no stored state; the "
+            "trace stores iterations 1 to %d" % (r + 1, k, stale[r, k], rows + 1))
     lipschitz = problem.lipschitz
-    # squared master steps ||x_r - x_{r-1}||^2 by row, read by the
-    # telescoped and the dual-difference checks; nothing moved before row 1
-    steps = [0.0] + [float(dx @ dx) for dx in
-                     (b.x - a.x for a, b in zip(states, states[1:]))]
-
-    # dual identity, recomputed from problem data at the stale copies, in
-    # one pass per row; stale index i names the master vector of
-    # iteration i, and indices before the start clamp to the initial state;
-    # a norm is the root of a row dot, the bits ``_norm`` gives row by row
-    dual = []
-    for st in states[1:]:
-        points = np.array([states[max(int(i) - 1, 0)].x for i in st.stale_index])
-        residual = _block_pass(problem.operator, points)[1] + st.y
-        allowed = DUAL_TOL * (1.0 + np.sqrt(_row_dots(st.y, st.y)))
-        dual.append(np.min(allowed - np.sqrt(_row_dots(residual, residual))))
+    # the squared master steps ||x_r - x_{r-1}||^2 by row, filled in block
+    # by block, read by the telescoped and the dual-difference checks;
+    # nothing moved before row 1
+    steps = np.zeros(rows + 1)
 
     # per-iteration descent of the augmented Lagrangian
     lagrangian = np.array([augmented_lagrangian(problem, states[0], rho),
@@ -145,33 +182,38 @@ def trace_residuals(problem, trace, rho, delay_bounds):
     before, after = lagrangian[:-1], lagrangian[1:]
     descent = before + DESCENT_TOL * (1.0 + np.abs(before)) - after
 
-    # telescoped descent with general-class margins
+    # the telescoped claim adds each row's local term, then its master
+    # term, in row order; row r's dual-difference window for bound T is
+    # steps[r] + steps[r-1] + ... + steps[r-T], summed in that order, with
+    # the steps before the start taken as 0; too short a trace holds no
+    # full window, so no window is built and the check is skipped
     alpha = np.sum([descent_margin(r_k, L, T_k, "general")
                     for r_k, L, T_k in zip(rho, lipschitz, delay_bounds)])
-    local = (rho - 7.0 * lipschitz) / 2.0
+    local = np.broadcast_to((rho - 7.0 * lipschitz) / 2.0, (BLOCK_ROWS, K))
     claim = 0.0
-    for r in range(1, rows + 1):
-        dxk = states[r].x_local - states[r - 1].x_local
-        claim += float(local @ (dxk * dxk).sum(axis=1))
-        claim += float(alpha * steps[r])
-    drop = lagrangian[0] - lagrangian[-1]
-    slack = TELESCOPE_TOL * (1.0 + max(abs(drop), abs(claim)))
-    telescoped = [drop + slack - claim]
-
-    # dual-difference bound over the staleness window: row r's window for
-    # bound T is steps[r] + steps[r-1] + ... + steps[r-T], summed in that
-    # order, with the steps before the start taken as 0; too short a trace
-    # holds no full window, so no window is built and the check is skipped
     T = delay_bounds.astype(int)
     t_max = int(delay_bounds.max())
     scale = np.array([L ** 2 * (T_k + 1) for L, T_k in zip(lipschitz, T)])
-    difference = []
-    if rows >= t_max + 2:
-        for r in range(1, rows + 1):
-            windows = np.cumsum([steps[max(r - i, 0)] for i in range(t_max + 1)])
-            bound = scale * windows[T] + DUAL_DIFF_TOL
-            dy = states[r].y - states[r - 1].y
-            difference.append(np.min(bound - [float(d @ d) for d in dy]))
+    windowed = rows >= t_max + 2
+    dual, difference = np.empty(rows), np.empty(rows if windowed else 0)
+
+    for a in range(1, rows + 1, BLOCK_ROWS):
+        b = min(a + BLOCK_ROWS, rows + 1)
+        dual[a - 1:b - 1], steps[a:b], squares, dual_steps = _replay_block(
+            problem.operator, states, a, b, stale[a - 1:b - 1])
+        terms = _row_dots(squares, local[:b - a])
+        for term, step in zip(terms.tolist(), (alpha * steps[a:b]).tolist()):
+            claim += term
+            claim += step
+        if windowed:
+            lags = np.arange(a, b)[:, None] - np.arange(t_max + 1)
+            windows = np.cumsum(steps[np.maximum(lags, 0)], axis=1)
+            bound = scale * windows[:, T] + DUAL_DIFF_TOL
+            difference[a - 1:b - 1] = (bound - dual_steps).min(axis=1)
+
+    drop = lagrangian[0] - lagrangian[-1]
+    slack = TELESCOPE_TOL * (1.0 + max(abs(drop), abs(claim)))
+    telescoped = [drop + slack - claim]
 
     # lower bound from best observed objective and feasible diameter; a NaN
     # objective makes the floor NaN

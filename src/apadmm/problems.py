@@ -27,7 +27,9 @@ counts. Generated instances are 10% nonzero: a paper-scale pass reads
 about 50,000 entries where dense matrices hold 500,000. The products
 call scipy's private kernels directly (the public ``@`` adds a few
 microseconds of checks a call, doubling a desk-scale pass):
-``csr_matvec`` for D and ``csc_matvec`` for D^T, on D's arrays.
+``csr_matvec`` for D and ``csc_matvec`` for D^T, on D's arrays, and
+their multi-vector forms ``csr_matvecs`` and ``csc_matvecs`` for a
+stack of points, which the residual replay evaluates in one pass.
 """
 
 import itertools
@@ -39,7 +41,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 # private scipy API, pinned by a test (see the module docstring)
-from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+from scipy.sparse._sparsetools import (csc_matvec, csc_matvecs, csr_matvec,
+                                       csr_matvecs)
 
 from ._rules import nonnegative, positive
 from .prox import _norm, prox_l1_ball
@@ -96,16 +99,24 @@ _Operator = namedtuple("_Operator", "D segments")
 
 def _matvec(rows, cols, indptr, indices, data, x, transpose=False):
     # the CSR matrix (or with ``transpose`` its transpose, whose CSC arrays these
-    # are) times x: csr_matvec adds each row's products in column order, csc_matvec
-    # into each output in row order, one at a time onto 0.0; x is unchecked there
-    kernel = csr_matvec
+    # are) times x, or times each row of an (R, cols) x, giving R rows:
+    # csr_matvec adds each row's products in column order, csc_matvec into
+    # each output in row order, one at a time onto 0.0, and their
+    # multi-vector forms add each vector's in that order, on x's transpose;
+    # x is unchecked there
+    kernel, kernels = csr_matvec, csr_matvecs
     if transpose:
-        rows, cols, kernel = cols, rows, csc_matvec
-    if x.shape != (cols,):
+        rows, cols, kernel, kernels = cols, rows, csc_matvec, csc_matvecs
+    if x.shape == (cols,):
+        out = np.zeros(rows)
+        kernel(rows, cols, indptr, indices, data, x, out)
+        return out
+    if x.ndim != 2 or x.shape[1] != cols:
         raise ValueError("vector of shape %s for %d columns" % (x.shape, cols))
-    out = np.zeros(rows)
-    kernel(rows, cols, indptr, indices, data, x, out)
-    return out
+    out = np.zeros((rows, len(x)))
+    kernels(rows, cols, len(x), indptr, indices, data, np.ascontiguousarray(x.T),
+            out)
+    return out.T
 
 
 def _operator(data):
@@ -149,9 +160,19 @@ def _block_pass(operator, X, gradients=True):
     false. Products of the ``operator``'s D, with no loop over
     components: D at X gives ``W_k = B_k X_k``, D^T on W the gradients
     ``-B_k^T W_k``, and the ``segments`` matrix, with W as its values,
-    times W the values ``-0.5 W_k . W_k``.
+    times W the values ``-0.5 W_k . W_k``. An ``(R, K, N)`` stack of R
+    such row sets gives ``(R, K)`` values and C-ordered ``(R, K, N)``
+    gradients, the bits of R passes, in one pass of the multi-vector
+    products, where ``segments`` with unit values takes the squares of W.
     """
     D, segments = operator
+    if X.ndim == 3:
+        W = _matvec(*D, X.reshape(len(X), -1))
+        grads = None
+        if gradients:
+            grads = np.negative(_matvec(*D, W, transpose=True).reshape(X.shape),
+                                order="C")
+        return -0.5 * _matvec(*segments[:4], np.ones(segments.cols), W * W), grads
     if X.ndim != 2:
         N = D.cols // segments.rows
         if X.shape != (N,):

@@ -1,7 +1,6 @@
 """Command-line interface tests: exit codes, artifacts, determinism."""
 
 import json
-import math
 import os
 import subprocess
 import sys
@@ -506,10 +505,11 @@ def test_certify_reports_out_of_range_inputs(capsys, flags, needle):
 @pytest.mark.parametrize("rho", ["1e-160", "1e-300"])
 def test_certify_reports_a_tiny_penalty_infeasible(capsys, rho):
     # the margin's terms overflow, and it is certainly negative
+    # and RFC 8259 has no -Infinity, so the record writes it as null
     assert run_cli(["certify", "--class", "general", "--L", "1", "--T", "3",
                     "--rho", rho]) == 4
-    record = json.loads(capsys.readouterr().out)
-    assert record["margin"] == -math.inf and record["feasible"] is False
+    record = json.loads(capsys.readouterr().out, parse_constant=refuse_constant)
+    assert record["margin"] is None and record["feasible"] is False
 
 
 # -- bench -------------------------------------------------------------------
@@ -872,6 +872,22 @@ def test_check_names_a_bad_per_component_entry_by_its_index(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: cannot check %r: %s\n" % (path, message)
+
+
+def test_check_names_a_stale_index_past_the_stored_states(tmp_path, capsys):
+    _, _, path = stored_run(tmp_path, 10)
+
+    def spoil(arrays):
+        arrays["stale_hist"] = arrays["stale_hist"].copy()
+        arrays["stale_hist"][5, 0] = 10 ** 6
+
+    rewrite(path[:-4] + ".states.npz", spoil)
+    assert run_cli(["check", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: cannot check %r: row 5, component 0: stale index 1000000 names "
+        "no stored state; the trace stores iterations 1 to 11\n" % path)
 
 
 def test_load_run_reads_each_stored_array_once(tmp_path, monkeypatch):

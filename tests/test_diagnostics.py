@@ -46,13 +46,15 @@ def penalized_surrogates(problem, state, rho, k, stale_grad, at=None):
     return exact, fresh, stale
 
 
-def certified_run(algorithm="async_padmm", seed=4, iters=60):
+def certified_run(algorithm="async_padmm", seed=4, iters=60, **changes):
     problem = generate(SparsePcaSpec(dim=10, num_components=3, rows=6,
                                      nonzero_prob=0.2, seed=2))
-    cfg = RunConfig(algorithm=algorithm, delay_bound=2, seed=seed,
-                    max_iters=iters, epsilon=1e-14, init="random_ball",
-                    full_trace=True, enforcement="enforce",
-                    compute_delay={"kind": "uniform", "hi": 1.5})
+    config = dict(algorithm=algorithm, delay_bound=2, seed=seed,
+                  max_iters=iters, epsilon=1e-14, init="random_ball",
+                  full_trace=True, enforcement="enforce",
+                  compute_delay={"kind": "uniform", "hi": 1.5})
+    config.update(changes)
+    cfg = RunConfig(**config)
     if algorithm == "sync_padmm":
         cfg.delay_bound = 0
         cfg.compute_delay = None
@@ -506,11 +508,22 @@ def loop_residuals(problem, trace, rho, delay_bounds):
 
 
 @pytest.mark.parametrize("variant", ["certified", "tampered", "low_rho",
-                                     "sync", "short"])
+                                     "sync", "short", "rows37", "dead_uplink"])
 def test_trace_residuals_match_the_loop_reference_bit_for_bit(variant):
+    """The replay reads blocks of ``BLOCK_ROWS`` rows: a trace of 37 rows
+    ends in a short block, and a dead uplink's stale index stays at 1, so
+    every block gathers the initial state, blocks back."""
+    changes = {"dead_uplink": dict(enforcement="observe",
+                                   uplink=[{"loss": 1.0}, 0.0, 0.0])}
     problem, result = certified_run(
         algorithm="sync_padmm" if variant == "sync" else "async_padmm",
-        iters=3 if variant == "short" else 60)
+        iters={"short": 3, "rows37": 37}.get(variant, 60),
+        **changes.get(variant, {}))
+    if variant == "rows37":
+        assert len(result.trace) == 37
+    elif variant == "dead_uplink":
+        assert len(result.trace) > 3 * diagnostics.BLOCK_ROWS
+        assert all(s.stale_index[0] == 1 for s in result.trace.states)
     rho = result.rho
     bounds = [4, 4, 4] if variant == "short" else result.delay_bounds
     if variant == "tampered":
@@ -549,6 +562,24 @@ def test_trace_residuals_skip_short_history_checks(monkeypatch):
         assert by_name["dual_difference"].status == "skipped"
         assert "SKIP" in by_name["dual_difference"].line()
     assert built == []
+
+
+def test_trace_residuals_name_a_stale_index_past_the_stored_states():
+    """Stale index i names the stored state i - 1: the last of a 10-row
+    trace is named by 11, and 12 names none. Before any margin, the check
+    names the first such index by its row and component."""
+    problem, result = certified_run(iters=10)
+    states = result.trace.states
+    assert len(states) == 11
+    states[10].stale_index = np.array([11, 1, 1])
+    trace_residuals(problem, result.trace, result.rho, [2, 2, 2])
+    states[10].stale_index = np.array([1, 1, 12])
+    states[5].stale_index = np.array([10 ** 6, 1, 1])
+    with pytest.raises(ValueError) as raised:
+        trace_residuals(problem, result.trace, result.rho, [2, 2, 2])
+    assert str(raised.value) == (
+        "row 5, component 0: stale index 1000000 names no stored state; the "
+        "trace stores iterations 1 to 11")
 
 
 @pytest.mark.parametrize("name", ["rho", "delay_bounds"])

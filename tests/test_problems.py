@@ -693,10 +693,16 @@ def test_the_csr_kernel_adds_each_row_in_order_onto_the_output():
     CSR matrix as those of its transpose, adds each stored row's product
     into its output in row order, one at a time onto what the output
     held, and an empty column keeps it: the order of a product of the
-    stored transpose."""
-    from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+    stored transpose. Their multi-vector forms ``csr_matvecs`` and
+    ``csc_matvecs`` take the vector count after the shape and the vectors
+    as the rows of a (columns, count) array, and add each vector's
+    products in the same order."""
+    from scipy.sparse._sparsetools import (csc_matvec, csc_matvecs, csr_matvec,
+                                           csr_matvecs)
     assert problems.csr_matvec is csr_matvec
     assert problems.csc_matvec is csc_matvec
+    assert problems.csr_matvecs is csr_matvecs
+    assert problems.csc_matvecs is csc_matvecs
     out = np.array([0.5, -0.0])
     csr_matvec(2, 3, np.array([0, 3, 3], dtype=np.int32),
                np.array([0, 1, 2], dtype=np.int32), np.array([1.0, 1e16, -1e16]),
@@ -712,15 +718,29 @@ def test_the_csr_kernel_adds_each_row_in_order_onto_the_output():
                np.ones(3), out)
     assert out[0] == 2.0
     assert out[1] == 0.0 and math.copysign(1.0, out[1]) == -1.0
+    # the same products on two vectors, the ones and their negation: output
+    # row i holds both products of row i, each in the order above
+    vectors = np.array([[1.0, -1.0]] * 3)
+    for kernel, indptr, indices in (
+            (csr_matvecs, [0, 3, 3], [0, 1, 2]),
+            (csc_matvecs, [0, 1, 2, 3], [0, 0, 0])):
+        out = np.array([[0.5, -0.5], [-0.0, -0.0]])
+        kernel(2, 3, 2, np.array(indptr, dtype=np.int32),
+               np.array(indices, dtype=np.int32), np.array([1.0, 1e16, -1e16]),
+               vectors, out)
+        assert out[0].tolist() == [2.0, -2.0]
+        assert (out[1] == 0.0).all() and (np.copysign(1.0, out[1]) == -1.0).all()
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_the_pass_equals_the_per_component_reference_on_ragged_sparse_data(draw):
+@given(st.data(), st.sampled_from([1, 15, 16, 17, 40]))
+def test_the_pass_equals_the_per_component_reference_on_ragged_sparse_data(
+        draw, R):
     """Random row counts and sparsity patterns, with one all-zero component
     and one whose even rows are empty: the values and gradients at one
     point, at one point per component and at the local copies are the
-    reference's bits, and ``data`` reads the matrices back."""
+    reference's bits, and ``data`` reads the matrices back. An ``(R, K,
+    N)`` stack, the residual replay's form, gives the bits of R passes."""
     K = draw.draw(st.integers(2, 5))
     rows = draw.draw(st.lists(st.integers(1, 5), min_size=K, max_size=K))
     N = draw.draw(st.integers(1, 7))
@@ -747,3 +767,14 @@ def test_the_pass_equals_the_per_component_reference_on_ragged_sparse_data(draw)
     values, grads = problems._block_pass(problem.operator, local, gradients=False)
     assert grads is None
     assert values.tobytes() == reference(local)[0].tobytes()
+    stack = rng.standard_normal((R, K, N))
+    values, grads = problems._block_pass(problem.operator, stack)
+    assert values.shape == (R, K) and grads.shape == (R, K, N)
+    assert grads.flags.c_contiguous
+    passes = [problems._block_pass(problem.operator, points) for points in stack]
+    assert values.tobytes() == np.stack([v for v, _ in passes]).tobytes()
+    assert grads.tobytes() == np.stack([g for _, g in passes]).tobytes()
+    values, grads = problems._block_pass(problem.operator, stack, gradients=False)
+    assert grads is None
+    assert values.tobytes() == np.stack([v for v, _ in passes]).tobytes()
+
