@@ -52,6 +52,9 @@ __all__ = ["main", "build_parser", "trace_csv", "save_states", "load_run"]
 TRACE_COLUMNS = ("iter", "L", "f", "feas_gap", "prox_grad_norm", "e",
                  "set_size")
 
+# the per-state snapshots of a state file, in SolverState's field order
+_HISTORIES = ("x_hist", "x_local_hist", "y_hist", "stale_hist")
+
 # exit codes for the run subcommand
 _TERMINATION_CODES = {"converged": 0, "max_iters": 2,
                       "staleness_violation": 3, "infeasible_stepsize": 4}
@@ -103,7 +106,11 @@ def _json(record, **layout):
 
 
 def save_states(path, problem, result, algorithm):
-    """Store snapshots plus instance data so checks can rebuild the run."""
+    """Store snapshots plus instance data so checks can rebuild the run.
+
+    The members are stored uncompressed: inflating them cost a check more
+    than its replay, and the file grows about 1.5x at desk scale.
+    """
     states = result.trace.states
     arrays = {
         "x_hist": np.stack([s.x for s in states]),
@@ -118,7 +125,24 @@ def save_states(path, problem, result, algorithm):
     }
     for k, B in enumerate(problem.data):
         arrays["B_%d" % k] = B
-    np.savez_compressed(path, **arrays)
+    np.savez(path, **arrays)
+
+
+def _check_histories(hist, problem):
+    # one snapshot per stored state, each of the data's K components and
+    # dimension N, so the replay reads only what the solver could write
+    K, N = problem.num_components, problem.dim
+    count = len(hist[0]) if hist[0].ndim else 0
+    for name, values, tail in zip(_HISTORIES, hist, ((N,), (K, N), (K, N), (K,))):
+        if values.shape[1:] == tail and len(values) < count:
+            raise ValueError("%s is shorter than x_hist: %d snapshots, not %d"
+                             % (name, len(values), count))
+        if values.shape != (count, *tail):
+            raise ValueError("%s has shape %s, expected %s"
+                             % (name, values.shape, (count, *tail)))
+    if not np.issubdtype(hist[-1].dtype, np.integer):
+        raise ValueError("stale_hist holds %s, not integer, stale indices"
+                         % hist[-1].dtype)
 
 
 def _parse_trace_csv(text):
@@ -160,26 +184,28 @@ def load_run(csv_path):
             num = 0
             while "B_%d" % num in data:
                 num += 1
+            if not num:
+                raise ValueError("no component data matrices B_0, B_1, ...")
             problem = ConsensusProblem(
                 [data["B_%d" % k] for k in range(num)],
                 l1_weight=float(data["l1_weight"]),
-                radius=float(data["radius"])) if num else None
-            # each member is decompressed on every read, so read it once;
-            # the states are iterations 1, 2, ...; the gradient and
-            # iteration histories of older files are not read
-            hist = [data[name + "_hist"] for name in
-                    ("x", "x_local", "y", "stale")]
+                radius=float(data["radius"]))
+            # each subscript reads the member from the file again, so read
+            # it once; the states are iterations 1, 2, ...; the gradient
+            # and iteration histories of older files are not read
+            hist = [data[name] for name in _HISTORIES]
+            _check_histories(hist, problem)
             states = [SolverState(i, *row) for i, row in
-                      enumerate(zip(*hist, strict=True), start=1)]
+                      enumerate(zip(*hist), start=1)]
             rho = np.asarray(data["rho"], dtype=float)
             delay_bounds = np.asarray(data["delay_bounds"], dtype=float)
             algorithm = str(data["algorithm"][()])
+            if algorithm not in ALGORITHMS:
+                raise ValueError("algorithm %r is none of %s"
+                                 % (algorithm, ", ".join(ALGORITHMS)))
     except (KeyError, ValueError, TypeError, EOFError, OSError,
             zipfile.BadZipFile) as exc:
         raise ValueError("cannot load state file %r: %s" % (npz_path, exc))
-    if problem is None:
-        raise ValueError("state file %r holds no component data matrices"
-                         % npz_path)
     trace.states = states
     return problem, trace, rho, delay_bounds, algorithm
 

@@ -101,8 +101,8 @@ def _outcome(name, margins, first=1):
 def _replay_block(operator, states, a, b, stale):
     """The terms of trace rows a to b - 1, from states a - 1 to b - 1.
 
-    ``stale`` holds the rows' ``(b - a, K)`` stale indices, none past
-    the last state. Returns by row the dual-identity margin and the
+    ``stale`` holds the rows' ``(b - a, K)`` stale indices, each from 1
+    to its row's iteration. Returns by row the dual-identity margin and the
     squared master step, and by row and component the squared steps of
     the local copies and of the duals. Each is an array expression over
     the block, with one stacked gradient pass at the stale copies; a norm
@@ -114,9 +114,8 @@ def _replay_block(operator, states, a, b, stale):
     block = states[a - 1:b]
     x = np.array([s.x for s in block])
     dx = x[1:] - x[:-1]
-    # stale index i names the master vector of iteration i, states[i - 1],
-    # and indices before the start clamp to the initial state
-    points = [states[i].x for i in np.maximum(stale - 1, 0).ravel().tolist()]
+    # stale index i names the master vector of iteration i, states[i - 1]
+    points = [states[i].x for i in (stale - 1).ravel().tolist()]
     work = _block_pass(operator, np.array(points).reshape(R, K, -1))[1]
     y = np.array([s.y for s in block])
     work += y[1:]
@@ -157,19 +156,25 @@ def trace_residuals(problem, trace, rho, delay_bounds):
     for name, values, rule in (("rho", rho, positive),
                                ("delay_bounds", delay_bounds, nonnegative)):
         if values.shape != (K,):
-            raise ValueError("%s needs %d entries, got %d" % (name, K, values.size))
+            raise ValueError("%s needs %d entries, got %s" % (
+                name, K, values.size if values.ndim == 1
+                else "an array of shape %s" % (values.shape,)))
         for k, value in enumerate(values):
             rule(value, "%s[%d]" % (name, k))
     states = trace.states
     rows = len(trace)
-    # a stale index past the last stored state names none
+    # row r is iteration r + 1, so its gradients were taken at iterations
+    # 1 to r + 1; any other index names no copy the row could have read
     stale = np.array([s.stale_index for s in states[1:]], dtype=np.int64)
     stale = stale.reshape(rows, K)
-    if stale.max(initial=0) > rows + 1:
-        r, k = np.argwhere(stale > rows + 1)[0]
+    last = np.arange(2, rows + 2)[:, None]
+    acausal = np.argwhere((stale < 1) | (stale > last))
+    if len(acausal):
+        r, k = acausal[0]
         raise ValueError(
-            "row %d, component %d: stale index %d names no stored state; the "
-            "trace stores iterations 1 to %d" % (r + 1, k, stale[r, k], rows + 1))
+            "row %d, component %d: stale index %d is not an iteration the row "
+            "could read; row %d reads iterations 1 to %d"
+            % (r + 1, k, stale[r, k], r + 1, r + 2))
     lipschitz = problem.lipschitz
     # the squared master steps ||x_r - x_{r-1}||^2 by row, filled in block
     # by block, read by the telescoped and the dual-difference checks;

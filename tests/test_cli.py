@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import zipfile
 
 import numpy as np
 import pytest
@@ -724,6 +725,48 @@ def test_load_run_round_trips_a_stored_run(tmp_path):
             np.testing.assert_array_equal(a, b)
 
 
+def test_save_states_stores_every_member_uncompressed(tmp_path):
+    _, _, path = stored_run(tmp_path, 10)
+    with zipfile.ZipFile(path[:-4] + ".states.npz") as archive:
+        members = archive.infolist()
+    assert {m.filename for m in members} >= {
+        "x_hist.npy", "x_local_hist.npy", "y_hist.npy", "stale_hist.npy",
+        "rho.npy", "delay_bounds.npy", "algorithm.npy", "B_0.npy"}
+    assert all(m.compress_type == zipfile.ZIP_STORED for m in members)
+
+
+def test_a_compressed_state_file_loads_and_checks_bit_for_bit(tmp_path, capsys):
+    # files written before save_states stopped compressing still load, to
+    # the same bits, and check with the same lines
+    _, _, path = stored_run(tmp_path, 40)
+    npz = path[:-4] + ".states.npz"
+    raw = load_run(path)
+    assert run_cli(["check", path]) == 0
+    lines = capsys.readouterr().out
+    with np.load(npz) as data:
+        np.savez_compressed(npz, **data)
+    with zipfile.ZipFile(npz) as archive:
+        assert {m.compress_type for m in archive.infolist()} == {
+            zipfile.ZIP_DEFLATED}
+    old = load_run(path)
+    assert run_cli(["check", path]) == 0
+    assert capsys.readouterr().out == lines
+    assert lines.count("PASS") == 5
+
+    def bits(problem, trace, rho, delay_bounds, algorithm):
+        arrays = [*problem.data, np.float64(problem.l1_weight),
+                  np.float64(problem.radius), rho, delay_bounds]
+        for state in trace.states:
+            arrays += [state.x, state.x_local, state.y, state.stale_index]
+        columns = [getattr(trace, name) for name in (
+            "lagrangian", "objective", "feas_gap", "prox_grad_norm",
+            "measure", "sim_time", "collected")]
+        return ([(a.dtype.str, a.shape, a.tobytes()) for a in arrays],
+                [state.iteration for state in trace.states], columns, algorithm)
+
+    assert bits(*old) == bits(*raw)
+
+
 def rewrite(npz, spoil):
     with np.load(npz) as data:
         arrays = dict(data)
@@ -769,7 +812,34 @@ MALFORMED = {
                   "Is a directory"),
     "short_y_history": (
         "states", lambda npz: rewrite(npz, lambda a: a.update(y_hist=a["y_hist"][:10])),
-        "is shorter than"),
+        "y_hist is shorter than x_hist: 10 snapshots, not 11"),
+    "x_hist_one_dimensional": (
+        "states", lambda npz: rewrite(npz, lambda a: a.update(x_hist=a["x_hist"][:, 0])),
+        "x_hist has shape (11,), expected (11, 12)"),
+    "x_local_hist_short_dimension": (
+        "states",
+        lambda npz: rewrite(npz, lambda a: a.update(x_local_hist=a["x_local_hist"][..., :10])),
+        "x_local_hist has shape (11, 3, 10), expected (11, 3, 12)"),
+    "y_hist_one_component_short": (
+        "states", lambda npz: rewrite(npz, lambda a: a.update(y_hist=a["y_hist"][:, :2])),
+        "y_hist has shape (11, 2, 12), expected (11, 3, 12)"),
+    "y_hist_longer": (
+        "states", lambda npz: rewrite(npz, lambda a: a.update(
+            y_hist=np.concatenate([a["y_hist"], a["y_hist"][:1]]))),
+        "y_hist has shape (12, 3, 12), expected (11, 3, 12)"),
+    "stale_hist_flat": (
+        "states", lambda npz: rewrite(npz, lambda a: a.update(stale_hist=a["stale_hist"].ravel())),
+        "stale_hist has shape (33,), expected (11, 3)"),
+    "stale_hist_float": (
+        "states", lambda npz: rewrite(npz, lambda a: a.update(
+            stale_hist=np.where(np.arange(11)[:, None] == 6, 5.5, a["stale_hist"]))),
+        "stale_hist holds float64, not integer, stale indices"),
+    "algorithm_unknown": (
+        "states", lambda npz: rewrite(npz, lambda a: a.update(algorithm=np.str_("bogus"))),
+        "algorithm 'bogus' is none of async_padmm, sync_padmm, sync_admm"),
+    "no_data_matrices": (
+        "states", lambda npz: rewrite(npz, lambda a: [a.pop("B_%d" % k) for k in range(3)]),
+        "no component data matrices B_0, B_1, ..."),
     "trace_value_not_a_number": (
         "trace", lambda csv: spoil_row(csv, "L", "abc"),
         "could not convert string to float: 'abc'"),
@@ -854,6 +924,16 @@ def test_check_refuses_a_per_component_array_of_the_wrong_length(
                             % (path, name, entries))
 
 
+def test_check_reports_the_shape_of_a_two_dimensional_rho(tmp_path, capsys):
+    _, _, path = stored_run(tmp_path, 10)
+    rewrite(path[:-4] + ".states.npz",
+            lambda arrays: arrays.update(rho=arrays["rho"][None, :]))
+    assert run_cli(["check", path]) == 1
+    assert capsys.readouterr().err == (
+        "error: cannot check %r: rho needs 3 entries, got an array of shape "
+        "(1, 3)\n" % path)
+
+
 @pytest.mark.parametrize("name, k, value, message", [
     ("delay_bounds", 2, -1.0,
      "delay_bounds[2] must be a finite nonnegative number, not -1.0"),
@@ -875,24 +955,29 @@ def test_check_names_a_bad_per_component_entry_by_its_index(
 
 
 def test_check_names_a_stale_index_past_the_stored_states(tmp_path, capsys):
+    # row 5 is iteration 6, so it may read iterations 1 to 6 only: an index
+    # of a later stored state is refused like one past them all, and one
+    # before the start is not clamped to the initial state
     _, _, path = stored_run(tmp_path, 10)
-
-    def spoil(arrays):
-        arrays["stale_hist"] = arrays["stale_hist"].copy()
-        arrays["stale_hist"][5, 0] = 10 ** 6
-
-    rewrite(path[:-4] + ".states.npz", spoil)
-    assert run_cli(["check", path]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: cannot check %r: row 5, component 0: stale index 1000000 names "
-        "no stored state; the trace stores iterations 1 to 11\n" % path)
+    npz = path[:-4] + ".states.npz"
+    with np.load(npz) as data:
+        stored = dict(data)
+    for index in (10 ** 6, 20, 7, 0, -3):
+        stale = stored["stale_hist"].copy()
+        stale[5, 0] = index
+        np.savez(npz, **dict(stored, stale_hist=stale))
+        assert run_cli(["check", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: cannot check %r: row 5, component 0: stale index %d is not "
+            "an iteration the row could read; row 5 reads iterations 1 to 6\n"
+            % (path, index))
 
 
 def test_load_run_reads_each_stored_array_once(tmp_path, monkeypatch):
-    # every NpzFile subscript decompresses the member again, so the number
-    # of reads must not grow with the number of rows
+    # every NpzFile subscript reads the member from the file again, so the
+    # number of reads must not grow with the number of rows
     original = np.lib.npyio.NpzFile.__getitem__
     reads = []
 

@@ -565,21 +565,28 @@ def test_trace_residuals_skip_short_history_checks(monkeypatch):
 
 
 def test_trace_residuals_name_a_stale_index_past_the_stored_states():
-    """Stale index i names the stored state i - 1: the last of a 10-row
-    trace is named by 11, and 12 names none. Before any margin, the check
-    names the first such index by its row and component."""
+    """Row r is iteration r + 1 and may read iterations 1 to r + 1, stored
+    as states 0 to r: the last row of a 10-row trace may name 11, row 5
+    no more than 6. Before any margin, the check names the first index
+    outside its row's range by its row and component; an index below 1 is
+    refused, not clamped to the initial state."""
     problem, result = certified_run(iters=10)
     states = result.trace.states
     assert len(states) == 11
     states[10].stale_index = np.array([11, 1, 1])
+    states[5].stale_index = np.array([6, 1, 1])
     trace_residuals(problem, result.trace, result.rho, [2, 2, 2])
     states[10].stale_index = np.array([1, 1, 12])
-    states[5].stale_index = np.array([10 ** 6, 1, 1])
-    with pytest.raises(ValueError) as raised:
+    for index in (10 ** 6, 20, 7, 0, -3):
+        states[5].stale_index = np.array([index, 1, 1])
+        with pytest.raises(ValueError) as raised:
+            trace_residuals(problem, result.trace, result.rho, [2, 2, 2])
+        assert str(raised.value) == (
+            "row 5, component 0: stale index %d is not an iteration the row "
+            "could read; row 5 reads iterations 1 to 6" % index)
+    states[5].stale_index = np.array([6, 1, 1])
+    with pytest.raises(ValueError, match="^row 10, component 2: stale index 12 "):
         trace_residuals(problem, result.trace, result.rho, [2, 2, 2])
-    assert str(raised.value) == (
-        "row 5, component 0: stale index 1000000 names no stored state; the "
-        "trace stores iterations 1 to 11")
 
 
 @pytest.mark.parametrize("name", ["rho", "delay_bounds"])
