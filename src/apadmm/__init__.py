@@ -2,9 +2,9 @@
 
 The package splits into small layers:
 
-* :mod:`apadmm._rules` - the range rules every layer checks its scalar
-  inputs by (finite nonnegative, finite positive, probability, integer
-  of at least n), each written once with one message.
+* :mod:`apadmm._rules` - the rules every layer checks its inputs by
+  (finite nonnegative, finite positive, probability, integer of at least
+  n, switch, choice, JSON object), each written once with one message.
 * :mod:`apadmm.prox` - proximal maps (soft threshold, ball projection,
   and their composition).
 * :mod:`apadmm.problems` - consensus problem containers, component

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rules import integer, nonnegative, positive
+from ._rules import boolean, choice, integer, nonnegative, positive
 from .problems import (IterationTrace, SolverState, augmented_lagrangian,
                        consensus_terms, initial_state, penalized_argmin,
                        stationarity)
@@ -43,6 +43,7 @@ from .stepsize import certify, default_penalties, exact_baseline_penalty
 
 __all__ = [
     "ALGORITHMS",
+    "INITS",
     "RunConfig",
     "RunResult",
     "master_step",
@@ -52,6 +53,7 @@ __all__ = [
 ]
 
 ALGORITHMS = ("async_padmm", "sync_padmm", "sync_admm")
+INITS = ("zero", "random_ball")
 
 
 @dataclass
@@ -98,20 +100,14 @@ class RunConfig:
     uplink: object = None
 
     def validate(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError("unknown algorithm %r; expected one of %s"
-                             % (self.algorithm, list(ALGORITHMS)))
+        choice(self.algorithm, "algorithm", ALGORITHMS)
         positive(self.epsilon, "epsilon")
         integer(self.max_iters, "max_iters", 1)
         integer(self.seed, "seed", 0)
-        if self.enforcement not in ("enforce", "observe"):
-            raise ValueError("enforcement must be 'enforce' or 'observe'")
-        if self.init not in ("zero", "random_ball"):
-            raise ValueError("init must be 'zero' or 'random_ball'")
-        for name in ("force", "full_trace"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError("%s must be true or false, not %r"
-                                 % (name, getattr(self, name)))
+        choice(self.enforcement, "enforcement", ("enforce", "observe"))
+        choice(self.init, "init", INITS)
+        boolean(self.force, "force")
+        boolean(self.full_trace, "full_trace")
 
 
 @dataclass
@@ -280,8 +276,7 @@ def run(problem, config, lagrangian=True):
     and force was not set; no iterations run).
     """
     config.validate()
-    if not isinstance(lagrangian, bool):
-        raise ValueError("lagrangian must be true or false, not %r" % (lagrangian,))
+    boolean(lagrangian, "lagrangian")
     K = problem.num_components
     delay_bounds = _delays(config.delay_bound, K, "delay_bound")
     cert_delays = (delay_bounds if config.cert_delay is None

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rules import integer, nonnegative, probability
+from ._rules import choice, integer, nonnegative, probability
 from .algorithms import ALGORITHMS, RunConfig, _delays, _per_worker, run
 from .problems import ConsensusProblem
 
@@ -247,11 +247,8 @@ BENCH_PRESETS = tuple(sorted(_BENCH_SCALES))
 
 def bench_preset(name, scale="desk"):
     """Cells and default seed count for a named sweep at desk or paper scale."""
-    if name not in _BENCH_SCALES:
-        raise ValueError("unknown bench preset %r; have %s"
-                         % (name, list(BENCH_PRESETS)))
-    if scale not in ("desk", "paper"):
-        raise ValueError("scale must be 'desk' or 'paper'")
+    choice(name, "bench preset", BENCH_PRESETS)
+    choice(scale, "scale", ("desk", "paper"))
     params = dict(_BENCH_SCALES[name][scale])
     sweep = params.pop("sweep")
     values = params.pop("values")

@@ -35,11 +35,12 @@ import json
 import os
 import sys
 import zipfile
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 import numpy as np
 
-from .algorithms import ALGORITHMS, RunConfig, run
+from ._rules import choice, json_object
+from .algorithms import ALGORITHMS, INITS, RunConfig, run
 from .benchmark import (BENCH_PRESETS, RUN_PRESETS, CampaignCell,
                         SparsePcaSpec, _csv, bench_preset, campaign_csv,
                         generate, run_campaign)
@@ -62,6 +63,8 @@ _TERMINATION_CODES = {"converged": 0, "max_iters": 2,
 _RUN_FIELDS = tuple(f.name for f in fields(RunConfig))
 _INSTANCE_FIELDS = tuple(f.name for f in fields(SparsePcaSpec))
 _CELL_FIELDS = tuple(f.name for f in fields(CampaignCell))
+# a campaign cell must give each field that has no default
+_CELL_REQUIRED = tuple(f.name for f in fields(CampaignCell) if f.default is MISSING)
 
 
 # -- trace persistence -------------------------------------------------------
@@ -87,6 +90,8 @@ def _write_text(path, text):
 
 def _writable(path):
     # checked before the work, so that a bad --out costs no run
+    if not path:
+        raise ValueError("cannot write %r: empty path" % path)
     if os.path.isdir(path):
         raise ValueError("cannot write %r: is a directory" % path)
     if not os.path.isdir(os.path.dirname(path) or "."):
@@ -199,10 +204,7 @@ def load_run(csv_path):
                       enumerate(zip(*hist), start=1)]
             rho = np.asarray(data["rho"], dtype=float)
             delay_bounds = np.asarray(data["delay_bounds"], dtype=float)
-            algorithm = str(data["algorithm"][()])
-            if algorithm not in ALGORITHMS:
-                raise ValueError("algorithm %r is none of %s"
-                                 % (algorithm, ", ".join(ALGORITHMS)))
+            algorithm = choice(str(data["algorithm"][()]), "algorithm", ALGORITHMS)
     except (KeyError, ValueError, TypeError, EOFError, OSError,
             zipfile.BadZipFile) as exc:
         raise ValueError("cannot load state file %r: %s" % (npz_path, exc))
@@ -223,21 +225,11 @@ def _load_json(path):
 
 
 def _merge_config_file(cfg, inst, path):
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise ValueError("config root must be a JSON object")
-    for key, value in data.items():
-        if key == "instance":
-            if not isinstance(value, dict):
-                raise ValueError("config key 'instance' must be an object")
-            for ikey, ival in value.items():
-                if ikey not in _INSTANCE_FIELDS:
-                    raise ValueError("unknown config key 'instance.%s'" % ikey)
-                inst[ikey] = ival
-        elif key in _RUN_FIELDS:
-            cfg[key] = value
-        else:
-            raise ValueError("unknown config key '%s'" % key)
+    data = json_object(_load_json(path), "config",
+                       optional=_RUN_FIELDS + ("instance",))
+    inst.update(json_object(data.pop("instance", {}), "instance",
+                            optional=_INSTANCE_FIELDS))
+    cfg.update(data)
 
 
 def _parse_scalar_or_list(text, flag):
@@ -284,7 +276,7 @@ def cmd_run(args):
     config = RunConfig(**cfg)
     try:
         spec = SparsePcaSpec(**inst)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError("bad instance: %s" % exc)
     out, base = args.out, _base(args.out)
     _writable(out)
@@ -329,26 +321,13 @@ def cmd_bench(args):
         if args.paper:
             raise ValueError("--paper applies only to a preset, not to a "
                              "campaign file")
-        data = _load_json(args.campaign)
-        if not (isinstance(data, dict) and isinstance(data.get("cells"), list)
-                and data["cells"]):
+        data = json_object(_load_json(args.campaign), "campaign", ("cells",),
+                           ("seeds",))
+        if not (isinstance(data["cells"], list) and data["cells"]):
             raise ValueError("campaign file %r lists no cells" % args.campaign)
-        unknown = set(data) - {"cells", "seeds"}
-        if unknown:
-            raise ValueError("unknown campaign key '%s'" % sorted(unknown)[0])
-        cells = []
-        for i, entry in enumerate(data["cells"]):
-            if not isinstance(entry, dict):
-                raise ValueError("campaign cell %d must be an object, not %r"
-                                 % (i, entry))
-            unknown = set(entry) - set(_CELL_FIELDS)
-            if unknown:
-                raise ValueError("unknown campaign cell key '%s'"
-                                 % sorted(unknown)[0])
-            try:
-                cells.append(CampaignCell(**entry))
-            except TypeError as exc:
-                raise ValueError("bad campaign cell: %s" % exc)
+        cells = [CampaignCell(**json_object(entry, "campaign cell %d" % i,
+                                            _CELL_REQUIRED, _CELL_FIELDS))
+                 for i, entry in enumerate(data["cells"])]
         seeds = data.get("seeds", 20)
     else:
         cells, seeds = bench_preset(args.preset,
@@ -412,7 +391,7 @@ def build_parser():
                    const="enforce", help="abort when staleness exceeds the bound")
     p.add_argument("--observe", dest="enforcement", action="store_const",
                    const="observe", help="record staleness violations only")
-    p.add_argument("--init", choices=("zero", "random_ball"),
+    p.add_argument("--init", choices=INITS,
                    help="start point (default random_ball; x = 0 is "
                         "stationary for the generated instances)")
     p.add_argument("--force", action="store_true", default=None,

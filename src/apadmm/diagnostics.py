@@ -221,14 +221,15 @@ def trace_residuals(problem, trace, rho, delay_bounds):
     telescoped = [drop + slack - claim]
 
     # lower bound from best observed objective and feasible diameter; a NaN
-    # objective makes the floor NaN
+    # objective makes the floor NaN, and a trace with no row has no floor
     f_best = np.min(np.asarray(trace.objective, dtype=float), initial=np.inf)
     floor = f_best - (2.0 * problem.radius) ** 2 * lipschitz.sum() / 2.0
+    lower = lagrangian + LOWER_TOL - floor if rows else []
 
     return TraceReport([
         _outcome("dual_identity", dual),
         _outcome("descent", descent),
         _outcome("telescoped_descent", telescoped, first=rows),
         _outcome("dual_difference", difference),
-        _outcome("lower_bound", lagrangian + LOWER_TOL - floor, first=0),
+        _outcome("lower_bound", lower, first=0),
     ])

@@ -48,26 +48,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._rules import integer, is_number, nonnegative, probability
+from ._rules import (boolean, choice, integer, is_number, json_object,
+                     nonnegative, probability)
 
 __all__ = ["DelayModel", "LinkModel", "Message", "StarNetwork"]
 
-# keys of a delay spec object beyond "kind": (required, optional)
+# keys of a delay spec object by kind: (required, optional)
 _DELAY_KEYS = {
-    "constant": ((), ("value",)),
-    "uniform": (("hi",), ("lo",)),
-    "empirical": (("values",), ()),
+    "constant": (("kind",), ("value",)),
+    "uniform": (("kind", "hi"), ("lo",)),
+    "empirical": (("kind", "values"), ()),
 }
+_DELAY_ARGS = ("value", "lo", "hi", "values")
 _LINK_KEYS = ("delay", "loss", "allow_reordering")
-
-
-def _check_keys(spec, name, required, optional):
-    for key in required:
-        if key not in spec:
-            raise ValueError("%s spec %r is missing key '%s'" % (name, spec, key))
-    for key in spec:
-        if key not in required and key not in optional:
-            raise ValueError("%s spec %r has unknown key '%s'" % (name, spec, key))
 
 
 class DelayModel:
@@ -80,7 +73,7 @@ class DelayModel:
 
     def __init__(self, kind, value=0.0, lo=0.0, hi=0.0, values=None, name="delay"):
         # every delay is finite: a dead link is loss 1, not an endless delay
-        self.kind = kind
+        self.kind = choice(kind, name + ".kind", _DELAY_KEYS)
         if kind == "constant":
             self.value = float(nonnegative(value, name + ".value"))
         elif kind == "uniform":
@@ -89,14 +82,12 @@ class DelayModel:
             if hi < lo:
                 raise ValueError("%s.hi must be at least lo, not lo=%r, hi=%r"
                                  % (name, lo, hi))
-        elif kind == "empirical":
+        else:
             if not (isinstance(values, (list, tuple)) and values):
                 raise ValueError("%s.values must be a nonempty list, not %r"
                                  % (name, values))
             self.values = tuple(float(nonnegative(v, "%s.values[%d]" % (name, i)))
                                 for i, v in enumerate(values))
-        else:
-            raise ValueError("unknown delay kind %r" % (kind,))
 
     @classmethod
     def constant(cls, value=0.0):
@@ -128,12 +119,9 @@ class DelayModel:
             return cls("constant", value=spec, name=name)
         if isinstance(spec, cls):
             return spec
-        kind = spec.get("kind") if isinstance(spec, dict) else None
-        if not isinstance(kind, str) or kind not in _DELAY_KEYS:
-            raise ValueError("%s spec %r is not a number or an object with key "
-                             "'kind' in %s" % (name, spec, sorted(_DELAY_KEYS)))
-        required, optional = _DELAY_KEYS[kind]
-        _check_keys(spec, name, ("kind",) + required, optional)
+        kind = json_object(spec, name, ("kind",), _DELAY_ARGS)["kind"]
+        required, optional = _DELAY_KEYS[choice(kind, name + ".kind", _DELAY_KEYS)]
+        json_object(spec, name, required, optional)
         return cls(name=name, **spec)
 
     def sampler(self, uniform):
@@ -164,9 +152,7 @@ class LinkModel:
 
     def __post_init__(self):
         probability(self.loss, "loss")
-        if not isinstance(self.allow_reordering, bool):
-            raise ValueError("allow_reordering must be true or false, not %r"
-                             % (self.allow_reordering,))
+        boolean(self.allow_reordering, "allow_reordering")
 
     @classmethod
     def from_spec(cls, spec, name):
@@ -180,7 +166,7 @@ class LinkModel:
         """
         if not isinstance(spec, dict):
             return cls(delay=DelayModel.from_spec(spec, name))
-        _check_keys(spec, name, (), _LINK_KEYS)
+        json_object(spec, name, optional=_LINK_KEYS)
         delay = DelayModel.from_spec(spec.get("delay"), name + ".delay")
         try:
             return cls(delay, spec.get("loss", 0.0), spec.get("allow_reordering", False))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rules import nonnegative, positive
+from ._rules import choice, nonnegative, positive
 
 __all__ = [
     "descent_margin",
@@ -52,8 +52,7 @@ _MAX_ULP_STEPS = 64
 
 
 def _validate(rho, lipschitz, delay_bound, curvature):
-    if curvature not in CURVATURE_CLASSES:
-        raise ValueError("unknown curvature class %r" % (curvature,))
+    choice(curvature, "curvature", CURVATURE_CLASSES)
     positive(lipschitz, "lipschitz")
     nonnegative(delay_bound, "delay_bound")
     if rho is not None:

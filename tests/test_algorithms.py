@@ -537,14 +537,16 @@ def test_a_one_entry_list_runs_exactly_as_its_scalar(key, value):
 
 
 @pytest.mark.parametrize("name,spec,match", [
-    ("compute_delay", {"kind": "uniform"}, r"compute_delay spec .* missing key 'hi'"),
+    ("compute_delay", {"kind": "uniform"}, r"^compute_delay is missing key 'hi'$"),
     ("compute_delay", {"kind": "empirical"},
-     r"compute_delay spec .* missing key 'values'"),
-    ("compute_delay", {"hi": 1.0}, r"compute_delay spec .* key 'kind'"),
-    ("compute_delay", "fast", r"compute_delay spec 'fast'"),
-    ("uplink", {"delay": 1, "los": 0.5}, r"uplink spec .* unknown key 'los'"),
+     r"^compute_delay is missing key 'values'$"),
+    ("compute_delay", {"hi": 1.0}, r"^compute_delay is missing key 'kind'$"),
+    ("compute_delay", "fast", r"^compute_delay must be an object, not 'fast'$"),
+    ("uplink", {"delay": 1, "los": 0.5}, r"^uplink has unknown key 'los'$"),
     ("downlink", {"delay": {"kind": "uniform", "hi": 1.0, "high": 2.0}},
-     r"downlink\.delay spec .* unknown key 'high'"),
+     r"^downlink\.delay has unknown key 'high'$"),
+    ("compute_delay", {"kind": "uniform", "hi": 1.0, "value": 1.0},
+     r"^compute_delay has unknown key 'value'$"),
     ("compute_delay", {"kind": "uniform", "hi": "x"},
      r"compute_delay\.hi must be a finite nonnegative number, not 'x'$"),
     ("compute_delay", {"kind": "uniform", "hi": None},
@@ -552,7 +554,8 @@ def test_a_one_entry_list_runs_exactly_as_its_scalar(key, value):
     ("compute_delay", {"kind": "empirical", "values": 5},
      r"compute_delay\.values must be a nonempty list, not 5$"),
     ("compute_delay", {"kind": ["uniform"], "hi": 1.0},
-     r"compute_delay spec .* key 'kind'"),
+     r"^compute_delay\.kind must be one of constant, uniform, empirical, "
+     r"not \['uniform'\]$"),
     ("uplink", {"loss": "high"}, r"uplink\.loss must be a number in \[0, 1\], not 'high'$"),
     ("downlink", {"allow_reordering": "no"},
      r"downlink\.allow_reordering must be true or false"),
@@ -589,7 +592,7 @@ def test_a_one_entry_list_runs_exactly_as_its_scalar(key, value):
      r"cert_delay must be a finite nonnegative number, not nan$"),
 ], ids=["uniform_missing_hi", "empirical_missing_values", "missing_kind",
         "string_spec", "unknown_link_key", "unknown_nested_delay_key",
-        "hi_a_string", "hi_none", "values_not_a_list", "kind_a_list",
+        "key_of_another_kind", "hi_a_string", "hi_none", "values_not_a_list", "kind_a_list",
         "loss_a_string", "reordering_not_a_bool", "hi_negative", "lo_negative",
         "hi_below_lo", "values_empty", "link_value_negative",
         "link_delay_negative", "delay_nan", "delay_inf", "constant_nan",

@@ -82,6 +82,22 @@ def test_check_replays_at_the_staleness_bound(tmp_path, capsys):
     assert "FAIL" not in captured
 
 
+def test_check_passes_a_run_that_stopped_before_its_first_row(tmp_path, capsys):
+    # a zero bound trips at the first update: one stored state and no row,
+    # so no check has a row to fail and the lower bound has no floor
+    out = str(tmp_path / "t.csv")
+    assert run_cli(["run", "--preset", "desk", "--delay-bound", "0",
+                    "--full-trace", "--out", out]) == 3
+    capsys.readouterr()
+    assert run_cli(["check", out]) == 0
+    assert capsys.readouterr().out == (
+        "SKIP dual_identity (trace too short)\n"
+        "SKIP descent (trace too short)\n"
+        "PASS telescoped_descent worst_slack=1.000e-06\n"
+        "SKIP dual_difference (trace too short)\n"
+        "SKIP lower_bound (trace too short)\n")
+
+
 def test_check_fails_a_state_file_with_a_nan_dual_row(tmp_path, capsys):
     out = str(tmp_path / "t.csv")
     run_cli(["run", "--preset", "desk", "--full-trace", "--max-iters", "80",
@@ -177,12 +193,18 @@ def test_run_summary_is_strict_json(tmp_path, capsys):
     assert printed["final_e"] is None
 
 
-@pytest.mark.parametrize("where", ["missing_directory", "directory"])
+def unwritable(tmp_path, where, name):
+    """An --out path that cannot be written, and the reason its error gives."""
+    return {"missing_directory": (str(tmp_path / "missing" / name),
+                                  "no such directory"),
+            "directory": (str(tmp_path), "is a directory"),
+            "empty": ("", "empty path")}[where]
+
+
+@pytest.mark.parametrize("where", ["missing_directory", "directory", "empty"])
 def test_run_refuses_an_unwritable_out_before_building_the_instance(
         tmp_path, capsys, monkeypatch, where):
-    out = str(tmp_path / "missing" / "t.csv" if where == "missing_directory"
-              else tmp_path)
-    reason = "no such directory" if where == "missing_directory" else "is a directory"
+    out, reason = unwritable(tmp_path, where, "t.csv")
 
     def no_instance(spec):
         raise AssertionError("an instance was built")
@@ -245,8 +267,9 @@ def test_run_rejects_wrong_length_delay_bound_list(tmp_path, capsys):
 @pytest.mark.parametrize("config,needle", [
     ('{"compute_delay": {"kind": "uniform"}}', "compute_delay"),
     ('{"uplink": {"delay": 1, "los": 0.5}}', "'los'"),
-    ('{"rho_safety": 1.5}', "unknown config key 'rho_safety'"),
-    ('{"window": 1.0}', "unknown config key 'window'"),
+    ('{"rho_safety": 1.5}', "config has unknown key 'rho_safety'"),
+    ('{"window": 1.0}', "config has unknown key 'window'"),
+    ('{"instance": {"dims": 5}}', "instance has unknown key 'dims'"),
     ('{"compute_delay": {"kind": "uniform", "hi": "x"}}',
      "compute_delay.hi must be a finite nonnegative number, not 'x'"),
     ('{"epsilon": "x"}', "epsilon must be a finite positive number, not 'x'"),
@@ -277,8 +300,8 @@ def test_run_rejects_wrong_length_delay_bound_list(tmp_path, capsys):
     ('{"delay_bound": Infinity, "algorithm": "sync_padmm"}',
      "delay_bound must be a finite nonnegative number, not inf"),
 ], ids=["delay_missing_key", "link_unknown_key", "removed_knob",
-        "removed_window", "delay_mistyped_value", "epsilon_mistyped",
-        "delay_bound_null", "delay_out_of_range", "rho_mistyped", "rho_null",
+        "removed_window", "instance_unknown_key", "delay_mistyped_value",
+        "epsilon_mistyped", "delay_bound_null", "delay_out_of_range", "rho_mistyped", "rho_null",
         "rho_wrong_length", "force_mistyped", "seed_fractional",
         "seed_negative", "seed_bool", "max_iters_fractional",
         "max_iters_infinite", "compute_delay_nan", "compute_delay_nan_observed",
@@ -559,7 +582,8 @@ def with_last_cell(**changes):
 # bad campaign files, and what the error must say
 BAD_CAMPAIGNS = {
     "unknown_algorithm": (with_last_cell(algorithm="bogus"),
-                          "campaign cell 1: unknown algorithm 'bogus'"),
+                          "campaign cell 1: algorithm must be one of async_padmm, "
+                          "sync_padmm, sync_admm, not 'bogus'"),
     "zero_dim": (with_last_cell(dim=0),
                  "campaign cell 1: dim must be an integer of at least 1, not 0"),
     "rows_list_of_wrong_length": (with_last_cell(rows=[5, 5, 5]),
@@ -576,9 +600,16 @@ BAD_CAMPAIGNS = {
     "cell_not_an_object": ({"cells": [CAMPAIGN["cells"][0], 5]},
                            "campaign cell 1 must be an object, not 5"),
     "cells_not_a_list": ({"cells": 5}, "lists no cells"),
-    # only cells and seeds: a mistyped seeds or a run option is not ignored
+    "no_cells": ({"seeds": 2}, "campaign is missing key 'cells'"),
+    # only cells and seeds: a mistyped seeds or a run option is not ignored;
+    # the first unknown key in the file's order is named
     "unknown_key": ({"cells": CAMPAIGN["cells"], "seed": 2, "max_iters": 5},
-                    "unknown campaign key 'max_iters'"),
+                    "campaign has unknown key 'seed'"),
+    "cell_missing_dim": (
+        {"cells": [{k: v for k, v in CAMPAIGN["cells"][0].items() if k != "dim"}]},
+        "campaign cell 0 is missing key 'dim'"),
+    "cell_unknown_key": (with_last_cell(seed=1),
+                         "campaign cell 1 has unknown key 'seed'"),
 }
 
 
@@ -671,12 +702,10 @@ def test_bench_progress_lines_on_stderr(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("where", ["missing_directory", "directory"])
+@pytest.mark.parametrize("where", ["missing_directory", "directory", "empty"])
 def test_bench_refuses_an_unwritable_out_before_the_first_run(
         tmp_path, capsys, where):
-    out = str(tmp_path / "missing" / "c.csv" if where == "missing_directory"
-              else tmp_path)
-    reason = "no such directory" if where == "missing_directory" else "is a directory"
+    out, reason = unwritable(tmp_path, where, "c.csv")
     assert run_cli(["bench", "--preset", "table2", "--seeds", "1",
                     "--progress", "--out", out]) == 1
     captured = capsys.readouterr()
@@ -836,7 +865,7 @@ MALFORMED = {
         "stale_hist holds float64, not integer, stale indices"),
     "algorithm_unknown": (
         "states", lambda npz: rewrite(npz, lambda a: a.update(algorithm=np.str_("bogus"))),
-        "algorithm 'bogus' is none of async_padmm, sync_padmm, sync_admm"),
+        "algorithm must be one of async_padmm, sync_padmm, sync_admm, not 'bogus'"),
     "no_data_matrices": (
         "states", lambda npz: rewrite(npz, lambda a: [a.pop("B_%d" % k) for k in range(3)]),
         "no component data matrices B_0, B_1, ..."),

@@ -564,6 +564,24 @@ def test_trace_residuals_skip_short_history_checks(monkeypatch):
     assert built == []
 
 
+def test_trace_residuals_skip_the_lower_bound_of_a_trace_with_no_rows():
+    """A staleness abort at the first update stores one state and no row:
+    no objective was observed, so there is no floor to hold the start's
+    Lagrangian to, and the check is skipped, not failed at -inf."""
+    problem = row_problem("ragged")
+    result = run(problem, RunConfig(
+        delay_bound=0, seed=5, max_iters=50, full_trace=True,
+        uplink=[{"loss": 1.0}, 0.0, 0.0], compute_delay=0.0))
+    assert result.termination == "staleness_violation"
+    assert len(result.trace) == 0 and len(result.trace.states) == 1
+    report = trace_residuals(problem, result.trace, result.rho,
+                             result.delay_bounds)
+    lower = report.outcomes[-1]
+    assert lower.name == "lower_bound" and lower.status == "skipped"
+    assert lower.line() == "SKIP lower_bound (trace too short)"
+    assert report.passed
+
+
 def test_trace_residuals_name_a_stale_index_past_the_stored_states():
     """Row r is iteration r + 1 and may read iterations 1 to r + 1, stored
     as states 0 to r: the last row of a 10-row trace may name 11, row 5
