@@ -25,6 +25,7 @@ import numpy as np
 from ._rules import choice, integer, nonnegative, probability
 from .algorithms import ALGORITHMS, RunConfig, _delays, _per_worker, run
 from .problems import ConsensusProblem
+from .stepsize import minimal_rho
 
 __all__ = [
     "SparsePcaSpec",
@@ -100,30 +101,31 @@ class CampaignCell:
         return float(np.max(self.delay_bound))
 
 
-def _mean_gradient_age(delay_bound):
+def _cell_runs(cell, seeds, max_iters, epsilon):
+    """The checked ``(seed, spec, config)`` of one cell at each seed."""
+    specs = [SparsePcaSpec(
+        dim=cell.dim, num_components=cell.num_components, rows=cell.rows,
+        nonzero_prob=cell.nonzero_prob, l1_weight=cell.l1_weight, seed=seed)
+        for seed in seeds]
+    bounds = _delays(cell.delay_bound, cell.num_components, "delay_bound")
     # a worker's gradient is on average (T/2 compute) + (half a window of
     # pickup lag) old when used, so campaigns certify penalties at
     # (T+1)/2 per worker; the worst case over-damps and does not
     # reproduce the published counts
-    bounds = np.atleast_1d(np.asarray(delay_bound, dtype=float))
     ages = (bounds + 1.0) / 2.0
-    return ages.tolist() if ages.size > 1 else float(ages[0])
-
-
-def _cell_run(cell, seed, max_iters, epsilon):
-    """The checked instance spec and run config of one cell at one seed."""
-    spec = SparsePcaSpec(
-        dim=cell.dim, num_components=cell.num_components,
-        rows=cell.rows, nonzero_prob=cell.nonzero_prob,
-        l1_weight=cell.l1_weight, seed=seed)
-    _delays(cell.delay_bound, cell.num_components, "delay_bound")
-    config = RunConfig(
-        algorithm=cell.algorithm, delay_bound=cell.delay_bound,
-        cert_delay=_mean_gradient_age(cell.delay_bound),
-        seed=seed, max_iters=max_iters, epsilon=epsilon,
-        init="random_ball", enforcement="observe")
-    config.validate()
-    return spec, config
+    if cell.algorithm == "async_padmm":
+        # the margin cubic is free of L; synchronous runs certify at 0
+        for age in sorted(set(ages.tolist())):
+            minimal_rho(1.0, age, "concave")
+    plan = []
+    for spec in specs:
+        config = RunConfig(
+            algorithm=cell.algorithm, delay_bound=bounds, cert_delay=ages,
+            seed=spec.seed, max_iters=max_iters, epsilon=epsilon,
+            init="random_ball", enforcement="observe")
+        config.validate()
+        plan.append((spec.seed, spec, config))
+    return plan
 
 
 def run_campaign(cells, seeds=20, max_iters=RunConfig.max_iters,
@@ -138,9 +140,10 @@ def run_campaign(cells, seeds=20, max_iters=RunConfig.max_iters,
     injects, and certify penalties at the model's mean gradient age; each
     seed regenerates both the instance and the delays. No column reads
     the augmented Lagrangian, so no run records it. Returns one dict per
-    cell in campaign-CSV column order. Every cell's instance and config
-    are checked before the first run, so a bad cell raises ValueError,
-    naming its index, before any cell has run.
+    cell in campaign-CSV column order. Every run of every cell is planned
+    before the first run, so a bad cell, or one whose delays admit no
+    certified penalty, raises ValueError naming its index before any
+    cell has run; a run that still raises names its cell and seed.
     """
     if isinstance(seeds, numbers.Integral):
         integer(seeds, "seed count", 1)
@@ -153,20 +156,22 @@ def run_campaign(cells, seeds=20, max_iters=RunConfig.max_iters,
                          "list of seeds, not %r" % (seeds,))
     for seed in listed:
         integer(seed, "seed", 0)
-    seeds = listed
     # by RunConfig's own rules, once: a cell never makes them bad
     RunConfig(max_iters=max_iters, epsilon=epsilon).validate()
+    plans = []
     for i, cell in enumerate(cells):
         try:
-            _cell_run(cell, 0, max_iters, epsilon)
-        except (TypeError, ValueError) as exc:
+            plans.append(_cell_runs(cell, listed, max_iters, epsilon))
+        except ValueError as exc:
             raise ValueError("campaign cell %d: %s" % (i, exc))
     results = []
-    for cell in cells:
+    for i, (cell, plan) in enumerate(zip(cells, plans)):
         iters, censored = [], 0
-        for seed in seeds:
-            spec, config = _cell_run(cell, seed, max_iters, epsilon)
-            out = run(generate(spec), config, lagrangian=False)
+        for seed, spec, config in plan:
+            try:
+                out = run(generate(spec), config, lagrangian=False)
+            except ValueError as exc:
+                raise ValueError("campaign cell %d, seed %d: %s" % (i, seed, exc))
             if out.converged:
                 iters.append(out.iterations)
             else:
@@ -175,17 +180,9 @@ def run_campaign(cells, seeds=20, max_iters=RunConfig.max_iters,
                 progress(cell, seed, out)
         mean = float(np.mean(iters)) if iters else float("nan")
         std = float(np.std(iters)) if iters else float("nan")
-        results.append({
-            "algorithm": cell.algorithm,
-            "N": cell.dim,
-            "K": cell.num_components,
-            "T": cell.delay_label,
-            "lambda": cell.l1_weight,
-            "seed_count": len(seeds),
-            "mean_iters": mean,
-            "std_iters": std,
-            "censored_count": censored,
-        })
+        results.append(dict(zip(CAMPAIGN_COLUMNS, (
+            cell.algorithm, cell.dim, cell.num_components, cell.delay_label,
+            cell.l1_weight, len(listed), mean, std, censored))))
     return results
 
 

@@ -268,16 +268,18 @@ def cmd_run(args):
     if args.config is not None:
         _merge_config_file(cfg, inst, args.config)
     _apply_run_flags(cfg, inst, args)
-
-    if args.dump_config:
-        print(json.dumps(dict(cfg, instance=inst), sort_keys=True, indent=2))
-        return 0
-
-    config = RunConfig(**cfg)
+    # checked before the dump and before any data is drawn; per-worker list
+    # lengths need the instance's K and are checked by run()
     try:
         spec = SparsePcaSpec(**inst)
     except ValueError as exc:
         raise ValueError("bad instance: %s" % exc)
+    config = RunConfig(**cfg)
+    config.validate()
+    if args.dump_config:
+        print(json.dumps(dict(cfg, instance=inst), sort_keys=True, indent=2))
+        return 0
+
     out, base = args.out, _base(args.out)
     _writable(out)
     problem = generate(spec)

@@ -167,15 +167,9 @@ def minimal_rho(lipschitz, delay_bound, curvature):
 
 
 def default_penalties(lipschitz, delay_bounds, curvatures):
-    """Per-component penalties ``1.01 * minimal_rho(L_k, T_k, class_k)``."""
-    lipschitz = np.atleast_1d(np.asarray(lipschitz, dtype=float))
-    delay_bounds = np.broadcast_to(
-        np.asarray(delay_bounds, dtype=float), lipschitz.shape
-    )
-    return np.array([
-        _SAFETY * minimal_rho(L, T, c)
-        for L, T, c in zip(lipschitz, delay_bounds, curvatures)
-    ])
+    """Penalties ``1.01 * minimal_rho(L_k, T_k, class_k)`` from K-entry sequences."""
+    return np.array([_SAFETY * minimal_rho(L, T, c)
+                     for L, T, c in zip(lipschitz, delay_bounds, curvatures)])
 
 
 def exact_baseline_penalty(lipschitz, curvature):

@@ -10,7 +10,7 @@ from apadmm import (CampaignCell, RunConfig, SparsePcaSpec, campaign_csv, genera
                     run_campaign)
 from apadmm import problems
 from apadmm.algorithms import ALGORITHMS
-from apadmm.benchmark import RUN_PRESETS, _mean_gradient_age, bench_preset
+from apadmm.benchmark import RUN_PRESETS, bench_preset
 
 
 def reference_data(spec):
@@ -114,10 +114,17 @@ def test_spec_validation():
 
 
 def test_mean_gradient_age_rule():
-    # uniform(0, T) compute draws give mean gradient age near (T+1)/2
-    assert _mean_gradient_age(5) == 3.0
-    assert _mean_gradient_age(0) == 0.5
-    np.testing.assert_allclose(_mean_gradient_age([0, 5]), [0.5, 3.0])
+    # uniform(0, T) compute draws give mean gradient age near (T+1)/2, and
+    # a campaign certifies each worker's penalty there
+    for delay_bound, ages in ((5, [3.0, 3.0]), (0, [0.5, 0.5]),
+                              ([0, 5], [0.5, 3.0])):
+        cell = CampaignCell(algorithm="async_padmm", dim=8, num_components=2,
+                            delay_bound=delay_bound, rows=4, nonzero_prob=0.3)
+        seen = []
+        run_campaign([cell], seeds=1, max_iters=20,
+                     progress=lambda cell, seed, out: seen.append(
+                         [c.delay_bound for c in out.certificates]))
+        assert seen == [ages]
 
 
 def test_run_campaign_row_shape_and_order():
@@ -175,6 +182,37 @@ def test_run_campaign_checks_every_cell_before_the_first_run():
         run_campaign([good, bad], seeds=2, max_iters=2000,
                      progress=lambda cell, seed, out: seen.append(seed))
     assert seen == []
+
+
+def test_run_campaign_fails_an_uncertifiable_cell_before_the_first_run():
+    # the margin cubic overflows at this age whatever the data, so the plan
+    # rejects the cell before cell 0 runs
+    good = CampaignCell(algorithm="sync_padmm", dim=8, num_components=2,
+                        delay_bound=0, rows=4)
+    bad = CampaignCell(algorithm="async_padmm", dim=8, num_components=2,
+                       delay_bound=1e200, rows=4)
+    seen = []
+    with pytest.raises(ValueError, match=re.escape(
+            "campaign cell 1: margin out of floating-point range at "
+            "delay_bound=5e+199")):
+        run_campaign([good, bad], seeds=2,
+                     progress=lambda cell, seed, out: seen.append(seed))
+    assert seen == []
+    # a synchronous run certifies at 0, whatever its delay bound, so it runs
+    bad.algorithm = "sync_padmm"
+    (row,) = run_campaign([bad], seeds=1, max_iters=5)
+    assert row["censored_count"] == 1
+
+
+def test_run_campaign_names_the_cell_and_seed_of_a_run_that_raises():
+    # age 1e153 is certified at L = 1 but out of range at L > 180, which
+    # this dense instance exceeds, so the run itself raises
+    cell = CampaignCell(algorithm="async_padmm", dim=50, num_components=2,
+                        delay_bound=2e153, rows=20, nonzero_prob=1.0)
+    with pytest.raises(ValueError, match=re.escape(
+            "campaign cell 0, seed 3: margin out of floating-point range at "
+            "lipschitz=")):
+        run_campaign([cell], seeds=[3])
 
 
 @pytest.mark.parametrize("seeds,needle", [

@@ -390,6 +390,26 @@ def test_run_rejects_an_infinite_epsilon_before_writing(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("dump", [False, True], ids=["run", "dump_config"])
+@pytest.mark.parametrize("flags,message", [
+    (["--epsilon", "-1"], "epsilon must be a finite positive number, not -1.0"),
+    (["--N", "0"], "bad instance: dim must be an integer of at least 1, not 0"),
+], ids=["negative_epsilon", "zero_dim"])
+def test_run_checks_its_config_before_drawing_or_dumping_it(
+        tmp_path, capsys, monkeypatch, flags, message, dump):
+    def no_generate(spec):
+        raise AssertionError("generate called for a bad config")
+
+    monkeypatch.setattr(apadmm.cli, "generate", no_generate)
+    out = tmp_path / "t.csv"
+    argv = ["run", *flags, "--out", str(out)] + (["--dump-config"] if dump else [])
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("lam", ["nan", "inf"])
 def test_run_rejects_a_non_finite_l1_weight_by_name(tmp_path, capsys, lam):
     rc = run_cli(["run", "--N", "12", "--K", "3", "--M", "6", "--lam", lam,
@@ -610,6 +630,11 @@ BAD_CAMPAIGNS = {
         "campaign cell 0 is missing key 'dim'"),
     "cell_unknown_key": (with_last_cell(seed=1),
                          "campaign cell 1 has unknown key 'seed'"),
+    # no penalty is certified at this age, whatever the data
+    "uncertifiable_delay_bound": (
+        with_last_cell(algorithm="async_padmm", delay_bound=1e200),
+        "campaign cell 1: margin out of floating-point range at "
+        "delay_bound=5e+199"),
 }
 
 

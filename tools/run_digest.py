@@ -19,8 +19,14 @@ the record of the gradients the master collected). Lines of
 ``async_padmm`` and ``sync_padmm`` runs add a second SHA-256 over the
 residual replay of the run (``trace_residuals`` at its penalties and
 delay bounds): each outcome's name, status, worst-slack bits and failing
-rows. Equal outputs mean two versions produced the same bits, and the
-same verdicts, on every run of the grid:
+rows. Three more lines follow the grid: a SHA-256 of ``campaign_csv``
+for the desk ``table2`` and ``table4`` presets at 3 seeds, and one for
+the desk run preset with ``full_trace``, as ``apadmm run --preset desk
+--full-trace`` stores it (``cli.trace_csv`` and ``save_states``),
+reloaded with ``load_run`` and replayed: it covers the trace text, every
+stored array by name and the replay's report lines. Equal outputs mean
+two versions produced the same bits, and the same verdicts, on every
+run of the grid and on both campaigns and the stored run:
 
     python3 tools/run_digest.py [SRC_DIR] > digest.txt
 
@@ -36,6 +42,7 @@ so those lines would hash differently with no change to the code.
 import hashlib
 import os
 import sys
+import tempfile
 
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_name] = "1"
@@ -45,8 +52,10 @@ import numpy as np  # noqa: E402
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 sys.path.insert(0, sys.argv[1] if len(sys.argv) > 1 else SRC)
 
-from apadmm import (RunConfig, SparsePcaSpec, generate, run,  # noqa: E402
-                    trace_residuals)
+from apadmm import (RunConfig, SparsePcaSpec, campaign_csv,  # noqa: E402
+                    generate, run, run_campaign, trace_residuals)
+from apadmm.benchmark import RUN_PRESETS, bench_preset  # noqa: E402
+from apadmm.cli import load_run, save_states, trace_csv  # noqa: E402
 
 COLUMNS = ("lagrangian", "objective", "feas_gap", "prox_grad_norm", "measure",
            "sim_time", "collected")
@@ -128,6 +137,34 @@ def runs():
         yield label, problem, config, run(problem, config)
 
 
+def campaign_digest(name):
+    cells, _ = bench_preset(name)
+    return hashlib.sha256(campaign_csv(run_campaign(cells, 3)).encode()).hexdigest()
+
+
+def stored_run_digest():
+    """The desk run preset stored, reloaded and replayed as run and check do."""
+    preset = RUN_PRESETS["desk"]
+    problem = generate(SparsePcaSpec(**preset["instance"]))
+    config = RunConfig(full_trace=True, **preset["config"])
+    result = run(problem, config)
+    text = trace_csv(result.trace)
+    h = hashlib.sha256(text.encode())
+    with tempfile.TemporaryDirectory() as tmp:
+        path, states = (os.path.join(tmp, name)
+                        for name in ("trace.csv", "trace.states.npz"))
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        save_states(states, problem, result, config.algorithm)
+        with np.load(states) as data:
+            for name in sorted(data.files):
+                h.update(name.encode())
+                h.update(np.ascontiguousarray(data[name]).tobytes())
+        report = trace_residuals(*load_run(path)[:4])
+    h.update("\n".join(report.lines()).encode())
+    return result, h.hexdigest()
+
+
 def main():
     for label, problem, config, result in runs():
         line = "%-46s %-19s %4d %4d %s" % (label, result.termination,
@@ -136,6 +173,13 @@ def main():
         if config.algorithm != "sync_admm":
             line += " " + replay_digest(problem, result)
         print(line)
+    for name in ("table2", "table4"):
+        print("%-70s %s" % ("bench --preset %s --seeds 3" % name,
+                            campaign_digest(name)))
+    result, stored = stored_run_digest()
+    print("%-46s %-19s %4d %4d %s" % ("run --preset desk --full-trace, check",
+                                      result.termination, result.iterations,
+                                      result.updates, stored))
 
 
 if __name__ == "__main__":
