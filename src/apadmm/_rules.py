@@ -9,7 +9,8 @@ value it holds:
 * ``nonnegative``: ``<name> must be a finite nonnegative number, not <v>``
 * ``positive``: ``<name> must be a finite positive number, not <v>``
 * ``probability``: ``<name> must be a number in [0, 1], not <v>``
-* ``integer``: ``<name> must be an integer of at least n, not <v>``
+* ``integer``: ``<name> must be an integer of at least n, not <v>``, and
+  for an integer past a largest value m ``... of at most m, not <v>``
 * ``boolean``: ``<name> must be true or false, not <v>``
 * ``choice``: ``<name> must be one of a, b, c, not <v>``
 * ``json_object``: ``<name> must be an object, not <v>``, then
@@ -58,11 +59,13 @@ def probability(value, name):
     raise _error(name, "a number in [0, 1]", value)
 
 
-def integer(value, name, least):
+def integer(value, name, least, most=None):
     # numpy integers are Integral; bools are too, but not counts
     if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             and value >= least):
-        return value
+        if most is None or value <= most:
+            return value
+        raise _error(name, "an integer of at most %d" % most, value)
     raise _error(name, "an integer of at least %d" % least, value)
 
 

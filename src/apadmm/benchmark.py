@@ -17,6 +17,7 @@ censored and excluded from the mean, never silently averaged.
 """
 
 import numbers
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -54,8 +55,11 @@ class SparsePcaSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("dim", 1), ("num_components", 1), ("seed", 0)):
-            integer(getattr(self, name), name, least)
+        for name, least, most in (("dim", 1, None),
+                                  # a per-component list must fit an index
+                                  ("num_components", 1, sys.maxsize),
+                                  ("seed", 0, None)):
+            integer(getattr(self, name), name, least, most)
         nonnegative(self.l1_weight, "l1_weight")
         K = self.num_components
         for m in _per_worker(self.rows, K, "rows"):

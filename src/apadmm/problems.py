@@ -44,7 +44,7 @@ import scipy.linalg
 from scipy.sparse._sparsetools import (csc_matvec, csc_matvecs, csr_matvec,
                                        csr_matvecs)
 
-from ._rules import nonnegative, positive
+from ._rules import integer, nonnegative, positive
 from .prox import _norm, prox_l1_ball
 
 __all__ = [
@@ -134,7 +134,9 @@ def _operator(data):
     index = np.int32 if S * N < 2 ** 31 else np.int64  # S N >= nonzeros, K N
     counts, cols, values = [[0]], [], []
     for k, B in enumerate(data):
-        rows, c = np.divmod(np.flatnonzero(B), N)  # faster than np.nonzero(B)
+        # the indices of np.flatnonzero(B), -0.0 and NaN alike, but the scan
+        # of a boolean mask is about 5x faster than of the floats themselves
+        rows, c = np.divmod(np.flatnonzero(B != 0), N)
         counts.append(np.bincount(rows, minlength=len(B)))
         cols.append(c + k * N)  # component k at column k N
         values.append(B[rows, c])
@@ -145,6 +147,75 @@ def _operator(data):
     for a in (*D[2:], *segments[2:4]):
         a.flags.writeable = False
     return _Operator(D, segments)
+
+
+# the data of a problem as its nonzeros, by the names a state file stores
+_NONZERO_MEMBERS = ("data_dim", "data_rows", "data_indptr", "data_cols",
+                    "data_values")
+
+
+def _nonzeros(problem):
+    """The problem's data as ``_NONZERO_MEMBERS``, in D's order, which ``_dense`` reads.
+
+    N, each component's row count, D's row pointer, each nonzero's
+    column within its component and its value: about 12 bytes a nonzero.
+    """
+    D, segments = problem.operator
+    N = problem.dim
+    return dict(zip(_NONZERO_MEMBERS, (np.int64(N), np.diff(segments.indptr),
+                                       D.indptr, D.indices % N, D.data)))
+
+
+def _integers(name, a):
+    if a.ndim != 1 or a.dtype.kind not in "iu":
+        raise ValueError("%s must be a vector of integers, not %s of shape %s"
+                         % (name, a.dtype, a.shape))
+    return a
+
+
+def _dense(members):
+    """The read-only dense matrices of the ``_nonzeros`` in ``members``.
+
+    Reads each member of the mapping once and checks them against each
+    other before it writes a value, so a member that does not fit raises
+    ValueError naming it, never an IndexError or a wrapped index.
+    """
+    dim, rows, indptr, cols, values = (np.asarray(members[name])
+                                       for name in _NONZERO_MEMBERS)
+    N = integer(dim[()] if dim.ndim == 0 else dim, "data_dim", 1)
+    rows, indptr, cols = (_integers(name, a) for name, a in zip(
+        _NONZERO_MEMBERS[1:4], (rows, indptr, cols)))
+    if values.ndim != 1 or values.dtype != float:
+        raise ValueError("data_values must be a vector of float64, not %s of "
+                         "shape %s" % (values.dtype, values.shape))
+    if not np.isfinite(values).all():
+        raise ValueError("data_values holds non-finite entries")
+    count = len(values)
+    if not len(indptr) or indptr[0] != 0 or (indptr[1:] < indptr[:-1]).any():
+        raise ValueError("data_indptr must start at 0 and never decrease")
+    if indptr[-1] != count:
+        raise ValueError("data_indptr ends at %d, not at the %d entries of "
+                         "data_values" % (indptr[-1], count))
+    S = len(indptr) - 1
+    if not len(rows) or rows.min() < 0 or sum(rows.tolist()) != S:
+        raise ValueError("data_rows must be one row count of at least 0 per "
+                         "component, adding up to the %d rows of data_indptr, "
+                         "not %s" % (S, rows))
+    if len(cols) != count:
+        raise ValueError("data_cols holds %d columns for %d values"
+                         % (len(cols), count))
+    if count and (cols.min() < 0 or cols.max() >= N):
+        raise ValueError("data_cols holds a column outside 0 to %d" % (N - 1))
+    dense = np.zeros((S, N))
+    # each value's flat index, which rises from one value to the next if
+    # and only if each row's columns do; it fits, as the array does
+    at = np.repeat(np.arange(0, S * N, N), np.diff(indptr)) + cols
+    if (at[1:] <= at[:-1]).any():
+        raise ValueError("data_cols are not increasing within each row")
+    dense.reshape(-1)[at] = values
+    dense.flags.writeable = False
+    bounds = np.cumsum(rows).tolist()
+    return tuple(dense[a:b] for a, b in zip([0] + bounds, bounds))
 
 
 def _row_dots(a, b):
@@ -224,11 +295,7 @@ class ConsensusProblem:
 
     @property
     def data(self):
-        D, N = self.operator.D, self.dim
-        dense = np.zeros((D.rows, N))
-        dense[np.repeat(np.arange(D.rows), np.diff(D.indptr)), D.indices % N] = D.data
-        dense.flags.writeable = False
-        return tuple(np.split(dense, self.operator.segments.indptr[1:-1]))
+        return _dense(_nonzeros(self))
 
     @property
     def dim(self):

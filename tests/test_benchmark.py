@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -111,6 +112,16 @@ def test_spec_validation():
     spec = SparsePcaSpec(dim=5, num_components=2, rows=np.array(3),
                          nonzero_prob=np.array(0.5))
     assert [B.shape for B in generate(spec).data] == [(3, 5), (3, 5)]
+
+
+def test_spec_rejects_a_component_count_past_an_index_by_name():
+    # a per-component list of that many entries cannot be built
+    for count in (10 ** 30, sys.maxsize + 1):
+        with pytest.raises(ValueError) as raised:
+            SparsePcaSpec(dim=5, num_components=count)
+        assert str(raised.value) == (
+            "num_components must be an integer of at most %d, not %d"
+            % (sys.maxsize, count))
 
 
 def test_mean_gradient_age_rule():

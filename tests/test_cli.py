@@ -12,6 +12,7 @@ import pytest
 import apadmm
 from apadmm import RunConfig, SparsePcaSpec, generate, run
 from apadmm.cli import TRACE_COLUMNS, load_run, main, save_states, trace_csv
+from apadmm.problems import ConsensusProblem, _dense
 
 SMALL = ["--N", "12", "--K", "3", "--M", "6", "--p", "0.2",
          "--instance-seed", "3"]
@@ -349,11 +350,13 @@ def test_removed_flags_are_rejected_by_the_parser(capsys, argv, flag):
      "nonzero_prob must be a number in [0, 1], not True"),
     ({"l1_weight": "0.5"}, [], "l1_weight must be a finite nonnegative number, not '0.5'"),
     ({"l1_weight": True}, [], "l1_weight must be a finite nonnegative number, not True"),
+    ({}, ["--K", str(10 ** 30)], "num_components must be an integer of at most %d, "
+     "not %d" % (sys.maxsize, 10 ** 30)),
 ], ids=["rows_wrong_length", "nonzero_prob_wrong_length", "dim_fractional",
         "components_fractional", "dim_bool", "seed_negative", "seed_mistyped",
         "rows_fractional", "nonzero_prob_string", "nonzero_prob_bool",
         "nonzero_prob_list_of_bool_and_string", "l1_weight_string",
-        "l1_weight_bool"])
+        "l1_weight_bool", "components_past_an_index"])
 def test_run_rejects_a_bad_instance_before_drawing_it(tmp_path, capsys, instance,
                                                       flags, needle):
     path = tmp_path / "cfg.json"
@@ -606,6 +609,10 @@ BAD_CAMPAIGNS = {
                           "sync_padmm, sync_admm, not 'bogus'"),
     "zero_dim": (with_last_cell(dim=0),
                  "campaign cell 1: dim must be an integer of at least 1, not 0"),
+    "components_past_an_index": (
+        with_last_cell(num_components=10 ** 30),
+        "campaign cell 1: num_components must be an integer of at most %d, not %d"
+        % (sys.maxsize, 10 ** 30)),
     "rows_list_of_wrong_length": (with_last_cell(rows=[5, 5, 5]),
                                   "campaign cell 1: rows needs 1 or 2 entries, got 3"),
     "delay_bound_list_of_wrong_length": (
@@ -785,8 +792,24 @@ def test_save_states_stores_every_member_uncompressed(tmp_path):
         members = archive.infolist()
     assert {m.filename for m in members} >= {
         "x_hist.npy", "x_local_hist.npy", "y_hist.npy", "stale_hist.npy",
-        "rho.npy", "delay_bounds.npy", "algorithm.npy", "B_0.npy"}
+        "rho.npy", "delay_bounds.npy", "algorithm.npy", "data_dim.npy",
+        "data_rows.npy", "data_indptr.npy", "data_cols.npy", "data_values.npy"}
+    assert not any(m.filename.startswith("B_") for m in members)
     assert all(m.compress_type == zipfile.ZIP_STORED for m in members)
+
+
+def bits(problem, trace, rho, delay_bounds, algorithm):
+    """Every bit of a loaded run: its data, bounds, operator, states and trace."""
+    arrays = [*problem.data, problem.lipschitz, np.float64(problem.l1_weight),
+              np.float64(problem.radius), rho, delay_bounds]
+    arrays += [a for part in problem.operator for a in part[2:] if a is not None]
+    for state in trace.states:
+        arrays += [state.x, state.x_local, state.y, state.stale_index]
+    columns = [getattr(trace, name) for name in (
+        "lagrangian", "objective", "feas_gap", "prox_grad_norm",
+        "measure", "sim_time", "collected")]
+    return ([(a.dtype.str, a.shape, a.tobytes()) for a in arrays],
+            [state.iteration for state in trace.states], columns, algorithm)
 
 
 def test_a_compressed_state_file_loads_and_checks_bit_for_bit(tmp_path, capsys):
@@ -806,19 +829,95 @@ def test_a_compressed_state_file_loads_and_checks_bit_for_bit(tmp_path, capsys):
     assert run_cli(["check", path]) == 0
     assert capsys.readouterr().out == lines
     assert lines.count("PASS") == 5
-
-    def bits(problem, trace, rho, delay_bounds, algorithm):
-        arrays = [*problem.data, np.float64(problem.l1_weight),
-                  np.float64(problem.radius), rho, delay_bounds]
-        for state in trace.states:
-            arrays += [state.x, state.x_local, state.y, state.stale_index]
-        columns = [getattr(trace, name) for name in (
-            "lagrangian", "objective", "feas_gap", "prox_grad_norm",
-            "measure", "sim_time", "collected")]
-        return ([(a.dtype.str, a.shape, a.tobytes()) for a in arrays],
-                [state.iteration for state in trace.states], columns, algorithm)
-
     assert bits(*old) == bits(*raw)
+
+
+def dense_format(arrays):
+    """Rewrite a state file's members as files held them before the nonzeros:
+    one dense matrix B_k per component."""
+    for k, B in enumerate(_dense(arrays)):
+        arrays["B_%d" % k] = np.array(B)
+    for name in ("data_dim", "data_rows", "data_indptr", "data_cols",
+                 "data_values"):
+        del arrays[name]
+
+
+@pytest.mark.parametrize("compressed", [False, True])
+def test_a_dense_format_state_file_loads_and_checks_bit_for_bit(
+        tmp_path, capsys, compressed):
+    # files that hold each component as a dense B_k still load, to the
+    # same bits, and check with the same lines
+    problem, _, path = stored_run(tmp_path, 40)
+    npz = path[:-4] + ".states.npz"
+    new = load_run(path)
+    assert run_cli(["check", path]) == 0
+    lines = capsys.readouterr().out
+    with np.load(npz) as data:
+        arrays = dict(data)
+    dense_format(arrays)
+    for k, B in enumerate(problem.data):
+        assert arrays["B_%d" % k].tobytes() == B.tobytes()
+    (np.savez_compressed if compressed else np.savez)(npz, **arrays)
+    with np.load(npz) as data:
+        assert "B_2" in data.files and "data_values" not in data.files
+    old = load_run(path)
+    assert run_cli(["check", path]) == 0
+    assert capsys.readouterr().out == lines
+    assert lines.count("PASS") == 5
+    assert bits(*old) == bits(*new)
+
+
+def save_a_run(path, problem, iterations=3):
+    """Store a short async run of ``problem`` at ``path``; returns the result."""
+    result = run(problem, RunConfig(
+        delay_bound=1, max_iters=iterations, epsilon=1e-14, full_trace=True,
+        enforcement="observe"))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(trace_csv(result.trace))
+    save_states(path[:-4] + ".states.npz", problem, result, "async_padmm")
+    return result
+
+
+def test_the_stored_nonzeros_round_trip_every_shape_bit_for_bit(tmp_path):
+    # unequal row counts, a row with no nonzeros and a component that is
+    # all zero, whose bound is floored at eps
+    rng = np.random.default_rng(5)
+    data = [np.where(rng.random((m, 9)) < 0.4, rng.standard_normal((m, 9)), 0.0)
+            for m in (3, 5, 4)]
+    data[0][1] = 0.0
+    data[0][2, 0] = -0.0
+    data[2][:] = 0.0
+    problem = ConsensusProblem(data, l1_weight=0.05)
+    assert problem.lipschitz[2] == np.finfo(float).eps
+    assert not np.diff(problem.operator.D.indptr)[1]
+    path = str(tmp_path / "edge.csv")
+    save_a_run(path, problem)
+    loaded = load_run(path)[0]
+    assert [B.shape for B in loaded.data] == [(3, 9), (5, 9), (4, 9)]
+    for a, b in zip(loaded.data, problem.data, strict=True):
+        assert a.tobytes() == b.tobytes()
+    assert loaded.lipschitz.tobytes() == problem.lipschitz.tobytes()
+    for got, want in zip(loaded.operator, problem.operator, strict=True):
+        assert got[:2] == want[:2]
+        for a, b in zip(got[2:], want[2:], strict=True):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+
+
+def test_the_stored_data_grows_with_the_nonzeros_not_with_its_shape(tmp_path):
+    sizes, counts = [], []
+    for p in (0.02, 0.2):
+        problem = generate(SparsePcaSpec(dim=300, num_components=2, rows=40,
+                                         nonzero_prob=p, seed=4))
+        path = str(tmp_path / ("p%g.csv" % p))
+        save_a_run(path, problem, iterations=1)
+        sizes.append(os.path.getsize(path[:-4] + ".states.npz"))
+        counts.append(len(problem.operator.D.data))
+    dense = 2 * 40 * 300 * 8
+    assert sizes[0] < dense / 2
+    # a value and a 32-bit column per nonzero, and the archive's overhead
+    assert 0 < sizes[1] - sizes[0] <= 12 * (counts[1] - counts[0])
 
 
 def rewrite(npz, spoil):
@@ -829,8 +928,16 @@ def rewrite(npz, spoil):
 
 
 def nan_in_B_1(arrays):
-    arrays["B_1"] = arrays["B_1"].copy()
+    dense_format(arrays)
     arrays["B_1"][0, 0] = np.nan
+
+
+def set_entry(name, index, value):
+    """A spoiler that sets one entry of a stored array, relative to the old one."""
+    def spoil(arrays):
+        arrays[name] = arrays[name].copy()
+        arrays[name][index] = value(arrays[name])
+    return spoil
 
 
 def write_bytes(npz, content):
@@ -852,8 +959,48 @@ MALFORMED = {
     "nan_B_1": ("states", lambda npz: rewrite(npz, nan_in_B_1),
                 "data matrix 1 contains non-finite entries"),
     "short_B_2": ("states",
-                  lambda npz: rewrite(npz, lambda a: a.update(B_2=a["B_2"][:, :10])),
+                  lambda npz: rewrite(npz, lambda a: (
+                      dense_format(a), a.update(B_2=a["B_2"][:, :10]))),
                   "components disagree on dimension: [10, 12]"),
+    "data_cols_negative": (
+        "states", lambda npz: rewrite(npz, set_entry("data_cols", 4, lambda a: -1)),
+        "data_cols holds a column outside 0 to 11"),
+    "data_cols_past_dim": (
+        "states", lambda npz: rewrite(npz, set_entry("data_cols", -1, lambda a: 12)),
+        "data_cols holds a column outside 0 to 11"),
+    "data_cols_unordered": (
+        "states", lambda npz: rewrite(npz, set_entry("data_cols", 1, lambda a: a[0])),
+        "data_cols are not increasing within each row"),
+    "data_indptr_decreasing": (
+        "states", lambda npz: rewrite(npz, set_entry("data_indptr", 3, lambda a: a[-1])),
+        "data_indptr must start at 0 and never decrease"),
+    "data_indptr_short": (
+        "states", lambda npz: rewrite(npz, set_entry("data_indptr", -1, lambda a: a[-1] - 1)),
+        "data_indptr ends at"),
+    "data_rows_too_many": (
+        "states", lambda npz: rewrite(npz, set_entry("data_rows", 0, lambda a: a[0] + 1)),
+        "data_rows must be one row count of at least 0 per component, adding up "
+        "to the 18 rows of data_indptr, not [7 6 6]"),
+    "data_rows_negative": (
+        "states", lambda npz: rewrite(npz, lambda a: a.update(
+            data_rows=np.array([-6, 12, 12]))),
+        "data_rows must be one row count of at least 0"),
+    "data_values_nan": (
+        "states", lambda npz: rewrite(npz, set_entry("data_values", 2, lambda a: np.nan)),
+        "data_values holds non-finite entries"),
+    "data_values_integer": (
+        "states", lambda npz: rewrite(npz, lambda a: a.update(
+            data_values=a["data_values"].astype(np.int64))),
+        "data_values must be a vector of float64, not int64 of shape"),
+    "data_dim_zero": (
+        "states", lambda npz: rewrite(npz, lambda a: a.update(data_dim=np.int64(0))),
+        "data_dim must be an integer of at least 1, not 0"),
+    "data_dim_too_big": (
+        "states", lambda npz: rewrite(npz, lambda a: a.update(data_dim=np.int64(2 ** 44))),
+        "Unable to allocate"),
+    "no_data_indptr": (
+        "states", lambda npz: rewrite(npz, lambda a: a.pop("data_indptr")),
+        "data_indptr is not a file in the archive"),
     "no_rho": ("states", lambda npz: rewrite(npz, lambda a: a.pop("rho")),
                "rho is not a file in the archive"),
     "random_bytes": ("states",
@@ -892,8 +1039,9 @@ MALFORMED = {
         "states", lambda npz: rewrite(npz, lambda a: a.update(algorithm=np.str_("bogus"))),
         "algorithm must be one of async_padmm, sync_padmm, sync_admm, not 'bogus'"),
     "no_data_matrices": (
-        "states", lambda npz: rewrite(npz, lambda a: [a.pop("B_%d" % k) for k in range(3)]),
-        "no component data matrices B_0, B_1, ..."),
+        "states", lambda npz: rewrite(npz, lambda a: (
+            dense_format(a), [a.pop("B_%d" % k) for k in range(3)])),
+        "data_dim is not a file in the archive"),
     "trace_value_not_a_number": (
         "trace", lambda csv: spoil_row(csv, "L", "abc"),
         "could not convert string to float: 'abc'"),

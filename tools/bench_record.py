@@ -14,14 +14,14 @@ alternating, timed by wall clock.
 
 OUT_JSON receives, per workload, side and end-to-end metric, the
 median, the quartiles (``statistics.quantiles``, inclusive method) and
-the per-pair values, with the number of pairs the change won and the
-failed-operation counts; the machine fields of the ``environment``
-block the harness wrote for the change's last run; per side, the
-tier-1 wall times, their median and the suite's summary line; and, per
-side, the ``src/`` line count, the total that ``wc -l src/apadmm/*.py``
-prints. The
-per-layer (``--trace 1``) metrics are not recorded: several of them
-read 0 until the tracer is repaired (ROADMAP item 3).
+the per-pair values, with the number of pairs the change won, the
+failed-operation counts and each run's ``load_run`` report lines; the
+machine fields of the ``environment`` block the harness wrote for the
+change's last run; per side, the tier-1 wall times, their median and
+the suite's summary line; and, per side, the ``src/`` line count, the
+total that ``wc -l src/apadmm/*.py`` prints. The per-layer (``--trace
+1``) metrics are not recorded: several of them read 0 until the tracer
+is repaired (ROADMAP item 3).
 """
 
 import glob
@@ -39,12 +39,15 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
 
 
 def bench(checkout, workload, seed):
-    """The last output line of one untraced benchmark run, parsed."""
+    """The last output line of one untraced benchmark run, parsed, with its
+    ``load_run`` report lines under ``"load_run"``."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
          str(seed), "--seconds", str(SECONDS), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    lines = out.stdout.strip().splitlines()
+    return dict(json.loads(lines[-1]),
+                load_run=[ln for ln in lines if ln.startswith("load_run ")])
 
 
 def tier1(checkout):
@@ -89,7 +92,9 @@ def main(argv):
                                         name, seed))
             sys.stderr.write("%s seed %d done\n" % (name, seed))
         record = {"seeds": seeds, "failed": {s: [r["failed"] for r in runs[s]]
-                                             for s in runs}, "metrics": {}}
+                                             for s in runs},
+                  "load_run": {s: [r["load_run"] for r in runs[s]] for s in runs},
+                  "metrics": {}}
         for metric, direction in better.items():
             sides = {s: [r["metrics"][metric]["value"] for r in runs[s]
                          if metric in r["metrics"]] for s in runs}
