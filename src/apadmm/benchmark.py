@@ -68,24 +68,30 @@ class SparsePcaSpec:
             probability(p, "nonzero_prob")
 
 
+def _component(rng, shape, p):
+    # one component's data, its draws in the pinned order: means,
+    # variances, mask, normals
+    means = rng.random(shape)
+    variances = rng.random(shape)
+    mask = rng.random(shape) < float(p)
+    noise = rng.standard_normal(shape)
+    return np.where(mask, means + np.sqrt(variances) * noise, 0.0)
+
+
 def generate(spec):
     """Build the consensus problem for an instance spec, deterministically per seed.
 
     Draw order per component is pinned (means, variances, mask, normals)
-    so the same seed always produces bit-identical data.
+    so the same seed always produces bit-identical data. Component k is
+    drawn only when the problem asks for it, after component k - 1, so
+    one dense matrix exists at a time.
     """
     rng = np.random.default_rng(spec.seed)
     rows = _per_worker(spec.rows, spec.num_components, "rows")
     probs = _per_worker(spec.nonzero_prob, spec.num_components, "nonzero_prob")
-    data = []
-    for m, p in zip(rows, probs):
-        shape = (m, spec.dim)
-        means = rng.random(shape)
-        variances = rng.random(shape)
-        mask = rng.random(shape) < float(p)
-        noise = rng.standard_normal(shape)
-        data.append(np.where(mask, means + np.sqrt(variances) * noise, 0.0))
-    return ConsensusProblem(data, l1_weight=spec.l1_weight, radius=1.0)
+    return ConsensusProblem(
+        (_component(rng, (m, spec.dim), p) for m, p in zip(rows, probs)),
+        l1_weight=spec.l1_weight, radius=1.0)
 
 
 @dataclass

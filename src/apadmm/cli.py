@@ -151,20 +151,40 @@ def _check_histories(hist, problem):
                          % hist[-1].dtype)
 
 
+# each trace column's index and converter, in the order a row's values
+# were checked when the trace was parsed row by row; iter is a clock count,
+# written with int() and stored as a float
+_TRACE_PARSE = ((1, float), (2, float), (3, float), (4, float), (5, float),
+                (0, int), (6, int))
+
+
 def _parse_trace_csv(text):
     lines = [ln for ln in text.split("\n") if ln]
     if not lines or lines[0] != ",".join(TRACE_COLUMNS):
         raise ValueError("missing the expected header row")
-    trace = IterationTrace()
-    for ln in lines[1:]:
+    rows, width = lines[1:], len(TRACE_COLUMNS)
+    # one column at a time, each over the rows before the first bad one
+    # found so far, so the row named is the first bad row and its message
+    # the one a row-by-row parse gave: a row of the wrong width fails its
+    # unpacking, and an extend that meets a bad value stops at its row
+    end = next((i for i, ln in enumerate(rows) if ln.count(",") != width - 1),
+               len(rows))
+    fields = ",".join(rows[:end]).split(",")
+    columns, error = [None] * width, None
+    for c, convert in _TRACE_PARSE:
+        columns[c] = []
         try:
-            it, lag, obj, gap, pg, e, size = ln.split(",")
-            # iter is a clock count, written with int() and stored as a float
-            trace.append(float(lag), float(obj), float(gap), float(pg),
-                         float(e), float(int(it)), int(size))
+            columns[c].extend(map(convert, fields[c:end * width:width]))
         except ValueError as exc:
-            raise ValueError("malformed row %r: %s" % (ln, exc))
-    return trace
+            end, error = len(columns[c]), exc
+    if end < len(rows):
+        try:
+            _, _, _, _, _, _, _ = rows[end].split(",")
+        except ValueError as exc:
+            error = exc
+        raise ValueError("malformed row %r: %s" % (rows[end], error))
+    sim_time, *values, collected = columns
+    return IterationTrace(*values, list(map(float, sim_time)), collected)
 
 
 def load_run(csv_path):
@@ -192,7 +212,7 @@ def load_run(csv_path):
             while "B_%d" % num in data:
                 num += 1
             problem = ConsensusProblem(
-                [data["B_%d" % k] for k in range(num)] if num else _dense(data),
+                (data["B_%d" % k] for k in range(num)) if num else _dense(data),
                 l1_weight=float(data["l1_weight"]),
                 radius=float(data["radius"]))
             # each subscript reads the member from the file again, so read

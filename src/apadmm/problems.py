@@ -18,9 +18,10 @@ which every run stops (``optimality_measure`` at any state).
 
 Every component is the sparse-PCA cost ``g_k(x) = -0.5 ||B_k x||^2`` of
 an M_k x N data matrix B_k, with gradient ``-B_k^T B_k x``.
-``ConsensusProblem`` owns that data: it validates each matrix, bounds
-its curvature (``lipschitz``) and keeps the nonzeros once, in one
-read-only block-diagonal CSR matrix D (``_operator``). Every evaluation
+``ConsensusProblem`` owns that data: it takes the matrices one at a
+time, validates each, bounds its curvature (``lipschitz``) and keeps
+the nonzeros once, in one read-only block-diagonal CSR matrix D
+(``_operator``); no dense matrix outlives its turn. Every evaluation
 is a few products of D or D^T, with no loop over components;
 ``penalized_argmin`` adds one batched product per run of equal row
 counts. Generated instances are 10% nonzero: a paper-scale pass reads
@@ -119,30 +120,33 @@ def _matvec(rows, cols, indptr, indices, data, x, transpose=False):
     return out.T
 
 
-def _operator(data):
-    """The ``_Operator`` of the M_k x N matrices ``data``, which it only reads.
+def _scan(B, k):
+    """Row counts, columns in D and values of the nonzeros of component k's B.
+
+    Each row's nonzeros in column order, at columns k N to (k + 1) N: the
+    indices of ``np.flatnonzero(B)``, -0.0 and NaN alike, but the scan of
+    a boolean mask is about 5x faster than of the floats themselves.
+    """
+    N = B.shape[1]
+    rows, cols = np.divmod(np.flatnonzero(B != 0), N)
+    return np.bincount(rows, minlength=len(B)), cols + k * N, B[rows, cols]
+
+
+def _operator(N, scans):
+    """The ``_Operator`` of the ``_scan`` of each component's M_k x N matrix.
 
     D, the one copy of the data, is block diagonal, ``(sum_k M_k) x (K N)``,
     with B_k in component k's rows and in columns k N to (k + 1) N, each
-    row's nonzeros in column order, taken one matrix at a time with no
-    dense copy. ``segments`` is the K x (sum_k M_k) pattern that sums each
-    component's rows, with no values: component k owns rows
-    ``indptr[k]:indptr[k + 1]``.
+    row's nonzeros in column order. ``segments`` is the K x (sum_k M_k)
+    pattern that sums each component's rows, with no values: component k
+    owns rows ``indptr[k]:indptr[k + 1]``.
     """
-    K, N = len(data), data[0].shape[1]
-    S = sum(len(B) for B in data)
+    counts, cols, values = zip(*scans)
+    K, S = len(counts), sum(len(c) for c in counts)
     index = np.int32 if S * N < 2 ** 31 else np.int64  # S N >= nonzeros, K N
-    counts, cols, values = [[0]], [], []
-    for k, B in enumerate(data):
-        # the indices of np.flatnonzero(B), -0.0 and NaN alike, but the scan
-        # of a boolean mask is about 5x faster than of the floats themselves
-        rows, c = np.divmod(np.flatnonzero(B != 0), N)
-        counts.append(np.bincount(rows, minlength=len(B)))
-        cols.append(c + k * N)  # component k at column k N
-        values.append(B[rows, c])
-    D = _Csr(S, K * N, np.concatenate(counts).cumsum().astype(index),
+    D = _Csr(S, K * N, np.concatenate([[0], *counts]).cumsum().astype(index),
              np.concatenate(cols).astype(index), np.concatenate(values))
-    segments = _Csr(K, S, np.cumsum([0] + [len(B) for B in data]).astype(index),
+    segments = _Csr(K, S, np.cumsum([0] + [len(c) for c in counts]).astype(index),
                     np.arange(S, dtype=index), None)
     for a in (*D[2:], *segments[2:4]):
         a.flags.writeable = False
@@ -173,12 +177,31 @@ def _integers(name, a):
     return a
 
 
+def _blocks(N, rows, indptr, cols, values):
+    # each component's read-only dense M_k x N block, built when it is
+    # asked for, from CSR arrays of its rows whose columns are counted
+    # within the component modulo N (D's, or the stored ``data_cols``)
+    start = 0
+    for M in rows:
+        ptr = indptr[start:start + M + 1]
+        first, last = ptr[0], ptr[-1]
+        block = np.zeros((M, N))
+        # each value's flat index; a 2-D index is about 20% slower
+        at = np.repeat(np.arange(0, M * N, N), ptr[1:] - ptr[:-1])
+        block.reshape(-1)[at + cols[first:last] % N] = values[first:last]
+        block.flags.writeable = False
+        yield block
+        start += M
+
+
 def _dense(members):
-    """The read-only dense matrices of the ``_nonzeros`` in ``members``.
+    """The read-only dense matrices of the ``_nonzeros`` in ``members``, lazily.
 
     Reads each member of the mapping once and checks them against each
-    other before it writes a value, so a member that does not fit raises
-    ValueError naming it, never an IndexError or a wrapped index.
+    other when called, before any matrix exists, so a member that does
+    not fit raises ValueError naming it, never an IndexError or a wrapped
+    index. Returns an iterator that builds one component's matrix at a
+    time, as it is asked for.
     """
     dim, rows, indptr, cols, values = (np.asarray(members[name])
                                        for name in _NONZERO_MEMBERS)
@@ -206,16 +229,10 @@ def _dense(members):
                          % (len(cols), count))
     if count and (cols.min() < 0 or cols.max() >= N):
         raise ValueError("data_cols holds a column outside 0 to %d" % (N - 1))
-    dense = np.zeros((S, N))
-    # each value's flat index, which rises from one value to the next if
-    # and only if each row's columns do; it fits, as the array does
-    at = np.repeat(np.arange(0, S * N, N), np.diff(indptr)) + cols
-    if (at[1:] <= at[:-1]).any():
+    row = np.repeat(np.arange(S), np.diff(indptr))
+    if ((cols[1:] <= cols[:-1]) & (row[1:] == row[:-1])).any():
         raise ValueError("data_cols are not increasing within each row")
-    dense.reshape(-1)[at] = values
-    dense.flags.writeable = False
-    bounds = np.cumsum(rows).tolist()
-    return tuple(dense[a:b] for a, b in zip([0] + bounds, bounds))
+    return _blocks(N, rows.tolist(), indptr, cols, values)
 
 
 def _row_dots(a, b):
@@ -257,11 +274,14 @@ def _block_pass(operator, X, gradients=True):
 class ConsensusProblem:
     """Problem data: component matrices plus the shared l1 + ball regularizer.
 
-    ``data`` is given as one M_k x N matrix per component: 2-D, nonempty,
-    finite, one N for all; a bad matrix raises ValueError naming its
-    index. The problem keeps the read-only ``operator`` (``_operator``)
-    and neither keeps nor writes the matrices given; ``data`` reads them
-    back as a tuple of read-only dense arrays, built on each access.
+    ``data`` is any iterable of one M_k x N matrix per component, consumed
+    once, one matrix at a time: each must be 2-D, nonempty, finite and of
+    the first one's N, and a bad matrix raises ValueError naming its index
+    before the next is drawn. Each is bounded (``lipschitz``) and scanned
+    for its nonzeros as it arrives, so only one is held at a time. The
+    problem keeps the read-only ``operator`` (``_operator``) and neither
+    keeps nor writes the matrices given; ``data`` reads them back as a
+    tuple of read-only dense arrays, built on each access.
     ``lipschitz[k]``, read-only, is ``leading_eigenvalue`` of the matrix
     as given, a proven upper bound on the top eigenvalue of its Gram
     matrix, floored at machine epsilon when the matrix is 0.
@@ -270,10 +290,12 @@ class ConsensusProblem:
     """
 
     def __init__(self, data, l1_weight=0.0, radius=1.0):
-        data = [np.asarray(B, dtype=float) for B in data]
-        if not data:
-            raise ValueError("need at least one component")
+        self.l1_weight = nonnegative(l1_weight, "l1_weight")
+        self.radius = positive(radius, "radius")
+        eps = float(np.finfo(float).eps)
+        bounds, scans = [], []
         for k, B in enumerate(data):
+            B = np.asarray(B, dtype=float)
             if B.ndim != 2:
                 raise ValueError("data matrix %d must be 2-D, not of shape %s"
                                  % (k, B.shape))
@@ -281,21 +303,24 @@ class ConsensusProblem:
                 raise ValueError("data matrix %d is empty, of shape %s" % (k, B.shape))
             if not np.isfinite(B).all():
                 raise ValueError("data matrix %d contains non-finite entries" % k)
-        self.l1_weight = nonnegative(l1_weight, "l1_weight")
-        self.radius = positive(radius, "radius")
-        dims = {B.shape[1] for B in data}
-        if len(dims) != 1:
-            raise ValueError("components disagree on dimension: %s" % sorted(dims))
-        bounds = [leading_eigenvalue(B) for B in data]
-        eps = float(np.finfo(float).eps)
-        self.lipschitz = np.array([L if L > 0.0 else eps for L in bounds])
+            if k == 0:
+                N = B.shape[1]
+            elif B.shape[1] != N:
+                raise ValueError("components disagree on dimension: %s"
+                                 % sorted({N, B.shape[1]}))
+            bound = leading_eigenvalue(B)
+            bounds.append(bound if bound > 0.0 else eps)
+            scans.append(_scan(B, k))
+        if not scans:
+            raise ValueError("need at least one component")
+        self.lipschitz = np.array(bounds)
         self.lipschitz.flags.writeable = False
-        self.operator = _operator(data)
+        self.operator = _operator(N, scans)
         self.penalty_inverses = {}
 
     @property
     def data(self):
-        return _dense(_nonzeros(self))
+        return tuple(_dense(_nonzeros(self)))
 
     @property
     def dim(self):
@@ -310,26 +335,31 @@ def _penalty_inverses(problem, rho):
     """The cached read-only stacks of ``S_k = (rho_k I - B_k B_k^T)^{-1}``.
 
     One ``(K_b, M_b, M_b)`` stack per run of consecutive components with
-    equal row counts, built on the first call for ``rho`` from a batched
-    Gram ``B B^T`` and a Cholesky factor of each M_b x M_b matrix. A
-    rejected penalty (see ``penalized_argmin``) caches nothing.
+    equal row counts, built on the first call for ``rho``: each B_k is
+    expanded from the operator's nonzeros one at a time, and its inverse,
+    from the Gram ``B_k B_k^T`` and a Cholesky factor, written into its
+    run's preallocated stack. A rejected penalty (see ``penalized_argmin``)
+    caches nothing.
     """
     key = tuple(rho.tolist())
     inverses = problem.penalty_inverses.get(key)
     if inverses is not None:
         return inverses
     lipschitz = problem.lipschitz
+    D, segments = problem.operator
+    rows = np.diff(segments.indptr).tolist()
+    blocks = _blocks(problem.dim, rows, D.indptr, D.indices, D.data)
     inverses = []
     k = 0
-    for _, run in itertools.groupby(problem.data, key=len):
-        block = np.stack(list(run))
-        gram = block @ block.transpose(0, 2, 1)
-        eye = np.eye(gram.shape[1])
-        for i in range(len(block)):
+    for M, run in itertools.groupby(rows):
+        stack = np.empty((len(list(run)), M, M))
+        eye = np.eye(M)
+        for inverse in stack:
+            B = next(blocks)
             factor = None
             if rho[k] > lipschitz[k]:
                 try:
-                    factor = scipy.linalg.cho_factor(rho[k] * eye - gram[i])
+                    factor = scipy.linalg.cho_factor(rho[k] * eye - B @ B.T)
                 except np.linalg.LinAlgError:
                     pass
             if factor is None:
@@ -337,10 +367,10 @@ def _penalty_inverses(problem, rho):
                     "penalty %g of component %d does not exceed its curvature "
                     "(bound %g); the exact subproblem is not strongly convex"
                     % (rho[k], k, lipschitz[k]))
-            gram[i] = scipy.linalg.cho_solve(factor, eye)
+            inverse[...] = scipy.linalg.cho_solve(factor, eye)
             k += 1
-        gram.flags.writeable = False
-        inverses.append(gram)
+        stack.flags.writeable = False
+        inverses.append(stack)
     inverses = problem.penalty_inverses[key] = tuple(inverses)
     return inverses
 

@@ -11,9 +11,18 @@ products of a row in column order, added one at a time onto 0.0. For
 each output of the transposed product. A zero
 entry's product is a signed zero, which leaves such a sum unchanged, so
 summing all of a row equals summing its nonzeros.
+
+``penalty_inverses`` is the exact baseline's cached inverses built the
+way they were while every component's dense matrix was held at once,
+and ``traced_peak`` and ``one_block_bound`` check that a build holds one
+dense component at a time.
 """
 
+import itertools
+import tracemalloc
+
 import numpy as np
+import scipy.linalg
 
 
 def ordered_sum(products):
@@ -35,3 +44,40 @@ def component_value(B, z):
 
 def component_gradient(B, z):
     return -matvec(B.T, matvec(B, z))
+
+
+def penalty_inverses(problem, rho):
+    """``(rho_k I - B_k B_k^T)^{-1}``, one stack per run of equal row counts,
+    from the stacked dense matrices of each run and their batched Gram."""
+    inverses = []
+    k = 0
+    for _, run in itertools.groupby(problem.data, key=len):
+        block = np.stack(list(run))
+        gram = block @ block.transpose(0, 2, 1)
+        eye = np.eye(gram.shape[1])
+        for i in range(len(block)):
+            factor = scipy.linalg.cho_factor(rho[k] * eye - gram[i])
+            gram[i] = scipy.linalg.cho_solve(factor, eye)
+            k += 1
+        inverses.append(gram)
+    return tuple(inverses)
+
+
+def traced_peak(call):
+    """``call()`` and the peak bytes ``tracemalloc`` traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def one_block_bound(problem, kept):
+    """A peak that holds one dense component at a time: three times the
+    operator's bytes, six dense blocks of the largest row count and the
+    ``kept`` bytes of the result, with no term in K M N."""
+    D, segments = problem.operator
+    operator = sum(a.nbytes for a in (*D[2:], *segments[2:4]))
+    block = int(np.diff(segments.indptr).max()) * problem.dim * 8
+    return 3 * operator + 6 * block + kept

@@ -12,6 +12,7 @@ from apadmm import (CampaignCell, RunConfig, SparsePcaSpec, campaign_csv, genera
 from apadmm import problems
 from apadmm.algorithms import ALGORITHMS
 from apadmm.benchmark import RUN_PRESETS, bench_preset
+from reference import one_block_bound, traced_peak
 
 
 def reference_data(spec):
@@ -69,6 +70,16 @@ def test_generate_per_component_rows_and_probs():
     assert np.count_nonzero(problem.data[0]) == 0
     assert np.count_nonzero(problem.data[1]) == 70
     assert problem.lipschitz[0] == np.finfo(float).eps
+
+
+def test_generate_holds_one_dense_component_at_a_time():
+    """Drawing N = 500, M = 100, K = 20 peaks at a few times the operator
+    it keeps and a few blocks, not at the 8 MB of all K dense matrices."""
+    spec = SparsePcaSpec(dim=500, num_components=20, rows=100, seed=2)
+    problem, peak = traced_peak(lambda: generate(spec))
+    D, segments = problem.operator
+    kept = sum(a.nbytes for a in (*D[2:], *segments[2:4], problem.lipschitz))
+    assert peak <= one_block_bound(problem, kept) < 20 * 100 * 500 * 8
 
 
 def test_spec_validation():

@@ -11,8 +11,10 @@ import pytest
 
 import apadmm
 from apadmm import RunConfig, SparsePcaSpec, generate, run
-from apadmm.cli import TRACE_COLUMNS, load_run, main, save_states, trace_csv
+from apadmm.cli import (TRACE_COLUMNS, _parse_trace_csv, load_run, main,
+                        save_states, trace_csv)
 from apadmm.problems import ConsensusProblem, _dense
+from reference import one_block_bound, traced_peak
 
 SMALL = ["--N", "12", "--K", "3", "--M", "6", "--p", "0.2",
          "--instance-seed", "3"]
@@ -918,6 +920,49 @@ def test_the_stored_data_grows_with_the_nonzeros_not_with_its_shape(tmp_path):
     assert sizes[0] < dense / 2
     # a value and a 32-bit column per nonzero, and the archive's overhead
     assert 0 < sizes[1] - sizes[0] <= 12 * (counts[1] - counts[0])
+
+
+@pytest.mark.parametrize("rows,message", [
+    (["1,2,3,4,5,6,7", "2,2,3,4,5,x,7", "3,2,3"],
+     "malformed row '2,2,3,4,5,x,7': could not convert string to float: 'x'"),
+    (["1,2,3,4,5,6,7", "2.5,y,3,4,5,6,7", "3,2,3,4,5,z,7"],
+     "malformed row '2.5,y,3,4,5,6,7': could not convert string to float: 'y'"),
+    (["1,2,3,4,5,6,7", "2.5,2,3,4,5,6,7.5"],
+     "malformed row '2.5,2,3,4,5,6,7.5': invalid literal for int() with base 10: '2.5'"),
+    (["1,2,3", "2,2,3,4,5,x,7"],
+     "malformed row '1,2,3': not enough values to unpack (expected 7, got 3)"),
+    (["1,2,3,4,5,6,7", "2,2,3,4,5,6,7", "3,2,3,4,5,6,7,8"],
+     "malformed row '3,2,3,4,5,6,7,8': too many values to unpack"),
+])
+def test_the_trace_parse_names_the_first_bad_row(rows, message):
+    # the first bad row in the file; within it, a row of the wrong width
+    # first, then L, f, feas_gap, prox_grad_norm, e, iter and set_size
+    text = ",".join(TRACE_COLUMNS) + "\n" + "\n".join(rows) + "\n"
+    with pytest.raises(ValueError) as info:
+        _parse_trace_csv(text)
+    assert str(info.value).startswith(message)
+    trace = _parse_trace_csv(text.split("\n")[0] + "\n1,2,3.5,-0.0,4,5,6\n")
+    assert (trace.lagrangian, trace.objective, trace.feas_gap, trace.prox_grad_norm,
+            trace.measure, trace.sim_time, trace.collected) == (
+        [2.0], [3.5], [-0.0], [4.0], [5.0], [1.0], [6])
+    assert type(trace.sim_time[0]) is float and type(trace.collected[0]) is int
+
+
+def test_load_run_holds_one_dense_component_at_a_time(tmp_path):
+    """Loading a 2-row run at N = 500, M = 100, K = 20 peaks at a few
+    times the operator, a few blocks and the states and operator it
+    returns, not at the 8 MB of all K dense matrices."""
+    problem = generate(SparsePcaSpec(dim=500, num_components=20, rows=100,
+                                     seed=2))
+    path = str(tmp_path / "paper.csv")
+    save_a_run(path, problem, iterations=2)
+    (loaded, trace, *_), peak = traced_peak(lambda: load_run(path))
+    assert len(trace) == 2
+    D, segments = loaded.operator
+    kept = sum(a.nbytes for a in (*D[2:], *segments[2:4], loaded.lipschitz))
+    kept += sum(a.nbytes for s in trace.states
+                for a in (s.x, s.x_local, s.y, s.stale_index))
+    assert peak <= one_block_bound(loaded, kept) < 20 * 100 * 500 * 8
 
 
 def rewrite(npz, spoil):

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from apadmm import RunConfig, problems, run
@@ -24,7 +24,8 @@ from apadmm.problems import (
     stationarity,
 )
 from apadmm.prox import _norm, prox_l1_ball
-from reference import component_gradient, component_value
+from reference import (component_gradient, component_value, one_block_bound,
+                       penalty_inverses, traced_peak)
 
 
 def finite_difference_gradient(fn, x, step=1e-6):
@@ -304,6 +305,38 @@ def test_penalized_argmin_on_the_paper_shape():
     assert list(problem.penalty_inverses) == cached
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(1, 30), min_size=1, max_size=6), st.integers(1, 40),
+       st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+@example([100, 60, 100, 140, 60], 500, 0.1, 1)
+def test_the_inverses_are_the_stacked_builds_bit_for_bit(rows, dim, prob, seed):
+    """Each block expanded from the operator alone, its Gram ``B @ B.T``
+    and its inverse written into its run's stack give the bits of the
+    build from every dense matrix stacked per run and one batched Gram."""
+    problem = generate(SparsePcaSpec(dim=dim, num_components=len(rows),
+                                     rows=rows, nonzero_prob=prob, seed=seed))
+    rho = problem.lipschitz * 1.25 + 0.5
+    got = problems._penalty_inverses(problem, rho)
+    want = penalty_inverses(problem, rho)
+    assert [(a.shape, a.tobytes()) for a in got] == [
+        (b.shape, b.tobytes()) for b in want]
+    assert not any(a.flags.writeable for a in got)
+
+
+def test_the_inverses_hold_one_dense_block_at_a_time():
+    """Building the inverses at N = 500, M = 100, K = 20 peaks at a few
+    times the operator, a few blocks and the K M^2 inverses it keeps: no
+    stack of the K dense matrices, 8 MB here, or of their Gram matrices."""
+    problem = generate(SparsePcaSpec(dim=500, num_components=20, rows=100,
+                                     seed=2))
+    rho = problem.lipschitz * 1.01
+    inverses, peak = traced_peak(
+        lambda: problems._penalty_inverses(problem, rho))
+    kept = sum(a.nbytes for a in inverses)
+    assert kept == 20 * 100 * 100 * 8
+    assert peak <= one_block_bound(problem, kept) < 20 * 100 * 500 * 8
+
+
 @pytest.mark.parametrize("rows,dim", SHAPES)
 def test_one_component_matches_explicit_definitions(rows, dim):
     rng = np.random.default_rng(rows * 10 + dim)
@@ -405,7 +438,7 @@ def test_consensus_problem_validation():
             (dict(radius=float("inf")), "radius must be a finite positive number, not inf")):
         with pytest.raises(ValueError, match=message):
             ConsensusProblem([comp], **kwargs)
-    # each matrix is checked before any eigenvalue is taken, by index
+    # each matrix is checked by index, as it is drawn
     for bad, message in (
             (np.ones(3), "data matrix 1 must be 2-D, not of shape (3,)"),
             (np.ones((2, 1, 1)), "data matrix 1 must be 2-D, not of shape (2, 1, 1)"),
@@ -419,6 +452,51 @@ def test_consensus_problem_validation():
         ConsensusProblem([comp, np.ones((1, 2))])
     problem = ConsensusProblem([comp, np.array([[2.0]])])
     np.testing.assert_allclose(problem.lipschitz, [1.0, 4.0])
+
+
+def drawn(matrices, log):
+    """The matrices one at a time, each logged as it is drawn."""
+    for B in matrices:
+        log.append(len(log))
+        yield B
+
+
+def test_a_problem_consumes_its_data_once_one_matrix_at_a_time():
+    """A generator gives the bits of a list: every operator array and
+    bound; a bad matrix raises by index before the next is drawn."""
+    data = [np.array(B) for B in stacked_problem("tall").data]
+    log = []
+    lazy = ConsensusProblem(drawn(data, log), l1_weight=0.05)
+    eager = ConsensusProblem(data, l1_weight=0.05)
+    assert log == [0, 1, 2, 3]
+    assert lazy.lipschitz.tobytes() == eager.lipschitz.tobytes()
+    for got, want in zip(lazy.operator, eager.operator, strict=True):
+        assert got[:2] == want[:2]
+        for a, b in zip(got[2:], want[2:], strict=True):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+    log = []
+    spoiled = data[:2] + [np.full((3, 12), np.inf)] + data[3:]
+    with pytest.raises(ValueError, match="data matrix 2 contains non-finite entries"):
+        ConsensusProblem(drawn(spoiled, log))
+    assert log == [0, 1, 2]
+    with pytest.raises(ValueError, match="need at least one component"):
+        ConsensusProblem(drawn([], []))
+
+
+def test_dense_checks_every_member_before_it_builds_a_block():
+    """``_dense`` raises when called, not when its first block is asked
+    for, and builds each block only when asked."""
+    members = dict(problems._nonzeros(stacked_problem("wide")))
+    blocks = problems._dense(members)
+    assert iter(blocks) is blocks
+    first = next(blocks)
+    assert first.shape == (6, 12) and not first.flags.writeable
+    members["data_cols"] = members["data_cols"].copy()
+    members["data_cols"][-1] = 12
+    with pytest.raises(ValueError, match="data_cols holds a column outside 0 to 11"):
+        problems._dense(members)
 
 
 # -- state and trace ---------------------------------------------------------

@@ -11,7 +11,10 @@ belong to components of different sizes), the desk instance with l1
 weight 0.05 (the shrinking prox), and the paper shape N = 500, K = 10,
 M = 100, capped at 60 clock ticks; then two runs on the paper shape
 with K = 7: an ``async_padmm`` run that converges and a ``sync_admm``
-run capped at 60 clock ticks; all with ``full_trace``. Each
+run capped at 60 clock ticks; and a ``sync_admm`` run at N = 500 on
+components of unequal row counts (100, 60, 100, 140 and 60), capped at
+20 clock ticks, whose exact updates invert one paper-size block of each
+row count; all with ``full_trace``. Each
 line holds the run's label, termination, iterations, updates and a
 SHA-256 over rho, every trace column and every snapshot: its iteration,
 ``x``, ``x_local``, ``y`` and ``stale_index`` (the dual ``y`` is also
@@ -99,6 +102,9 @@ def grid():
     yield "sync_admm paper N=500 K=7 M=100", dict(
         algorithm="sync_admm", delay_bound=3, max_iters=60,
         instance=dict(dim=500, num_components=7, rows=100))
+    yield "sync_admm paper ragged rows N=500", dict(
+        algorithm="sync_admm", delay_bound=3, max_iters=20,
+        instance=dict(dim=500, num_components=5, rows=[100, 60, 100, 140, 60]))
 
 
 def digest(result):
