@@ -16,11 +16,7 @@ value it holds:
 * ``json_object``: ``<name> must be an object, not <v>``, then
   ``<name> is missing key 'k'`` or ``<name> has unknown key 'k'``
 
-Each range is written so that NaN fails it. The prox checks run four
-times an update, so a range rule passes a float (numpy's float64 too)
-without a call to ``is_number``, and ``is_number`` tells a float or an
-int by its concrete type: the ``numbers.Real`` check other types take
-costs several times as much.
+Each range is written so that NaN fails it.
 """
 
 import numbers
@@ -31,9 +27,7 @@ import numpy as np
 
 def is_number(value):
     """Whether ``value`` is a real number; a bool is none, nor is a string."""
-    if isinstance(value, (float, int)):
-        return not isinstance(value, bool)
-    return isinstance(value, numbers.Real)
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _error(name, form, value):
@@ -42,19 +36,19 @@ def _error(name, form, value):
 
 
 def nonnegative(value, name):
-    if (isinstance(value, float) or is_number(value)) and 0 <= value < inf:
+    if is_number(value) and 0 <= value < inf:
         return value
     raise _error(name, "a finite nonnegative number", value)
 
 
 def positive(value, name):
-    if (isinstance(value, float) or is_number(value)) and 0 < value < inf:
+    if is_number(value) and 0 < value < inf:
         return value
     raise _error(name, "a finite positive number", value)
 
 
 def probability(value, name):
-    if (isinstance(value, float) or is_number(value)) and 0 <= value <= 1:
+    if is_number(value) and 0 <= value <= 1:
         return value
     raise _error(name, "a number in [0, 1]", value)
 

@@ -17,9 +17,12 @@ The algorithms differ only in how the master gets its gradients:
 * ``sync_padmm``: the exchange blocks on every worker and commits every
   component's gradient at the new x (the zero-delay protocol).
 * ``sync_admm``: the exchange blocks as for ``sync_padmm``, and every
-  component solves its penalized subproblem exactly, all K in one
-  ``problems.penalized_argmin`` call, through one cached M x M inverse
+  component solves its penalized subproblem exactly, all K in one batched
+  solve (``problems.penalized_argmin``), through one cached M x M inverse
   per component; requires penalties above the component curvature.
+
+Each step has one body: the public step checks its arguments and calls it;
+``run`` checks its inputs once, then calls the bodies alone.
 
 Time accounting: the reported iteration count is the simulated master
 clock in windows, the simulator's unit of time. Async iterations cost
@@ -34,10 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rules import boolean, choice, integer, nonnegative, positive
-from .problems import (IterationTrace, SolverState, augmented_lagrangian,
-                       consensus_terms, initial_state, penalized_argmin,
-                       stationarity)
-from .prox import _norm, prox_l1_ball
+from .problems import (IterationTrace, SolverState, _argmin, _penalty_inverses,
+                       _terms, augmented_lagrangian, initial_state, stationarity)
+from .prox import _norm, _prox, prox_l1_ball
 from .simnet import DelayModel, LinkModel, StarNetwork
 from .stepsize import certify, default_penalties, exact_baseline_penalty
 
@@ -147,8 +149,13 @@ def master_step(problem, state, rho):
     """
     rho = np.asarray(rho, dtype=float)
     total = float(np.add.reduce(rho))
-    v = np.add.reduce(rho[:, None] * state.x_local + state.y, axis=0) / total
-    return prox_l1_ball(v, problem.l1_weight / total, problem.radius)
+    return prox_l1_ball(_average(state, rho[:, None], total),
+                        problem.l1_weight / total, problem.radius)
+
+
+def _average(state, rho, total):
+    # master_step's average, rho as a (K, 1) column and total its float sum
+    return np.add.reduce(rho * state.x_local + state.y, axis=0) / total
 
 
 def padmm_apply(state, rho, x_new, grads, stale_index):
@@ -159,16 +166,20 @@ def padmm_apply(state, rho, x_new, grads, stale_index):
     nothing passes its record ``-y[k]`` and its old index, so it keeps
     its dual and moves its local copy to ``x_new``, both bit for bit.
     """
-    rho = np.asarray(rho, dtype=float)[:, None]
+    return _commit(state, np.asarray(rho, dtype=float)[:, None],
+                   np.asarray(x_new, dtype=float), grads, stale_index)
+
+
+def _commit(state, rho, x_new, grads, stale_index):
+    # padmm_apply with rho as a (K, 1) column and x_new an array
     x_local = x_new - (grads + state.y) / rho
-    return SolverState(state.iteration + 1, np.asarray(x_new, dtype=float),
-                       x_local, -grads, stale_index)
+    return SolverState(state.iteration + 1, x_new, x_local, -grads, stale_index)
 
 
 def exact_admm_iteration(problem, state, rho, x_new):
     """Commit one exact update: each component minimizes its penalized cost at x_new.
 
-    One ``penalized_argmin`` call solves every component's subproblem,
+    One ``penalized_argmin`` solve covers every component's subproblem,
     with no loop over components, and checks that each penalty
     exceeds its component's curvature. The subproblem's first-order
     condition ``grad g_k(u_k) + y_k + rho_k (u_k - x_new) = 0`` has the
@@ -176,9 +187,14 @@ def exact_admm_iteration(problem, state, rho, x_new):
     and no component is evaluated here.
     """
     rho = np.asarray(rho, dtype=float)
-    x_new = np.asarray(x_new, dtype=float)
-    x_local = penalized_argmin(problem, rho, x_new, state.y)
-    y = state.y + rho[:, None] * (x_local - x_new)
+    return _exact(problem, state, rho[:, None], _penalty_inverses(problem, rho),
+                  np.asarray(x_new, dtype=float))
+
+
+def _exact(problem, state, rho, inverses, x_new):
+    # exact_admm_iteration, rho a (K, 1) column with its cached inverses
+    x_local = _argmin(problem, rho, inverses, x_new, state.y)
+    y = state.y + rho * (x_local - x_new)
     t_new = state.iteration + 1
     stale = np.full(problem.num_components, t_new, dtype=int)
     return SolverState(t_new, x_new, x_local, y, stale)
@@ -254,7 +270,10 @@ def run(problem, config, lagrangian=True):
     proximal otherwise) and a row; only the exchange differs by algorithm.
     A blocking exchange commits the pass's gradients, all at t; a window
     starts from the record ``-y`` and the old indices and overwrites each
-    arrived worker's row with its row of the payload it picked up.
+    arrived worker's row with its row of the payload it picked up. Only
+    a window is scanned for staleness. The inputs are checked once, before
+    the first update; the loop calls the step bodies unchecked, on per-run
+    constants formed as the public steps form them, to the same bits.
 
     Each point takes a pass of its own. The start state's is in
     ``initial_state``. Update t takes the pass at x_t =
@@ -307,13 +326,17 @@ def run(problem, config, lagrangian=True):
     if trace.states is not None:
         trace.states.append(state)
 
+    # the step bodies' per-run constants, formed as the public steps form them
+    column, total = rho[:, None], float(np.add.reduce(rho))
+    tau, radius = problem.l1_weight / total, problem.radius
+    inverses = _penalty_inverses(problem, rho) if exact else None
     violations = []
     termination = "max_iters"
     measure = float("inf")
     clock = 0
     while clock < config.max_iters:
-        x_new = master_step(problem, state, rho)
-        terms = consensus_terms(problem, x_new)
+        x_new = _prox(_average(state, column, total), tau, radius)
+        terms = _terms(problem, x_new)
         t_new = state.iteration + 1
         if asynchronous:
             grads, stale = -state.y, state.stale_index.copy()
@@ -321,25 +344,26 @@ def run(problem, config, lagrangian=True):
             for k, msg in got.items():
                 grads[k], stale[k] = msg.payload[k], msg.copy_index
             cost, arrived = 1, len(got)
+            staleness = t_new - stale
+            over = np.nonzero(staleness > bounds)[0]
+            if over.size:
+                worst = int(over[np.argmax(staleness[over])])
+                violations.append((t_new, worst, int(staleness[worst])))
+                if config.enforcement == "enforce":
+                    termination = "staleness_violation"
+                    break
         else:
             cost = max(1, math.ceil(float(net.sample_round_trips().max())))
-            grads, stale = terms.gradients, np.full(K, t_new)
-            arrived = K
-        new = (exact_admm_iteration(problem, state, rho, x_new) if exact
-               else padmm_apply(state, rho, x_new, grads, stale))
-        staleness = new.iteration - new.stale_index
-        over = np.nonzero(staleness > bounds)[0]
-        if over.size:
-            worst = int(over[np.argmax(staleness[over])])
-            violations.append((new.iteration, worst, int(staleness[worst])))
-            if config.enforcement == "enforce":
-                termination = "staleness_violation"
-                break
-        state = new
+            grads, stale, arrived = terms.gradients, np.full(K, t_new), K
+        state = (_exact(problem, state, column, inverses, x_new) if exact
+                 else _commit(state, column, x_new, grads, stale))
         clock += cost
         # the row's gap and Lagrangian share x_local - x, and its l1 term
         diff = state.x_local - state.x
         row = stationarity(state, terms, diff)
+        if math.isnan(row[2]):  # the unchecked prox's NaN: an overflow
+            raise ValueError("update %d overflows float64: rescale the data, "
+                             "penalties or radius" % t_new)
         measure = row[-1]
         value = (augmented_lagrangian(problem, state, rho, diff, terms.l1_term)
                  if lagrangian else None)

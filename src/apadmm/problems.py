@@ -46,7 +46,7 @@ from scipy.sparse._sparsetools import (csc_matvec, csc_matvecs, csr_matvec,
                                        csr_matvecs)
 
 from ._rules import integer, nonnegative, positive
-from .prox import _norm, prox_l1_ball
+from .prox import _check_vector, _norm, _prox, prox_l1_ball
 
 __all__ = [
     "ConsensusProblem",
@@ -396,17 +396,23 @@ def penalized_argmin(problem, rho, x_master, y):
     small in floating point, raises ValueError naming the component.
     """
     rho = np.asarray(rho, dtype=float)
-    b = rho[:, None] * x_master - y
+    return _argmin(problem, rho[:, None], _penalty_inverses(problem, rho),
+                   x_master, y)
+
+
+def _argmin(problem, rho, inverses, x_master, y):
+    # penalized_argmin, unchecked: rho a (K, 1) column with its inverses
+    b = rho * x_master - y
     v = _matvec(*problem.operator.D, b.ravel())
     start = 0
-    for inverse in _penalty_inverses(problem, rho):
+    for inverse in inverses:
         count, rows, _ = inverse.shape
         end = start + count * rows
         v[start:end] = (inverse @ v[start:end].reshape(count, rows, 1)).ravel()
         start = end
     out = _matvec(*problem.operator.D, v, transpose=True).reshape(b.shape)
     out += b
-    out /= rho[:, None]
+    out /= rho
     return out
 
 
@@ -470,9 +476,13 @@ def consensus_terms(problem, x):
     view of this one. The objective is ``sum_k g_k(x) + l1_weight * ||x||_1``
     (the ball constraint is not folded in; callers keep x feasible), and
     the residual ``x - prox(x - grad g(x))`` uses a unit step and the
-    l1-plus-ball operator with the problem's own l1 weight.
+    l1-plus-ball operator with the problem's own l1 weight. x and ``x -
+    grad g(x)`` must be finite; the solver loop calls ``_terms`` unchecked.
     """
-    x = np.asarray(x, dtype=float)
+    return _terms(problem, _check_vector(x, "x"), prox_l1_ball)
+
+
+def _terms(problem, x, prox=_prox):
     values, grads = _block_pass(problem.operator, x)
     # a Python loop: 0.6 us at K = 5, where np.add.reduce takes 2.1 us
     value = 0.0
@@ -481,7 +491,7 @@ def consensus_terms(problem, x):
     # rows added in order onto 0.0, so a column of -0.0 sums to 0.0
     grad = np.add.reduce(grads, axis=0, initial=0.0)
     l1_term = problem.l1_weight * float(np.add.reduce(np.abs(x)))
-    residual = x - prox_l1_ball(x - grad, problem.l1_weight, problem.radius)
+    residual = x - prox(x - grad, problem.l1_weight, problem.radius)
     return ConsensusTerms(value + l1_term, l1_term, residual, grads)
 
 

@@ -8,6 +8,9 @@ uniform radial scaling, which commutes with the KKT conditions of the
 shrinkage subproblem (the multiplier of the norm constraint only rescales
 every coordinate by the same positive factor, leaving the active set and
 signs of the soft-thresholding solution unchanged).
+
+Each public operator checks its arguments and calls an unchecked core; the
+solver loop calls ``_prox`` on inputs it checked once per run.
 """
 
 import math
@@ -44,6 +47,12 @@ def _into_ball(v, radius):
     return v if norm <= radius else v * (radius / norm)
 
 
+def _prox(v, tau, radius):
+    # prox_l1_ball unchecked; with no radius, soft_threshold (a new array)
+    v = v + 0.0 if tau == 0 else np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+    return v if radius is None else _into_ball(v, radius)
+
+
 def soft_threshold(v, tau):
     """Proximal map of ``tau * ||.||_1``.
 
@@ -61,10 +70,7 @@ def soft_threshold(v, tau):
         ``tau == 0`` that is ``v + 0.0``, a new array equal to v bit for
         bit except that -0.0 becomes 0.0 (``sign(-0.0)`` is 0.0).
     """
-    v = _check_vector(v)
-    if nonnegative(tau, "tau") == 0:
-        return v + 0.0
-    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+    return _prox(_check_vector(v), nonnegative(tau, "tau"), None)
 
 
 def project_ball(v, radius):
@@ -98,4 +104,5 @@ def prox_l1_ball(v, tau, radius):
         over the ball, computed as ``project_ball(soft_threshold(v, tau))``
         with one check of the input.
     """
-    return _into_ball(soft_threshold(v, tau), positive(radius, "radius"))
+    return _prox(_check_vector(v), nonnegative(tau, "tau"),
+                 positive(radius, "radius"))

@@ -25,9 +25,10 @@ def scalar_problem(l1_weight=0.0, radius=10.0):
     return ConsensusProblem([np.array([[1.0]])], l1_weight=l1_weight, radius=radius)
 
 
-def desk_problem(seed=3):
+def desk_problem(seed=3, l1_weight=0.0):
     return generate(SparsePcaSpec(dim=12, num_components=3, rows=6,
-                                  nonzero_prob=0.2, seed=seed))
+                                  nonzero_prob=0.2, l1_weight=l1_weight,
+                                  seed=seed))
 
 
 # -- iteration operators -----------------------------------------------------
@@ -48,6 +49,15 @@ def test_master_step_applies_scaled_l1_weight():
     state.y = np.array([[0.0]])
     # v = 1, weight = 2/4 = 0.5: soft threshold leaves 0.5
     assert master_step(problem, state, [4.0])[0] == pytest.approx(0.5, abs=1e-15)
+
+
+def test_master_step_rejects_a_non_finite_local_copy():
+    problem = desk_problem()
+    state = initial_state(problem)
+    state.x_local = state.x_local.copy()
+    state.x_local[1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite entries"):
+        master_step(problem, state, np.full(3, 10.0))
 
 
 def test_padmm_apply_scalar_hand_iteration():
@@ -183,6 +193,26 @@ def test_run_reports_a_penalty_with_an_overflowing_margin_infeasible():
     assert [c.margin for c in result.certificates] == [-np.inf, -np.inf]
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_run_whose_iterates_overflow_raises(algorithm):
+    # the loop's prox is unchecked, so run itself stops on the NaN it makes:
+    # a proximal update's average overflows at a forced penalty of 1e-310,
+    # an exact update at a top curvature near 1e306; at a radius of 1e10
+    # the start point's gradients overflow, in the checked initial pass
+    if algorithm == "sync_admm":
+        problem, config = ConsensusProblem([1e153 * np.eye(2)] * 2), {}
+    else:
+        problem = ConsensusProblem([np.eye(2)] * 2)
+        config = dict(rho=1e-310, force=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"update \d overflows float64"):
+            run(problem, RunConfig(algorithm=algorithm, max_iters=5, **config))
+        problem = ConsensusProblem([1e150 * np.eye(2)] * 2, radius=1e10)
+        with pytest.raises(ValueError, match="non-finite entries"):
+            run(problem, RunConfig(algorithm=algorithm, max_iters=5))
+
+
 # -- run(): equivalences and determinism -------------------------------------
 
 def one_step(algorithm, problem, state, rho):
@@ -199,9 +229,13 @@ def one_step(algorithm, problem, state, rho):
     return padmm_apply(state, rho, x_new, fresh, stale)
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_run_snapshots_follow_the_one_step_operator(algorithm):
-    problem = desk_problem()
+@pytest.mark.parametrize("algorithm, l1_weight", [
+    pytest.param(a, w, id=a if w == 0 else "%s-l1=%g" % (a, w))
+    for w in (0.0, 0.5) for a in ALGORITHMS])
+def test_run_snapshots_follow_the_one_step_operator(algorithm, l1_weight):
+    # the loop's unchecked step bodies against the public steps, state by
+    # state; a positive l1 weight takes the prox's shrinking branch
+    problem = desk_problem(l1_weight=l1_weight)
     res = run(problem, RunConfig(algorithm=algorithm, delay_bound=0, seed=4,
                                  max_iters=30, epsilon=1e-14,
                                  init="random_ball", full_trace=True))

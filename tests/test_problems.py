@@ -93,6 +93,29 @@ def test_objective_dimension_mismatch():
         consensus_terms(problem, np.zeros(3))
 
 
+def desk_instance():
+    return generate(SparsePcaSpec(dim=50, num_components=5, rows=20, seed=1))
+
+
+def test_consensus_terms_rejects_a_non_finite_or_misshapen_point():
+    problem = desk_instance()
+    x = np.zeros(50)
+    x[3] = np.nan
+    with pytest.raises(ValueError, match="non-finite entries"):
+        consensus_terms(problem, x)
+    with pytest.raises(ValueError,
+                       match=re.escape("vector of shape (7,) for 50 columns")):
+        consensus_terms(problem, np.zeros(7))
+
+
+def test_optimality_measure_rejects_a_non_finite_master_vector():
+    problem = desk_instance()
+    state = initial_state(problem)
+    state.x = np.full(50, np.nan)
+    with pytest.raises(ValueError, match="non-finite entries"):
+        problems.optimality_measure(problem, state)
+
+
 # -- augmented Lagrangian ----------------------------------------------------
 
 def test_augmented_lagrangian_consensus_equals_objective():

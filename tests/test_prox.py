@@ -10,11 +10,12 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
 
 from apadmm import prox_l1_ball, project_ball, soft_threshold
+from apadmm.prox import _prox
 
 
 # -- independent oracles -----------------------------------------------------
@@ -372,3 +373,22 @@ def test_soft_threshold_at_zero_weight_signed_zeros_and_extremes():
     np.testing.assert_array_equal(out, v)
     assert out[2:].tobytes() == v[2:].tobytes()
     assert soft_threshold([1, -2], 0).tobytes() == np.array([1.0, -2.0]).tobytes()
+
+
+# -- the solver loop's unchecked core ----------------------------------------
+
+SIGNED = st.one_of(st.just(-0.0), st.just(0.0), st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=300)
+@given(arrays(np.float64, st.integers(1, 30), elements=SIGNED),
+       st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+       st.floats(1e-3, 1e7))
+@example(np.array([-0.0, 0.25, -0.5]), 0.0, 10.0)      # inside, no shrink
+@example(np.array([-0.0, 3.0, -4.0]), 0.0, 1.0)        # outside, no shrink
+@example(np.array([-0.0, 0.25, -0.5]), 0.1, 10.0)      # inside, shrinking
+@example(np.array([-0.0, 3.0, -4.0]), 0.5, 1.0)        # outside, shrinking
+def test_the_unchecked_prox_is_the_checked_one_bit_for_bit(v, tau, radius):
+    out = _prox(v, tau, radius)
+    assert out.tobytes() == prox_l1_ball(v, tau, radius).tobytes()
+    assert not np.shares_memory(out, v)
