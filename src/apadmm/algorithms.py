@@ -37,8 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rules import boolean, choice, integer, nonnegative, positive
-from .problems import (IterationTrace, SolverState, _argmin, _penalty_inverses,
-                       _terms, augmented_lagrangian, initial_state, stationarity)
+from .problems import (IterationTrace, SolverState, StateHistory, _argmin,
+                       _penalty_inverses, _terms, augmented_lagrangian,
+                       initial_state, stationarity)
 from .prox import _norm, _prox, prox_l1_ball
 from .simnet import DelayModel, LinkModel, StarNetwork
 from .stepsize import certify, default_penalties, exact_baseline_penalty
@@ -353,7 +354,7 @@ def run(problem, config, lagrangian=True):
                     termination = "staleness_violation"
                     break
         else:
-            cost = max(1, math.ceil(float(net.sample_round_trips().max())))
+            cost = max(1, math.ceil(max(net._round_trips())))
             grads, stale, arrived = terms.gradients, np.full(K, t_new), K
         state = (_exact(problem, state, column, inverses, x_new) if exact
                  else _commit(state, column, x_new, grads, stale))
@@ -373,6 +374,8 @@ def run(problem, config, lagrangian=True):
         if measure < config.epsilon:
             termination = "converged"
             break
+    if trace.states is not None:
+        trace.states = StateHistory.of(trace.states)
     return RunResult(
         termination=termination, iterations=clock, updates=len(trace),
         state=state, trace=trace, rho=rho, delay_bounds=bounds,

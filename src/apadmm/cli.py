@@ -45,8 +45,7 @@ from .benchmark import (BENCH_PRESETS, RUN_PRESETS, CampaignCell,
                         SparsePcaSpec, _csv, bench_preset, campaign_csv,
                         generate, run_campaign)
 from .diagnostics import trace_residuals
-from .problems import (ConsensusProblem, IterationTrace, SolverState,
-                       _dense, _nonzeros)
+from .problems import ConsensusProblem, IterationTrace, StateHistory, _nonzeros
 from .stepsize import CURVATURE_CLASSES, certify, minimal_rho
 
 __all__ = ["main", "build_parser", "trace_csv", "save_states", "load_run"]
@@ -117,14 +116,13 @@ def save_states(path, problem, result, algorithm):
     The data is stored as its nonzeros (``problems._nonzeros``), about 12
     bytes each, not as K dense matrices, 90% zeros in a generated
     instance. The members are stored uncompressed: inflating them cost a
-    check more than its replay.
+    check more than its replay. The snapshots are the arrays of the run's
+    ``StateHistory`` as they are.
     """
-    states = result.trace.states
+    states = StateHistory.of(result.trace.states)
     arrays = {
-        "x_hist": np.stack([s.x for s in states]),
-        "x_local_hist": np.stack([s.x_local for s in states]),
-        "y_hist": np.stack([s.y for s in states]),
-        "stale_hist": np.stack([s.stale_index for s in states]).astype(np.int64),
+        **dict(zip(_HISTORIES, (states.x, states.x_local, states.y,
+                                states.stale_index.astype(np.int64, copy=False)))),
         "rho": np.asarray(result.rho, dtype=float),
         "delay_bounds": np.asarray(result.delay_bounds, dtype=float),
         "l1_weight": np.float64(problem.l1_weight),
@@ -190,6 +188,9 @@ def _parse_trace_csv(text):
 def load_run(csv_path):
     """Rebuild (problem, trace, rho, delay_bounds, algorithm) from run output.
 
+    The problem's D is the stored nonzeros, whose dense blocks are built
+    one at a time, to be checked and bounded; ``trace.states`` is the
+    ``StateHistory`` of the stored histories, once they are checked.
     Raises ValueError, naming the file, when either file is missing or
     cannot be read.
     """
@@ -212,7 +213,7 @@ def load_run(csv_path):
             while "B_%d" % num in data:
                 num += 1
             problem = ConsensusProblem(
-                (data["B_%d" % k] for k in range(num)) if num else _dense(data),
+                (data["B_%d" % k] for k in range(num)) if num else data,
                 l1_weight=float(data["l1_weight"]),
                 radius=float(data["radius"]))
             # each subscript reads the member from the file again, so read
@@ -220,15 +221,13 @@ def load_run(csv_path):
             # and iteration histories of older files are not read
             hist = [data[name] for name in _HISTORIES]
             _check_histories(hist, problem)
-            states = [SolverState(i, *row) for i, row in
-                      enumerate(zip(*hist), start=1)]
             rho = np.asarray(data["rho"], dtype=float)
             delay_bounds = np.asarray(data["delay_bounds"], dtype=float)
             algorithm = choice(str(data["algorithm"][()]), "algorithm", ALGORITHMS)
     except (KeyError, ValueError, TypeError, EOFError, OSError, MemoryError,
             zipfile.BadZipFile) as exc:  # MemoryError: a data_dim too big
         raise ValueError("cannot load state file %r: %s" % (npz_path, exc))
-    trace.states = states
+    trace.states = StateHistory(*hist)
     return problem, trace, rho, delay_bounds, algorithm
 
 

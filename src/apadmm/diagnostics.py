@@ -20,10 +20,11 @@ in a margin's inputs therefore fails that row. Checks never abort a run;
 they return a report with pass/fail/skipped status, the worst margin
 seen (NaN if any margin is NaN), and the offending iterations.
 
-The replay reads ``BLOCK_ROWS`` rows at a time, as stacked arrays with
-one evaluation pass at the block's stale copies, so its memory beyond
-the stored run is that of one block and a few numbers per row, however
-long the trace.
+The replay reads the run's ``StateHistory``, stacked once if the trace
+holds a list of states, ``BLOCK_ROWS`` rows at a time: slices of its
+arrays, with the block's stale copies gathered from its master history
+and evaluated in one pass. So its memory beyond the stacked history is
+that of one block and a few numbers per row, however long the trace.
 
 The allowed side of each check carries a fixed rounding tolerance, so a
 stored run's verdict depends on the run alone:
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rules import nonnegative, positive
-from .problems import _block_pass, _row_dots, augmented_lagrangian
+from .problems import StateHistory, _block_pass, _row_dots, augmented_lagrangian
 from .stepsize import descent_margin
 
 __all__ = [
@@ -98,8 +99,8 @@ def _outcome(name, margins, first=1):
                         float(margins.min()), failing)
 
 
-def _replay_block(operator, states, a, b, stale):
-    """The terms of trace rows a to b - 1, from states a - 1 to b - 1.
+def _replay_block(operator, history, a, b, stale):
+    """The terms of trace rows a to b - 1, from ``history`` rows a - 1 to b - 1.
 
     ``stale`` holds the rows' ``(b - a, K)`` stale indices, each from 1
     to its row's iteration. Returns by row the dual-identity margin and the
@@ -111,20 +112,18 @@ def _replay_block(operator, states, a, b, stale):
     few stacks of its rows.
     """
     R, K = stale.shape
-    block = states[a - 1:b]
-    x = np.array([s.x for s in block])
+    x = history.x[a - 1:b]
     dx = x[1:] - x[:-1]
-    # stale index i names the master vector of iteration i, states[i - 1]
-    points = [states[i].x for i in (stale - 1).ravel().tolist()]
-    work = _block_pass(operator, np.array(points).reshape(R, K, -1))[1]
-    y = np.array([s.y for s in block])
+    # stale index i names the master vector of iteration i, row i - 1
+    work = _block_pass(operator, history.x[stale - 1])[1]
+    y = history.y[a - 1:b]
     work += y[1:]
     flat, duals = work.reshape(R * K, -1), y[1:].reshape(R * K, -1)
     margins = (DUAL_TOL * (1.0 + np.sqrt(_row_dots(duals, duals)))
                - np.sqrt(_row_dots(flat, flat))).reshape(R, K).min(axis=1)
     np.subtract(y[1:], y[:-1], out=work)
     dual_steps = _row_dots(flat, flat).reshape(R, K)
-    x_local = np.array([s.x_local for s in block])
+    x_local = history.x_local[a - 1:b]
     np.subtract(x_local[1:], x_local[:-1], out=work)
     work *= work
     return margins, _row_dots(dx, dx), work.sum(axis=2), dual_steps
@@ -161,12 +160,11 @@ def trace_residuals(problem, trace, rho, delay_bounds):
                 else "an array of shape %s" % (values.shape,)))
         for k, value in enumerate(values):
             rule(value, "%s[%d]" % (name, k))
-    states = trace.states
+    states = StateHistory.of(trace.states)
     rows = len(trace)
     # row r is iteration r + 1, so its gradients were taken at iterations
     # 1 to r + 1; any other index names no copy the row could have read
-    stale = np.array([s.stale_index for s in states[1:]], dtype=np.int64)
-    stale = stale.reshape(rows, K)
+    stale = states.stale_index[1:].astype(np.int64).reshape(rows, K)
     last = np.arange(2, rows + 2)[:, None]
     acausal = np.argwhere((stale < 1) | (stale > last))
     if len(acausal):

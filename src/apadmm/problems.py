@@ -36,6 +36,7 @@ stack of points, which the residual replay evaluates in one pass.
 import itertools
 import math
 from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -51,6 +52,7 @@ from .prox import _check_vector, _norm, _prox, prox_l1_ball
 __all__ = [
     "ConsensusProblem",
     "SolverState",
+    "StateHistory",
     "IterationTrace",
     "leading_eigenvalue",
     "penalized_argmin",
@@ -120,34 +122,33 @@ def _matvec(rows, cols, indptr, indices, data, x, transpose=False):
     return out.T
 
 
-def _scan(B, k):
-    """Row counts, columns in D and values of the nonzeros of component k's B.
+def _scan(B):
+    """Row counts, columns and values of the nonzeros of the matrix B.
 
-    Each row's nonzeros in column order, at columns k N to (k + 1) N: the
-    indices of ``np.flatnonzero(B)``, -0.0 and NaN alike, but the scan of
-    a boolean mask is about 5x faster than of the floats themselves.
+    Each row's nonzeros in column order: the indices of
+    ``np.flatnonzero(B)``, -0.0 and NaN alike, but the scan of a boolean
+    mask is about 5x faster than of the floats themselves.
     """
-    N = B.shape[1]
-    rows, cols = np.divmod(np.flatnonzero(B != 0), N)
-    return np.bincount(rows, minlength=len(B)), cols + k * N, B[rows, cols]
+    rows, cols = np.divmod(np.flatnonzero(B != 0), B.shape[1])
+    return np.bincount(rows, minlength=len(B)), cols, B[rows, cols]
 
 
-def _operator(N, scans):
-    """The ``_Operator`` of the ``_scan`` of each component's M_k x N matrix.
+def _operator(N, rows, indptr, cols, values):
+    """The ``_Operator`` of the nonzeros as ``_nonzeros`` stores them, after N.
 
-    D, the one copy of the data, is block diagonal, ``(sum_k M_k) x (K N)``,
-    with B_k in component k's rows and in columns k N to (k + 1) N, each
-    row's nonzeros in column order. ``segments`` is the K x (sum_k M_k)
+    D, the one copy of the data, is block diagonal, ``(sum_k M_k) x (K
+    N)``, with B_k in component k's rows and in columns k N to (k + 1) N,
+    each row's nonzeros in column order: a stored column plus k N, and
+    ``values``, made read-only. ``segments`` is the K x (sum_k M_k)
     pattern that sums each component's rows, with no values: component k
     owns rows ``indptr[k]:indptr[k + 1]``.
     """
-    counts, cols, values = zip(*scans)
-    K, S = len(counts), sum(len(c) for c in counts)
+    K, S = len(rows), len(indptr) - 1
     index = np.int32 if S * N < 2 ** 31 else np.int64  # S N >= nonzeros, K N
-    D = _Csr(S, K * N, np.concatenate([[0], *counts]).cumsum().astype(index),
-             np.concatenate(cols).astype(index), np.concatenate(values))
-    segments = _Csr(K, S, np.cumsum([0] + [len(c) for c in counts]).astype(index),
-                    np.arange(S, dtype=index), None)
+    starts, indptr = np.cumsum([0, *rows]).astype(index), indptr.astype(index)
+    offsets = np.repeat(np.arange(0, K * N, N, dtype=index), np.diff(indptr[starts]))
+    D = _Csr(S, K * N, indptr, cols.astype(index) + offsets, values)
+    segments = _Csr(K, S, starts, np.arange(S, dtype=index), None)
     for a in (*D[2:], *segments[2:4]):
         a.flags.writeable = False
     return _Operator(D, segments)
@@ -180,32 +181,36 @@ def _integers(name, a):
 def _blocks(N, rows, indptr, cols, values):
     # each component's read-only dense M_k x N block, built when it is
     # asked for, from CSR arrays of its rows whose columns are counted
-    # within the component modulo N (D's, or the stored ``data_cols``)
-    start = 0
-    for M in rows:
-        ptr = indptr[start:start + M + 1]
-        first, last = ptr[0], ptr[-1]
+    # within the component; each value's flat index in its block is
+    # formed once, for every block, so a block is a zero fill and one
+    # scatter (a 2-D index is about 20% slower)
+    starts = np.cumsum([0, *rows])
+    local = np.arange(starts[-1]) - np.repeat(starts[:-1], rows)
+    at = np.repeat(local * N, np.diff(indptr)) + cols
+    ends = indptr[starts].tolist()
+    for M, first, last in zip(rows, ends, ends[1:]):
         block = np.zeros((M, N))
-        # each value's flat index; a 2-D index is about 20% slower
-        at = np.repeat(np.arange(0, M * N, N), ptr[1:] - ptr[:-1])
-        block.reshape(-1)[at + cols[first:last] % N] = values[first:last]
+        block.reshape(-1)[at[first:last]] = values[first:last]
         block.flags.writeable = False
         yield block
-        start += M
 
 
 def _dense(members):
-    """The read-only dense matrices of the ``_nonzeros`` in ``members``, lazily.
+    # the read-only dense matrices of the _nonzeros in members: checked when
+    # called (_stored), then built one at a time, as they are asked for
+    return _blocks(*_stored(members))
+
+
+def _stored(members):
+    """``_operator``'s arguments from the ``_nonzeros`` in ``members``, checked.
 
     Reads each member of the mapping once and checks them against each
-    other when called, before any matrix exists, so a member that does
-    not fit raises ValueError naming it, never an IndexError or a wrapped
-    index. Returns an iterator that builds one component's matrix at a
-    time, as it is asked for.
+    other, so a member that does not fit, or a stored value of 0, raises
+    ValueError naming it, never an IndexError or a wrapped index.
     """
     dim, rows, indptr, cols, values = (np.asarray(members[name])
                                        for name in _NONZERO_MEMBERS)
-    N = integer(dim[()] if dim.ndim == 0 else dim, "data_dim", 1)
+    N = int(integer(dim[()] if dim.ndim == 0 else dim, "data_dim", 1))
     rows, indptr, cols = (_integers(name, a) for name, a in zip(
         _NONZERO_MEMBERS[1:4], (rows, indptr, cols)))
     if values.ndim != 1 or values.dtype != float:
@@ -213,6 +218,8 @@ def _dense(members):
                          "shape %s" % (values.dtype, values.shape))
     if not np.isfinite(values).all():
         raise ValueError("data_values holds non-finite entries")
+    if not values.all():
+        raise ValueError("data_values holds a zero: stored nonzeros are never 0")
     count = len(values)
     if not len(indptr) or indptr[0] != 0 or (indptr[1:] < indptr[:-1]).any():
         raise ValueError("data_indptr must start at 0 and never decrease")
@@ -232,7 +239,7 @@ def _dense(members):
     row = np.repeat(np.arange(S), np.diff(indptr))
     if ((cols[1:] <= cols[:-1]) & (row[1:] == row[:-1])).any():
         raise ValueError("data_cols are not increasing within each row")
-    return _blocks(N, rows.tolist(), indptr, cols, values)
+    return N, rows.tolist(), indptr, cols, values
 
 
 def _row_dots(a, b):
@@ -278,7 +285,10 @@ class ConsensusProblem:
     once, one matrix at a time: each must be 2-D, nonempty, finite and of
     the first one's N, and a bad matrix raises ValueError naming its index
     before the next is drawn. Each is bounded (``lipschitz``) and scanned
-    for its nonzeros as it arrives, so only one is held at a time. The
+    for its nonzeros as it arrives, so only one is held at a time. A
+    mapping of the ``_nonzeros`` members, such as a state file, gives the
+    matrices of its checked nonzeros (``_stored``), and D is those
+    nonzeros, its values the given array, made read-only. The
     problem keeps the read-only ``operator`` (``_operator``) and neither
     keeps nor writes the matrices given; ``data`` reads them back as a
     tuple of read-only dense arrays, built on each access.
@@ -293,8 +303,9 @@ class ConsensusProblem:
         self.l1_weight = nonnegative(l1_weight, "l1_weight")
         self.radius = positive(radius, "radius")
         eps = float(np.finfo(float).eps)
+        stored = _stored(data) if isinstance(data, Mapping) else None
         bounds, scans = [], []
-        for k, B in enumerate(data):
+        for k, B in enumerate(_blocks(*stored) if stored else data):
             B = np.asarray(B, dtype=float)
             if B.ndim != 2:
                 raise ValueError("data matrix %d must be 2-D, not of shape %s"
@@ -310,12 +321,18 @@ class ConsensusProblem:
                                  % sorted({N, B.shape[1]}))
             bound = leading_eigenvalue(B)
             bounds.append(bound if bound > 0.0 else eps)
-            scans.append(_scan(B, k))
-        if not scans:
+            if not stored:
+                scans.append(_scan(B))
+        if not bounds:
             raise ValueError("need at least one component")
         self.lipschitz = np.array(bounds)
         self.lipschitz.flags.writeable = False
-        self.operator = _operator(N, scans)
+        if not stored:
+            counts, cols, values = zip(*scans)
+            stored = (N, [len(c) for c in counts],
+                      np.concatenate([[0], *counts]).cumsum(),
+                      np.concatenate(cols), np.concatenate(values))
+        self.operator = _operator(*stored)
         self.penalty_inverses = {}
 
     @property
@@ -348,7 +365,7 @@ def _penalty_inverses(problem, rho):
     lipschitz = problem.lipschitz
     D, segments = problem.operator
     rows = np.diff(segments.indptr).tolist()
-    blocks = _blocks(problem.dim, rows, D.indptr, D.indices, D.data)
+    blocks = _blocks(problem.dim, rows, D.indptr, D.indices % problem.dim, D.data)
     inverses = []
     k = 0
     for M, run in itertools.groupby(rows):
@@ -426,7 +443,7 @@ class SolverState:
 
     No update writes into a state it was given: each returns a new state
     with new arrays. Traces therefore keep the states themselves as
-    snapshots.
+    snapshots, and stack them once (``StateHistory``).
     """
 
     iteration: int
@@ -434,6 +451,55 @@ class SolverState:
     x_local: np.ndarray
     y: np.ndarray
     stale_index: np.ndarray
+
+
+# a state's arrays, in SolverState's field order
+_STATE_ARRAYS = ("x", "x_local", "y", "stale_index")
+
+
+class StateHistory(Sequence):
+    """A run's states as four stacked arrays, one row per state.
+
+    ``x`` is ``(R + 1, N)``, ``x_local`` and ``y`` are ``(R + 1, K, N)``
+    and ``stale_index`` is ``(R + 1, K)``. As a sequence, item i is a
+    ``SolverState`` of iteration i + 1 whose arrays are views of row i:
+    writing into them, or assigning one, writes into the history. A
+    slice is a list of such states. The replay and ``save_states`` read
+    the arrays whole, and ``of`` stacks a list of states once.
+    """
+
+    def __init__(self, x, x_local, y, stale_index):
+        self.x, self.x_local, self.y, self.stale_index = x, x_local, y, stale_index
+
+    @classmethod
+    def of(cls, states):
+        """``states`` if a StateHistory, else the states given, stacked."""
+        if isinstance(states, cls):
+            return states
+        return cls(*(np.stack([getattr(s, name) for s in states])
+                     for name in _STATE_ARRAYS))
+
+    def __len__(self):
+        return len(self.x)
+
+    def __getitem__(self, i):
+        at = range(len(self.x))[i]
+        return [_Row(self, j) for j in at] if isinstance(at, range) else _Row(self, at)
+
+
+def _row_array(name):
+    # a state's array: a view of its row of the history's, set by writing into it
+    def put(row, value):
+        getattr(row.history, name)[row.row] = value
+    return property(lambda row: getattr(row.history, name)[row.row], put)
+
+
+class _Row(SolverState):
+    # row ``row`` of a StateHistory, the state of iteration row + 1
+    x, x_local, y, stale_index = map(_row_array, _STATE_ARRAYS)
+
+    def __init__(self, history, row):
+        self.history, self.row, self.iteration = history, row, row + 1
 
 
 def initial_state(problem, x0=None):
@@ -557,7 +623,8 @@ class IterationTrace:
     augmented Lagrangian (``run(..., lagrangian=False)``); the length
     counts ``measure`` rows either way. When state snapshots are kept,
     ``states[0]`` is the initial state and ``states[t]`` the state after
-    iteration row t.
+    iteration row t: ``run`` stacks them once, as it ends, in a
+    ``StateHistory`` (a run refused before its first update keeps []).
     """
 
     lagrangian: list = field(default_factory=list)
@@ -567,7 +634,7 @@ class IterationTrace:
     measure: list = field(default_factory=list)
     sim_time: list = field(default_factory=list)
     collected: list = field(default_factory=list)
-    states: list = None
+    states: object = None
 
     def __len__(self):
         return len(self.measure)

@@ -352,8 +352,10 @@ class StarNetwork:
         events are scheduled and no losses apply (callers must have
         rejected lossy configurations first).
         """
-        out = np.empty(self.num_workers)
-        for k in range(self.num_workers):
-            # drawn in this order: downlink, compute, uplink
-            out[k] = self._down[k][2]() + self._compute[k]() + self._up[k][2]()
-        return out
+        return np.array(self._round_trips())
+
+    def _round_trips(self):
+        # sample_round_trips as a list of floats; each worker's delays are
+        # drawn in this order: downlink, compute, uplink
+        return [down[2]() + compute() + up[2]()
+                for down, compute, up in zip(self._down, self._compute, self._up)]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import apadmm
-from apadmm import RunConfig, SparsePcaSpec, generate, run
+from apadmm import RunConfig, SparsePcaSpec, generate, problems, run
 from apadmm.cli import (TRACE_COLUMNS, _parse_trace_csv, load_run, main,
                         save_states, trace_csv)
 from apadmm.problems import ConsensusProblem, _dense
@@ -907,6 +907,34 @@ def test_the_stored_nonzeros_round_trip_every_shape_bit_for_bit(tmp_path):
                 assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
 
 
+@pytest.mark.parametrize("shape", [
+    dict(dim=50, num_components=5, rows=20),
+    dict(dim=500, num_components=10, rows=100),
+    dict(dim=500, num_components=5, rows=[100, 60, 100, 140, 60]),
+], ids=["desk", "paper", "ragged"])
+def test_the_loaded_operator_is_the_stored_nonzeros_array_by_array(
+        tmp_path, monkeypatch, shape):
+    # D and segments are built from the stored members directly, not from
+    # dense blocks scanned back, and equal the generated problem's: every
+    # array's dtype, bytes and read-only flag, the bounds to the bit
+    problem = generate(SparsePcaSpec(seed=3, **shape))
+    path = str(tmp_path / "run.csv")
+    save_a_run(path, problem, iterations=1)
+    monkeypatch.setattr(problems, "_scan", None)
+    loaded = load_run(path)[0]
+    monkeypatch.undo()
+    assert loaded.dim == problem.dim and type(loaded.dim) is int
+    assert loaded.lipschitz.tobytes() == problem.lipschitz.tobytes()
+    assert not loaded.lipschitz.flags.writeable
+    for got, want in zip(loaded.operator, problem.operator, strict=True):
+        assert got[:2] == want[:2]
+        for a, b in zip(got[2:], want[2:], strict=True):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+                assert not a.flags.writeable
+
+
 def test_the_stored_data_grows_with_the_nonzeros_not_with_its_shape(tmp_path):
     sizes, counts = [], []
     for p in (0.02, 0.2):
@@ -1033,6 +1061,12 @@ MALFORMED = {
     "data_values_nan": (
         "states", lambda npz: rewrite(npz, set_entry("data_values", 2, lambda a: np.nan)),
         "data_values holds non-finite entries"),
+    "data_values_zero": (
+        "states", lambda npz: rewrite(npz, set_entry("data_values", 3, lambda a: 0.0)),
+        "data_values holds a zero: stored nonzeros are never 0"),
+    "data_values_negative_zero": (
+        "states", lambda npz: rewrite(npz, set_entry("data_values", -1, lambda a: -0.0)),
+        "data_values holds a zero: stored nonzeros are never 0"),
     "data_values_integer": (
         "states", lambda npz: rewrite(npz, lambda a: a.update(
             data_values=a["data_values"].astype(np.int64))),

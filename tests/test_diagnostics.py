@@ -643,3 +643,61 @@ def test_report_lines_format():
         assert line.split()[0] in ("PASS", "FAIL", "SKIP")
         if line.startswith("PASS"):
             assert "worst_slack=" in line
+
+
+def per_row_block(operator, states, a, b, stale):
+    """``_replay_block`` from one state object per row: each array stacked
+    row by row and each stale copy looked up by its state."""
+    R, K = stale.shape
+    block = states[a - 1:b]
+    x = np.array([s.x for s in block])
+    points = np.array([states[i].x for i in (stale - 1).ravel().tolist()])
+    work = problems._block_pass(operator, points.reshape(R, K, -1))[1]
+    y = np.array([s.y for s in block])
+    work += y[1:]
+    flat, duals = work.reshape(R * K, -1), y[1:].reshape(R * K, -1)
+    margins = (diagnostics.DUAL_TOL * (1.0 + np.sqrt(problems._row_dots(duals, duals)))
+               - np.sqrt(problems._row_dots(flat, flat))).reshape(R, K).min(axis=1)
+    np.subtract(y[1:], y[:-1], out=work)
+    dual_steps = problems._row_dots(flat, flat).reshape(R, K)
+    x_local = np.array([s.x_local for s in block])
+    np.subtract(x_local[1:], x_local[:-1], out=work)
+    work *= work
+    return margins, problems._row_dots(x[1:] - x[:-1], x[1:] - x[:-1]), \
+        work.sum(axis=2), dual_steps
+
+
+@pytest.mark.parametrize("iters", [3, 37, 60])
+def test_the_replay_reads_a_history_and_a_list_of_states_to_the_same_bits(
+        iters, monkeypatch):
+    """Every block's dual margins, master steps, squared local steps and
+    dual steps, not only the worst slacks: a ``StateHistory`` and the same
+    states as a list of separate objects give the same bits, and so does
+    a replay that stacks each block row by row."""
+    problem, result = certified_run(iters=iters)
+    history = result.trace.states
+    assert isinstance(history, problems.StateHistory)
+    as_list = [problems.SolverState(s.iteration, s.x.copy(), s.x_local.copy(),
+                                    s.y.copy(), s.stale_index.copy())
+               for s in history]
+    replay = diagnostics._replay_block
+    blocks = []
+
+    def recorded(operator, states, a, b, stale):
+        out = replay(operator, states, a, b, stale)
+        blocks.append((a, b, out, per_row_block(operator, as_list, a, b, stale)))
+        return out
+
+    monkeypatch.setattr(diagnostics, "_replay_block", recorded)
+    reports = []
+    for states in (history, as_list):
+        result.trace.states = states
+        reports.append(trace_residuals(problem, result.trace, result.rho, [2, 2, 2]))
+    assert reports[0] == reports[1]
+    half = len(blocks) // 2
+    assert half == -(-iters // diagnostics.BLOCK_ROWS)
+    for (a, b, got, per_row), (a2, b2, other, _) in zip(blocks[:half], blocks[half:]):
+        assert (a, b) == (a2, b2)
+        for x, y, z in zip(got, other, per_row, strict=True):
+            assert x.dtype == y.dtype == z.dtype and x.shape == y.shape == z.shape
+            assert x.tobytes() == y.tobytes() == z.tobytes()

@@ -346,6 +346,44 @@ def test_the_inverses_are_the_stacked_builds_bit_for_bit(rows, dim, prob, seed):
     assert not any(a.flags.writeable for a in got)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_a_problem_from_its_stored_nonzeros_is_the_problem_bit_for_bit(draw):
+    """Random row counts and patterns, with an all-zero component, empty
+    rows and -0.0 entries: the problem built from the mapping of its
+    ``_nonzeros`` takes D from those arrays and builds each dense block
+    only for its checks and bound, and every operator array (dtype,
+    bytes, read-only flag), every bound and ``data`` equal the original's."""
+    K = draw.draw(st.integers(1, 5))
+    rows = draw.draw(st.lists(st.integers(1, 6), min_size=K, max_size=K))
+    N = draw.draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw.draw(st.integers(0, 2 ** 32 - 1)))
+    density = rng.random()
+    data = [np.where(rng.random((M, N)) < density, rng.standard_normal((M, N)), 0.0)
+            for M in rows]
+    data[draw.draw(st.integers(0, K - 1))][:] = 0.0
+    data[draw.draw(st.integers(0, K - 1))][::2] = -0.0
+    problem = ConsensusProblem(data)
+    members = {name: np.array(a) for name, a in problems._nonzeros(problem).items()}
+    scanned = []
+    scan = problems._scan
+    try:
+        problems._scan = lambda B: scanned.append(B) or scan(B)
+        loaded = ConsensusProblem(members)
+    finally:
+        problems._scan = scan
+    assert scanned == []
+    assert loaded.lipschitz.tobytes() == problem.lipschitz.tobytes()
+    assert [B.tobytes() for B in loaded.data] == [B.tobytes() for B in problem.data]
+    for got, want in zip(loaded.operator, problem.operator, strict=True):
+        assert got[:2] == want[:2]
+        for a, b in zip(got[2:], want[2:], strict=True):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+                assert not a.flags.writeable
+
+
 def test_the_inverses_hold_one_dense_block_at_a_time():
     """Building the inverses at N = 500, M = 100, K = 20 peaks at a few
     times the operator, a few blocks and the K M^2 inverses it keeps: no
@@ -550,6 +588,64 @@ def test_initial_state_from_a_start_point():
     assert state.iteration == 1
     x0[0] = 9.0
     assert state.x[0] != 9.0
+
+
+def test_a_run_keeps_its_states_as_one_stacked_history():
+    """``trace.states`` is a ``StateHistory``: a sequence of states whose
+    arrays are views of its four stacked arrays, so indexing, negative
+    indexing, slicing, iteration, zip and deepcopy work as on the list of
+    states it was stacked from, and a state writes into its history."""
+    import copy
+    problem = generate(SparsePcaSpec(dim=8, num_components=3, rows=4, seed=6))
+    result = run(problem, RunConfig(max_iters=9, epsilon=1e-14, full_trace=True,
+                                    delay_bound=1, enforcement="observe"))
+    states = result.trace.states
+    assert isinstance(states, problems.StateHistory) and len(states) == 10
+    assert states.x.shape == (10, 8) and states.stale_index.shape == (10, 3)
+    assert states.x_local.shape == states.y.shape == (10, 3, 8)
+    for i, state in enumerate(states):
+        assert isinstance(state, SolverState)
+        assert type(state.iteration) is int and state.iteration == i + 1
+        for name in ("x", "x_local", "y", "stale_index"):
+            assert getattr(state, name).base is getattr(states, name)
+            assert (getattr(state, name).tobytes()
+                    == getattr(states, name)[i].tobytes())
+    assert states[-1].iteration == 10 and states[-10].iteration == 1
+    assert states[-1].x.tobytes() == result.state.x.tobytes()
+    for bad in (10, -11):
+        with pytest.raises(IndexError):
+            states[bad]
+    tail = states[1:]
+    assert isinstance(tail, list) and [s.iteration for s in tail] == list(range(2, 11))
+    assert [s.iteration for s in states[::-3]] == [10, 7, 4, 1]
+    assert [(a.iteration, b.iteration) for a, b in zip(states, states[1:])][:2] == [
+        (1, 2), (2, 3)]
+    # a state writes into its history, through its arrays or by assignment
+    states[4].y[0, 0] += 1.0
+    states[5].stale_index = np.array([1, 2, 3])
+    assert states.stale_index[5].tolist() == [1, 2, 3]
+    twin = copy.deepcopy(result.trace)
+    assert isinstance(twin.states, problems.StateHistory)
+    for name in ("x", "x_local", "y", "stale_index"):
+        a, b = getattr(twin.states, name), getattr(states, name)
+        assert a is not b and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    before = states.y.copy()
+    twin.states[4].y[0, 0] = np.nan
+    twin.states[3].x = np.zeros(8)
+    assert np.isnan(twin.states.y[4, 0, 0]) and not twin.states.x[3].any()
+    assert states.y.tobytes() == before.tobytes() and states.x[3].any()
+    # a list of states stacks once, to the same arrays
+    again = problems.StateHistory.of(list(states))
+    assert problems.StateHistory.of(states) is states
+    for name in ("x", "x_local", "y", "stale_index"):
+        assert getattr(again, name).tobytes() == getattr(states, name).tobytes()
+
+
+def test_a_refused_run_keeps_an_empty_list_of_states():
+    problem = generate(SparsePcaSpec(dim=8, num_components=3, rows=4, seed=6))
+    result = run(problem, RunConfig(rho=1e-9, max_iters=5, full_trace=True))
+    assert result.termination == "infeasible_stepsize"
+    assert result.trace.states == []
 
 
 def test_iteration_trace_append_and_len():

@@ -357,6 +357,21 @@ def test_network_draws_follow_the_scalar_generator_in_call_order():
         assert net.sample_round_trips().tobytes() == np.array(want).tobytes()
 
 
+def test_the_solver_draws_the_round_trips_sample_round_trips_returns():
+    # run() takes the slowest round trip from the list of floats; the
+    # public array holds the same draws, in the same order, to the bit
+    down = [LinkModel(DelayModel.uniform(0.1, 1.3))] * 4
+    compute = [DelayModel.uniform(0.0, 2.0), DelayModel.constant(0.5),
+               DelayModel.empirical([1.0, 0.25]), DelayModel.uniform(1.0, 1.0)]
+    nets = [make_net(4, down=down, compute=compute, seed=[3, 29]) for _ in range(2)]
+    for _ in range(50):
+        drawn, sampled = nets[0]._round_trips(), nets[1].sample_round_trips()
+        assert all(type(v) is float for v in drawn)
+        assert isinstance(sampled, np.ndarray) and sampled.dtype == float
+        assert np.array(drawn).tobytes() == sampled.tobytes()
+        assert max(drawn) == float(sampled.max())
+
+
 def test_lossy_broadcasts_match_a_scalar_draw_replay():
     # loss and delay draws interleave on the downlinks; replaying every
     # draw from the scalar generator predicts each loss and delivery time
