@@ -25,26 +25,41 @@ the nonzeros once, in one read-only block-diagonal CSR matrix D
 is a few products of D or D^T, with no loop over components;
 ``penalized_argmin`` adds one batched product per run of equal row
 counts. Generated instances are 10% nonzero: a paper-scale pass reads
-about 50,000 entries where dense matrices hold 500,000. The products
-call scipy's private kernels directly (the public ``@`` adds a few
-microseconds of checks a call, doubling a desk-scale pass):
-``csr_matvec`` for D and ``csc_matvec`` for D^T, on D's arrays, and
-their multi-vector forms ``csr_matvecs`` and ``csc_matvecs`` for a
-stack of points, which the residual replay evaluates in one pass.
+about 50,000 entries where dense matrices hold 500,000.
+
+The module calls scipy's private API: seven routines of two compiled
+modules, loaded by file (``_compiled``), so that importing apadmm runs
+neither ``scipy.sparse``'s nor ``scipy.linalg``'s package ``__init__``
+(which import ``numpy.testing``, ``numpy.f2py`` and more, about 0.2 s
+and 27 MB a process). From ``scipy.sparse._sparsetools`` the products
+call the kernels directly (the public ``@`` adds a few microseconds of
+checks a call, doubling a desk-scale pass): ``csr_matvec`` for D and
+``csc_matvec`` for D^T, on D's arrays, and their multi-vector forms
+``csr_matvecs`` and ``csc_matvecs`` for a stack of points, which the
+residual replay evaluates in one pass. From ``scipy.linalg._flapack``
+come three LAPACK routines, each called with the arguments
+``scipy.linalg`` itself passes, so the results are its bits:
+``dsyevr(a, compute_v=0, range="I", il=n, iu=n, lower=1, lwork, liwork)``,
+the workspace sizes from ``dsyevr_lwork(n, lower=1)``, as
+``eigvalsh(a, subset_by_index=[n - 1] * 2)`` calls it
+(``leading_eigenvalue``); ``dpotrf(a, lower=0, clean=0)`` as
+``cho_factor(a)`` calls it, and ``dpotrs(c, b, lower=0)`` as
+``cho_solve((c, False), b)`` does (``_penalty_inverses``). Tests pin
+the kernels' sums and these results against the public functions.
 """
 
 import itertools
 import math
+import os
+import sys
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import find_spec, module_from_spec
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
-# private scipy API, pinned by a test (see the module docstring)
-from scipy.sparse._sparsetools import (csc_matvec, csc_matvecs, csr_matvec,
-                                       csr_matvecs)
 
 from ._rules import integer, nonnegative, positive
 from .prox import _check_vector, _norm, _prox, prox_l1_ball
@@ -64,11 +79,59 @@ __all__ = [
     "augmented_lagrangian",
 ]
 
+
+def _compiled(name):
+    """The compiled module ``scipy.<name>``, with no package ``__init__`` run.
+
+    The module itself if scipy has imported it. Otherwise its extension
+    file, found by name in scipy's directory (``find_spec("scipy")``
+    runs nothing), is loaded and entered in ``sys.modules`` under its
+    full name, where a later ``import scipy.linalg`` or ``scipy.sparse``
+    finds it: one module object in either import order. A missing file
+    raises ImportError naming the module.
+    """
+    name = "scipy." + name
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    scipy = find_spec("scipy")
+    spec = None
+    if scipy is not None and scipy.submodule_search_locations:
+        folder = os.path.join(scipy.submodule_search_locations[0],
+                              *name.split(".")[1:-1])
+        spec = FileFinder(folder, (ExtensionFileLoader, EXTENSION_SUFFIXES)
+                          ).find_spec(name)
+    if spec is None:
+        raise ImportError("no compiled module %s" % name, name=name)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_sparsetools = _compiled("sparse._sparsetools")
+csr_matvec, csr_matvecs = _sparsetools.csr_matvec, _sparsetools.csr_matvecs
+csc_matvec, csc_matvecs = _sparsetools.csc_matvec, _sparsetools.csc_matvecs
+_flapack = _compiled("linalg._flapack")
+
+
+def _lapack(routine, *args, **kwargs):
+    # the outputs of _flapack's routine but its last, ``info``, which
+    # raises when nonzero as scipy.linalg has it: LinAlgError for a
+    # failure, ValueError for an illegal argument
+    *out, info = getattr(_flapack, routine)(*args, **kwargs)
+    if info > 0:
+        raise np.linalg.LinAlgError("%s failed: info %d" % (routine, info))
+    if info < 0:
+        raise ValueError("illegal value in argument %d of %s" % (-info, routine))
+    return out
+
+
 def leading_eigenvalue(B):
     """Upper bound on the top eigenvalue of ``B.T @ B`` (and of ``B @ B.T``).
 
-    ``eigvalsh`` of the smaller Gram matrix G of the M x N matrix B, plus
-    the pad ``2 (M + N) eps ||B||_F^2`` (eps = 2u, u the unit roundoff),
+    The top eigenvalue of the smaller Gram matrix G of the M x N matrix B,
+    plus the pad ``2 (M + N) eps ||B||_F^2`` (eps = 2u, u the unit roundoff),
     which bounds the rounding error of both steps:
 
     * Gram: an entry is an inner product of length n = max(M, N), so
@@ -85,13 +148,26 @@ def leading_eigenvalue(B):
     covers rounding in the pad and the final sum. As ``||B||_F^2 = trace(G)
     <= min(M, N) lambda_max``, the pad is at most ``2 (M + N) min(M, N) eps``
     relative: 2.7e-11 for a 100 x 500 block. Returns 0.0 for B = 0.
+
+    The eigenvalue is LAPACK's ``dsyevr(G, compute_v=0, range="I", il=n,
+    iu=n, lower=1, lwork, liwork)``, G n x n, with the workspace sizes of
+    ``dsyevr_lwork(n, lower=1)``: the call ``scipy.linalg.eigvalsh(G,
+    subset_by_index=[n - 1] * 2)`` makes, so its bits, and like it a G
+    with an inf or NaN (data whose Gram overflows) raises ValueError. A B
+    that is not 2-D, or is empty, raises ValueError naming its shape.
     """
     B = np.asarray(B, dtype=float)
+    if B.ndim != 2 or B.size == 0:
+        raise ValueError("matrix must be 2-D and nonempty, not of shape %s"
+                         % (B.shape,))
     M, N = B.shape
-    gram = B @ B.T if M <= N else B.T @ B
-    top = scipy.linalg.eigvalsh(gram, subset_by_index=[len(gram) - 1] * 2)[0]
+    gram = np.asarray_chkfinite(B @ B.T if M <= N else B.T @ B)
+    n = len(gram)
+    lwork, liwork = _lapack("dsyevr_lwork", n=n, lower=1)
+    w, _, _, _ = _lapack("dsyevr", gram, compute_v=0, range="I", il=n, iu=n,
+                         lower=1, lwork=int(lwork), liwork=int(liwork))
     pad = 2.0 * (M + N) * np.finfo(float).eps * float(np.trace(gram))
-    return float(top) + pad
+    return float(w[0]) + pad
 
 
 # a read-only CSR matrix, its fields in ``csr_matvec``'s argument order
@@ -357,6 +433,12 @@ def _penalty_inverses(problem, rho):
     from the Gram ``B_k B_k^T`` and a Cholesky factor, written into its
     run's preallocated stack. A rejected penalty (see ``penalized_argmin``)
     caches nothing.
+
+    The factor is LAPACK's ``dpotrf(A, lower=0, clean=0)`` of ``A = rho_k
+    I - B_k B_k^T``, checked finite first, and the inverse ``dpotrs(c, I,
+    lower=0)`` of that factor c: the calls ``scipy.linalg.cho_factor(A)``
+    and ``cho_solve((c, False), I)`` make, so their bits. A factorization
+    that fails (``info > 0``) rejects the penalty.
     """
     key = tuple(rho.tolist())
     inverses = problem.penalty_inverses.get(key)
@@ -376,7 +458,8 @@ def _penalty_inverses(problem, rho):
             factor = None
             if rho[k] > lipschitz[k]:
                 try:
-                    factor = scipy.linalg.cho_factor(rho[k] * eye - B @ B.T)
+                    factor, = _lapack("dpotrf", np.asarray_chkfinite(
+                        rho[k] * eye - B @ B.T), lower=0, clean=0)
                 except np.linalg.LinAlgError:
                     pass
             if factor is None:
@@ -384,7 +467,7 @@ def _penalty_inverses(problem, rho):
                     "penalty %g of component %d does not exceed its curvature "
                     "(bound %g); the exact subproblem is not strongly convex"
                     % (rho[k], k, lipschitz[k]))
-            inverse[...] = scipy.linalg.cho_solve(factor, eye)
+            inverse[...], = _lapack("dpotrs", factor, eye, lower=0)
             k += 1
         stack.flags.writeable = False
         inverses.append(stack)

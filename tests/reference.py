@@ -12,6 +12,10 @@ each output of the transposed product. A zero
 entry's product is a signed zero, which leaves such a sum unchanged, so
 summing all of a row equals summing its nonzeros.
 
+``leading_eigenvalue`` is the curvature bound through the public
+``scipy.linalg.eigvalsh``, which the problems' direct LAPACK call must
+match bit for bit.
+
 ``penalty_inverses`` is the exact baseline's cached inverses built the
 way they were while every component's dense matrix was held at once,
 and ``traced_peak`` and ``one_block_bound`` check that a build holds one
@@ -44,6 +48,16 @@ def component_value(B, z):
 
 def component_gradient(B, z):
     return -matvec(B.T, matvec(B, z))
+
+
+def leading_eigenvalue(B):
+    """The top eigenvalue of the smaller Gram of B by ``eigvalsh``, padded by
+    ``2 (M + N) eps ||B||_F^2`` as ``problems.leading_eigenvalue`` pads it."""
+    B = np.asarray(B, dtype=float)
+    M, N = B.shape
+    gram = B @ B.T if M <= N else B.T @ B
+    top = scipy.linalg.eigvalsh(gram, subset_by_index=[len(gram) - 1] * 2)[0]
+    return float(top) + 2.0 * (M + N) * np.finfo(float).eps * float(np.trace(gram))
 
 
 def penalty_inverses(problem, rho):

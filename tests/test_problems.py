@@ -24,6 +24,7 @@ from apadmm.problems import (
     stationarity,
 )
 from apadmm.prox import _norm, prox_l1_ball
+import reference
 from reference import (component_gradient, component_value, one_block_bound,
                        penalty_inverses, traced_peak)
 
@@ -205,6 +206,19 @@ def test_leading_eigenvalue_diagonal_and_zero():
     assert leading_eigenvalue(np.zeros((3, 3))) == 0.0
 
 
+def near_degenerate_data(seed, rows=20, dim=60, gap=1e-6):
+    """Data whose two largest Gram eigenvalues are 1 and 1 - gap.
+
+    An iterative estimate of the top eigenvalue converges at rate
+    1 - gap here, so it would stop short of it; ``lipschitz`` must not.
+    """
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((rows, rows)))
+    V, _ = np.linalg.qr(rng.standard_normal((dim, rows)))
+    spectrum = np.concatenate([[1.0, 1.0 - gap], np.linspace(0.5, 0.1, rows - 2)])
+    return U @ np.diag(np.sqrt(spectrum)) @ V.T
+
+
 def assert_bounds_both_gram_orientations(B):
     bound = leading_eigenvalue(B)
     assert bound >= np.linalg.eigvalsh(B.T @ B).max()
@@ -227,6 +241,38 @@ def test_leading_eigenvalue_bounds_wide_square_and_tall_data(B):
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_leading_eigenvalue_bounds_near_degenerate_spectra(gap, seed):
     assert_bounds_both_gram_orientations(near_degenerate_data(seed, gap=gap))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(
+    arrays(float, st.tuples(st.integers(1, 12), st.integers(1, 12)),
+           elements=ENTRIES),
+    st.tuples(st.integers(1, 12), st.integers(1, 12)).map(np.zeros),
+    st.builds(near_degenerate_data, st.integers(0, 2 ** 32 - 1),
+              st.sampled_from([2, 7, 20]), st.just(20),
+              st.sampled_from([1e-6, 1e-9, 0.0])).flatmap(
+                  lambda B: st.sampled_from([B, B.T]))))
+def test_leading_eigenvalue_is_the_eigvalsh_bound_bit_for_bit(B):
+    """The direct ``dsyevr`` call gives the bits of ``scipy.linalg.eigvalsh``
+    with ``subset_by_index``, on wide, square, tall, all-zero and
+    near-degenerate data."""
+    assert leading_eigenvalue(B).hex() == reference.leading_eigenvalue(B).hex()
+
+
+def test_leading_eigenvalue_rejects_an_overflowing_gram():
+    # finite entries whose Gram overflows: eigvalsh's finiteness check
+    B = np.full((2, 3), 1e160)
+    for bound in (leading_eigenvalue, reference.leading_eigenvalue):
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="array must not contain infs or NaNs"):
+            bound(B)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (3,), (2, 2, 2)])
+def test_leading_eigenvalue_rejects_an_empty_or_not_2d_matrix(shape):
+    with pytest.raises(ValueError, match=re.escape(
+            "must be 2-D and nonempty, not of shape %s" % (shape,))):
+        leading_eigenvalue(np.ones(shape))
 
 
 # -- one component, g(z) = -0.5 ||B z||^2 -------------------------------------
@@ -423,19 +469,6 @@ def test_penalized_argmin_rejects_small_rho():
     with pytest.raises(ValueError, match="component 0 .*not strongly convex"):
         penalized_argmin(scalar_problem(), [0.9], np.array([1.0]), np.array([[0.0]]))
 
-
-
-def near_degenerate_data(seed, rows=20, dim=60, gap=1e-6):
-    """Data whose two largest Gram eigenvalues are 1 and 1 - gap.
-
-    An iterative estimate of the top eigenvalue converges at rate
-    1 - gap here, so it would stop short of it; ``lipschitz`` must not.
-    """
-    rng = np.random.default_rng(seed)
-    U, _ = np.linalg.qr(rng.standard_normal((rows, rows)))
-    V, _ = np.linalg.qr(rng.standard_normal((dim, rows)))
-    spectrum = np.concatenate([[1.0, 1.0 - gap], np.linspace(0.5, 0.1, rows - 2)])
-    return U @ np.diag(np.sqrt(spectrum)) @ V.T
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7])
@@ -881,9 +914,17 @@ def test_the_passes_match_the_reference_expressions_at_paper_shape():
         assert stationarity(state, terms, diff) == stationarity(state, terms)
 
 
+def test_a_missing_compiled_module_raises_import_error_naming_it():
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._no_such_module"):
+        problems._compiled("linalg._no_such_module")
+
+
 def test_the_csr_kernel_adds_each_row_in_order_onto_the_output():
     """The problems call scipy's private ``csr_matvec`` and ``csc_matvec``
-    directly. This pins their arguments and their sums. ``csr_matvec``
+    directly, taken from ``scipy.sparse._sparsetools`` as loaded on its
+    own: the same function objects that module holds once scipy's
+    packages are imported (``test_package`` checks each import order in
+    fresh interpreters). This pins their arguments and their sums. ``csr_matvec``
     adds each row's products, in stored order, one at a time onto what the
     output held (a pairwise or a reordered sum gives 1.5 on the first
     row), and an empty row keeps it. ``csc_matvec``, given the arrays of a

@@ -10,7 +10,10 @@ process at a time: pair j (from 1) of the i-th workload (from 1) runs
 30 --trace 0`` in both checkouts, the parent first in odd pairs and the
 change first in even ones, so a drift of machine speed falls on both
 sides alike. Then the tier-1 suite runs three times in each checkout,
-alternating, timed by wall clock.
+alternating, timed by wall clock. Last, ``COLD`` = 10 fresh interpreters
+per side, alternating in the same way, time the cold start: the wall
+milliseconds and the peak RSS (``ru_maxrss``) of ``import apadmm,
+apadmm.cli``, and the wall seconds of ``python -m apadmm --help``.
 
 OUT_JSON receives, per workload, side and end-to-end metric, the
 median, the quartiles (``statistics.quantiles``, inclusive method) and
@@ -18,8 +21,10 @@ the per-pair values, with the number of pairs the change won, the
 failed-operation counts and each run's ``load_run`` report lines; the
 machine fields of the ``environment`` block the harness wrote for the
 change's last run; per side, the tier-1 wall times, their median and
-the suite's summary line; and, per side, the ``src/`` line count, the
-total that ``wc -l src/apadmm/*.py`` prints. The per-layer (``--trace
+the suite's summary line; per side, the cold start's three figures
+(``cold_start``: median, quartiles and values, and the number of runs
+the change won); and, per side, the ``src/`` line count, the total
+that ``wc -l src/apadmm/*.py`` prints. The per-layer (``--trace
 1``) metrics are not recorded: several of them read 0 until the tracer
 is repaired (ROADMAP item 3).
 """
@@ -34,6 +39,15 @@ import time
 
 PAIRS = 10
 SECONDS = 30
+COLD = 10
+# the import's wall ms and the process's peak RSS in MB, as peak_rss_mb reads it
+IMPORT_PROBE = """
+import resource, time
+start = time.perf_counter()
+import apadmm, apadmm.cli
+print(1e3 * (time.perf_counter() - start),
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+"""
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 
@@ -57,6 +71,20 @@ def tier1(checkout):
     out = subprocess.run(TIER1, cwd=checkout, env=env, capture_output=True,
                          text=True)
     return time.perf_counter() - start, out.stdout.strip().splitlines()[-1]
+
+
+def cold_start(checkout):
+    """``import_ms``, ``import_rss_mb`` and ``help_s`` of fresh interpreters
+    in ``checkout``: one importing the package, one running ``--help``."""
+    env = dict(os.environ, PYTHONPATH="src")
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], cwd=checkout,
+                         env=env, capture_output=True, text=True, check=True)
+    import_ms, rss_mb = map(float, out.stdout.split())
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-m", "apadmm", "--help"], cwd=checkout,
+                   env=env, capture_output=True, check=True)
+    return {"import_ms": import_ms, "import_rss_mb": rss_mb,
+            "help_s": time.perf_counter() - start}
 
 
 def src_lines(checkout):
@@ -122,8 +150,19 @@ def main(argv):
         for side, checkout in (("parent", parent), ("change", change)):
             seconds, lines[side] = tier1(checkout)
             times[side].append(seconds)
+    cold = {"parent": [], "change": []}
+    for j in range(1, COLD + 1):
+        for side in ("parent", "change") if j % 2 else ("change", "parent"):
+            cold[side].append(cold_start(parent if side == "parent" else change))
+    cold = {side: {name: summary([run[name] for run in runs])
+                   for name in runs[0]} for side, runs in cold.items()}
+    cold["change_wins"] = {name: "%d/%d" % (sum(
+        c < p for p, c in zip(cold["parent"][name]["values"],
+                              cold["change"][name]["values"])), COLD)
+        for name in cold["parent"]}
     result = {
         "command": "perfbench/run.py --seconds %d --trace 0" % SECONDS,
+        "cold_start": cold,
         "pairs": "alternating parent/change runs, one process at a time",
         "workloads": workloads,
         "environment": environment,
