@@ -313,8 +313,9 @@ def run(problem, config, lagrangian=True):
         # a blocking exchange delivers fresh gradients: staleness is always 0
         bounds = cert_delays = np.zeros(K)
     rho, certs = _resolve_rho(problem, config, cert_delays)
-    trace = IterationTrace(lagrangian=[] if lagrangian else None,
-                           states=[] if config.full_trace else None)
+    trace = IterationTrace(states=[] if config.full_trace else None)
+    if not lagrangian:
+        trace.lagrangian = None
     state = _initial(problem, config)
 
     hard_reject = exact and np.any(rho <= problem.lipschitz)

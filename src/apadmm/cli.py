@@ -149,11 +149,12 @@ def _check_histories(hist, problem):
                          % hist[-1].dtype)
 
 
-# each trace column's index and converter, in the order a row's values
-# were checked when the trace was parsed row by row; iter is a clock count,
-# written with int() and stored as a float
-_TRACE_PARSE = ((1, float), (2, float), (3, float), (4, float), (5, float),
-                (0, int), (6, int))
+# each CSV column's index, trace column and converter, in the order a
+# row's values were checked when the trace was parsed row by row; iter is
+# a clock count, written with int() and stored as a float
+_TRACE_PARSE = ((1, "lagrangian", float), (2, "objective", float),
+                (3, "feas_gap", float), (4, "prox_grad_norm", float),
+                (5, "measure", float), (0, "sim_time", int), (6, "collected", int))
 
 
 def _parse_trace_csv(text):
@@ -164,25 +165,25 @@ def _parse_trace_csv(text):
     # one column at a time, each over the rows before the first bad one
     # found so far, so the row named is the first bad row and its message
     # the one a row-by-row parse gave: a row of the wrong width fails its
-    # unpacking, and an extend that meets a bad value stops at its row
+    # unpacking, and an extend that meets a bad value stops at its row (a
+    # value out of its column's range, such as a set_size of 2**63, too)
     end = next((i for i, ln in enumerate(rows) if ln.count(",") != width - 1),
                len(rows))
     fields = ",".join(rows[:end]).split(",")
-    columns, error = [None] * width, None
-    for c, convert in _TRACE_PARSE:
-        columns[c] = []
+    trace, error = IterationTrace(), None
+    for c, name, convert in _TRACE_PARSE:
+        column = getattr(trace, name)
         try:
-            columns[c].extend(map(convert, fields[c:end * width:width]))
-        except ValueError as exc:
-            end, error = len(columns[c]), exc
+            column.extend(map(convert, fields[c:end * width:width]))
+        except (ValueError, OverflowError) as exc:
+            end, error = len(column), exc
     if end < len(rows):
         try:
             _, _, _, _, _, _, _ = rows[end].split(",")
         except ValueError as exc:
             error = exc
         raise ValueError("malformed row %r: %s" % (rows[end], error))
-    sim_time, *values, collected = columns
-    return IterationTrace(*values, list(map(float, sim_time)), collected)
+    return trace
 
 
 def load_run(csv_path):

@@ -49,6 +49,9 @@ __all__ = [
 
 DUAL_TOL, DESCENT_TOL, TELESCOPE_TOL, DUAL_DIFF_TOL, LOWER_TOL = (
     1e-9, 1e-9, 1e-6, 1e-9, 1e-6)
+# the trace's columns, one value a row each; len(trace) counts measure
+_COLUMNS = ("lagrangian", "objective", "feas_gap", "prox_grad_norm",
+            "measure", "sim_time", "collected")
 # rows replayed at once, which bounds the replay's memory; at paper scale
 # 64-row stacks fall out of cache and replay slower than 16-row ones
 BLOCK_ROWS = 16
@@ -134,10 +137,11 @@ def trace_residuals(problem, trace, rho, delay_bounds):
 
     Needs per-iteration state snapshots (runs recorded with full tracing),
     one more than the rows, the augmented Lagrangian of every row
-    (``run``'s default), and one ``rho`` and one delay bound per component,
-    each checked by its rule under its own name, such as ``rho[1]``;
-    raises ValueError otherwise. History-window checks are skipped when
-    the trace is shorter than max(T_k) + 2 iterations.
+    (``run``'s default), every column as long as ``measure``, and one
+    ``rho`` and one delay bound per component, each checked by its rule
+    under its own name, such as ``rho[1]``; raises ValueError otherwise.
+    History-window checks are skipped when the trace is shorter than
+    max(T_k) + 2 iterations.
     """
     if trace.states is None:
         raise ValueError(
@@ -149,6 +153,11 @@ def trace_residuals(problem, trace, rho, delay_bounds):
     if trace.lagrangian is None:
         raise ValueError("trace recorded no augmented Lagrangian; "
                          "rerun with lagrangian=True")
+    for name in _COLUMNS:
+        column = getattr(trace, name)
+        if len(column) != len(trace):
+            raise ValueError("trace column %s has %d rows, not %d"
+                             % (name, len(column), len(trace)))
     rho = np.asarray(rho, dtype=float)
     delay_bounds = np.asarray(delay_bounds, dtype=float)
     K = problem.num_components
@@ -180,8 +189,9 @@ def trace_residuals(problem, trace, rho, delay_bounds):
     steps = np.zeros(rows + 1)
 
     # per-iteration descent of the augmented Lagrangian
-    lagrangian = np.array([augmented_lagrangian(problem, states[0], rho),
-                           *trace.lagrangian])
+    lagrangian = np.concatenate((
+        [augmented_lagrangian(problem, states[0], rho)],
+        np.asarray(trace.lagrangian, dtype=float)))
     before, after = lagrangian[:-1], lagrangian[1:]
     descent = before + DESCENT_TOL * (1.0 + np.abs(before)) - after
 

@@ -27,34 +27,28 @@ is a few products of D or D^T, with no loop over components;
 counts. Generated instances are 10% nonzero: a paper-scale pass reads
 about 50,000 entries where dense matrices hold 500,000.
 
-The module calls scipy's private API: seven routines of two compiled
-modules, loaded by file (``_compiled``), so that importing apadmm runs
-neither ``scipy.sparse``'s nor ``scipy.linalg``'s package ``__init__``
-(which import ``numpy.testing``, ``numpy.f2py`` and more, about 0.2 s
-and 27 MB a process). From ``scipy.sparse._sparsetools`` the products
-call the kernels directly (the public ``@`` adds a few microseconds of
-checks a call, doubling a desk-scale pass): ``csr_matvec`` for D and
-``csc_matvec`` for D^T, on D's arrays, and their multi-vector forms
-``csr_matvecs`` and ``csc_matvecs`` for a stack of points, which the
-residual replay evaluates in one pass. From ``scipy.linalg._flapack``
-come three LAPACK routines, each called with the arguments
-``scipy.linalg`` itself passes, so the results are its bits:
-``dsyevr(a, compute_v=0, range="I", il=n, iu=n, lower=1, lwork, liwork)``,
-the workspace sizes from ``dsyevr_lwork(n, lower=1)``, as
-``eigvalsh(a, subset_by_index=[n - 1] * 2)`` calls it
-(``leading_eigenvalue``); ``dpotrf(a, lower=0, clean=0)`` as
-``cho_factor(a)`` calls it, and ``dpotrs(c, b, lower=0)`` as
-``cho_solve((c, False), b)`` does (``_penalty_inverses``). Tests pin
-the kernels' sums and these results against the public functions.
+The module calls scipy's private API, from two compiled modules that
+``_compiled`` loads by file, so that importing apadmm runs neither
+``scipy.sparse``'s nor ``scipy.linalg``'s package ``__init__`` (which
+import ``numpy.testing``, ``numpy.f2py`` and more, about 0.2 s and 27 MB
+a process): the kernels ``csr_matvec`` and ``csc_matvec`` (D and D^T)
+and ``csr_matvecs`` and ``csc_matvecs`` (a stack of points) of
+``scipy.sparse._sparsetools``, which skip the checks of the public
+``@``, and three LAPACK routines of ``scipy.linalg._flapack``,
+``dsyevr`` (with its workspace query ``dsyevr_lwork``), ``dpotrf`` and
+``dpotrs``, called as ``scipy.linalg`` calls them
+(``leading_eigenvalue``, ``_penalty_inverses``), so their bits.
 """
 
 import itertools
 import math
 import os
 import sys
+from array import array
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import find_spec, module_from_spec
 from typing import NamedTuple
@@ -701,6 +695,9 @@ def augmented_lagrangian(problem, state, rho, diff=None, l1_term=None):
 class IterationTrace:
     """Per-iteration records of a run; one row per completed update.
 
+    Each column is an ``array.array`` of doubles (``"d"``; ``"q"``, 64-bit
+    integers, for ``collected``), 8 bytes a value: read like a list, but
+    unequal to one, so compare ``list(column)`` or ``np.asarray(column)``.
     ``sim_time`` is the cumulative simulated clock in master-iteration
     units. ``lagrangian`` is None when the run did not record the
     augmented Lagrangian (``run(..., lagrangian=False)``); the length
@@ -710,13 +707,13 @@ class IterationTrace:
     ``StateHistory`` (a run refused before its first update keeps []).
     """
 
-    lagrangian: list = field(default_factory=list)
-    objective: list = field(default_factory=list)
-    feas_gap: list = field(default_factory=list)
-    prox_grad_norm: list = field(default_factory=list)
-    measure: list = field(default_factory=list)
-    sim_time: list = field(default_factory=list)
-    collected: list = field(default_factory=list)
+    lagrangian: array = field(default_factory=partial(array, "d"))
+    objective: array = field(default_factory=partial(array, "d"))
+    feas_gap: array = field(default_factory=partial(array, "d"))
+    prox_grad_norm: array = field(default_factory=partial(array, "d"))
+    measure: array = field(default_factory=partial(array, "d"))
+    sim_time: array = field(default_factory=partial(array, "d"))
+    collected: array = field(default_factory=partial(array, "q"))
     states: object = None
 
     def __len__(self):
@@ -725,10 +722,10 @@ class IterationTrace:
     def append(self, lagrangian, objective, feas_gap, prox_grad_norm, measure,
                sim_time, collected):
         if self.lagrangian is not None:
-            self.lagrangian.append(float(lagrangian))
-        self.objective.append(float(objective))
-        self.feas_gap.append(float(feas_gap))
-        self.prox_grad_norm.append(float(prox_grad_norm))
-        self.measure.append(float(measure))
-        self.sim_time.append(float(sim_time))
-        self.collected.append(int(collected))
+            self.lagrangian.append(lagrangian)
+        self.objective.append(objective)
+        self.feas_gap.append(feas_gap)
+        self.prox_grad_norm.append(prox_grad_norm)
+        self.measure.append(measure)
+        self.sim_time.append(sim_time)
+        self.collected.append(collected)

@@ -2,7 +2,10 @@
 
 import math
 import re
+import sys
+import tracemalloc
 import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from apadmm.algorithms import (
     master_step,
     padmm_apply,
 )
-from apadmm.benchmark import SparsePcaSpec, generate
+from apadmm.benchmark import RUN_PRESETS, SparsePcaSpec, generate
 from apadmm.problems import (ConsensusProblem, consensus_terms, initial_state,
                              stationarity)
 from reference import component_gradient
@@ -518,7 +521,33 @@ def test_run_async_clock_is_one_per_iteration():
                                  max_iters=7, epsilon=1e-14, seed=2,
                                  enforcement="observe", init="random_ball"))
     assert res.iterations == res.updates == 7
-    assert res.trace.sim_time == [float(t) for t in range(1, 8)]
+    expected = array("d", range(1, 8))
+    assert res.trace.sim_time.typecode == expected.typecode
+    assert res.trace.sim_time.tobytes() == expected.tobytes()
+
+
+def test_a_kept_trace_holds_eight_bytes_a_value():
+    """A 2,000-row desk trace: its seven columns free, when dropped, no more
+    than 8 bytes a value plus each array's over-allocation (a sixteenth of
+    its length and 7 more slots) and header. A list of Python floats
+    would hold 32 bytes a value."""
+    desk, rows = RUN_PRESETS["desk"], 2000
+    problem = generate(SparsePcaSpec(**desk["instance"]))
+    config = RunConfig(**desk["config"], seed=1, max_iters=rows, epsilon=1e-300)
+    columns = ("lagrangian", "objective", "feas_gap", "prox_grad_norm",
+               "measure", "sim_time", "collected")
+    tracemalloc.start()
+    try:
+        trace = run(problem, config).trace
+        assert len(trace) == rows
+        held = tracemalloc.get_traced_memory()[0]
+        for name in columns:
+            setattr(trace, name, None)
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    per_column = 8 * (rows + rows // 16 + 7) + sys.getsizeof(array("d"))
+    assert 8 * rows * len(columns) <= held <= per_column * len(columns)
 
 
 def test_config_validation_errors():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import zipfile
+from array import array
 
 import numpy as np
 import pytest
@@ -961,6 +962,12 @@ def test_the_stored_data_grows_with_the_nonzeros_not_with_its_shape(tmp_path):
      "malformed row '1,2,3': not enough values to unpack (expected 7, got 3)"),
     (["1,2,3,4,5,6,7", "2,2,3,4,5,6,7", "3,2,3,4,5,6,7,8"],
      "malformed row '3,2,3,4,5,6,7,8': too many values to unpack"),
+    # out of range for the column's storage: a 64-bit count, a double
+    (["1,2,3,4,5,6,7", "2,2,3,4,5,6,%d" % 2 ** 63, "3,2,3,4,5,6,x"],
+     "malformed row '2,2,3,4,5,6,%d': int too big to convert" % 2 ** 63),
+    (["1,2,3,4,5,6,7", "1%s,2,3,4,5,6,7" % ("0" * 400), "3,x,3,4,5,6,7"],
+     "malformed row '1%s,2,3,4,5,6,7': int too large to convert to float"
+     % ("0" * 400)),
 ])
 def test_the_trace_parse_names_the_first_bad_row(rows, message):
     # the first bad row in the file; within it, a row of the wrong width
@@ -970,9 +977,13 @@ def test_the_trace_parse_names_the_first_bad_row(rows, message):
         _parse_trace_csv(text)
     assert str(info.value).startswith(message)
     trace = _parse_trace_csv(text.split("\n")[0] + "\n1,2,3.5,-0.0,4,5,6\n")
-    assert (trace.lagrangian, trace.objective, trace.feas_gap, trace.prox_grad_norm,
-            trace.measure, trace.sim_time, trace.collected) == (
-        [2.0], [3.5], [-0.0], [4.0], [5.0], [1.0], [6])
+    columns = (trace.lagrangian, trace.objective, trace.feas_gap,
+               trace.prox_grad_norm, trace.measure, trace.sim_time, trace.collected)
+    expected = (array("d", [2.0]), array("d", [3.5]), array("d", [-0.0]),
+                array("d", [4.0]), array("d", [5.0]), array("d", [1.0]),
+                array("q", [6]))
+    assert ([(c.typecode, c.tobytes()) for c in columns]
+            == [(e.typecode, e.tobytes()) for e in expected])
     assert type(trace.sim_time[0]) is float and type(trace.collected[0]) is int
 
 

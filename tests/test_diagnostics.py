@@ -607,6 +607,27 @@ def test_trace_residuals_name_a_stale_index_past_the_stored_states():
         trace_residuals(problem, result.trace, result.rho, [2, 2, 2])
 
 
+@pytest.mark.parametrize("name", ["lagrangian", "objective", "feas_gap",
+                                  "prox_grad_norm", "sim_time", "collected"])
+def test_trace_residuals_refuse_a_column_of_another_length(name, monkeypatch):
+    """A column shorter or longer than ``measure`` would pair its values
+    with other rows' states (a short Lagrangian shifts every descent and
+    shortens the telescoped drop); the check names the column and both
+    lengths before any replay."""
+    problem, result = certified_run(iters=40)
+    assert len(result.trace) == 40
+    monkeypatch.setattr(diagnostics, "_replay_block", None)
+    column = getattr(result.trace, name)
+    del column[-5:]
+    with pytest.raises(ValueError) as raised:
+        trace_residuals(problem, result.trace, result.rho, [2, 2, 2])
+    assert str(raised.value) == "trace column %s has 35 rows, not 40" % name
+    column.extend(column[-10:])
+    with pytest.raises(ValueError, match="^trace column %s has 45 rows, not 40$"
+                       % name):
+        trace_residuals(problem, result.trace, result.rho, [2, 2, 2])
+
+
 @pytest.mark.parametrize("name", ["rho", "delay_bounds"])
 @pytest.mark.parametrize("entries", [1, 2, 4])
 def test_trace_residuals_need_one_entry_per_component(name, entries):

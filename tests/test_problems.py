@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+from array import array
 
 import numpy as np
 import pytest
@@ -687,8 +688,10 @@ def test_iteration_trace_append_and_len():
     trace.append(1.0, 0.5, 0.1, 0.2, 0.3, 1.0, 3)
     trace.append(0.9, 0.4, 0.05, 0.1, 0.15, 2.0, 2)
     assert len(trace) == 2
-    assert trace.lagrangian == [1.0, 0.9]
-    assert trace.collected == [3, 2]
+    for column, expected in ((trace.lagrangian, array("d", [1.0, 0.9])),
+                             (trace.collected, array("q", [3, 2]))):
+        assert column.typecode == expected.typecode
+        assert column.tobytes() == expected.tobytes()
 
 
 def test_smooth_value_is_component_sum():

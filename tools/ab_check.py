@@ -15,8 +15,8 @@ of each of three shapes: desk (N=50, K=5, M=20) at 120 and at 240 rows,
 and paper (N=500, K=10, M=100) at 12 rows, instance and run seeds 0 to
 n-1. Every run is then loaded and checked once by each tree, untimed,
 and compared: the report's lines and each outcome's status, worst-slack
-bits and failing rows, every trace column, and every loaded array
-(bounds, operator with its dtypes and read-only flags, rho, delay
+bits and failing rows, the bits of every trace column, and every loaded
+array (bounds, operator with its dtypes and read-only flags, rho, delay
 bounds and each state's iteration and arrays).
 
 Then r reps (default 20) time, per tree and shape, the mean over the n
@@ -74,7 +74,10 @@ def check(ap, path):
 
 
 def fingerprint(loaded, report):
-    """Everything a check reads and says, as comparable bits."""
+    """Everything a check reads and says, as comparable bits: a trace
+    column as its doubles, so a list and an ``array.array`` of the same
+    values agree and a -0.0 differs from a 0.0."""
+    import numpy as np  # here, after main has pinned the BLAS
     problem, trace, rho, delay_bounds, algorithm = loaded
     arrays = [problem.lipschitz, rho, delay_bounds]
     arrays += [a for part in problem.operator for a in part[2:] if a is not None]
@@ -83,7 +86,8 @@ def fingerprint(loaded, report):
     return (report.lines(),
             [(o.name, o.status, None if o.worst_slack is None
               else float(o.worst_slack).hex(), o.failing) for o in report.outcomes],
-            [getattr(trace, name) for name in COLUMNS],
+            [np.asarray(getattr(trace, name), dtype=float).tobytes()
+             for name in COLUMNS],
             [(a.dtype.str, a.shape, a.tobytes(), a.flags.writeable) for a in arrays],
             [tuple(part[:2]) for part in problem.operator],
             [state.iteration for state in trace.states],
