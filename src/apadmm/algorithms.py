@@ -355,7 +355,7 @@ def run(problem, config, lagrangian=True):
                     termination = "staleness_violation"
                     break
         else:
-            cost = max(1, math.ceil(max(net._round_trips())))
+            cost = max(1, math.ceil(max(net.sample_round_trips())))
             grads, stale, arrived = terms.gradients, np.full(K, t_new), K
         state = (_exact(problem, state, column, inverses, x_new) if exact
                  else _commit(state, column, x_new, grads, stale))

@@ -209,14 +209,8 @@ def load_run(csv_path):
         raise ValueError("cannot read trace file %r: %s" % (csv_path, exc))
     try:
         with np.load(npz_path) as data:
-            # files written before the nonzeros were stored hold dense B_k
-            num = 0
-            while "B_%d" % num in data:
-                num += 1
-            problem = ConsensusProblem(
-                (data["B_%d" % k] for k in range(num)) if num else data,
-                l1_weight=float(data["l1_weight"]),
-                radius=float(data["radius"]))
+            problem = ConsensusProblem(data, l1_weight=float(data["l1_weight"]),
+                                       radius=float(data["radius"]))
             # each subscript reads the member from the file again, so read
             # it once; the states are iterations 1, 2, ...; the gradient
             # and iteration histories of older files are not read

@@ -33,12 +33,13 @@ stored run's verdict depends on the run alone:
 and ``DUAL_DIFF_TOL`` and ``LOWER_TOL`` are absolute.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ._rules import nonnegative, positive
-from .problems import StateHistory, _block_pass, _row_dots, augmented_lagrangian
+from .problems import (IterationTrace, StateHistory, _block_pass, _row_dots,
+                       augmented_lagrangian)
 from .stepsize import descent_margin
 
 __all__ = [
@@ -50,8 +51,7 @@ __all__ = [
 DUAL_TOL, DESCENT_TOL, TELESCOPE_TOL, DUAL_DIFF_TOL, LOWER_TOL = (
     1e-9, 1e-9, 1e-6, 1e-9, 1e-6)
 # the trace's columns, one value a row each; len(trace) counts measure
-_COLUMNS = ("lagrangian", "objective", "feas_gap", "prox_grad_norm",
-            "measure", "sim_time", "collected")
+_COLUMNS = tuple(f.name for f in fields(IterationTrace) if f.name != "states")
 # rows replayed at once, which bounds the replay's memory; at paper scale
 # 64-row stacks fall out of cache and replay slower than 16-row ones
 BLOCK_ROWS = 16

@@ -230,7 +230,7 @@ _NONZERO_MEMBERS = ("data_dim", "data_rows", "data_indptr", "data_cols",
 
 
 def _nonzeros(problem):
-    """The problem's data as ``_NONZERO_MEMBERS``, in D's order, which ``_dense`` reads.
+    """The problem's data as ``_NONZERO_MEMBERS``, in D's order, which ``_blocks`` reads.
 
     N, each component's row count, D's row pointer, each nonzero's
     column within its component and its value: about 12 bytes a nonzero.
@@ -263,12 +263,6 @@ def _blocks(N, rows, indptr, cols, values):
         block.reshape(-1)[at[first:last]] = values[first:last]
         block.flags.writeable = False
         yield block
-
-
-def _dense(members):
-    # the read-only dense matrices of the _nonzeros in members: checked when
-    # called (_stored), then built one at a time, as they are asked for
-    return _blocks(*_stored(members))
 
 
 def _stored(members):
@@ -360,8 +354,7 @@ class ConsensusProblem:
     matrices of its checked nonzeros (``_stored``), and D is those
     nonzeros, its values the given array, made read-only. The
     problem keeps the read-only ``operator`` (``_operator``) and neither
-    keeps nor writes the matrices given; ``data`` reads them back as a
-    tuple of read-only dense arrays, built on each access.
+    keeps nor writes the matrices given.
     ``lipschitz[k]``, read-only, is ``leading_eigenvalue`` of the matrix
     as given, a proven upper bound on the top eigenvalue of its Gram
     matrix, floored at machine epsilon when the matrix is 0.
@@ -406,10 +399,6 @@ class ConsensusProblem:
         self.penalty_inverses = {}
 
     @property
-    def data(self):
-        return tuple(_dense(_nonzeros(self)))
-
-    @property
     def dim(self):
         return self.operator.D.cols // self.num_components
 
@@ -439,12 +428,11 @@ def _penalty_inverses(problem, rho):
     if inverses is not None:
         return inverses
     lipschitz = problem.lipschitz
-    D, segments = problem.operator
-    rows = np.diff(segments.indptr).tolist()
-    blocks = _blocks(problem.dim, rows, D.indptr, D.indices % problem.dim, D.data)
+    members = _nonzeros(problem)
+    blocks = _blocks(*members.values())
     inverses = []
     k = 0
-    for M, run in itertools.groupby(rows):
+    for M, run in itertools.groupby(members["data_rows"].tolist()):
         stack = np.empty((len(list(run)), M, M))
         eye = np.eye(M)
         for inverse in stack:
@@ -540,9 +528,10 @@ class StateHistory(Sequence):
     ``x`` is ``(R + 1, N)``, ``x_local`` and ``y`` are ``(R + 1, K, N)``
     and ``stale_index`` is ``(R + 1, K)``. As a sequence, item i is a
     ``SolverState`` of iteration i + 1 whose arrays are views of row i:
-    writing into them, or assigning one, writes into the history. A
-    slice is a list of such states. The replay and ``save_states`` read
-    the arrays whole, and ``of`` stacks a list of states once.
+    writing into them writes into the history, while assigning one
+    changes that state alone. A slice is a list of such states. The
+    replay and ``save_states`` read the arrays whole, and ``of`` stacks a
+    list of states once.
     """
 
     def __init__(self, x, x_local, y, stale_index):
@@ -561,22 +550,10 @@ class StateHistory(Sequence):
 
     def __getitem__(self, i):
         at = range(len(self.x))[i]
-        return [_Row(self, j) for j in at] if isinstance(at, range) else _Row(self, at)
-
-
-def _row_array(name):
-    # a state's array: a view of its row of the history's, set by writing into it
-    def put(row, value):
-        getattr(row.history, name)[row.row] = value
-    return property(lambda row: getattr(row.history, name)[row.row], put)
-
-
-class _Row(SolverState):
-    # row ``row`` of a StateHistory, the state of iteration row + 1
-    x, x_local, y, stale_index = map(_row_array, _STATE_ARRAYS)
-
-    def __init__(self, history, row):
-        self.history, self.row, self.iteration = history, row, row + 1
+        if isinstance(at, range):
+            return [self[j] for j in at]
+        return SolverState(at + 1, self.x[at], self.x_local[at], self.y[at],
+                           self.stale_index[at])
 
 
 def initial_state(problem, x0=None):

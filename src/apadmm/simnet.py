@@ -350,12 +350,9 @@ class StarNetwork:
 
         Used by synchronous baselines, which block rather than window; no
         events are scheduled and no losses apply (callers must have
-        rejected lossy configurations first).
+        rejected lossy configurations first). A list of floats, one per
+        worker, whose delays are drawn in this order: downlink, compute,
+        uplink.
         """
-        return np.array(self._round_trips())
-
-    def _round_trips(self):
-        # sample_round_trips as a list of floats; each worker's delays are
-        # drawn in this order: downlink, compute, uplink
         return [down[2]() + compute() + up[2]()
                 for down, compute, up in zip(self._down, self._compute, self._up)]

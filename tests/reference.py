@@ -2,7 +2,7 @@
 
 The plain per-component expressions the sparse passes of
 ``apadmm.problems`` are checked against, bit for bit where a test says
-so. Pass ``problem.data[k]`` as B to compare with what a problem
+so. Pass ``dense(problem)[k]`` as B to compare with what a problem
 computes for its component k.
 
 Every sum here is taken the way the problems' kernels take it: the
@@ -11,6 +11,9 @@ products of a row in column order, added one at a time onto 0.0. For
 each output of the transposed product. A zero
 entry's product is a signed zero, which leaves such a sum unchanged, so
 summing all of a row equals summing its nonzeros.
+
+``dense`` scatters a problem's dense matrices from its operator's CSR
+arrays by plain indexing, apart from the problems' own ``_blocks``.
 
 ``leading_eigenvalue`` is the curvature bound through the public
 ``scipy.linalg.eigvalsh``, which the problems' direct LAPACK call must
@@ -50,6 +53,23 @@ def component_gradient(B, z):
     return -matvec(B.T, matvec(B, z))
 
 
+def dense(problem):
+    """The problem's K dense matrices B_k, as a list: component k owns D's
+    rows ``segments.indptr[k]`` to ``segments.indptr[k + 1]`` and its columns
+    k N to (k + 1) N, each row's nonzeros at D's ``indices`` of that row."""
+    D, segments = problem.operator
+    N = problem.dim
+    blocks = []
+    for k in range(problem.num_components):
+        first, last = segments.indptr[k], segments.indptr[k + 1]
+        row = np.repeat(np.arange(last - first), np.diff(D.indptr[first:last + 1]))
+        span = slice(D.indptr[first], D.indptr[last])
+        B = np.zeros((last - first, N))
+        B[row, D.indices[span] - k * N] = D.data[span]
+        blocks.append(B)
+    return blocks
+
+
 def leading_eigenvalue(B):
     """The top eigenvalue of the smaller Gram of B by ``eigvalsh``, padded by
     ``2 (M + N) eps ||B||_F^2`` as ``problems.leading_eigenvalue`` pads it."""
@@ -65,7 +85,7 @@ def penalty_inverses(problem, rho):
     from the stacked dense matrices of each run and their batched Gram."""
     inverses = []
     k = 0
-    for _, run in itertools.groupby(problem.data, key=len):
+    for _, run in itertools.groupby(dense(problem), key=len):
         block = np.stack(list(run))
         gram = block @ block.transpose(0, 2, 1)
         eye = np.eye(gram.shape[1])

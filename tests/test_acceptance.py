@@ -26,7 +26,7 @@ from apadmm import (
 from apadmm.benchmark import SparsePcaSpec, generate
 from apadmm.cli import main as cli_main
 
-from reference import component_gradient
+from reference import component_gradient, dense
 from test_prox import ball_candidates, candidate_table, grid_prox, subgradient_prox
 
 DESK = dict(dim=50, num_components=5, rows=20, nonzero_prob=0.1,
@@ -74,6 +74,7 @@ def ordering_campaign():
 
 def test_criterion_01_dual_identity(desk_runs):
     problem, results, reports, elapsed = desk_runs
+    blocks = dense(problem)
     for name, result in results.items():
         states = result.trace.states
         # states[0] is the initial state; states[r] follows iteration r,
@@ -82,7 +83,7 @@ def test_criterion_01_dual_identity(desk_runs):
             st = states[r]
             for k in range(5):
                 j = int(st.stale_index[k])
-                grad = component_gradient(problem.data[k], states[max(j - 1, 0)].x)
+                grad = component_gradient(blocks[k], states[max(j - 1, 0)].x)
                 bound = 1e-9 * (1.0 + float(np.linalg.norm(st.y[k])))
                 assert float(np.linalg.norm(grad + st.y[k])) <= bound, (
                     "dual identity broke in the %s run" % name)

@@ -21,7 +21,7 @@ from apadmm.algorithms import (
 from apadmm.benchmark import RUN_PRESETS, SparsePcaSpec, generate
 from apadmm.problems import (ConsensusProblem, consensus_terms, initial_state,
                              stationarity)
-from reference import component_gradient
+from reference import component_gradient, dense
 
 
 def scalar_problem(l1_weight=0.0, radius=10.0):
@@ -227,7 +227,7 @@ def one_step(algorithm, problem, state, rho):
     x_new = master_step(problem, state, rho)
     if algorithm == "sync_admm":
         return exact_admm_iteration(problem, state, rho, x_new)
-    fresh = np.stack([component_gradient(B, x_new) for B in problem.data])
+    fresh = np.stack([component_gradient(B, x_new) for B in dense(problem)])
     stale = np.full(problem.num_components, state.iteration + 1)
     return padmm_apply(state, rho, x_new, fresh, stale)
 
@@ -422,7 +422,7 @@ def test_sync_admm_stored_gradients_are_the_gradients_at_the_local_copies(
                                  epsilon=1e-14, full_trace=True))
     assert res.updates == 20
     for state in res.trace.states:
-        for B, u, g in zip(problem.data, state.x_local, -state.y):
+        for B, u, g in zip(dense(problem), state.x_local, -state.y):
             exact = component_gradient(B, u)
             assert np.linalg.norm(g - exact) <= 1e-10 * (1.0 + np.linalg.norm(exact))
 

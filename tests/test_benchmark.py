@@ -12,7 +12,7 @@ from apadmm import (CampaignCell, RunConfig, SparsePcaSpec, campaign_csv, genera
 from apadmm import problems
 from apadmm.algorithms import ALGORITHMS
 from apadmm.benchmark import RUN_PRESETS, bench_preset
-from reference import one_block_bound, traced_peak
+from reference import dense, one_block_bound, traced_peak
 
 
 def reference_data(spec):
@@ -36,7 +36,7 @@ def test_generate_matches_documented_draw_order():
     spec = SparsePcaSpec(dim=30, num_components=4, rows=12, nonzero_prob=0.15,
                          l1_weight=0.7, seed=21)
     problem = generate(spec)
-    for B, ref in zip(problem.data, reference_data(spec), strict=True):
+    for B, ref in zip(dense(problem), reference_data(spec), strict=True):
         np.testing.assert_array_equal(B, ref)
     assert problem.l1_weight == 0.7
     assert problem.radius == 1.0
@@ -45,17 +45,17 @@ def test_generate_matches_documented_draw_order():
 def test_generate_is_deterministic_and_seed_sensitive():
     spec = SparsePcaSpec(dim=20, num_components=3, rows=8, seed=5)
     a, b = generate(spec), generate(spec)
-    for Ba, Bb in zip(a.data, b.data, strict=True):
+    for Ba, Bb in zip(dense(a), dense(b), strict=True):
         np.testing.assert_array_equal(Ba, Bb)
     np.testing.assert_array_equal(a.lipschitz, b.lipschitz)
     other = generate(SparsePcaSpec(dim=20, num_components=3, rows=8, seed=6))
-    assert not np.array_equal(a.data[0], other.data[0])
+    assert not np.array_equal(dense(a)[0], dense(other)[0])
 
 
 def test_generate_nonzero_fraction_tracks_probability():
     spec = SparsePcaSpec(dim=100, num_components=1, rows=100, nonzero_prob=0.1,
                          seed=2)
-    B = generate(spec).data[0]
+    B = dense(generate(spec))[0]
     frac = float(np.count_nonzero(B)) / B.size
     # binomial with n = 1e4: three sigmas is about 0.009
     assert abs(frac - 0.1) < 0.01
@@ -65,10 +65,11 @@ def test_generate_per_component_rows_and_probs():
     spec = SparsePcaSpec(dim=10, num_components=2, rows=[3, 7],
                          nonzero_prob=[0.0, 1.0], seed=1)
     problem = generate(spec)
-    assert problem.data[0].shape == (3, 10)
-    assert problem.data[1].shape == (7, 10)
-    assert np.count_nonzero(problem.data[0]) == 0
-    assert np.count_nonzero(problem.data[1]) == 70
+    blocks = dense(problem)
+    assert blocks[0].shape == (3, 10)
+    assert blocks[1].shape == (7, 10)
+    assert np.count_nonzero(blocks[0]) == 0
+    assert np.count_nonzero(blocks[1]) == 70
     assert problem.lipschitz[0] == np.finfo(float).eps
 
 
@@ -116,13 +117,13 @@ def test_spec_validation():
     # numpy integers are integers
     spec = SparsePcaSpec(dim=np.int64(5), num_components=np.int32(2), rows=[3, 4],
                          seed=np.uint8(7))
-    assert [B.shape for B in generate(spec).data] == [(3, 5), (4, 5)]
+    assert [B.shape for B in dense(generate(spec))] == [(3, 5), (4, 5)]
     spec = SparsePcaSpec(dim=5, num_components=2, rows=np.array([3, 4], dtype=np.int16))
-    assert [B.shape for B in generate(spec).data] == [(3, 5), (4, 5)]
+    assert [B.shape for B in dense(generate(spec))] == [(3, 5), (4, 5)]
     # a 0-d array is one value
     spec = SparsePcaSpec(dim=5, num_components=2, rows=np.array(3),
                          nonzero_prob=np.array(0.5))
-    assert [B.shape for B in generate(spec).data] == [(3, 5), (3, 5)]
+    assert [B.shape for B in dense(generate(spec))] == [(3, 5), (3, 5)]
 
 
 def test_spec_rejects_a_component_count_past_an_index_by_name():

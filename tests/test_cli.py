@@ -14,8 +14,8 @@ import apadmm
 from apadmm import RunConfig, SparsePcaSpec, generate, problems, run
 from apadmm.cli import (TRACE_COLUMNS, _parse_trace_csv, load_run, main,
                         save_states, trace_csv)
-from apadmm.problems import ConsensusProblem, _dense
-from reference import one_block_bound, traced_peak
+from apadmm.problems import _NONZERO_MEMBERS, ConsensusProblem
+from reference import dense, one_block_bound, traced_peak
 
 SMALL = ["--N", "12", "--K", "3", "--M", "6", "--p", "0.2",
          "--instance-seed", "3"]
@@ -773,7 +773,7 @@ def test_load_run_round_trips_a_stored_run(tmp_path):
     np.testing.assert_array_equal(rho, result.rho)
     np.testing.assert_array_equal(delay_bounds, result.delay_bounds)
     np.testing.assert_array_equal(delay_bounds, [2.0] * 3)
-    for a, b in zip(loaded.data, problem.data, strict=True):
+    for a, b in zip(dense(loaded), dense(problem), strict=True):
         np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(loaded.lipschitz, problem.lipschitz)
     for column in ("lagrangian", "objective", "feas_gap", "prox_grad_norm",
@@ -803,7 +803,7 @@ def test_save_states_stores_every_member_uncompressed(tmp_path):
 
 def bits(problem, trace, rho, delay_bounds, algorithm):
     """Every bit of a loaded run: its data, bounds, operator, states and trace."""
-    arrays = [*problem.data, problem.lipschitz, np.float64(problem.l1_weight),
+    arrays = [*dense(problem), problem.lipschitz, np.float64(problem.l1_weight),
               np.float64(problem.radius), rho, delay_bounds]
     arrays += [a for part in problem.operator for a in part[2:] if a is not None]
     for state in trace.states:
@@ -838,36 +838,28 @@ def test_a_compressed_state_file_loads_and_checks_bit_for_bit(tmp_path, capsys):
 def dense_format(arrays):
     """Rewrite a state file's members as files held them before the nonzeros:
     one dense matrix B_k per component."""
-    for k, B in enumerate(_dense(arrays)):
-        arrays["B_%d" % k] = np.array(B)
-    for name in ("data_dim", "data_rows", "data_indptr", "data_cols",
-                 "data_values"):
+    for k, B in enumerate(dense(ConsensusProblem(arrays))):
+        arrays["B_%d" % k] = B
+    for name in _NONZERO_MEMBERS:
         del arrays[name]
 
 
-@pytest.mark.parametrize("compressed", [False, True])
-def test_a_dense_format_state_file_loads_and_checks_bit_for_bit(
-        tmp_path, capsys, compressed):
-    # files that hold each component as a dense B_k still load, to the
-    # same bits, and check with the same lines
+def test_a_dense_format_state_file_fails_by_name(tmp_path, capsys):
+    # files that held each component as a dense B_k, before the nonzeros
+    # were stored, no longer load: check names the first missing member
     problem, _, path = stored_run(tmp_path, 40)
     npz = path[:-4] + ".states.npz"
-    new = load_run(path)
-    assert run_cli(["check", path]) == 0
-    lines = capsys.readouterr().out
     with np.load(npz) as data:
         arrays = dict(data)
     dense_format(arrays)
-    for k, B in enumerate(problem.data):
-        assert arrays["B_%d" % k].tobytes() == B.tobytes()
-    (np.savez_compressed if compressed else np.savez)(npz, **arrays)
-    with np.load(npz) as data:
-        assert "B_2" in data.files and "data_values" not in data.files
-    old = load_run(path)
-    assert run_cli(["check", path]) == 0
-    assert capsys.readouterr().out == lines
-    assert lines.count("PASS") == 5
-    assert bits(*old) == bits(*new)
+    assert ([arrays["B_%d" % k].tobytes() for k in range(3)]
+            == [B.tobytes() for B in dense(problem)])
+    np.savez(npz, **arrays)
+    assert run_cli(["check", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: cannot load state file %r: 'data_dim is not "
+                            "a file in the archive'\n" % npz)
 
 
 def save_a_run(path, problem, iterations=3):
@@ -896,8 +888,8 @@ def test_the_stored_nonzeros_round_trip_every_shape_bit_for_bit(tmp_path):
     path = str(tmp_path / "edge.csv")
     save_a_run(path, problem)
     loaded = load_run(path)[0]
-    assert [B.shape for B in loaded.data] == [(3, 9), (5, 9), (4, 9)]
-    for a, b in zip(loaded.data, problem.data, strict=True):
+    assert [B.shape for B in dense(loaded)] == [(3, 9), (5, 9), (4, 9)]
+    for a, b in zip(dense(loaded), dense(problem), strict=True):
         assert a.tobytes() == b.tobytes()
     assert loaded.lipschitz.tobytes() == problem.lipschitz.tobytes()
     for got, want in zip(loaded.operator, problem.operator, strict=True):
@@ -1011,11 +1003,6 @@ def rewrite(npz, spoil):
     np.savez_compressed(npz, **arrays)
 
 
-def nan_in_B_1(arrays):
-    dense_format(arrays)
-    arrays["B_1"][0, 0] = np.nan
-
-
 def set_entry(name, index, value):
     """A spoiler that sets one entry of a stored array, relative to the old one."""
     def spoil(arrays):
@@ -1040,12 +1027,6 @@ def spoil_row(csv, column, value):
 
 # how to spoil a stored run's state file or trace, and what the error must say
 MALFORMED = {
-    "nan_B_1": ("states", lambda npz: rewrite(npz, nan_in_B_1),
-                "data matrix 1 contains non-finite entries"),
-    "short_B_2": ("states",
-                  lambda npz: rewrite(npz, lambda a: (
-                      dense_format(a), a.update(B_2=a["B_2"][:, :10]))),
-                  "components disagree on dimension: [10, 12]"),
     "data_cols_negative": (
         "states", lambda npz: rewrite(npz, set_entry("data_cols", 4, lambda a: -1)),
         "data_cols holds a column outside 0 to 11"),

@@ -20,7 +20,7 @@ from apadmm.problems import (
     initial_state,
 )
 from apadmm.stepsize import descent_margin
-from reference import component_gradient, component_value
+from reference import component_gradient, component_value, dense
 
 
 def penalized_surrogates(problem, state, rho, k, stale_grad, at=None):
@@ -35,7 +35,7 @@ def penalized_surrogates(problem, state, rho, k, stale_grad, at=None):
     solver's local update is the exact argmin of the stale form.
     """
     rho = np.asarray(rho, dtype=float)
-    B = problem.data[k]
+    B = dense(problem)[k]
     z = np.asarray(state.x_local[k] if at is None else at, dtype=float)
     diff = z - state.x
     shared = float(state.y[k] @ diff) + 0.5 * rho[k] * float(diff @ diff)
@@ -105,7 +105,8 @@ def test_optimality_measure_permutation_invariant():
     state.x = rng.standard_normal(6) * 0.2
     state.x_local = rng.standard_normal((3, 6)) * 0.2
     perm = [2, 0, 1]
-    swapped = ConsensusProblem([problem.data[i] for i in perm],
+    blocks = dense(problem)
+    swapped = ConsensusProblem([blocks[i] for i in perm],
                                l1_weight=problem.l1_weight,
                                radius=problem.radius)
     state_p = initial_state(swapped)
@@ -129,13 +130,13 @@ def reference_row(problem, state, rho):
     """A trace row from the definitions, one component term at a time."""
     x, l1 = state.x, problem.l1_weight
     lagrangian = l1 * float(np.abs(x).sum())
-    for k, B in enumerate(problem.data):
+    for k, B in enumerate(dense(problem)):
         diff = state.x_local[k] - x
         lagrangian += component_value(B, state.x_local[k])
         lagrangian += float(state.y[k] @ diff) + 0.5 * rho[k] * float(diff @ diff)
-    objective = (sum(component_value(B, x) for B in problem.data)
+    objective = (sum(component_value(B, x) for B in dense(problem))
                  + l1 * float(np.abs(x).sum()))
-    step = x - sum(component_gradient(B, x) for B in problem.data)
+    step = x - sum(component_gradient(B, x) for B in dense(problem))
     pg_norm = float(np.linalg.norm(x - prox_l1_ball(step, l1, problem.radius)))
     gap = float(np.linalg.norm(state.x_local - x, axis=1).max() / np.linalg.norm(x))
     return lagrangian, objective, gap, pg_norm, gap + pg_norm
@@ -279,7 +280,7 @@ def test_random_start_evaluates_each_component_once(monkeypatch):
     assert gradients
     np.testing.assert_array_equal(
         -state.y,
-        np.stack([component_gradient(B, state.x) for B in problem.data]))
+        np.stack([component_gradient(B, state.x) for B in dense(problem)]))
 
 
 # -- penalized surrogates ----------------------------------------------------
@@ -301,7 +302,7 @@ def test_surrogates_coincide_at_zero_displacement():
     for k in range(2):
         exact, fresh, stale = penalized_surrogates(problem, state, [9.0, 9.0],
                                                    k, stale_grad, at=state.x)
-        gk = component_value(problem.data[k], state.x)
+        gk = component_value(dense(problem)[k], state.x)
         assert exact == pytest.approx(gk, rel=1e-12)
         assert fresh == pytest.approx(gk, rel=1e-12)
         assert stale == pytest.approx(gk, rel=1e-12)
@@ -466,12 +467,13 @@ def loop_residuals(problem, trace, rho, delay_bounds):
                 [first + i for i, m in enumerate(margins) if m < 0])
 
     margins = []
+    blocks = dense(problem)
     for r in range(1, rows + 1):
         points = np.array([states[max(int(i) - 1, 0)].x
                            for i in states[r].stale_index])
         margins.append(min(
             1e-9 * (1.0 + np.linalg.norm(y)) - np.linalg.norm(component_gradient(B, p) + y)
-            for B, p, y in zip(problem.data, points, states[r].y)))
+            for B, p, y in zip(blocks, points, states[r].y)))
     out.append(verdict(margins))
     lag = [problems.augmented_lagrangian(problem, states[0], rho)]
     lag += list(trace.lagrangian)
@@ -591,18 +593,18 @@ def test_trace_residuals_name_a_stale_index_past_the_stored_states():
     problem, result = certified_run(iters=10)
     states = result.trace.states
     assert len(states) == 11
-    states[10].stale_index = np.array([11, 1, 1])
-    states[5].stale_index = np.array([6, 1, 1])
+    states.stale_index[10] = [11, 1, 1]
+    states.stale_index[5] = [6, 1, 1]
     trace_residuals(problem, result.trace, result.rho, [2, 2, 2])
-    states[10].stale_index = np.array([1, 1, 12])
+    states.stale_index[10] = [1, 1, 12]
     for index in (10 ** 6, 20, 7, 0, -3):
-        states[5].stale_index = np.array([index, 1, 1])
+        states.stale_index[5] = [index, 1, 1]
         with pytest.raises(ValueError) as raised:
             trace_residuals(problem, result.trace, result.rho, [2, 2, 2])
         assert str(raised.value) == (
             "row 5, component 0: stale index %d is not an iteration the row "
             "could read; row 5 reads iterations 1 to 6" % index)
-    states[5].stale_index = np.array([6, 1, 1])
+    states.stale_index[5] = [6, 1, 1]
     with pytest.raises(ValueError, match="^row 10, component 2: stale index 12 "):
         trace_residuals(problem, result.trace, result.rho, [2, 2, 2])
 

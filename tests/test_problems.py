@@ -26,8 +26,8 @@ from apadmm.problems import (
 )
 from apadmm.prox import _norm, prox_l1_ball
 import reference
-from reference import (component_gradient, component_value, one_block_bound,
-                       penalty_inverses, traced_peak)
+from reference import (component_gradient, component_value, dense,
+                       one_block_bound, penalty_inverses, traced_peak)
 
 
 def finite_difference_gradient(fn, x, step=1e-6):
@@ -81,11 +81,11 @@ def test_objective_matches_dense_cross_check():
     rng = np.random.default_rng(2)
     for _ in range(5):
         x = rng.standard_normal(12)
-        ref = sum(-0.5 * float(np.linalg.norm(B @ x) ** 2) for B in problem.data)
+        ref = sum(-0.5 * float(np.linalg.norm(B @ x) ** 2) for B in dense(problem))
         terms = consensus_terms(problem, x)
         assert terms.objective == pytest.approx(ref, rel=1e-12)
         np.testing.assert_allclose(
-            terms.gradients, np.stack([component_gradient(B, x) for B in problem.data]),
+            terms.gradients, np.stack([component_gradient(B, x) for B in dense(problem)]),
             rtol=1e-12)
 
 
@@ -338,7 +338,7 @@ def check_penalized_argmins(problem, seed):
     y = rng.standard_normal((K, N))
     out = penalized_argmin(problem, rho, x_master, y)
     assert out.shape == (K, N)
-    for k, B in enumerate(problem.data):
+    for k, B in enumerate(dense(problem)):
         ref = np.linalg.solve(rho[k] * np.eye(N) - B.T @ B, rho[k] * x_master - y[k])
         np.testing.assert_allclose(out[k], ref, rtol=1e-10)
         first_order = (component_gradient(B, out[k]) + y[k]
@@ -350,7 +350,7 @@ def check_penalized_argmins(problem, seed):
     assert list(problem.penalty_inverses) == [tuple(rho.tolist())]
     inverses = problem.penalty_inverses[tuple(rho.tolist())]
     runs = [(len(list(run)), M) for M, run in
-            itertools.groupby(len(B) for B in problem.data)]
+            itertools.groupby(len(B) for B in dense(problem))]
     assert [s.shape for s in inverses] == [(count, M, M) for count, M in runs]
     assert not any(s.flags.writeable for s in inverses)
     return rho
@@ -400,7 +400,8 @@ def test_a_problem_from_its_stored_nonzeros_is_the_problem_bit_for_bit(draw):
     rows and -0.0 entries: the problem built from the mapping of its
     ``_nonzeros`` takes D from those arrays and builds each dense block
     only for its checks and bound, and every operator array (dtype,
-    bytes, read-only flag), every bound and ``data`` equal the original's."""
+    bytes, read-only flag), every bound and every dense block equal the
+    original's."""
     K = draw.draw(st.integers(1, 5))
     rows = draw.draw(st.lists(st.integers(1, 6), min_size=K, max_size=K))
     N = draw.draw(st.integers(1, 9))
@@ -421,7 +422,7 @@ def test_a_problem_from_its_stored_nonzeros_is_the_problem_bit_for_bit(draw):
         problems._scan = scan
     assert scanned == []
     assert loaded.lipschitz.tobytes() == problem.lipschitz.tobytes()
-    assert [B.tobytes() for B in loaded.data] == [B.tobytes() for B in problem.data]
+    assert [B.tobytes() for B in dense(loaded)] == [B.tobytes() for B in dense(problem)]
     for got, want in zip(loaded.operator, problem.operator, strict=True):
         assert got[:2] == want[:2]
         for a, b in zip(got[2:], want[2:], strict=True):
@@ -490,7 +491,7 @@ def test_run_sync_admm_rho_below_the_true_curvature_is_infeasible():
     # the bound is at or above the true curvature, so a penalty just below
     # that curvature is rejected before any update, even when forced
     problem = ConsensusProblem([near_degenerate_data(1)])
-    B = problem.data[0]
+    B = dense(problem)[0]
     curvature = np.linalg.eigvalsh(B @ B.T).max()
     assert problem.lipschitz[0] >= curvature
     res = run(problem, RunConfig(algorithm="sync_admm", rho=curvature * (1.0 - 1e-12),
@@ -505,7 +506,7 @@ def test_benchmark_instance_gradient_and_lipschitz_probes():
     spec = SparsePcaSpec(dim=10, num_components=3, rows=8, seed=5)
     problem = generate(spec)
     rng = np.random.default_rng(0)
-    for k, B in enumerate(problem.data):
+    for k, B in enumerate(dense(problem)):
         # the gradient Lipschitz constant of -||Bz||^2/2 is exactly lambda_max
         assert problem.lipschitz[k] == pytest.approx(
             np.linalg.eigvalsh(B @ B.T).max(), rel=1e-10)
@@ -559,7 +560,7 @@ def drawn(matrices, log):
 def test_a_problem_consumes_its_data_once_one_matrix_at_a_time():
     """A generator gives the bits of a list: every operator array and
     bound; a bad matrix raises by index before the next is drawn."""
-    data = [np.array(B) for B in stacked_problem("tall").data]
+    data = dense(stacked_problem("tall"))
     log = []
     lazy = ConsensusProblem(drawn(data, log), l1_weight=0.05)
     eager = ConsensusProblem(data, l1_weight=0.05)
@@ -581,17 +582,19 @@ def test_a_problem_consumes_its_data_once_one_matrix_at_a_time():
 
 
 def test_dense_checks_every_member_before_it_builds_a_block():
-    """``_dense`` raises when called, not when its first block is asked
-    for, and builds each block only when asked."""
-    members = dict(problems._nonzeros(stacked_problem("wide")))
-    blocks = problems._dense(members)
+    """``_stored`` checks every member when called, and ``_blocks`` of its
+    result builds each read-only block only when asked for it."""
+    problem = stacked_problem("wide")
+    members = dict(problems._nonzeros(problem))
+    blocks = problems._blocks(*problems._stored(members))
     assert iter(blocks) is blocks
     first = next(blocks)
     assert first.shape == (6, 12) and not first.flags.writeable
+    assert first.tobytes() == dense(problem)[0].tobytes()
     members["data_cols"] = members["data_cols"].copy()
     members["data_cols"][-1] = 12
     with pytest.raises(ValueError, match="data_cols holds a column outside 0 to 11"):
-        problems._dense(members)
+        problems._stored(members)
 
 
 # -- state and trace ---------------------------------------------------------
@@ -613,7 +616,7 @@ def test_initial_state_from_a_start_point():
     problem = generate(SparsePcaSpec(dim=7, num_components=4, rows=5, seed=8))
     x0 = np.random.default_rng(2).standard_normal(7) * 0.3
     state = initial_state(problem, x0)
-    grads = np.stack([component_gradient(B, x0) for B in problem.data])
+    grads = np.stack([component_gradient(B, x0) for B in dense(problem)])
     np.testing.assert_array_equal(state.x, x0)
     np.testing.assert_array_equal(state.x_local, np.tile(x0, (4, 1)))
     # duals start at the negated gradients: the dual identity holds at once
@@ -628,7 +631,8 @@ def test_a_run_keeps_its_states_as_one_stacked_history():
     """``trace.states`` is a ``StateHistory``: a sequence of states whose
     arrays are views of its four stacked arrays, so indexing, negative
     indexing, slicing, iteration, zip and deepcopy work as on the list of
-    states it was stacked from, and a state writes into its history."""
+    states it was stacked from; writing into a state's arrays writes into
+    its history, and assigning one of them does not."""
     import copy
     problem = generate(SparsePcaSpec(dim=8, num_components=3, rows=4, seed=6))
     result = run(problem, RunConfig(max_iters=9, epsilon=1e-14, full_trace=True,
@@ -654,10 +658,13 @@ def test_a_run_keeps_its_states_as_one_stacked_history():
     assert [s.iteration for s in states[::-3]] == [10, 7, 4, 1]
     assert [(a.iteration, b.iteration) for a, b in zip(states, states[1:])][:2] == [
         (1, 2), (2, 3)]
-    # a state writes into its history, through its arrays or by assignment
+    # a state writes into its history through its arrays, not by assignment
     states[4].y[0, 0] += 1.0
-    states[5].stale_index = np.array([1, 2, 3])
+    states[5].stale_index[:] = [1, 2, 3]
     assert states.stale_index[5].tolist() == [1, 2, 3]
+    before = states.x[6].copy()
+    states[6].x = np.full(8, 7.0)
+    assert states.x[6].tobytes() == before.tobytes()
     twin = copy.deepcopy(result.trace)
     assert isinstance(twin.states, problems.StateHistory)
     for name in ("x", "x_local", "y", "stale_index"):
@@ -665,7 +672,7 @@ def test_a_run_keeps_its_states_as_one_stacked_history():
         assert a is not b and a.dtype == b.dtype and a.tobytes() == b.tobytes()
     before = states.y.copy()
     twin.states[4].y[0, 0] = np.nan
-    twin.states[3].x = np.zeros(8)
+    twin.states[3].x[:] = 0.0
     assert np.isnan(twin.states.y[4, 0, 0]) and not twin.states.x[3].any()
     assert states.y.tobytes() == before.tobytes() and states.x[3].any()
     # a list of states stacks once, to the same arrays
@@ -701,11 +708,11 @@ def test_smooth_value_is_component_sum():
     problem = generate(spec)
     x = np.random.default_rng(0).standard_normal(5)
     terms = consensus_terms(problem, x)
-    ref = sum(component_value(B, x) for B in problem.data)
+    ref = sum(component_value(B, x) for B in dense(problem))
     ref += 0.2 * float(np.abs(x).sum())
     assert terms.objective == pytest.approx(ref, rel=1e-14)
     assert terms.gradients.shape == (3, 5)
-    for row, B in zip(terms.gradients, problem.data):
+    for row, B in zip(terms.gradients, dense(problem)):
         np.testing.assert_array_equal(row, component_gradient(B, x))
 
 
@@ -723,9 +730,9 @@ def stacked_problem(shape):
 def loop_terms(problem, x):
     """Objective and gradients from the reference expressions, in order."""
     value = 0.0
-    for B in problem.data:
+    for B in dense(problem):
         value += component_value(B, x)
-    grads = np.stack([component_gradient(B, x) for B in problem.data])
+    grads = np.stack([component_gradient(B, x) for B in dense(problem)])
     return value + problem.l1_weight * float(np.abs(x).sum()), grads
 
 
@@ -739,7 +746,7 @@ def loop_residual(problem, x, grads):
 
 def loop_lagrangian(problem, state, rho):
     total = problem.l1_weight * float(np.abs(state.x).sum())
-    for k, B in enumerate(problem.data):
+    for k, B in enumerate(dense(problem)):
         diff = state.x_local[k] - state.x
         total += component_value(B, state.x_local[k])
         total += float(state.y[k] @ diff)
@@ -773,14 +780,13 @@ def operator_arrays(problem):
 
 def assert_holds_its_own_copy(problem, given):
     """Every array of the operator is read-only and shares no memory with
-    ``given``; ``data`` reads ``given`` back, as read-only dense arrays."""
+    ``given``, and its blocks (``dense``) are ``given``."""
     assert all(not a.flags.writeable for a in operator_arrays(problem))
     assert not any(np.shares_memory(a, G) for a in operator_arrays(problem)
                    for G in given)
-    data = problem.data
-    assert isinstance(data, tuple) and len(data) == len(given)
+    data = dense(problem)
+    assert len(data) == len(given)
     for B, G in zip(data, given):
-        assert not B.flags.writeable
         assert B.tobytes() == G.tobytes()
 
 
@@ -789,7 +795,7 @@ def test_problem_holds_its_own_read_only_operator():
     held once, in D, whose arrays are read-only and none of the caller's."""
     spec = SparsePcaSpec(dim=12, num_components=4, rows=STACK_ROWS["tall"],
                          nonzero_prob=0.3, seed=4)
-    data = [np.array(B) for B in generate(spec).data]
+    data = dense(generate(spec))
     kept = [B.copy() for B in data]
     problem = ConsensusProblem(data)
     operator = problem.operator
@@ -810,7 +816,7 @@ def test_problem_holds_its_own_read_only_operator():
     for B, K in zip(data, kept):
         assert B.flags.writeable and B.tobytes() == K.tobytes()
     data[0][0, 0] += 1.0
-    assert problem.data[0].tobytes() == kept[0].tobytes()
+    assert dense(problem)[0].tobytes() == kept[0].tobytes()
 
 
 def test_products_reject_a_vector_of_the_wrong_length():
@@ -832,10 +838,10 @@ def test_products_reject_a_vector_of_the_wrong_length():
 
 
 def test_two_problems_built_from_one_list_share_no_memory():
-    data = list(stacked_problem("wide").data)
+    data = dense(stacked_problem("wide"))
     first = ConsensusProblem(data, l1_weight=0.05)
     second = ConsensusProblem(data, l1_weight=0.05)
-    third = ConsensusProblem(first.data[::-1], l1_weight=0.05)
+    third = ConsensusProblem(dense(first)[::-1], l1_weight=0.05)
     built = (first, second, third)
     for a, b in itertools.combinations(built, 2):
         assert not any(np.shares_memory(p, q) for p in operator_arrays(a)
@@ -851,10 +857,8 @@ def test_two_problems_built_from_one_list_share_no_memory():
 
 def test_problem_data_and_bounds_are_read_only():
     problem = stacked_problem("wide")
-    with pytest.raises(TypeError):
-        problem.data[1] = problem.data[0]
     with pytest.raises(ValueError):
-        problem.data[0][0, 0] = 1.0
+        problem.operator.D.data[0] = 1.0
     with pytest.raises(ValueError):
         problem.lipschitz[0] = 1.0
 
@@ -864,7 +868,7 @@ def test_problem_data_and_bounds_are_read_only():
 def test_ragged_problems_match_the_reference_expressions(rows):
     spec = SparsePcaSpec(dim=12, num_components=5, rows=rows,
                          nonzero_prob=0.3, l1_weight=0.05, seed=6)
-    data = [np.array(B) for B in generate(spec).data]
+    data = dense(generate(spec))
     problem = ConsensusProblem(data, l1_weight=0.05)
     assert_holds_its_own_copy(problem, data)
     assert all(B.flags.writeable for B in data)
@@ -887,7 +891,7 @@ def test_ragged_problems_match_the_reference_expressions(rows):
 def paper_problem(num_components):
     spec = SparsePcaSpec(dim=500, num_components=num_components, rows=100,
                          l1_weight=0.05, seed=3)
-    data = [np.array(B) for B in generate(spec).data]
+    data = dense(generate(spec))
     return ConsensusProblem(data, l1_weight=0.05), data
 
 
@@ -980,7 +984,7 @@ def test_the_pass_equals_the_per_component_reference_on_ragged_sparse_data(
     """Random row counts and sparsity patterns, with one all-zero component
     and one whose even rows are empty: the values and gradients at one
     point, at one point per component and at the local copies are the
-    reference's bits, and ``data`` reads the matrices back. An ``(R, K,
+    reference's bits, and ``dense`` reads the matrices back. An ``(R, K,
     N)`` stack, the residual replay's form, gives the bits of R passes."""
     K = draw.draw(st.integers(2, 5))
     rows = draw.draw(st.lists(st.integers(1, 5), min_size=K, max_size=K))
@@ -993,7 +997,7 @@ def test_the_pass_equals_the_per_component_reference_on_ragged_sparse_data(
     data[zero][:] = 0.0
     data[holed][::2] = 0.0
     problem = ConsensusProblem(data)
-    assert [B.tobytes() for B in problem.data] == [B.tobytes() for B in data]
+    assert [B.tobytes() for B in dense(problem)] == [B.tobytes() for B in data]
     x, X, local = (rng.standard_normal(N), rng.standard_normal((K, N)),
                    rng.standard_normal((K, N)))
 

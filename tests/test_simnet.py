@@ -183,7 +183,7 @@ def test_sample_round_trips_sums_three_draws():
     up = [LinkModel(DelayModel.constant(0.25))]
     compute = [DelayModel.constant(1.0)]
     net = make_net(1, down=down, up=up, compute=compute)
-    np.testing.assert_allclose(net.sample_round_trips(), [1.75])
+    assert net.sample_round_trips() == [1.75]
     # direct sampling schedules nothing
     assert net._heap == []
     assert net.now == 0.0
@@ -354,22 +354,20 @@ def test_network_draws_follow_the_scalar_generator_in_call_order():
             c = ref.uniform(compute[k].lo, compute[k].hi)
             u = ref.uniform(up[k].delay.lo, up[k].delay.hi)
             want.append(d + c + u)
-        assert net.sample_round_trips().tobytes() == np.array(want).tobytes()
+        assert [v.hex() for v in net.sample_round_trips()] == [v.hex() for v in want]
 
 
 def test_the_solver_draws_the_round_trips_sample_round_trips_returns():
-    # run() takes the slowest round trip from the list of floats; the
-    # public array holds the same draws, in the same order, to the bit
+    # run() takes the Python max of the list of floats sample_round_trips
+    # returns; twin networks draw the same values, in the same order, to the bit
     down = [LinkModel(DelayModel.uniform(0.1, 1.3))] * 4
     compute = [DelayModel.uniform(0.0, 2.0), DelayModel.constant(0.5),
                DelayModel.empirical([1.0, 0.25]), DelayModel.uniform(1.0, 1.0)]
     nets = [make_net(4, down=down, compute=compute, seed=[3, 29]) for _ in range(2)]
     for _ in range(50):
-        drawn, sampled = nets[0]._round_trips(), nets[1].sample_round_trips()
-        assert all(type(v) is float for v in drawn)
-        assert isinstance(sampled, np.ndarray) and sampled.dtype == float
-        assert np.array(drawn).tobytes() == sampled.tobytes()
-        assert max(drawn) == float(sampled.max())
+        drawn, twin = (net.sample_round_trips() for net in nets)
+        assert len(drawn) == 4 and all(type(v) is float for v in drawn + twin)
+        assert [v.hex() for v in drawn] == [v.hex() for v in twin]
 
 
 def test_lossy_broadcasts_match_a_scalar_draw_replay():

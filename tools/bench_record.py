@@ -24,18 +24,23 @@ change's last run; per side, the tier-1 wall times, their median and
 the suite's summary line; per side, the cold start's three figures
 (``cold_start``: median, quartiles and values, and the number of runs
 the change won); and, per side, the ``src/`` line count, the total
-that ``wc -l src/apadmm/*.py`` prints. The per-layer (``--trace
+that ``wc -l src/apadmm/*.py`` prints (``src_lines``), and that count
+split into code, docstring, comment and blank lines (``src_line_kinds``,
+by ``line_kinds``), so a cut made by deleting docstrings shows as one.
+The per-layer (``--trace
 1``) metrics are not recorded: several of them read 0 until the tracer
 is repaired (ROADMAP item 3).
 """
 
 import glob
+import io
 import json
 import os
 import statistics
 import subprocess
 import sys
 import time
+import tokenize
 
 PAIRS = 10
 SECONDS = 30
@@ -87,13 +92,61 @@ def cold_start(checkout):
             "help_s": time.perf_counter() - start}
 
 
+def modules(checkout):
+    """The source text of each package module of ``checkout``."""
+    for path in sorted(glob.glob(os.path.join(checkout, "src", "apadmm", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            yield fh.read()
+
+
 def src_lines(checkout):
     """Newlines in the package modules of ``checkout``, as ``wc -l`` counts them."""
-    total = 0
-    for path in glob.glob(os.path.join(checkout, "src", "apadmm", "*.py")):
-        with open(path, "rb") as fh:
-            total += fh.read().count(b"\n")
-    return total
+    return sum(source.count("\n") for source in modules(checkout))
+
+
+# what a line holds, in order of precedence: a line with any code token is
+# code, else a line of a docstring, else a comment; a line of none is blank
+KINDS = ("code", "docstring", "comment", "blank")
+LAYOUT = (tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT,
+          tokenize.ENDMARKER)
+
+
+def line_kinds(source):
+    """``KINDS`` counts of the ``source.count("\\n")`` lines of ``source``.
+
+    A docstring is a string token that is a statement of its own: the
+    first token of its logical line, and the last but comments. Each line
+    a token spans takes the token's kind, so the lines of a multi-line
+    string that is part of an expression are code.
+    """
+    tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    significant = [t for t in tokens if t.type not in (tokenize.NL, tokenize.COMMENT)]
+    docstrings = {token.start for before, token, after in zip(
+        [None] + significant, significant, significant[1:])
+        if token.type == tokenize.STRING and after.type == tokenize.NEWLINE
+        and (before is None or before.type in LAYOUT)}
+    lines = source.count("\n")
+    kind = [KINDS.index("blank")] * (lines + 1)  # by line number, from 1
+    for token in tokens:
+        if token.type in LAYOUT:
+            continue
+        which = KINDS.index("comment" if token.type == tokenize.COMMENT else
+                            "docstring" if token.start in docstrings else "code")
+        for line in range(token.start[0], min(token.end[0], lines) + 1):
+            kind[line] = min(kind[line], which)
+    counts = dict.fromkeys(KINDS, 0)
+    for which in kind[1:]:
+        counts[KINDS[which]] += 1
+    return counts
+
+
+def src_line_kinds(checkout):
+    """``line_kinds`` summed over the package modules of ``checkout``."""
+    counts = dict.fromkeys(KINDS, 0)
+    for source in modules(checkout):
+        for name, count in line_kinds(source).items():
+            counts[name] += count
+    return counts
 
 
 def summary(values):
@@ -170,6 +223,8 @@ def main(argv):
                                 "runs": times[side], "summary": lines[side]}
                          for side in times},
         "src_lines": {"parent": src_lines(parent), "change": src_lines(change)},
+        "src_line_kinds": {"parent": src_line_kinds(parent),
+                           "change": src_line_kinds(change)},
         "per_layer": "not recorded: several per-layer metrics read 0 until "
                      "the tracer is repaired (ROADMAP item 3)",
     }
